@@ -1,52 +1,21 @@
-(* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (scaled) plus the warehouse-side and multi-source
-   experiments, and a bechamel micro suite.
+(* Experiment harness: a thin alias for `dwbench run` over the same
+   experiment registry (Dw_experiments.Registry) — regenerates every
+   table and figure of the paper's evaluation (scaled) plus the
+   warehouse-side experiments and a bechamel micro suite.
 
      dune exec bench/main.exe            # everything, scale 1
      dune exec bench/main.exe -- t1 f2   # selected experiments
      dune exec bench/main.exe -- --scale 2 all
 
-   Experiment ids: t1 t2 t3 t5 f2 f3 t4 w1 w2 s1 r1 v1 t7 ablate micro
-   (see DESIGN.md). *)
+   `dune exec bin/dwbench.exe -- list` prints the ids (see DESIGN.md). *)
 
-module E = Dw_experiments
-
-let runners =
-  [
-    ("t1", fun ~scale -> E.Exp_dump_load.run ~scale);
-    ("t2", fun ~scale -> ignore (E.Exp_timestamp.run_t2 ~scale));
-    ("t3", fun ~scale -> E.Exp_timestamp.run_t3 ~scale);
-    ("t5", fun ~scale -> E.Exp_batching.run_t5 ~scale);
-    ("f2", fun ~scale -> E.Exp_trigger.run ~scale);
-    ("f2r", fun ~scale -> E.Exp_trigger.run_remote ~scale);
-    ("f3", fun ~scale -> E.Exp_opdelta.run_f3 ~scale);
-    ("t4", fun ~scale -> E.Exp_opdelta.run_t4 ~scale);
-    ("v1", fun ~scale -> E.Exp_opdelta.run_v1 ~scale);
-    ("w1", fun ~scale -> E.Exp_warehouse.run_w1 ~scale);
-    ("w2", fun ~scale -> E.Exp_warehouse.run_w2 ~scale);
-    ("w2r", fun ~scale -> E.Exp_warehouse.run_w2_real ~scale);
-    ("w1agg", fun ~scale -> E.Exp_warehouse.run_w1_agg ~scale);
-    ("w3", fun ~scale -> E.Exp_mvcc.run_w3 ~scale);
-    ("w4", fun ~scale -> E.Exp_bootstrap.run_bench ~scale);
-    ("w5", fun ~scale -> E.Exp_parallel.run_w5 ~scale);
-    ("t6", fun ~scale -> E.Exp_partition.run_t6 ~scale);
-    ("w6", fun ~scale -> E.Exp_chaos.run_bench ~scale);
-    ("t7", fun ~scale -> E.Exp_planner.run_t7 ~scale);
-    ("s1", fun ~scale -> E.Exp_snapshot.run ~scale);
-    ("r1", fun ~scale -> E.Exp_reconcile.run ~scale);
-    ("ablate", fun ~scale -> E.Exp_ablation.run_all ~scale);
-    ("crash", fun ~scale -> E.Crash_sim.run_bench ~scale);
-    ("micro", fun ~scale:_ -> E.Micro.run ());
-  ]
-
-let valid_ids = List.map fst runners
+module Registry = Dw_experiments.Registry
 
 let usage () =
-  Printf.printf "usage: main.exe [--scale N] [%s|all ...]\n" (String.concat "|" valid_ids);
+  Printf.printf "usage: main.exe [--scale N] [%s|all ...]\n" (String.concat "|" Registry.ids);
   exit 1
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
   let scale = ref 1 in
   let rec parse acc = function
     | [] -> List.rev acc
@@ -59,25 +28,18 @@ let () =
     | ("-h" | "--help") :: _ -> usage ()
     | x :: rest -> parse (String.lowercase_ascii x :: acc) rest
   in
-  let selected = parse [] args in
-  (* a typo'd id must fail loudly, not silently run nothing *)
-  (match
-     List.filter (fun id -> id <> "all" && not (List.mem id valid_ids)) selected
-   with
+  let selected = parse [] (List.tl (Array.to_list Sys.argv)) in
+  (match Registry.unknown_ids selected with
    | [] -> ()
    | unknown ->
-     Printf.eprintf "unknown experiment id%s: %s (valid: %s, or 'all')\n"
-       (if List.length unknown = 1 then "" else "s")
-       (String.concat ", " unknown) (String.concat ", " valid_ids);
+     prerr_endline (Registry.unknown_ids_message unknown);
      exit 1);
-  let selected = if selected = [] || List.mem "all" selected then [ "all" ] else selected in
-  let want id = List.mem id selected || List.mem "all" selected in
-  let scale = !scale in
+  let selected = if selected = [] then [ "all" ] else selected in
   let total = Unix.gettimeofday () in
   Printf.printf
     "Delta-extraction experiment harness (scale %d; paper sizes are scaled to row counts, see \
      EXPERIMENTS.md)\n"
-    scale;
-  List.iter (fun (id, run) -> if want id then run ~scale) runners;
+    !scale;
+  List.iter (fun x -> x.Registry.run ~scale:!scale) (Registry.select selected);
   Printf.printf "\ntotal harness time: %s\n"
     (Dw_util.Fmt_util.human_duration (Unix.gettimeofday () -. total))

@@ -1,6 +1,6 @@
 (* dwbench — command-line driver for the delta-extraction experiment
-   suite (cmdliner interface over the same experiments bench/main.exe
-   runs).
+   suite (cmdliner interface over Dw_experiments.Registry, the list
+   bench/main.exe runs too).
 
      dwbench run t1 t2 --scale 2
      dwbench run t3 w1 --json out.json   # machine-readable results
@@ -14,73 +14,9 @@ module Metrics = Dw_util.Metrics
 module Json = Dw_util.Json
 module Fmt_util = Dw_util.Fmt_util
 
-let experiments =
-  [
-    ("t1", "Table 1: Export / Import / DBMS Loader vs delta size",
-     fun ~scale -> E.Exp_dump_load.run ~scale);
-    ("t2", "Table 2: timestamp extraction (file / table / table+Export)",
-     fun ~scale -> ignore (E.Exp_timestamp.run_t2 ~scale));
-    ("t3", "Table 3: end-to-end extract + transport + load",
-     fun ~scale -> E.Exp_timestamp.run_t3 ~scale);
-    ("f2", "Figure 2: trigger overhead vs transaction size",
-     fun ~scale -> E.Exp_trigger.run ~scale);
-    ("f2r", "Section 3.1.3: trigger capture to local vs external staging",
-     fun ~scale -> E.Exp_trigger.run_remote ~scale);
-    ("f3", "Figure 3: Op-Delta capture overhead vs transaction size",
-     fun ~scale -> E.Exp_opdelta.run_f3 ~scale);
-    ("t4", "Table 4: Op-Delta response time, DB log vs file log",
-     fun ~scale -> E.Exp_opdelta.run_t4 ~scale);
-    ("v1", "Section 4.1: delta volume, Op-Delta vs value delta",
-     fun ~scale -> E.Exp_opdelta.run_v1 ~scale);
-    ("w1", "Section 4.1: warehouse maintenance window",
-     fun ~scale -> E.Exp_warehouse.run_w1 ~scale);
-    ("w2", "Section 4.1: warehouse availability during maintenance",
-     fun ~scale -> E.Exp_warehouse.run_w2 ~scale);
-    ("w2r", "availability with real 2PL (effect-handler scheduler)",
-     fun ~scale -> E.Exp_warehouse.run_w2_real ~scale);
-    ("w1agg", "extension: maintenance window with an aggregate view",
-     fun ~scale -> E.Exp_warehouse.run_w1_agg ~scale);
-    ("w3", "snapshot-isolation reads: OLAP latency and refresh window vs locking reads",
-     fun ~scale -> E.Exp_mvcc.run_w3 ~scale);
-    ("t5", "batching ablation: group commit, transport coalescing, micro-batched refresh",
-     fun ~scale -> E.Exp_batching.run_t5 ~scale);
-    ("w4", "resumable bootstrap: crash sweep with resume, restart cost, lease exclusion",
-     fun ~scale -> E.Exp_bootstrap.run_bench ~scale);
-    ("w5", "domain-parallel snapshot OLAP: throughput/p95 vs domain count under refresh",
-     fun ~scale -> E.Exp_parallel.run_w5 ~scale);
-    ("t6", "partitioned warehouse: refresh window vs partition count, staged parallel apply",
-     fun ~scale -> E.Exp_partition.run_t6 ~scale);
-    ("w6", "chaos: flapping shard, circuit breakers, degraded reads, online shard rebuild",
-     fun ~scale -> E.Exp_chaos.run_bench ~scale);
-    ("t7", "cost-based planner vs static extraction methods under sustained shifting load",
-     fun ~scale -> E.Exp_planner.run_t7 ~scale);
-    ("s1", "Section 3.1.2: snapshot differential vs other methods",
-     fun ~scale -> E.Exp_snapshot.run ~scale);
-    ("r1", "Sections 2.2/4.1: replicated sources and reconciliation",
-     fun ~scale -> E.Exp_reconcile.run ~scale);
-    ("ablate", "ablations: plan mode, group commit, pool size, snapshot algorithms",
-     fun ~scale -> E.Exp_ablation.run_all ~scale);
-    ("crash", "robustness: crash-point sweep, faulty shipping, fault/retry counters",
-     fun ~scale -> E.Crash_sim.run_bench ~scale);
-    ("micro", "bechamel micro-benchmarks of engine primitives",
-     fun ~scale:_ -> E.Micro.run ());
-  ]
+module Registry = E.Registry
 
-let unknown_ids ids =
-  List.filter
-    (fun id -> id <> "all" && not (List.exists (fun (i, _, _) -> i = id) experiments))
-    ids
-
-(* A typo'd experiment id must fail loudly (exit non-zero, valid ids in
-   the message), never silently run the remaining ids — a CI job that
-   misspells a gated id would otherwise pass without running it. *)
-let unknown_ids_error u =
-  let valid = List.map (fun (id, _, _) -> id) experiments in
-  `Error
-    ( false,
-      Printf.sprintf "unknown experiment id%s %s (valid: %s, or 'all')"
-        (if List.length u = 1 then "" else "s")
-        (String.concat ", " u) (String.concat ", " valid) )
+let unknown_ids_error u = `Error (false, Registry.unknown_ids_message u)
 
 (* Run each selected experiment under a fresh sink registry: every
    counter/histogram mutation and finished span anywhere in the process
@@ -88,18 +24,14 @@ let unknown_ids_error u =
    registry) is mirrored into the sink, giving one merged per-experiment
    view.  Returns (id, wall seconds, captured registry) per experiment. *)
 let run_captured ~scale ids =
-  let want id = List.mem "all" ids || List.mem id ids in
-  List.filter_map
-    (fun (id, _, f) ->
-      if not (want id) then None
-      else begin
-        let sink = Metrics.create () in
-        Metrics.with_sink (Some sink) (fun () ->
-            let t0 = Unix.gettimeofday () in
-            f ~scale;
-            Some (id, Unix.gettimeofday () -. t0, sink))
-      end)
-    experiments
+  List.map
+    (fun { Registry.id; run; _ } ->
+      let sink = Metrics.create () in
+      Metrics.with_sink (Some sink) (fun () ->
+          let t0 = Unix.gettimeofday () in
+          run ~scale;
+          (id, Unix.gettimeofday () -. t0, sink)))
+    (Registry.select ids)
 
 (* Aggregate completed spans by (name, parent): occurrence count and
    total time, for both the JSON payload and the stats tables. *)
@@ -200,13 +132,16 @@ let print_stats (id, wall, sink) =
 let list_cmd =
   let doc = "List available experiments." in
   let run () =
-    List.iter (fun (id, descr, _) -> Printf.printf "%-6s %s\n" id descr) experiments
+    List.iter
+      (fun { Registry.id; description; _ } -> Printf.printf "%-6s %s\n" id description)
+      Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 let ids_arg =
-  let all = List.map (fun (id, _, _) -> id) experiments in
-  let doc = Printf.sprintf "Experiment ids (%s or 'all')." (String.concat ", " all) in
+  let doc =
+    Printf.sprintf "Experiment ids (%s or 'all')." (String.concat ", " Registry.ids)
+  in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let scale_arg =
@@ -234,14 +169,12 @@ let run_cmd =
   let run scale quick json ids =
     if scale < 1 then `Error (false, "--scale must be >= 1")
     else
-      match unknown_ids ids with
+      match Registry.unknown_ids ids with
       | _ :: _ as u -> unknown_ids_error u
       | [] ->
         E.Bench_support.set_quick quick;
         (match json with
-         | None ->
-           let want id = List.mem "all" ids || List.mem id ids in
-           List.iter (fun (id, _, f) -> if want id then f ~scale) experiments
+         | None -> List.iter (fun x -> x.Registry.run ~scale) (Registry.select ids)
          | Some file ->
            let results = run_captured ~scale ids in
            write_json ~file ~scale ~quick results);
@@ -257,7 +190,7 @@ let stats_cmd =
   let run scale quick ids =
     if scale < 1 then `Error (false, "--scale must be >= 1")
     else
-      match unknown_ids ids with
+      match Registry.unknown_ids ids with
       | _ :: _ as u -> unknown_ids_error u
       | [] ->
         E.Bench_support.set_quick quick;

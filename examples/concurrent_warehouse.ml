@@ -39,10 +39,7 @@ let run_mode ~online =
       start_at = 0;
       work =
         (fun () ->
-          if online then
-            List.iter
-              (fun od -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
-              maintenance
+          if online then ignore (Warehouse.integrate_op_deltas wh maintenance : Warehouse.stats)
           else
             Db.with_txn db (fun txn ->
                 List.iter

@@ -318,8 +318,10 @@ let apply_delta t od =
      let keys = with_retry t (fun () -> Warehouse.integrate_op_delta_images t.wh ~table:t.table ~mark od) in
      List.iter (fun k -> Hashtbl.replace touched k ()) keys
    | None ->
-     ignore (with_retry t (fun () -> Warehouse.integrate_op_delta_marked t.wh ~mark od)
-             : Warehouse.stats));
+     ignore
+       (with_retry t (fun () ->
+            Warehouse.integrate_op_deltas ~mark:(fun txn _ -> mark txn) t.wh [ od ])
+         : Warehouse.stats));
   t.row <- !marked;
   t.delta_txns_applied <- t.delta_txns_applied + 1
 

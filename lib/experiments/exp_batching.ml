@@ -14,7 +14,7 @@
         op-delta stream applied one source transaction per warehouse
         transaction (the Table 3/4 baseline) vs runs of consecutive
         source transactions per warehouse transaction
-        (Warehouse.integrate_op_deltas_batched).
+        (Warehouse.integrate_op_deltas ~policy).
 
    Deterministic results (counter ratios) land in t5.* gauges for the
    JSON schema check; wall-clock windows are reported but only their
@@ -221,7 +221,7 @@ let run_refresh ~scale =
         let policy = { Warehouse.default_batch_policy with Warehouse.max_batch = b } in
         let stats = ref Warehouse.zero_stats in
         let t =
-          time_only (fun () -> stats := Warehouse.integrate_op_deltas_batched ~policy wh ods)
+          time_only (fun () -> stats := Warehouse.integrate_op_deltas ~policy wh ods)
         in
         if Warehouse.view_rows wh "cheap_parts" <> reference then
           failwith "T5c: batched refresh diverged from sequential refresh";

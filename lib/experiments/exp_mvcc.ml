@@ -71,7 +71,9 @@ let run_arm ~table_rows mode =
       work =
         (fun () ->
           let t0 = Unix.gettimeofday () in
-          ignore (Warehouse.integrate_op_deltas_batched wh ods : Warehouse.stats);
+          ignore
+            (Warehouse.integrate_op_deltas ~policy:Warehouse.default_batch_policy wh ods
+              : Warehouse.stats);
           refresh := Unix.gettimeofday () -. t0);
     }
   in

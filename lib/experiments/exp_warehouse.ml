@@ -1,12 +1,12 @@
-(* Experiments W1 and W2 — the paper's Section 4.1 warehouse-side claims.
+(* Experiments W1 and W2R — the paper's Section 4.1 warehouse-side claims.
 
    W1: maintenance window, Op-Delta vs value delta, per operation kind and
    transaction size.  Expected: insert parity; delete window ~30% shorter
    with Op-Delta; update ~70% shorter.
 
-   W2: availability during maintenance.  Expected: the value-delta batch
-   forces an outage roughly equal to the whole integration, Op-Delta
-   interleaves with OLAP queries with small bounded waits. *)
+   W2R: availability during maintenance, on the real lock manager.
+   Expected: the value-delta batch blocks OLAP readers for the whole
+   integration, Op-Delta interleaves with them with small bounded waits. *)
 
 module Vfs = Dw_storage.Vfs
 module Db = Dw_engine.Db
@@ -19,7 +19,6 @@ module Op_delta = Dw_core.Op_delta
 module Spj_view = Dw_core.Spj_view
 module Trigger_extract = Dw_core.Trigger_extract
 module Warehouse = Dw_warehouse.Warehouse
-module Availability_sim = Dw_warehouse.Availability_sim
 module Prng = Dw_util.Prng
 open Bench_support
 
@@ -93,7 +92,7 @@ let run_w1 ~scale =
           let t_op =
             best_of ~repeat:3
               ~setup:(fun () -> mk_warehouse ~replica_rows:table_rows)
-              (fun wh -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
+              (fun wh -> ignore (Warehouse.integrate_op_deltas wh [ od ] : Warehouse.stats))
           in
           let s1 = { Warehouse.txns = 1; statements = 0; row_ops = 0; duration = t_value } in
           let s2 = { Warehouse.txns = 1; statements = 0; row_ops = 0; duration = t_op } in
@@ -161,7 +160,7 @@ let run_w1_agg ~scale =
           let t_op =
             best_of ~repeat:3
               ~setup:(fun () -> mk_agg_warehouse ~replica_rows:table_rows)
-              (fun wh -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
+              (fun wh -> ignore (Warehouse.integrate_op_deltas wh [ od ] : Warehouse.stats))
           in
           rows :=
             [ op_name kind; string_of_int size; dur t_value; dur t_op;
@@ -175,72 +174,10 @@ let run_w1_agg ~scale =
     "shape check: the Op-Delta advantage persists when the maintenance work includes \
      aggregate-view upkeep (the [19] setting the paper positions itself in front of)"
 
-let run_w2 ~scale =
-  section "W2: warehouse availability during maintenance (Op-Delta online vs value-delta batch)";
-  let table_rows = scaled 5_000 ~scale in
-  (* a maintenance cycle of 40 source transactions, ~25 rows each *)
-  let db = fresh_source ~rows:table_rows () in
-  Db.set_day db (Db.current_day db + 1);
-  let handle = Trigger_extract.install db ~table:"parts" in
-  let ods = ref [] in
-  let rng = Prng.create ~seed:3 in
-  for i = 0 to 39 do
-    let stmts =
-      match i mod 3 with
-      | 0 ->
-        Workload.insert_parts_txn ~first_id:(table_rows + 1 + (i * 30)) ~size:25
-          ~day:(Db.current_day db) ()
-      | 1 -> [ Workload.update_parts_stmt ~first_id:(1 + Prng.int rng 3000) ~size:25 ]
-      | _ -> [ Workload.delete_parts_stmt ~first_id:(1 + Prng.int rng 3000) ~size:25 ]
-    in
-    Db.with_txn db (fun txn ->
-        List.iter (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result)) stmts);
-    ods := Op_delta.make ~txn_id:i stmts :: !ods
-  done;
-  let ods = List.rev !ods in
-  let value_delta = Trigger_extract.collect db handle in
-  (* integrate both ways for real to obtain per-transaction costs *)
-  let wh1 = mk_warehouse ~replica_rows:table_rows in
-  let batch_stats = Warehouse.integrate_value_delta wh1 value_delta in
-  let wh2 = mk_warehouse ~replica_rows:table_rows in
-  let op_stats = List.map (Warehouse.integrate_op_delta wh2) ods in
-  (* costs in ticks = row operations performed while holding the lock *)
-  let batch_job = max 1 batch_stats.Warehouse.row_ops in
-  let op_jobs = List.map (fun (s : Warehouse.stats) -> max 1 s.Warehouse.row_ops) op_stats in
-  let total_op = List.fold_left ( + ) 0 op_jobs in
-  let query_duration = 50 in
-  let query_interval = max 1 (total_op / 40) in
-  let horizon = total_op * 2 in
-  let sim jobs = Availability_sim.run { write_jobs = jobs; query_duration; query_interval; horizon } in
-  let batch_report = sim [ batch_job ] in
-  let op_report = sim op_jobs in
-  let show name (r : Availability_sim.report) =
-    [
-      name;
-      string_of_int r.Availability_sim.outage_time;
-      string_of_int r.Availability_sim.max_query_wait;
-      Printf.sprintf "%.1f"
-        (float_of_int r.Availability_sim.total_query_wait
-         /. float_of_int (max 1 r.Availability_sim.queries_completed));
-      string_of_int r.Availability_sim.maintenance_done;
-      Printf.sprintf "%d/%d" r.Availability_sim.queries_completed
-        r.Availability_sim.queries_admitted;
-    ]
-  in
-  print_table ~title:"Availability (ticks = row ops under lock)"
-    ~header:[ "Mode"; "outage"; "max query wait"; "avg query wait"; "maint. done"; "queries" ]
-    ~rows:[ show "value-delta batch" batch_report; show "Op-Delta online" op_report ];
-  Printf.printf
-    "shape check (paper): the batch blocks every in-flight OLAP query for up to the whole \
-     integration (max wait %d ticks); Op-Delta bounds each query's wait by one small \
-     transaction (max wait %d ticks)\n"
-    batch_report.Availability_sim.max_query_wait op_report.Availability_sim.max_query_wait
-
-
-(* W2R — the W2 claim measured against the REAL lock manager: an
-   effect-handler scheduler (Dw_engine.Scheduler) interleaves integrator
-   and OLAP reader sessions over one warehouse database; reader waits come
-   from actual 2PL conflicts, not a model. *)
+(* W2R — the availability claim measured against the REAL lock manager:
+   an effect-handler scheduler (Dw_engine.Scheduler) interleaves
+   integrator and OLAP reader sessions over one warehouse database;
+   reader waits come from actual 2PL conflicts, not a model. *)
 
 module Scheduler = Dw_engine.Scheduler
 
@@ -263,10 +200,7 @@ let run_w2_real ~scale =
         start_at = 0;
         work =
           (fun () ->
-            if online then
-              List.iter
-                (fun od -> ignore (Warehouse.integrate_op_delta wh od : Warehouse.stats))
-                ods
+            if online then ignore (Warehouse.integrate_op_deltas wh ods : Warehouse.stats)
             else begin
               (* the batch: all transactions' statements in ONE warehouse txn *)
               Db.with_txn db (fun txn ->

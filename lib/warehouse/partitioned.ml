@@ -322,42 +322,19 @@ let agg_view_rows t name = agg_view_rows_of t (indices t) name
 
 (* ---------- parallel refresh ---------- *)
 
-let take n xs =
-  let rec go n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (n - 1) (x :: acc) rest
-  in
-  go n [] xs
-
-(* one shard's valve-governed apply: the same AIMD loop as the monolithic
-   integrate_op_deltas_batched, but reading this shard's own lock.wait
-   p95 — backpressure on one partition leaves the others' run lengths
-   alone *)
+(* one shard's apply: drop what its watermark says is already applied,
+   then run the valve over the rest.  The valve reads this shard's own
+   lock.wait p95 — backpressure on one partition leaves the others' run
+   lengths alone — and each run's transaction advances the watermark to
+   the run's highest txn id. *)
 let refresh_shard policy wh ods =
   let db = Warehouse.db wh in
-  let metrics = Db.metrics db in
   let wm = watermark_of wh in
-  let pending = List.filter (fun od -> od.Op_delta.txn_id > wm) ods in
-  let target = ref policy.Warehouse.max_batch in
-  let rec go acc = function
-    | [] -> acc
-    | rest ->
-      let run, rest = take !target rest in
-      Metrics.observe metrics "warehouse.batch_size" (float_of_int (List.length run));
-      let last =
-        List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 run
-      in
-      let mark txn = set_progress db txn last in
-      let acc = Warehouse.add_stats acc (Warehouse.integrate_op_delta_run_marked wh ~mark run) in
-      let p95 = Metrics.percentile metrics "lock.wait" 0.95 in
-      if p95 > policy.Warehouse.lock_wait_p95_s then
-        target := max policy.Warehouse.min_batch (!target / 2)
-      else target := min policy.Warehouse.max_batch (!target + 1);
-      Metrics.set_gauge metrics "warehouse.batch_size_target" (float_of_int !target);
-      go acc rest
+  let mark txn run =
+    set_progress db txn (List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 run)
   in
-  go Warehouse.zero_stats pending
+  Warehouse.integrate_op_deltas ~policy ~mark wh
+    (List.filter (fun od -> od.Op_delta.txn_id > wm) ods)
 
 let check_buckets t buckets =
   if Array.length buckets <> partitions t then

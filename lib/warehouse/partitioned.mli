@@ -168,13 +168,13 @@ val refresh :
 (** Apply staged per-partition delta buckets (index-aligned with shards,
     as produced by [Dw_etl.Stage.split]) concurrently, one pool task per
     shard.  Each shard filters its bucket by its watermark, then applies
-    valve-governed runs: each run is one shard transaction
-    ({!Warehouse.integrate_op_delta_run_marked}) carrying the watermark
-    advance, its size observed into that shard's [warehouse.batch_size]
-    histogram; the run-length target halves (floored at
-    [policy.min_batch]) when the {e shard's own} [lock.wait] p95 exceeds
-    [policy.lock_wait_p95_s] and recovers +1 otherwise — the per-
-    partition valve.  Returns summed stats (durations add across shards;
+    valve-governed runs through {!Warehouse.integrate_op_deltas}
+    [~policy ~mark]: each run is one shard transaction whose [mark]
+    carries the watermark advance, its size observed into that shard's
+    [warehouse.batch_size] histogram; the run-length target halves
+    (floored at [policy.min_batch]) when the {e shard's own} [lock.wait]
+    p95 exceeds [policy.lock_wait_p95_s] and recovers +1 otherwise — the
+    per-partition valve.  Returns summed stats (durations add across shards;
     wall-clock is the caller's to measure).  Raises [Invalid_argument]
     on a bucket array of the wrong length or an invalid policy. *)
 

@@ -36,10 +36,10 @@ type t = {
   by_source : (string, string list ref) Hashtbl.t;  (* source table -> view names *)
   agg_by_source : (string, string list ref) Hashtbl.t;
   mutable row_ops : int;  (* counted across integrations via triggers *)
+  mutable statements : int;  (* counted by [exec] *)
 }
 
-let create ?pool_pages ?pool_stripes ~vfs ~name () =
-  let db = Db.create ?pool_pages ?pool_stripes ~vfs ~name () in
+let attach ~db () =
   (* the warehouse resolves keyed predicates through the pk index, unlike
      the paper's scan-bound operational sources *)
   Db.set_plan_mode db `Index_preferred;
@@ -52,7 +52,11 @@ let create ?pool_pages ?pool_stripes ~vfs ~name () =
     by_source = Hashtbl.create 8;
     agg_by_source = Hashtbl.create 8;
     row_ops = 0;
+    statements = 0;
   }
+
+let create ?pool_pages ?pool_stripes ~vfs ~name () =
+  attach ~db:(Db.create ?pool_pages ?pool_stripes ~vfs ~name ()) ()
 
 let db t = t.db
 
@@ -273,10 +277,14 @@ let maintain_views t source (ctx : Db.trigger_ctx) event =
       (fun ast -> agg_apply_update t ctx.Db.ctx_txn ast ~before ~after)
       (agg_views_on t source)
 
-let add_replica t ~table ~schema =
-  if Hashtbl.mem t.replicas table then
-    invalid_arg (Printf.sprintf "Warehouse.add_replica: %s exists" table);
-  ignore (Db.create_table t.db ~name:table schema : Table.t);
+(* ---------- registration ---------- *)
+
+let replica_schema t ctx table =
+  match Hashtbl.find_opt t.replicas table with
+  | Some s -> s
+  | None -> invalid_arg (Printf.sprintf "Warehouse.%s: %s is not a replica" ctx table)
+
+let install_replica t ~table schema =
   Hashtbl.add t.replicas table schema;
   Db.add_trigger t.db ~table
     {
@@ -284,6 +292,19 @@ let add_replica t ~table ~schema =
       on = [ Trigger.On_insert; Trigger.On_delete; Trigger.On_update ];
       action = (fun ctx event -> maintain_views t table ctx event);
     }
+
+let add_replica t ~table ~schema =
+  if Hashtbl.mem t.replicas table then
+    invalid_arg (Printf.sprintf "Warehouse.add_replica: %s exists" table);
+  ignore (Db.create_table t.db ~name:table schema : Table.t);
+  install_replica t ~table schema
+
+let attach_replica t ~table =
+  if Hashtbl.mem t.replicas table then
+    invalid_arg (Printf.sprintf "Warehouse.attach_replica: %s already attached" table);
+  match Db.table_opt t.db table with
+  | None -> invalid_arg (Printf.sprintf "Warehouse.attach_replica: no table %s" table)
+  | Some tbl -> install_replica t ~table (Table.schema tbl)
 
 let load_replica t ~table rows =
   let tbl = Db.table t.db table in
@@ -299,43 +320,28 @@ let replica_rows t table =
   Table.scan (Db.table t.db table) (fun _ row -> rows := row :: !rows);
   List.rev !rows
 
-let recompute_view t name =
-  match Hashtbl.find_opt t.views name with
-  | None -> raise Not_found
-  | Some vs -> Spj_view.eval vs.def ~rows_of:(replica_rows t)
+(* every view kind names its own backing table, so a view name must be
+   free in all three registries — an attach that found another kind's
+   table would maintain the wrong rows into it *)
+let check_view_name t ctx name =
+  if Hashtbl.mem t.views name || Hashtbl.mem t.agg_views name || Hashtbl.mem t.viewonly name
+  then invalid_arg (Printf.sprintf "Warehouse.%s: %s exists" ctx name)
 
-let define_view t view =
-  let name = Spj_view.name view in
-  if Hashtbl.mem t.views name || Hashtbl.mem t.viewonly name then
-    invalid_arg (Printf.sprintf "Warehouse.define_view: %s exists" name);
-  (match Spj_view.validate view with
-   | Ok () -> ()
-   | Error e -> invalid_arg ("Warehouse.define_view: " ^ e));
-  List.iter
-    (fun source ->
-      if not (Hashtbl.mem t.replicas source) then
-        invalid_arg
-          (Printf.sprintf "Warehouse.define_view: no replica for source table %s" source))
-    (Spj_view.source_tables view);
-  let out_schema = Spj_view.output_schema view in
-  let back_schema = backing_schema out_schema in
-  ignore (Db.create_table t.db ~name back_schema : Table.t);
-  let vs = { def = view; backing = name; out_schema; back_schema } in
-  Hashtbl.add t.views name vs;
-  List.iter
-    (fun source ->
-      let cell =
-        match Hashtbl.find_opt t.by_source source with
-        | Some cell -> cell
-        | None ->
-          let cell = ref [] in
-          Hashtbl.add t.by_source source cell;
-          cell
-      in
-      cell := name :: !cell)
-    (Spj_view.source_tables view);
-  (* materialize from current replica contents *)
-  let contents = Spj_view.eval view ~rows_of:(replica_rows t) in
+let check_valid ctx = function
+  | Ok () -> ()
+  | Error e -> invalid_arg (Printf.sprintf "Warehouse.%s: %s" ctx e)
+
+let check_backing t ctx name =
+  if Db.table_opt t.db name = None then
+    invalid_arg (Printf.sprintf "Warehouse.%s: no backing table %s" ctx name)
+
+let index_source index source name =
+  match Hashtbl.find_opt index source with
+  | Some cell -> cell := name :: !cell
+  | None -> Hashtbl.add index source (ref [ name ])
+
+(* bulk-fill a freshly created backing table (unlogged, like load_replica) *)
+let materialize t name back_schema contents =
   let tbl = Db.table t.db name in
   List.iter
     (fun (row, count) ->
@@ -344,6 +350,64 @@ let define_view t view =
           : Heap_file.rid))
     contents;
   Table.rebuild_indexes tbl
+
+let view_backing_schema view = backing_schema (Spj_view.output_schema view)
+let agg_view_backing_schema view = backing_schema_keyed (Agg_view.output_schema view)
+
+(* hook a view into trigger maintenance over its backing table *)
+let register_view t view =
+  let name = Spj_view.name view in
+  Hashtbl.add t.views name
+    {
+      def = view;
+      backing = name;
+      out_schema = Spj_view.output_schema view;
+      back_schema = view_backing_schema view;
+    };
+  List.iter (fun source -> index_source t.by_source source name) (Spj_view.source_tables view)
+
+let register_agg_view t view =
+  let name = view.Agg_view.name in
+  Hashtbl.add t.agg_views name
+    {
+      adef = view;
+      abacking = name;
+      aout_schema = Agg_view.output_schema view;
+      aback_schema = agg_view_backing_schema view;
+    };
+  index_source t.agg_by_source view.Agg_view.table name
+
+let recompute_view t name =
+  match Hashtbl.find_opt t.views name with
+  | None -> raise Not_found
+  | Some vs -> Spj_view.eval vs.def ~rows_of:(replica_rows t)
+
+let define_view t view =
+  let name = Spj_view.name view in
+  check_view_name t "define_view" name;
+  check_valid "define_view" (Spj_view.validate view);
+  List.iter
+    (fun source ->
+      if not (Hashtbl.mem t.replicas source) then
+        invalid_arg
+          (Printf.sprintf "Warehouse.define_view: no replica for source table %s" source))
+    (Spj_view.source_tables view);
+  let back_schema = view_backing_schema view in
+  ignore (Db.create_table t.db ~name back_schema : Table.t);
+  register_view t view;
+  (* materialize from current replica contents *)
+  materialize t name back_schema (Spj_view.eval view ~rows_of:(replica_rows t))
+
+(* register an existing view's definition without creating or
+   materializing its backing table — the resume path after a crash, where
+   the backing table's bytes were recovered by Db.reopen and only the
+   in-memory registration was lost *)
+let attach_view t view =
+  let name = Spj_view.name view in
+  check_view_name t "attach_view" name;
+  check_valid "attach_view" (Spj_view.validate view);
+  check_backing t "attach_view" name;
+  register_view t view
 
 let view_rows t name =
   match Hashtbl.find_opt t.views name with
@@ -358,38 +422,23 @@ let view_rows t name =
 
 let define_agg_view t view =
   let name = view.Agg_view.name in
-  if Hashtbl.mem t.agg_views name || Hashtbl.mem t.views name then
-    invalid_arg (Printf.sprintf "Warehouse.define_agg_view: %s exists" name);
-  (match Agg_view.validate view with
-   | Ok () -> ()
-   | Error e -> invalid_arg ("Warehouse.define_agg_view: " ^ e));
+  check_view_name t "define_agg_view" name;
+  check_valid "define_agg_view" (Agg_view.validate view);
   if not (Hashtbl.mem t.replicas view.Agg_view.table) then
     invalid_arg
       (Printf.sprintf "Warehouse.define_agg_view: no replica for %s" view.Agg_view.table);
-  let aout_schema = Agg_view.output_schema view in
-  let aback_schema = backing_schema_keyed aout_schema in
+  let aback_schema = agg_view_backing_schema view in
   ignore (Db.create_table t.db ~name aback_schema : Table.t);
-  let ast = { adef = view; abacking = name; aout_schema; aback_schema } in
-  Hashtbl.add t.agg_views name ast;
-  let cell =
-    match Hashtbl.find_opt t.agg_by_source view.Agg_view.table with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.add t.agg_by_source view.Agg_view.table cell;
-      cell
-  in
-  cell := name :: !cell;
-  (* materialize *)
-  let contents = Agg_view.eval view ~rows:(replica_rows t view.Agg_view.table) in
-  let tbl = Db.table t.db name in
-  List.iter
-    (fun (row, count) ->
-      ignore
-        (Table.raw_insert_blind tbl (Codec.encode_binary aback_schema (with_count row count))
-          : Heap_file.rid))
-    contents;
-  Table.rebuild_indexes tbl
+  register_agg_view t view;
+  materialize t name aback_schema
+    (Agg_view.eval view ~rows:(replica_rows t view.Agg_view.table))
+
+let attach_agg_view t view =
+  let name = view.Agg_view.name in
+  check_view_name t "attach_agg_view" name;
+  check_valid "attach_agg_view" (Agg_view.validate view);
+  check_backing t "attach_agg_view" name;
+  register_agg_view t view
 
 let agg_view_rows t name =
   match Hashtbl.find_opt t.agg_views name with
@@ -420,6 +469,41 @@ let add_stats a b =
     duration = a.duration +. b.duration;
   }
 
+(* ---------- the refresh transaction and the statement executor ---------- *)
+
+(* One warehouse refresh transaction, the scaffold every integrator
+   shares: the [warehouse.refresh] span, [body] then [mark] inside one
+   [Db.with_txn] (so a progress record commits or rolls back with the
+   data), and the statement, row-op and registry-clock deltas as stats. *)
+let refresh_txn (t : t) ~mark body =
+  let metrics = Db.metrics t.db in
+  Metrics.with_span metrics "warehouse.refresh" @@ fun () ->
+  let start = Metrics.now metrics in
+  let statements0 = t.statements and row_ops0 = t.row_ops in
+  let result =
+    Db.with_txn t.db (fun txn ->
+        let result = body txn in
+        mark txn;
+        result)
+  in
+  ( result,
+    {
+      txns = 1;
+      statements = t.statements - statements0;
+      row_ops = t.row_ops - row_ops0;
+      duration = Metrics.now metrics -. start;
+    } )
+
+(* Every statement an integrator executes runs one way: printed to SQL
+   text and re-parsed, the full statement path whose per-statement cost
+   the paper's comparison (one statement per Op-Delta operation, one or
+   two per value-delta record) is about. *)
+let exec (t : t) txn ~ctx stmt =
+  t.statements <- t.statements + 1;
+  match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
+  | Ok result -> result
+  | Error e -> invalid_arg (Printf.sprintf "Warehouse.%s: %s" ctx e)
+
 (* Per the paper (Section 4.1), a value delta integrates as SQL
    statements: one INSERT per captured insert image, one keyed DELETE per
    delete image, and a keyed DELETE (before image) plus an INSERT (after
@@ -449,67 +533,89 @@ let update_stmt table schema tuple =
   in
   Dw_sql.Ast.Update { table; sets; where = Some (key_predicate schema tuple) }
 
+(* update-or-insert by key *)
+let upsert_row t txn ~ctx schema ~table tuple =
+  match exec t txn ~ctx (update_stmt table schema tuple) with
+  | Db.Affected 0 -> ignore (exec t txn ~ctx (insert_stmt table tuple) : Db.exec_result)
+  | Db.Affected _ | Db.Rows _ | Db.Created -> ()
+
 let integrate_value_delta (t : t) delta =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
+  let ctx = "integrate_value_delta" in
   let table = delta.Delta.table in
   let schema = delta.Delta.schema in
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  (* the differential file is data; the integrator turns each record into
-     SQL text and runs it through the full statement path (parse included),
-     which is where the per-record statement overhead of the paper's value
-     path comes from *)
-  let exec txn stmt =
-    incr statements;
-    match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
-    | Ok result -> result
-    | Error e -> invalid_arg ("Warehouse.integrate_value_delta: " ^ e)
-  in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun change ->
-          match change with
-          | Delta.Insert after -> ignore (exec txn (insert_stmt table after) : Db.exec_result)
-          | Delta.Delete before ->
-            ignore (exec txn (delete_stmt table schema before) : Db.exec_result)
-          | Delta.Update (before, after) ->
-            ignore (exec txn (delete_stmt table schema before) : Db.exec_result);
-            ignore (exec txn (insert_stmt table after) : Db.exec_result)
-          | Delta.Upsert after -> (
-              (* update-or-insert by key *)
-              match exec txn (update_stmt table schema after) with
-              | Db.Affected 0 -> ignore (exec txn (insert_stmt table after) : Db.exec_result)
-              | Db.Affected _ | Db.Rows _ | Db.Created -> ()))
-        delta.Delta.changes);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
+  (* the differential file is data; each record becomes SQL text run
+     through the full statement path (parse included), which is where the
+     per-record statement overhead of the paper's value path comes from *)
+  let run txn stmt = ignore (exec t txn ~ctx stmt : Db.exec_result) in
+  snd
+    (refresh_txn t ~mark:ignore (fun txn ->
+         List.iter
+           (function
+             | Delta.Insert after -> run txn (insert_stmt table after)
+             | Delta.Delete before -> run txn (delete_stmt table schema before)
+             | Delta.Update (before, after) ->
+               run txn (delete_stmt table schema before);
+               run txn (insert_stmt table after)
+             | Delta.Upsert after -> upsert_row t txn ~ctx schema ~table after)
+           delta.Delta.changes))
 
-let integrate_op_delta (t : t) od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          incr statements;
-          (* op-deltas arrive as SQL text as well — one parse per source
-             statement, not per affected row *)
-          match Db.exec_sql t.db txn (Dw_sql.Printer.to_string op.Op_delta.stmt) with
-          | Ok _ -> ()
-          | Error e -> invalid_arg ("Warehouse.integrate_op_delta: " ^ e))
-        od.Op_delta.ops);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
+(* ---------- Op-Delta integration ---------- *)
+
+type batch_policy = {
+  max_batch : int;
+  min_batch : int;
+  lock_wait_p95_s : float;
+}
+
+let default_batch_policy = { max_batch = 16; min_batch = 1; lock_wait_p95_s = 0.010 }
+
+let validate_batch_policy p =
+  if p.min_batch < 1 then invalid_arg "Warehouse: batch_policy.min_batch < 1";
+  if p.max_batch < p.min_batch then
+    invalid_arg "Warehouse: batch_policy.max_batch < min_batch";
+  if not (p.lock_wait_p95_s >= 0.0) then
+    invalid_arg "Warehouse: batch_policy.lock_wait_p95_s < 0"
+
+let integrate_op_deltas ?policy ?(mark = fun _ _ -> ()) (t : t) ods =
+  (* a run of whole, consecutive source transactions is ONE warehouse
+     transaction, every statement re-executed in source commit order —
+     op-deltas arrive as SQL text, one parse per source statement, not
+     per affected row *)
+  let apply run =
+    snd
+      (refresh_txn t
+         ~mark:(fun txn -> mark txn run)
+         (fun txn ->
+           List.iter
+             (fun od ->
+               List.iter
+                 (fun (op : Op_delta.op) ->
+                   ignore
+                     (exec t txn ~ctx:"integrate_op_deltas" op.Op_delta.stmt : Db.exec_result))
+                 od.Op_delta.ops)
+             run))
+  in
+  match policy with
+  | None -> List.fold_left (fun acc od -> add_stats acc (apply [ od ])) zero_stats ods
+  | Some policy ->
+    validate_batch_policy policy;
+    let metrics = Db.metrics t.db in
+    (* the valve: open at max, shrink multiplicatively when reader
+       lock-waits climb, recover additively when they subside *)
+    let target = ref policy.max_batch in
+    let rec go acc run len = function
+      | od :: rest when len < !target -> go acc (od :: run) (len + 1) rest
+      | _ when len = 0 -> acc
+      | rest ->
+        Metrics.observe metrics "warehouse.batch_size" (float_of_int len);
+        let acc = add_stats acc (apply (List.rev run)) in
+        let p95 = Metrics.percentile metrics "lock.wait" 0.95 in
+        if p95 > policy.lock_wait_p95_s then target := max policy.min_batch (!target / 2)
+        else target := min policy.max_batch (!target + 1);
+        Metrics.set_gauge metrics "warehouse.batch_size_target" (float_of_int !target);
+        go acc [] 0 rest
+    in
+    go zero_stats [] 0 ods
 
 (* ---------- replica-less (view-only) maintenance ---------- *)
 
@@ -520,11 +626,8 @@ let define_viewonly_view t view =
      invalid_arg
        "Warehouse.define_viewonly_view: join views are not self-maintainable without replicas");
   let name = Spj_view.name view in
-  if Hashtbl.mem t.viewonly name || Hashtbl.mem t.views name || Hashtbl.mem t.agg_views name
-  then invalid_arg (Printf.sprintf "Warehouse.define_viewonly_view: %s exists" name);
-  (match Spj_view.validate view with
-   | Ok () -> ()
-   | Error e -> invalid_arg ("Warehouse.define_viewonly_view: " ^ e));
+  check_view_name t "define_viewonly_view" name;
+  check_valid "define_viewonly_view" (Spj_view.validate view);
   let out_schema = Spj_view.output_schema view in
   let back_schema = backing_schema out_schema in
   ignore (Db.create_table t.db ~name back_schema : Table.t);
@@ -572,227 +675,53 @@ let viewonly_after_image schema sets before =
     before sets
 
 let integrate_op_delta_viewonly (t : t) od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
   let module Ast = Dw_sql.Ast in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          incr statements;
-          let stmt = op.Op_delta.stmt in
-          let source = Ast.table_of stmt in
-          let views = viewonly_views_for t source in
-          if views <> [] then begin
-            let source_schema =
-              match List.nth_opt views 0 with
-              | Some vs -> (
-                  match vs.def with
-                  | Spj_view.Select_project { schema; _ } -> schema
-                  | Spj_view.Join _ -> assert false)
-              | None -> assert false
-            in
-            let adjust_rows rows delta =
-              List.iter
-                (fun row ->
-                  List.iter
-                    (fun vs ->
-                      match Spj_view.project_sp vs.def row with
-                      | Some out -> adjust t txn vs out delta
-                      | None -> ())
-                    views)
-                rows
-            in
-            match stmt with
-            | Ast.Insert { columns; rows; _ } ->
-              adjust_rows (tuples_of_insert source_schema columns rows) 1
-            | Ast.Delete _ ->
-              (* an empty image list is also what a zero-row DELETE looks
-                 like, so it cannot be rejected — hybrid capture is the
-                 caller's responsibility (see mli) *)
-              adjust_rows op.Op_delta.before_images (-1)
-            | Ast.Update { sets; _ } ->
-              adjust_rows op.Op_delta.before_images (-1);
-              adjust_rows
-                (List.map (viewonly_after_image source_schema sets) op.Op_delta.before_images)
-                1
-            | Ast.Select _ | Ast.Create_table _ -> ()
-          end)
-        od.Op_delta.ops);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
-
-let integrate_op_deltas t ods =
-  List.fold_left (fun acc od -> add_stats acc (integrate_op_delta t od)) zero_stats ods
-
-(* ---------- micro-batched apply ---------- *)
-
-type batch_policy = {
-  max_batch : int;
-  min_batch : int;
-  lock_wait_p95_s : float;
-}
-
-let default_batch_policy = { max_batch = 16; min_batch = 1; lock_wait_p95_s = 0.010 }
-
-let validate_batch_policy p =
-  if p.min_batch < 1 then invalid_arg "Warehouse: batch_policy.min_batch < 1";
-  if p.max_batch < p.min_batch then
-    invalid_arg "Warehouse: batch_policy.max_batch < min_batch";
-  if not (p.lock_wait_p95_s >= 0.0) then
-    invalid_arg "Warehouse: batch_policy.lock_wait_p95_s < 0"
-
-(* apply a run of consecutive source transactions as ONE warehouse
-   transaction, re-executing every statement in source commit order; the
-   mark callback runs inside the same transaction so progress records
-   (the partitioned refresh's per-shard watermark) commit atomically
-   with the run *)
-let integrate_op_delta_run_marked (t : t) ~mark ods =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun od ->
-          List.iter
-            (fun (op : Op_delta.op) ->
-              incr statements;
-              match Db.exec_sql t.db txn (Dw_sql.Printer.to_string op.Op_delta.stmt) with
-              | Ok _ -> ()
-              | Error e -> invalid_arg ("Warehouse.integrate_op_delta_run: " ^ e))
-            od.Op_delta.ops)
-        ods;
-      mark txn);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
-
-let integrate_op_delta_run (t : t) ods = integrate_op_delta_run_marked t ~mark:ignore ods
-
-let take n xs =
-  let rec go n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (n - 1) (x :: acc) rest
-  in
-  go n [] xs
-
-let integrate_op_deltas_batched ?(policy = default_batch_policy) t ods =
-  validate_batch_policy policy;
-  let metrics = Db.metrics t.db in
-  (* the valve: open at max, shrink multiplicatively when reader
-     lock-waits climb, recover additively when they subside *)
-  let target = ref policy.max_batch in
-  let rec go acc = function
-    | [] -> acc
-    | rest ->
-      let run, rest = take !target rest in
-      Metrics.observe metrics "warehouse.batch_size" (float_of_int (List.length run));
-      let acc = add_stats acc (integrate_op_delta_run t run) in
-      let p95 = Metrics.percentile metrics "lock.wait" 0.95 in
-      if p95 > policy.lock_wait_p95_s then target := max policy.min_batch (!target / 2)
-      else target := min policy.max_batch (!target + 1);
-      Metrics.set_gauge metrics "warehouse.batch_size_target" (float_of_int !target);
-      go acc rest
-  in
-  go zero_stats ods
+  snd
+    (refresh_txn t ~mark:ignore (fun txn ->
+         List.iter
+           (fun (op : Op_delta.op) ->
+             t.statements <- t.statements + 1;
+             let stmt = op.Op_delta.stmt in
+             let source = Ast.table_of stmt in
+             let views = viewonly_views_for t source in
+             if views <> [] then begin
+               let source_schema =
+                 match List.nth_opt views 0 with
+                 | Some vs -> (
+                     match vs.def with
+                     | Spj_view.Select_project { schema; _ } -> schema
+                     | Spj_view.Join _ -> assert false)
+                 | None -> assert false
+               in
+               let adjust_rows rows delta =
+                 List.iter
+                   (fun row ->
+                     List.iter
+                       (fun vs ->
+                         match Spj_view.project_sp vs.def row with
+                         | Some out -> adjust t txn vs out delta
+                         | None -> ())
+                       views)
+                   rows
+               in
+               match stmt with
+               | Ast.Insert { columns; rows; _ } ->
+                 adjust_rows (tuples_of_insert source_schema columns rows) 1
+               | Ast.Delete _ ->
+                 (* an empty image list is also what a zero-row DELETE looks
+                    like, so it cannot be rejected — hybrid capture is the
+                    caller's responsibility (see mli) *)
+                 adjust_rows op.Op_delta.before_images (-1)
+               | Ast.Update { sets; _ } ->
+                 adjust_rows op.Op_delta.before_images (-1);
+                 adjust_rows
+                   (List.map (viewonly_after_image source_schema sets) op.Op_delta.before_images)
+                   1
+               | Ast.Select _ | Ast.Create_table _ -> ()
+             end)
+           od.Op_delta.ops))
 
 (* ---------- bootstrap (chunked online load) support ---------- *)
-
-let attach ~db () =
-  Db.set_plan_mode db `Index_preferred;
-  {
-    db;
-    replicas = Hashtbl.create 8;
-    views = Hashtbl.create 8;
-    agg_views = Hashtbl.create 8;
-    viewonly = Hashtbl.create 8;
-    by_source = Hashtbl.create 8;
-    agg_by_source = Hashtbl.create 8;
-    row_ops = 0;
-  }
-
-let attach_replica t ~table =
-  if Hashtbl.mem t.replicas table then
-    invalid_arg (Printf.sprintf "Warehouse.attach_replica: %s already attached" table);
-  match Db.table_opt t.db table with
-  | None -> invalid_arg (Printf.sprintf "Warehouse.attach_replica: no table %s" table)
-  | Some tbl ->
-    Hashtbl.add t.replicas table (Table.schema tbl);
-    Db.add_trigger t.db ~table
-      {
-        Trigger.name = "maintain_views__" ^ table;
-        on = [ Trigger.On_insert; Trigger.On_delete; Trigger.On_update ];
-        action = (fun ctx event -> maintain_views t table ctx event);
-      }
-
-let view_backing_schema view = backing_schema (Spj_view.output_schema view)
-let agg_view_backing_schema view = backing_schema_keyed (Agg_view.output_schema view)
-
-(* register an existing view's definition without creating or
-   materializing its backing table — the resume path after a crash, where
-   the backing table's bytes were recovered by Db.reopen and only the
-   in-memory registration was lost *)
-let attach_view t view =
-  let name = Spj_view.name view in
-  if Hashtbl.mem t.views name || Hashtbl.mem t.viewonly name then
-    invalid_arg (Printf.sprintf "Warehouse.attach_view: %s already attached" name);
-  (match Spj_view.validate view with
-   | Ok () -> ()
-   | Error e -> invalid_arg ("Warehouse.attach_view: " ^ e));
-  if Db.table_opt t.db name = None then
-    invalid_arg (Printf.sprintf "Warehouse.attach_view: no backing table %s" name);
-  let out_schema = Spj_view.output_schema view in
-  Hashtbl.add t.views name
-    { def = view; backing = name; out_schema; back_schema = backing_schema out_schema };
-  List.iter
-    (fun source ->
-      let cell =
-        match Hashtbl.find_opt t.by_source source with
-        | Some cell -> cell
-        | None ->
-          let cell = ref [] in
-          Hashtbl.add t.by_source source cell;
-          cell
-      in
-      cell := name :: !cell)
-    (Spj_view.source_tables view)
-
-let attach_agg_view t view =
-  let name = view.Agg_view.name in
-  if Hashtbl.mem t.agg_views name || Hashtbl.mem t.views name then
-    invalid_arg (Printf.sprintf "Warehouse.attach_agg_view: %s already attached" name);
-  (match Agg_view.validate view with
-   | Ok () -> ()
-   | Error e -> invalid_arg ("Warehouse.attach_agg_view: " ^ e));
-  if Db.table_opt t.db name = None then
-    invalid_arg (Printf.sprintf "Warehouse.attach_agg_view: no backing table %s" name);
-  let aout_schema = Agg_view.output_schema view in
-  Hashtbl.add t.agg_views name
-    {
-      adef = view;
-      abacking = name;
-      aout_schema;
-      aback_schema = backing_schema_keyed aout_schema;
-    };
-  let cell =
-    match Hashtbl.find_opt t.agg_by_source view.Agg_view.table with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.add t.agg_by_source view.Agg_view.table cell;
-      cell
-  in
-  cell := name :: !cell
 
 let int_key schema tuple =
   if Schema.key_arity schema <> 1 then
@@ -801,93 +730,51 @@ let int_key schema tuple =
   | Value.Int k -> k
   | _ -> invalid_arg "Warehouse: bootstrap apply needs an INT primary key"
 
-let exec_checked t txn ctx stmt =
-  match Db.exec t.db txn stmt with
-  | result -> result
-  | exception Invalid_argument e -> invalid_arg (ctx ^ ": " ^ e)
-
-let upsert_row t txn ctx schema ~table tuple =
-  match exec_checked t txn ctx (update_stmt table schema tuple) with
-  | Db.Affected 0 -> ignore (exec_checked t txn ctx (insert_stmt table tuple) : Db.exec_result)
-  | Db.Affected _ | Db.Rows _ | Db.Created -> ()
-
-let integrate_op_delta_marked (t : t) ~mark od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let start = Metrics.now (Db.metrics t.db) in
-  let row_ops0 = t.row_ops in
-  let statements = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          incr statements;
-          ignore
-            (exec_checked t txn "Warehouse.integrate_op_delta_marked" op.Op_delta.stmt
-              : Db.exec_result))
-        od.Op_delta.ops;
-      mark txn);
-  {
-    txns = 1;
-    statements = !statements;
-    row_ops = t.row_ops - row_ops0;
-    duration = Metrics.now (Db.metrics t.db) -. start;
-  }
-
 let integrate_op_delta_images (t : t) ~table ~mark od =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let ctx = "Warehouse.integrate_op_delta_images" in
+  let ctx = "integrate_op_delta_images" in
   let module Ast = Dw_sql.Ast in
-  let schema =
-    match Hashtbl.find_opt t.replicas table with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "%s: %s is not a replica" ctx table)
-  in
+  let schema = replica_schema t ctx table in
   let touched = ref [] in
   let touch tuple = touched := int_key schema tuple :: !touched in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun (op : Op_delta.op) ->
-          if String.equal (Ast.table_of op.Op_delta.stmt) table then
-            match op.Op_delta.stmt with
-            | Ast.Insert { columns; rows; _ } ->
-              List.iter
-                (fun tuple ->
-                  touch tuple;
-                  upsert_row t txn ctx schema ~table tuple)
-                (tuples_of_insert schema columns rows)
-            | Ast.Update { sets; _ } ->
-              List.iter
-                (fun before ->
-                  let after = viewonly_after_image schema sets before in
-                  touch after;
-                  upsert_row t txn ctx schema ~table after)
-                op.Op_delta.before_images
-            | Ast.Delete _ ->
-              List.iter
-                (fun before ->
-                  touch before;
-                  ignore (exec_checked t txn ctx (delete_stmt table schema before) : Db.exec_result))
-                op.Op_delta.before_images
-            | Ast.Select _ | Ast.Create_table _ -> ())
-        od.Op_delta.ops;
-      mark txn);
-  List.rev !touched
+  fst
+    (refresh_txn t ~mark (fun txn ->
+         List.iter
+           (fun (op : Op_delta.op) ->
+             if String.equal (Ast.table_of op.Op_delta.stmt) table then
+               match op.Op_delta.stmt with
+               | Ast.Insert { columns; rows; _ } ->
+                 List.iter
+                   (fun tuple ->
+                     touch tuple;
+                     upsert_row t txn ~ctx schema ~table tuple)
+                   (tuples_of_insert schema columns rows)
+               | Ast.Update { sets; _ } ->
+                 List.iter
+                   (fun before ->
+                     let after = viewonly_after_image schema sets before in
+                     touch after;
+                     upsert_row t txn ~ctx schema ~table after)
+                   op.Op_delta.before_images
+               | Ast.Delete _ ->
+                 List.iter
+                   (fun before ->
+                     touch before;
+                     ignore (exec t txn ~ctx (delete_stmt table schema before) : Db.exec_result))
+                   op.Op_delta.before_images
+               | Ast.Select _ | Ast.Create_table _ -> ())
+           od.Op_delta.ops;
+         List.rev !touched))
 
 let load_chunk (t : t) ~table ~skip ~mark rows =
-  Metrics.with_span (Db.metrics t.db) "warehouse.refresh" @@ fun () ->
-  let ctx = "Warehouse.load_chunk" in
-  let schema =
-    match Hashtbl.find_opt t.replicas table with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "%s: %s is not a replica" ctx table)
-  in
-  let loaded = ref 0 in
-  Db.with_txn t.db (fun txn ->
-      List.iter
-        (fun tuple ->
-          if not (skip (int_key schema tuple)) then begin
-            incr loaded;
-            upsert_row t txn ctx schema ~table tuple
-          end)
-        rows;
-      mark txn);
-  !loaded
+  let ctx = "load_chunk" in
+  let schema = replica_schema t ctx table in
+  fst
+    (refresh_txn t ~mark (fun txn ->
+         List.fold_left
+           (fun loaded tuple ->
+             if skip (int_key schema tuple) then loaded
+             else begin
+               upsert_row t txn ~ctx schema ~table tuple;
+               loaded + 1
+             end)
+           0 rows))

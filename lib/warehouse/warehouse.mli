@@ -7,14 +7,21 @@
       record becomes its own SQL-level operation — an insert per Insert,
       a keyed delete per Delete, and a keyed delete {e plus} an insert
       per Update (before/after images);
-    - {!integrate_op_delta}: each source transaction's Op-Delta is applied
-      as its own short warehouse transaction by {e re-executing the
+    - {!integrate_op_deltas}: each source transaction's Op-Delta is
+      applied as a short warehouse transaction by {e re-executing the
       original statements} against the replicas — one UPDATE statement
       updates its x rows in place, which is where the ~70 % shorter
       update maintenance window comes from.
 
+    Every integrator runs inside one [warehouse.refresh] span and
+    executes its statements one way: printed to SQL text, re-parsed and
+    run by the warehouse engine.
+
     Views are bags materialized with multiplicity counts.  Projected view
-    columns must be non-nullable (they form the backing table's key). *)
+    columns must be non-nullable (they form the backing table's key).
+    View names are unique across SPJ, aggregate and view-only views:
+    every [define_*] / [attach_*] raises [Invalid_argument] on a name
+    already registered as any kind of view. *)
 
 module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
@@ -27,8 +34,9 @@ type t
 
 val create :
   ?pool_pages:int -> ?pool_stripes:int -> vfs:Dw_storage.Vfs.t -> name:string -> unit -> t
-(** An empty warehouse over its own engine instance; [`Index_preferred]
-    plan mode, no replicas or views yet.  [pool_stripes] splits the
+(** An empty warehouse over its own engine instance — {!attach} over a
+    fresh [Db.create]: [`Index_preferred] plan mode, no replicas or
+    views yet.  [pool_stripes] splits the
     buffer pool into that many independently-latched stripes (default 1)
     so parallel OLAP domains do not serialise on one pool lock. *)
 
@@ -80,7 +88,10 @@ type stats = {
   txns : int;        (** warehouse transactions used *)
   statements : int;  (** SQL-level operations executed *)
   row_ops : int;     (** row-level modifications (replica + views) *)
-  duration : float;  (** wall-clock seconds *)
+  duration : float;
+      (** seconds on the warehouse registry's clock ({!Dw_util.Metrics.now}
+          of [Db.metrics (db t)]): wall-clock by default, simulated time
+          under a sim clock *)
 }
 
 val zero_stats : stats
@@ -93,39 +104,42 @@ val integrate_value_delta : t -> Delta.t -> stats
 (** One batch transaction.  [Upsert] entries integrate as keyed
     update-or-insert (the timestamp method's integration path). *)
 
-val integrate_op_delta : t -> Op_delta.t -> stats
-(** One transaction re-executing the Op-Delta's statements.  Table names
+(** {2 Op-Delta integration} — the one statement integrator.
+
+    {!integrate_op_deltas} re-executes each source transaction's
+    statements, in source commit order, against the replicas; table names
     in the statements must match replica names (apply a
-    {!Dw_core.Transform} rule first if schemas differ). *)
+    {!Dw_core.Transform} rule first if schemas differ).  It applies
+    {e runs} of whole, consecutive source transactions, each run as one
+    warehouse transaction.  A run boundary is always a source-transaction
+    boundary, so a crash mid-run leaves the warehouse at a source-
+    transaction boundary, and a concurrent snapshot reader sees each
+    source transaction's effects (replicas {e and} derived views) in full
+    or not at all — never a half-applied refresh.
 
-val integrate_op_deltas : t -> Op_delta.t list -> stats
-(** Fold over {!integrate_op_delta}, summing stats — the one-warehouse-
-    transaction-per-source-transaction baseline.  Because each source
-    transaction is one warehouse transaction, its before-images publish
-    atomically at commit: a concurrent snapshot reader sees each source
-    transaction's effects (replicas {e and} derived views) in full or
-    not at all — never a half-applied refresh. *)
+    {b Without [policy]} every run is a single source transaction: one
+    warehouse transaction per source transaction, the paper's online
+    integration.  No valve runs and no [warehouse.batch_size*] metric is
+    emitted.
 
-(** {2 Micro-batched apply} — amortize warehouse commit cost over runs of
-    consecutive source transactions.
-
-    {!integrate_op_deltas_batched} slices the op-delta stream into runs
-    and applies each run as {e one} warehouse transaction, re-executing
-    every statement in source commit order.  Whole source transactions
-    only — a run boundary is always a source-transaction boundary, so a
-    crash mid-run leaves the warehouse at a source-transaction boundary
-    and the online-refresh invariant (readers see a prefix of the source
-    history) is preserved; what is given up is only refresh granularity:
-    readers observe up to a run of source transactions at once.
-
-    The run length is governed by a {b backpressure valve}: it opens at
-    [max_batch], shrinks multiplicatively (halves, floored at
+    {b With [policy]} run lengths are governed by a {b backpressure
+    valve} that amortizes commit cost over several source transactions:
+    it opens at [max_batch], shrinks multiplicatively (halves, floored at
     [min_batch]) whenever the warehouse registry's [lock.wait] p95
     exceeds [lock_wait_p95_s] — long maintenance transactions are what
     make concurrent readers queue — and recovers additively (+1) while
     lock-waits stay low.  Each applied run's size is observed into the
     [warehouse.batch_size] histogram and the current target into the
-    [warehouse.batch_size_target] gauge. *)
+    [warehouse.batch_size_target] gauge.  What is given up is only
+    refresh granularity: readers observe up to a run at once.  The final
+    warehouse state is the same for every policy.
+
+    {b [mark txn run]} runs inside each run's warehouse transaction,
+    after the run's statements, and receives the run.  Callers store a
+    progress record there — the applied-through source transaction id of
+    {!Partitioned.refresh} and {!Dw_etl.Bootstrap} — so the run and its
+    progress commit or roll back together (exactly-once under
+    re-delivery of the same delta stream after a crash). *)
 
 type batch_policy = {
   max_batch : int;  (** run-length ceiling (>= min_batch) *)
@@ -141,24 +155,17 @@ val validate_batch_policy : batch_policy -> unit
 (** Raises [Invalid_argument] on a non-positive floor, ceiling below
     floor, or negative/NaN threshold. *)
 
-val integrate_op_delta_run : t -> Op_delta.t list -> stats
-(** Apply a run of consecutive source transactions as one warehouse
-    transaction ([stats.txns = 1]).  Building block of the batched
-    integrator; callers must pass whole, consecutive source
-    transactions. *)
-
-val integrate_op_delta_run_marked : t -> mark:(Db.txn -> unit) -> Op_delta.t list -> stats
-(** {!integrate_op_delta_run} plus a [mark] callback invoked inside the
-    same warehouse transaction, after the run's statements — the
-    partitioned refresh ({!Partitioned.refresh}) stores its per-shard
-    applied-through transaction id there, so the run and its progress
-    record commit or roll back together (exactly-once under
-    re-delivery of the same delta stream after a crash). *)
-
-val integrate_op_deltas_batched : ?policy:batch_policy -> t -> Op_delta.t list -> stats
-(** Apply the stream in valve-governed runs (see above).  Equivalent to
-    {!integrate_op_deltas} in final warehouse state for any policy —
-    only transaction boundaries differ. *)
+val integrate_op_deltas :
+  ?policy:batch_policy ->
+  ?mark:(Db.txn -> Op_delta.t list -> unit) ->
+  t ->
+  Op_delta.t list ->
+  stats
+(** Apply the stream (see above) and return the runs' summed stats
+    ([txns] = runs applied = calls of [mark]).  Raises
+    [Invalid_argument] on an invalid [policy] or a statement the
+    warehouse rejects; the failing run rolls back, mark included, and
+    earlier runs stay committed. *)
 
 (** {2 Replica-less (view-only) maintenance} — the paper's hybrid case:
     "for some cases, a hybrid between a partial value delta (the before
@@ -188,10 +195,10 @@ val viewonly_view_rows : t -> string -> (Tuple.t * int) list
 (** Materialized rows of a view-only view, with multiplicities. *)
 
 (** {2 Bootstrap (chunked online load) support} — the warehouse side of
-    {!Dw_etl.Bootstrap}: re-adopting a crashed warehouse, applying delta
-    transactions with a progress mark committed atomically alongside the
-    data, and the DBLog window primitives (image-based apply reporting
-    touched keys, chunk upsert with a dedup filter). *)
+    {!Dw_etl.Bootstrap}: re-adopting a crashed warehouse and the DBLog
+    window primitives (image-based apply reporting touched keys, chunk
+    upsert with a dedup filter).  Outside a window the bootstrap applies
+    delta transactions through {!integrate_op_deltas} with a [mark]. *)
 
 val attach : db:Db.t -> unit -> t
 (** Wrap an existing (typically {!Db.reopen}ed) database as a warehouse
@@ -212,7 +219,7 @@ val attach_view : t -> Spj_view.t -> unit
     creating or re-materializing the backing table — its recovered
     contents are trusted.  Raises [Invalid_argument] if the backing
     table is missing, the definition is invalid, or the name is already
-    attached. *)
+    registered as any kind of view. *)
 
 val attach_agg_view : t -> Dw_core.Agg_view.t -> unit
 (** {!attach_view} for aggregate views (the persistent half of
@@ -226,12 +233,6 @@ val view_backing_schema : Spj_view.t -> Schema.t
 val agg_view_backing_schema : Dw_core.Agg_view.t -> Schema.t
 (** Backing-table schema for an aggregate view (group columns as key,
     aggregate columns, [__count] group cardinality). *)
-
-val integrate_op_delta_marked : t -> mark:(Db.txn -> unit) -> Op_delta.t -> stats
-(** {!integrate_op_delta}, plus a [mark] callback invoked inside the same
-    warehouse transaction — the bootstrap stores its applied-through
-    transaction id there, so the delta and the progress record commit or
-    roll back together (exactly-once under queue redelivery). *)
 
 val integrate_op_delta_images :
   t -> table:string -> mark:(Db.txn -> unit) -> Op_delta.t -> int list

@@ -1,8 +1,9 @@
 (* Tests for the batching layers: group-commit WAL (policy object, sim
    clock deadlines, scheduler-driven concurrent committers), coalesced
    transport (frame codecs, batch enqueue / run ack, block shipping), and
-   the micro-batched warehouse integrator (valve behaviour, and a qcheck
-   property that batched apply is equivalent to one-at-a-time apply). *)
+   the op-delta integrator (valve behaviour, mark atomicity, and a qcheck
+   property that every way of applying a stream — no policy, any policy,
+   a partitioned fleet — reaches the same state). *)
 
 module Vfs = Dw_storage.Vfs
 module Metrics = Dw_util.Metrics
@@ -20,6 +21,15 @@ module Op_delta = Dw_core.Op_delta
 module Pq = Dw_transport.Persistent_queue
 module File_ship = Dw_transport.File_ship
 module Warehouse = Dw_warehouse.Warehouse
+module Partition = Dw_warehouse.Partition
+module Partitioned = Dw_warehouse.Partitioned
+module Stage = Dw_etl.Stage
+module Domain_pool = Dw_util.Domain_pool
+module Schema = Dw_relation.Schema
+module Value = Dw_relation.Value
+module Expr = Dw_relation.Expr
+module Spj_view = Dw_core.Spj_view
+module Agg_view = Dw_core.Agg_view
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -227,20 +237,57 @@ let fetch_detects_corruption () =
   | Ok _ -> Alcotest.fail "corrupt shipped block accepted"
   | Error _ -> ()
 
-(* ---------- micro-batched warehouse apply ---------- *)
+(* ---------- op-delta integration: policies, marks, partitioned ---------- *)
+
+let proj col = { Spj_view.out_name = col; from_side = Spj_view.L; from_col = col }
+
+let spj_view =
+  Spj_view.Select_project
+    {
+      name = "small_qty";
+      table = "parts";
+      schema = Workload.parts_schema;
+      filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
+      project = [ proj "part_id"; proj "qty" ];
+    }
+
+(* COUNT/SUM over an INT column: exact under any order of folding, so
+   per-shard slices merge to the monolithic warehouse's rows bit for bit *)
+let agg_view =
+  {
+    Agg_view.name = "qty_groups";
+    table = "parts";
+    schema = Workload.parts_schema;
+    filter = None;
+    group_by = [ "qty" ];
+    aggregates = [ ("n", Agg_view.Count); ("id_sum", Agg_view.Sum "part_id") ];
+  }
+
+let part_rows ~rows =
+  let rng = Prng.create ~seed:5 in
+  List.init rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0)
 
 let mk_wh ~rows =
   let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
   Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-  let rng = Prng.create ~seed:5 in
-  Warehouse.load_replica wh ~table:"parts"
-    (List.init rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0));
+  Warehouse.load_replica wh ~table:"parts" (part_rows ~rows);
+  Warehouse.define_view wh spj_view;
+  Warehouse.define_agg_view wh agg_view;
   wh
 
+(* txn ids start at 1: a partitioned shard's watermark starts at 0 *)
 let ods_of_mix ~rows ~txns ~seed =
   let rng = Prng.create ~seed in
   let mix = Workload.gen_mix rng ~existing_ids:rows ~txns ~max_txn_size:6 in
-  List.mapi (fun i op -> Op_delta.make ~txn_id:i (Workload.op_to_stmts ~seed ~day:0 op)) mix
+  List.mapi (fun i op -> Op_delta.make ~txn_id:(i + 1) (Workload.op_to_stmts ~seed ~day:0 op)) mix
+
+(* simulate queued readers: a fat lock-wait tail above the valve's
+   threshold keeps halving the target until it hits the floor *)
+let seed_lock_waits wh =
+  let m = Db.metrics (Warehouse.db wh) in
+  for _ = 1 to 50 do
+    Metrics.observe m "lock.wait" 0.050
+  done
 
 let batched_apply_uses_fewer_txns () =
   let rows = 60 in
@@ -249,38 +296,34 @@ let batched_apply_uses_fewer_txns () =
   let seq = Warehouse.integrate_op_deltas wh1 ods in
   let wh2 = mk_wh ~rows in
   let policy = { Warehouse.default_batch_policy with Warehouse.max_batch = 4 } in
-  let bat = Warehouse.integrate_op_deltas_batched ~policy wh2 ods in
+  let bat = Warehouse.integrate_op_deltas ~policy wh2 ods in
   check Alcotest.int "sequential: one txn per source txn" 12 seq.Warehouse.txns;
   check Alcotest.int "batched: one txn per run of 4" 3 bat.Warehouse.txns;
   check Alcotest.int "same statements either way" seq.Warehouse.statements
     bat.Warehouse.statements;
   check Alcotest.bool "same replica contents" true
-    (Warehouse.replica_rows wh1 "parts" = Warehouse.replica_rows wh2 "parts")
+    (Warehouse.replica_rows wh1 "parts" = Warehouse.replica_rows wh2 "parts");
+  check Alcotest.int "no valve without a policy" 0
+    (Metrics.observed_count (Db.metrics (Warehouse.db wh1)) "warehouse.batch_size")
 
 let valve_shrinks_under_lock_waits () =
   let rows = 40 in
   let ods = ods_of_mix ~rows ~txns:40 ~seed:8 in
   let wh = mk_wh ~rows in
-  let m = Db.metrics (Warehouse.db wh) in
-  (* simulate queued readers: a fat lock-wait tail above the valve's
-     threshold keeps halving the target until it hits the floor *)
-  for _ = 1 to 50 do
-    Metrics.observe m "lock.wait" 0.050
-  done;
+  seed_lock_waits wh;
   let policy = { Warehouse.max_batch = 8; min_batch = 1; lock_wait_p95_s = 0.010 } in
-  ignore (Warehouse.integrate_op_deltas_batched ~policy wh ods : Warehouse.stats);
+  ignore (Warehouse.integrate_op_deltas ~policy wh ods : Warehouse.stats);
   check (Alcotest.float 0.001) "valve pinned at the floor" 1.0
-    (Metrics.gauge m "warehouse.batch_size_target")
+    (Metrics.gauge (Db.metrics (Warehouse.db wh)) "warehouse.batch_size_target")
 
 let valve_stays_open_without_contention () =
   let rows = 40 in
   let ods = ods_of_mix ~rows ~txns:10 ~seed:8 in
   let wh = mk_wh ~rows in
-  let m = Db.metrics (Warehouse.db wh) in
   let policy = { Warehouse.max_batch = 8; min_batch = 1; lock_wait_p95_s = 0.010 } in
-  ignore (Warehouse.integrate_op_deltas_batched ~policy wh ods : Warehouse.stats);
+  ignore (Warehouse.integrate_op_deltas ~policy wh ods : Warehouse.stats);
   check (Alcotest.float 0.001) "valve at the ceiling" 8.0
-    (Metrics.gauge m "warehouse.batch_size_target")
+    (Metrics.gauge (Db.metrics (Warehouse.db wh)) "warehouse.batch_size_target")
 
 let batch_policy_validates () =
   (try
@@ -294,30 +337,141 @@ let batch_policy_validates () =
     Alcotest.fail "expected ceiling failure"
   with Invalid_argument _ -> ()
 
-(* the equivalence property: for ANY op-delta stream and ANY batch size,
-   batched apply produces the same warehouse state as one-at-a-time
-   apply — only the transaction boundaries differ *)
+(* a statement failing mid-run rolls the whole run back — its mark
+   included — while earlier runs and their marks stay committed *)
+let mark_rolls_back_with_failed_run () =
+  let rows = 30 in
+  let good = ods_of_mix ~rows ~txns:3 ~seed:4 in
+  let bad =
+    match Dw_sql.Parser.parse "DELETE FROM nowhere WHERE part_id = 1" with
+    | Ok stmt -> Op_delta.make ~txn_id:4 [ stmt ]
+    | Error e -> Alcotest.fail e
+  in
+  let wh = mk_wh ~rows in
+  let db = Warehouse.db wh in
+  let progress = "progress" in
+  ignore
+    (Db.create_table db ~name:progress
+       (Schema.make ~key_arity:1
+          [ { Schema.name = "id"; ty = Value.Tint; nullable = false };
+            { Schema.name = "applied"; ty = Value.Tint; nullable = false } ])
+      : Table.t);
+  Db.with_txn db (fun txn ->
+      ignore (Db.insert db txn progress [| Value.Int 0; Value.Int 0 |] : Dw_storage.Heap_file.rid));
+  let mark txn run =
+    let last = List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 run in
+    ignore
+      (Db.update_where db txn progress ~set:[ ("applied", Expr.Lit (Value.Int last)) ] ~where:None
+        : int)
+  in
+  (* runs of two: [1; 2] commits, [3; bad] fails on its second txn *)
+  let policy = { Warehouse.max_batch = 2; min_batch = 2; lock_wait_p95_s = 0.010 } in
+  (match Warehouse.integrate_op_deltas ~policy ~mark wh (good @ [ bad ]) with
+   | (_ : Warehouse.stats) -> Alcotest.fail "expected the missing table to fail the run"
+   | exception Invalid_argument _ -> ());
+  let applied =
+    Db.with_txn db (fun txn ->
+        match Db.select db txn progress () with
+        | [ [| _; Value.Int n |] ] -> n
+        | _ -> Alcotest.fail "corrupt progress table")
+  in
+  check Alcotest.int "progress row holds the last committed run" 2 applied;
+  let reference = mk_wh ~rows in
+  ignore (Warehouse.integrate_op_deltas reference [ List.nth good 0; List.nth good 1 ]
+          : Warehouse.stats);
+  check Alcotest.bool "failed run's earlier txn rolled back too" true
+    (Warehouse.replica_rows wh "parts" = Warehouse.replica_rows reference "parts");
+  check Alcotest.bool "views rolled back with it" true
+    (Warehouse.view_rows wh "small_qty" = Warehouse.view_rows reference "small_qty"
+     && Warehouse.agg_view_rows wh "qty_groups" = Warehouse.agg_view_rows reference "qty_groups")
+
+(* replica, SPJ view and aggregate view, each checked against recompute *)
+let wh_state wh =
+  let view = Warehouse.view_rows wh "small_qty" in
+  let agg = Warehouse.agg_view_rows wh "qty_groups" in
+  if view <> Warehouse.recompute_view wh "small_qty" then
+    QCheck2.Test.fail_report "SPJ view diverged from recompute_view"
+  else if agg <> Warehouse.recompute_agg_view wh "qty_groups" then
+    QCheck2.Test.fail_report "aggregate view diverged from recompute_agg_view"
+  else (List.sort Tuple.compare (Warehouse.replica_rows wh "parts"), view, agg)
+
+let fleet_state ~shards ~rows ~policy ods =
+  let spec = Partition.make ~table:"parts" ~key_column:"part_id" (Partition.Hash shards) in
+  let pw = Partitioned.create ~spec ~name:"eqv" () in
+  Partitioned.add_replica pw ~table:"parts" ~schema:Workload.parts_schema;
+  Partitioned.load_replica pw ~table:"parts" (part_rows ~rows);
+  Partitioned.define_view pw spj_view;
+  Partitioned.define_agg_view pw agg_view;
+  let buckets, (_ : Stage.stats) = Stage.split ~spec ods in
+  Domain_pool.with_pool ~domains:2 (fun pool ->
+      ignore (Partitioned.refresh ~policy ~pool pw buckets : Warehouse.stats));
+  ( Partitioned.replica_rows pw "parts",
+    Partitioned.view_rows pw "small_qty",
+    Partitioned.agg_view_rows pw "qty_groups" )
+
+(* run lengths of a valve that halves after every run, from its ceiling
+   down to its floor *)
+let pinned_schedule (policy : Warehouse.batch_policy) n =
+  let rec go target left =
+    if left <= 0 then []
+    else
+      let len = min target left in
+      len :: go (max policy.Warehouse.min_batch (target / 2)) (left - len)
+  in
+  go policy.Warehouse.max_batch n
+
+let gen_policy =
+  QCheck2.Gen.(
+    map3
+      (fun max_batch floor pinned ->
+        ( { Warehouse.max_batch; min_batch = 1 + (floor mod max_batch); lock_wait_p95_s = 0.010 },
+          pinned ))
+      (int_range 1 16) (int_range 0 15) bool)
+
+(* the equivalence property: for ANY op-delta stream, applying it with
+   no policy, with ANY policy (the valve open or pinned at its floor),
+   or through a partitioned fleet yields the same replica, view and
+   aggregate state — only transaction boundaries differ — and [mark]
+   sees every run, in order, once per warehouse transaction *)
 let prop_batched_equals_sequential =
   QCheck2.Test.make
     ~name:"batched apply = one-at-a-time apply for random op-delta streams" ~count:25
-    QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 16) (int_range 1 14))
-    (fun (seed, max_batch, txns) ->
+    QCheck2.Gen.(tup4 (int_range 0 10_000) (int_range 1 14) gen_policy (int_range 1 3))
+    (fun (seed, txns, (policy, pinned), shards) ->
       let rows = 50 in
       let ods = ods_of_mix ~rows ~txns ~seed in
-      let wh1 = mk_wh ~rows in
-      let seq = Warehouse.integrate_op_deltas wh1 ods in
-      let wh2 = mk_wh ~rows in
-      let policy = { Warehouse.default_batch_policy with Warehouse.max_batch } in
-      let bat = Warehouse.integrate_op_deltas_batched ~policy wh2 ods in
-      let same_rows =
-        Warehouse.replica_rows wh1 "parts" = Warehouse.replica_rows wh2 "parts"
+      let apply ?policy wh =
+        let runs = ref [] in
+        let stats =
+          Warehouse.integrate_op_deltas ?policy ~mark:(fun _ run -> runs := run :: !runs) wh ods
+        in
+        (stats, List.rev !runs)
       in
-      if not same_rows then
-        QCheck2.Test.fail_reportf "seed %d batch %d: replica contents diverged" seed max_batch
-      else if bat.Warehouse.txns > seq.Warehouse.txns then
-        QCheck2.Test.fail_reportf "seed %d batch %d: batched used more txns (%d > %d)" seed
-          max_batch bat.Warehouse.txns seq.Warehouse.txns
-      else true)
+      let wh1 = mk_wh ~rows in
+      let seq, seq_runs = apply wh1 in
+      let wh2 = mk_wh ~rows in
+      if pinned then seed_lock_waits wh2;
+      let bat, bat_runs = apply ~policy wh2 in
+      let marks_ok (stats : Warehouse.stats) runs =
+        List.length runs = stats.Warehouse.txns && List.equal ( == ) (List.concat runs) ods
+      in
+      let fail msg =
+        QCheck2.Test.fail_reportf "seed %d txns %d max %d min %d pinned %b shards %d: %s" seed
+          txns policy.Warehouse.max_batch policy.Warehouse.min_batch pinned shards msg
+      in
+      if not (marks_ok seq seq_runs && List.for_all (fun r -> List.length r = 1) seq_runs) then
+        fail "no-policy marks are not one per source transaction"
+      else if not (marks_ok bat bat_runs) then fail "policy marks do not cover the stream"
+      else if List.exists (fun r -> List.length r > policy.Warehouse.max_batch) bat_runs then
+        fail "a run exceeded max_batch"
+      else if pinned && List.map List.length bat_runs <> pinned_schedule policy txns then
+        fail "pinned valve did not halve to its floor"
+      else
+        let sequential = wh_state wh1 in
+        if wh_state wh2 <> sequential then fail "policy apply diverged"
+        else if fleet_state ~shards ~rows ~policy ods <> sequential then
+          fail "partitioned refresh diverged"
+        else true)
 
 let suite =
   [
@@ -337,5 +491,6 @@ let suite =
     test "valve shrinks under lock waits" valve_shrinks_under_lock_waits;
     test "valve stays open without contention" valve_stays_open_without_contention;
     test "batch policy validates" batch_policy_validates;
+    test "mark rolls back with a failed run" mark_rolls_back_with_failed_run;
     QCheck_alcotest.to_alcotest prop_batched_equals_sequential;
   ]

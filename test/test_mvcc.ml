@@ -245,7 +245,11 @@ let olap_snapshot_never_blocks () =
     {
       Scheduler.name = "integrator";
       start_at = 0;
-      work = (fun () -> ignore (Warehouse.integrate_op_deltas_batched wh ods : Warehouse.stats));
+      work =
+        (fun () ->
+          ignore
+            (Warehouse.integrate_op_deltas ~policy:Warehouse.default_batch_policy wh ods
+              : Warehouse.stats));
     }
   in
   let readers =
@@ -315,7 +319,7 @@ let batched_equals_sequential_under_readers () =
     let states = ref [ sorted_rows (Warehouse.replica_rows wh_p "parts") ] in
     List.iter
       (fun od ->
-        ignore (Warehouse.integrate_op_delta wh_p od : Warehouse.stats);
+        ignore (Warehouse.integrate_op_deltas wh_p [ od ] : Warehouse.stats);
         states := sorted_rows (Warehouse.replica_rows wh_p "parts") :: !states)
       ods;
     !states
@@ -325,7 +329,11 @@ let batched_equals_sequential_under_readers () =
     {
       Scheduler.name = "integrator";
       start_at = 0;
-      work = (fun () -> ignore (Warehouse.integrate_op_deltas_batched wh ods : Warehouse.stats));
+      work =
+        (fun () ->
+          ignore
+            (Warehouse.integrate_op_deltas ~policy:Warehouse.default_batch_policy wh ods
+              : Warehouse.stats));
     }
   in
   let readers =

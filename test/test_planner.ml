@@ -482,6 +482,21 @@ let bench_compare_missing_and_modes () =
     Alcotest.fail "tolerance 0 accepted"
   with Invalid_argument _ -> ()
 
+(* ---------- experiment registry ---------- *)
+
+module Registry = Dw_experiments.Registry
+
+let registry_ids_unique_and_gated () =
+  let ids = Registry.ids in
+  check Alcotest.int "ids are unique" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids));
+  check (Alcotest.list Alcotest.string) "every gated id is a registry id" []
+    (Registry.unknown_ids Dw_experiments.Bench_check.gated_ids);
+  check (Alcotest.list Alcotest.string) "all selects every experiment" ids
+    (List.map (fun x -> x.Registry.id) (Registry.select [ "all" ]));
+  check (Alcotest.list Alcotest.string) "unknown ids are reported" [ "w2" ]
+    (Registry.unknown_ids [ "t3"; "w2"; "all" ])
+
 let suite =
   [
     test "timestamp cost monotone in table size" timestamp_monotone_in_table_rows;
@@ -506,4 +521,5 @@ let suite =
     test "load gen rejects bad configs" load_gen_rejects_bad_config;
     test "bench compare verdicts" bench_compare_verdicts;
     test "bench compare missing keys and modes" bench_compare_missing_and_modes;
+    test "registry ids unique, gated ids registered" registry_ids_unique_and_gated;
   ]

@@ -151,8 +151,9 @@ let deadlock_surfaces () =
   (* the survivor's work is committed and the victim rolled back *)
   check Alcotest.int "table intact" 10 (Table.row_count (Db.table db "parts"))
 
-(* the W2 story with real locks: batch integration starves a concurrent
-   reader for its whole duration; per-transaction integration bounds it *)
+(* the W2R availability story with real locks: batch integration starves
+   a concurrent reader for its whole duration; per-transaction
+   integration bounds it *)
 let batch_vs_online_with_real_locks () =
   let run_mode online =
     let db = mk_db () in

@@ -1,7 +1,7 @@
 (* Tests for Dw_warehouse: view materialization and incremental
    maintenance (SP and join views, incl. the qcheck incremental ==
-   recompute property), both integrators, and the availability
-   simulation. *)
+   recompute property), both integrators, and view-name uniqueness
+   across the view registries. *)
 
 module Vfs = Dw_storage.Vfs
 module Value = Dw_relation.Value
@@ -14,7 +14,6 @@ module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
 module Spj_view = Dw_core.Spj_view
 module Warehouse = Dw_warehouse.Warehouse
-module Availability_sim = Dw_warehouse.Availability_sim
 module Prng = Dw_util.Prng
 
 let check = Alcotest.check
@@ -117,11 +116,11 @@ let view_validation () =
 let incremental_sp_after_ops () =
   let wh = mk_wh ~views:[ sp_view ] () in
   let stats =
-    Warehouse.integrate_op_delta wh
-      (Op_delta.make ~txn_id:1
-         (Workload.insert_parts_txn ~first_id:100 ~size:5 ~day:0 ()
-          @ [ Workload.update_parts_stmt ~first_id:1 ~size:10;
-              Workload.delete_parts_stmt ~first_id:20 ~size:5 ]))
+    Warehouse.integrate_op_deltas wh
+      [ Op_delta.make ~txn_id:1
+          (Workload.insert_parts_txn ~first_id:100 ~size:5 ~day:0 ()
+           @ [ Workload.update_parts_stmt ~first_id:1 ~size:10;
+               Workload.delete_parts_stmt ~first_id:20 ~size:5 ]) ]
   in
   check Alcotest.bool "row ops counted" true (stats.Warehouse.row_ops > 0);
   check Alcotest.bool "sp still consistent" true (views_agree wh "small_qty")
@@ -129,10 +128,10 @@ let incremental_sp_after_ops () =
 let incremental_join_after_ops () =
   let wh = mk_wh ~views:[ join_view ] () in
   ignore
-    (Warehouse.integrate_op_delta wh
-       (Op_delta.make ~txn_id:1
-          [ Workload.update_parts_stmt ~first_id:1 ~size:20;
-            Workload.delete_parts_stmt ~first_id:30 ~size:10 ]));
+    (Warehouse.integrate_op_deltas wh
+       [ Op_delta.make ~txn_id:1
+           [ Workload.update_parts_stmt ~first_id:1 ~size:20;
+             Workload.delete_parts_stmt ~first_id:30 ~size:10 ] ]);
   check Alcotest.bool "join consistent after parts ops" true
     (views_agree wh "parts_by_supplier");
   (* now touch the right side *)
@@ -177,7 +176,7 @@ let integrators_converge () =
       ignore (Db.exec src txn del : Db.exec_result));
   let vd = Dw_core.Trigger_extract.collect src handle in
   ignore (Warehouse.integrate_value_delta wh_value vd);
-  ignore (Warehouse.integrate_op_delta wh_op od);
+  ignore (Warehouse.integrate_op_deltas wh_op [ od ]);
   let sort l = List.sort Tuple.compare l in
   let rows_of wh = sort (Warehouse.replica_rows wh "parts") in
   check Alcotest.int "same cardinality" (List.length (rows_of wh_value))
@@ -234,8 +233,8 @@ let prop_views_incremental =
       List.iteri
         (fun i op ->
           ignore
-            (Warehouse.integrate_op_delta wh
-               (Op_delta.make ~txn_id:i (Workload.op_to_stmts ~day:0 op))))
+            (Warehouse.integrate_op_deltas wh
+               [ Op_delta.make ~txn_id:i (Workload.op_to_stmts ~day:0 op) ]))
         ops;
       views_agree wh "small_qty" && views_agree wh "parts_by_supplier")
 
@@ -301,11 +300,11 @@ let agg_materialize_and_maintain () =
   check Alcotest.bool "initial materialization" true (agg_views_agree wh "qty_stats");
   (* inserts, deletes, updates via op-delta integration *)
   ignore
-    (Warehouse.integrate_op_delta wh
-       (Op_delta.make ~txn_id:1
-          (Workload.insert_parts_txn ~first_id:200 ~size:10 ~day:0 ()
-           @ [ Workload.update_parts_stmt ~first_id:1 ~size:15;
-               Workload.delete_parts_stmt ~first_id:30 ~size:10 ])));
+    (Warehouse.integrate_op_deltas wh
+       [ Op_delta.make ~txn_id:1
+           (Workload.insert_parts_txn ~first_id:200 ~size:10 ~day:0 ()
+            @ [ Workload.update_parts_stmt ~first_id:1 ~size:15;
+                Workload.delete_parts_stmt ~first_id:30 ~size:10 ]) ]);
   check Alcotest.bool "maintained incrementally" true (agg_views_agree wh "qty_stats")
 
 let agg_minmax_rescan_on_delete () =
@@ -339,13 +338,13 @@ let agg_update_moves_groups () =
   Warehouse.define_agg_view wh qty_by_price_band;
   (* drive several rows into one qty bucket *)
   ignore
-    (Warehouse.integrate_op_delta wh
-       (Op_delta.make ~txn_id:1
-          [ Dw_sql.Ast.Update
-              { table = "parts";
-                sets = [ ("qty", Expr.Lit (Value.Int 123)) ];
-                where =
-                  Some (Expr.Cmp (Expr.Le, Expr.Col "part_id", Expr.Lit (Value.Int 10))) } ]));
+    (Warehouse.integrate_op_deltas wh
+       [ Op_delta.make ~txn_id:1
+           [ Dw_sql.Ast.Update
+               { table = "parts";
+                 sets = [ ("qty", Expr.Lit (Value.Int 123)) ];
+                 where =
+                   Some (Expr.Cmp (Expr.Le, Expr.Col "part_id", Expr.Lit (Value.Int 10))) } ] ]);
   check Alcotest.bool "consistent after group move" true (agg_views_agree wh "qty_stats");
   let moved =
     List.find_opt
@@ -367,8 +366,8 @@ let prop_agg_incremental =
       List.iteri
         (fun i op ->
           ignore
-            (Warehouse.integrate_op_delta wh
-               (Op_delta.make ~txn_id:i (Workload.op_to_stmts ~day:0 op))))
+            (Warehouse.integrate_op_deltas wh
+               [ Op_delta.make ~txn_id:i (Workload.op_to_stmts ~day:0 op) ]))
         ops;
       agg_views_agree wh "qty_stats")
 
@@ -427,9 +426,7 @@ let viewonly_matches_replica_based ~seed () =
        { name = "vo_small_qty"; table = "parts"; schema = parts_schema;
          filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
          project = [ proj Spj_view.L "part_id" "part_id"; proj Spj_view.L "qty" "qty" ] });
-  List.iter
-    (fun od -> ignore (Warehouse.integrate_op_delta wh_b od : Warehouse.stats))
-    ods;
+  ignore (Warehouse.integrate_op_deltas wh_b ods : Warehouse.stats);
   let a = Warehouse.viewonly_view_rows wh_a "vo_small_qty" in
   let b = Warehouse.view_rows wh_b "vo_small_qty" in
   check Alcotest.int "same view cardinality" (List.length b) (List.length a);
@@ -465,6 +462,46 @@ let viewonly_rejects_join () =
     Alcotest.fail "expected join rejection"
   with Invalid_argument _ -> ()
 
+(* ---------- view names are unique across view kinds ---------- *)
+
+let sp_named name =
+  Spj_view.Select_project
+    { name; table = "parts"; schema = parts_schema; filter = None;
+      project = [ proj Spj_view.L "part_id" "part_id"; proj Spj_view.L "qty" "qty" ] }
+
+let rejected_by_warehouse what f =
+  match f () with
+  | () -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument msg ->
+    check Alcotest.bool (what ^ " reports the warehouse check") true
+      (String.starts_with ~prefix:"Warehouse." msg)
+
+(* an SPJ attach under an aggregate view's name would maintain SPJ rows
+   into the aggregate's backing table on the next replica change *)
+let attach_view_rejects_agg_name () =
+  let wh = mk_wh () in
+  Warehouse.define_agg_view wh qty_by_price_band;
+  rejected_by_warehouse "attach_view" (fun () ->
+      Warehouse.attach_view wh (sp_named "qty_stats"));
+  rejected_by_warehouse "define_view" (fun () ->
+      Warehouse.define_view wh (sp_named "qty_stats"));
+  ignore
+    (Warehouse.integrate_op_deltas wh
+       [ Op_delta.make ~txn_id:1 [ Workload.update_parts_stmt ~first_id:1 ~size:10 ] ]
+      : Warehouse.stats);
+  check Alcotest.bool "aggregate view untouched by a stray SPJ view" true
+    (agg_views_agree wh "qty_stats")
+
+let attach_agg_view_rejects_viewonly_name () =
+  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
+  Warehouse.add_replica wh ~table:"parts" ~schema:parts_schema;
+  Warehouse.define_viewonly_view wh viewonly_view;
+  let clash = { qty_by_price_band with Agg_view.name = "vo_small_qty" } in
+  rejected_by_warehouse "attach_agg_view" (fun () -> Warehouse.attach_agg_view wh clash);
+  rejected_by_warehouse "define_agg_view" (fun () -> Warehouse.define_agg_view wh clash);
+  check Alcotest.bool "no aggregate registered" true
+    (Warehouse.agg_view_def wh "vo_small_qty" = None)
+
 (* ---------- OLAP queries ---------- *)
 
 module Olap = Dw_warehouse.Olap
@@ -490,54 +527,6 @@ let olap_rejects_dml () =
     check Alcotest.int "no side effect" 50 (List.length (Warehouse.replica_rows wh "parts"))
   | Ok _ -> Alcotest.fail "expected rejection"
 
-(* ---------- availability simulation ---------- *)
-
-let sim_batch_blocks_queries () =
-  (* one 1000-tick batch; queries every 100 ticks, 10 ticks each *)
-  let report =
-    Availability_sim.run
-      { write_jobs = [ 1000 ]; query_duration = 10; query_interval = 100; horizon = 1000 }
-  in
-  check Alcotest.bool "outage is large" true (report.Availability_sim.outage_time > 500);
-  check Alcotest.bool "queries waited" true (report.Availability_sim.max_query_wait >= 800)
-
-let sim_small_jobs_interleave () =
-  (* the same 1000 ticks of maintenance, split into 100 jobs *)
-  let report =
-    Availability_sim.run
-      { write_jobs = List.init 100 (fun _ -> 10); query_duration = 10; query_interval = 100;
-        horizon = 1000 }
-  in
-  check Alcotest.bool "small outage" true
-    (report.Availability_sim.outage_time < 200);
-  check Alcotest.bool "bounded waits" true (report.Availability_sim.max_query_wait <= 20)
-
-let sim_no_queries () =
-  let report =
-    Availability_sim.run
-      { write_jobs = [ 50; 50 ]; query_duration = 10; query_interval = 1000; horizon = 5 }
-  in
-  check Alcotest.int "no queries admitted" 0 report.Availability_sim.queries_admitted;
-  check Alcotest.int "maintenance time" 100 report.Availability_sim.maintenance_done
-
-let sim_all_queries_complete () =
-  let report =
-    Availability_sim.run
-      { write_jobs = [ 100 ]; query_duration = 5; query_interval = 50; horizon = 300 }
-  in
-  check Alcotest.int "completed = admitted" report.Availability_sim.queries_admitted
-    report.Availability_sim.queries_completed
-
-let sim_fifo_no_starvation () =
-  (* writers keep coming; queries must still get through between jobs *)
-  let report =
-    Availability_sim.run
-      { write_jobs = List.init 50 (fun _ -> 20); query_duration = 10; query_interval = 40;
-        horizon = 900 }
-  in
-  check Alcotest.int "all queries done" report.Availability_sim.queries_admitted
-    report.Availability_sim.queries_completed
-
 let suite =
   [
     test "materialize sp view" materialize_sp;
@@ -559,11 +548,8 @@ let suite =
     test "view-only hybrid matches replica-based (alt seed)" viewonly_alt;
     test "view-only bare delete is no-op" viewonly_bare_delete_is_noop;
     test "view-only rejects join views" viewonly_rejects_join;
+    test "attach_view rejects an aggregate view's name" attach_view_rejects_agg_name;
+    test "attach_agg_view rejects a view-only name" attach_agg_view_rejects_viewonly_name;
     test "olap standard mix" olap_standard_mix;
     test "olap rejects dml" olap_rejects_dml;
-    test "sim: batch blocks queries" sim_batch_blocks_queries;
-    test "sim: small jobs interleave" sim_small_jobs_interleave;
-    test "sim: no queries" sim_no_queries;
-    test "sim: all queries complete" sim_all_queries_complete;
-    test "sim: fifo no starvation" sim_fifo_no_starvation;
   ]
