@@ -557,9 +557,7 @@ let snapshot_matching t txn table tname where =
      or re-keyed out of the index bounds — still have version chains *)
   let heap = Table.heap table in
   Version_store.iter_table t.vstore ~table:tname (fun rid ->
-      if not (Hashtbl.mem seen rid) then
-        consider rid
-          (if Heap_file.exists_at heap rid then Some (Heap_file.get heap rid) else None));
+      if not (Hashtbl.mem seen rid) then consider rid (Heap_file.get_opt heap rid));
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !acc
 
 let snapshot_find_by_key t txn tname key =
@@ -580,10 +578,7 @@ let snapshot_find_by_key t txn tname key =
     let heap = Table.heap table in
     Version_store.iter_table t.vstore ~table:tname (fun rid ->
         if !hit = None then
-          let current =
-            if Heap_file.exists_at heap rid then Some (Heap_file.get heap rid) else None
-          in
-          match snapshot_visible t tname ~csn rid current with
+          match snapshot_visible t tname ~csn rid (Heap_file.get_opt heap rid) with
           | Some img when Tuple.compare (key_of img) key = 0 -> hit := Some (rid, img)
           | Some _ | None -> ())
   end;

@@ -177,7 +177,10 @@ let key_range t ~lo ~hi f =
          using the raw bound when the key is single-column *)
       if Schema.key_arity t.schema = 1 then Btree.Incl [| v |] else Btree.Unbounded
   in
-  Btree.iter_range t.pk ~lo ~hi (fun _key rid -> f rid (Heap_file.get t.heap rid))
+  (* a lock-free snapshot reader may find the slot already freed by a
+     concurrent delete: the row is gone from the heap, not an error *)
+  Btree.iter_range t.pk ~lo ~hi (fun _key rid ->
+      Option.iter (f rid) (Heap_file.get_opt t.heap rid))
 
 let row_count t = Heap_file.count t.heap
 let cardinality t = Btree.cardinal t.pk

@@ -85,7 +85,8 @@ val key_range :
   (Heap_file.rid -> Tuple.t -> unit) ->
   unit
 (** Rows whose first key column lies in the inclusive range, via the
-    primary-key index. *)
+    primary-key index.  An index entry whose heap slot is already free (a
+    delete racing a lock-free snapshot reader) is skipped. *)
 
 val row_count : t -> int
 val cardinality : t -> int

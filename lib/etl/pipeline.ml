@@ -144,7 +144,10 @@ let dst_schema t = Table.schema (Db.table (Warehouse.db t.warehouse) t.dst_table
 
 (* ship a payload through the transport and hand it back at the other
    side, counting wire bytes; queued transport round-trips the encoded
-   form through the persistent queue (crash-safe hand-off) *)
+   form through the persistent queue, so its bytes and fsyncs are the
+   wire path's.  It is not a crash-safe hand-off: every message is acked
+   here, before anything is integrated.  Exactly-once re-delivery lives
+   in the [mark]s of Bootstrap and Partitioned. *)
 let ship t payloads =
   match t.queue with
   | None -> (payloads, List.fold_left (fun acc p -> acc + String.length p) 0 payloads)

@@ -31,7 +31,12 @@ type method_ =
 
 type transport =
   | Direct              (** hand the delta over in memory *)
-  | Queued of string    (** through a persistent queue on the warehouse Vfs *)
+  | Queued of string
+      (** through a persistent queue on the warehouse Vfs: the measured wire
+          path (encoded bytes, batch fsyncs).  Each round acks its messages
+          as it drains them, before integration commits, so this is not a
+          crash-safe hand-off; exactly-once re-delivery is the [mark]s of
+          {!Bootstrap} and {!Dw_warehouse.Partitioned}. *)
 
 type signals = {
   lock_wait_p95_s : float;  (** source lock-wait p95 the planner scores *)

@@ -12,10 +12,16 @@
      restart (the torn WAL tail really was truncated, not skipped);
    - persistent queue: no enqueued-and-unacked message is ever lost
      (redelivery of acked ones is allowed — at-least-once), no phantom
-     messages appear, and a post-recovery enqueue stays reachable;
-   - warehouse refresh: redelivered delta batches are applied exactly
-     once (watermark updated in the same warehouse transaction as the
-     batch rows).
+     messages appear, and a post-recovery enqueue stays reachable.
+
+   Warehouse refresh is swept on the real integrator, not here: the
+   bootstrap sweep (Exp_bootstrap) applies queued op-deltas through
+   [Warehouse.integrate_op_deltas ~mark] and acks after the commit, and
+   the partitioned sweep (Exp_partition) re-applies valve-governed runs
+   under a watermark [mark] — exactly-once on redelivery in both.
+
+   Every flow runs through {!sweep}; a flow supplies only its
+   fault-free event count and its one-point check.
 
    Everything is deterministic: the op mix, the payloads and the tear
    points all derive from seeded Dw_util.Prng streams, so a failing
@@ -25,10 +31,8 @@ module Vfs = Dw_storage.Vfs
 module Fault = Vfs.Fault
 module Db = Dw_engine.Db
 module Table = Dw_engine.Table
-module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
 module Value = Dw_relation.Value
-module Expr = Dw_relation.Expr
 module Workload = Dw_workload.Workload
 module Metrics = Dw_util.Metrics
 module Prng = Dw_util.Prng
@@ -40,11 +44,6 @@ type report = {
   failures : (int * string) list;  (* event index, invariant violated *)
   fault_metrics : (string * int) list;  (* fault.*/wal.*/queue.* totals *)
 }
-
-let pp_report fmt r =
-  Format.fprintf fmt "%d events, %d crash points, %d failures" r.total_events r.explored
-    (List.length r.failures);
-  List.iter (fun (i, msg) -> Format.fprintf fmt "@.  event %d: %s" i msg) r.failures
 
 (* fold one run's injected-fault and recovery counters into the report
    totals; vfs.* traffic counters would swamp the table and are skipped *)
@@ -59,7 +58,31 @@ let accumulate totals vfs =
         Metrics.add totals name v)
     (Metrics.snapshot (Vfs.metrics vfs))
 
-let indices ~total ~stride = List.init ((total + stride - 1) / stride) (fun i -> i * stride)
+(* The one crash-point sweep.  [total] lists the fault-free event count
+   of each device the flow faults (one entry for a single-device flow).
+   Crash points are numbered across those devices' events in order, and
+   each device is swept from its own first event at [stride].
+   [point ~totals k] runs crash point [k] and folds its counters into the
+   shared [totals]; failures come back in sweep order. *)
+let sweep ?(stride = 1) ~total point =
+  let rec strided base = function
+    | [] -> []
+    | n :: rest ->
+      List.init ((n + stride - 1) / stride) (fun i -> base + (i * stride)) @ strided (base + n) rest
+  in
+  let points = strided 0 total in
+  let totals = Metrics.create () in
+  let failures =
+    List.filter_map
+      (fun k -> match point ~totals k with Ok () -> None | Error msg -> Some (k, msg))
+      points
+  in
+  {
+    total_events = List.fold_left ( + ) 0 total;
+    explored = List.length points;
+    failures;
+    fault_metrics = Metrics.snapshot totals;
+  }
 
 (* ---------- source-database explorer ---------- *)
 
@@ -256,24 +279,9 @@ let run_db_crash_point spec ops ~totals index =
   accumulate totals vfs;
   result
 
-let explore ?(spec = default_db_spec) ?(stride = 1) () =
+let explore ?(spec = default_db_spec) ?stride () =
   let ops = ops_of_spec spec in
-  let total_events = count_db_events spec ops in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_db_crash_point spec ops ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+  sweep ?stride ~total:[ count_db_events spec ops ] (run_db_crash_point spec ops)
 
 (* ---------- persistent-queue explorer ---------- *)
 
@@ -377,23 +385,8 @@ let run_queue_crash_point spec ~totals index =
   accumulate totals vfs;
   result
 
-let explore_queue ?(spec = default_queue_spec) ?(stride = 1) () =
-  let total_events = count_queue_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_queue_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_queue ?(spec = default_queue_spec) ?stride () =
+  sweep ?stride ~total:[ count_queue_events spec ] (run_queue_crash_point spec)
 
 (* ---------- batched-queue explorer ---------- *)
 
@@ -532,275 +525,8 @@ let run_batched_queue_crash_point spec ~totals index =
   accumulate totals vfs;
   result
 
-let explore_batched_queue ?(spec = default_batched_queue_spec) ?(stride = 1) () =
-  let total_events = count_batched_queue_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_batched_queue_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
-
-(* ---------- warehouse-refresh idempotency explorer ---------- *)
-
-(* Delta batches travel through the queue; the consumer applies each to
-   the warehouse and advances a watermark (highest applied batch id) in
-   the SAME warehouse transaction, then acks.  A crash between commit
-   and ack redelivers the batch; the watermark makes the redelivery a
-   no-op.  Faults are injected on the queue's vfs only (the consumer
-   process dies mid-refresh); the warehouse survives as bytes and is
-   re-opened through its own WAL recovery. *)
-
-type refresh_spec = { batches : int; batch_size : int; rseed : int }
-
-let default_refresh_spec = { batches = 8; batch_size = 4; rseed = 11 }
-
-let wm_table = "refresh_watermark"
-
-let wm_schema =
-  Schema.make
-    [
-      { Schema.name = "id"; ty = Value.Tint; nullable = false };
-      { Schema.name = "last_batch"; ty = Value.Tint; nullable = false };
-    ]
-
-let encode_batch ~bid ~first_id ~size = Printf.sprintf "%d %d %d" bid first_id size
-let decode_batch s = Scanf.sscanf s "%d %d %d" (fun a b c -> (a, b, c))
-
-let fresh_warehouse () =
-  let vfs = Vfs.in_memory () in
-  let db = Db.create ~pool_pages:64 ~vfs ~name:"wh" () in
-  Db.set_day db 0;
-  let (_ : Table.t) = Workload.create_parts_table db in
-  let (_ : Table.t) = Db.create_table db ~name:wm_table wm_schema in
-  Db.with_txn db (fun txn ->
-      ignore (Db.insert db txn wm_table [| Value.Int 0; Value.Int 0 |] : Dw_storage.Heap_file.rid));
-  (vfs, db)
-
-let wh_catalog = parts_catalog @ [ (wm_table, wm_schema, None) ]
-
-let reopen_warehouse vfs =
-  Vfs.crash_reset vfs;
-  let db, (_ : Dw_txn.Recovery.stats) =
-    Db.reopen ~pool_pages:64 ~vfs ~name:"wh" ~tables:wh_catalog ()
-  in
-  Db.set_day db 0;
-  db
-
-let watermark db txn =
-  match Db.select db txn wm_table () with
-  | [ [| _; Value.Int wm |] ] -> wm
-  | _ -> invalid_arg "refresh watermark table corrupted"
-
-let apply_batch spec wh msg =
-  let bid, first_id, size = decode_batch msg in
-  Db.with_txn wh (fun txn ->
-      if bid > watermark wh txn then begin
-        List.iter
-          (fun s -> ignore (Db.exec wh txn s : Db.exec_result))
-          (Workload.insert_parts_txn ~seed:spec.rseed ~first_id ~size ~day:0 ());
-        ignore
-          (Db.update_where wh txn wm_table
-             ~set:[ ("last_batch", Expr.Lit (Value.Int bid)) ]
-             ~where:None
-            : int)
-      end)
-
-let consume spec q wh =
-  let continue = ref true in
-  while !continue do
-    match Pq.peek q with
-    | None -> continue := false
-    | Some m ->
-      apply_batch spec wh m;
-      Pq.ack q
-  done
-
-let produce spec qvfs =
-  let q = Pq.open_ qvfs ~name:"deltas" in
-  for bid = 1 to spec.batches do
-    Pq.enqueue q
-      (encode_batch ~bid ~first_id:(1 + ((bid - 1) * spec.batch_size)) ~size:spec.batch_size)
-  done
-
-let count_refresh_events spec =
-  let qvfs = Vfs.in_memory () in
-  produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~seed:spec.rseed ()));
-  let _, wh = fresh_warehouse () in
-  let q = Pq.open_ qvfs ~name:"deltas" in
-  consume spec q wh;
-  match Vfs.fault qvfs with Some f -> Fault.events f | None -> assert false
-
-let run_refresh_crash_point spec ~totals index =
-  let qvfs = Vfs.in_memory () in
-  produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.rseed + index) ()));
-  let whvfs, wh = fresh_warehouse () in
-  (match
-     let q = Pq.open_ qvfs ~name:"deltas" in
-     consume spec q wh
-   with
-   | () -> ()
-   | exception Fault.Crash _ -> ());
-  (* restart: both the queue and the warehouse come back from bytes *)
-  Vfs.crash_reset qvfs;
-  let wh2 = reopen_warehouse whvfs in
-  let q2 = Pq.open_ qvfs ~name:"deltas" in
-  consume spec q2 wh2;
-  let expected =
-    model_rows
-      { txns = 0; txn_size = 0; seed = spec.rseed; checkpoint_every = 0; group = 1 }
-      (List.init spec.batches (fun i ->
-           Insert { first_id = 1 + (i * spec.batch_size); size = spec.batch_size }))
-  in
-  let act = actual_rows wh2 in
-  let wm = Db.with_txn wh2 (fun txn -> watermark wh2 txn) in
-  let result =
-    if not (rows_equal act expected) then
-      Error
-        (Printf.sprintf "refresh not exactly-once: %d rows vs %d expected" (List.length act)
-           (List.length expected))
-    else if wm <> spec.batches then
-      Error (Printf.sprintf "watermark %d after %d batches" wm spec.batches)
-    else Ok ()
-  in
-  accumulate totals qvfs;
-  result
-
-let explore_refresh ?(spec = default_refresh_spec) ?(stride = 1) () =
-  let total_events = count_refresh_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_refresh_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
-
-(* ---------- micro-batched refresh explorer ---------- *)
-
-(* Like the refresh explorer, but the consumer applies a RUN of delta
-   batches per warehouse transaction (the micro-batched integrator's
-   shape): every batch in the run with bid > watermark is applied and
-   the watermark advances to the run's last bid, all in one transaction,
-   then the whole run is acked at once.  A crash mid-run must leave the
-   warehouse at a batch (source-transaction) boundary: either the whole
-   run's transaction committed or none of it, and redelivery after the
-   crash is filtered by the watermark — still exactly-once. *)
-
-let apply_run spec wh msgs =
-  match msgs with
-  | [] -> ()
-  | _ ->
-    Db.with_txn wh (fun txn ->
-        let wm = watermark wh txn in
-        let last = ref wm in
-        List.iter
-          (fun msg ->
-            let bid, first_id, size = decode_batch msg in
-            if bid > wm then begin
-              List.iter
-                (fun s -> ignore (Db.exec wh txn s : Db.exec_result))
-                (Workload.insert_parts_txn ~seed:spec.rseed ~first_id ~size ~day:0 ());
-              last := max !last bid
-            end)
-          msgs;
-        if !last > wm then
-          ignore
-            (Db.update_where wh txn wm_table
-               ~set:[ ("last_batch", Expr.Lit (Value.Int !last)) ]
-               ~where:None
-              : int))
-
-let consume_runs spec ~run q wh =
-  let continue = ref true in
-  while !continue do
-    match Pq.peek_run q ~max:run with
-    | [] -> continue := false
-    | msgs ->
-      apply_run spec wh msgs;
-      Pq.ack_run q (List.length msgs)
-  done
-
-let count_batched_refresh_events spec ~run =
-  let qvfs = Vfs.in_memory () in
-  produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~seed:spec.rseed ()));
-  let _, wh = fresh_warehouse () in
-  let q = Pq.open_ qvfs ~name:"deltas" in
-  consume_runs spec ~run q wh;
-  match Vfs.fault qvfs with Some f -> Fault.events f | None -> assert false
-
-let run_batched_refresh_crash_point spec ~run ~totals index =
-  let qvfs = Vfs.in_memory () in
-  produce spec qvfs;
-  Vfs.set_fault qvfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.rseed + index) ()));
-  let whvfs, wh = fresh_warehouse () in
-  (match
-     let q = Pq.open_ qvfs ~name:"deltas" in
-     consume_runs spec ~run q wh
-   with
-   | () -> ()
-   | exception Fault.Crash _ -> ());
-  Vfs.crash_reset qvfs;
-  let wh2 = reopen_warehouse whvfs in
-  let q2 = Pq.open_ qvfs ~name:"deltas" in
-  consume_runs spec ~run q2 wh2;
-  let expected =
-    model_rows
-      { txns = 0; txn_size = 0; seed = spec.rseed; checkpoint_every = 0; group = 1 }
-      (List.init spec.batches (fun i ->
-           Insert { first_id = 1 + (i * spec.batch_size); size = spec.batch_size }))
-  in
-  let act = actual_rows wh2 in
-  let wm = Db.with_txn wh2 (fun txn -> watermark wh2 txn) in
-  let result =
-    if not (rows_equal act expected) then
-      Error
-        (Printf.sprintf "batched refresh not exactly-once: %d rows vs %d expected"
-           (List.length act) (List.length expected))
-    else if wm <> spec.batches then
-      Error (Printf.sprintf "watermark %d after %d batches" wm spec.batches)
-    else Ok ()
-  in
-  accumulate totals qvfs;
-  result
-
-let explore_refresh_batched ?(spec = default_refresh_spec) ?(run = 3) ?(stride = 1) () =
-  let total_events = count_batched_refresh_events spec ~run in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_batched_refresh_crash_point spec ~run ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_batched_queue ?(spec = default_batched_queue_spec) ?stride () =
+  sweep ?stride ~total:[ count_batched_queue_events spec ] (run_batched_queue_crash_point spec)
 
 (* ---------- transient-fault file shipping ---------- *)
 
@@ -841,32 +567,21 @@ let run_bench ~scale =
   let stride = 8 in
   let db_spec = { default_db_spec with txns = default_db_spec.txns * scale } in
   let q_spec = { default_queue_spec with messages = default_queue_spec.messages * scale } in
-  let r_spec = { default_refresh_spec with batches = default_refresh_spec.batches * scale } in
-  let g_spec = { db_spec with group = grouped_db_spec.group } in
   let bq_spec =
     { default_batched_queue_spec with b_messages = default_batched_queue_spec.b_messages * scale }
   in
-  let db_report, db_t = Bench_support.time (fun () -> explore ~spec:db_spec ~stride ()) in
-  let g_report, g_t = Bench_support.time (fun () -> explore ~spec:g_spec ~stride ()) in
-  let q_report, q_t = Bench_support.time (fun () -> explore_queue ~spec:q_spec ~stride ()) in
-  let bq_report, bq_t =
-    Bench_support.time (fun () -> explore_batched_queue ~spec:bq_spec ~stride ())
+  let flows =
+    [
+      ("db", fun () -> explore ~spec:db_spec ~stride ());
+      ("db-group", fun () -> explore ~spec:{ db_spec with group = grouped_db_spec.group } ~stride ());
+      ("queue", fun () -> explore_queue ~spec:q_spec ~stride ());
+      ("queue-bat", fun () -> explore_batched_queue ~spec:bq_spec ~stride ());
+    ]
   in
-  let r_report, r_t =
-    Bench_support.time (fun () -> explore_refresh ~spec:r_spec ~stride ())
-  in
-  let br_report, br_t =
-    Bench_support.time (fun () -> explore_refresh_batched ~spec:r_spec ~stride ())
-  in
-  print_report "db" db_report;
-  print_report "db-group" g_report;
-  print_report "queue" q_report;
-  print_report "queue-bat" bq_report;
-  print_report "refresh" r_report;
-  print_report "refresh-b" br_report;
-  Printf.printf "sweep times: db %s (+group %s), queue %s (+batched %s), refresh %s (+batched %s)\n"
-    (Bench_support.dur db_t) (Bench_support.dur g_t) (Bench_support.dur q_t)
-    (Bench_support.dur bq_t) (Bench_support.dur r_t) (Bench_support.dur br_t);
+  let timed = List.map (fun (name, run) -> (name, Bench_support.time run)) flows in
+  List.iter (fun (name, (r, _)) -> print_report name r) timed;
+  Printf.printf "sweep times: %s\n"
+    (String.concat ", " (List.map (fun (name, (_, t)) -> name ^ " " ^ Bench_support.dur t) timed));
   (match ship_under_faults ~seed:(77 + scale) () with
    | Error e -> Printf.printf "ship under 25%% transient faults: FAILED (%s)\n" e
    | Ok (stats, identical) ->
@@ -874,17 +589,13 @@ let run_bench ~scale =
        stats.Dw_transport.File_ship.bytes stats.Dw_transport.File_ship.chunks
        stats.Dw_transport.File_ship.retries
        (if identical then "byte-identical" else "CORRUPTED"));
-  let rows =
-    List.map
-      (fun (name, v) -> [ name; string_of_int v ])
-      (Metrics.diff
-         ~before:[]
-         ~after:
-           (let totals = Metrics.create () in
-            List.iter
-              (fun r -> List.iter (fun (n, v) -> Metrics.add totals n v) r.fault_metrics)
-              [ db_report; g_report; q_report; bq_report; r_report; br_report ];
-            Metrics.snapshot totals))
-  in
+  let totals = Metrics.create () in
+  List.iter
+    (fun (_, (r, _)) -> List.iter (fun (n, v) -> Metrics.add totals n v) r.fault_metrics)
+    timed;
   Bench_support.print_table ~title:"injected faults and recovery work (totals)"
-    ~header:[ "counter"; "total" ] ~rows
+    ~header:[ "counter"; "total" ]
+    ~rows:
+      (List.map
+         (fun (name, v) -> [ name; string_of_int v ])
+         (Metrics.diff ~before:[] ~after:(Metrics.snapshot totals)))

@@ -13,8 +13,9 @@
    - mutual exclusion: a second start while the lease is live is
      refused.
 
-   [explore_bootstrap] packages the sweep as a {!Crash_sim.report} for
-   the @crash alias; [run_bench] is the dwbench "w4" entry. *)
+   [explore_bootstrap] runs the sweep through {!Crash_sim.sweep} for the
+   @crash alias; [run_bench] is the dwbench "w4" entry, whose sweep also
+   tracks the worst-case re-done chunks. *)
 
 module Vfs = Dw_storage.Vfs
 module Fault = Vfs.Fault
@@ -204,23 +205,10 @@ let run_crash_point spec ~totals k =
   Cs.accumulate totals env.whvfs;
   result
 
-let explore_bootstrap ?(spec = default_spec) ?(stride = 1) () =
-  let _, _, total_events = baseline spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = Cs.indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_crash_point spec ~totals k with
-      | Ok _ -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    Cs.total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_bootstrap ?(spec = default_spec) ?stride () =
+  let _, _, total = baseline spec in
+  Cs.sweep ?stride ~total:[ total ] (fun ~totals k ->
+      Result.map ignore (run_crash_point spec ~totals k))
 
 let run_bench ~scale =
   Bench_support.section "W4: resumable bootstrap (chunked load + watermark windows)";
@@ -251,24 +239,20 @@ let run_bench ~scale =
   let total_events = match Vfs.fault env.whvfs with Some f -> Fault.events f | None -> 0 in
   (* arm 2: systematic crash sweep with resume, tracking the worst-case
      re-done work *)
-  let stride = max 1 (total_events / 40) in
-  let totals = Metrics.create () in
-  let points = Cs.indices ~total:total_events ~stride in
   let max_extra = ref 0 in
-  let failures = ref 0 in
-  List.iter
-    (fun k ->
-      match run_crash_point spec ~totals k with
-      | Ok extra -> max_extra := max !max_extra extra
-      | Error msg ->
-        incr failures;
-        Printf.printf "  crash point %d FAILED: %s\n%!" k msg)
-    points;
+  let report =
+    Cs.sweep ~stride:(max 1 (total_events / 40)) ~total:[ total_events ] (fun ~totals k ->
+        Result.map
+          (fun extra -> max_extra := max !max_extra extra)
+          (run_crash_point spec ~totals k))
+  in
+  List.iter (fun (k, msg) -> Printf.printf "  crash point %d FAILED: %s\n%!" k msg) report.Cs.failures;
+  let failures = List.length report.Cs.failures in
   Metrics.set_gauge m "w4.restart_chunks" (float_of_int p.Bootstrap.chunks_done);
   Metrics.set_gauge m "w4.resume_extra_chunks" (float_of_int !max_extra);
   Metrics.set_gauge m "w4.lease_refused" (if refused then 1.0 else 0.0);
-  Metrics.set_gauge m "w4.converged" (if !failures = 0 then 1.0 else 0.0);
-  Metrics.set_gauge m "w4.crash_points" (float_of_int (List.length points));
+  Metrics.set_gauge m "w4.converged" (if failures = 0 then 1.0 else 0.0);
+  Metrics.set_gauge m "w4.crash_points" (float_of_int report.Cs.explored);
   Metrics.set_gauge m "w4.rows_deduped" (float_of_int p.Bootstrap.rows_deduped);
   Bench_support.print_table ~title:"W4: bootstrap resume cost vs restart"
     ~header:[ "rows"; "chunks"; "crash points"; "failures"; "max re-done chunks"; "deduped" ]
@@ -277,10 +261,10 @@ let run_bench ~scale =
         [
           string_of_int spec.rows;
           string_of_int p.Bootstrap.chunks_done;
-          string_of_int (List.length points);
-          string_of_int !failures;
+          string_of_int report.Cs.explored;
+          string_of_int failures;
           string_of_int !max_extra;
           string_of_int p.Bootstrap.rows_deduped;
         ];
       ];
-  if !failures > 0 then failwith "w4: crash sweep had failures"
+  if failures > 0 then failwith "w4: crash sweep had failures"

@@ -523,20 +523,5 @@ let run_rebuild_crash_point spec ~totals k =
   Crash_sim.accumulate totals (Partitioned.vfss env.fleet).(flappy);
   result
 
-let explore_rebuild ?(spec = default_crash_spec) ?(stride = 1) () =
-  let total_events = count_rebuild_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let points = Crash_sim.indices ~total:total_events ~stride in
-  List.iter
-    (fun k ->
-      match run_rebuild_crash_point spec ~totals k with
-      | Ok () -> ()
-      | Error msg -> failures := (k, msg) :: !failures)
-    points;
-  {
-    Crash_sim.total_events;
-    explored = List.length points;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+let explore_rebuild ?(spec = default_crash_spec) ?stride () =
+  Crash_sim.sweep ?stride ~total:[ count_rebuild_events spec ] (run_rebuild_crash_point spec)

@@ -324,25 +324,13 @@ let count_partitioned_events spec =
       ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats));
   Array.map (fun vfs -> match Vfs.fault vfs with Some f -> Fault.events f | None -> 0) vfss
 
-let explore_partitioned ?(spec = default_crash_spec) ?(stride = 1) () =
+(* each shard's events are swept in turn; the sweep numbers them across
+   the shards, so point [k] is decoded back to (shard, event) *)
+let explore_partitioned ?(spec = default_crash_spec) ?stride () =
   let events = count_partitioned_events spec in
-  let totals = Metrics.create () in
-  let failures = ref [] in
-  let explored = ref 0 in
-  Array.iteri
-    (fun s total ->
-      List.iter
-        (fun k ->
-          incr explored;
-          match run_partitioned_crash_point spec ~totals ~shard:s k with
-          | Ok () -> ()
-          | Error msg ->
-            failures := ((s * 10_000) + k, Printf.sprintf "shard %d: %s" s msg) :: !failures)
-        (Crash_sim.indices ~total ~stride))
-    events;
-  {
-    Crash_sim.total_events = Array.fold_left ( + ) 0 events;
-    explored = !explored;
-    failures = List.rev !failures;
-    fault_metrics = Metrics.snapshot totals;
-  }
+  let rec locate s k = if k < events.(s) then (s, k) else locate (s + 1) (k - events.(s)) in
+  Crash_sim.sweep ?stride ~total:(Array.to_list events) (fun ~totals k ->
+      let s, k = locate 0 k in
+      Result.map_error
+        (Printf.sprintf "shard %d event %d: %s" s k)
+        (run_partitioned_crash_point spec ~totals ~shard:s k))

@@ -21,16 +21,20 @@ and 'a internal = {
   mutable children : 'a node array;
 }
 
+(* [latch] serialises insert, remove, find and iter_range: snapshot
+   readers on other domains walk the tree without row locks while the
+   writer replaces a node's key and value arrays in separate stores *)
 type 'a t = {
   branching : int;
   mutable root : 'a node option;
   mutable cardinal : int;
+  latch : Mutex.t;
 }
 
 let create ?(branching = 32) () =
   if branching < 4 || branching mod 2 <> 0 then
     invalid_arg "Btree.create: branching must be even and >= 4";
-  { branching; root = None; cardinal = 0 }
+  { branching; root = None; cardinal = 0; latch = Mutex.create () }
 
 let cardinal t = t.cardinal
 
@@ -62,13 +66,15 @@ let rec find_leaf node k =
   | Internal node -> find_leaf node.children.(child_index node.ikeys k) k
 
 let find t k =
-  match t.root with
-  | None -> None
-  | Some root ->
-    let leaf = find_leaf root k in
-    let i = lower_bound leaf.keys k in
-    if i < Array.length leaf.keys && Tuple.compare leaf.keys.(i) k = 0 then Some leaf.values.(i)
-    else None
+  Mutex.protect t.latch (fun () ->
+      match t.root with
+      | None -> None
+      | Some root ->
+        let leaf = find_leaf root k in
+        let i = lower_bound leaf.keys k in
+        if i < Array.length leaf.keys && Tuple.compare leaf.keys.(i) k = 0 then
+          Some leaf.values.(i)
+        else None)
 
 let mem t k = find t k <> None
 
@@ -136,15 +142,16 @@ let rec insert_node t node k v =
        end)
 
 let insert t k v =
-  match t.root with
-  | None ->
-    t.root <- Some (Leaf { keys = [| k |]; values = [| v |]; next = None });
-    t.cardinal <- 1
-  | Some root -> (
-      match insert_node t root k v with
-      | No_split -> ()
-      | Split (sep, right) ->
-        t.root <- Some (Internal { ikeys = [| sep |]; children = [| root; right |] }))
+  Mutex.protect t.latch (fun () ->
+      match t.root with
+      | None ->
+        t.root <- Some (Leaf { keys = [| k |]; values = [| v |]; next = None });
+        t.cardinal <- 1
+      | Some root -> (
+          match insert_node t root k v with
+          | No_split -> ()
+          | Split (sep, right) ->
+            t.root <- Some (Internal { ikeys = [| sep |]; children = [| root; right |] })))
 
 (* bulk loading: pack sorted bindings into leaves of ~3/4 branching (so
    later inserts don't split immediately), then build parent levels *)
@@ -159,7 +166,7 @@ let of_sorted ?(branching = 32) bindings =
     | [ _ ] | [] -> ()
   in
   check_sorted bindings;
-  let t = { branching; root = None; cardinal = List.length bindings } in
+  let t = { branching; root = None; cardinal = List.length bindings; latch = Mutex.create () } in
   if bindings = [] then t
   else begin
     let fill = max (branching / 2) (branching * 3 / 4) in
@@ -355,16 +362,18 @@ let rec remove_node t node k =
     removed
 
 let remove t k =
-  match t.root with
-  | None -> false
-  | Some root ->
-    let removed = remove_node t root k in
-    (* collapse the root when it degenerates *)
-    (match t.root with
-     | Some (Internal node) when Array.length node.ikeys = 0 -> t.root <- Some node.children.(0)
-     | Some (Leaf leaf) when Array.length leaf.keys = 0 -> t.root <- None
-     | Some (Internal _ | Leaf _) | None -> ());
-    removed
+  Mutex.protect t.latch (fun () ->
+      match t.root with
+      | None -> false
+      | Some root ->
+        let removed = remove_node t root k in
+        (* collapse the root when it degenerates *)
+        (match t.root with
+         | Some (Internal node) when Array.length node.ikeys = 0 ->
+           t.root <- Some node.children.(0)
+         | Some (Leaf leaf) when Array.length leaf.keys = 0 -> t.root <- None
+         | Some (Internal _ | Leaf _) | None -> ());
+        removed)
 
 type bound = Unbounded | Incl of Tuple.t | Excl of Tuple.t
 
@@ -372,40 +381,43 @@ let rec leftmost_leaf = function
   | Leaf leaf -> leaf
   | Internal node -> leftmost_leaf node.children.(0)
 
+(* the in-range bindings are copied under the latch and [f] runs after
+   it is released, so [f] may touch the heap or the tree itself *)
 let iter_range t ~lo ~hi f =
-  match t.root with
-  | None -> ()
-  | Some root ->
-    let start_leaf =
-      match lo with
-      | Unbounded -> leftmost_leaf root
-      | Incl k | Excl k -> find_leaf root k
+  let ge_lo k =
+    match lo with
+    | Unbounded -> true
+    | Incl b -> Tuple.compare k b >= 0
+    | Excl b -> Tuple.compare k b > 0
+  in
+  let le_hi k =
+    match hi with
+    | Unbounded -> true
+    | Incl b -> Tuple.compare k b <= 0
+    | Excl b -> Tuple.compare k b < 0
+  in
+  let rec walk acc leaf =
+    let n = Array.length leaf.keys in
+    let rec go acc i =
+      if i = n then match leaf.next with Some next -> walk acc next | None -> acc
+      else
+        let k = leaf.keys.(i) in
+        if not (le_hi k) then acc
+        else go (if ge_lo k then (k, leaf.values.(i)) :: acc else acc) (i + 1)
     in
-    let ge_lo k =
-      match lo with
-      | Unbounded -> true
-      | Incl b -> Tuple.compare k b >= 0
-      | Excl b -> Tuple.compare k b > 0
-    in
-    let le_hi k =
-      match hi with
-      | Unbounded -> true
-      | Incl b -> Tuple.compare k b <= 0
-      | Excl b -> Tuple.compare k b < 0
-    in
-    let rec walk leaf =
-      let n = Array.length leaf.keys in
-      let stop = ref false in
-      for i = 0 to n - 1 do
-        if not !stop then begin
-          let k = leaf.keys.(i) in
-          if not (le_hi k) then stop := true
-          else if ge_lo k then f k leaf.values.(i)
-        end
-      done;
-      if not !stop then match leaf.next with Some next -> walk next | None -> ()
-    in
-    walk start_leaf
+    go acc 0
+  in
+  let bindings =
+    Mutex.protect t.latch (fun () ->
+        match t.root with
+        | None -> []
+        | Some root ->
+          walk []
+            (match lo with
+             | Unbounded -> leftmost_leaf root
+             | Incl k | Excl k -> find_leaf root k))
+  in
+  List.iter (fun (k, v) -> f k v) (List.rev bindings)
 
 let iter t f = iter_range t ~lo:Unbounded ~hi:Unbounded f
 

@@ -4,7 +4,11 @@
     index on the [last_modified] timestamp column that the timestamp-based
     extractor can exploit).  Leaves are chained, so range scans are
     sequential.  Deletion rebalances (borrow from sibling, else merge), so
-    the depth bound holds under arbitrary workloads. *)
+    the depth bound holds under arbitrary workloads.
+
+    {!insert}, {!remove}, {!find} and {!iter_range} hold the tree's latch,
+    so a lock-free reader on another domain never sees a node half
+    rewritten by a writer. *)
 
 module Tuple = Dw_relation.Tuple
 
@@ -36,7 +40,8 @@ type bound =
   | Excl of Tuple.t
 
 val iter_range : 'a t -> lo:bound -> hi:bound -> (Tuple.t -> 'a -> unit) -> unit
-(** In ascending key order. *)
+(** In ascending key order.  The in-range bindings are copied under the
+    latch; the callback runs after it is released. *)
 
 val iter : 'a t -> (Tuple.t -> 'a -> unit) -> unit
 val to_list : 'a t -> (Tuple.t * 'a) list

@@ -1,10 +1,13 @@
 (* Systematic crash-point sweep (dune alias: @crash).
 
-   Exhaustively enumerates every write/fsync event of a small source-DB
-   workload, then sweeps the standard parts workload, the persistent
-   queue and the warehouse-refresh flow at stride <= 8.  Any violated
-   recovery invariant prints the reproducing event index and fails the
-   run. *)
+   Exhaustively enumerates every write/fsync event of small source-DB,
+   queue, bootstrap and partitioned workloads, then sweeps the standard
+   ones at stride <= 8.  Each flow prints one deterministic
+   `name events points failures` line on stdout, which the alias diffs
+   against crash_sweep.expected.  Any violated recovery invariant
+   prints the reproducing event index on stderr and fails the run; the
+   domain-pool and file-shipping checks report on stderr too and count
+   only through the exit status. *)
 
 module Cs = Dw_experiments.Crash_sim
 module Domain_pool = Dw_util.Domain_pool
@@ -18,7 +21,7 @@ let check name report =
   List.iter
     (fun (k, msg) ->
       failed := true;
-      Printf.printf "    FAIL at event %d: %s\n%!" k msg)
+      Printf.eprintf "    FAIL at event %d: %s\n%!" k msg)
     report.Cs.failures
 
 let () =
@@ -30,9 +33,6 @@ let () =
   check "queue (exhaustive)" (Cs.explore_queue ~spec:Cs.default_queue_spec ~stride:1 ());
   check "queue batched (exhaustive)"
     (Cs.explore_batched_queue ~spec:Cs.default_batched_queue_spec ~stride:1 ());
-  check "refresh (stride 2)" (Cs.explore_refresh ~spec:Cs.default_refresh_spec ~stride:2 ());
-  check "refresh batched (stride 2)"
-    (Cs.explore_refresh_batched ~spec:Cs.default_refresh_spec ~run:3 ~stride:2 ());
   check "bootstrap (exhaustive)"
     (Dw_experiments.Exp_bootstrap.explore_bootstrap
        ~spec:{ Dw_experiments.Exp_bootstrap.rows = 48; commits = 6; chunk = 8; seed = 5 }
@@ -49,6 +49,11 @@ let () =
        ~stride:1 ());
   check "partitioned (standard)"
     (Dw_experiments.Exp_partition.explore_partitioned ~stride:3 ());
+  (* one shard is one warehouse: the single-integrator refresh path *)
+  check "partitioned 1-shard (exhaustive)"
+    (Dw_experiments.Exp_partition.explore_partitioned
+       ~spec:{ Dw_experiments.Exp_partition.c_rows = 48; c_txns = 10; c_parts = 1; c_seed = 11 }
+       ~stride:1 ());
   (* online shard rebuild: the quarantined shard's slice bootstrap is
      killed at every device event, resumed from the surviving bytes
      (queue + __bootstrap_state live on the rebuilt shard's own Vfs),
@@ -78,33 +83,33 @@ let () =
      Unix.sleepf 0.01;
      Domain_pool.shutdown pool;
      (match Domain.join batch with
-      | `Fault -> Printf.printf "domain pool: mid-sweep fault propagated, clean shutdown\n%!"
+      | `Fault -> Printf.eprintf "domain pool: mid-sweep fault propagated, clean shutdown\n%!"
       | `Not_started ->
-        Printf.printf "domain pool: shutdown won the race, batch refused cleanly\n%!"
+        Printf.eprintf "domain pool: shutdown won the race, batch refused cleanly\n%!"
       | `No_error ->
         failed := true;
-        Printf.printf "domain pool: FAIL — injected fault was swallowed\n%!");
+        Printf.eprintf "domain pool: FAIL — injected fault was swallowed\n%!");
      (* after the joined shutdown, the pool must refuse further work
         rather than hang *)
      match Domain_pool.run pool (fun () -> ()) with
      | () ->
        failed := true;
-       Printf.printf "domain pool: FAIL — accepted work after shutdown\n%!"
+       Printf.eprintf "domain pool: FAIL — accepted work after shutdown\n%!"
      | exception Invalid_argument _ -> ()
    with e ->
      failed := true;
-     Printf.printf "domain pool: FAIL — %s\n%!" (Printexc.to_string e));
+     Printf.eprintf "domain pool: FAIL — %s\n%!" (Printexc.to_string e));
   (match Cs.ship_under_faults ~bytes:(256 * 1024) ~fault_p:0.25 ~seed:123 () with
    | Ok (stats, true) when stats.Dw_transport.File_ship.retries > 0 ->
-     Printf.printf "ship under faults: %d bytes, %d retries, byte-identical\n%!"
+     Printf.eprintf "ship under faults: %d bytes, %d retries, byte-identical\n%!"
        stats.Dw_transport.File_ship.bytes stats.Dw_transport.File_ship.retries
    | Ok (stats, true) ->
-     Printf.printf "ship under faults: no fault fired (%d chunks) — seed too lucky\n%!"
+     Printf.eprintf "ship under faults: no fault fired (%d chunks) — seed too lucky\n%!"
        stats.Dw_transport.File_ship.chunks
    | Ok (_, false) ->
      failed := true;
-     Printf.printf "ship under faults: FAIL — copy not byte-identical\n%!"
+     Printf.eprintf "ship under faults: FAIL — copy not byte-identical\n%!"
    | Error e ->
      failed := true;
-     Printf.printf "ship under faults: FAIL — %s\n%!" e);
+     Printf.eprintf "ship under faults: FAIL — %s\n%!" e);
   if !failed then exit 1

@@ -34,10 +34,14 @@ let queue_batched_exhaustive () =
      frame-boundary prefix; crash mid-ack_run consumes all-or-nothing *)
   no_failures "queue batched" (Cs.explore_batched_queue ())
 
-let refresh_strided () = no_failures "refresh" (Cs.explore_refresh ~stride:4 ())
-
-let refresh_batched_strided () =
-  no_failures "refresh batched" (Cs.explore_refresh_batched ~run:3 ~stride:2 ())
+let single_shard_refresh () =
+  (* one shard is one warehouse: the real integrator, valve-governed runs
+     and a watermark mark, killed at every fourth event of its device and
+     re-applied after recovery — redelivered runs land exactly once *)
+  no_failures "1-shard partitioned refresh"
+    (Dw_experiments.Exp_partition.explore_partitioned
+       ~spec:{ Dw_experiments.Exp_partition.default_crash_spec with c_parts = 1 }
+       ~stride:4 ())
 
 let fault_counters_exported () =
   let r = Cs.explore ~spec:Cs.small_db_spec ~stride:4 () in
@@ -124,8 +128,7 @@ let suite =
     test "db crash points under group commit (exhaustive)" db_grouped_exhaustive;
     test "queue crash points (stride 4)" queue_strided;
     test "batched queue crash points (exhaustive)" queue_batched_exhaustive;
-    test "warehouse refresh idempotent on redelivery (stride 4)" refresh_strided;
-    test "micro-batched refresh idempotent on redelivery (stride 2)" refresh_batched_strided;
+    test "1-shard partitioned refresh exactly-once on redelivery (stride 4)" single_shard_refresh;
     test "fault counters exported" fault_counters_exported;
     test "index-rebuild-before-recovery flake seeds stay green" flake_seeds_pinned;
     test "ship under 25% transient faults" ship_under_heavy_transient_faults;

@@ -364,6 +364,49 @@ let batched_equals_sequential_under_readers () =
         (List.exists (fun p -> p = state) prefix_states))
     !observed
 
+(* ---------- lock-free range reads on another domain ---------- *)
+
+(* A snapshot range query on a second domain while the main domain
+   commits inserts and delete/re-insert pairs inside the range.  The
+   reader walks the primary-key index and the heap without locks, so the
+   index must never hand it a half-updated leaf and a row freed under it
+   must fall through to its version chain instead of raising. *)
+let range_reader_races_writer () =
+  let db = mk_db ~rows:1000 () in
+  Db.set_plan_mode db `Index_preferred;
+  let sql = "SELECT part_id, price FROM parts WHERE part_id >= 100 AND part_id < 300 ORDER BY part_id" in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let queries = ref 0 and failed = ref [] and dups = ref 0 in
+        while not (Atomic.get stop) do
+          incr queries;
+          let snap = Db.begin_txn ~mode:`Snapshot db in
+          (match Db.exec_sql db snap sql with
+           | Ok (Db.Rows { rows; _ }) ->
+             let ids = List.map (fun r -> r.(0)) rows in
+             if List.length (List.sort_uniq compare ids) <> List.length ids then incr dups
+           | Ok _ -> failed := "not a row set" :: !failed
+           | Error e -> failed := e :: !failed
+           | exception e -> failed := Printexc.to_string e :: !failed);
+          Db.commit db snap
+        done;
+        (!queries, !failed, !dups))
+  in
+  for round = 0 to 2999 do
+    Db.with_txn db (fun txn ->
+        List.iter (exec db txn)
+          (Workload.insert_parts_txn ~first_id:(1001 + (round * 10)) ~size:10 ~day:0 ());
+        let first_id = 100 + (round * 10 mod 200) in
+        exec db txn (Workload.delete_parts_stmt ~first_id ~size:10);
+        List.iter (exec db txn) (Workload.insert_parts_txn ~first_id ~size:10 ~day:0 ()))
+  done;
+  Atomic.set stop true;
+  let queries, failed, dups = Domain.join reader in
+  check Alcotest.bool "reader ran queries" true (queries > 0);
+  check Alcotest.(list string) "no failed range query" [] (List.sort_uniq compare failed);
+  check Alcotest.int "no result with a duplicate part_id" 0 dups
+
 (* ---------- the snapshot-exactness property ---------- *)
 
 (* Interleave random committed transactions with snapshot readers opened
@@ -426,5 +469,6 @@ let suite =
     test "olap snapshot readers never block" olap_snapshot_never_blocks;
     test "run_all returns completed prefix on failure" olap_run_all_keeps_prefix;
     test "batched = sequential under snapshot readers" batched_equals_sequential_under_readers;
+    test "snapshot range reads race the writer safely" range_reader_races_writer;
     QCheck_alcotest.to_alcotest prop_snapshot_is_committed_prefix;
   ]
