@@ -38,6 +38,46 @@ let tables t =
       end)
     t.ops
 
+(* the tuples an INSERT statement describes, in the schema's column order
+   (the same resolution Db.insert_values performs) *)
+let tuples_of_insert schema columns rows =
+  List.map
+    (fun row ->
+      match columns with
+      | None ->
+        if List.length row <> Schema.arity schema then
+          invalid_arg "Op_delta.value_delta: INSERT arity mismatch";
+        Array.of_list row
+      | Some cols ->
+        let tuple = Array.make (Schema.arity schema) Dw_relation.Value.Null in
+        (try List.iter2 (fun col v -> tuple.(Schema.index_of schema col) <- v) cols row
+         with Invalid_argument _ ->
+           invalid_arg "Op_delta.value_delta: INSERT columns/values mismatch");
+        tuple)
+    rows
+
+(* every SET expression reads the before image, as in SQL *)
+let after_image schema sets before =
+  List.fold_left
+    (fun tuple (col, e) -> Tuple.set schema tuple col (Dw_relation.Expr.eval schema before e))
+    before sets
+
+let value_delta ~table ~schema t =
+  let changes op =
+    if not (String.equal (Ast.table_of op.stmt) table) then []
+    else
+      match op.stmt with
+      | Ast.Insert { columns; rows; _ } ->
+        List.map (fun row -> Delta.Insert row) (tuples_of_insert schema columns rows)
+      | Ast.Update { sets; _ } ->
+        List.map
+          (fun before -> Delta.Update (before, after_image schema sets before))
+          op.before_images
+      | Ast.Delete _ -> List.map (fun before -> Delta.Delete before) op.before_images
+      | Ast.Select _ | Ast.Create_table _ -> []
+  in
+  Delta.make ~table ~schema (List.concat_map changes t.ops)
+
 (* percent-encoding of the field separators used by the wire format *)
 
 let encode_field s =

@@ -45,6 +45,17 @@ val size_bytes : ?schema_of:(string -> Schema.t option) -> t -> int
 val tables : t -> string list
 (** Tables touched, deduplicated, in first-use order. *)
 
+val value_delta : table:string -> schema:Schema.t -> t -> Delta.t
+(** The row images of the transaction's changes to [table], in statement
+    order: an [Insert] per INSERT row (column lists resolved against
+    [schema]), an [Update (before, after)] per UPDATE before image with
+    the after image computed from the SET list, a [Delete] per DELETE
+    before image.  Statements on other tables contribute nothing.  An
+    UPDATE or DELETE captured without hybrid images carries none and so
+    yields no change — the Op-Delta's images are a value delta only under
+    hybrid capture ({!Opdelta_capture.create}).  Raises
+    [Invalid_argument] on an INSERT whose values do not fit [schema]. *)
+
 (** {2 Wire format} — one line per transaction:
     [txn_id <TAB> stmt ; stmt ; ...] with statements SQL-printed.  Hybrid
     before-images ride as ASCII records after a [#] separator per op. *)

@@ -9,6 +9,7 @@ module Metrics = Dw_util.Metrics
 module Prng = Dw_util.Prng
 module Backoff = Dw_util.Backoff
 module Ast = Dw_sql.Ast
+module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
 module Opdelta_capture = Dw_core.Opdelta_capture
 module Watermark = Dw_core.Watermark
@@ -292,9 +293,9 @@ let key_of tuple = match tuple.(0) with Value.Int k -> k | _ -> assert false
 
 (* apply one delta transaction, marking [last_txn] in the same warehouse
    transaction (exactly-once under queue redelivery).  Inside an open
-   window the transaction is applied as last-write-wins row images and
-   its touched keys recorded for the chunk dedup; outside, plain
-   statement re-execution. *)
+   window the transaction's row images apply last-write-wins and their
+   keys are recorded for the chunk dedup; outside, plain statement
+   re-execution. *)
 let apply_delta t od =
   (* slice first (a shard rebuild keeps only the ops routed to its
      partition — the restriction preserves txn ids, so [last_txn] still
@@ -315,8 +316,25 @@ let apply_delta t od =
   in
   (match t.window_touched with
    | Some touched ->
-     let keys = with_retry t (fun () -> Warehouse.integrate_op_delta_images t.wh ~table:t.table ~mark od) in
-     List.iter (fun k -> Hashtbl.replace touched k ()) keys
+     (* last-write-wins: the replica may or may not hold a row yet (its
+        chunk may not have loaded), so every after image upserts and a
+        key-changing update also deletes the old key *)
+     let lww =
+       List.concat_map
+         (function
+           | Delta.Insert after | Delta.Upsert after -> [ Delta.Upsert after ]
+           | Delta.Update (before, after) when key_of before = key_of after ->
+             [ Delta.Upsert after ]
+           | Delta.Update (before, after) -> [ Delta.Delete before; Delta.Upsert after ]
+           | Delta.Delete before -> [ Delta.Delete before ])
+         (Op_delta.value_delta ~table:t.table ~schema:t.schema od).Delta.changes
+     in
+     ignore
+       (with_retry t (fun () ->
+            Warehouse.integrate_value_delta ~mark t.wh
+              (Delta.make ~table:t.table ~schema:t.schema lww))
+         : Warehouse.stats);
+     List.iter (fun c -> Hashtbl.replace touched (key_of (Delta.change_key t.schema c)) ()) lww
    | None ->
      ignore
        (with_retry t (fun () ->
@@ -340,10 +358,9 @@ let apply_chunk t touched =
        the keyset scan would loop on them forever *)
     let max_key = List.fold_left (fun acc r -> max acc (key_of r)) min_int rows in
     let owned = List.filter (fun r -> t.owns (key_of r)) rows in
+    let fresh = List.filter (fun r -> not (Hashtbl.mem touched (key_of r))) owned in
     let n_rows = List.length owned in
-    let n_loaded =
-      List.length (List.filter (fun r -> not (Hashtbl.mem touched (key_of r))) owned)
-    in
+    let n_loaded = List.length fresh in
     let marked = ref t.row in
     let mark txn =
       let row =
@@ -354,13 +371,12 @@ let apply_chunk t touched =
       Run_state.put t.wh_db txn row;
       marked := row
     in
-    let loaded =
-      with_retry t (fun () ->
-          Warehouse.load_chunk t.wh ~table:t.table
-            ~skip:(fun k -> (not (t.owns k)) || Hashtbl.mem touched k)
-            ~mark rows)
-    in
-    assert (loaded = n_loaded);
+    ignore
+      (with_retry t (fun () ->
+           Warehouse.integrate_value_delta ~mark t.wh
+             (Delta.make ~table:t.table ~schema:t.schema
+                (List.map (fun r -> Delta.Upsert r) fresh)))
+        : Warehouse.stats);
     t.row <- !marked;
     t.chunks_this_run <- t.chunks_this_run + 1;
     t.rows_deduped <- t.rows_deduped + (n_rows - n_loaded);

@@ -12,12 +12,15 @@
     - deltas drained {e before} the low watermark are applied by
       statement re-execution (normal incremental maintenance);
     - deltas {e between} the brackets are applied as last-write-wins row
-      images (from forced hybrid before-image capture), and their keys
-      recorded;
+      images (from forced hybrid before-image capture, read as a value
+      delta by {!Dw_core.Op_delta.value_delta}): inserts and same-key
+      updates upsert, a key-changing update deletes the old key and
+      upserts the new one, deletes delete; every key named is recorded;
     - at the high watermark the chunk is upserted {e minus} the recorded
       keys — those rows' delta versions are newer than the chunk
       select's — together with the advanced chunk cursor, in one
-      warehouse transaction.
+      warehouse transaction.  Window deltas and chunks both go through
+      {!Dw_warehouse.Warehouse.integrate_value_delta} with a [mark].
 
     Crash safety: all progress (cursor, applied-through source txn id,
     lease) lives in the warehouse's [__bootstrap_state] table

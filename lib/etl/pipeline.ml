@@ -184,9 +184,9 @@ let snapshot_step t ~algorithm =
     Ok (delta, stats)
   | Error e -> Error e
 
-let extract_value_delta t =
+let extract_value_delta t method_ =
   let mark = Watermark.get t.wm ~table:t.table in
-  match t.method_ with
+  match method_ with
   | Timestamp ->
     let delta, stats =
       Timestamp_extract.extract t.source ~table:t.table ~since:mark.Watermark.day
@@ -368,54 +368,30 @@ let run_planned_round t planner =
     | c -> c
   in
   let trigger_units () = Trigger_extract.work_units ~images:(Delta.image_count trig_delta) in
+  (* every value-shaped choice integrates one way *)
+  let value delta units =
+    match integrate_value t delta with
+    | Error e -> Error e
+    | Ok (bytes, stats) -> Ok (Delta.row_count delta, bytes, units, stats)
+  in
+  let extracted method_ =
+    match extract_value_delta t method_ with
+    | Error e -> Error e
+    | Ok (delta, units) -> value delta units
+  in
   let result =
     match chosen with
-    | Planner.Trigger -> (
-        match integrate_value t trig_delta with
-        | Error e -> Error e
-        | Ok (bytes, stats) ->
-          Ok (Delta.row_count trig_delta, bytes, trigger_units (), stats))
+    | Planner.Trigger -> value trig_delta (trigger_units ())
     | Planner.Op_delta -> (
         match integrate_ods t fresh_ods with
         | Error e -> Error e
         | Ok (count, bytes, stats) ->
           Ok (count, bytes, Opdelta_capture.work_units ~statements:count, stats))
-    | Planner.Log -> (
-        let delta, lstats =
-          Log_extract.extract ~since_lsn:mark.Watermark.lsn t.source ~table:t.table ()
-        in
-        let units =
-          Log_extract.work_units ~log_records:lstats.Log_extract.records_scanned
-            ~delta_rows:(Delta.row_count delta)
-        in
-        match integrate_value t delta with
-        | Error e -> Error e
-        | Ok (bytes, stats) -> Ok (Delta.row_count delta, bytes, units, stats))
-    | Planner.Timestamp -> (
-        let delta, tstats =
-          Timestamp_extract.extract t.source ~table:t.table ~since:mark.Watermark.day
-            ~output:(Timestamp_extract.To_file (Printf.sprintf "pipeline.%s.ts.asc" t.table))
-        in
-        let units =
-          Timestamp_extract.work_units ~table_rows:tstats.Timestamp_extract.scanned_rows
-            ~delta_rows:tstats.Timestamp_extract.rows
-        in
-        match integrate_value t delta with
-        | Error e -> Error e
-        | Ok (bytes, stats) -> Ok (Delta.row_count delta, bytes, units, stats))
-    | Planner.Snapshot ->
-      if t.last_used = Some Planner.Snapshot then (
-        match snapshot_step t ~algorithm:Snapshot_extract.Sort_merge with
-        | Error e -> Error e
-        | Ok (delta, sstats) -> (
-            let units =
-              Snapshot_extract.work_units ~table_rows:sstats.Snapshot_extract.dumped_rows
-                ~delta_rows:(Delta.row_count delta)
-            in
-            match integrate_value t delta with
-            | Error e -> Error e
-            | Ok (bytes, stats) -> Ok (Delta.row_count delta, bytes, units, stats)))
-      else (
+    | Planner.Log -> extracted Log
+    | Planner.Timestamp -> extracted Timestamp
+    | Planner.Snapshot when t.last_used = Some Planner.Snapshot ->
+      extracted (Snapshot Snapshot_extract.Sort_merge)
+    | Planner.Snapshot -> (
         (* warm-up: the previous round used another method, so the last
            snapshot (if any) predates changes already integrated — diffing
            against it would re-apply them.  Dump a fresh baseline and
@@ -426,14 +402,10 @@ let run_planned_round t planner =
             ~algorithm:Snapshot_extract.Sort_merge
         with
         | Error e -> Error e
-        | Ok (_, sstats) -> (
-            t.snapshot_round <- t.snapshot_round + 1;
-            let units =
-              float_of_int sstats.Snapshot_extract.dumped_rows +. trigger_units ()
-            in
-            match integrate_value t trig_delta with
-            | Error e -> Error e
-            | Ok (bytes, stats) -> Ok (Delta.row_count trig_delta, bytes, units, stats)))
+        | Ok (_, sstats) ->
+          t.snapshot_round <- t.snapshot_round + 1;
+          value trig_delta
+            (float_of_int sstats.Snapshot_extract.dumped_rows +. trigger_units ()))
   in
   match result with
   | Error e -> Error e
@@ -470,7 +442,7 @@ let run_round t =
       | Ok (count, bytes, stats) ->
         finish count bytes (Opdelta_capture.work_units ~statements:count) "op-delta" stats)
   | Timestamp | Trigger | Log | Snapshot _ -> (
-      match extract_value_delta t with
+      match extract_value_delta t t.method_ with
       | Error e -> Error e
       | Ok (delta, units) -> (
           match integrate_value t delta with

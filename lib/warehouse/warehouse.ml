@@ -279,11 +279,6 @@ let maintain_views t source (ctx : Db.trigger_ctx) event =
 
 (* ---------- registration ---------- *)
 
-let replica_schema t ctx table =
-  match Hashtbl.find_opt t.replicas table with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Warehouse.%s: %s is not a replica" ctx table)
-
 let install_replica t ~table schema =
   Hashtbl.add t.replicas table schema;
   Db.add_trigger t.db ~table
@@ -410,9 +405,9 @@ let attach_view t view =
   register_view t view
 
 let view_rows t name =
-  match Hashtbl.find_opt t.views name with
-  | None -> raise Not_found
-  | Some vs ->
+  match Hashtbl.find_opt t.views name, Hashtbl.find_opt t.viewonly name with
+  | None, None -> raise Not_found
+  | Some vs, _ | None, Some vs ->
     let rows = ref [] in
     Table.scan (Db.table t.db name) (fun _ row ->
         let count = count_of vs.back_schema row in
@@ -480,19 +475,15 @@ let refresh_txn (t : t) ~mark body =
   Metrics.with_span metrics "warehouse.refresh" @@ fun () ->
   let start = Metrics.now metrics in
   let statements0 = t.statements and row_ops0 = t.row_ops in
-  let result =
-    Db.with_txn t.db (fun txn ->
-        let result = body txn in
-        mark txn;
-        result)
-  in
-  ( result,
-    {
-      txns = 1;
-      statements = t.statements - statements0;
-      row_ops = t.row_ops - row_ops0;
-      duration = Metrics.now metrics -. start;
-    } )
+  Db.with_txn t.db (fun txn ->
+      body txn;
+      mark txn);
+  {
+    txns = 1;
+    statements = t.statements - statements0;
+    row_ops = t.row_ops - row_ops0;
+    duration = Metrics.now metrics -. start;
+  }
 
 (* Every statement an integrator executes runs one way: printed to SQL
    text and re-parsed, the full statement path whose per-statement cost
@@ -539,7 +530,7 @@ let upsert_row t txn ~ctx schema ~table tuple =
   | Db.Affected 0 -> ignore (exec t txn ~ctx (insert_stmt table tuple) : Db.exec_result)
   | Db.Affected _ | Db.Rows _ | Db.Created -> ()
 
-let integrate_value_delta (t : t) delta =
+let integrate_value_delta ?(mark = ignore) (t : t) delta =
   let ctx = "integrate_value_delta" in
   let table = delta.Delta.table in
   let schema = delta.Delta.schema in
@@ -547,17 +538,16 @@ let integrate_value_delta (t : t) delta =
      through the full statement path (parse included), which is where the
      per-record statement overhead of the paper's value path comes from *)
   let run txn stmt = ignore (exec t txn ~ctx stmt : Db.exec_result) in
-  snd
-    (refresh_txn t ~mark:ignore (fun txn ->
-         List.iter
-           (function
-             | Delta.Insert after -> run txn (insert_stmt table after)
-             | Delta.Delete before -> run txn (delete_stmt table schema before)
-             | Delta.Update (before, after) ->
-               run txn (delete_stmt table schema before);
-               run txn (insert_stmt table after)
-             | Delta.Upsert after -> upsert_row t txn ~ctx schema ~table after)
-           delta.Delta.changes))
+  refresh_txn t ~mark (fun txn ->
+      List.iter
+        (function
+          | Delta.Insert after -> run txn (insert_stmt table after)
+          | Delta.Delete before -> run txn (delete_stmt table schema before)
+          | Delta.Update (before, after) ->
+            run txn (delete_stmt table schema before);
+            run txn (insert_stmt table after)
+          | Delta.Upsert after -> upsert_row t txn ~ctx schema ~table after)
+        delta.Delta.changes)
 
 (* ---------- Op-Delta integration ---------- *)
 
@@ -582,18 +572,16 @@ let integrate_op_deltas ?policy ?(mark = fun _ _ -> ()) (t : t) ods =
      op-deltas arrive as SQL text, one parse per source statement, not
      per affected row *)
   let apply run =
-    snd
-      (refresh_txn t
-         ~mark:(fun txn -> mark txn run)
-         (fun txn ->
-           List.iter
-             (fun od ->
-               List.iter
-                 (fun (op : Op_delta.op) ->
-                   ignore
-                     (exec t txn ~ctx:"integrate_op_deltas" op.Op_delta.stmt : Db.exec_result))
-                 od.Op_delta.ops)
-             run))
+    refresh_txn t
+      ~mark:(fun txn -> mark txn run)
+      (fun txn ->
+        List.iter
+          (fun od ->
+            List.iter
+              (fun (op : Op_delta.op) ->
+                ignore (exec t txn ~ctx:"integrate_op_deltas" op.Op_delta.stmt : Db.exec_result))
+              od.Op_delta.ops)
+          run)
   in
   match policy with
   | None -> List.fold_left (fun acc od -> add_stats acc (apply [ od ])) zero_stats ods
@@ -639,142 +627,38 @@ let viewonly_views_for t source =
       if List.mem source (Spj_view.source_tables vs.def) then vs :: acc else acc)
     t.viewonly []
 
-let viewonly_view_rows t name =
-  match Hashtbl.find_opt t.viewonly name with
-  | None -> raise Not_found
-  | Some vs ->
-    let rows = ref [] in
-    Table.scan (Db.table t.db name) (fun _ row ->
-        let count = count_of vs.back_schema row in
-        let out = Array.sub row 0 (Schema.arity vs.out_schema) in
-        rows := (out, count) :: !rows);
-    List.sort (fun (a, _) (b, _) -> Tuple.compare a b) !rows
-
-(* build the inserted tuples an INSERT statement describes, in the source
-   schema's column order (the same resolution Db.insert_values performs) *)
-let tuples_of_insert schema columns rows =
-  List.map
-    (fun row ->
-      match columns with
-      | None ->
-        if List.length row <> Schema.arity schema then
-          invalid_arg "Warehouse: INSERT arity mismatch in view-only integration";
-        Array.of_list row
-      | Some cols ->
-        let tuple = Array.make (Schema.arity schema) Value.Null in
-        (try List.iter2 (fun col v -> tuple.(Schema.index_of schema col) <- v) cols row
-         with Invalid_argument _ ->
-           invalid_arg "Warehouse: INSERT columns/values mismatch in view-only integration");
-        tuple)
-    rows
-
-let viewonly_after_image schema sets before =
-  List.fold_left
-    (fun tuple (col, e) ->
-      Tuple.set schema tuple col (Dw_relation.Expr.eval schema before e))
-    before sets
-
 let integrate_op_delta_viewonly (t : t) od =
-  let module Ast = Dw_sql.Ast in
-  snd
-    (refresh_txn t ~mark:ignore (fun txn ->
-         List.iter
-           (fun (op : Op_delta.op) ->
-             t.statements <- t.statements + 1;
-             let stmt = op.Op_delta.stmt in
-             let source = Ast.table_of stmt in
-             let views = viewonly_views_for t source in
-             if views <> [] then begin
-               let source_schema =
-                 match List.nth_opt views 0 with
-                 | Some vs -> (
-                     match vs.def with
-                     | Spj_view.Select_project { schema; _ } -> schema
-                     | Spj_view.Join _ -> assert false)
-                 | None -> assert false
-               in
-               let adjust_rows rows delta =
-                 List.iter
-                   (fun row ->
-                     List.iter
-                       (fun vs ->
-                         match Spj_view.project_sp vs.def row with
-                         | Some out -> adjust t txn vs out delta
-                         | None -> ())
-                       views)
-                   rows
-               in
-               match stmt with
-               | Ast.Insert { columns; rows; _ } ->
-                 adjust_rows (tuples_of_insert source_schema columns rows) 1
-               | Ast.Delete _ ->
-                 (* an empty image list is also what a zero-row DELETE looks
-                    like, so it cannot be rejected — hybrid capture is the
-                    caller's responsibility (see mli) *)
-                 adjust_rows op.Op_delta.before_images (-1)
-               | Ast.Update { sets; _ } ->
-                 adjust_rows op.Op_delta.before_images (-1);
-                 adjust_rows
-                   (List.map (viewonly_after_image source_schema sets) op.Op_delta.before_images)
-                   1
-               | Ast.Select _ | Ast.Create_table _ -> ()
-             end)
-           od.Op_delta.ops))
-
-(* ---------- bootstrap (chunked online load) support ---------- *)
-
-let int_key schema tuple =
-  if Schema.key_arity schema <> 1 then
-    invalid_arg "Warehouse: bootstrap apply needs a single-column primary key";
-  match tuple.(0) with
-  | Value.Int k -> k
-  | _ -> invalid_arg "Warehouse: bootstrap apply needs an INT primary key"
-
-let integrate_op_delta_images (t : t) ~table ~mark od =
-  let ctx = "integrate_op_delta_images" in
-  let module Ast = Dw_sql.Ast in
-  let schema = replica_schema t ctx table in
-  let touched = ref [] in
-  let touch tuple = touched := int_key schema tuple :: !touched in
-  fst
-    (refresh_txn t ~mark (fun txn ->
-         List.iter
-           (fun (op : Op_delta.op) ->
-             if String.equal (Ast.table_of op.Op_delta.stmt) table then
-               match op.Op_delta.stmt with
-               | Ast.Insert { columns; rows; _ } ->
-                 List.iter
-                   (fun tuple ->
-                     touch tuple;
-                     upsert_row t txn ~ctx schema ~table tuple)
-                   (tuples_of_insert schema columns rows)
-               | Ast.Update { sets; _ } ->
-                 List.iter
-                   (fun before ->
-                     let after = viewonly_after_image schema sets before in
-                     touch after;
-                     upsert_row t txn ~ctx schema ~table after)
-                   op.Op_delta.before_images
-               | Ast.Delete _ ->
-                 List.iter
-                   (fun before ->
-                     touch before;
-                     ignore (exec t txn ~ctx (delete_stmt table schema before) : Db.exec_result))
-                   op.Op_delta.before_images
-               | Ast.Select _ | Ast.Create_table _ -> ())
-           od.Op_delta.ops;
-         List.rev !touched))
-
-let load_chunk (t : t) ~table ~skip ~mark rows =
-  let ctx = "load_chunk" in
-  let schema = replica_schema t ctx table in
-  fst
-    (refresh_txn t ~mark (fun txn ->
-         List.fold_left
-           (fun loaded tuple ->
-             if skip (int_key schema tuple) then loaded
-             else begin
-               upsert_row t txn ~ctx schema ~table tuple;
-               loaded + 1
-             end)
-           0 rows))
+  refresh_txn t ~mark:ignore (fun txn ->
+      (* one statement per captured operation, as the op-delta path counts *)
+      t.statements <- t.statements + List.length od.Op_delta.ops;
+      List.iter
+        (fun table ->
+          match viewonly_views_for t table with
+          | [] -> ()
+          | vs :: _ as views ->
+            let schema =
+              match vs.def with
+              | Spj_view.Select_project { schema; _ } -> schema
+              | Spj_view.Join _ -> assert false
+            in
+            let adjust_row row delta =
+              List.iter
+                (fun vs ->
+                  match Spj_view.project_sp vs.def row with
+                  | Some out -> adjust t txn vs out delta
+                  | None -> ())
+                views
+            in
+            (* a before image leaves the view, an after image enters it;
+               an empty image list is also what a zero-row DELETE looks
+               like, so it cannot be rejected — hybrid capture is the
+               caller's responsibility (see mli) *)
+            List.iter
+              (function
+                | Delta.Insert after | Delta.Upsert after -> adjust_row after 1
+                | Delta.Delete before -> adjust_row before (-1)
+                | Delta.Update (before, after) ->
+                  adjust_row before (-1);
+                  adjust_row after 1)
+              (Op_delta.value_delta ~table ~schema od).Delta.changes)
+        (Op_delta.tables od))

@@ -13,6 +13,11 @@
       updates its x rows in place, which is where the ~70 % shorter
       update maintenance window comes from.
 
+    These two are the only writers of replica rows.  Row images of any
+    origin — a differential file, a bootstrap chunk, or an Op-Delta's
+    hybrid images ({!Dw_core.Op_delta.value_delta}) — are a value delta
+    and go through {!integrate_value_delta}.
+
     Every integrator runs inside one [warehouse.refresh] span and
     executes its statements one way: printed to SQL text, re-parsed and
     run by the warehouse engine.
@@ -56,7 +61,8 @@ val define_view : t -> Spj_view.t -> unit
     from current replica contents. *)
 
 val view_rows : t -> string -> (Tuple.t * int) list
-(** Current materialized rows with multiplicities, sorted. *)
+(** Current materialized rows with multiplicities, sorted — of an SPJ
+    view or a view-only view ({!define_viewonly_view}). *)
 
 val recompute_view : t -> string -> (Tuple.t * int) list
 (** Recompute from replicas (ground truth for tests/benches). *)
@@ -100,9 +106,13 @@ val zero_stats : stats
 val add_stats : stats -> stats -> stats
 (** Component-wise sum (durations add). *)
 
-val integrate_value_delta : t -> Delta.t -> stats
+val integrate_value_delta : ?mark:(Db.txn -> unit) -> t -> Delta.t -> stats
 (** One batch transaction.  [Upsert] entries integrate as keyed
-    update-or-insert (the timestamp method's integration path). *)
+    update-or-insert (the timestamp method's integration path) — the
+    only row-image writer: {!Dw_etl.Bootstrap} applies its window deltas
+    and chunks as value deltas through it.  [mark txn] runs inside the
+    transaction after the changes, so a progress record commits or rolls
+    back with them (as in {!integrate_op_deltas}). *)
 
 (** {2 Op-Delta integration} — the one statement integrator.
 
@@ -173,10 +183,11 @@ val integrate_op_deltas :
     warehouse in a self-maintainable manner."
 
     A view-only warehouse stores {e no} detail data: select-project views
-    are maintained straight from the captured operations — inserts from
-    the INSERT statements' own tuples, deletes/updates from the before
-    images the hybrid capture shipped
-    ({!Dw_core.Opdelta_capture.create} with [~replicas:false]). *)
+    are maintained straight from the Op-Delta's row images
+    ({!Dw_core.Op_delta.value_delta}) — inserts from the INSERT
+    statements' own tuples, deletes/updates from the before images the
+    hybrid capture shipped ({!Dw_core.Opdelta_capture.create} with
+    [~replicas:false]) and the after images computed from them. *)
 
 val define_viewonly_view : t -> Spj_view.t -> unit
 (** Select-project views only (join views are not self-maintainable
@@ -184,21 +195,21 @@ val define_viewonly_view : t -> Spj_view.t -> unit
     view starts empty.  Raises [Invalid_argument] on a Join view. *)
 
 val integrate_op_delta_viewonly : t -> Op_delta.t -> stats
-(** Apply one hybrid Op-Delta to every view-only view.  Deletes/updates
+(** Apply one hybrid Op-Delta to every view-only view: each before image
+    removes its projection (−1), each after image adds it (+1);
+    [statements] counts the Op-Delta's operations.  Deletes/updates
     are driven entirely by the ops' before images; a delete/update
     captured {e without} hybrid mode carries none and is treated as
     affecting zero rows (indistinguishable from a genuinely empty match),
     so the capture side must run with [~replicas:false] and a view set —
     {!Dw_core.Opdelta_capture.create}. *)
 
-val viewonly_view_rows : t -> string -> (Tuple.t * int) list
-(** Materialized rows of a view-only view, with multiplicities. *)
-
-(** {2 Bootstrap (chunked online load) support} — the warehouse side of
-    {!Dw_etl.Bootstrap}: re-adopting a crashed warehouse and the DBLog
-    window primitives (image-based apply reporting touched keys, chunk
-    upsert with a dedup filter).  Outside a window the bootstrap applies
-    delta transactions through {!integrate_op_deltas} with a [mark]. *)
+(** {2 Re-adopting a warehouse} — the resume path of {!Dw_etl.Bootstrap}
+    and {!Partitioned} after a crash: re-register the tables a
+    {!Db.reopen} recovered.  The bootstrap's writes themselves go through
+    {!integrate_value_delta} (window deltas and chunks, as row images)
+    and {!integrate_op_deltas} (deltas outside a window), each with a
+    [mark]. *)
 
 val attach : db:Db.t -> unit -> t
 (** Wrap an existing (typically {!Db.reopen}ed) database as a warehouse
@@ -233,22 +244,3 @@ val view_backing_schema : Spj_view.t -> Schema.t
 val agg_view_backing_schema : Dw_core.Agg_view.t -> Schema.t
 (** Backing-table schema for an aggregate view (group columns as key,
     aggregate columns, [__count] group cardinality). *)
-
-val integrate_op_delta_images :
-  t -> table:string -> mark:(Db.txn -> unit) -> Op_delta.t -> int list
-(** Apply one hybrid Op-Delta to replica [table] as last-write-wins row
-    images instead of statement re-execution: INSERT rows upsert, UPDATE
-    before-images upsert their computed after-images, DELETE
-    before-images delete by key.  Statements on other tables are ignored.
-    Returns the primary keys touched, for the DBLog window dedup; [mark]
-    runs inside the same transaction.  Requires hybrid capture
-    ({!Dw_core.Opdelta_capture.create}[ ~capture_images:true]) and a
-    single-column INT primary key. *)
-
-val load_chunk :
-  t -> table:string -> skip:(int -> bool) -> mark:(Db.txn -> unit) -> Tuple.t list -> int
-(** Upsert one bootstrap chunk of source rows into replica [table] as a
-    single warehouse transaction, dropping rows whose key satisfies
-    [skip] (keys touched by deltas inside the chunk's watermark window —
-    those delta versions are newer than the chunk select's).  Returns the
-    number of rows applied; [mark] runs inside the same transaction. *)

@@ -40,6 +40,15 @@ let run_exn b =
   | Error (Bootstrap.Lease_held { owner; _ }) -> Alcotest.fail ("lease held by " ^ owner)
   | Error (Bootstrap.Failed e) -> Alcotest.fail e
 
+let start_hooked env ~hook ~owner =
+  match
+    Bootstrap.start ~config:(EB.config env.EB.spec) ~hook ~owner ~source:env.EB.src
+      ~capture:env.EB.cap ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh
+      ~watermark:env.EB.wm ()
+  with
+  | Ok b -> b
+  | Error _ -> Alcotest.fail "start refused"
+
 (* ---------- plain convergence, durable state, journal ---------- *)
 
 let basic_convergence () =
@@ -91,20 +100,40 @@ let window_dedup () =
        | Error e -> Alcotest.fail e)
     | _ -> ()
   in
-  let b =
-    match
-      Bootstrap.start ~config:(EB.config env.EB.spec) ~hook ~owner:"dedup" ~source:env.EB.src
-        ~capture:env.EB.cap ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh
-        ~watermark:env.EB.wm ()
-    with
-    | Ok b -> b
-    | Error _ -> Alcotest.fail "start refused"
-  in
-  let p = run_exn b in
+  let p = run_exn (start_hooked env ~hook ~owner:"dedup") in
   (* the update touched all 40 keys inside chunk 0's window, so the whole
      first chunk (8 rows) arrives via the delta path, not the chunk *)
   check Alcotest.int "first chunk fully deduped" 8 p.Bootstrap.rows_deduped;
   check Alcotest.bool "converged" true (EB.converged env)
+
+(* an UPDATE that changes a row's key inside a watermark window must
+   delete the old key too: the chunk may already have loaded it (i >= 1)
+   or may still carry it (i = 0).  The qty control changes no key. *)
+let window_update_converges ~set ~chunk () =
+  let env = EB.mk_env (spec ()) in
+  let stmt =
+    match Dw_sql.Parser.parse (Printf.sprintf "UPDATE parts SET %s WHERE part_id = 3" set) with
+    | Ok stmt -> stmt
+    | Error e -> Alcotest.fail e
+  in
+  let hook = function
+    | Bootstrap.After_select i when i = chunk -> (
+        match Opdelta_capture.exec_txn env.EB.cap [ stmt ] with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+    | _ -> ()
+  in
+  let p = run_exn (start_hooked env ~hook ~owner:"rekey") in
+  check Alcotest.bool "complete" true p.Bootstrap.complete;
+  check Alcotest.bool (Printf.sprintf "converged (%s at chunk %d)" set chunk) true
+    (EB.converged env)
+
+let window_key_change () =
+  List.iter
+    (fun chunk ->
+      window_update_converges ~set:"part_id = part_id + 1000" ~chunk ();
+      window_update_converges ~set:"qty = qty + 1" ~chunk ())
+    [ 0; 1; 3 ]
 
 (* ---------- lease mutual exclusion ---------- *)
 
@@ -363,4 +392,5 @@ let suite =
     test "pipeline bootstrap then incremental rounds" pipeline_bootstrap_then_rounds;
     test "pipeline bootstrap guards" pipeline_bootstrap_guards;
     QCheck_alcotest.to_alcotest prop_random_crash_converges;
+    test "key-changing update inside a window converges" window_key_change;
   ]

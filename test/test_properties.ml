@@ -1,7 +1,8 @@
 (* Cross-cutting qcheck property suites that don't belong to a single
    module's tests: lock-manager safety against a brute-force model,
-   Op-Delta wire-format round-trips over generated transactions, and WAL
-   record-stream round-trips. *)
+   Op-Delta wire-format round-trips over generated transactions, the
+   Op-Delta's row images replayed as value deltas, and WAL record-stream
+   round-trips. *)
 
 module Vfs = Dw_storage.Vfs
 module Heap_file = Dw_storage.Heap_file
@@ -11,7 +12,14 @@ module Wal = Dw_txn.Wal
 module Value = Dw_relation.Value
 module Tuple = Dw_relation.Tuple
 module Ast = Dw_sql.Ast
+module Schema = Dw_relation.Schema
+module Expr = Dw_relation.Expr
+module Prng = Dw_util.Prng
+module Db = Dw_engine.Db
+module Table = Dw_engine.Table
+module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
+module Opdelta_capture = Dw_core.Opdelta_capture
 module Workload = Dw_workload.Workload
 
 let test name f = Alcotest.test_case name `Quick f
@@ -190,6 +198,69 @@ let prop_opdelta_wire_with_images =
             && List.for_all2 Tuple.equal images op.Op_delta.before_images
           | _ -> false))
 
+(* ---------- Op-Delta row images as a value delta ---------- *)
+
+(* one gen_mix op as statements; about half the INSERTs name their
+   columns (reversed) and half the UPDATEs also move the key, into an id
+   band of their own so moved keys never collide *)
+let hybrid_stmts rng i op =
+  match (op, Prng.int rng 2) with
+  | Workload.Mix_insert _, 1 ->
+    let names =
+      List.rev_map (fun c -> c.Schema.name) (Schema.columns Workload.parts_schema)
+    in
+    List.map
+      (function
+        | Ast.Insert { table; columns = None; rows } ->
+          Ast.Insert { table; columns = Some names; rows = List.map List.rev rows }
+        | stmt -> stmt)
+      (Workload.op_to_stmts ~day:0 op)
+  | Workload.Mix_update (first_id, size), 1 -> (
+      let shift = Expr.Lit (Value.Int (100_000 * (i + 1))) in
+      match Workload.update_parts_stmt ~first_id ~size with
+      | Ast.Update u ->
+        [ Ast.Update
+            { u with sets = ("part_id", Expr.Binop (Expr.Add, Expr.Col "part_id", shift)) :: u.sets } ]
+      | stmt -> [ stmt ])
+  | _ -> Workload.op_to_stmts ~day:0 op
+
+(* each transaction commits on a later source day, so the replay also
+   covers the last_modified stamps the capture reifies *)
+let prop_value_delta_replays_source =
+  QCheck2.Test.make ~name:"op-delta value deltas replay the source table" ~count:40
+    QCheck2.Gen.(int_range 0 10000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+      let (_ : Table.t) = Workload.create_parts_table src in
+      Db.set_day src 0;
+      Workload.load_parts ~seed src ~rows:30 ();
+      let rows () =
+        let acc = ref [] in
+        Table.scan (Db.table src "parts") (fun _ row -> acc := row :: !acc);
+        List.sort Tuple.compare !acc
+      in
+      let start = rows () in
+      let cap =
+        Opdelta_capture.create ~capture_images:true src ~sink:(Opdelta_capture.To_file "oplog")
+      in
+      List.iteri
+        (fun i op ->
+          Db.set_day src (i + 1);
+          match Opdelta_capture.exec_txn cap (hybrid_stmts rng i op) with
+          | Ok _ -> ()
+          | Error e -> QCheck2.Test.fail_report e)
+        (Workload.gen_mix rng ~existing_ids:30 ~txns:12 ~max_txn_size:5);
+      let replayed =
+        List.fold_left
+          (fun acc od ->
+            Delta.apply_to_rows
+              (Op_delta.value_delta ~table:"parts" ~schema:Workload.parts_schema od)
+              acc)
+          start (Opdelta_capture.captured cap)
+      in
+      List.equal Tuple.equal (List.sort Tuple.compare replayed) (rows ()))
+
 (* ---------- WAL stream round-trip ---------- *)
 
 let gen_records =
@@ -252,4 +323,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_opdelta_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_opdelta_wire_with_images;
     QCheck_alcotest.to_alcotest prop_wal_stream_roundtrip;
+    QCheck_alcotest.to_alcotest prop_value_delta_replays_source;
   ]

@@ -427,7 +427,7 @@ let viewonly_matches_replica_based ~seed () =
          filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
          project = [ proj Spj_view.L "part_id" "part_id"; proj Spj_view.L "qty" "qty" ] });
   ignore (Warehouse.integrate_op_deltas wh_b ods : Warehouse.stats);
-  let a = Warehouse.viewonly_view_rows wh_a "vo_small_qty" in
+  let a = Warehouse.view_rows wh_a "vo_small_qty" in
   let b = Warehouse.view_rows wh_b "vo_small_qty" in
   check Alcotest.int "same view cardinality" (List.length b) (List.length a);
   List.iter2
@@ -447,13 +447,13 @@ let viewonly_bare_delete_is_noop () =
     (Warehouse.integrate_op_delta_viewonly wh
        (Op_delta.make ~txn_id:1 (Workload.insert_parts_txn ~first_id:1 ~size:3 ~day:0 ()))
       : Warehouse.stats);
-  let before = Warehouse.viewonly_view_rows wh "vo_small_qty" in
+  let before = Warehouse.view_rows wh "vo_small_qty" in
   ignore
     (Warehouse.integrate_op_delta_viewonly wh
        (Op_delta.make ~txn_id:2 [ Workload.delete_parts_stmt ~first_id:1 ~size:3 ])
       : Warehouse.stats);
   check Alcotest.int "unchanged" (List.length before)
-    (List.length (Warehouse.viewonly_view_rows wh "vo_small_qty"))
+    (List.length (Warehouse.view_rows wh "vo_small_qty"))
 
 let viewonly_rejects_join () =
   let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in

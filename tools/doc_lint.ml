@@ -9,6 +9,14 @@
      special comment immediately after its signature (the style used
      throughout this repo) or immediately before the [val].
 
+   With [--metric-keys DOC [--skip DIR] DIR ...] it checks metric names
+   instead: every string-literal key passed to a [Metrics] emit call
+   ([incr], [add], [observe], [set_gauge], [with_span], [time],
+   [start_timer], [start_span]) in the .ml files under the directories
+   (outside any [--skip] directory) must appear in DOC as a backticked
+   exact key or a backticked [prefix.*].  Keys built at run time
+   ([sprintf], [^]) are not checked.
+
    Exits 1 listing every undocumented item. *)
 
 let errors = ref []
@@ -86,21 +94,119 @@ let lint_file path =
         err "%s:%d: val %s has no doc comment" path (i + 1) name
   done
 
-let rec walk path =
-  if Sys.is_directory path then
-    Array.iter (fun entry -> walk (Filename.concat path entry)) (Sys.readdir path)
-  else if Filename.check_suffix path ".mli" then lint_file path
+let rec walk ?(skip = []) suffix f path =
+  if List.mem path skip then ()
+  else if Sys.is_directory path then
+    let entries = Sys.readdir path in
+    Array.sort compare entries;
+    Array.iter (fun entry -> walk ~skip suffix f (Filename.concat path entry)) entries
+  else if Filename.check_suffix path suffix then f path
 
-let () =
-  let dirs = List.tl (Array.to_list Sys.argv) in
-  if dirs = [] then begin
-    prerr_endline "usage: doc_lint DIR ...";
-    exit 2
-  end;
-  List.iter walk dirs;
+(* ---------- metric keys ---------- *)
+
+(* the backticked spans of the operator guide: exact keys, and [p.*]
+   prefixes *)
+let documented_keys doc =
+  let text = String.concat "\n" (Array.to_list (read_lines doc)) in
+  let spans = List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' text) in
+  let prefixes =
+    List.filter_map
+      (fun s ->
+        let n = String.length s in
+        if n >= 2 && String.sub s (n - 2) 2 = ".*" then Some (String.sub s 0 (n - 1)) else None)
+      spans
+  in
+  fun key -> List.mem key spans || List.exists (fun p -> starts_with p key) prefixes
+
+let emitters =
+  [ "incr"; "add"; "observe"; "set_gauge"; "with_span"; "time"; "start_timer"; "start_span" ]
+
+let is_ident c =
+  match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' | '.' -> true | _ -> false
+
+(* the string-literal keys of every [Metrics.<emitter> <registry> "key"]
+   call in [text], with their line numbers; the registry argument is an
+   identifier path or one parenthesised expression *)
+let metric_keys text =
+  let n = String.length text in
+  let line_of i =
+    let l = ref 1 in
+    String.iteri (fun j c -> if j < i && c = '\n' then incr l) text;
+    !l
+  in
+  let rec skip_ws i =
+    if i < n && (text.[i] = ' ' || text.[i] = '\n') then skip_ws (i + 1) else i
+  in
+  let rec skip_ident i = if i < n && is_ident text.[i] then skip_ident (i + 1) else i in
+  let rec skip_parens i depth =
+    if i >= n then n
+    else
+      match text.[i] with
+      | '(' -> skip_parens (i + 1) (depth + 1)
+      | ')' -> if depth = 1 then i + 1 else skip_parens (i + 1) (depth - 1)
+      | _ -> skip_parens (i + 1) depth
+  in
+  let marker = "Metrics." in
+  let m = String.length marker in
+  let keys = ref [] in
+  let rec scan i =
+    if i + m <= n then
+      if String.sub text i m = marker && (i = 0 || not (is_ident text.[i - 1]) || text.[i - 1] = '.')
+      then begin
+        let name_end = skip_ident (i + m) in
+        let name = String.sub text (i + m) (name_end - i - m) in
+        (if List.mem name emitters then
+           let arg = skip_ws name_end in
+           let arg_end =
+             if arg < n && text.[arg] = '(' then skip_parens arg 0
+             else if arg < n && is_ident text.[arg] then skip_ident arg
+             else arg
+           in
+           let lit = skip_ws arg_end in
+           if arg_end > arg && lit < n && text.[lit] = '"' then
+             match String.index_from_opt text (lit + 1) '"' with
+             | Some close
+               when let next = skip_ws (close + 1) in
+                    next >= n || text.[next] <> '^' ->
+               keys := (line_of i, String.sub text (lit + 1) (close - lit - 1)) :: !keys
+             | Some _ | None -> ());
+        scan name_end
+      end
+      else scan (i + 1)
+  in
+  scan 0;
+  List.rev !keys
+
+let lint_metric_keys ~documented path =
+  let text = String.concat "\n" (Array.to_list (read_lines path)) in
+  List.iter
+    (fun (line, key) ->
+      if not (documented key) then
+        err "%s:%d: metric key %s is not in the operator guide" path line key)
+    (metric_keys text)
+
+let report ~what dirs =
   match List.rev !errors with
-  | [] -> Printf.printf "doc-lint: ok (%s)\n" (String.concat " " dirs)
+  | [] -> Printf.printf "doc-lint: %s ok (%s)\n" what (String.concat " " dirs)
   | es ->
     List.iter prerr_endline es;
-    Printf.eprintf "doc-lint: %d undocumented item(s)\n" (List.length es);
+    Printf.eprintf "doc-lint: %d undocumented %s\n" (List.length es) what;
     exit 1
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | "--metric-keys" :: doc :: rest ->
+    let rec split skip = function
+      | "--skip" :: dir :: rest -> split (dir :: skip) rest
+      | dirs -> (skip, dirs)
+    in
+    let skip, dirs = split [] rest in
+    let documented = documented_keys doc in
+    List.iter (walk ~skip ".ml" (lint_metric_keys ~documented)) dirs;
+    report ~what:"metric keys" dirs
+  | [] ->
+    prerr_endline "usage: doc_lint DIR ... | doc_lint --metric-keys DOC [--skip DIR] DIR ...";
+    exit 2
+  | dirs ->
+    List.iter (walk ".mli" lint_file) dirs;
+    report ~what:"interface items" dirs
