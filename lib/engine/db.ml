@@ -213,31 +213,6 @@ let finish t txn =
   locked_txn t (fun () -> Hashtbl.remove t.active txn.id);
   Lock_manager.release_all t.locks txn.id
 
-let commit t txn =
-  check_live txn;
-  match txn.mode with
-  | `Snapshot ->
-    (* read-only: nothing to log or flush; its exit may unpin versions *)
-    finish t txn;
-    vstore_gc t
-  | `Read_write ->
-    ignore (Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Commit } : Wal.lsn);
-    (* the CSN is assigned in WAL commit-record order; under group commit
-       the fsync is deferred but in-process visibility is immediate, so
-       publication happens here either way *)
-    locked_txn t (fun () ->
-        let csn = t.last_csn + 1 in
-        t.last_csn <- csn;
-        (* publish under the same critical section as the CSN bump: a
-           snapshot beginning between the two would read the new CSN but
-           resolve through still-pending entries to the old images *)
-        Version_store.publish t.vstore ~tx:txn.id ~csn);
-    (match t.sync_mode with
-     | `Every_commit -> Wal.flush t.wal
-     | `Group _ | `Group_policy _ -> Group_commit.note_commit t.group);
-    finish t txn;
-    vstore_gc t
-
 let abort_rw t txn =
   (* reverse-apply undo entries; raw ops keep indexes consistent *)
   List.iter
@@ -259,14 +234,60 @@ let abort_rw t txn =
          | None -> ()))
     txn.undo_log;
   txn.undo_log <- [];
-  ignore (Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Abort } : Wal.lsn);
   (* the abort record must always reach the device; the same fsync covers
-     any commits still pending in an open group *)
-  Group_commit.flush_now t.group;
+     any commits still pending in an open group.  It is advisory all the
+     same — recovery treats a transaction without a Commit record as a
+     loser — so a transient fault writing it must not leave the rolled-
+     back transaction open, holding its locks *)
+  (try
+     ignore (Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Abort } : Wal.lsn);
+     Group_commit.flush_now t.group
+   with Vfs.Fault.Transient _ -> ());
   (* the undo pass restored the heap, so the noted before-images now
      describe nothing: drop them before readers could resolve through them *)
   Version_store.discard t.vstore ~tx:txn.id;
   finish t txn
+
+let commit t txn =
+  check_live txn;
+  match txn.mode with
+  | `Snapshot ->
+    (* read-only: nothing to log or flush; its exit may unpin versions *)
+    finish t txn;
+    vstore_gc t
+  | `Read_write ->
+    (match Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Commit } with
+     | (_ : Wal.lsn) -> ()
+     | exception (Vfs.Fault.Transient _ as e) ->
+       (* no Commit record reached the log, so the transaction lost, as
+          recovery would find: roll it back rather than leave it open *)
+       abort_rw t txn;
+       raise e);
+    (* the CSN is assigned in WAL commit-record order; under group commit
+       the fsync is deferred but in-process visibility is immediate, so
+       publication happens here either way *)
+    locked_txn t (fun () ->
+        let csn = t.last_csn + 1 in
+        t.last_csn <- csn;
+        (* publish under the same critical section as the CSN bump: a
+           snapshot beginning between the two would read the new CSN but
+           resolve through still-pending entries to the old images *)
+        Version_store.publish t.vstore ~tx:txn.id ~csn);
+    (* the CSN is published, so the commit stands: a transient fault on
+       its fsync (or on the group flush it triggers) still finishes the
+       transaction before it is re-raised *)
+    let flushed =
+      match
+        match t.sync_mode with
+        | `Every_commit -> Wal.flush t.wal
+        | `Group _ | `Group_policy _ -> Group_commit.note_commit t.group
+      with
+      | () -> Ok ()
+      | exception (Vfs.Fault.Transient _ as e) -> Error e
+    in
+    finish t txn;
+    vstore_gc t;
+    Result.iter_error raise flushed
 
 let abort t txn =
   check_live txn;

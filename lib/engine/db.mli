@@ -132,10 +132,19 @@ val commit : t -> txn -> unit
 (** Writes the commit record and flushes the log (durability point),
     assigns the CSN and publishes the transaction's before-images
     atomically.  For [`Snapshot] transactions: just ends the
-    transaction (possibly unpinning versions for GC). *)
+    transaction (possibly unpinning versions for GC).
+
+    A {!Dw_storage.Vfs.Fault.Transient} fault is re-raised, and the
+    transaction is finished either way.  Before the commit record is
+    logged, it is rolled back (as {!abort}, the abort record best-effort):
+    recovery would find it a loser too.  After — on the commit's fsync or
+    the group flush it triggers — the commit stands: it is visible, and
+    durable once a later flush succeeds. *)
 
 val abort : t -> txn -> unit
-(** Rolls back all of the transaction's changes. *)
+(** Rolls back all of the transaction's changes.  The abort record is
+    advisory (recovery treats a transaction without a commit record as a
+    loser), so a transient fault writing it is swallowed. *)
 
 val with_txn : t -> (txn -> 'a) -> 'a
 (** Commit on return, abort on exception (re-raised). *)

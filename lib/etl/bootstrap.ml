@@ -102,16 +102,23 @@ let schema_of_wh wh_db name = Option.map Table.schema (Db.table_opt wh_db name)
    (Dw_util.Backoff) on transient VFS faults; [Fault.Crash] is never
    caught — that is the fail-stop the crash harness watches for.  The
    retried unit is always a whole warehouse transaction or queue
-   operation, both of which roll back cleanly on the fault, so
-   re-running is safe. *)
-let with_retry t f =
+   operation.  A warehouse transaction that faults before its commit
+   record is logged rolls back ([Db.commit]); one that faults after —
+   on the commit's fsync — stays committed, so before re-running,
+   [settled] may report the unit done (the progress mark it committed
+   with is already there) and its result is returned instead.  A queue
+   operation does not roll back: a faulted fsync leaves its bytes
+   written.  A re-run enqueue appends its frames twice (the [last_txn]
+   filter drops the copies), but a re-run [Pq.ack] acknowledges the
+   next message too — an open defect. *)
+let with_retry ?(settled = fun () -> None) t f =
   let rec attempt n =
     try f ()
-    with Vfs.Fault.Transient _ when n < t.cfg.max_retries ->
+    with Vfs.Fault.Transient _ when n < t.cfg.max_retries -> (
       Metrics.incr t.metrics "bootstrap.retry";
       let pause = Backoff.wait t.backoff ~attempt:n in
       if pause > 0.0 then Metrics.observe t.metrics "bootstrap.backoff" pause;
-      attempt (n + 1)
+      match settled () with Some result -> result | None -> attempt (n + 1))
   in
   attempt 0
 
@@ -314,6 +321,16 @@ let apply_delta t od =
     Run_state.put t.wh_db txn row;
     marked := row
   in
+  (* a fault on the commit's fsync leaves the transaction, mark included,
+     committed: the retry must not re-execute it *)
+  let settled () =
+    let txn = Db.begin_txn ~mode:`Snapshot t.wh_db in
+    let row = Run_state.get t.wh_db txn ~table:t.table in
+    Db.commit t.wh_db txn;
+    match row with
+    | Some row when row.Run_state.last_txn >= txid -> Some Warehouse.zero_stats
+    | Some _ | None -> None
+  in
   (match t.window_touched with
    | Some touched ->
      (* last-write-wins: the replica may or may not hold a row yet (its
@@ -330,14 +347,14 @@ let apply_delta t od =
          (Op_delta.value_delta ~table:t.table ~schema:t.schema od).Delta.changes
      in
      ignore
-       (with_retry t (fun () ->
+       (with_retry ~settled t (fun () ->
             Warehouse.integrate_value_delta ~mark t.wh
               (Delta.make ~table:t.table ~schema:t.schema lww))
          : Warehouse.stats);
      List.iter (fun c -> Hashtbl.replace touched (key_of (Delta.change_key t.schema c)) ()) lww
    | None ->
      ignore
-       (with_retry t (fun () ->
+       (with_retry ~settled t (fun () ->
             Warehouse.integrate_op_deltas ~mark:(fun txn _ -> mark txn) t.wh [ od ])
          : Warehouse.stats));
   t.row <- !marked;

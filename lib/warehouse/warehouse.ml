@@ -27,6 +27,10 @@ type agg_state = {
   aback_schema : Schema.t;
 }
 
+(* the row events, newest first, of the statement on replica [table]
+   that [exec] is running for transaction [txid] *)
+type statement_buffer = { txid : int; table : string; mutable events : Trigger.event list }
+
 type t = {
   db : Db.t;
   replicas : (string, Schema.t) Hashtbl.t;
@@ -35,8 +39,9 @@ type t = {
   viewonly : (string, view_state) Hashtbl.t;
   by_source : (string, string list ref) Hashtbl.t;  (* source table -> view names *)
   agg_by_source : (string, string list ref) Hashtbl.t;
-  mutable row_ops : int;  (* counted across integrations via triggers *)
+  mutable row_ops : int;  (* replica row events plus view-row and group writes *)
   mutable statements : int;  (* counted by [exec] *)
+  mutable open_statements : statement_buffer list;  (* one per [exec] in progress *)
 }
 
 let attach ~db () =
@@ -53,6 +58,7 @@ let attach ~db () =
     agg_by_source = Hashtbl.create 8;
     row_ops = 0;
     statements = 0;
+    open_statements = [];
   }
 
 let create ?pool_pages ?pool_stripes ~vfs ~name () =
@@ -118,13 +124,56 @@ let side_of vs source =
   | Spj_view.Join { left_table; _ } ->
     if source = left_table then Spj_view.L else Spj_view.R
 
-let contributions t vs source row =
-  match vs.def with
-  | Spj_view.Select_project _ -> (
-      match Spj_view.project_sp vs.def row with Some out -> [ out ] | None -> [])
-  | Spj_view.Join _ ->
-    Spj_view.join_contribution vs.def (side_of vs source) row
-      ~other_rows:(other_side_rows t vs source)
+(* Apply (view row, ±n) changes as one net multiplicity change per view
+   row: equal rows merge after a sort, and a row whose changes cancel is
+   not touched at all. *)
+let rec adjust_merged t txn vs = function
+  | (out, d) :: (out', d') :: rest when Tuple.equal out out' ->
+    adjust_merged t txn vs ((out, d + d') :: rest)
+  | (out, d) :: rest ->
+    if d <> 0 then adjust t txn vs out d;
+    adjust_merged t txn vs rest
+  | [] -> ()
+
+(* sort (row, _) pairs by row, equal rows kept in list order; a list of
+   fewer than two is returned as it is, since [List.stable_sort] would
+   still allocate its closures — a statement of one row event pays
+   nothing for being set-oriented *)
+let sort_by_row = function
+  | ([] | [ _ ]) as l -> l
+  | l -> List.stable_sort (fun (a, _) (b, _) -> Tuple.compare a b) l
+
+let adjust_net t txn vs changes = adjust_merged t txn vs (sort_by_row changes)
+
+(* prepend view rows, each with multiplicity change [d] *)
+let rec signed d acc = function [] -> acc | out :: rest -> signed d ((out, d) :: acc) rest
+
+let sp_contributions vs row =
+  match Spj_view.project_sp vs.def row with Some out -> [ out ] | None -> []
+
+(* the SPJ delta rules over row events: a before image contributes −1
+   and an after image +1 per view row it produces *)
+let rec spj_changes contributions acc = function
+  | [] -> acc
+  | Trigger.Inserted (_, after) :: rest ->
+    spj_changes contributions (signed 1 acc (contributions after)) rest
+  | Trigger.Deleted (_, before) :: rest ->
+    spj_changes contributions (signed (-1) acc (contributions before)) rest
+  | Trigger.Updated (_, before, after) :: rest ->
+    let acc = signed (-1) acc (contributions before) in
+    spj_changes contributions (signed 1 acc (contributions after)) rest
+
+(* a join view reads its other side once per statement: the statement,
+   confined to [source], left it unchanged *)
+let maintain_spj t txn source events vs =
+  let contributions =
+    match vs.def with
+    | Spj_view.Select_project _ -> sp_contributions vs
+    | Spj_view.Join _ ->
+      let other_rows = other_side_rows t vs source and side = side_of vs source in
+      fun row -> Spj_view.join_contribution vs.def side row ~other_rows
+  in
+  adjust_net t txn vs (spj_changes contributions [] events)
 
 (* ---------- aggregate view maintenance ---------- *)
 
@@ -145,139 +194,138 @@ let replica_rows_now t table =
   Table.scan (Db.table t.db table) (fun _ row -> rows := row :: !rows);
   !rows
 
-let agg_apply_insert t txn ast row =
-  if Agg_view.passes ast.adef row then begin
-    t.row_ops <- t.row_ops + 1;
-    let group = Agg_view.group_key ast.adef row in
-    match Db.find_by_key t.db txn ast.abacking group with
-    | Some (rid, existing) ->
-      let count = agg_count_of ast.aback_schema existing in
-      let out = Agg_view.apply_insert ast.adef ~current:(agg_out_of ast existing) row in
-      Db.update_rid t.db txn ast.abacking rid (with_count out (count + 1))
-    | None ->
-      ignore
-        (Db.insert_row t.db txn ast.abacking
-           (with_count (Agg_view.init_group ast.adef row) 1)
-          : Heap_file.rid)
-  end
+(* what one row event does to one group *)
+type agg_step =
+  | Enter of Tuple.t
+  | Leave of Tuple.t
+  | Move of Tuple.t * Tuple.t  (* before, after: an update within the group *)
 
-let agg_apply_delete t txn ast row =
-  if Agg_view.passes ast.adef row then begin
-    t.row_ops <- t.row_ops + 1;
-    let group = Agg_view.group_key ast.adef row in
-    match Db.find_by_key t.db txn ast.abacking group with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Warehouse: agg view %s missing group %s" ast.adef.Agg_view.name
-           (Tuple.to_string group))
-    | Some (rid, existing) ->
-      let count = agg_count_of ast.aback_schema existing in
-      if count <= 1 then Db.delete_rid t.db txn ast.abacking rid
-      else begin
-        match Agg_view.apply_delete ast.adef ~current:(agg_out_of ast existing) row with
-        | Agg_view.Updated out -> Db.update_rid t.db txn ast.abacking rid (with_count out (count - 1))
-        | Agg_view.Needs_rescan -> (
-            (* the trigger is AFTER: the replica no longer holds [row] *)
-            let detail = replica_rows_now t ast.adef.Agg_view.table in
-            match Agg_view.recompute_group ast.adef ~group ~replica_rows:detail with
-            | Some (out, n) -> Db.update_rid t.db txn ast.abacking rid (with_count out n)
-            | None -> Db.delete_rid t.db txn ast.abacking rid)
-      end
-  end
+(* a group's state while a statement's steps fold into it *)
+type agg_group =
+  | Absent
+  | Present of Tuple.t * int  (* output row, cardinality *)
+  | Rescan  (* a MIN/MAX extremum left: recompute after the statement *)
 
-(* refresh one whole group from replica detail (used for updates, where
-   incremental delete-then-insert would see the post-update replica twice) *)
-let agg_refresh_group t txn ast group =
-  t.row_ops <- t.row_ops + 1;
-  let detail = replica_rows_now t ast.adef.Agg_view.table in
-  let current = Db.find_by_key t.db txn ast.abacking group in
-  match Agg_view.recompute_group ast.adef ~group ~replica_rows:detail, current with
-  | Some (out, n), Some (rid, _) -> Db.update_rid t.db txn ast.abacking rid (with_count out n)
-  | Some (out, n), None ->
-    ignore (Db.insert_row t.db txn ast.abacking (with_count out n) : Heap_file.rid)
-  | None, Some (rid, _) -> Db.delete_rid t.db txn ast.abacking rid
-  | None, None -> ()
+let enter ast row acc =
+  if Agg_view.passes ast.adef row then (Agg_view.group_key ast.adef row, Enter row) :: acc
+  else acc
 
-(* Updates run incrementally: remove the before-row's contribution and add
-   the after-row's.  Only a MIN/MAX extremum leaving its group forces a
-   group refresh — and that refresh reads the post-update replica, so the
-   incremental insert of the after-row must be skipped when it landed in
-   the refreshed group. *)
-let agg_apply_update t txn ast ~before ~after =
-  let passes = Agg_view.passes ast.adef in
-  let before_in = passes before and after_in = passes after in
-  let g_before = if before_in then Some (Agg_view.group_key ast.adef before) else None in
-  let g_after = if after_in then Some (Agg_view.group_key ast.adef after) else None in
-  match g_before, g_after with
-  | None, None -> ()
-  | None, Some _ -> agg_apply_insert t txn ast after
-  | Some group, after_opt -> (
-      let same_group =
-        match after_opt with Some g -> Tuple.equal g group | None -> false
-      in
-      t.row_ops <- t.row_ops + 1;
-      match Db.find_by_key t.db txn ast.abacking group with
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Warehouse: agg view %s missing group %s" ast.adef.Agg_view.name
-             (Tuple.to_string group))
-      | Some (rid, existing) -> (
-          let count = agg_count_of ast.aback_schema existing in
-          match Agg_view.apply_delete ast.adef ~current:(agg_out_of ast existing) before with
-          | Agg_view.Updated out ->
-            if same_group then
-              (* fold the after-row straight back in; cardinality unchanged *)
-              Db.update_rid t.db txn ast.abacking rid
-                (with_count (Agg_view.apply_insert ast.adef ~current:out after) count)
-            else begin
-              (if count <= 1 then Db.delete_rid t.db txn ast.abacking rid
-               else Db.update_rid t.db txn ast.abacking rid (with_count out (count - 1)));
-              match after_opt with
-              | Some _ -> agg_apply_insert t txn ast after
-              | None -> ()
-            end
-          | Agg_view.Needs_rescan ->
-            (* the post-update replica already holds the after-row: a
-               refresh of [group] absorbs it when same_group, otherwise
-               the after-row's own group still needs its insert *)
-            agg_refresh_group t txn ast group;
-            if not same_group then
-              match after_opt with
-              | Some _ -> agg_apply_insert t txn ast after
-              | None -> ()))
+let leave ast row acc =
+  if Agg_view.passes ast.adef row then (Agg_view.group_key ast.adef row, Leave row) :: acc
+  else acc
 
-let maintain_views t source (ctx : Db.trigger_ctx) event =
-  let apply row delta =
-    List.iter
-      (fun vs ->
-        List.iter (fun out -> adjust t ctx.Db.ctx_txn vs out delta) (contributions t vs source row))
-      (views_on t source)
-  in
-  let apply_agg row delta =
-    List.iter
-      (fun ast ->
-        if delta > 0 then agg_apply_insert t ctx.Db.ctx_txn ast row
-        else agg_apply_delete t ctx.Db.ctx_txn ast row)
-      (agg_views_on t source)
-  in
-  match event with
-  | Trigger.Inserted (_, after) ->
-    t.row_ops <- t.row_ops + 1;
-    apply after 1;
-    apply_agg after 1
-  | Trigger.Deleted (_, before) ->
-    t.row_ops <- t.row_ops + 1;
-    apply before (-1);
-    apply_agg before (-1)
-  | Trigger.Updated (_, before, after) ->
-    t.row_ops <- t.row_ops + 1;
-    apply before (-1);
-    apply after 1;
-    List.iter
-      (fun ast -> agg_apply_update t ctx.Db.ctx_txn ast ~before ~after)
-      (agg_views_on t source)
+(* (group, step) per row event, in event order *)
+let rec agg_steps ast = function
+  | [] -> []
+  | Trigger.Inserted (_, after) :: rest -> enter ast after (agg_steps ast rest)
+  | Trigger.Deleted (_, before) :: rest -> leave ast before (agg_steps ast rest)
+  | Trigger.Updated (_, before, after) :: rest -> (
+      let later = agg_steps ast rest in
+      match leave ast before [], enter ast after [] with
+      | [ (g, _) ], [ (g', _) ] when Tuple.equal g g' -> (g, Move (before, after)) :: later
+      | left, entered -> left @ entered @ later)
+
+(* the same transitions row-at-a-time maintenance made, in event order,
+   so COUNT and SUM see the same sequence of adds and subtracts *)
+let agg_fold ast group state step =
+  match state, step with
+  | Rescan, _ -> Rescan
+  | Absent, Enter row -> Present (Agg_view.init_group ast.adef row, 1)
+  | Present (out, n), Enter row -> Present (Agg_view.apply_insert ast.adef ~current:out row, n + 1)
+  | Absent, (Leave _ | Move _) ->
+    invalid_arg
+      (Printf.sprintf "Warehouse: agg view %s missing group %s" ast.adef.Agg_view.name
+         (Tuple.to_string group))
+  | Present (_, n), Leave _ when n <= 1 -> Absent
+  | Present (out, n), Leave row -> (
+      match Agg_view.apply_delete ast.adef ~current:out row with
+      | Agg_view.Updated out -> Present (out, n - 1)
+      | Agg_view.Needs_rescan -> Rescan)
+  | Present (out, n), Move (before, after) -> (
+      match Agg_view.apply_delete ast.adef ~current:out before with
+      | Agg_view.Updated out -> Present (Agg_view.apply_insert ast.adef ~current:out after, n)
+      | Agg_view.Needs_rescan -> Rescan)
+
+(* Read each touched group once, fold its run of steps, write it once.
+   A group marked [Rescan] is recomputed from the post-statement replica. *)
+let rec agg_write_runs t txn ast = function
+  | [] -> ()
+  | (group, _) :: _ as steps ->
+    let existing = Db.find_by_key t.db txn ast.abacking group in
+    let initial =
+      match existing with
+      | Some (_, row) -> Present (agg_out_of ast row, agg_count_of ast.aback_schema row)
+      | None -> Absent
+    in
+    agg_fold_run t txn ast group existing initial steps
+
+and agg_fold_run t txn ast group existing state = function
+  | (g, step) :: rest when g == group || Tuple.equal g group ->
+    agg_fold_run t txn ast group existing (agg_fold ast group state step) rest
+  | rest ->
+    let final =
+      match state with
+      | Rescan -> (
+          let replica_rows = replica_rows_now t ast.adef.Agg_view.table in
+          match Agg_view.recompute_group ast.adef ~group ~replica_rows with
+          | Some (out, n) -> Present (out, n)
+          | None -> Absent)
+      | Absent | Present _ -> state
+    in
+    (match existing, final with
+     | Some (rid, _), Present (out, n) ->
+       t.row_ops <- t.row_ops + 1;
+       Db.update_rid t.db txn ast.abacking rid (with_count out n)
+     | None, Present (out, n) ->
+       t.row_ops <- t.row_ops + 1;
+       ignore (Db.insert_row t.db txn ast.abacking (with_count out n) : Heap_file.rid)
+     | Some (rid, _), (Absent | Rescan) ->
+       t.row_ops <- t.row_ops + 1;
+       Db.delete_rid t.db txn ast.abacking rid
+     | None, (Absent | Rescan) -> ());
+    agg_write_runs t txn ast rest
+
+(* A stable sort of the steps in event order keeps each group's run in
+   event order.  This loop and [maintain_spjs] recurse rather than
+   [List.iter] a partial application: a value delta maintains one row per
+   statement, and the closure would be an allocation per statement. *)
+let rec maintain_aggs t txn events = function
+  | [] -> ()
+  | ast :: rest ->
+    agg_write_runs t txn ast (sort_by_row (agg_steps ast events));
+    maintain_aggs t txn events rest
+
+let rec maintain_spjs t txn source events = function
+  | [] -> ()
+  | vs :: rest ->
+    maintain_spj t txn source events vs;
+    maintain_spjs t txn source events rest
+
+(* Maintain every view over [table] for one statement's row events, in
+   event order, inside [txn]: the set-oriented form of the delta rules,
+   so each view row or aggregate group the statement touches is read and
+   written once however many rows moved through it. *)
+let maintain_views t table txn events =
+  t.row_ops <- t.row_ops + List.length events;
+  maintain_spjs t txn table events (views_on t table);
+  maintain_aggs t txn events (agg_views_on t table)
 
 (* ---------- registration ---------- *)
+
+let rec statement_of id table = function
+  | [] -> None
+  | b :: rest ->
+    if b.txid = id && String.equal b.table table then Some b else statement_of id table rest
+
+(* The replica trigger: a row event of a statement [exec] is running goes
+   to that statement's buffer (tagged with its transaction, so another
+   session's write landing mid-statement is not swept into it); any other
+   replica write is maintained at once, as a one-event statement. *)
+let on_row_event t table (ctx : Db.trigger_ctx) event =
+  let txn = ctx.Db.ctx_txn in
+  match statement_of (Db.txid txn) table t.open_statements with
+  | Some b -> b.events <- event :: b.events
+  | None -> maintain_views t table txn [ event ]
 
 let install_replica t ~table schema =
   Hashtbl.add t.replicas table schema;
@@ -285,7 +333,7 @@ let install_replica t ~table schema =
     {
       Trigger.name = "maintain_views__" ^ table;
       on = [ Trigger.On_insert; Trigger.On_delete; Trigger.On_update ];
-      action = (fun ctx event -> maintain_views t table ctx event);
+      action = on_row_event t table;
     }
 
 let add_replica t ~table ~schema =
@@ -485,15 +533,39 @@ let refresh_txn (t : t) ~mark body =
     duration = Metrics.now metrics -. start;
   }
 
+let statement_failed ~ctx e = invalid_arg (Printf.sprintf "Warehouse.%s: %s" ctx e)
+
+let rec without b = function [] -> [] | o :: rest -> if o == b then rest else o :: without b rest
+
 (* Every statement an integrator executes runs one way: printed to SQL
    text and re-parsed, the full statement path whose per-statement cost
    the paper's comparison (one statement per Op-Delta operation, one or
-   two per value-delta record) is about. *)
+   two per value-delta record) is about.  The replica trigger buffers the
+   statement's row events, and the views are maintained once when it
+   returns.  A failed statement drops its buffer: the raise rolls the
+   refresh transaction back. *)
 let exec (t : t) txn ~ctx stmt =
   t.statements <- t.statements + 1;
-  match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
-  | Ok result -> result
-  | Error e -> invalid_arg (Printf.sprintf "Warehouse.%s: %s" ctx e)
+  let b = { txid = Db.txid txn; table = Dw_sql.Ast.table_of stmt; events = [] } in
+  t.open_statements <- b :: t.open_statements;
+  let outcome =
+    match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
+    | outcome ->
+      t.open_statements <- without b t.open_statements;
+      outcome
+    | exception e ->
+      t.open_statements <- without b t.open_statements;
+      raise e
+  in
+  match outcome with
+  | Ok result -> (
+      match b.events with
+      | [] -> result
+      | events -> (
+          match maintain_views t b.table txn (List.rev events) with
+          | () -> result
+          | exception Invalid_argument e -> statement_failed ~ctx e))
+  | Error e -> statement_failed ~ctx e
 
 (* Per the paper (Section 4.1), a value delta integrates as SQL
    statements: one INSERT per captured insert image, one keyed DELETE per
@@ -641,24 +713,22 @@ let integrate_op_delta_viewonly (t : t) od =
               | Spj_view.Select_project { schema; _ } -> schema
               | Spj_view.Join _ -> assert false
             in
-            let adjust_row row delta =
-              List.iter
-                (fun vs ->
-                  match Spj_view.project_sp vs.def row with
-                  | Some out -> adjust t txn vs out delta
-                  | None -> ())
-                views
-            in
             (* a before image leaves the view, an after image enters it;
                an empty image list is also what a zero-row DELETE looks
                like, so it cannot be rejected — hybrid capture is the
                caller's responsibility (see mli) *)
+            let changes = (Op_delta.value_delta ~table ~schema od).Delta.changes in
             List.iter
-              (function
-                | Delta.Insert after | Delta.Upsert after -> adjust_row after 1
-                | Delta.Delete before -> adjust_row before (-1)
-                | Delta.Update (before, after) ->
-                  adjust_row before (-1);
-                  adjust_row after 1)
-              (Op_delta.value_delta ~table ~schema od).Delta.changes)
+              (fun vs ->
+                adjust_net t txn vs
+                  (List.fold_left
+                     (fun acc -> function
+                       | Delta.Insert after | Delta.Upsert after ->
+                         signed 1 acc (sp_contributions vs after)
+                       | Delta.Delete before -> signed (-1) acc (sp_contributions vs before)
+                       | Delta.Update (before, after) ->
+                         let acc = signed (-1) acc (sp_contributions vs before) in
+                         signed 1 acc (sp_contributions vs after))
+                     [] changes))
+              views)
         (Op_delta.tables od))

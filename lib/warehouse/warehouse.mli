@@ -1,6 +1,7 @@
-(** The data warehouse: source-table replicas, materialized SPJ views
-    maintained incrementally by replica triggers, and the two integration
-    paths the paper compares (Section 4.1):
+(** The data warehouse: source-table replicas, materialized SPJ and
+    aggregate views maintained incrementally from the replicas' row
+    changes, and the two integration paths the paper compares
+    (Section 4.1):
 
     - {!integrate_value_delta}: the differential file is applied as one
       {e indivisible batch} transaction; per the paper each value-delta
@@ -21,6 +22,16 @@
     Every integrator runs inside one [warehouse.refresh] span and
     executes its statements one way: printed to SQL text, re-parsed and
     run by the warehouse engine.
+
+    Views are maintained {e set-oriented}, once per statement: the
+    replica triggers buffer a statement's row events, and when it
+    returns the delta rules run over the whole set.  An SPJ view applies
+    one net multiplicity change per view row (a join view scans its other
+    side once); an aggregate view reads each touched group once, folds
+    the row transitions into it in event order and writes it once.  So a
+    50-row UPDATE whose rows stay in one group rewrites that group once,
+    not 50 times.  A replica write made directly on {!db}, outside an
+    integrator, is maintained at once as a one-event set.
 
     Views are bags materialized with multiplicity counts.  Projected view
     columns must be non-nullable (they form the backing table's key).
@@ -68,9 +79,10 @@ val recompute_view : t -> string -> (Tuple.t * int) list
 (** Recompute from replicas (ground truth for tests/benches). *)
 
 (** {2 Aggregate views} — GROUP BY views ({!Dw_core.Agg_view}), maintained
-    incrementally by the same replica triggers.  COUNT/SUM adjust in
-    place; a delete that removes a MIN/MAX extremum re-derives the group
-    from the replica detail rows. *)
+    from the same row changes.  COUNT/SUM fold each row's transition in
+    place, in event order (exactly the adds and subtracts row-at-a-time
+    maintenance would make); a statement that removes a MIN/MAX extremum
+    re-derives that group once, from the replica after the statement. *)
 
 val define_agg_view : t -> Dw_core.Agg_view.t -> unit
 (** Validates, creates the backing table and materializes the aggregate
@@ -93,7 +105,10 @@ val replica_rows : t -> string -> Tuple.t list
 type stats = {
   txns : int;        (** warehouse transactions used *)
   statements : int;  (** SQL-level operations executed *)
-  row_ops : int;     (** row-level modifications (replica + views) *)
+  row_ops : int;
+      (** row-level modifications: each replica row event, plus each
+          view row or aggregate group a statement writes (once per
+          statement however many of its rows touch it) *)
   duration : float;
       (** seconds on the warehouse registry's clock ({!Dw_util.Metrics.now}
           of [Db.metrics (db t)]): wall-clock by default, simulated time

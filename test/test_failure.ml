@@ -156,6 +156,54 @@ let triggers_stack_in_order () =
   check (Alcotest.list Alcotest.string) "registration order" [ "first"; "second" ]
     (List.rev !log)
 
+(* ---------- transient faults on the commit path ---------- *)
+
+(* five committed parts, then one transaction that updates them all and
+   meets [fault] just before it commits *)
+let commit_under_fault fault =
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~vfs ~name:"src" () in
+  let _ = Workload.create_parts_table db in
+  Db.with_txn db (fun txn ->
+      List.iter
+        (fun s -> ignore (Db.exec db txn s : Db.exec_result))
+        (Workload.insert_parts_txn ~first_id:1 ~size:5 ~day:0 ()));
+  let set_qty n txn =
+    ignore
+      (Db.update_where db txn "parts" ~set:[ ("qty", Expr.Lit (Value.Int n)) ] ~where:None : int)
+  in
+  (match
+     Db.with_txn db (fun txn ->
+         set_qty 7 txn;
+         Vfs.set_fault vfs (Some fault))
+   with
+   | () -> Alcotest.fail "expected the commit to raise Transient"
+   | exception Vfs.Fault.Transient _ -> ());
+  Vfs.set_fault vfs None;
+  check (Alcotest.list Alcotest.int) "no transaction left open" [] (Db.active_txns db);
+  let qtys () =
+    Db.with_txn db (fun txn -> Db.select db txn "parts" ())
+    |> List.map (fun row -> match row.(2) with Value.Int q -> q | _ -> -1)
+    |> List.sort_uniq compare
+  in
+  let seen = qtys () in
+  (* the next writer is not blocked by a leaked table lock *)
+  set_qty 9 |> Db.with_txn db;
+  check (Alcotest.list Alcotest.int) "next update applies" [ 9 ] (qtys ());
+  seen
+
+(* the commit record cannot be written: the transaction lost, and must be
+   rolled back rather than left open holding its locks *)
+let commit_write_fault_rolls_back () =
+  let seen = commit_under_fault (Vfs.Fault.make ~write_fail_p:1.0 ~seed:1 ()) in
+  check Alcotest.bool "the update is rolled back" false (List.mem 7 seen)
+
+(* the commit record is written but its fsync fails: the commit stands,
+   and the transaction still finishes *)
+let commit_fsync_fault_finishes () =
+  let seen = commit_under_fault (Vfs.Fault.make ~fsync_fail_p:1.0 ~seed:1 ()) in
+  check (Alcotest.list Alcotest.int) "the commit stands" [ 7 ] seen
+
 (* ---------- export corruption detection ---------- *)
 
 let truncated_export_rejected () =
@@ -319,4 +367,6 @@ let suite =
     test "error-rate window raises then clears" sustained_error_rate_window;
     test "latency spikes counted inside the window" sustained_latency_counted;
     test "malformed sustained plans rejected" sustained_rejects_malformed;
+    test "commit write fault rolls back" commit_write_fault_rolls_back;
+    test "commit fsync fault finishes the commit" commit_fsync_fault_finishes;
   ]

@@ -371,6 +371,128 @@ let prop_agg_incremental =
         ops;
       agg_views_agree wh "qty_stats")
 
+(* ---------- set-oriented maintenance ---------- *)
+
+(* group by day: a [qty + 1] range UPDATE keeps its rows in their group,
+   a [last_modified] UPDATE moves them to another *)
+let day_stats =
+  {
+    Agg_view.name = "day_stats";
+    table = "parts";
+    schema = parts_schema;
+    filter = None;
+    group_by = [ "last_modified" ];
+    aggregates =
+      [ ("n", Agg_view.Count); ("units", Agg_view.Sum "qty");
+        ("min_qty", Agg_view.Min "qty"); ("max_id", Agg_view.Max "part_id") ];
+  }
+
+let between ~first_id ~size =
+  Expr.And
+    ( Expr.Cmp (Expr.Ge, Expr.Col "part_id", Expr.Lit (Value.Int first_id)),
+      Expr.Cmp (Expr.Lt, Expr.Col "part_id", Expr.Lit (Value.Int (first_id + size))) )
+
+let move_stmt ~first_id ~size ~day =
+  Dw_sql.Ast.Update
+    { table = "parts"; sets = [ ("last_modified", Expr.Lit (Value.Date day)) ];
+      where = Some (between ~first_id ~size) }
+
+let delete_where where = Dw_sql.Ast.Delete { table = "parts"; where = Some where }
+
+(* [gen_mix] transactions of up to 10-row statements, each followed at
+   random by a range UPDATE moving rows to another day's group, a DELETE
+   of every row below a qty (each group's MIN) or one of the top ids
+   (each group's MAX) *)
+let gen_twin_stream rng =
+  List.map
+    (fun op ->
+      let extra =
+        match Prng.int rng 4 with
+        | 0 ->
+          [ move_stmt ~first_id:(1 + Prng.int rng 60) ~size:(1 + Prng.int rng 15)
+              ~day:(1 + Prng.int rng 3) ]
+        | 1 ->
+          [ delete_where
+              (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int (Prng.int rng 150)))) ]
+        | 2 ->
+          [ delete_where
+              (Expr.Cmp
+                 (Expr.Ge, Expr.Col "part_id", Expr.Lit (Value.Int (40 + Prng.int rng 25)))) ]
+        | _ -> []
+      in
+      Workload.op_to_stmts ~day:0 op @ extra)
+    (Workload.gen_mix rng ~existing_ids:50 ~txns:12 ~max_txn_size:10)
+
+let mk_twin () =
+  let wh = mk_wh ~views:[ sp_view; join_view ] () in
+  Warehouse.define_agg_view wh day_stats;
+  wh
+
+(* one warehouse integrates the stream as Op-Deltas (views maintained
+   once per statement); its twin runs the same statements as direct
+   replica DML (views maintained once per row event): every view agrees
+   across the twins and with its recomputation *)
+let prop_twin_warehouses =
+  QCheck2.Test.make ~name:"per-statement and per-row view maintenance agree" ~count:30
+    QCheck2.Gen.(int_range 0 10000)
+    (fun seed ->
+      let txns = gen_twin_stream (Prng.create ~seed) in
+      let wh_op = mk_twin () and wh_direct = mk_twin () in
+      let ods = List.mapi (fun i stmts -> Op_delta.make ~txn_id:i stmts) txns in
+      ignore (Warehouse.integrate_op_deltas wh_op ods : Warehouse.stats);
+      let db = Warehouse.db wh_direct in
+      List.iter
+        (fun stmts ->
+          Db.with_txn db (fun txn ->
+              List.iter (fun s -> ignore (Db.exec db txn s : Db.exec_result)) stmts))
+        txns;
+      let same_rows a b =
+        List.length a = List.length b
+        && List.for_all2 (fun (r, c) (r', c') -> Tuple.equal r r' && c = c') a b
+      in
+      List.for_all
+        (fun name ->
+          same_rows (Warehouse.view_rows wh_op name) (Warehouse.view_rows wh_direct name)
+          && views_agree wh_op name && views_agree wh_direct name)
+        [ "small_qty"; "parts_by_supplier" ]
+      && same_rows (Warehouse.agg_view_rows wh_op "day_stats")
+           (Warehouse.agg_view_rows wh_direct "day_stats")
+      && agg_views_agree wh_op "day_stats"
+      && agg_views_agree wh_direct "day_stats")
+
+(* the row ops a statement costs with [day_stats] defined, minus without *)
+let agg_row_ops stmt =
+  let row_ops with_agg =
+    let wh = mk_wh ~parts:60 () in
+    if with_agg then Warehouse.define_agg_view wh day_stats;
+    let stats = Warehouse.integrate_op_deltas wh [ Op_delta.make ~txn_id:1 [ stmt ] ] in
+    if with_agg then
+      check Alcotest.bool "day_stats maintained" true (agg_views_agree wh "day_stats");
+    stats.Warehouse.row_ops
+  in
+  row_ops true - row_ops false
+
+(* the 50 rows all stay in the day-0 group: one group write, not 50 *)
+let agg_group_written_once_per_statement () =
+  check Alcotest.int "one group write for a 50-row UPDATE" 1
+    (agg_row_ops (Workload.update_parts_stmt ~first_id:1 ~size:50))
+
+(* deleting ids 1..5 takes the group's smallest qty with it: the group
+   is recomputed and rewritten once *)
+let agg_rescan_written_once () =
+  let wh = mk_wh ~parts:60 () in
+  let min_qty_id =
+    List.fold_left
+      (fun (best_id, best_q) row ->
+        match row.(0), row.(2) with
+        | Value.Int id, Value.Int q when q < best_q -> (id, q)
+        | _ -> (best_id, best_q))
+      (0, max_int) (Warehouse.replica_rows wh "parts")
+    |> fst
+  in
+  check Alcotest.int "one group write for a DELETE of the MIN" 1
+    (agg_row_ops (Workload.delete_parts_stmt ~first_id:(max 1 (min_qty_id - 2)) ~size:5))
+
 (* ---------- replica-less (hybrid) maintenance ---------- *)
 
 module Opdelta_capture = Dw_core.Opdelta_capture
@@ -552,4 +674,7 @@ let suite =
     test "attach_agg_view rejects a view-only name" attach_agg_view_rejects_viewonly_name;
     test "olap standard mix" olap_standard_mix;
     test "olap rejects dml" olap_rejects_dml;
+    QCheck_alcotest.to_alcotest prop_twin_warehouses;
+    test "agg group written once per statement" agg_group_written_once_per_statement;
+    test "agg MIN rescan written once" agg_rescan_written_once;
   ]
