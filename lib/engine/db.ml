@@ -192,9 +192,13 @@ let begin_txn ?(mode = `Read_write) t =
         txn)
   in
   (* snapshot transactions log nothing: they cannot write, so neither
-     recovery nor the group-commit barrier ever needs to see them *)
-  if mode = `Read_write then
-    ignore (Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Begin } : Wal.lsn);
+     recovery nor the group-commit barrier ever needs to see them.  A
+     faulted Begin append leaves no transaction behind. *)
+  (if mode = `Read_write then
+     try ignore (Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Begin } : Wal.lsn)
+     with e ->
+       locked_txn t (fun () -> Hashtbl.remove t.active txn.id);
+       raise e);
   txn
 
 let txid txn = txn.id

@@ -107,10 +107,9 @@ let schema_of_wh wh_db name = Option.map Table.schema (Db.table_opt wh_db name)
    on the commit's fsync — stays committed, so before re-running,
    [settled] may report the unit done (the progress mark it committed
    with is already there) and its result is returned instead.  A queue
-   operation does not roll back: a faulted fsync leaves its bytes
-   written.  A re-run enqueue appends its frames twice (the [last_txn]
-   filter drops the copies), but a re-run [Pq.ack] acknowledges the
-   next message too — an open defect. *)
+   operation is safe to re-run: a faulted enqueue truncates its frames
+   back, and a faulted ack leaves the queue's position unmoved, so the
+   re-run writes the same offset. *)
 let with_retry ?(settled = fun () -> None) t f =
   let rec attempt n =
     try f ()

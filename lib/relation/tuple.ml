@@ -37,17 +37,18 @@ let compare_key schema a b =
   in
   go 0
 
-let compare a b =
+(* lexicographic from index [i]; a proper prefix sorts first.  Top-level,
+   so a comparison allocates no closure *)
+let rec compare_from a b i =
   let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if i >= la && i >= lb then 0
+  else if i >= la then -1
+  else if i >= lb then 1
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare a b = compare_from a b 0
 
 let equal a b = compare a b = 0
 

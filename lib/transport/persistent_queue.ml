@@ -123,10 +123,20 @@ let open_ vfs ~name =
   { metrics = Vfs.metrics vfs; log; offset_file; read_off; peeked = None; pending;
     enqueued = enqueued_before }
 
-let enqueue t payload =
+(* Append frames durably.  A transient write or fsync fault truncates
+   them back before it re-raises, so a retried enqueue appends once. *)
+let append_frames t bytes =
   Metrics.time t.metrics "queue.enqueue" (fun () ->
-      ignore (Vfs.append t.log (frame payload) : int);
-      Vfs.fsync t.log);
+      let size = Vfs.size t.log in
+      try
+        ignore (Vfs.append t.log bytes : int);
+        Vfs.fsync t.log
+      with Vfs.Fault.Transient _ as e ->
+        Vfs.truncate t.log size;
+        raise e)
+
+let enqueue t payload =
+  append_frames t (frame payload);
   t.pending <- t.pending + 1;
   t.enqueued <- t.enqueued + 1
 
@@ -135,9 +145,7 @@ let enqueue_batch t payloads =
   | [] -> ()
   | _ ->
     let n = List.length payloads in
-    Metrics.time t.metrics "queue.enqueue" (fun () ->
-        ignore (Vfs.append t.log (encode_frames payloads) : int);
-        Vfs.fsync t.log);
+    append_frames t (encode_frames payloads);
     Metrics.observe t.metrics "queue.batch_size" (float_of_int n);
     t.pending <- t.pending + n;
     t.enqueued <- t.enqueued + n
@@ -159,22 +167,23 @@ let write_offset t off =
   Vfs.write_at t.offset_file ~off:0 b;
   Vfs.fsync t.offset_file
 
+(* [ack] and [ack_run] move the in-memory cursor only once the new
+   offset is durable, so an ack retried after a faulted fsync writes the
+   same offset again instead of acknowledging the next message too *)
 let ack t =
   Metrics.time t.metrics "queue.ack" (fun () ->
-      match t.peeked with
-      | None -> (
-          (* allow ack directly after an un-peeked message? require peek *)
-          match read_frame t.log t.read_off with
-          | None -> invalid_arg "Persistent_queue.ack: queue is empty"
-          | Some (_, next) ->
-            t.read_off <- next;
-            write_offset t next;
-            t.pending <- t.pending - 1)
-      | Some (_, next) ->
-        t.peeked <- None;
-        t.read_off <- next;
-        write_offset t next;
-        t.pending <- t.pending - 1)
+      let next =
+        match t.peeked with
+        | Some (_, next) -> next
+        | None -> (
+            match read_frame t.log t.read_off with
+            | None -> invalid_arg "Persistent_queue.ack: queue is empty"
+            | Some (_, next) -> next)
+      in
+      write_offset t next;
+      t.peeked <- None;
+      t.read_off <- next;
+      t.pending <- t.pending - 1)
 
 let peek_run t ~max =
   if max < 1 then invalid_arg "Persistent_queue.peek_run: max < 1";
@@ -200,9 +209,9 @@ let ack_run t n =
             | Some (_, next) -> advance next (k - 1)
         in
         let next = advance t.read_off n in
+        write_offset t next;
         t.peeked <- None;
         t.read_off <- next;
-        write_offset t next;
         t.pending <- t.pending - n;
         Metrics.observe t.metrics "queue.ack_run" (float_of_int n))
 

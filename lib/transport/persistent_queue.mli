@@ -24,7 +24,11 @@
     update.  Per-message framing (and so per-message checksums) is
     preserved on disk — a batch is a packing decision, not a format
     change, and batched and unbatched producers/consumers interoperate
-    on the same queue file. *)
+    on the same queue file.
+
+    {b Retries.}  Every mutating call is safe to retry after it raises
+    [Vfs.Fault.Transient]: a faulted enqueue truncates its frames back,
+    and a faulted ack leaves the in-memory position where it was. *)
 
 module Vfs = Dw_storage.Vfs
 

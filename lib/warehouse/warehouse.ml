@@ -27,9 +27,10 @@ type agg_state = {
   aback_schema : Schema.t;
 }
 
-(* the row events, newest first, of the statement on replica [table]
-   that [exec] is running for transaction [txid] *)
-type statement_buffer = { txid : int; table : string; mutable events : Trigger.event list }
+(* the open run of refresh transaction [txid]: the row events, newest
+   first, of its consecutive integrator statements on replica [table],
+   not yet maintained into the views; [ctx] names the integrator *)
+type run = { txid : int; table : string; ctx : string; mutable events : Trigger.event list }
 
 type t = {
   db : Db.t;
@@ -41,7 +42,7 @@ type t = {
   agg_by_source : (string, string list ref) Hashtbl.t;
   mutable row_ops : int;  (* replica row events plus view-row and group writes *)
   mutable statements : int;  (* counted by [exec] *)
-  mutable open_statements : statement_buffer list;  (* one per [exec] in progress *)
+  mutable runs : run list;  (* at most one per refresh transaction *)
 }
 
 let attach ~db () =
@@ -58,7 +59,7 @@ let attach ~db () =
     agg_by_source = Hashtbl.create 8;
     row_ops = 0;
     statements = 0;
-    open_statements = [];
+    runs = [];
   }
 
 let create ?pool_pages ?pool_stripes ~vfs ~name () =
@@ -137,7 +138,7 @@ let rec adjust_merged t txn vs = function
 
 (* sort (row, _) pairs by row, equal rows kept in list order; a list of
    fewer than two is returned as it is, since [List.stable_sort] would
-   still allocate its closures — a statement of one row event pays
+   still allocate its closures — a run of one row event pays
    nothing for being set-oriented *)
 let sort_by_row = function
   | ([] | [ _ ]) as l -> l
@@ -163,8 +164,8 @@ let rec spj_changes contributions acc = function
     let acc = signed (-1) acc (contributions before) in
     spj_changes contributions (signed 1 acc (contributions after)) rest
 
-(* a join view reads its other side once per statement: the statement,
-   confined to [source], left it unchanged *)
+(* a join view reads its other side once per run: the run, confined to
+   [source], left it unchanged *)
 let maintain_spj t txn source events vs =
   let contributions =
     match vs.def with
@@ -200,11 +201,11 @@ type agg_step =
   | Leave of Tuple.t
   | Move of Tuple.t * Tuple.t  (* before, after: an update within the group *)
 
-(* a group's state while a statement's steps fold into it *)
+(* a group's state while a run's steps fold into it *)
 type agg_group =
   | Absent
   | Present of Tuple.t * int  (* output row, cardinality *)
-  | Rescan  (* a MIN/MAX extremum left: recompute after the statement *)
+  | Rescan  (* a MIN/MAX extremum left: recompute after the run *)
 
 let enter ast row acc =
   if Agg_view.passes ast.adef row then (Agg_view.group_key ast.adef row, Enter row) :: acc
@@ -247,7 +248,8 @@ let agg_fold ast group state step =
       | Agg_view.Needs_rescan -> Rescan)
 
 (* Read each touched group once, fold its run of steps, write it once.
-   A group marked [Rescan] is recomputed from the post-statement replica. *)
+   A group marked [Rescan] is recomputed from the replica at the end of
+   the run. *)
 let rec agg_write_runs t txn ast = function
   | [] -> ()
   | (group, _) :: _ as steps ->
@@ -287,8 +289,8 @@ and agg_fold_run t txn ast group existing state = function
 
 (* A stable sort of the steps in event order keeps each group's run in
    event order.  This loop and [maintain_spjs] recurse rather than
-   [List.iter] a partial application: a value delta maintains one row per
-   statement, and the closure would be an allocation per statement. *)
+   [List.iter] a partial application: a write outside a run maintains
+   one row event, and the closure would be an allocation per event. *)
 let rec maintain_aggs t txn events = function
   | [] -> ()
   | ast :: rest ->
@@ -301,31 +303,50 @@ let rec maintain_spjs t txn source events = function
     maintain_spj t txn source events vs;
     maintain_spjs t txn source events rest
 
-(* Maintain every view over [table] for one statement's row events, in
-   event order, inside [txn]: the set-oriented form of the delta rules,
-   so each view row or aggregate group the statement touches is read and
-   written once however many rows moved through it. *)
+(* Maintain every view over [table] for one run's row events, in event
+   order, inside [txn]: the set-oriented form of the delta rules, so each
+   view row or aggregate group the run touches is read and written once
+   however many rows moved through it. *)
 let maintain_views t table txn events =
   t.row_ops <- t.row_ops + List.length events;
   maintain_spjs t txn table events (views_on t table);
   maintain_aggs t txn events (agg_views_on t table)
 
+(* ---------- runs ---------- *)
+
+let statement_failed ~ctx e = invalid_arg (Printf.sprintf "Warehouse.%s: %s" ctx e)
+
+let rec run_of id = function [] -> None | r :: rest -> if r.txid = id then Some r else run_of id rest
+let drop_run t txn = t.runs <- List.filter (fun r -> r.txid <> Db.txid txn) t.runs
+
+(* Close [txn]'s open run, if any, and maintain the views from its
+   events.  Only the run's table changed while it was open, so a join
+   view's other side is the one every event of the run saw. *)
+let flush_run t txn =
+  match run_of (Db.txid txn) t.runs with
+  | None -> ()
+  | Some r -> (
+      drop_run t txn;
+      match r.events with
+      | [] -> ()
+      | events -> (
+          try maintain_views t r.table txn (List.rev events)
+          with Invalid_argument e -> statement_failed ~ctx:r.ctx e))
+
 (* ---------- registration ---------- *)
 
-let rec statement_of id table = function
-  | [] -> None
-  | b :: rest ->
-    if b.txid = id && String.equal b.table table then Some b else statement_of id table rest
-
-(* The replica trigger: a row event of a statement [exec] is running goes
-   to that statement's buffer (tagged with its transaction, so another
-   session's write landing mid-statement is not swept into it); any other
-   replica write is maintained at once, as a one-event statement. *)
+(* The replica trigger: a row event on the table of its transaction's
+   open run joins the run (the run is tagged with its transaction, so
+   another session's write is not swept into it).  A write to another
+   replica table first maintains that transaction's run; any write
+   outside a run is maintained at once, as a one-event run. *)
 let on_row_event t table (ctx : Db.trigger_ctx) event =
   let txn = ctx.Db.ctx_txn in
-  match statement_of (Db.txid txn) table t.open_statements with
-  | Some b -> b.events <- event :: b.events
-  | None -> maintain_views t table txn [ event ]
+  match run_of (Db.txid txn) t.runs with
+  | Some r when String.equal r.table table -> r.events <- event :: r.events
+  | _ ->
+    flush_run t txn;
+    maintain_views t table txn [ event ]
 
 let install_replica t ~table schema =
   Hashtbl.add t.replicas table schema;
@@ -515,17 +536,25 @@ let add_stats a b =
 (* ---------- the refresh transaction and the statement executor ---------- *)
 
 (* One warehouse refresh transaction, the scaffold every integrator
-   shares: the [warehouse.refresh] span, [body] then [mark] inside one
-   [Db.with_txn] (so a progress record commits or rolls back with the
-   data), and the statement, row-op and registry-clock deltas as stats. *)
+   shares: the [warehouse.refresh] span, [body], its last run's view
+   upkeep, then [mark] inside one [Db.with_txn] (so a progress record
+   commits or rolls back with the data), and the statement, row-op and
+   registry-clock deltas as stats.  A raise drops the open run: the
+   rollback discards its rows. *)
 let refresh_txn (t : t) ~mark body =
   let metrics = Db.metrics t.db in
   Metrics.with_span metrics "warehouse.refresh" @@ fun () ->
   let start = Metrics.now metrics in
   let statements0 = t.statements and row_ops0 = t.row_ops in
   Db.with_txn t.db (fun txn ->
-      body txn;
-      mark txn);
+      match
+        body txn;
+        flush_run t txn
+      with
+      | () -> mark txn
+      | exception e ->
+        drop_run t txn;
+        raise e);
   {
     txns = 1;
     statements = t.statements - statements0;
@@ -533,38 +562,24 @@ let refresh_txn (t : t) ~mark body =
     duration = Metrics.now metrics -. start;
   }
 
-let statement_failed ~ctx e = invalid_arg (Printf.sprintf "Warehouse.%s: %s" ctx e)
-
-let rec without b = function [] -> [] | o :: rest -> if o == b then rest else o :: without b rest
-
 (* Every statement an integrator executes runs one way: printed to SQL
    text and re-parsed, the full statement path whose per-statement cost
    the paper's comparison (one statement per Op-Delta operation, one or
-   two per value-delta record) is about.  The replica trigger buffers the
-   statement's row events, and the views are maintained once when it
-   returns.  A failed statement drops its buffer: the raise rolls the
-   refresh transaction back. *)
+   two per value-delta record) is about.  The statement joins its
+   transaction's run when it writes the run's table; otherwise the run
+   is maintained and a new one opens.  Views are maintained once per run,
+   not per statement, so a value delta's one-row statements into one
+   group rewrite it once. *)
 let exec (t : t) txn ~ctx stmt =
   t.statements <- t.statements + 1;
-  let b = { txid = Db.txid txn; table = Dw_sql.Ast.table_of stmt; events = [] } in
-  t.open_statements <- b :: t.open_statements;
-  let outcome =
-    match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
-    | outcome ->
-      t.open_statements <- without b t.open_statements;
-      outcome
-    | exception e ->
-      t.open_statements <- without b t.open_statements;
-      raise e
-  in
-  match outcome with
-  | Ok result -> (
-      match b.events with
-      | [] -> result
-      | events -> (
-          match maintain_views t b.table txn (List.rev events) with
-          | () -> result
-          | exception Invalid_argument e -> statement_failed ~ctx e))
+  let table = Dw_sql.Ast.table_of stmt in
+  (match run_of (Db.txid txn) t.runs with
+   | Some r when String.equal r.table table -> ()
+   | _ ->
+     flush_run t txn;
+     t.runs <- { txid = Db.txid txn; table; ctx; events = [] } :: t.runs);
+  match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
+  | Ok result -> result
   | Error e -> statement_failed ~ctx e
 
 (* Per the paper (Section 4.1), a value delta integrates as SQL

@@ -23,15 +23,19 @@
     executes its statements one way: printed to SQL text, re-parsed and
     run by the warehouse engine.
 
-    Views are maintained {e set-oriented}, once per statement: the
-    replica triggers buffer a statement's row events, and when it
-    returns the delta rules run over the whole set.  An SPJ view applies
-    one net multiplicity change per view row (a join view scans its other
-    side once); an aggregate view reads each touched group once, folds
-    the row transitions into it in event order and writes it once.  So a
-    50-row UPDATE whose rows stay in one group rewrites that group once,
-    not 50 times.  A replica write made directly on {!db}, outside an
-    integrator, is maintained at once as a one-event set.
+    Views are maintained {e set-oriented}, once per {e run}: a run is a
+    maximal sequence of consecutive integrator statements, in one
+    refresh transaction, on one replica table.  The replica triggers
+    buffer the run's row events, and when a statement on another table
+    starts or the integrator's statements end (before its progress mark)
+    the delta rules run over the whole set.  An SPJ view applies one net
+    multiplicity change per view row (a join view scans its other side
+    once); an aggregate view reads each touched group once, folds the row
+    transitions into it in event order and writes it once.  So a 50-row
+    UPDATE whose rows stay in one group rewrites that group once, and so
+    does a value delta of 50 such updates (100 one-row statements).  A
+    replica write made directly on {!db}, outside an integrator, is
+    maintained at once as a one-event set.
 
     Views are bags materialized with multiplicity counts.  Projected view
     columns must be non-nullable (they form the backing table's key).
@@ -107,8 +111,8 @@ type stats = {
   statements : int;  (** SQL-level operations executed *)
   row_ops : int;
       (** row-level modifications: each replica row event, plus each
-          view row or aggregate group a statement writes (once per
-          statement however many of its rows touch it) *)
+          view row or aggregate group a run writes (once per run however
+          many of its rows touch it) *)
   duration : float;
       (** seconds on the warehouse registry's clock ({!Dw_util.Metrics.now}
           of [Db.metrics (db t)]): wall-clock by default, simulated time

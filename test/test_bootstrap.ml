@@ -384,13 +384,11 @@ let prop_random_crash_converges =
    leaves that commit standing, so the retry must find its progress mark
    and not re-apply the delta transaction (a re-executed [qty = qty + 1]
    would diverge): the hook below commits such updates between windows,
-   where deltas re-execute as statements.  The queue lives on its own
-   fault-free Vfs: a retried [Persistent_queue.ack] whose offset fsync
-   failed is not idempotent, which is a separate defect. *)
+   where deltas re-execute as statements.  The queue shares the faulted
+   Vfs: a retried enqueue or ack does its work once. *)
 let single_fsync_fault_converges () =
   let start fault =
     let env = EB.mk_env (spec ~rows:24 ~chunk:6 ()) in
-    env.EB.queue <- Dw_transport.Persistent_queue.open_ (Vfs.in_memory ()) ~name:"boot.q";
     Vfs.set_fault env.EB.whvfs (Some fault);
     let hook = function
       | Bootstrap.Chunk_done _ | Bootstrap.Catch_up -> (

@@ -204,6 +204,23 @@ let commit_fsync_fault_finishes () =
   let seen = commit_under_fault (Vfs.Fault.make ~fsync_fail_p:1.0 ~seed:1 ()) in
   check (Alcotest.list Alcotest.int) "the commit stands" [ 7 ] seen
 
+(* the Begin record's append faults: the transaction never started, so
+   it must not stay in the active table a checkpoint records *)
+let begin_write_fault_leaves_no_txn () =
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~vfs ~name:"src" () in
+  Vfs.set_fault vfs (Some (Vfs.Fault.make ~write_fail_p:1.0 ~seed:1 ()));
+  (try
+     ignore (Db.begin_txn db : Db.txn);
+     Alcotest.fail "expected Transient"
+   with Vfs.Fault.Transient _ -> ());
+  Vfs.set_fault vfs None;
+  check (Alcotest.list Alcotest.int) "no active transaction" [] (Db.active_txns db);
+  let txn = Db.begin_txn db in
+  check (Alcotest.list Alcotest.int) "the next one is active" [ Db.txid txn ] (Db.active_txns db);
+  Db.commit db txn;
+  check (Alcotest.list Alcotest.int) "and finishes" [] (Db.active_txns db)
+
 (* ---------- export corruption detection ---------- *)
 
 let truncated_export_rejected () =
@@ -369,4 +386,5 @@ let suite =
     test "malformed sustained plans rejected" sustained_rejects_malformed;
     test "commit write fault rolls back" commit_write_fault_rolls_back;
     test "commit fsync fault finishes the commit" commit_fsync_fault_finishes;
+    test "begin write fault leaves no transaction" begin_write_fault_leaves_no_txn;
   ]

@@ -245,6 +245,28 @@ let expr_conj () =
    | Some (Expr.And _) -> ()
    | _ -> Alcotest.fail "expected And")
 
+(* equal tuples compare 0; a proper prefix sorts first; otherwise the
+   first differing column decides *)
+let tuple_compare () =
+  let i n = Value.Int n and str s = Value.Str s in
+  let cases =
+    [
+      ("equal", [| i 1; str "a" |], [| i 1; str "a" |], 0);
+      ("both empty", [||], [||], 0);
+      ("empty first", [||], [| i 0 |], -1);
+      ("shorter prefix first", [| i 1 |], [| i 1; str "a" |], -1);
+      ("longer after prefix", [| i 1; str "a"; i 0 |], [| i 1; str "a" |], 1);
+      ("shared prefix, later column decides", [| i 1; str "a"; i 2 |], [| i 1; str "b" |], -1);
+      ("first column decides over length", [| i 2 |], [| i 1; str "z" |], 1);
+    ]
+  in
+  List.iter
+    (fun (name, a, b, expected) ->
+      check Alcotest.int name expected (Int.compare (Tuple.compare a b) 0);
+      check Alcotest.int (name ^ " (swapped)") (-expected) (Int.compare (Tuple.compare b a) 0);
+      check Alcotest.bool (name ^ " equal") (expected = 0) (Tuple.equal a b))
+    cases
+
 let suite =
   [
     test "value compare numeric" value_compare_numeric;
@@ -272,4 +294,5 @@ let suite =
     test "expr columns" expr_columns;
     test "expr pp parens" expr_pp_parens;
     test "expr conj" expr_conj;
+    test "tuple compare" tuple_compare;
   ]

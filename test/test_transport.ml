@@ -297,6 +297,41 @@ let frame_rejects_malformed () =
     (fun s -> check Alcotest.bool s true (Result.is_error (Frame.decode s)))
     [ ""; "garbage"; "wl|run|notanint|7"; "wh|run|3"; "w|x|1|2"; "dl:half-tagged" ]
 
+(* a faulted fsync raises [Transient]; retrying the same call after the
+   fault clears must neither skip a message (ack) nor append it twice
+   (enqueue) *)
+let queue_retries_are_idempotent () =
+  let vfs = Vfs.in_memory () in
+  let q = Persistent_queue.open_ vfs ~name:"dq" in
+  let fsync_fails () = Vfs.set_fault vfs (Some (Vfs.Fault.make ~fsync_fail_p:1.0 ~seed:1 ())) in
+  let faulted f =
+    fsync_fails ();
+    (try
+       f ();
+       Alcotest.fail "expected Transient"
+     with Vfs.Fault.Transient _ -> ());
+    Vfs.set_fault vfs None;
+    f ()
+  in
+  let peek = Alcotest.(option string) in
+  faulted (fun () -> Persistent_queue.enqueue_batch q [ "a"; "b"; "c" ]);
+  Persistent_queue.close q;
+  let q = Persistent_queue.open_ vfs ~name:"dq" in
+  check Alcotest.int "batch appended once" 3 (Persistent_queue.pending q);
+  check peek "peek a" (Some "a") (Persistent_queue.peek q);
+  faulted (fun () -> Persistent_queue.ack q);
+  check Alcotest.int "one message acked" 2 (Persistent_queue.pending q);
+  check peek "b not skipped" (Some "b") (Persistent_queue.peek q);
+  faulted (fun () -> Persistent_queue.enqueue q "d");
+  faulted (fun () -> Persistent_queue.ack_run q 2);
+  check peek "d after the run" (Some "d") (Persistent_queue.peek q);
+  Persistent_queue.close q;
+  let q = Persistent_queue.open_ vfs ~name:"dq" in
+  check Alcotest.int "reopened: only d pending" 1 (Persistent_queue.pending q);
+  check Alcotest.int "four messages ever enqueued" 4 (Persistent_queue.enqueued_total q);
+  check peek "reopened peek d" (Some "d") (Persistent_queue.peek q);
+  Persistent_queue.close q
+
 let suite =
   [
     test "ship roundtrip" ship_roundtrip;
@@ -317,4 +352,5 @@ let suite =
     test "ship backoff deterministic under seed" ship_backoff_deterministic_under_seed;
     test "frame roundtrip" frame_roundtrip;
     test "frame rejects malformed" frame_rejects_malformed;
+    test "queue retries are idempotent" queue_retries_are_idempotent;
   ]

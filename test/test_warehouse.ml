@@ -71,13 +71,11 @@ let mk_wh ?(parts = 50) ?(supply = 30) ?(views = []) () =
   List.iter (Warehouse.define_view wh) views;
   wh
 
-let views_agree wh name =
-  let materialized = Warehouse.view_rows wh name in
-  let recomputed = Warehouse.recompute_view wh name in
-  List.length materialized = List.length recomputed
-  && List.for_all2
-       (fun (r1, c1) (r2, c2) -> Tuple.equal r1 r2 && c1 = c2)
-       materialized recomputed
+let same_rows a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (r, c) (r', c') -> Tuple.equal r r' && c = c') a b
+
+let views_agree wh name = same_rows (Warehouse.view_rows wh name) (Warehouse.recompute_view wh name)
 
 (* ---------- view materialization ---------- *)
 
@@ -256,12 +254,7 @@ let qty_by_price_band =
   }
 
 let agg_views_agree wh name =
-  let materialized = Warehouse.agg_view_rows wh name in
-  let recomputed = Warehouse.recompute_agg_view wh name in
-  List.length materialized = List.length recomputed
-  && List.for_all2
-       (fun (r1, c1) (r2, c2) -> Tuple.equal r1 r2 && c1 = c2)
-       materialized recomputed
+  same_rows (Warehouse.agg_view_rows wh name) (Warehouse.recompute_agg_view wh name)
 
 let agg_validate () =
   check Alcotest.bool "valid" true (Result.is_ok (Agg_view.validate qty_by_price_band));
@@ -428,10 +421,19 @@ let mk_twin () =
   Warehouse.define_agg_view wh day_stats;
   wh
 
+(* every view agrees across two twin warehouses and with its recomputation *)
+let twins_agree a b =
+  List.for_all
+    (fun name ->
+      same_rows (Warehouse.view_rows a name) (Warehouse.view_rows b name)
+      && views_agree a name && views_agree b name)
+    [ "small_qty"; "parts_by_supplier" ]
+  && same_rows (Warehouse.agg_view_rows a "day_stats") (Warehouse.agg_view_rows b "day_stats")
+  && agg_views_agree a "day_stats" && agg_views_agree b "day_stats"
+
 (* one warehouse integrates the stream as Op-Deltas (views maintained
-   once per statement); its twin runs the same statements as direct
-   replica DML (views maintained once per row event): every view agrees
-   across the twins and with its recomputation *)
+   once per run); its twin runs the same statements as direct
+   replica DML (views maintained once per row event) *)
 let prop_twin_warehouses =
   QCheck2.Test.make ~name:"per-statement and per-row view maintenance agree" ~count:30
     QCheck2.Gen.(int_range 0 10000)
@@ -446,19 +448,7 @@ let prop_twin_warehouses =
           Db.with_txn db (fun txn ->
               List.iter (fun s -> ignore (Db.exec db txn s : Db.exec_result)) stmts))
         txns;
-      let same_rows a b =
-        List.length a = List.length b
-        && List.for_all2 (fun (r, c) (r', c') -> Tuple.equal r r' && c = c') a b
-      in
-      List.for_all
-        (fun name ->
-          same_rows (Warehouse.view_rows wh_op name) (Warehouse.view_rows wh_direct name)
-          && views_agree wh_op name && views_agree wh_direct name)
-        [ "small_qty"; "parts_by_supplier" ]
-      && same_rows (Warehouse.agg_view_rows wh_op "day_stats")
-           (Warehouse.agg_view_rows wh_direct "day_stats")
-      && agg_views_agree wh_op "day_stats"
-      && agg_views_agree wh_direct "day_stats")
+      twins_agree wh_op wh_direct)
 
 (* the row ops a statement costs with [day_stats] defined, minus without *)
 let agg_row_ops stmt =
@@ -649,6 +639,148 @@ let olap_rejects_dml () =
     check Alcotest.int "no side effect" 50 (List.length (Warehouse.replica_rows wh "parts"))
   | Ok _ -> Alcotest.fail "expected rejection"
 
+(* ---------- run-level maintenance ---------- *)
+
+let key_is id = Expr.Cmp (Expr.Eq, Expr.Col "part_id", Expr.Lit (Value.Int id))
+let id_of row = match row.(0) with Value.Int id -> id | _ -> invalid_arg "id_of"
+
+let insert_part row =
+  Dw_sql.Ast.Insert { table = "parts"; columns = None; rows = [ Array.to_list row ] }
+
+(* the statement a source would have run for one value-delta change: an
+   UPDATE sets every non-key column, so the twin sees update events where
+   the value path sees a delete and an insert *)
+let direct_stmt = function
+  | Delta.Insert after | Delta.Upsert after -> insert_part after
+  | Delta.Delete before -> delete_where (key_is (id_of before))
+  | Delta.Update (_, after) ->
+    Dw_sql.Ast.Update
+      { table = "parts";
+        sets = List.mapi (fun i c -> (c.Schema.name, Expr.Lit after.(i + 1)))
+                 (List.tl (Schema.columns parts_schema));
+        where = Some (key_is (id_of after)) }
+
+(* [deltas] value deltas of up to 12 changes over the replica [rows]:
+   inserts of new ids, and updates and deletes aimed a third of the time
+   at a random row, the smallest qty (some group's MIN) or the largest id
+   (some group's MAX); an update moves its row to a random day's group *)
+let gen_value_deltas rng rows ~deltas =
+  let live = Hashtbl.create 64 in
+  List.iter (fun row -> Hashtbl.replace live (id_of row) row) rows;
+  let next_id = ref 1000 in
+  let target () =
+    let all = Hashtbl.fold (fun _ row acc -> row :: acc) live [] |> List.sort Tuple.compare in
+    let qty row = match row.(2) with Value.Int q -> q | _ -> 0 in
+    match Prng.int rng 3 with
+    | 0 -> List.fold_left (fun m r -> if qty r < qty m then r else m) (List.hd all) all
+    | 1 -> List.nth all (List.length all - 1)
+    | _ -> List.nth all (Prng.int rng (List.length all))
+  in
+  let change () =
+    match Prng.int rng 5 with
+    | 0 ->
+      incr next_id;
+      let row = Workload.gen_part rng ~id:!next_id ~day:(Prng.int rng 4) in
+      Hashtbl.replace live !next_id row;
+      Delta.Insert row
+    | 1 ->
+      let before = target () in
+      Hashtbl.remove live (id_of before);
+      Delta.Delete before
+    | _ ->
+      let before = target () in
+      let after = Array.copy before in
+      after.(2) <- Value.Int (Prng.int rng 1000);
+      after.(4) <- Value.Date (Prng.int rng 4);
+      Hashtbl.replace live (id_of before) after;
+      Delta.Update (before, after)
+  in
+  List.init deltas (fun _ ->
+      Delta.make ~table:"parts" ~schema:parts_schema
+        (List.init (1 + Prng.int rng 12) (fun _ -> change ())))
+
+(* one warehouse integrates value deltas (views maintained once per run);
+   its twin runs the same changes as direct replica DML (once per row
+   event) *)
+let prop_value_delta_twins =
+  QCheck2.Test.make ~name:"per-run and per-row view maintenance agree on value deltas" ~count:30
+    QCheck2.Gen.(int_range 0 10000)
+    (fun seed ->
+      let wh_value = mk_twin () and wh_direct = mk_twin () in
+      let deltas =
+        gen_value_deltas (Prng.create ~seed) (Warehouse.replica_rows wh_value "parts") ~deltas:4
+      in
+      List.iter
+        (fun d -> ignore (Warehouse.integrate_value_delta wh_value d : Warehouse.stats))
+        deltas;
+      let db = Warehouse.db wh_direct in
+      List.iter
+        (fun d ->
+          Db.with_txn db (fun txn ->
+              List.iter
+                (fun c -> ignore (Db.exec db txn (direct_stmt c) : Db.exec_result))
+                d.Delta.changes))
+        deltas;
+      twins_agree wh_value wh_direct)
+
+let supply_insert ~supply_id ~part_id =
+  Dw_sql.Ast.Insert
+    { table = "supply"; columns = None;
+      rows = [ [ Value.Int supply_id; Value.Int part_id; Value.Str "sup9" ] ] }
+
+let supply_where where = Dw_sql.Ast.Delete { table = "supply"; where = Some where }
+
+(* one refresh transaction switches tables at every statement: each run
+   over [parts] must be maintained against the [supply] rows it saw, so
+   the join view stays exact only if a switch maintains the open run *)
+let alternating_tables_run () =
+  let wh = mk_twin () in
+  let stmts =
+    [
+      Workload.update_parts_stmt ~first_id:1 ~size:10;
+      supply_insert ~supply_id:100 ~part_id:5;
+      supply_insert ~supply_id:101 ~part_id:7;
+      Workload.update_parts_stmt ~first_id:3 ~size:6;
+      Dw_sql.Ast.Update
+        { table = "supply"; sets = [ ("part_id", Expr.Lit (Value.Int 8)) ];
+          where = Some (Expr.Cmp (Expr.Le, Expr.Col "supply_id", Expr.Lit (Value.Int 10))) };
+      delete_where (between ~first_id:6 ~size:3);
+      supply_where (Expr.Cmp (Expr.Eq, Expr.Col "part_id", Expr.Lit (Value.Int 5)));
+      move_stmt ~first_id:1 ~size:20 ~day:2;
+      insert_part (Workload.gen_part (Prng.create ~seed:3) ~id:500 ~day:1);
+      supply_insert ~supply_id:102 ~part_id:500;
+      Workload.update_parts_stmt ~first_id:490 ~size:20;
+    ]
+  in
+  let stats = Warehouse.integrate_op_deltas wh [ Op_delta.make ~txn_id:1 stmts ] in
+  check Alcotest.int "one refresh transaction" 1 stats.Warehouse.txns;
+  List.iter
+    (fun name -> check Alcotest.bool (name ^ " equals recompute") true (views_agree wh name))
+    [ "small_qty"; "parts_by_supplier" ];
+  check Alcotest.bool "day_stats equals recompute" true (agg_views_agree wh "day_stats")
+
+(* 50 updates that keep their rows in the day-0 group, as a value delta
+   of 100 one-row statements: the group is written once for the run *)
+let value_delta_group_written_once_per_run () =
+  let row_ops with_agg =
+    let wh = mk_wh ~parts:60 () in
+    if with_agg then Warehouse.define_agg_view wh day_stats;
+    let changes =
+      List.filteri (fun i _ -> i < 50) (Warehouse.replica_rows wh "parts")
+      |> List.map (fun before ->
+             let after = Array.copy before in
+             after.(2) <- (match before.(2) with Value.Int q -> Value.Int (q + 1) | v -> v);
+             Delta.Update (before, after))
+    in
+    let stats =
+      Warehouse.integrate_value_delta wh (Delta.make ~table:"parts" ~schema:parts_schema changes)
+    in
+    if with_agg then
+      check Alcotest.bool "day_stats maintained" true (agg_views_agree wh "day_stats");
+    stats.Warehouse.row_ops
+  in
+  check Alcotest.int "one group write for 50 value-delta updates" 1 (row_ops true - row_ops false)
+
 let suite =
   [
     test "materialize sp view" materialize_sp;
@@ -677,4 +809,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_twin_warehouses;
     test "agg group written once per statement" agg_group_written_once_per_statement;
     test "agg MIN rescan written once" agg_rescan_written_once;
+    QCheck_alcotest.to_alcotest prop_value_delta_twins;
+    test "alternating tables in one refresh transaction" alternating_tables_run;
+    test "value-delta group written once per run" value_delta_group_written_once_per_run;
   ]
