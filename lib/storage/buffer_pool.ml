@@ -8,16 +8,29 @@ module Metrics = Dw_util.Metrics
 
    Striping: the pool is split into [stripes] independently-mutexed
    sub-pools, each owning its share of the frame budget; a page maps to
-   a stripe by (file, page) hash, so parallel scan domains faulting
+   a stripe by (file name, page) hash, so parallel scan domains faulting
    different pages contend only when they hash together.  One stripe
    (the default) is byte-for-byte the old single-LRU behaviour, which
-   the eviction-order regression tests rely on.  [with_page] holds the
+   the eviction-order regression tests rely on, and skips the hash.
+
+   Within a stripe a frame is keyed by one int packing the file's
+   {!Vfs.id} with the page number, so a hit hashes and compares an int
+   rather than a (name, page) pair.  [with_page] holds the
    stripe mutex for the whole callback: the frame bytes are owned by the
    caller until it returns, which is also what keeps page reads and
    write-backs of the same page from interleaving. *)
 
+(* [Vfs.id] in the high bits, the page number in the low [page_bits] *)
+let page_bits = 32
+
+let key_of file pno = (Vfs.id file lsl page_bits) lor pno
+let page_of key = key land ((1 lsl page_bits) - 1)
+let file_id_of key = key lsr page_bits
+
+module Key_table = Hashtbl.Make (Int)
+
 type frame = {
-  mutable key : string * int;  (* file name, page number *)
+  mutable key : int;  (* [key_of] file, page *)
   data : bytes;
   mutable dirty : bool;
   mutable valid : bool;
@@ -28,15 +41,25 @@ type frame = {
 
 type stripe = {
   frames : frame array;
-  table : (string * int, int) Hashtbl.t;  (* key -> frame index *)
+  table : int Key_table.t;  (* key -> frame index *)
   mutable mru : int;   (* -1 when the list is empty *)
   mutable lru : int;
   mutable free : int list;  (* invalid frames *)
   stripe_lock : Mutex.t;
 }
 
+(* the pool's metrics, resolved once *)
+type handles = {
+  hits : Metrics.counter;
+  misses : Metrics.counter;
+  evictions : Metrics.counter;
+  writebacks : Metrics.counter;
+  miss_hist : Metrics.hist;
+}
+
 type t = {
   vfs : Vfs.t;
+  h : handles;
   stripes : stripe array;
   (* file growth must be serialised across stripes: page numbers are
      allocated from the current file size *)
@@ -47,9 +70,9 @@ let mk_stripe capacity =
   {
     frames =
       Array.init capacity (fun _ ->
-          { key = ("", -1); data = Bytes.create Page.size; dirty = false; valid = false;
+          { key = -1; data = Bytes.create Page.size; dirty = false; valid = false;
             file = None; prev = -1; next = -1 });
-    table = Hashtbl.create (capacity * 2);
+    table = Key_table.create (capacity * 2);
     mru = -1;
     lru = -1;
     free = List.init capacity Fun.id;
@@ -61,8 +84,13 @@ let create ?(stripes = 1) ~vfs ~capacity () =
   if stripes < 1 then invalid_arg "Buffer_pool.create: stripes < 1";
   let n = min stripes capacity (* every stripe gets at least one frame *) in
   let base = capacity / n and rem = capacity mod n in
+  let m = Vfs.metrics vfs in
   {
     vfs;
+    h =
+      { hits = Metrics.counter m "pool.hits"; misses = Metrics.counter m "pool.misses";
+        evictions = Metrics.counter m "pool.evictions";
+        writebacks = Metrics.counter m "pool.writebacks"; miss_hist = Metrics.hist m "pool.miss" };
     stripes = Array.init n (fun i -> mk_stripe (base + if i < rem then 1 else 0));
     append_lock = Mutex.create ();
   }
@@ -75,9 +103,10 @@ let capacity t = Array.fold_left (fun acc sp -> acc + Array.length sp.frames) 0 
 
 let page_count _t file = Vfs.size file / Page.size
 
-let metrics t = Vfs.metrics t.vfs
-
-let stripe_for t key = t.stripes.(Hashtbl.hash key mod Array.length t.stripes)
+let stripe_for t file pno =
+  match t.stripes with
+  | [| sp |] -> sp
+  | stripes -> stripes.(Hashtbl.hash (Vfs.name file, pno) mod Array.length stripes)
 
 let locked m f = Mutex.protect m f
 
@@ -107,10 +136,9 @@ let touch sp i =
 let write_back t frame =
   match frame.file with
   | Some file when frame.dirty ->
-    let _, pno = frame.key in
-    Vfs.write_at file ~off:(pno * Page.size) frame.data;
+    Vfs.write_at file ~off:(page_of frame.key * Page.size) frame.data;
     frame.dirty <- false;
-    Metrics.incr (metrics t) "pool.writebacks"
+    Metrics.bump t.h.writebacks 1
   | Some _ | None -> ()
 
 (* an invalid frame if one exists, otherwise the least recently used *)
@@ -121,40 +149,52 @@ let victim sp =
     i
   | [] -> sp.lru
 
+(* a miss: evict the victim (writing it back if dirty), read the page *)
+let fault_in t sp file pno key =
+  let idx = victim sp in
+  let frame = sp.frames.(idx) in
+  if frame.valid then begin
+    write_back t frame;
+    Key_table.remove sp.table frame.key;
+    Metrics.bump t.h.evictions 1;
+    unlink sp idx
+  end;
+  let data = Vfs.read_at file ~off:(pno * Page.size) ~len:Page.size in
+  Bytes.blit data 0 frame.data 0 Page.size;
+  frame.key <- key;
+  frame.valid <- true;
+  frame.dirty <- false;
+  frame.file <- Some file;
+  Key_table.replace sp.table key idx;
+  push_mru sp idx;
+  frame
+
 let load t sp file pno =
-  let key = (Vfs.name file, pno) in
-  match Hashtbl.find_opt sp.table key with
+  let key = key_of file pno in
+  match Key_table.find_opt sp.table key with
   | Some idx ->
-    Metrics.incr (metrics t) "pool.hits";
+    Metrics.bump t.h.hits 1;
     touch sp idx;
     sp.frames.(idx)
   | None ->
-    Metrics.incr (metrics t) "pool.misses";
-    Metrics.time (metrics t) "pool.miss" (fun () ->
-        let idx = victim sp in
-        let frame = sp.frames.(idx) in
-        if frame.valid then begin
-          write_back t frame;
-          Hashtbl.remove sp.table frame.key;
-          Metrics.incr (metrics t) "pool.evictions";
-          unlink sp idx
-        end;
-        let data = Vfs.read_at file ~off:(pno * Page.size) ~len:Page.size in
-        Bytes.blit data 0 frame.data 0 Page.size;
-        frame.key <- key;
-        frame.valid <- true;
-        frame.dirty <- false;
-        frame.file <- Some file;
-        Hashtbl.replace sp.table key idx;
-        push_mru sp idx;
-        frame)
+    Metrics.bump t.h.misses 1;
+    let m = Vfs.metrics t.vfs in
+    let started = Metrics.now m in
+    (match fault_in t sp file pno key with
+     | frame ->
+       Metrics.record t.h.miss_hist (Metrics.now m -. started);
+       frame
+     | exception e ->
+       let bt = Printexc.get_raw_backtrace () in
+       Metrics.record t.h.miss_hist (Metrics.now m -. started);
+       Printexc.raise_with_backtrace e bt)
 
 let with_page t file pno ~dirty f =
   if pno < 0 || pno >= page_count t file then
     invalid_arg
       (Printf.sprintf "Buffer_pool.with_page: page %d outside file %s (%d pages)" pno
          (Vfs.name file) (page_count t file));
-  let sp = stripe_for t (Vfs.name file, pno) in
+  let sp = stripe_for t file pno in
   locked sp.stripe_lock (fun () ->
       let frame = load t sp file pno in
       if dirty then frame.dirty <- true;
@@ -165,7 +205,7 @@ let append_page t file init =
       let pno = page_count t file in
       (* materialise the page on disk so page_count stays consistent *)
       Vfs.write_at file ~off:(pno * Page.size) (Bytes.make Page.size '\000');
-      let sp = stripe_for t (Vfs.name file, pno) in
+      let sp = stripe_for t file pno in
       locked sp.stripe_lock (fun () ->
           let frame = load t sp file pno in
           frame.dirty <- true;
@@ -173,13 +213,13 @@ let append_page t file init =
       pno)
 
 let flush_file t file =
-  let fname = Vfs.name file in
+  let fid = Vfs.id file in
   Array.iter
     (fun sp ->
       locked sp.stripe_lock (fun () ->
           Array.iter
             (fun frame ->
-              if frame.valid && fst frame.key = fname then write_back t frame)
+              if frame.valid && file_id_of frame.key = fid then write_back t frame)
             sp.frames))
     t.stripes
 
@@ -191,14 +231,14 @@ let flush_all t =
     t.stripes
 
 let invalidate_file t file =
-  let fname = Vfs.name file in
+  let fid = Vfs.id file in
   Array.iter
     (fun sp ->
       locked sp.stripe_lock (fun () ->
           Array.iteri
             (fun i frame ->
-              if frame.valid && fst frame.key = fname then begin
-                Hashtbl.remove sp.table frame.key;
+              if frame.valid && file_id_of frame.key = fid then begin
+                Key_table.remove sp.table frame.key;
                 frame.valid <- false;
                 frame.dirty <- false;
                 frame.file <- None;

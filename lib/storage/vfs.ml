@@ -145,30 +145,72 @@ type backend =
   | Mem of (string, Mem_file.t) Hashtbl.t
   | Disk of string  (* directory *)
 
+(* the per-I/O metrics, resolved once per Vfs instead of by name on
+   every read, write and fsync *)
+type handles = {
+  reads : Metrics.counter;
+  read_bytes : Metrics.counter;
+  writes : Metrics.counter;
+  write_bytes : Metrics.counter;
+  fsyncs : Metrics.counter;
+  read_hist : Metrics.hist;
+  write_hist : Metrics.hist;
+  fsync_hist : Metrics.hist;
+}
+
 type t = {
   backend : backend;
   metrics : Metrics.t;
+  h : handles;
   open_files : (string, int) Hashtbl.t;  (* name -> refcount *)
+  ids : (string, int) Hashtbl.t;  (* name -> stable id, assigned on first open *)
+  (* bumped after every [create]/[delete] changes the Mem table: a file
+     handle's cached [Mem_file] is good while this has not moved *)
+  generation : int Atomic.t;
   op_delay : float;  (* simulated per-operation latency, seconds *)
   mutable fault : Fault.t option;
 }
 
+(* a file handle's cached byte store, swapped whole *)
+type cached = { gen : int; store : Mem_file.t }
+
 type file = {
   vfs : t;
   fname : string;
+  fid : int;
+  mutable cached : cached option;  (* Mem backend only *)
   mutable fd : Unix.file_descr option;  (* Disk backend only *)
   mutable closed : bool;
 }
 
-let in_memory ?metrics ?(op_delay = 0.0) () =
+let make backend metrics op_delay =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  { backend = Mem (Hashtbl.create 16); metrics; open_files = Hashtbl.create 16; op_delay;
-    fault = None }
+  {
+    backend;
+    metrics;
+    h =
+      {
+        reads = Metrics.counter metrics "vfs.reads";
+        read_bytes = Metrics.counter metrics "vfs.read_bytes";
+        writes = Metrics.counter metrics "vfs.writes";
+        write_bytes = Metrics.counter metrics "vfs.write_bytes";
+        fsyncs = Metrics.counter metrics "vfs.fsyncs";
+        read_hist = Metrics.hist metrics "vfs.read";
+        write_hist = Metrics.hist metrics "vfs.write";
+        fsync_hist = Metrics.hist metrics "vfs.fsync";
+      };
+    open_files = Hashtbl.create 16;
+    ids = Hashtbl.create 16;
+    generation = Atomic.make 0;
+    op_delay;
+    fault = None;
+  }
+
+let in_memory ?metrics ?(op_delay = 0.0) () = make (Mem (Hashtbl.create 16)) metrics op_delay
 
 let on_disk ?metrics dir =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  { backend = Disk dir; metrics; open_files = Hashtbl.create 16; op_delay = 0.0; fault = None }
+  make (Disk dir) metrics 0.0
 
 let metrics t = t.metrics
 
@@ -209,20 +251,34 @@ let check_dead t op =
     raise (Fault.Crash { op; index = p.Fault.fail_stop_after })
   | Some _ | None -> ()
 
+let file_id t name =
+  match Hashtbl.find_opt t.ids name with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.ids in
+    Hashtbl.add t.ids name id;
+    id
+
+let open_handle t name =
+  track_open t name;
+  let fd =
+    match t.backend with
+    | Mem _ -> None
+    | Disk dir -> Some (Unix.openfile (path dir name) [ Unix.O_RDWR ] 0o644)
+  in
+  { vfs = t; fname = name; fid = file_id t name; cached = None; fd; closed = false }
+
 let create t name =
   check_name name;
   check_dead t "create";
   (match t.backend with
-   | Mem files -> Hashtbl.replace files name (Mem_file.create ())
+   | Mem files ->
+     Hashtbl.replace files name (Mem_file.create ());
+     Atomic.incr t.generation
    | Disk dir ->
      let fd = Unix.openfile (path dir name) [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
      Unix.close fd);
-  track_open t name;
-  match t.backend with
-  | Mem _ -> { vfs = t; fname = name; fd = None; closed = false }
-  | Disk dir ->
-    let fd = Unix.openfile (path dir name) [ Unix.O_RDWR ] 0o644 in
-    { vfs = t; fname = name; fd = Some fd; closed = false }
+  open_handle t name
 
 let exists t name =
   check_name name;
@@ -233,12 +289,7 @@ let exists t name =
 let open_existing t name =
   check_name name;
   if not (exists t name) then raise Not_found;
-  track_open t name;
-  match t.backend with
-  | Mem _ -> { vfs = t; fname = name; fd = None; closed = false }
-  | Disk dir ->
-    let fd = Unix.openfile (path dir name) [ Unix.O_RDWR ] 0o644 in
-    { vfs = t; fname = name; fd = Some fd; closed = false }
+  open_handle t name
 
 let open_or_create t name = if exists t name then open_existing t name else create t name
 
@@ -247,7 +298,9 @@ let delete t name =
   check_dead t "delete";
   if Hashtbl.mem t.open_files name then invalid_arg ("Vfs.delete: file is open: " ^ name);
   match t.backend with
-  | Mem files -> Hashtbl.remove files name
+  | Mem files ->
+    Hashtbl.remove files name;
+    Atomic.incr t.generation
   | Disk dir -> if Sys.file_exists (path dir name) then Sys.remove (path dir name)
 
 let list_files t =
@@ -256,13 +309,24 @@ let list_files t =
   | Disk dir -> Sys.readdir dir |> Array.to_list |> List.sort String.compare
 
 let name f = f.fname
+let id f = f.fid
 
+(* the file's byte store: the cached one while no create/delete has
+   moved the generation, else looked up by name again.  The generation
+   is read before the lookup, so a create racing the lookup can only
+   leave an entry that the next call re-validates. *)
 let mem_file f =
   match f.vfs.backend with
   | Mem files ->
-    (match Hashtbl.find_opt files f.fname with
-     | Some m -> m
-     | None -> raise Not_found)
+    let gen = Atomic.get f.vfs.generation in
+    (match f.cached with
+     | Some c when c.gen = gen -> c.store
+     | Some _ | None ->
+       (match Hashtbl.find_opt files f.fname with
+        | Some store ->
+          f.cached <- Some { gen; store };
+          store
+        | None -> raise Not_found))
   | Disk _ -> assert false
 
 let size f =
@@ -330,13 +394,45 @@ let maybe_flip_bits t buf =
 
 let count_read f len =
   simulate_latency f;
-  Metrics.incr f.vfs.metrics "vfs.reads";
-  Metrics.add f.vfs.metrics "vfs.read_bytes" len
+  Metrics.bump f.vfs.h.reads 1;
+  Metrics.bump f.vfs.h.read_bytes len
 
 let count_write f len =
   simulate_latency f;
-  Metrics.incr f.vfs.metrics "vfs.writes";
-  Metrics.add f.vfs.metrics "vfs.write_bytes" len
+  Metrics.bump f.vfs.h.writes 1;
+  Metrics.bump f.vfs.h.write_bytes len
+
+(* Per-I/O timing: the form of [Metrics.time] the hot paths use, with
+   two clock reads and no closure.  A raising operation still records
+   its sample before the exception goes on. *)
+let since vfs started = Metrics.now vfs.metrics -. started
+
+let record_raise vfs h started e =
+  let bt = Printexc.get_raw_backtrace () in
+  Metrics.record h (since vfs started);
+  Printexc.raise_with_backtrace e bt
+
+let read_bytes f ~off ~len =
+  count_read f len;
+  let buf =
+    match f.vfs.backend with
+    | Mem _ -> Mem_file.read (mem_file f) ~off ~len
+    | Disk _ ->
+      let fd = Option.get f.fd in
+      let buf = Bytes.create len in
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      let rec go pos remaining =
+        if remaining > 0 then begin
+          let n = Unix.read fd buf pos remaining in
+          if n = 0 then invalid_arg "Vfs.read_at: unexpected EOF";
+          go (pos + n) (remaining - n)
+        end
+      in
+      go 0 len;
+      buf
+  in
+  maybe_flip_bits f.vfs buf;
+  buf
 
 let read_at f ~off ~len =
   if f.closed then invalid_arg "Vfs.read_at: closed file";
@@ -345,73 +441,68 @@ let read_at f ~off ~len =
       (Printf.sprintf "Vfs.read_at %s: range [%d, %d) beyond size %d" f.fname off (off + len)
          (size f));
   check_dead f.vfs "read";
-  Metrics.time f.vfs.metrics "vfs.read" (fun () ->
-      count_read f len;
-      let buf =
-        match f.vfs.backend with
-        | Mem _ -> Mem_file.read (mem_file f) ~off ~len
-        | Disk _ ->
-          let fd = Option.get f.fd in
-          let buf = Bytes.create len in
-          ignore (Unix.lseek fd off Unix.SEEK_SET);
-          let rec go pos remaining =
-            if remaining > 0 then begin
-              let n = Unix.read fd buf pos remaining in
-              if n = 0 then invalid_arg "Vfs.read_at: unexpected EOF";
-              go (pos + n) (remaining - n)
-            end
-          in
-          go 0 len;
-          buf
-      in
-      maybe_flip_bits f.vfs buf;
-      buf)
+  let started = Metrics.now f.vfs.metrics in
+  match read_bytes f ~off ~len with
+  | buf ->
+    Metrics.record f.vfs.h.read_hist (since f.vfs started);
+    buf
+  | exception e -> record_raise f.vfs f.vfs.h.read_hist started e
+
+let write_bytes f ~off data =
+  let len = Bytes.length data in
+  count_write f len;
+  match f.vfs.backend with
+  | Mem _ -> Mem_file.write (mem_file f) ~off data
+  | Disk _ ->
+    let fd = Option.get f.fd in
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    let rec go pos remaining =
+      if remaining > 0 then begin
+        let n = Unix.write fd data pos remaining in
+        go (pos + n) (remaining - n)
+      end
+    in
+    go 0 len
+
+(* the write itself, or the torn prefix of a crashing one *)
+let faulted_write f ~off data =
+  match fault_event f.vfs "write" (`Write (Bytes.length data)) with
+  | `Proceed -> write_bytes f ~off data
+  | `Tear (keep, index) ->
+    if keep > 0 then write_bytes f ~off (Bytes.sub data 0 keep);
+    raise (Fault.Crash { op = "write"; index })
 
 let write_at f ~off data =
   if f.closed then invalid_arg "Vfs.write_at: closed file";
-  let len = Bytes.length data in
   let sz = size f in
   if off < 0 || off > sz then
     invalid_arg (Printf.sprintf "Vfs.write_at %s: offset %d beyond size %d" f.fname off sz);
-  let do_write data =
-    let len = Bytes.length data in
-    count_write f len;
-    match f.vfs.backend with
-    | Mem _ -> Mem_file.write (mem_file f) ~off data
-    | Disk _ ->
-      let fd = Option.get f.fd in
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
-      let rec go pos remaining =
-        if remaining > 0 then begin
-          let n = Unix.write fd data pos remaining in
-          go (pos + n) (remaining - n)
-        end
-      in
-      go 0 len
-  in
-  Metrics.time f.vfs.metrics "vfs.write" (fun () ->
-      match fault_event f.vfs "write" (`Write len) with
-      | `Proceed -> do_write data
-      | `Tear (keep, index) ->
-        if keep > 0 then do_write (Bytes.sub data 0 keep);
-        raise (Fault.Crash { op = "write"; index }))
+  let started = Metrics.now f.vfs.metrics in
+  match faulted_write f ~off data with
+  | () -> Metrics.record f.vfs.h.write_hist (since f.vfs started)
+  | exception e -> record_raise f.vfs f.vfs.h.write_hist started e
 
 let append f data =
   let off = size f in
   write_at f ~off data;
   off
 
+let sync f =
+  (match fault_event f.vfs "fsync" `Fsync with
+   | `Proceed -> ()
+   | `Tear _ -> assert false (* fsync never tears *));
+  simulate_latency f;
+  Metrics.bump f.vfs.h.fsyncs 1;
+  match f.vfs.backend with
+  | Mem _ -> ()
+  | Disk _ -> Unix.fsync (Option.get f.fd)
+
 let fsync f =
   if f.closed then invalid_arg "Vfs.fsync: closed file";
-  Metrics.time f.vfs.metrics "vfs.fsync" (fun () ->
-      (match fault_event f.vfs "fsync" `Fsync with
-       | `Proceed -> ()
-       | `Tear _ -> assert false (* fsync never tears *));
-      simulate_latency f;
-      Metrics.incr f.vfs.metrics "vfs.fsyncs";
-      match f.vfs.backend with
-      | Mem _ -> ()
-      | Disk _ -> Unix.fsync (Option.get f.fd))
+  let started = Metrics.now f.vfs.metrics in
+  match sync f with
+  | () -> Metrics.record f.vfs.h.fsync_hist (since f.vfs started)
+  | exception e -> record_raise f.vfs f.vfs.h.fsync_hist started e
 
 let close f =
   if not f.closed then begin

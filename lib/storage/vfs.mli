@@ -5,7 +5,15 @@
     backends exist: an in-memory one (deterministic, fast, used by tests
     and benches) and a real-directory one (used when persistence across
     processes matters).  Counter names: [vfs.reads], [vfs.writes],
-    [vfs.read_bytes], [vfs.write_bytes], [vfs.fsyncs].
+    [vfs.read_bytes], [vfs.write_bytes], [vfs.fsyncs]; latency
+    histograms [vfs.read], [vfs.write], [vfs.fsync].  A [t] resolves
+    these once, when it is built ({!Dw_util.Metrics.counter}), not per
+    operation.
+
+    An in-memory file handle caches the byte store its name resolves to
+    and revalidates it only after a {!create} or {!delete} on the same
+    [t], so a handle opened before a name is re-created reads the new
+    contents, as a fresh lookup would.
 
     A {!Fault.t} plan can be attached to inject deterministic faults on
     every byte path (see {!Fault} and DESIGN.md section 8): fail-stop
@@ -139,6 +147,13 @@ val list_files : t -> string list
 (** Sorted names. *)
 
 val name : file -> string
+
+val id : file -> int
+(** A small integer naming the file within its [t]: every handle opened
+    on one name gets the same id, stable across {!delete} and re-{!create}
+    of that name, and distinct names get distinct ids.  The buffer pool
+    keys its frames by it. *)
+
 val size : file -> int
 
 val read_at : file -> off:int -> len:int -> bytes

@@ -31,13 +31,17 @@ type t = {
   wait_for : (txid, txid list) Hashtbl.t;  (* waiter -> blockers *)
   waiters : int Atomic.t;  (* >= entries in [wait_for]; changed under [wait_lock] *)
   wait_lock : Mutex.t;
-  metrics : Metrics.t;
+  (* [lock.acquires], [lock.deadlocks], [lock.blocks], resolved once *)
+  acquires : Metrics.counter;
+  deadlocks : Metrics.counter;
+  blocks : Metrics.counter;
 }
 
 let default_stripes = 8
 
 let create ?metrics ?(stripes = default_stripes) () =
   if stripes < 1 then invalid_arg "Lock_manager.create: stripes < 1";
+  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   {
     stripes =
       Array.init stripes (fun _ ->
@@ -46,7 +50,9 @@ let create ?metrics ?(stripes = default_stripes) () =
     wait_for = Hashtbl.create 16;
     waiters = Atomic.make 0;
     wait_lock = Mutex.create ();
-    metrics = (match metrics with Some m -> m | None -> Metrics.create ());
+    acquires = Metrics.counter metrics "lock.acquires";
+    deadlocks = Metrics.counter metrics "lock.deadlocks";
+    blocks = Metrics.counter metrics "lock.blocks";
   }
 
 let stripe_count t = Array.length t.stripes
@@ -197,7 +203,7 @@ let held_mode sp tx resource =
   | Some tbl -> Hashtbl.find_opt tbl tx
 
 let acquire t tx resource mode =
-  Metrics.incr t.metrics "lock.acquires";
+  Metrics.bump t.acquires 1;
   let sp = stripe_for t resource in
   let blockers =
     locked sp.stripe_lock (fun () ->
@@ -222,11 +228,11 @@ let acquire t tx resource mode =
   | _ ->
     locked t.wait_lock (fun () ->
         if closes_cycle t tx blockers then begin
-          Metrics.incr t.metrics "lock.deadlocks";
+          Metrics.bump t.deadlocks 1;
           Deadlock blockers
         end
         else begin
-          Metrics.incr t.metrics "lock.blocks";
+          Metrics.bump t.blocks 1;
           set_waiting t tx blockers;
           Blocked blockers
         end)

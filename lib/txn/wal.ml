@@ -17,6 +17,7 @@ type t = {
   mutable current : Vfs.file;
   mutable next : lsn;
   mutable last_checkpoint : lsn option;
+  append_hist : Metrics.hist;  (* [wal.append], resolved once *)
 }
 
 let segment_name name base = Printf.sprintf "%s.%012d" name base
@@ -58,6 +59,7 @@ let truncate_torn_tail vfs file =
   valid
 
 let create vfs ~name ~archive =
+  let append_hist = Metrics.hist (Vfs.metrics vfs) "wal.append" in
   (* adopt any segments already present (re-open after crash) *)
   let existing =
     Vfs.list_files vfs
@@ -77,6 +79,7 @@ let create vfs ~name ~archive =
       current;
       next = 0;
       last_checkpoint = None;
+      append_hist;
     }
   | segs ->
     let segments =
@@ -101,6 +104,7 @@ let create vfs ~name ~archive =
       current;
       next = last.base + Vfs.size current;
       last_checkpoint = None;
+      append_hist;
     }
 
 let archive_enabled t = t.archive
@@ -111,15 +115,15 @@ let last_checkpoint t = t.last_checkpoint
 let append t record =
   let lsn = t.next in
   let data = Log_record.encode record in
-  (* [Metrics.time] without its per-call closure: this runs once per
-     logged row *)
+  (* [Metrics.time] without its per-call closure or name lookup: this
+     runs once per logged row *)
   let m = Vfs.metrics t.vfs in
   let started = Metrics.now m in
   (match Vfs.append t.current data with
-   | (_ : int) -> Metrics.observe m "wal.append" (Metrics.now m -. started)
+   | (_ : int) -> Metrics.record t.append_hist (Metrics.now m -. started)
    | exception e ->
      let bt = Printexc.get_raw_backtrace () in
-     Metrics.observe m "wal.append" (Metrics.now m -. started);
+     Metrics.record t.append_hist (Metrics.now m -. started);
      Printexc.raise_with_backtrace e bt);
   t.next <- lsn + Bytes.length data;
   lsn

@@ -4,10 +4,13 @@
 
    Domain-safety: every registry carries one mutex guarding its entry
    table and span state, so concurrent domains can mutate and fold the
-   same registry without torn histograms or Hashtbl corruption.  The
-   recording sink is an Atomic and is always mirrored-into OUTSIDE the
-   source registry's lock, so the only lock order is source -> sink and
-   no cycle can form. *)
+   same registry without torn histograms or Hashtbl corruption.  A
+   counter's value is an [int Atomic.t] cell: the table lookup that
+   finds it takes the mutex, the increment itself does not, so a
+   {!counter} handle that already holds its cell bumps it lock-free.
+   The recording sink is an Atomic and is always mirrored-into OUTSIDE
+   the source registry's lock, so the only lock order is source -> sink
+   and no cycle can form. *)
 
 (* ---------- histogram bucketing ----------
 
@@ -40,7 +43,7 @@ type histogram = {
   h_buckets : (int, int ref) Hashtbl.t;
 }
 
-type entry = Counter of int ref | Gauge of float ref | Histogram of histogram
+type entry = Counter of int Atomic.t | Gauge of float ref | Histogram of histogram
 
 type clock = unit -> float
 
@@ -55,6 +58,7 @@ type span_record = {
 type t = {
   entries : (string, entry) Hashtbl.t;
   lock : Mutex.t;
+  generation : int Atomic.t;  (* bumped by [reset]: handles re-resolve *)
   mutable clock : clock;
   mutable span_stack : open_span list;
   mutable completed_spans : span_record list; (* newest first *)
@@ -72,8 +76,8 @@ and open_span = {
 let default_clock = Unix.gettimeofday
 
 let create () =
-  { entries = Hashtbl.create 32; lock = Mutex.create (); clock = default_clock;
-    span_stack = []; completed_spans = [] }
+  { entries = Hashtbl.create 32; lock = Mutex.create (); generation = Atomic.make 0;
+    clock = default_clock; span_stack = []; completed_spans = [] }
 
 (* Registry locking discipline: [locked] guards every read or write of
    [entries]/span state; nothing inside a locked region may call another
@@ -116,7 +120,7 @@ let find_entry t name make =
 
 (* callers hold t.lock *)
 let counter_ref t name =
-  match find_entry t name (fun () -> Counter (ref 0)) with
+  match find_entry t name (fun () -> Counter (Atomic.make 0)) with
   | Counter r -> r
   | e -> invalid_arg (Printf.sprintf "Metrics: %s is a %s, not a counter" name (kind_name e))
 
@@ -137,19 +141,50 @@ let histogram_of t name =
 
 let mirror t f = match Atomic.get the_sink with Some s when s != t -> f s | Some _ | None -> ()
 
+(* ---------- handles ----------
+
+   A handle names one metric of one registry and caches the entry the
+   name resolves to, tagged with the registry generation it was resolved
+   in; a {!reset} bumps the generation, so the next use resolves afresh
+   (re-creating the key) instead of counting into a detached cell.  The
+   binding is an immutable value swapped whole, so a domain reading it
+   never sees a cell from one resolution with the generation of another. *)
+
+type 'a binding = Unbound | Bound of { gen : int; cell : 'a }
+
+type counter = { c_reg : t; c_name : string; mutable c_bound : int Atomic.t binding }
+type hist = { h_reg : t; h_name : string; mutable h_bound : histogram binding }
+
+let counter t name = { c_reg = t; c_name = name; c_bound = Unbound }
+let hist t name = { h_reg = t; h_name = name; h_bound = Unbound }
+
 (* ---------- counters ---------- *)
 
-let rec add t name n =
-  locked t (fun () ->
-      let r = counter_ref t name in
-      r := !r + n);
-  mirror t (fun s -> add s name n)
+let counter_cell c =
+  let t = c.c_reg in
+  match c.c_bound with
+  | Bound b when b.gen = Atomic.get t.generation -> b.cell
+  | Bound _ | Unbound ->
+    locked t (fun () ->
+        let cell = counter_ref t c.c_name in
+        c.c_bound <- Bound { gen = Atomic.get t.generation; cell };
+        cell)
+
+(* the one counter mutation: bump the resolved cell, then mirror *)
+let rec bump_cell t name cell n =
+  ignore (Atomic.fetch_and_add cell n : int);
+  match Atomic.get the_sink with Some s when s != t -> add s name n | Some _ | None -> ()
+
+and add t name n = bump_cell t name (locked t (fun () -> counter_ref t name)) n
 
 let incr t name = add t name 1
+let bump c n = bump_cell c.c_reg c.c_name (counter_cell c) n
 
 let get t name =
   locked t (fun () ->
-      match Hashtbl.find_opt t.entries name with Some (Counter r) -> !r | Some _ | None -> 0)
+      match Hashtbl.find_opt t.entries name with
+      | Some (Counter r) -> Atomic.get r
+      | Some _ | None -> 0)
 
 (* ---------- gauges ---------- *)
 
@@ -170,18 +205,36 @@ let gauges t =
 
 (* ---------- histograms ---------- *)
 
-let rec observe t name v =
-  locked t (fun () ->
-      let h = histogram_of t name in
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v;
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v;
-      let i = bucket_of v in
-      match Hashtbl.find_opt h.h_buckets i with
-      | Some r -> Stdlib.incr r
-      | None -> Hashtbl.add h.h_buckets i (ref 1));
-  mirror t (fun s -> observe s name v)
+(* callers hold t.lock *)
+let record_unlocked h v =
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum +. v;
+  if v < h.h_min then h.h_min <- v;
+  if v > h.h_max then h.h_max <- v;
+  let i = bucket_of v in
+  match Hashtbl.find_opt h.h_buckets i with
+  | Some r -> Stdlib.incr r
+  | None -> Hashtbl.add h.h_buckets i (ref 1)
+
+(* callers hold t.lock, so the generation cannot move under the check *)
+let hist_cell_unlocked hd =
+  let t = hd.h_reg in
+  match hd.h_bound with
+  | Bound b when b.gen = Atomic.get t.generation -> b.cell
+  | Bound _ | Unbound ->
+    let cell = histogram_of t hd.h_name in
+    hd.h_bound <- Bound { gen = Atomic.get t.generation; cell };
+    cell
+
+(* the one histogram mutation: record into the resolved histogram under
+   the registry lock, then mirror *)
+let rec observe_with t name resolve v =
+  locked t (fun () -> record_unlocked (resolve ()) v);
+  match Atomic.get the_sink with Some s when s != t -> observe s name v | Some _ | None -> ()
+
+and observe t name v = observe_with t name (fun () -> histogram_of t name) v
+
+let record hd v = observe_with hd.h_reg hd.h_name (fun () -> hist_cell_unlocked hd) v
 
 let observed_count t name =
   locked t (fun () ->
@@ -284,7 +337,9 @@ type span = open_span
 
 (* callers hold t.lock *)
 let counters_snapshot_unlocked t =
-  Hashtbl.fold (fun k e acc -> match e with Counter r -> (k, !r) :: acc | _ -> acc) t.entries []
+  Hashtbl.fold
+    (fun k e acc -> match e with Counter r -> (k, Atomic.get r) :: acc | _ -> acc)
+    t.entries []
 
 let counters_snapshot t = locked t (fun () -> counters_snapshot_unlocked t)
 
@@ -358,6 +413,7 @@ let reset t =
      of a registry shared across experiments with stale counters *)
   locked t (fun () ->
       Hashtbl.reset t.entries;
+      Atomic.incr t.generation;
       t.span_stack <- [];
       t.completed_spans <- [])
 

@@ -23,11 +23,15 @@
     A metric name denotes one kind; using it as another raises
     [Invalid_argument].
 
-    {b Domain-safety}: every registry operation (mutation, percentile
-    fold, reset, span bookkeeping) is serialised by a per-registry
-    mutex, so concurrent domains may share one registry; the recording
-    sink is atomic and scoped ({!with_sink}).  The clock setters are the
-    exception: install clocks before going parallel. *)
+    {b Domain-safety}: concurrent domains may share one registry.
+    Counters are atomic cells: two domains bumping one counter sum
+    exactly, and a {!counter} handle that has resolved its cell bumps it
+    without taking any lock.  Every other registry operation (histogram
+    and gauge mutation, name lookup, percentile fold, reset, span
+    bookkeeping) is serialised by a per-registry mutex; histograms take
+    it even through a {!hist} handle.  The recording sink is atomic and
+    scoped ({!with_sink}).  The clock setters are the exception: install
+    clocks before going parallel. *)
 
 type t
 
@@ -61,6 +65,37 @@ val snapshot : t -> (string * int) list
 
 val diff : before:(string * int) list -> after:(string * int) list -> (string * int) list
 (** Per-counter difference [after - before], dropping zero entries. *)
+
+(** {2 Handles}
+
+    A handle names one counter or histogram of one registry.  Hot paths
+    build their handles once, when their owner is built, and then bump
+    or record through them without hashing the name on every event.  A
+    handle behaves exactly like the name-keyed calls: it resolves its
+    key on first use (so the key appears in {!snapshot} only once
+    touched), resolves again after a {!reset} (re-creating the key
+    instead of counting into the cleared entry), mirrors into the sink
+    like {!add}/{!observe}, and raises [Invalid_argument] on first use
+    if the name is already registered as another kind. *)
+
+type counter
+
+val counter : t -> string -> counter
+(** [counter t name] is a handle on counter [name]; it touches nothing
+    until first bumped. *)
+
+val bump : counter -> int -> unit
+(** [bump c n] is [add t name n] for the handle's registry and name. *)
+
+type hist
+
+val hist : t -> string -> hist
+(** [hist t name] is a handle on histogram [name]; it touches nothing
+    until first recorded into. *)
+
+val record : hist -> float -> unit
+(** [record h v] is [observe t name v] for the handle's registry and
+    name. *)
 
 (** {2 Gauges} *)
 

@@ -521,6 +521,80 @@ let prop_btree_model =
            (fun (bk, bv) (mk, mv) -> Tuple.equal bk (key mk) && bv = mv)
            (Btree.to_list t) (KeyMap.bindings !model))
 
+(* ---------- file and frame identity ---------- *)
+
+(* an in-memory handle caches its byte store; re-creating the name must
+   still show the new file through a handle opened before it *)
+let vfs_handle_sees_recreated_file () =
+  let vfs = Vfs.in_memory () in
+  let old_h = Vfs.create vfs "r.dat" in
+  ignore (Vfs.append old_h (Bytes.of_string "old contents") : int);
+  check Alcotest.string "reads the first file" "old"
+    (Bytes.to_string (Vfs.read_at old_h ~off:0 ~len:3));
+  let new_h = Vfs.create vfs "r.dat" in
+  check Alcotest.int "re-created empty" 0 (Vfs.size old_h);
+  ignore (Vfs.append new_h (Bytes.of_string "new") : int);
+  check Alcotest.string "old handle reads the new contents" "new"
+    (Bytes.to_string (Vfs.read_at old_h ~off:0 ~len:3));
+  check Alcotest.int "one id per name" (Vfs.id old_h) (Vfs.id new_h);
+  let other = Vfs.create vfs "s.dat" in
+  check Alcotest.bool "distinct names, distinct ids" true (Vfs.id other <> Vfs.id old_h);
+  List.iter Vfs.close [ old_h; new_h; other ];
+  Vfs.delete vfs "r.dat";
+  let again = Vfs.create vfs "r.dat" in
+  check Alcotest.int "id stable across delete" (Vfs.id new_h) (Vfs.id again);
+  Vfs.close again
+
+let pool_handles_share_frames () =
+  let m = Metrics.create () in
+  let vfs = Vfs.in_memory ~metrics:m () in
+  let pool = Buffer_pool.create ~vfs ~capacity:4 () in
+  let a = Vfs.create vfs "shared.dat" in
+  let p = Buffer_pool.append_page pool a (fun page -> Bytes.set page 0 'a') in
+  let b = Vfs.open_existing vfs "shared.dat" in
+  let hits0 = Metrics.get m "pool.hits" and misses0 = Metrics.get m "pool.misses" in
+  Buffer_pool.with_page pool b p ~dirty:true (fun page ->
+      check Alcotest.char "second handle sees the frame" 'a' (Bytes.get page 0);
+      Bytes.set page 0 'b');
+  Buffer_pool.with_page pool a p ~dirty:false (fun page ->
+      check Alcotest.char "write through one handle, read through the other" 'b'
+        (Bytes.get page 0));
+  check Alcotest.int "both accesses hit" (hits0 + 2) (Metrics.get m "pool.hits");
+  check Alcotest.int "no miss" misses0 (Metrics.get m "pool.misses");
+  Vfs.close a;
+  Vfs.close b
+
+(* with two files in one pool, flushing or invalidating one file leaves
+   the other's frames alone *)
+let pool_file_ops_touch_own_frames () =
+  let m = Metrics.create () in
+  let vfs = Vfs.in_memory ~metrics:m () in
+  let pool = Buffer_pool.create ~vfs ~capacity:8 () in
+  let f = Vfs.create vfs "f.dat" and g = Vfs.create vfs "g.dat" in
+  let fill file c = Buffer_pool.append_page pool file (fun page -> Bytes.set page 0 c) in
+  let fp = [ fill f 'f'; fill f 'F' ] and gp = [ fill g 'g'; fill g 'G'; fill g 'H' ] in
+  let wb0 = Metrics.get m "pool.writebacks" in
+  Buffer_pool.flush_file pool f;
+  check Alcotest.int "flush writes back only f's pages" (wb0 + 2)
+    (Metrics.get m "pool.writebacks");
+  check Alcotest.char "g not written" '\000'
+    (Bytes.get (Vfs.read_at g ~off:(List.hd gp * Page.size) ~len:1) 0);
+  Buffer_pool.flush_file pool f;
+  check Alcotest.int "f now clean" (wb0 + 2) (Metrics.get m "pool.writebacks");
+  Buffer_pool.invalidate_file pool f;
+  let hits0 = Metrics.get m "pool.hits" and misses0 = Metrics.get m "pool.misses" in
+  let touch file p = Buffer_pool.with_page pool file p ~dirty:false (fun _ -> ()) in
+  List.iter (touch g) gp;
+  check Alcotest.int "g still resident" (hits0 + 3) (Metrics.get m "pool.hits");
+  check Alcotest.int "no g miss" misses0 (Metrics.get m "pool.misses");
+  List.iter (touch f) fp;
+  check Alcotest.int "f faulted back in" (misses0 + 2) (Metrics.get m "pool.misses");
+  Buffer_pool.flush_file pool g;
+  check Alcotest.int "g's dirty pages survived f's invalidate" (wb0 + 5)
+    (Metrics.get m "pool.writebacks");
+  Vfs.close f;
+  Vfs.close g
+
 let suite =
   [
     test "vfs mem basics" vfs_mem_basics;
@@ -552,4 +626,7 @@ let suite =
     test "btree bulk load rejects unsorted" btree_bulk_load_rejects_unsorted;
     QCheck_alcotest.to_alcotest prop_btree_bulk_load;
     QCheck_alcotest.to_alcotest prop_btree_model;
+    test "vfs handle sees a re-created file" vfs_handle_sees_recreated_file;
+    test "pool frames shared across handles" pool_handles_share_frames;
+    test "pool file ops touch only their file" pool_file_ops_touch_own_frames;
   ]

@@ -542,6 +542,90 @@ let breaker_reset_and_force_open () =
   check Alcotest.bool "allowed after reset" true (Breaker.allow b);
   check Alcotest.int "counts cleared" 0 (Breaker.consecutive_failures b)
 
+(* ---------- metric handles ---------- *)
+
+let handle_and_name_share_counter () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "k" in
+  check Alcotest.bool "absent until first use" false (List.mem_assoc "k" (Metrics.snapshot m));
+  Metrics.bump c 2;
+  Metrics.incr m "k";
+  Metrics.bump c 1;
+  check Alcotest.int "handle and name move one counter" 4 (Metrics.get m "k");
+  let h = Metrics.hist m "h" in
+  check Alcotest.int "histogram absent until first use" 0 (List.length (Metrics.histograms m));
+  Metrics.record h 0.5;
+  Metrics.observe m "h" 1.5;
+  check Alcotest.int "handle and name feed one histogram" 2 (Metrics.observed_count m "h");
+  check (Alcotest.float 1e-12) "summed" 2.0 (Metrics.observed_sum m "h")
+
+(* a handle that kept its cell across a reset would count into the
+   cleared entry: the key would stay absent and [get] would read 0 *)
+let handle_survives_reset () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "k" and h = Metrics.hist m "h" in
+  Metrics.bump c 5;
+  Metrics.record h 1.0;
+  Metrics.reset m;
+  check Alcotest.int "reset cleared the counter" 0 (Metrics.get m "k");
+  Metrics.bump c 1;
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "key re-created at 1"
+    [ ("k", 1) ] (Metrics.snapshot m);
+  Metrics.incr m "k";
+  check Alcotest.int "name path sees the same cell" 2 (Metrics.get m "k");
+  Metrics.record h 2.0;
+  check Alcotest.int "histogram re-created" 1 (Metrics.observed_count m "h");
+  check (Alcotest.float 0.0) "holds only the new sample" 2.0 (Metrics.observed_sum m "h")
+
+let handle_mirrors_into_sink () =
+  let s = Metrics.create () in
+  Metrics.with_sink (Some s) (fun () ->
+      let m = Metrics.create () in
+      let c = Metrics.counter m "c" and h = Metrics.hist m "h" in
+      Metrics.bump c 3;
+      Metrics.incr m "c";
+      Metrics.record h 0.25;
+      Metrics.observe m "h" 0.75;
+      check Alcotest.int "counter mirrored" 4 (Metrics.get s "c");
+      check Alcotest.int "histogram mirrored" 2 (Metrics.observed_count s "h");
+      check (Alcotest.float 0.0) "samples mirrored" 1.0 (Metrics.observed_sum s "h");
+      (* a handle on the sink itself stays local: no recursion *)
+      Metrics.bump (Metrics.counter s "own") 1;
+      check Alcotest.int "sink-local counter" 1 (Metrics.get s "own"))
+
+let handle_kind_clash () =
+  let m = Metrics.create () in
+  Metrics.incr m "n";
+  Metrics.observe m "h" 1.0;
+  (* building a handle touches nothing; its first use raises *)
+  let wrong_hist = Metrics.hist m "n" and wrong_counter = Metrics.counter m "h" in
+  (try
+     Metrics.record wrong_hist 1.0;
+     Alcotest.fail "recording into a counter should raise"
+   with Invalid_argument _ -> ());
+  (try
+     Metrics.bump wrong_counter 1;
+     Alcotest.fail "bumping a histogram should raise"
+   with Invalid_argument _ -> ());
+  check Alcotest.int "counter untouched" 1 (Metrics.get m "n");
+  check Alcotest.int "histogram untouched" 1 (Metrics.observed_count m "h")
+
+let handle_counts_exactly_across_domains () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "k" in
+  let n = 100_000 in
+  let work () =
+    for _ = 1 to n do
+      Metrics.bump c 1
+    done;
+    for _ = 1 to n do
+      Metrics.incr m "k"
+    done
+  in
+  let ds = List.init 2 (fun _ -> Domain.spawn work) in
+  List.iter Domain.join ds;
+  check Alcotest.int "every increment counted" (4 * n) (Metrics.get m "k")
+
 let suite =
   [
     test "prng deterministic" prng_deterministic;
@@ -586,4 +670,9 @@ let suite =
     test "breaker dwell then probe heals" breaker_dwell_then_probe_heals;
     test "breaker failed probe doubles the dwell" breaker_failed_probe_doubles_dwell;
     test "breaker reset and force_open" breaker_reset_and_force_open;
+    test "metric handle and name share a counter" handle_and_name_share_counter;
+    test "metric handle re-resolves after reset" handle_survives_reset;
+    test "metric handle mirrors into the sink" handle_mirrors_into_sink;
+    test "metric handle kind clash raises on first use" handle_kind_clash;
+    test "metric handle counts exactly across domains" handle_counts_exactly_across_domains;
   ]

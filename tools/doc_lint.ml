@@ -12,7 +12,9 @@
    With [--metric-keys DOC [--skip DIR] DIR ...] it checks metric names
    instead: every string-literal key passed to a [Metrics] emit call
    ([incr], [add], [observe], [set_gauge], [with_span], [time],
-   [start_timer], [start_span]) in the .ml files under the directories
+   [start_timer], [start_span]) or handle constructor ([counter],
+   [hist], whose handles emit under that key) in the .ml files under
+   the directories
    (outside any [--skip] directory) must appear in DOC as a backticked
    exact key or a backticked [prefix.*].  Keys built at run time
    ([sprintf], [^]) are not checked.
@@ -118,8 +120,11 @@ let documented_keys doc =
   in
   fun key -> List.mem key spans || List.exists (fun p -> starts_with p key) prefixes
 
+(* the calls that take a key: the emitters, and the handle constructors
+   whose handles emit under the key they were built with *)
 let emitters =
-  [ "incr"; "add"; "observe"; "set_gauge"; "with_span"; "time"; "start_timer"; "start_span" ]
+  [ "incr"; "add"; "observe"; "set_gauge"; "with_span"; "time"; "start_timer"; "start_span";
+    "counter"; "hist" ]
 
 let is_ident c =
   match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' | '.' -> true | _ -> false
