@@ -5,6 +5,7 @@
      dwbench run t1 t2 --scale 2
      dwbench run t3 w1 --json out.json   # machine-readable results
      dwbench stats t3                    # metrics tables after the run
+     dwbench check out.json --baseline BENCH_dwbench.json   # the bench gate
      dwbench list
      dwbench demo            # tiny end-to-end walkthrough on stdout *)
 
@@ -71,19 +72,21 @@ let write_json ~file ~scale ~quick results =
   close_out oc;
   Printf.printf "\nwrote %s (%d experiment%s)\n" file (List.length results)
     (if List.length results = 1 then "" else "s");
-  (* self-validate what was just written: structural checks always, the
-     full acceptance gates when the run covered the gated subset.  A
-     rejected document still lands on disk for inspection, but dwbench
-     exits non-zero so CI cannot ship it. *)
+  (* gate what was just written: shape always, the whole gate table when
+     the run covered the gated experiments.  A rejected document still
+     lands on disk for inspection, but dwbench exits non-zero so CI
+     cannot ship it. *)
   let strict =
     List.for_all
       (fun id -> List.exists (fun (i, _, _) -> i = id) results)
-      E.Bench_check.gated_ids
+      E.Bench_gate.gated_ids
   in
-  match E.Bench_check.validate ~strict doc with
-  | Ok summary -> Printf.printf "bench-json: ok (%s)\n" summary
+  match E.Bench_gate.check ~strict doc with
+  | Ok report ->
+    print_string (E.Bench_gate.render report);
+    if report.E.Bench_gate.failures > 0 then exit 1
   | Error msg ->
-    Printf.eprintf "bench-json: %s REJECTED: %s\n" file msg;
+    Printf.eprintf "bench-gate: %s REJECTED: %s\n" file msg;
     exit 1
 
 let print_stats (id, wall, sink) =
@@ -200,42 +203,40 @@ let stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc) Term.(ret (const run $ scale_arg $ quick_arg $ ids_arg))
 
-let compare_cmd =
+let check_cmd =
   let doc =
-    "Compare two dwbench --json documents with per-metric tolerances: the bench-regression \
-     gate.  Exits non-zero when the candidate regresses a gated gauge out of band."
+    "Check a dwbench --json document against the bench gate table: required histograms \
+     and gauges, their relations, and with --baseline their drift from a baseline run in \
+     the same mode.  Exits non-zero when a gated key fails."
   in
-  let tolerance_arg =
+  let doc_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC") in
+  let base_arg =
     Arg.(
-      value & opt float 1.0
-      & info [ "tolerance" ] ~docv:"FACTOR"
-          ~doc:
-            "Scale every per-metric band by $(docv) (2.0 doubles all bands, 0.5 halves \
-             them; exact-match flags are unaffected).")
+      value
+      & opt (some file) None
+      & info [ "baseline" ] ~docv:"BASE" ~doc:"Also gate drift against the document $(docv).")
   in
-  let base_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE") in
-  let cand_arg = Arg.(required & pos 1 (some file) None & info [] ~docv:"CANDIDATE") in
-  let read_doc path =
+  let read path =
     match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
     | Ok doc -> Ok doc
     | Error e -> Error (Printf.sprintf "%s does not parse: %s" path e)
     | exception Sys_error e -> Error e
   in
-  let run tolerance base cand =
-    if tolerance <= 0.0 then `Error (false, "--tolerance must be > 0")
-    else
-      match read_doc base, read_doc cand with
-      | Error e, _ | _, Error e -> `Error (false, e)
-      | Ok base, Ok cand -> (
-          match E.Bench_compare.compare_docs ~tolerance ~base ~cand () with
-          | Error e -> `Error (false, e)
-          | Ok report ->
-            print_string (E.Bench_compare.render report);
-            if report.E.Bench_compare.failures > 0 then exit 1;
-            `Ok ())
+  let run path base =
+    let checked =
+      Result.bind (read path) (fun doc ->
+          match base with
+          | None -> E.Bench_gate.check doc
+          | Some base -> Result.bind (read base) (fun baseline -> E.Bench_gate.check ~baseline doc))
+    in
+    match checked with
+    | Error e -> `Error (false, e)
+    | Ok report ->
+      print_string (E.Bench_gate.render report);
+      if report.E.Bench_gate.failures > 0 then exit 1;
+      `Ok ()
   in
-  Cmd.v (Cmd.info "compare" ~doc)
-    Term.(ret (const run $ tolerance_arg $ base_arg $ cand_arg))
+  Cmd.v (Cmd.info "check" ~doc) Term.(ret (const run $ doc_arg $ base_arg))
 
 let demo_cmd =
   let doc = "A miniature end-to-end delta extraction walkthrough." in
@@ -266,4 +267,4 @@ let demo_cmd =
 let () =
   let doc = "delta-extraction experiment suite (Ram & Do, ICDE 2000 reproduction)" in
   let info = Cmd.info "dwbench" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; stats_cmd; compare_cmd; list_cmd; demo_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; stats_cmd; check_cmd; list_cmd; demo_cmd ]))

@@ -26,7 +26,7 @@
      monolithic warehouse fed the same captured stream — and to the
      live source itself.
 
-   Emitted metrics (the w6.* keys gated by Bench_check):
+   Emitted metrics (the w6.* keys gated by Bench_gate):
    - gauges  w6.identical, w6.converged_with_source, w6.trips,
              w6.probes, w6.probe_failures, w6.recovered, w6.rebuilds,
              w6.readmitted, w6.degraded_reads, w6.fleet_stalls,

@@ -22,7 +22,7 @@
    comparable, not an outage measure; the batch arm's duration is the
    outage contrast.)
 
-   Emitted metrics (the w3.* keys gated by tools/validate_bench_json.ml):
+   Emitted metrics (the w3.* keys gated by Bench_gate):
    - histograms  w3.olap_latency_snapshot / w3.olap_latency_locking
      (per-query wall-clock seconds, one sample per reader session)
    - gauges      w3.olap_p95_snapshot_s / w3.olap_p95_locking_s,

@@ -19,7 +19,7 @@
    snapshot and the results compared structurally: the parallel path must
    be byte-identical, row order and column naming included.
 
-   Emitted metrics (the w5.* keys gated by Bench_check):
+   Emitted metrics (the w5.* keys gated by Bench_gate):
    - histograms  w5.olap_latency_d{n} (per-query seconds, per domain count)
    - gauges      w5.olap_qps_d{n}, w5.olap_p95_d{n}_s,
                  w5.speedup_d4 (throughput at 4 domains over 1 domain),

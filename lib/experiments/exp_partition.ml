@@ -22,7 +22,7 @@
    path must be byte-identical, which is also pinned as a qcheck
    property in test_partition.ml.
 
-   Emitted metrics (the t6.* keys gated by Bench_check):
+   Emitted metrics (the t6.* keys gated by Bench_gate):
    - histogram  stage.bucket_ops (statements per staged bucket)
    - gauges     t6.window_p{n}_s, t6.stage_p{n}_s, t6.speedup_p4,
                 t6.identical, t6.partitions, t6.delta_txns,

@@ -12,14 +12,14 @@
    Scoring is the planner's own objective, in deterministic work units:
    per round, extraction work (the per-method work_units hooks) + wire
    bytes x byte_unit + integration row ops.  No wall-clock anywhere, so
-   the T7 gates in Bench_check are CI-stable: the planned arm must end
+   the T7 gates in Bench_gate are CI-stable: the planned arm must end
    byte-identical to the source, cost at most 1.15x the best static arm
    overall, and stay strictly below the worst static arm in every phase.
    The timestamp arm is EXPECTED to diverge (the update-heavy phase
    deletes rows it can never see) — that divergence is itself gated, as
    is the planner never picking timestamp into it (eligibility).
 
-   Emitted metrics (the t7.* keys gated by Bench_check):
+   Emitted metrics (the t7.* keys gated by Bench_gate):
    - histogram loadgen.latency_ms (per-second p95 samples)
    - gauges    t7.units_<arm>, t7.units_<arm>_ph<n>, t7.planner_units,
                t7.best_static_units, t7.worst_static_units, t7.vs_best,

@@ -20,6 +20,7 @@ module Spj_view = Dw_core.Spj_view
 module Trigger_extract = Dw_core.Trigger_extract
 module Warehouse = Dw_warehouse.Warehouse
 module Prng = Dw_util.Prng
+module Metrics = Dw_util.Metrics
 open Bench_support
 
 type op_kind = Insert | Delete | Update
@@ -69,6 +70,9 @@ let capture_both ~table_rows kind size =
   let od = Op_delta.make ~txn_id:1 stmts in
   (value_delta, od)
 
+(* the one txn size, shared by quick and full runs, whose counts W1 emits *)
+let w1_gauge_size = 100
+
 let run_w1 ~scale =
   section "W1: warehouse maintenance window - Op-Delta vs value delta";
   let table_rows = scaled 20_000 ~scale in
@@ -76,6 +80,8 @@ let run_w1 ~scale =
     [ "Op"; "Txn size"; "value delta window"; "Op-Delta window"; "Op-Delta shorter by" ]
   in
   let sizes = if is_quick () then [ 10; 100; 1000 ] else w1_txn_sizes in
+  (* a private registry: set_gauge mirrors into the dwbench sink *)
+  let m = Metrics.create () in
   let rows = ref [] in
   let improvements = Hashtbl.create 4 in
   List.iter
@@ -83,30 +89,32 @@ let run_w1 ~scale =
       List.iter
         (fun size ->
           let value_delta, od = capture_both ~table_rows kind size in
-          (* best-of-3 on a fresh warehouse per repetition (GC noise) *)
+          (* best-of-3 on a fresh warehouse per repetition (GC noise);
+             the counts are the same in every repetition *)
+          let s_value = ref Warehouse.zero_stats and s_op = ref Warehouse.zero_stats in
           let t_value =
             best_of ~repeat:3
               ~setup:(fun () -> mk_warehouse ~replica_rows:table_rows)
-              (fun wh -> ignore (Warehouse.integrate_value_delta wh value_delta : Warehouse.stats))
+              (fun wh -> s_value := Warehouse.integrate_value_delta wh value_delta)
           in
           let t_op =
             best_of ~repeat:3
               ~setup:(fun () -> mk_warehouse ~replica_rows:table_rows)
-              (fun wh -> ignore (Warehouse.integrate_op_deltas wh [ od ] : Warehouse.stats))
+              (fun wh -> s_op := Warehouse.integrate_op_deltas wh [ od ])
           in
-          let s1 = { Warehouse.txns = 1; statements = 0; row_ops = 0; duration = t_value } in
-          let s2 = { Warehouse.txns = 1; statements = 0; row_ops = 0; duration = t_op } in
-          let shorter = pct_change ~base:s1.Warehouse.duration ~other:s2.Warehouse.duration in
+          if size = w1_gauge_size then
+            List.iter
+              (fun (name, v) ->
+                Metrics.set_gauge m ("w1." ^ name ^ "_" ^ op_name kind) (float_of_int v))
+              Warehouse.
+                [ ("statements_value", !s_value.statements); ("statements_op", !s_op.statements);
+                  ("row_ops_value", !s_value.row_ops); ("row_ops_op", !s_op.row_ops) ];
+          let shorter = pct_change ~base:t_value ~other:t_op in
           Hashtbl.replace improvements kind
             (shorter :: (try Hashtbl.find improvements kind with Not_found -> []));
           rows :=
-            [
-              op_name kind;
-              string_of_int size;
-              dur s1.Warehouse.duration;
-              dur s2.Warehouse.duration;
-              Printf.sprintf "%.1f%%" shorter;
-            ]
+            [ op_name kind; string_of_int size; dur t_value; dur t_op;
+              Printf.sprintf "%.1f%%" shorter ]
             :: !rows)
         sizes)
     [ Insert; Delete; Update ];
@@ -115,6 +123,11 @@ let run_w1 ~scale =
     let l = try Hashtbl.find improvements kind with Not_found -> [] in
     List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
   in
+  (* Op-Delta window over value-delta window, averaged over txn sizes *)
+  List.iter
+    (fun kind ->
+      Metrics.set_gauge m ("w1.window_ratio_" ^ op_name kind) (1.0 -. (avg kind /. 100.0)))
+    [ Insert; Delete; Update ];
   Printf.printf
     "averages over txn sizes: insert %.1f%% | delete %.1f%% | update %.1f%% shorter with \
      Op-Delta\n(paper: insert parity; delete 31.8%% shorter; update 69.7%% shorter)\n"

@@ -10,7 +10,7 @@
     Everything runs in virtual time ({!Dw_util.Sim_clock}) from a seeded
     {!Dw_util.Prng}, so a given config produces the identical op
     sequence, latencies and admission decisions on every run — the T7
-    gates in [Bench_check] depend on this.
+    gates in [Bench_gate] depend on this.
 
     The offered mix moves through {e phases} (insert-heavy,
     update-heavy, scan-heavy) so the cheapest extraction method changes

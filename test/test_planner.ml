@@ -3,8 +3,7 @@
    eligibility (timestamp vs deletes, log vs archiving), hysteresis
    convergence/no-flap qcheck properties, the __planner_log audit table,
    the `Planned pipeline end-to-end, the open-loop load generator
-   (determinism, conservation, AIMD shedding), and the bench-regression
-   comparator. *)
+   (determinism, conservation, AIMD shedding), and the bench gate table. *)
 
 module Vfs = Dw_storage.Vfs
 module Tuple = Dw_relation.Tuple
@@ -15,7 +14,7 @@ module Load_gen = Dw_workload.Load_gen
 module Warehouse = Dw_warehouse.Warehouse
 module Pipeline = Dw_etl.Pipeline
 module Planner = Dw_etl.Planner
-module Bench_compare = Dw_experiments.Bench_compare
+module Bench_gate = Dw_experiments.Bench_gate
 module Json = Dw_util.Json
 module Sim_clock = Dw_util.Sim_clock
 module Prng = Dw_util.Prng
@@ -397,90 +396,170 @@ let load_gen_rejects_bad_config () =
   expect_invalid (fun () ->
       Load_gen.validate_config { small_lg_config with Load_gen.aimd_decrease = 1.0 })
 
-(* ---------------- bench comparator ---------------- *)
+(* ---------------- bench gate ---------------- *)
 
-let doc ~quick gauges =
-  Json.Obj
-    [
-      ("quick", Json.Bool quick);
-      ( "experiments",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("id", Json.String "x");
-                ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) gauges));
-              ];
-          ] );
-    ]
+(* the committed quick baseline: a complete document that must pass its
+   own gate table *)
+let baseline =
+  lazy (match Json.of_string Baseline_doc.text with Ok doc -> doc | Error e -> failwith e)
 
-let compare_exn ?tolerance ~base ~cand () =
-  match Bench_compare.compare_docs ?tolerance ~base ~cand () with
-  | Ok r -> r
-  | Error e -> Alcotest.fail e
+let map_field name f = function
+  | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, if k = name then f v else v)) fields)
+  | j -> j
 
-let base_gauges =
-  [
-    ("t5.txns_batched", 2.0); ("w5.identical", 1.0); ("w5.olap_qps_d1", 100.0);
-    ("w5.olap_p95_d1_s", 1.0); ("t7.vs_best", 1.0);
-  ]
+let map_experiments f =
+  map_field "experiments" (function Json.List es -> Json.List (List.filter_map f es) | j -> j)
 
-(* the baseline gauges with some values overridden — a candidate doc must
-   carry every baseline key or the absence itself fails the gate *)
-let with_overrides overrides =
-  doc ~quick:true
-    (List.map
-       (fun (k, v) -> (k, try List.assoc k overrides with Not_found -> v))
-       base_gauges)
+(* [doc] with every gauge rewritten by [f key value]; [None] drops it *)
+let map_gauges f =
+  map_experiments (fun e ->
+      Some
+        (map_field "gauges"
+           (function
+             | Json.Obj gs ->
+               Json.Obj
+                 (List.filter_map
+                    (fun (k, v) ->
+                      Option.map (fun x -> (k, Json.Float x)) (f k (Option.get (Json.to_number v))))
+                    gs)
+             | j -> j)
+           e))
+
+let with_gauges overrides =
+  map_gauges (fun k v -> Some (Option.value (List.assoc_opt k overrides) ~default:v))
+
+let scale_gauges factor keys =
+  map_gauges (fun k v -> Some (if List.mem k keys then v *. factor else v))
+
+let without key = map_gauges (fun k v -> if k = key then None else Some v)
+let with_quick q = map_field "quick" (fun _ -> Json.Bool q)
+
+let gate ?baseline doc =
+  match Bench_gate.check ?baseline doc with Ok r -> r | Error e -> Alcotest.fail e
+
+let failed (r : Bench_gate.report) key =
+  List.exists
+    (fun (o : Bench_gate.outcome) -> o.row.key = key && o.failure <> None)
+    r.outcomes
+
+let value doc key =
+  match Json.to_list (Option.get (Json.member "experiments" doc)) with
+  | Some es ->
+    List.find_map
+      (fun e -> Option.bind (Json.member "gauges" e) (Json.member key))
+      es
+    |> Option.get |> Json.to_number |> Option.get
+  | None -> Alcotest.fail "no experiments"
+
+let keys_with p =
+  List.filter_map
+    (fun (row : Bench_gate.row) -> if p row then Some row.key else None)
+    Bench_gate.table
 
 let bench_compare_verdicts () =
-  let base = doc ~quick:true base_gauges in
-  (* identical documents: nothing fails, absent baseline keys don't either *)
-  let r = compare_exn ~base ~cand:base () in
-  check Alcotest.int "self-compare has no failures" 0 r.Bench_compare.failures;
-  check Alcotest.int "self-compare compares the present keys" 5 r.Bench_compare.compared;
-  (* a two-sided Near band catches drift in either direction *)
-  let worse = with_overrides [ ("t5.txns_batched", 2.5) ] in
-  let r = compare_exn ~base ~cand:worse () in
-  check Alcotest.bool "near-band drift fails" true (r.Bench_compare.failures >= 1);
-  (* ...unless the tolerance multiplier widens the band *)
-  let r = compare_exn ~tolerance:3.0 ~base ~cand:worse () in
-  let failed_key (r : Bench_compare.report) k =
-    List.exists
-      (fun (o : Bench_compare.outcome) ->
-        o.Bench_compare.key = k && o.Bench_compare.verdict = Bench_compare.Fail)
-      r.Bench_compare.outcomes
+  let base = Lazy.force baseline in
+  check Alcotest.int "baseline passes the table" 0 (gate base).failures;
+  let self = gate ~baseline:base base in
+  check Alcotest.int "self-compare passes" 0 self.failures;
+  check Alcotest.int "self-compare evaluates every row" (List.length Bench_gate.table)
+    (List.length self.outcomes);
+  (* any drift of an Exact key fails, relation or not *)
+  List.iter
+    (fun key ->
+      let cand = with_gauges [ (key, value base key +. 1.0) ] base in
+      check Alcotest.bool ("exact drift fails: " ^ key) true (failed (gate ~baseline:base cand) key))
+    (keys_with (fun row -> row.drift = Some Bench_gate.Exact));
+  let lower = keys_with (fun row -> match row.drift with Some (Lower_better _) -> true | _ -> false)
+  and higher =
+    keys_with (fun row -> match row.drift with Some (Higher_better _) -> true | _ -> false)
   in
-  check Alcotest.bool "tolerance widens the near band" false
-    (failed_key r "t5.txns_batched");
-  (* regress-only rules: improvements never fail, regressions do *)
-  let faster = with_overrides [ ("w5.olap_p95_d1_s", 0.1); ("w5.olap_qps_d1", 400.0) ] in
-  let r = compare_exn ~base ~cand:faster () in
-  check Alcotest.int "improvements never fail" 0 r.Bench_compare.failures;
-  let slower = with_overrides [ ("w5.olap_qps_d1", 10.0) ] in
-  let r = compare_exn ~base ~cand:slower () in
-  check Alcotest.bool "throughput collapse fails" true (failed_key r "w5.olap_qps_d1");
-  (* invariant flags admit no drift at all *)
-  let flag_flip = with_overrides [ ("w5.identical", 0.0) ] in
-  let r = compare_exn ~base ~cand:flag_flip () in
-  check Alcotest.bool "flag flip fails" true (failed_key r "w5.identical")
+  (* wall-clock improvements never fail *)
+  let faster = base |> scale_gauges 0.1 lower |> scale_gauges 10.0 higher in
+  check Alcotest.int "improvements never fail" 0 (gate ~baseline:base faster).failures;
+  (* a collapse fails every band, with no multiplier to widen it *)
+  let collapsed = scale_gauges 0.2 higher base in
+  List.iter
+    (fun key ->
+      check Alcotest.bool ("throughput collapse fails: " ^ key) true
+        (failed (gate ~baseline:base collapsed) key))
+    higher;
+  check Alcotest.bool "w5.olap_qps_d1 at 0.2x fails" true
+    (failed (gate ~baseline:base collapsed) "w5.olap_qps_d1");
+  let slower = scale_gauges 5.0 lower base in
+  List.iter
+    (fun key ->
+      check Alcotest.bool ("window regression fails: " ^ key) true
+        (failed (gate ~baseline:base slower) key))
+    lower
 
 let bench_compare_missing_and_modes () =
-  let base = doc ~quick:true [ ("t7.vs_best", 1.0) ] in
-  (* key present in the baseline but gone from the fresh run: failing *)
-  let r = compare_exn ~base ~cand:(doc ~quick:true []) () in
-  check Alcotest.bool "missing candidate key fails" true (r.Bench_compare.failures >= 1);
-  (* quick baseline vs full candidate is not a comparison at all *)
-  (match Bench_compare.compare_docs ~base ~cand:(doc ~quick:false []) () with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "quick/full mismatch accepted");
-  (match Bench_compare.compare_docs ~base:(Json.Obj []) ~cand:base () with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "malformed baseline accepted");
-  try
-    ignore (Bench_compare.compare_docs ~tolerance:0.0 ~base ~cand:base () : _ result);
-    Alcotest.fail "tolerance 0 accepted"
-  with Invalid_argument _ -> ()
+  let base = Lazy.force baseline in
+  check Alcotest.bool "missing candidate key fails" true
+    (failed (gate ~baseline:base (without "t7.vs_best" base)) "t7.vs_best");
+  check Alcotest.bool "missing baseline key fails" true
+    (failed (gate ~baseline:(without "t7.vs_best" base) base) "t7.vs_best");
+  check Alcotest.bool "missing baseline key without a drift rule fails" true
+    (failed (gate ~baseline:(without "w6.trips" base) base) "w6.trips");
+  let no_w6 =
+    map_experiments (fun e -> if Json.member "id" e = Some (Json.String "w6") then None else Some e)
+  in
+  check Alcotest.bool "a document without a gated experiment fails" true
+    ((gate (no_w6 base)).failures > 0);
+  check Alcotest.int "shape-only check ignores the table" 0
+    (match Bench_gate.check ~strict:false (no_w6 base) with
+     | Ok r -> r.failures
+     | Error e -> Alcotest.fail e);
+  let rejected what = function Error _ -> () | Ok _ -> Alcotest.fail (what ^ " accepted") in
+  rejected "quick/full mismatch" (Bench_gate.check ~baseline:base (with_quick false base));
+  rejected "malformed document" (Bench_gate.check (Json.Obj []));
+  rejected "malformed baseline" (Bench_gate.check ~baseline:(Json.Obj []) base)
+
+let bench_gate_relations () =
+  let base = Lazy.force baseline in
+  let fails ?(doc = base) overrides key = failed (gate (with_gauges overrides doc)) key in
+  let g4 = value base "t5.fsync_per_txn_g4" in
+  check Alcotest.bool "t5 g1/g4 = 2 fails" true
+    (fails [ ("t5.fsync_per_txn_g1", 2.0 *. g4) ] "t5.fsync_per_txn_g1");
+  check Alcotest.bool "snapshot lock wait fails" true
+    (fails [ ("w3.lock_wait_count_snapshot", 1.0) ] "w3.lock_wait_count_snapshot");
+  check Alcotest.bool "t7.vs_best = 1.2 fails" true (fails [ ("t7.vs_best", 1.2) ] "t7.vs_best");
+  check Alcotest.bool "w5 speedup 1.5 passes a quick run" false
+    (fails [ ("w5.speedup_d4", 1.5) ] "w5.speedup_d4");
+  check Alcotest.bool "w5 speedup 1.5 fails a full run" true
+    (fails ~doc:(with_quick false base) [ ("w5.speedup_d4", 1.5) ] "w5.speedup_d4");
+  check Alcotest.bool "w1 update without fewer Op-Delta statements fails" true
+    (fails
+       [ ("w1.statements_op_update", value base "w1.statements_value_update") ]
+       "w1.statements_op_update");
+  (* every relation in the table rejects a value that violates it *)
+  let full = with_quick false base in
+  List.iter
+    (fun (row : Bench_gate.row) ->
+      List.iter
+        (fun (r : Bench_gate.relation) ->
+          let x =
+            match r.rhs with Const x -> x | Times (f, key) -> f *. value base key
+          in
+          let bad = match r.cmp with Eq | Le -> x +. 1.0 | Lt | Gt -> x | Ge -> x -. 1.0 in
+          check Alcotest.bool ("violated relation fails: " ^ row.key) true
+            (fails ~doc:full [ (row.key, bad) ] row.key))
+        row.relations)
+    Bench_gate.table;
+  (* one row per key, and every operand is itself a gated gauge *)
+  let keys = List.map (fun (row : Bench_gate.row) -> row.key) Bench_gate.table in
+  check Alcotest.int "each key once" (List.length keys)
+    (List.length (List.sort_uniq String.compare keys));
+  List.iter
+    (fun (row : Bench_gate.row) ->
+      List.iter
+        (fun (r : Bench_gate.relation) ->
+          match r.rhs with
+          | Times (_, key) ->
+            check Alcotest.bool ("operand is a gauge row: " ^ key) true
+              (List.mem key (keys_with (fun row -> row.kind = Gauge)))
+          | Const _ -> ())
+        row.relations)
+    Bench_gate.table
 
 (* ---------- experiment registry ---------- *)
 
@@ -491,7 +570,7 @@ let registry_ids_unique_and_gated () =
   check Alcotest.int "ids are unique" (List.length ids)
     (List.length (List.sort_uniq String.compare ids));
   check (Alcotest.list Alcotest.string) "every gated id is a registry id" []
-    (Registry.unknown_ids Dw_experiments.Bench_check.gated_ids);
+    (Registry.unknown_ids Bench_gate.gated_ids);
   check (Alcotest.list Alcotest.string) "all selects every experiment" ids
     (List.map (fun x -> x.Registry.id) (Registry.select [ "all" ]));
   check (Alcotest.list Alcotest.string) "unknown ids are reported" [ "w2" ]
@@ -521,5 +600,6 @@ let suite =
     test "load gen rejects bad configs" load_gen_rejects_bad_config;
     test "bench compare verdicts" bench_compare_verdicts;
     test "bench compare missing keys and modes" bench_compare_missing_and_modes;
+    test "bench gate relations" bench_gate_relations;
     test "registry ids unique, gated ids registered" registry_ids_unique_and_gated;
   ]
