@@ -83,37 +83,44 @@ let output_schema t =
   in
   Schema.make ~key_arity:(List.length group_cols) (group_cols @ agg_cols)
 
-let passes t row =
-  match t.filter with None -> true | Some e -> Expr.eval_pred t.schema row e
+(* Functions over [t] compile when staged: a partial application
+   resolves column names and the filter once.  A column that is not in
+   the schema raises [Not_found] only when it is read. *)
+let passes t =
+  match t.filter with None -> fun _ -> true | Some e -> Expr.compile_pred t.schema e
 
-let group_key t row =
-  Array.of_list (List.map (fun c -> row.(Schema.index_of t.schema c)) t.group_by)
+let getter t c = Expr.compile t.schema (Expr.Col c)
 
-let field t row c = row.(Schema.index_of t.schema c)
+let group_key t =
+  let cols = Array.of_list (List.map (getter t) t.group_by) in
+  fun row -> Array.map (fun get -> get row) cols
 
-let agg_value t fn rows =
+let agg_value t fn =
   match fn with
-  | Count -> Value.Int (List.length rows)
+  | Count -> fun rows -> Value.Int (List.length rows)
   | Sum c ->
-    List.fold_left (fun acc row -> Value.add acc (field t row c)) (Value.Int 0) rows
+    let get = getter t c in
+    fun rows -> List.fold_left (fun acc row -> Value.add acc (get row)) (Value.Int 0) rows
   | Min c -> (
-      match rows with
+      let get = getter t c in
+      function
       | [] -> Value.Null
       | first :: rest ->
         List.fold_left
           (fun acc row ->
-            let v = field t row c in
+            let v = get row in
             if Value.compare v acc < 0 then v else acc)
-          (field t first c) rest)
+          (get first) rest)
   | Max c -> (
-      match rows with
+      let get = getter t c in
+      function
       | [] -> Value.Null
       | first :: rest ->
         List.fold_left
           (fun acc row ->
-            let v = field t row c in
+            let v = get row in
             if Value.compare v acc > 0 then v else acc)
-          (field t first c) rest)
+          (get first) rest)
 
 module GroupMap = Map.Make (struct
   type t = Tuple.t
@@ -121,66 +128,88 @@ module GroupMap = Map.Make (struct
   let compare = Tuple.compare
 end)
 
-let output_row t group rows =
-  Array.append group (Array.of_list (List.map (fun (_, fn) -> agg_value t fn rows) t.aggregates))
+let output_row t =
+  let aggs = List.map (fun (_, fn) -> agg_value t fn) t.aggregates in
+  fun group rows -> Array.append group (Array.of_list (List.map (fun agg -> agg rows) aggs))
 
 let eval t ~rows =
-  let passing = List.filter (passes t) rows in
+  let passes = passes t and group_key = group_key t and output_row = output_row t in
+  let passing = List.filter passes rows in
   let groups =
     List.fold_left
       (fun acc row ->
-        GroupMap.update (group_key t row)
+        GroupMap.update (group_key row)
           (function None -> Some [ row ] | Some l -> Some (row :: l))
           acc)
       GroupMap.empty passing
   in
   GroupMap.bindings groups
-  |> List.map (fun (group, members) -> (output_row t group members, List.length members))
+  |> List.map (fun (group, members) -> (output_row group members, List.length members))
 
 (* incremental transitions *)
 
-let agg_slot t i = List.length t.group_by + i
+(* each aggregate's output slot and its source column's getter *)
+type slot_fn =
+  | S_count
+  | S_sum of (Tuple.t -> Value.t)
+  | S_min of (Tuple.t -> Value.t)
+  | S_max of (Tuple.t -> Value.t)
 
-let init_group t row = output_row t (group_key t row) [ row ]
-
-let apply_insert t ~current row =
-  let out = Array.copy current in
-  List.iteri
+let slot_fns t =
+  let base = List.length t.group_by in
+  List.mapi
     (fun i (_, fn) ->
-      let slot = agg_slot t i in
-      match fn with
-      | Count -> out.(slot) <- Value.add out.(slot) (Value.Int 1)
-      | Sum c -> out.(slot) <- Value.add out.(slot) (field t row c)
-      | Min c ->
-        let v = field t row c in
-        if Value.compare v out.(slot) < 0 then out.(slot) <- v
-      | Max c ->
-        let v = field t row c in
-        if Value.compare v out.(slot) > 0 then out.(slot) <- v)
-    t.aggregates;
-  out
+      ( base + i,
+        match fn with
+        | Count -> S_count
+        | Sum c -> S_sum (getter t c)
+        | Min c -> S_min (getter t c)
+        | Max c -> S_max (getter t c) ))
+    t.aggregates
+
+let init_group t =
+  let group_key = group_key t and output_row = output_row t in
+  fun row -> output_row (group_key row) [ row ]
+
+let apply_insert t =
+  let slots = slot_fns t in
+  fun ~current row ->
+    let out = Array.copy current in
+    List.iter
+      (fun (slot, fn) ->
+        match fn with
+        | S_count -> out.(slot) <- Value.add out.(slot) (Value.Int 1)
+        | S_sum get -> out.(slot) <- Value.add out.(slot) (get row)
+        | S_min get ->
+          let v = get row in
+          if Value.compare v out.(slot) < 0 then out.(slot) <- v
+        | S_max get ->
+          let v = get row in
+          if Value.compare v out.(slot) > 0 then out.(slot) <- v)
+      slots;
+    out
 
 type delete_outcome = Updated of Tuple.t | Needs_rescan
 
-let apply_delete t ~current row =
-  let out = Array.copy current in
-  let rescan = ref false in
-  List.iteri
-    (fun i (_, fn) ->
-      let slot = agg_slot t i in
-      match fn with
-      | Count -> out.(slot) <- Value.sub out.(slot) (Value.Int 1)
-      | Sum c -> out.(slot) <- Value.sub out.(slot) (field t row c)
-      | Min c -> if Value.compare (field t row c) out.(slot) <= 0 then rescan := true
-      | Max c -> if Value.compare (field t row c) out.(slot) >= 0 then rescan := true)
-    t.aggregates;
-  if !rescan then Needs_rescan else Updated out
+let apply_delete t =
+  let slots = slot_fns t in
+  fun ~current row ->
+    let out = Array.copy current in
+    let rescan = ref false in
+    List.iter
+      (fun (slot, fn) ->
+        match fn with
+        | S_count -> out.(slot) <- Value.sub out.(slot) (Value.Int 1)
+        | S_sum get -> out.(slot) <- Value.sub out.(slot) (get row)
+        | S_min get -> if Value.compare (get row) out.(slot) <= 0 then rescan := true
+        | S_max get -> if Value.compare (get row) out.(slot) >= 0 then rescan := true)
+      slots;
+    if !rescan then Needs_rescan else Updated out
 
 let recompute_group t ~group ~replica_rows =
+  let passes = passes t and group_key = group_key t in
   let members =
-    List.filter
-      (fun row -> passes t row && Tuple.equal (group_key t row) group)
-      replica_rows
+    List.filter (fun row -> passes row && Tuple.equal (group_key row) group) replica_rows
   in
   match members with
   | [] -> None

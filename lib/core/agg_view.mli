@@ -39,6 +39,11 @@ val validate : t -> (unit, string) result
 val output_schema : t -> Schema.t
 (** Group columns (key) followed by the aggregate columns. *)
 
+(** The functions below that take a view and then rows compile when
+    partially applied: [group_key t], [passes t], [agg_value t fn],
+    [init_group t], [apply_insert t] and [apply_delete t] resolve column
+    names and the filter once, to be applied to many rows. *)
+
 val group_key : t -> Tuple.t -> Tuple.t
 (** The group a (filter-passing) source row belongs to. *)
 

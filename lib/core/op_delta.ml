@@ -56,11 +56,22 @@ let tuples_of_insert schema columns rows =
         tuple)
     rows
 
-(* every SET expression reads the before image, as in SQL *)
-let after_image schema sets before =
-  List.fold_left
-    (fun tuple (col, e) -> Tuple.set schema tuple col (Dw_relation.Expr.eval schema before e))
-    before sets
+(* every SET expression reads the before image, as in SQL; columns and
+   expressions resolve once per statement *)
+let after_image schema sets =
+  let sets =
+    List.map
+      (fun (col, e) -> (Schema.index_of_opt schema col, Dw_relation.Expr.compile schema e))
+      sets
+  in
+  fun before ->
+    let after = Array.copy before in
+    List.iter
+      (fun (i, f) ->
+        let v = f before in
+        match i with Some i -> after.(i) <- v | None -> raise Not_found)
+      sets;
+    after
 
 let value_delta ~table ~schema t =
   let changes op =
@@ -70,9 +81,8 @@ let value_delta ~table ~schema t =
       | Ast.Insert { columns; rows; _ } ->
         List.map (fun row -> Delta.Insert row) (tuples_of_insert schema columns rows)
       | Ast.Update { sets; _ } ->
-        List.map
-          (fun before -> Delta.Update (before, after_image schema sets before))
-          op.before_images
+        let after_image = after_image schema sets in
+        List.map (fun before -> Delta.Update (before, after_image before)) op.before_images
       | Ast.Delete _ -> List.map (fun before -> Delta.Delete before) op.before_images
       | Ast.Select _ | Ast.Create_table _ -> []
   in

@@ -31,6 +31,7 @@ type t = {
   capture_images : bool;  (* force hybrid before-image capture *)
   mutable seq : int;
   mutable captured : Op_delta.t list;  (* newest first *)
+  mutable captured_count : int;  (* length of [captured] *)
   mutable captured_bytes : int;
 }
 
@@ -43,7 +44,8 @@ let create ?(views = []) ?(replicas = true) ?(capture_images = false) db ~sink =
    | To_file name ->
      if not (Vfs.exists (Db.vfs db) name) then
        Vfs.close (Vfs.create (Db.vfs db) name));
-  { db; sink; views; replicas; capture_images; seq = 0; captured = []; captured_bytes = 0 }
+  { db; sink; views; replicas; capture_images; seq = 0; captured = []; captured_count = 0;
+    captured_bytes = 0 }
 
 let captures_images t = t.capture_images
 
@@ -152,24 +154,44 @@ let exec_txn t stmts =
       stmts;
     let od = Op_delta.with_before_images ~txn_id:(Db.txid txn) (List.rev !ops_rev) in
     write_to_sink t txn od;
-    Db.commit t.db txn;
-    t.captured <- od :: t.captured;
-    t.captured_bytes <- t.captured_bytes + Op_delta.size_bytes ~schema_of:(schema_of t) od;
-    Ok (List.rev !results_rev)
+    (od, List.rev !results_rev)
   in
+  (* any failure before the commit rolls the transaction back, as
+     [Db.with_txn] does: a transaction left open would pin version-store
+     GC and be listed in every checkpoint.  A crash skips the rollback,
+     since the simulated process is dead.  A commit that fails finishes
+     its transaction itself. *)
   match run () with
-  | result -> result
   | exception Invalid_argument msg ->
     Db.abort t.db txn;
     Error msg
   | exception Not_found ->
     Db.abort t.db txn;
     Error "unknown table"
+  | exception (Vfs.Fault.Crash _ as e) -> raise e
+  | exception e ->
+    Db.abort t.db txn;
+    raise e
+  | od, results ->
+    Db.commit t.db txn;
+    t.captured <- od :: t.captured;
+    t.captured_count <- t.captured_count + 1;
+    t.captured_bytes <- t.captured_bytes + Op_delta.size_bytes ~schema_of:(schema_of t) od;
+    Ok results
 
 let capture_units ~statements ~image_rows = float_of_int (statements + image_rows)
 let work_units ~statements = float_of_int statements
 
-let captured t = List.rev t.captured
+(* the newest [captured_count - since] entries are a prefix of the
+   newest-first list: take them, then put them in commit order *)
+let captured ?(since = 0) t =
+  let rec take n acc = function
+    | od :: rest when n > 0 -> take (n - 1) (od :: acc) rest
+    | _ -> acc
+  in
+  take (t.captured_count - since) [] t.captured
+
+let captured_count t = t.captured_count
 let captured_bytes t = t.captured_bytes
 
 let read_sink t =

@@ -51,7 +51,10 @@ exception Not_self_maintainable of string
 val exec_txn : t -> Ast.stmt list -> (Db.exec_result list, string) result
 (** Run the statements as one source transaction, capturing its Op-Delta.
     On [Error] (bad statement) the transaction is aborted and nothing is
-    captured. *)
+    captured.  Any other exception before the commit, such as
+    {!Db.Would_block}, also aborts it and is re-raised; a
+    [Vfs.Fault.Crash] is re-raised without the rollback, as
+    {!Db.with_txn} does. *)
 
 val capture_units : statements:int -> image_rows:int -> float
 (** Deterministic {e source-side} overhead estimate in abstract row-visit
@@ -66,9 +69,14 @@ val work_units : statements:int -> float
     statement once, {e independent of how many rows each statement
     touched} (the paper's Section 4 headline). *)
 
-val captured : t -> Op_delta.t list
-(** All Op-Deltas captured through this wrapper, oldest first (in-memory
-    mirror of the sink; survives sink truncation). *)
+val captured : ?since:int -> t -> Op_delta.t list
+(** The Op-Deltas captured through this wrapper, oldest first (in-memory
+    mirror of the sink; survives sink truncation): all of them, or with
+    [since] only those after the first [since], at a cost linear in the
+    number returned. *)
+
+val captured_count : t -> int
+(** How many Op-Deltas {!captured} holds. *)
 
 val captured_bytes : t -> int
 (** Total {!Op_delta.size_bytes} captured — the paper's delta-volume

@@ -93,54 +93,67 @@ let output_schema t =
          (fun p -> col_of (match p.from_side with L -> left_schema | R -> right_schema) p)
          project)
 
-let passes schema filter tuple =
-  match filter with None -> true | Some e -> Expr.eval_pred schema tuple e
+(* Views compile when staged: a partial application resolves column
+   names and filters once.  A column that is not in the schema raises
+   [Not_found] only when it is read. *)
+let passes schema = function None -> fun _ -> true | Some e -> Expr.compile_pred schema e
+let getter schema col = Expr.compile schema (Expr.Col col)
 
-let project_row schema project tuple =
-  Array.of_list (List.map (fun p -> tuple.(Schema.index_of schema p.from_col)) project)
-
-let project_sp t tuple =
+let project_sp t =
   match t with
   | Select_project { schema; filter; project; _ } ->
-    if passes schema filter tuple then Some (project_row schema project tuple) else None
-  | Join _ -> invalid_arg "Spj_view.project_sp: join view"
+    let keep = passes schema filter in
+    let cols = Array.of_list (List.map (fun p -> getter schema p.from_col) project) in
+    fun tuple -> if keep tuple then Some (Array.map (fun get -> get tuple) cols) else None
+  | Join _ -> fun _ -> invalid_arg "Spj_view.project_sp: join view"
 
-let join_pairs ~on ~left_schema ~right_schema l r =
-  List.for_all
-    (fun (lc, rc) ->
-      Value.equal l.(Schema.index_of left_schema lc) r.(Schema.index_of right_schema rc))
-    on
+(* a join view's filters, equi-join test and projection, compiled *)
+type join_fns = {
+  left_pass : Tuple.t -> bool;
+  right_pass : Tuple.t -> bool;
+  joins : Tuple.t -> Tuple.t -> bool;  (* left row, right row *)
+  row : Tuple.t -> Tuple.t -> Tuple.t;
+}
 
-let project_join project ~left_schema ~right_schema l r =
-  Array.of_list
-    (List.map
-       (fun p ->
-         match p.from_side with
-         | L -> l.(Schema.index_of left_schema p.from_col)
-         | R -> r.(Schema.index_of right_schema p.from_col))
-       project)
+let join_fns ~left_schema ~right_schema ~on ~left_filter ~right_filter project =
+  let on = List.map (fun (lc, rc) -> (getter left_schema lc, getter right_schema rc)) on in
+  let cols =
+    Array.of_list
+      (List.map
+         (fun p ->
+           match p.from_side with
+           | L -> (L, getter left_schema p.from_col)
+           | R -> (R, getter right_schema p.from_col))
+         project)
+  in
+  {
+    left_pass = passes left_schema left_filter;
+    right_pass = passes right_schema right_filter;
+    joins = (fun l r -> List.for_all (fun (gl, gr) -> Value.equal (gl l) (gr r)) on);
+    row = (fun l r -> Array.map (function L, get -> get l | R, get -> get r) cols);
+  }
 
-let join_contribution t side tuple ~other_rows =
+let join_contribution t side =
   match t with
-  | Select_project _ -> invalid_arg "Spj_view.join_contribution: select-project view"
+  | Select_project _ ->
+    fun _ ~other_rows:_ -> invalid_arg "Spj_view.join_contribution: select-project view"
   | Join { left_schema; right_schema; on; left_filter; right_filter; project; _ } -> (
+      let j = join_fns ~left_schema ~right_schema ~on ~left_filter ~right_filter project in
       match side with
       | L ->
-        if not (passes left_schema left_filter tuple) then []
-        else
-          other_rows
-          |> List.filter (fun r ->
-                 passes right_schema right_filter r
-                 && join_pairs ~on ~left_schema ~right_schema tuple r)
-          |> List.map (fun r -> project_join project ~left_schema ~right_schema tuple r)
+        fun tuple ~other_rows ->
+          if not (j.left_pass tuple) then []
+          else
+            other_rows
+            |> List.filter (fun r -> j.right_pass r && j.joins tuple r)
+            |> List.map (fun r -> j.row tuple r)
       | R ->
-        if not (passes right_schema right_filter tuple) then []
-        else
-          other_rows
-          |> List.filter (fun l ->
-                 passes left_schema left_filter l
-                 && join_pairs ~on ~left_schema ~right_schema l tuple)
-          |> List.map (fun l -> project_join project ~left_schema ~right_schema l tuple))
+        fun tuple ~other_rows ->
+          if not (j.right_pass tuple) then []
+          else
+            other_rows
+            |> List.filter (fun l -> j.left_pass l && j.joins l tuple)
+            |> List.map (fun l -> j.row l tuple))
 
 module RowMap = Map.Make (struct
   type t = Tuple.t
@@ -161,16 +174,11 @@ let eval t ~rows_of =
       List.filter_map (project_sp t) (rows_of table)
     | Join { left_table; right_table; left_schema; right_schema; on; left_filter; right_filter;
              project; _ } ->
-      let lefts = List.filter (passes left_schema left_filter) (rows_of left_table) in
-      let rights = List.filter (passes right_schema right_filter) (rows_of right_table) in
+      let j = join_fns ~left_schema ~right_schema ~on ~left_filter ~right_filter project in
+      let lefts = List.filter j.left_pass (rows_of left_table) in
+      let rights = List.filter j.right_pass (rows_of right_table) in
       List.concat_map
-        (fun l ->
-          List.filter_map
-            (fun r ->
-              if join_pairs ~on ~left_schema ~right_schema l r then
-                Some (project_join project ~left_schema ~right_schema l r)
-              else None)
-            rights)
+        (fun l -> List.filter_map (fun r -> if j.joins l r then Some (j.row l r) else None) rights)
         lefts
   in
   RowMap.bindings (bag_of_list rows)

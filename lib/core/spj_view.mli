@@ -57,9 +57,12 @@ val eval : t -> rows_of:(string -> Tuple.t list) -> (Tuple.t * int) list
 
 val project_sp : t -> Tuple.t -> Tuple.t option
 (** Select-project views only: the view row produced by one source row
-    ([None] if filtered out).  Raises [Invalid_argument] on Join views. *)
+    ([None] if filtered out).  Raises [Invalid_argument] on Join views.
+    [project_sp t] compiles the filter and projection once: apply it to
+    many rows. *)
 
 val join_contribution :
   t -> side -> Tuple.t -> other_rows:Tuple.t list -> Tuple.t list
 (** Join views only: the view rows produced by one new/old row on the
-    given side against the other side's current rows. *)
+    given side against the other side's current rows.
+    [join_contribution t side] compiles the view once. *)

@@ -55,7 +55,7 @@ let extract ?(via = `Scan) ?restrict ?project db ~table ~since ~output =
   let rows =
     match restrict with
     | None -> rows
-    | Some pred -> List.filter (fun r -> Expr.eval_pred source_schema r pred) rows
+    | Some pred -> List.filter (Expr.compile_pred source_schema pred) rows
   in
   (* sub-setting: project to a column subset (key columns must survive) *)
   let schema, rows =

@@ -32,12 +32,9 @@ let write_lines vfs dest emit =
 let dump db ~table ?where ~dest () =
   let tbl = Db.table db table in
   let schema = Table.schema tbl in
+  let keep = match where with None -> fun _ -> true | Some e -> Expr.compile_pred schema e in
   write_lines (Db.vfs db) dest (fun out ->
-      Table.scan tbl (fun _ tuple ->
-          let keep =
-            match where with None -> true | Some e -> Expr.eval_pred schema tuple e
-          in
-          if keep then out (Codec.encode_ascii schema tuple)))
+      Table.scan tbl (fun _ tuple -> if keep tuple then out (Codec.encode_ascii schema tuple)))
 
 let dump_tuples vfs ~schema ~dest tuples =
   write_lines vfs dest (fun out ->

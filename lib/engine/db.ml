@@ -234,7 +234,7 @@ let abort_rw t txn =
          | None -> ())
       | U_update (tname, rid, before, after) ->
         (match table_opt t tname with
-         | Some table -> Table.raw_update table rid ~old_tuple:after before
+         | Some table -> ignore (Table.raw_update table rid ~old_tuple:after before : bytes)
          | None -> ()))
     txn.undo_log;
   txn.undo_log <- [];
@@ -378,14 +378,46 @@ let fire t txn tname event =
 
 (* timestamp maintenance *)
 
+(* [tuple] with the table's timestamp column set to today: a copy, or
+   [tuple] itself when the table has no timestamp column *)
 let stamp t table tuple =
-  match Table.ts_column table with
+  match Table.ts_col_idx table with
   | None -> tuple
-  | Some col -> Tuple.set (Table.schema table) tuple col (Value.Date t.day)
+  | Some i ->
+    let tuple = Array.copy tuple in
+    tuple.(i) <- Value.Date t.day;
+    tuple
 
 (* DML *)
 
 let log_dml t body = ignore (Wal.append t.wal body : Wal.lsn)
+
+(* the logged tail of an insert, once the row is in the heap: [after]
+   is the record the heap holds, logged as it is *)
+let logged_insert t txn tname rid tuple after =
+  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:None;
+  log_dml t { Log_record.tx = txn.id; body = Log_record.Insert { table = tname; rid; after } };
+  txn.undo_log <- U_insert (tname, rid, tuple) :: txn.undo_log;
+  fire t txn tname (Trigger.Inserted (rid, tuple));
+  rid
+
+let logged_update t txn tname table rid ~before after =
+  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
+  let after_rec = Table.raw_update table rid ~old_tuple:before after in
+  log_dml t
+    {
+      Log_record.tx = txn.id;
+      body =
+        Log_record.Update
+          {
+            table = tname;
+            rid;
+            before = Codec.encode_binary (Table.schema table) before;
+            after = after_rec;
+          };
+    };
+  txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
+  fire t txn tname (Trigger.Updated (rid, before, after))
 
 let insert t txn tname tuple =
   check_writable txn;
@@ -393,18 +425,8 @@ let insert t txn tname tuple =
   let table = table t tname in
   acquire t txn (Lock_manager.Table tname) Lock_manager.X;
   let tuple = stamp t table tuple in
-  let rid = Table.raw_insert table tuple in
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:None;
-  log_dml t
-    {
-      Log_record.tx = txn.id;
-      body =
-        Log_record.Insert
-          { table = tname; rid; after = Codec.encode_binary (Table.schema table) tuple };
-    };
-  txn.undo_log <- U_insert (tname, rid, tuple) :: txn.undo_log;
-  fire t txn tname (Trigger.Inserted (rid, tuple));
-  rid
+  let rid, after = Table.raw_insert table tuple in
+  logged_insert t txn tname rid tuple after
 
 let insert_values t txn tname ~columns values =
   let tbl = table t tname in
@@ -472,11 +494,14 @@ let key_bounds schema where =
 
 let matching ?(mode = `Scan_only) table where =
   let schema = Table.schema table in
-  (match where with Some e -> check_columns schema e | None -> ());
   let acc = ref [] in
-  let visit rid tuple =
-    let keep = match where with None -> true | Some e -> Expr.eval_pred schema tuple e in
-    if keep then acc := (rid, tuple) :: !acc
+  let visit =
+    match where with
+    | None -> fun rid tuple -> acc := (rid, tuple) :: !acc
+    | Some e ->
+      check_columns schema e;
+      let keep = Expr.compile_pred schema e in
+      fun rid tuple -> if keep tuple then acc := (rid, tuple) :: !acc
   in
   (match mode, where with
    | `Index_preferred, Some e -> (
@@ -492,36 +517,27 @@ let update_where t txn tname ~set ~where =
   let table = table t tname in
   acquire t txn (Lock_manager.Table tname) Lock_manager.X;
   let schema = Table.schema table in
-  List.iter
-    (fun (col, e) ->
-      if not (Schema.mem schema col) then invalid_arg (Printf.sprintf "unknown column %s" col);
-      check_columns schema e)
-    set;
+  (* each SET column's index and compiled expression, resolved once *)
+  let set =
+    List.map
+      (fun (col, e) ->
+        match Schema.index_of_opt schema col with
+        | None -> invalid_arg (Printf.sprintf "unknown column %s" col)
+        | Some i ->
+          check_columns schema e;
+          (i, Expr.compile schema e))
+      set
+  in
+  let stamp_idx = Table.ts_col_idx table in
   let victims = matching ~mode:t.plan_mode table where in
   List.iter
     (fun (rid, before) ->
-      let after0 =
-        List.fold_left
-          (fun tuple (col, e) -> Tuple.set schema tuple col (Expr.eval schema before e))
-          before set
-      in
-      let after = stamp t table after0 in
-      Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
-      Table.raw_update table rid ~old_tuple:before after;
-      log_dml t
-        {
-          Log_record.tx = txn.id;
-          body =
-            Log_record.Update
-              {
-                table = tname;
-                rid;
-                before = Codec.encode_binary schema before;
-                after = Codec.encode_binary schema after;
-              };
-        };
-      txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
-      fire t txn tname (Trigger.Updated (rid, before, after)))
+      (* one copy of the before image; every expression reads [before],
+         later SETs of one column win, and the stamp wins over all *)
+      let after = Array.copy before in
+      List.iter (fun (i, f) -> after.(i) <- f before) set;
+      Option.iter (fun i -> after.(i) <- Value.Date t.day) stamp_idx;
+      logged_update t txn tname table rid ~before after)
     victims;
   List.length victims
 
@@ -558,11 +574,16 @@ let snapshot_visible t tname ~csn rid current =
 
 let snapshot_matching t txn table tname where =
   let schema = Table.schema table in
-  (match where with Some e -> check_columns schema e | None -> ());
+  let keep =
+    match where with
+    | None -> fun _ -> true
+    | Some e ->
+      check_columns schema e;
+      Expr.compile_pred schema e
+  in
   let csn = txn.snapshot_csn in
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  let keep tuple = match where with None -> true | Some e -> Expr.eval_pred schema tuple e in
   let consider rid current =
     if not (Hashtbl.mem seen rid) then begin
       Hashtbl.add seen rid ();
@@ -628,43 +649,16 @@ let insert_row t txn tname tuple =
   check_writable txn;
   let table = table t tname in
   let tuple = stamp t table tuple in
-  let rid = Table.raw_insert table tuple in
+  let rid, after = Table.raw_insert table tuple in
   acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:None;
-  log_dml t
-    {
-      Log_record.tx = txn.id;
-      body =
-        Log_record.Insert
-          { table = tname; rid; after = Codec.encode_binary (Table.schema table) tuple };
-    };
-  txn.undo_log <- U_insert (tname, rid, tuple) :: txn.undo_log;
-  fire t txn tname (Trigger.Inserted (rid, tuple));
-  rid
+  logged_insert t txn tname rid tuple after
 
 let update_rid t txn tname rid tuple =
   check_writable txn;
   let table = table t tname in
   acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  let schema = Table.schema table in
   let before = Heap_file.get (Table.heap table) rid in
-  let after = stamp t table tuple in
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
-  Table.raw_update table rid ~old_tuple:before after;
-  log_dml t
-    {
-      Log_record.tx = txn.id;
-      body =
-        Log_record.Update
-          {
-            table = tname;
-            rid;
-            before = Codec.encode_binary schema before;
-            after = Codec.encode_binary schema after;
-          };
-    };
-  txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
-  fire t txn tname (Trigger.Updated (rid, before, after))
+  logged_update t txn tname table rid ~before (stamp t table tuple)
 
 let delete_rid t txn tname rid =
   check_writable txn;
@@ -738,9 +732,10 @@ let exec_aggregate _t schema ~items ~group_by ~order_by tuples =
   in
   let agg_over rows fn e =
     let values () =
+      let eval = Expr.compile schema e in
       List.filter_map
         (fun row ->
-          let v = Expr.eval schema row e in
+          let v = eval row in
           if Value.is_null v then None else Some v)
         rows
     in
@@ -875,13 +870,16 @@ let exec t txn stmt =
                 | Ast.Item (_, None) | Ast.Agg (_, _, None) -> Printf.sprintf "col%d" i)
               items
           in
-          let eval_item tuple item =
-            match item with
-            | Ast.Star -> invalid_arg "SELECT: * must be the only item"
-            | Ast.Agg _ -> assert false
-            | Ast.Item (e, _) -> Expr.eval schema tuple e
+          let evals =
+            List.map
+              (fun item ->
+                match item with
+                | Ast.Star -> fun _ -> invalid_arg "SELECT: * must be the only item"
+                | Ast.Agg _ -> fun _ -> assert false
+                | Ast.Item (e, _) -> Expr.compile schema e)
+              items
           in
-          (names, fun tuple -> Array.of_list (List.map (eval_item tuple) items))
+          (names, fun tuple -> Array.of_list (List.map (fun eval -> eval tuple) evals))
       in
       Rows { columns; rows = List.map project tuples }
     end

@@ -33,12 +33,9 @@ let export_table db ~table ?where ~dest () =
   let file = Vfs.create (Db.vfs db) dest in
   let header = schema_header schema in
   (* count first so the header can carry it *)
+  let keep = match where with None -> fun _ -> true | Some e -> Expr.compile_pred schema e in
   let rows = ref 0 in
-  Table.scan tbl (fun _ tuple ->
-      let keep =
-        match where with None -> true | Some e -> Expr.eval_pred schema tuple e
-      in
-      if keep then incr rows);
+  Table.scan tbl (fun _ tuple -> if keep tuple then incr rows);
   let count_line = Printf.sprintf "rows=%d\n" !rows in
   ignore (Vfs.append file (Bytes.of_string header) : int);
   ignore (Vfs.append file (Bytes.of_string count_line) : int);
@@ -52,10 +49,7 @@ let export_table db ~table ?where ~dest () =
     end
   in
   Table.scan tbl (fun _ tuple ->
-      let keep =
-        match where with None -> true | Some e -> Expr.eval_pred schema tuple e
-      in
-      if keep then begin
+      if keep tuple then begin
         Buffer.add_bytes chunk (Codec.encode_binary schema tuple);
         if Buffer.length chunk + width > 4096 then flush_chunk ()
       end);

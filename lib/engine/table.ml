@@ -44,6 +44,7 @@ let name t = t.name
 let schema t = t.schema
 let heap t = t.heap
 let ts_column t = t.ts_column
+let ts_col_idx t = t.ts_col_idx
 
 (* the ts index key of [tuple]: its timestamp (column [i]), then its
    primary [key] *)
@@ -71,47 +72,50 @@ let find_key t key =
   | None -> None
   | Some rid -> Some (rid, Heap_file.get t.heap rid)
 
+(* [Codec.encode_binary] validates the tuple, so encoding comes first:
+   an invalid tuple is reported before a key check *)
 let raw_insert t tuple =
-  Tuple.validate_exn t.schema tuple;
+  let record = Dw_relation.Codec.encode_binary t.schema tuple in
   let key = Tuple.key t.schema tuple in
   if Btree.mem t.pk key then
     invalid_arg
       (Printf.sprintf "Table %s: duplicate primary key %s" t.name (Tuple.to_string key));
-  let rid = Heap_file.insert t.heap tuple in
+  let rid = Heap_file.insert_raw t.heap record in
   index_insert t rid tuple;
-  rid
+  (rid, record)
 
 let raw_insert_blind t record = Heap_file.insert_raw t.heap record
 
 let raw_insert_at t rid tuple =
-  Tuple.validate_exn t.schema tuple;
+  let record = Dw_relation.Codec.encode_binary t.schema tuple in
   let key = Tuple.key t.schema tuple in
   if Btree.mem t.pk key then
     invalid_arg
       (Printf.sprintf "Table %s: duplicate primary key %s" t.name (Tuple.to_string key));
-  Heap_file.force_at t.heap rid (Some (Dw_relation.Codec.encode_binary t.schema tuple));
+  Heap_file.force_at t.heap rid (Some record);
   index_insert t rid tuple
 
 let raw_update t rid ~old_tuple tuple =
-  Tuple.validate_exn t.schema tuple;
+  let record = Dw_relation.Codec.encode_binary t.schema tuple in
   let old_key = Tuple.key t.schema old_tuple in
   let new_key = Tuple.key t.schema tuple in
   let same_key = Tuple.compare old_key new_key = 0 in
   if (not same_key) && Btree.mem t.pk new_key then
     invalid_arg
       (Printf.sprintf "Table %s: update collides on key %s" t.name (Tuple.to_string new_key));
-  Heap_file.update t.heap rid tuple;
+  Heap_file.update t.heap rid record;
   (* the update is in place, so the rid is unchanged: an index entry
      whose key did not move already maps to it and is left alone *)
   if not same_key then begin
     ignore (Btree.remove t.pk old_key : bool);
     Btree.insert t.pk new_key rid
   end;
-  match t.ts_index, t.ts_col_idx with
-  | Some idx, Some i when not (same_key && Value.equal old_tuple.(i) tuple.(i)) ->
-    ignore (Btree.remove idx (ts_key_of i old_tuple old_key) : bool);
-    Btree.insert idx (ts_key_of i tuple new_key) rid
-  | _ -> ()
+  (match t.ts_index, t.ts_col_idx with
+   | Some idx, Some i when not (same_key && Value.equal old_tuple.(i) tuple.(i)) ->
+     ignore (Btree.remove idx (ts_key_of i old_tuple old_key) : bool);
+     Btree.insert idx (ts_key_of i tuple new_key) rid
+   | _ -> ());
+  record
 
 let raw_delete t rid ~old_tuple =
   Heap_file.delete t.heap rid;

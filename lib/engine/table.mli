@@ -48,9 +48,14 @@ val schema : t -> Schema.t
 val heap : t -> Heap_file.t
 val ts_column : t -> string option
 
-val raw_insert : t -> Tuple.t -> Heap_file.rid
-(** Inserts and maintains indexes.  Raises [Invalid_argument] on a
-    duplicate primary key. *)
+val ts_col_idx : t -> int option
+(** Position of {!ts_column} in the schema. *)
+
+val raw_insert : t -> Tuple.t -> Heap_file.rid * bytes
+(** Inserts and maintains indexes; returns the new rid and the encoded
+    record the heap now holds (the image a WAL record logs, so the row
+    is encoded once).  Raises [Invalid_argument] on an invalid tuple or
+    a duplicate primary key. *)
 
 val raw_insert_blind : t -> bytes -> Heap_file.rid
 (** Direct-block load path (ASCII Loader): no key-uniqueness check, no
@@ -63,7 +68,10 @@ val raw_insert_at : t -> Heap_file.rid -> Tuple.t -> unit
     version chains are keyed by rid, so a row must never migrate to a
     different slot while old snapshots are live. *)
 
-val raw_update : t -> Heap_file.rid -> old_tuple:Tuple.t -> Tuple.t -> unit
+val raw_update : t -> Heap_file.rid -> old_tuple:Tuple.t -> Tuple.t -> bytes
+(** Overwrites the row in place and maintains indexes; returns the
+    encoded record written. *)
+
 val raw_delete : t -> Heap_file.rid -> old_tuple:Tuple.t -> unit
 
 val rebuild_indexes : t -> unit

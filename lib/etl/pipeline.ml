@@ -240,9 +240,8 @@ let integrate_value t delta =
 
 (* drain the capture wrapper's fresh transactions since the last round *)
 let drain_ops t cap =
-  let all = Opdelta_capture.captured cap in
-  let fresh = List.filteri (fun i _ -> i >= t.op_consumed) all in
-  t.op_consumed <- List.length all;
+  let fresh = Opdelta_capture.captured ~since:t.op_consumed cap in
+  t.op_consumed <- Opdelta_capture.captured_count cap;
   fresh
 
 let integrate_ods t fresh =
@@ -473,7 +472,7 @@ let bootstrap ?config ?hook t ~owner =
         | Ok p ->
           (* the steady-state consumer must not re-apply transactions the
              bootstrap already integrated *)
-          t.op_consumed <- List.length (Opdelta_capture.captured capture);
+          t.op_consumed <- Opdelta_capture.captured_count capture;
           Ok p
         | Error e -> Error e))
   | Op_delta_wrapper, _, None, _ -> Error (failed "bootstrap requires queued transport")

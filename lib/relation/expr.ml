@@ -12,12 +12,11 @@ type t =
   | Is_null of t
   | Is_not_null of t
 
-let apply_binop op a b =
-  match op with
-  | Add -> Value.add a b
-  | Sub -> Value.sub a b
-  | Mul -> Value.mul a b
-  | Div -> Value.div a b
+let apply_binop = function
+  | Add -> Value.add
+  | Sub -> Value.sub
+  | Mul -> Value.mul
+  | Div -> Value.div
 
 let apply_cmp op a b =
   if Value.is_null a || Value.is_null b then Value.Bool false
@@ -35,52 +34,74 @@ let apply_cmp op a b =
 let bad_bool v =
   invalid_arg (Printf.sprintf "Expr.eval: expected boolean, got %s" (Value.to_string v))
 
-let rec eval schema tuple expr =
-  match expr with
-  | Col name -> tuple.(Schema.index_of schema name)
-  | Lit v -> v
-  | Binop (op, a, b) -> apply_binop op (eval schema tuple a) (eval schema tuple b)
-  | Cmp (op, a, b) -> apply_cmp op (eval schema tuple a) (eval schema tuple b)
-  | And (a, b) ->
-    (match eval schema tuple a with
-     | Value.Bool false -> Value.Bool false
-     | Value.Bool true -> as_bool (eval schema tuple b)
-     | Value.Null -> Value.Bool false
-     | v -> bad_bool v)
-  | Or (a, b) ->
-    (match eval schema tuple a with
-     | Value.Bool true -> Value.Bool true
-     | Value.Bool false -> as_bool (eval schema tuple b)
-     | Value.Null -> as_bool (eval schema tuple b)
-     | v -> bad_bool v)
-  | Not a ->
-    (match eval schema tuple a with
-     | Value.Bool b -> Value.Bool (not b)
-     | Value.Null -> Value.Bool false
-     | v -> bad_bool v)
-  | Is_null a -> Value.Bool (Value.is_null (eval schema tuple a))
-  | Is_not_null a -> Value.Bool (not (Value.is_null (eval schema tuple a)))
-
-and as_bool = function
+let as_bool = function
   | Value.Bool _ as v -> v
   | Value.Null -> Value.Bool false
   | v -> bad_bool v
 
-let eval_pred schema tuple expr =
-  match eval schema tuple expr with
-  | Value.Bool b -> b
-  | Value.Null -> false
-  | v -> bad_bool v
+let truth = function Value.Bool b -> b | Value.Null -> false | v -> bad_bool v
 
+(* Column names resolve to indices here, once; the closure does no name
+   lookup.  An unknown column raises [Not_found] only when it is
+   evaluated.  A binary node evaluates its right operand first: when both
+   operands fail, the right one's error is raised. *)
+let rec compile schema expr : Tuple.t -> Value.t =
+  match expr with
+  | Col name -> (
+      match Schema.index_of_opt schema name with
+      | Some i -> fun tuple -> tuple.(i)
+      | None -> fun _ -> raise Not_found)
+  | Lit v -> fun _ -> v
+  | Binop (op, a, b) ->
+    let f = apply_binop op and a = compile schema a and b = compile schema b in
+    fun tuple ->
+      let vb = b tuple in
+      f (a tuple) vb
+  | Cmp (op, a, b) ->
+    let a = compile schema a and b = compile schema b in
+    fun tuple ->
+      let vb = b tuple in
+      apply_cmp op (a tuple) vb
+  | And (a, b) ->
+    let a = compile schema a and b = compile schema b in
+    fun tuple ->
+      (match a tuple with
+       | Value.Bool false | Value.Null -> Value.Bool false
+       | Value.Bool true -> as_bool (b tuple)
+       | v -> bad_bool v)
+  | Or (a, b) ->
+    let a = compile schema a and b = compile schema b in
+    fun tuple ->
+      (match a tuple with
+       | Value.Bool true -> Value.Bool true
+       | Value.Bool false | Value.Null -> as_bool (b tuple)
+       | v -> bad_bool v)
+  | Not a ->
+    let a = compile schema a in
+    fun tuple ->
+      (match a tuple with
+       | Value.Bool b -> Value.Bool (not b)
+       | Value.Null -> Value.Bool false
+       | v -> bad_bool v)
+  | Is_null a ->
+    let a = compile schema a in
+    fun tuple -> Value.Bool (Value.is_null (a tuple))
+  | Is_not_null a ->
+    let a = compile schema a in
+    fun tuple -> Value.Bool (not (Value.is_null (a tuple)))
+
+let compile_pred schema expr =
+  let f = compile schema expr in
+  fun tuple -> truth (f tuple)
+
+let eval schema tuple expr = compile schema expr tuple
+let eval_pred schema tuple expr = compile_pred schema expr tuple
+
+(* expressions are small: a list is the cheapest set of names seen *)
 let columns expr =
-  let seen = Hashtbl.create 8 in
   let acc = ref [] in
   let rec go = function
-    | Col name ->
-      if not (Hashtbl.mem seen name) then begin
-        Hashtbl.add seen name ();
-        acc := name :: !acc
-      end
+    | Col name -> if not (List.exists (String.equal name) !acc) then acc := name :: !acc
     | Lit _ -> ()
     | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
       go a;

@@ -21,14 +21,22 @@ type t =
   | Is_null of t
   | Is_not_null of t
 
-val eval : Schema.t -> Tuple.t -> t -> Value.t
-(** Evaluate to a value.  Boolean-valued nodes yield [Bool]; a comparison
-    with a NULL operand yields [Bool false].  Raises [Not_found] on an
+val compile : Schema.t -> t -> Tuple.t -> Value.t
+(** [compile schema e] resolves [e]'s column names against [schema] once
+    and returns its evaluator: apply it to each tuple.  Boolean-valued
+    nodes yield [Bool]; a comparison with a NULL operand yields
+    [Bool false].  The evaluator raises [Not_found] when it reaches an
     unknown column and [Invalid_argument] on type errors. *)
 
-val eval_pred : Schema.t -> Tuple.t -> t -> bool
-(** Evaluate as a predicate: [Bool b] gives [b]; [Null] gives [false];
+val compile_pred : Schema.t -> t -> Tuple.t -> bool
+(** [compile] as a predicate: [Bool b] gives [b]; [Null] gives [false];
     any other result raises [Invalid_argument]. *)
+
+val eval : Schema.t -> Tuple.t -> t -> Value.t
+(** [eval schema tuple e] is [compile schema e tuple]: for one tuple. *)
+
+val eval_pred : Schema.t -> Tuple.t -> t -> bool
+(** [eval_pred schema tuple e] is [compile_pred schema e tuple]. *)
 
 val columns : t -> string list
 (** Column names referenced, without duplicates, in first-use order. *)

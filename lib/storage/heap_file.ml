@@ -15,14 +15,30 @@ type t = {
   file : Vfs.file;
   schema : Schema.t;
   width : int;
-  mutable free_pages : int list;  (* pages known to have a free slot *)
+  mutable free_pages : int list;  (* pages known to have a free slot, tried head first *)
+  free_set : (int, unit) Hashtbl.t;  (* the members of [free_pages] *)
 }
 
 let create pool file schema =
-  { pool; file; schema; width = Schema.record_size schema; free_pages = [] }
+  { pool; file; schema; width = Schema.record_size schema; free_pages = [];
+    free_set = Hashtbl.create 16 }
+
+(* [free_pages] holds no page twice, so [free_set] mirrors it exactly *)
+let push_free t pno =
+  if not (Hashtbl.mem t.free_set pno) then begin
+    Hashtbl.add t.free_set pno ();
+    t.free_pages <- pno :: t.free_pages
+  end
+
+let pop_free t =
+  match t.free_pages with
+  | [] -> ()
+  | pno :: rest ->
+    Hashtbl.remove t.free_set pno;
+    t.free_pages <- rest
 
 let attach pool file schema =
-  let t = { pool; file; schema; width = Schema.record_size schema; free_pages = [] } in
+  let t = create pool file schema in
   (* rebuild the free-page hint list *)
   let pages = Buffer_pool.page_count pool file in
   for pno = pages - 1 downto 0 do
@@ -30,7 +46,7 @@ let attach pool file schema =
       Buffer_pool.with_page pool file pno ~dirty:false (fun page ->
           Page.used_count page < Page.capacity page)
     in
-    if free then t.free_pages <- pno :: t.free_pages
+    if free then push_free t pno
   done;
   t
 
@@ -39,43 +55,39 @@ let file t = t.file
 let pool t = t.pool
 let page_count t = Buffer_pool.page_count t.pool t.file
 
+(* one frame visit per insert: place the record and see whether the
+   page is now full *)
 let insert_encoded t record =
+  let place pno =
+    Buffer_pool.with_page t.pool t.file pno ~dirty:true (fun page ->
+        match Page.insert page record with
+        | Some slot -> Some (slot, Page.used_count page = Page.capacity page)
+        | None -> None)
+  in
   let rec try_free () =
     match t.free_pages with
-    | [] ->
-      let pno =
-        Buffer_pool.append_page t.pool t.file (fun page -> Page.init page ~record_width:t.width)
-      in
-      let slot =
-        Buffer_pool.with_page t.pool t.file pno ~dirty:true (fun page ->
-            match Page.insert page record with
-            | Some slot ->
-              if Page.used_count page < Page.capacity page then
-                t.free_pages <- pno :: t.free_pages;
-              slot
-            | None -> assert false)
-      in
-      { page = pno; slot }
-    | pno :: rest -> (
-        match
-          Buffer_pool.with_page t.pool t.file pno ~dirty:true (fun page -> Page.insert page record)
-        with
-        | Some slot ->
-          let full =
-            Buffer_pool.with_page t.pool t.file pno ~dirty:false (fun page ->
-                Page.used_count page = Page.capacity page)
-          in
-          if full then t.free_pages <- rest;
+    | [] -> (
+        let pno =
+          Buffer_pool.append_page t.pool t.file (fun page -> Page.init page ~record_width:t.width)
+        in
+        match place pno with
+        | Some (slot, full) ->
+          if not full then push_free t pno;
+          { page = pno; slot }
+        | None -> assert false)
+    | pno :: _ -> (
+        match place pno with
+        | Some (slot, full) ->
+          if full then pop_free t;
           { page = pno; slot }
         | None ->
-          t.free_pages <- rest;
+          pop_free t;
           try_free ())
   in
   try_free ()
 
-let insert t tuple =
-  Tuple.validate_exn t.schema tuple;
-  insert_encoded t (Codec.encode_binary t.schema tuple)
+(* [Codec.encode_binary] validates the tuple *)
+let insert t tuple = insert_encoded t (Codec.encode_binary t.schema tuple)
 
 let insert_raw t record =
   if Bytes.length record <> t.width then
@@ -94,17 +106,15 @@ let get t rid =
       let record = Page.read_slot page rid.slot in
       Codec.decode_binary t.schema record 0)
 
-let update t rid tuple =
+let update t rid record =
   check_rid t rid;
-  Tuple.validate_exn t.schema tuple;
-  let record = Codec.encode_binary t.schema tuple in
   Buffer_pool.with_page t.pool t.file rid.page ~dirty:true (fun page ->
       Page.write_slot page rid.slot record)
 
 let delete t rid =
   check_rid t rid;
   Buffer_pool.with_page t.pool t.file rid.page ~dirty:true (fun page -> Page.delete page rid.slot);
-  if not (List.mem rid.page t.free_pages) then t.free_pages <- rid.page :: t.free_pages
+  push_free t rid.page
 
 let iter_pages t ~from_page ~to_page f =
   for pno = max 0 from_page to min (to_page - 1) (page_count t - 1) do
@@ -134,7 +144,7 @@ let ensure_page t pno =
     let new_pno =
       Buffer_pool.append_page t.pool t.file (fun page -> Page.init page ~record_width:t.width)
     in
-    t.free_pages <- new_pno :: t.free_pages
+    push_free t new_pno
   done
 
 let force_at t rid contents =

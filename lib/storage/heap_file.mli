@@ -35,7 +35,10 @@ val insert_raw : t -> bytes -> rid
 val get : t -> rid -> Tuple.t
 (** Raises [Invalid_argument] for a free or out-of-range rid. *)
 
-val update : t -> rid -> Tuple.t -> unit
+val update : t -> rid -> bytes -> unit
+(** Overwrite the record at [rid] with an encoded record
+    ([Codec.encode_binary] of a valid tuple). *)
+
 val delete : t -> rid -> unit
 
 val iter : t -> (rid -> Tuple.t -> unit) -> unit

@@ -47,10 +47,29 @@ let set_used page slot used =
   let byte' = if used then byte lor bit else byte land lnot bit in
   Bytes.set page pos (Char.chr byte')
 
+(* The bitmap is read a byte at a time: a table gives each byte's
+   population count and the index of its lowest clear bit.  Bits past
+   [capacity] in the last byte are never set by this module and are
+   masked off all the same. *)
+let popcount = String.init 256 (fun b ->
+    let rec go b n = if b = 0 then n else go (b land (b - 1)) (n + 1) in
+    Char.chr (go b 0))
+
+let lowest_clear = String.init 256 (fun b ->
+    let rec go i = if i = 8 || b land (1 lsl i) = 0 then i else go (i + 1) in
+    Char.chr (go 0))
+
+(* bitmap byte [i], with the bits of slots at or past [cap] cleared *)
+let bitmap_byte page cap i =
+  let byte = Char.code (Bytes.get page (bitmap_off + i)) in
+  let past = (8 * (i + 1)) - cap in
+  if past > 0 then byte land ((1 lsl (8 - past)) - 1) else byte
+
 let used_count page =
+  let cap = capacity page in
   let n = ref 0 in
-  for slot = 0 to capacity page - 1 do
-    if is_used page slot then incr n
+  for i = 0 to ((cap + 7) / 8) - 1 do
+    n := !n + Char.code popcount.[bitmap_byte page cap i]
   done;
   !n
 
@@ -58,8 +77,15 @@ let slot_off page slot = records_off page + (slot * record_width page)
 
 let find_free page =
   let cap = capacity page in
-  let rec go slot =
-    if slot >= cap then None else if not (is_used page slot) then Some slot else go (slot + 1)
+  let len = (cap + 7) / 8 in
+  let rec go i =
+    if i >= len then None
+    else
+      let byte = Char.code (Bytes.get page (bitmap_off + i)) in
+      if byte = 0xff then go (i + 1)
+      else
+        let slot = (8 * i) + Char.code lowest_clear.[byte] in
+        if slot < cap then Some slot else None
   in
   go 0
 

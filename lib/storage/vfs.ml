@@ -472,19 +472,29 @@ let faulted_write f ~off data =
     if keep > 0 then write_bytes f ~off (Bytes.sub data 0 keep);
     raise (Fault.Crash { op = "write"; index })
 
-let write_at f ~off data =
+(* one write's duration into [vfs.write], and into [also] when given *)
+let record_write f also d =
+  Metrics.record f.vfs.h.write_hist d;
+  match also with Some h -> Metrics.record h d | None -> ()
+
+let write_timed f ~off data also =
   if f.closed then invalid_arg "Vfs.write_at: closed file";
   let sz = size f in
   if off < 0 || off > sz then
     invalid_arg (Printf.sprintf "Vfs.write_at %s: offset %d beyond size %d" f.fname off sz);
   let started = Metrics.now f.vfs.metrics in
   match faulted_write f ~off data with
-  | () -> Metrics.record f.vfs.h.write_hist (since f.vfs started)
-  | exception e -> record_raise f.vfs f.vfs.h.write_hist started e
+  | () -> record_write f also (since f.vfs started)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    record_write f also (since f.vfs started);
+    Printexc.raise_with_backtrace e bt
 
-let append f data =
+let write_at f ~off data = write_timed f ~off data None
+
+let append ?hist f data =
   let off = size f in
-  write_at f ~off data;
+  write_timed f ~off data hist;
   off
 
 let sync f =

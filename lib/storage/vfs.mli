@@ -162,8 +162,10 @@ val read_at : file -> off:int -> len:int -> bytes
 val write_at : file -> off:int -> bytes -> unit
 (** Extends the file if needed ([off] at most [size]). *)
 
-val append : file -> bytes -> int
-(** Returns the offset the data was written at. *)
+val append : ?hist:Dw_util.Metrics.hist -> file -> bytes -> int
+(** Returns the offset the data was written at.  The write's duration,
+    the sample [vfs.write] records, is also recorded into [hist] when
+    given (so a caller timing its appends reads the clock no more). *)
 
 val fsync : file -> unit
 val close : file -> unit

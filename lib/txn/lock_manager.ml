@@ -19,10 +19,18 @@ module Metrics = Dw_util.Metrics
    per-stripe graph would miss it.  No operation holds a stripe mutex
    and the wait mutex at the same time, so no lock-order cycle exists. *)
 
+(* the transactions granted one resource, with their modes: few, usually
+   one, so a list rather than a table per resource *)
+type holders = { mutable granted : (txid * mode) list }
+
+(* one table's lock state: the holders of its [Table] lock, and the row
+   lock tally of each transaction holding row locks in it *)
+type table_state = { table_holders : holders; tallies : (txid, tally) Hashtbl.t }
+
 type stripe = {
-  locks : (resource, (txid, mode) Hashtbl.t) Hashtbl.t;
-  held : (txid, (resource, unit) Hashtbl.t) Hashtbl.t;
-  row_tally : (string, (txid, tally) Hashtbl.t) Hashtbl.t;
+  tables : (string, table_state) Hashtbl.t;
+  rows : (resource, holders) Hashtbl.t;  (* [Row] resources only *)
+  held : (txid, resource list ref) Hashtbl.t;  (* each resource once *)
   stripe_lock : Mutex.t;
 }
 
@@ -45,8 +53,8 @@ let create ?metrics ?(stripes = default_stripes) () =
   {
     stripes =
       Array.init stripes (fun _ ->
-          { locks = Hashtbl.create 64; held = Hashtbl.create 16;
-            row_tally = Hashtbl.create 16; stripe_lock = Mutex.create () });
+          { tables = Hashtbl.create 16; rows = Hashtbl.create 64; held = Hashtbl.create 16;
+            stripe_lock = Mutex.create () });
     wait_for = Hashtbl.create 16;
     waiters = Atomic.make 0;
     wait_lock = Mutex.create ();
@@ -67,18 +75,34 @@ let locked m f = Mutex.protect m f
 
 (* ---------- per-stripe state (callers hold sp.stripe_lock) ---------- *)
 
-let holders_tbl sp resource =
-  match Hashtbl.find_opt sp.locks resource with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 4 in
-    Hashtbl.add sp.locks resource tbl;
-    tbl
+(* lookups use [Hashtbl.find], whose miss raises a constant: no option
+   is allocated *)
+let table_state sp tname =
+  match Hashtbl.find sp.tables tname with
+  | ts -> ts
+  | exception Not_found ->
+    let ts = { table_holders = { granted = [] }; tallies = Hashtbl.create 8 } in
+    Hashtbl.add sp.tables tname ts;
+    ts
+
+let holders_cell sp resource =
+  match resource with
+  | Table tname -> (table_state sp tname).table_holders
+  | Row _ -> (
+      match Hashtbl.find sp.rows resource with
+      | h -> h
+      | exception Not_found ->
+        let h = { granted = [] } in
+        Hashtbl.add sp.rows resource h;
+        h)
 
 let holders_unlocked sp resource =
-  match Hashtbl.find_opt sp.locks resource with
-  | None -> []
-  | Some tbl -> Hashtbl.fold (fun tx mode acc -> (tx, mode) :: acc) tbl []
+  match resource with
+  | Table tname -> (
+      match Hashtbl.find sp.tables tname with
+      | ts -> ts.table_holders.granted
+      | exception Not_found -> [])
+  | Row _ -> ( match Hashtbl.find sp.rows resource with h -> h.granted | exception Not_found -> [])
 
 let holders t resource =
   let sp = stripe_for t resource in
@@ -86,66 +110,57 @@ let holders t resource =
 
 let compatible a b = a = S && b = S
 
-let tally_tbl sp tname =
-  match Hashtbl.find_opt sp.row_tally tname with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.add sp.row_tally tname tbl;
-    tbl
-
 let tally_for sp tname tx =
-  let tbl = tally_tbl sp tname in
-  match Hashtbl.find_opt tbl tx with
-  | Some tally -> tally
-  | None ->
+  let tbl = (table_state sp tname).tallies in
+  match Hashtbl.find tbl tx with
+  | tally -> tally
+  | exception Not_found ->
     let tally = { s_rows = 0; x_rows = 0 } in
     Hashtbl.add tbl tx tally;
     tally
+
+(* prepend the holders in [granted] that conflict with [tx] asking for
+   [mode]; nothing is allocated when none does *)
+let rec add_conflicts tx mode acc = function
+  | [] -> acc
+  | (other, held_mode) :: rest ->
+    let acc = if other <> tx && not (compatible mode held_mode) then other :: acc else acc in
+    add_conflicts tx mode acc rest
 
 (* conflicting holders of [resource] in [mode], from [tx]'s viewpoint,
    including coarse-grained conflicts between table and row locks — all
    within [resource]'s stripe, because a table and its rows share one *)
 let conflicts sp tx resource mode =
-  let direct =
-    holders_unlocked sp resource
-    |> List.filter (fun (other, held_mode) -> other <> tx && not (compatible mode held_mode))
-    |> List.map fst
-  in
-  let coarse =
+  let direct = add_conflicts tx mode [] (holders_unlocked sp resource) in
+  let all =
     match resource with
-    | Row (tname, _) ->
-      (* a row lock conflicts with another transaction's table lock unless
-         both are S *)
-      holders_unlocked sp (Table tname)
-      |> List.filter (fun (other, held_mode) -> other <> tx && not (compatible mode held_mode))
-      |> List.map fst
+    | Row (tname, _) -> (
+        (* a row lock conflicts with another transaction's table lock
+           unless both are S *)
+        match Hashtbl.find sp.tables tname with
+        | ts -> add_conflicts tx mode direct ts.table_holders.granted
+        | exception Not_found -> direct)
     | Table tname -> (
         (* a table lock conflicts with other transactions' row locks in the
            table (unless both S) *)
-        match Hashtbl.find_opt sp.row_tally tname with
-        | None -> []
-        | Some tbl ->
+        match Hashtbl.find sp.tables tname with
+        | exception Not_found -> direct
+        | ts ->
           Hashtbl.fold
             (fun other tally acc ->
               if other = tx then acc
               else if tally.x_rows > 0 then other :: acc
               else if tally.s_rows > 0 && mode = X then other :: acc
               else acc)
-            tbl [])
+            ts.tallies direct)
   in
-  List.sort_uniq compare (direct @ coarse)
+  match all with [] | [ _ ] -> all | _ -> List.sort_uniq compare all
 
+(* [tx] was granted [resource] for the first time *)
 let record_held sp tx resource =
-  let set =
-    match Hashtbl.find_opt sp.held tx with
-    | Some set -> set
-    | None ->
-      let set = Hashtbl.create 16 in
-      Hashtbl.add sp.held tx set;
-      set
-  in
-  if not (Hashtbl.mem set resource) then Hashtbl.replace set resource ()
+  match Hashtbl.find sp.held tx with
+  | held -> held := resource :: !held
+  | exception Not_found -> Hashtbl.add sp.held tx (ref [ resource ])
 
 (* would granting make [waiter] wait on someone who (transitively) waits
    on [waiter]?  Callers hold t.wait_lock. *)
@@ -197,10 +212,17 @@ let granted t tx =
   if Atomic.get t.waiters > 0 then locked t.wait_lock (fun () -> clear_waiting t tx);
   Granted
 
-let held_mode sp tx resource =
-  match Hashtbl.find_opt sp.locks resource with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl tx
+let rec mode_in tx = function
+  | [] -> None
+  | (other, m) :: rest -> if other = tx then Some m else mode_in tx rest
+
+let held_mode sp tx resource = mode_in tx (holders_unlocked sp resource)
+
+(* [tx] now holds [resource] in [mode]: an upgrade replaces its entry *)
+let grant h tx ~old_mode mode =
+  match old_mode with
+  | None -> h.granted <- (tx, mode) :: h.granted
+  | Some _ -> h.granted <- List.map (fun (o, m) -> if o = tx then (o, mode) else (o, m)) h.granted
 
 let acquire t tx resource mode =
   Metrics.bump t.acquires 1;
@@ -217,9 +239,9 @@ let acquire t tx resource mode =
           (* a first request, or an S -> X upgrade *)
           let blockers = conflicts sp tx resource mode in
           if blockers = [] then begin
-            Hashtbl.replace (holders_tbl sp resource) tx mode;
+            grant (holders_cell sp resource) tx ~old_mode mode;
             bump_tally sp tx resource ~old_mode ~new_mode:mode;
-            record_held sp tx resource
+            if old_mode = None then record_held sp tx resource
           end;
           blockers)
   in
@@ -243,21 +265,25 @@ let release_all t tx =
       locked sp.stripe_lock (fun () ->
           match Hashtbl.find_opt sp.held tx with
           | None -> ()
-          | Some set ->
-            Hashtbl.iter
-              (fun resource () ->
-                (match Hashtbl.find_opt sp.locks resource with
-                 | Some tbl ->
-                   Hashtbl.remove tbl tx;
-                   if Hashtbl.length tbl = 0 then Hashtbl.remove sp.locks resource
-                 | None -> ());
+          | Some held ->
+            let drop h = h.granted <- List.filter (fun (o, _) -> o <> tx) h.granted in
+            List.iter
+              (fun resource ->
                 match resource with
-                | Row (tname, _) -> (
-                    match Hashtbl.find_opt sp.row_tally tname with
-                    | Some tbl -> Hashtbl.remove tbl tx
+                | Table tname -> (
+                    match Hashtbl.find_opt sp.tables tname with
+                    | Some ts -> drop ts.table_holders
                     | None -> ())
-                | Table _ -> ())
-              set;
+                | Row (tname, _) -> (
+                    (match Hashtbl.find_opt sp.rows resource with
+                     | Some h ->
+                       drop h;
+                       if h.granted = [] then Hashtbl.remove sp.rows resource
+                     | None -> ());
+                    match Hashtbl.find_opt sp.tables tname with
+                    | Some ts -> Hashtbl.remove ts.tallies tx
+                    | None -> ()))
+              !held;
             Hashtbl.remove sp.held tx))
     t.stripes;
   locked t.wait_lock (fun () ->
@@ -282,7 +308,7 @@ let held_by t tx =
   |> List.concat_map (fun sp ->
          locked sp.stripe_lock (fun () ->
              match Hashtbl.find_opt sp.held tx with
-             | Some set -> Hashtbl.fold (fun r () acc -> r :: acc) set []
+             | Some held -> !held
              | None -> []))
 
 let waiting t tx = locked t.wait_lock (fun () -> Hashtbl.mem t.wait_for tx)

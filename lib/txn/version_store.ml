@@ -14,8 +14,9 @@ type t = {
      with at most one pending entry at the head — writers hold X locks,
      so two transactions never have unpublished writes to the same rid) *)
   tables : (string, (Heap_file.rid, entry list ref) Hashtbl.t) Hashtbl.t;
-  (* writer txid -> rids it noted, for O(writes) publish/discard *)
-  by_tx : (int, (string * Heap_file.rid) list ref) Hashtbl.t;
+  (* writer txid -> the pending entries it noted, with their rids: publish
+     stamps each entry directly, discard unlinks it from its chain *)
+  by_tx : (int, (string * Heap_file.rid * entry) list ref) Hashtbl.t;
   mutable live : int;
   (* one mutex over the whole store: parallel snapshot readers resolve
      against it while a writer domain notes/publishes, and chain/entry
@@ -53,7 +54,8 @@ let note t ~tx ~table ~rid ~image =
     | [] -> false
   in
   if not already_noted then begin
-    chain := { superseded_at = pending_csn; writer = tx; image } :: !chain;
+    let entry = { superseded_at = pending_csn; writer = tx; image } in
+    chain := entry :: !chain;
     t.live <- t.live + 1;
     let cell =
       match Hashtbl.find_opt t.by_tx tx with
@@ -63,7 +65,7 @@ let note t ~tx ~table ~rid ~image =
         Hashtbl.add t.by_tx tx cell;
         cell
     in
-    cell := (table, rid) :: !cell
+    cell := (table, rid, entry) :: !cell
   end
 
 let publish t ~tx ~csn =
@@ -71,16 +73,12 @@ let publish t ~tx ~csn =
   match Hashtbl.find_opt t.by_tx tx with
   | None -> ()
   | Some cell ->
+    (* a pending entry stays its chain's head until published or
+       discarded, so no chain lookup is needed to find it *)
     List.iter
-      (fun (table, rid) ->
-        match Hashtbl.find_opt t.tables table with
-        | None -> ()
-        | Some tbl -> (
-            match Hashtbl.find_opt tbl rid with
-            | Some { contents = head :: _ } when head.writer = tx ->
-              head.superseded_at <- csn;
-              head.writer <- -1
-            | Some _ | None -> ()))
+      (fun (_, _, e) ->
+        e.superseded_at <- csn;
+        e.writer <- -1)
       !cell;
     Hashtbl.remove t.by_tx tx
 
@@ -90,7 +88,7 @@ let discard t ~tx =
   | None -> ()
   | Some cell ->
     List.iter
-      (fun (table, rid) ->
+      (fun (table, rid, _) ->
         match Hashtbl.find_opt t.tables table with
         | None -> ()
         | Some tbl -> (
@@ -170,7 +168,7 @@ let drop_table t ~table =
      Hashtbl.remove t.tables table);
   (* forget the dropped table's rids in writers' publish lists *)
   Hashtbl.iter
-    (fun _ cell -> cell := List.filter (fun (tname, _) -> tname <> table) !cell)
+    (fun _ cell -> cell := List.filter (fun (tname, _, _) -> tname <> table) !cell)
     t.by_tx
 
 let clear t =

@@ -234,7 +234,18 @@ let rec observe_with t name resolve v =
 
 and observe t name v = observe_with t name (fun () -> histogram_of t name) v
 
-let record hd v = observe_with hd.h_reg hd.h_name (fun () -> hist_cell_unlocked hd) v
+(* [observe_with] for a handle, without its closures: this runs once per
+   timed operation.  Resolving the handle raises if its name holds
+   another kind of metric; the lock is released on that path too. *)
+let record hd v =
+  let t = hd.h_reg in
+  Mutex.lock t.lock;
+  (match record_unlocked (hist_cell_unlocked hd) v with
+   | () -> Mutex.unlock t.lock
+   | exception e ->
+     Mutex.unlock t.lock;
+     raise e);
+  match Atomic.get the_sink with Some s when s != t -> observe s hd.h_name v | Some _ | None -> ()
 
 let observed_count t name =
   locked t (fun () ->

@@ -64,7 +64,7 @@ let ranges ~pages ~parts =
 let scan_partition ~vstore ~heap ~tname ~schema ~where ~csn ~from_page ~to_page =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  let keep tuple = match where with None -> true | Some e -> Expr.eval_pred schema tuple e in
+  let keep = match where with None -> fun _ -> true | Some e -> Expr.compile_pred schema e in
   let consider rid current =
     if not (Hashtbl.mem seen rid) then begin
       Hashtbl.add seen rid ();
@@ -97,10 +97,11 @@ let item_partials schema items rows =
       match item with
       | Ast.Agg (Ast.Count_star, _, _) -> P_count (List.length rows)
       | Ast.Agg (fn, Some e, _) -> (
+          let eval = Expr.compile schema e in
           let vals =
             List.filter_map
               (fun row ->
-                let v = Expr.eval schema row e in
+                let v = eval row in
                 if Value.is_null v then None else Some v)
               rows
           in
@@ -310,13 +311,16 @@ let exec ?(partitions = default_partitions) ~pool db txn stmt =
                 | Ast.Item (_, None) | Ast.Agg (_, _, None) -> Printf.sprintf "col%d" i)
               items
           in
-          let eval_item tuple item =
-            match item with
-            | Ast.Star -> invalid_arg "SELECT: * must be the only item"
-            | Ast.Agg _ -> assert false
-            | Ast.Item (e, _) -> Expr.eval schema tuple e
+          let evals =
+            List.map
+              (fun item ->
+                match item with
+                | Ast.Star -> fun _ -> invalid_arg "SELECT: * must be the only item"
+                | Ast.Agg _ -> fun _ -> assert false
+                | Ast.Item (e, _) -> Expr.compile schema e)
+              items
           in
-          (names, fun tuple -> Array.of_list (List.map (eval_item tuple) items))
+          (names, fun tuple -> Array.of_list (List.map (fun eval -> eval tuple) evals))
       in
       Db.Rows { columns; rows = List.map project tuples }
     end

@@ -13,11 +13,15 @@ module Spj_view = Dw_core.Spj_view
 module Agg_view = Dw_core.Agg_view
 module Metrics = Dw_util.Metrics
 
+(* A registered view keeps its per-row functions compiled from the
+   definition (see [view_state_of], [agg_state_of]), so upkeep does no
+   column-name lookup per row. *)
 type view_state = {
   def : Spj_view.t;
   backing : string;
   out_schema : Schema.t;
   back_schema : Schema.t;
+  project : Tuple.t -> Tuple.t option;  (* [Spj_view.project_sp def]; select-project only *)
 }
 
 type agg_state = {
@@ -25,6 +29,11 @@ type agg_state = {
   abacking : string;
   aout_schema : Schema.t;
   aback_schema : Schema.t;
+  passes : Tuple.t -> bool;
+  group_key : Tuple.t -> Tuple.t;
+  init_group : Tuple.t -> Tuple.t;
+  apply_insert : current:Tuple.t -> Tuple.t -> Tuple.t;
+  apply_delete : current:Tuple.t -> Tuple.t -> Agg_view.delete_outcome;
 }
 
 (* the open run of refresh transaction [txid]: the row events, newest
@@ -149,8 +158,7 @@ let adjust_net t txn vs changes = adjust_merged t txn vs (sort_by_row changes)
 (* prepend view rows, each with multiplicity change [d] *)
 let rec signed d acc = function [] -> acc | out :: rest -> signed d ((out, d) :: acc) rest
 
-let sp_contributions vs row =
-  match Spj_view.project_sp vs.def row with Some out -> [ out ] | None -> []
+let sp_contributions vs row = match vs.project row with Some out -> [ out ] | None -> []
 
 (* the SPJ delta rules over row events: a before image contributes −1
    and an after image +1 per view row it produces *)
@@ -171,8 +179,9 @@ let maintain_spj t txn source events vs =
     match vs.def with
     | Spj_view.Select_project _ -> sp_contributions vs
     | Spj_view.Join _ ->
-      let other_rows = other_side_rows t vs source and side = side_of vs source in
-      fun row -> Spj_view.join_contribution vs.def side row ~other_rows
+      let other_rows = other_side_rows t vs source in
+      let contribution = Spj_view.join_contribution vs.def (side_of vs source) in
+      fun row -> contribution row ~other_rows
   in
   adjust_net t txn vs (spj_changes contributions [] events)
 
@@ -208,11 +217,11 @@ type agg_group =
   | Rescan  (* a MIN/MAX extremum left: recompute after the run *)
 
 let enter ast row acc =
-  if Agg_view.passes ast.adef row then (Agg_view.group_key ast.adef row, Enter row) :: acc
+  if ast.passes row then (ast.group_key row, Enter row) :: acc
   else acc
 
 let leave ast row acc =
-  if Agg_view.passes ast.adef row then (Agg_view.group_key ast.adef row, Leave row) :: acc
+  if ast.passes row then (ast.group_key row, Leave row) :: acc
   else acc
 
 (* (group, step) per row event, in event order *)
@@ -231,20 +240,20 @@ let rec agg_steps ast = function
 let agg_fold ast group state step =
   match state, step with
   | Rescan, _ -> Rescan
-  | Absent, Enter row -> Present (Agg_view.init_group ast.adef row, 1)
-  | Present (out, n), Enter row -> Present (Agg_view.apply_insert ast.adef ~current:out row, n + 1)
+  | Absent, Enter row -> Present (ast.init_group row, 1)
+  | Present (out, n), Enter row -> Present (ast.apply_insert ~current:out row, n + 1)
   | Absent, (Leave _ | Move _) ->
     invalid_arg
       (Printf.sprintf "Warehouse: agg view %s missing group %s" ast.adef.Agg_view.name
          (Tuple.to_string group))
   | Present (_, n), Leave _ when n <= 1 -> Absent
   | Present (out, n), Leave row -> (
-      match Agg_view.apply_delete ast.adef ~current:out row with
+      match ast.apply_delete ~current:out row with
       | Agg_view.Updated out -> Present (out, n - 1)
       | Agg_view.Needs_rescan -> Rescan)
   | Present (out, n), Move (before, after) -> (
-      match Agg_view.apply_delete ast.adef ~current:out before with
-      | Agg_view.Updated out -> Present (Agg_view.apply_insert ast.adef ~current:out after, n)
+      match ast.apply_delete ~current:out before with
+      | Agg_view.Updated out -> Present (ast.apply_insert ~current:out after, n)
       | Agg_view.Needs_rescan -> Rescan)
 
 (* Read each touched group once, fold its run of steps, write it once.
@@ -418,16 +427,20 @@ let materialize t name back_schema contents =
 let view_backing_schema view = backing_schema (Spj_view.output_schema view)
 let agg_view_backing_schema view = backing_schema_keyed (Agg_view.output_schema view)
 
+let view_state_of view =
+  let out_schema = Spj_view.output_schema view in
+  {
+    def = view;
+    backing = Spj_view.name view;
+    out_schema;
+    back_schema = backing_schema out_schema;
+    project = Spj_view.project_sp view;
+  }
+
 (* hook a view into trigger maintenance over its backing table *)
 let register_view t view =
   let name = Spj_view.name view in
-  Hashtbl.add t.views name
-    {
-      def = view;
-      backing = name;
-      out_schema = Spj_view.output_schema view;
-      back_schema = view_backing_schema view;
-    };
+  Hashtbl.add t.views name (view_state_of view);
   List.iter (fun source -> index_source t.by_source source name) (Spj_view.source_tables view)
 
 let register_agg_view t view =
@@ -438,6 +451,11 @@ let register_agg_view t view =
       abacking = name;
       aout_schema = Agg_view.output_schema view;
       aback_schema = agg_view_backing_schema view;
+      passes = Agg_view.passes view;
+      group_key = Agg_view.group_key view;
+      init_group = Agg_view.init_group view;
+      apply_insert = Agg_view.apply_insert view;
+      apply_delete = Agg_view.apply_delete view;
     };
   index_source t.agg_by_source view.Agg_view.table name
 
@@ -703,10 +721,9 @@ let define_viewonly_view t view =
   let name = Spj_view.name view in
   check_view_name t "define_viewonly_view" name;
   check_valid "define_viewonly_view" (Spj_view.validate view);
-  let out_schema = Spj_view.output_schema view in
-  let back_schema = backing_schema out_schema in
-  ignore (Db.create_table t.db ~name back_schema : Table.t);
-  Hashtbl.add t.viewonly name { def = view; backing = name; out_schema; back_schema }
+  let vs = view_state_of view in
+  ignore (Db.create_table t.db ~name vs.back_schema : Table.t);
+  Hashtbl.add t.viewonly name vs
 
 let viewonly_views_for t source =
   Hashtbl.fold

@@ -533,6 +533,39 @@ let capture_aborted_not_captured () =
   in
   ignore d
 
+(* a lock conflict raises [Db.Would_block] out of the capture wrapper; its
+   source transaction must not stay open *)
+let capture_conflict_leaves_no_txn () =
+  let db = mk_source () in
+  let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "oplog") in
+  let holder = Db.begin_txn db in
+  ignore
+    (Db.update_where db holder "parts" ~set:[ ("qty", Expr.Lit (Value.Int 0)) ] ~where:None : int);
+  (match Opdelta_capture.exec_txn cap [ Workload.update_parts_stmt ~first_id:1 ~size:2 ] with
+   | exception Db.Would_block _ -> ()
+   | Ok _ | Error _ -> Alcotest.fail "expected Would_block");
+  check Alcotest.(list int) "only the lock holder is active" [ Db.txid holder ] (Db.active_txns db);
+  check Alcotest.int "nothing captured" 0 (Opdelta_capture.captured_count cap);
+  Db.commit db holder;
+  check Alcotest.(list int) "no transaction left active" [] (Db.active_txns db)
+
+let capture_since_is_the_fresh_suffix () =
+  let db = mk_source () in
+  let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "oplog") in
+  List.iter
+    (fun first_id ->
+      match Opdelta_capture.exec_txn cap [ Workload.update_parts_stmt ~first_id ~size:2 ] with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [ 1; 5; 9 ];
+  let ids ods = List.map (fun (od : Op_delta.t) -> od.Op_delta.txn_id) ods in
+  let all = ids (Opdelta_capture.captured cap) in
+  check Alcotest.int "count" 3 (Opdelta_capture.captured_count cap);
+  check Alcotest.(list int) "since 1: the last two, in commit order" (List.tl all)
+    (ids (Opdelta_capture.captured ~since:1 cap));
+  check Alcotest.(list int) "since 0: all" all (ids (Opdelta_capture.captured ~since:0 cap));
+  check Alcotest.(list int) "since count: none" [] (ids (Opdelta_capture.captured ~since:3 cap))
+
 let capture_hybrid_before_images () =
   let db = mk_source () in
   let view =
@@ -797,6 +830,8 @@ let suite =
     test "capture db sink roundtrip" capture_db_sink_roundtrip;
     test "capture replay reproduces state" capture_replay_reproduces_state;
     test "capture aborted not captured" capture_aborted_not_captured;
+    test "capture conflict leaves no open txn" capture_conflict_leaves_no_txn;
+    test "captured since is the fresh suffix" capture_since_is_the_fresh_suffix;
     test "capture hybrid before images" capture_hybrid_before_images;
     test "capture rejects join without replicas" capture_rejects_join_without_replicas;
     test "self-maintain verdicts" sm_verdicts;

@@ -615,7 +615,7 @@ let prop_index_consistency =
       let live = Hashtbl.create 64 in
       let insert id day =
         let tuple = idx_row id (id mod 7) day in
-        Hashtbl.replace live id (Table.raw_insert t tuple, tuple)
+        Hashtbl.replace live id (fst (Table.raw_insert t tuple), tuple)
       in
       for id = 0 to initial - 1 do
         insert (id * 2) (id mod (idx_days + 1))
@@ -685,7 +685,7 @@ let prop_index_consistency =
          | I_ins (k, d) ->
            if Hashtbl.mem live k then
              assert (
-               rejects (fun () -> ignore (Table.raw_insert t (idx_row k 0 d) : Heap_file.rid)))
+               rejects (fun () -> ignore (Table.raw_insert t (idx_row k 0 d) : Heap_file.rid * bytes)))
            else insert k d
          | I_upd_same (p, q, d) -> (
              match pick p with
@@ -693,7 +693,7 @@ let prop_index_consistency =
              | Some k ->
                let rid, old_tuple = Hashtbl.find live k in
                let tuple = idx_row k q d in
-               Table.raw_update t rid ~old_tuple tuple;
+               ignore (Table.raw_update t rid ~old_tuple tuple : bytes);
                Hashtbl.replace live k (rid, tuple))
          | I_upd_key (p, k', d) -> (
              match pick p with
@@ -702,9 +702,9 @@ let prop_index_consistency =
                let rid, old_tuple = Hashtbl.find live k in
                let tuple = idx_row k' 1 d in
                if k' <> k && Hashtbl.mem live k' then
-                 assert (rejects (fun () -> Table.raw_update t rid ~old_tuple tuple))
+                 assert (rejects (fun () -> ignore (Table.raw_update t rid ~old_tuple tuple : bytes)))
                else begin
-                 Table.raw_update t rid ~old_tuple tuple;
+                 ignore (Table.raw_update t rid ~old_tuple tuple : bytes);
                  Hashtbl.remove live k;
                  Hashtbl.replace live k' (rid, tuple)
                end)

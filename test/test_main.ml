@@ -25,4 +25,5 @@ let () =
       ("planner", Test_planner.suite);
       ("properties", Test_properties.suite);
       ("scheduler", Test_scheduler.suite);
+      ("write_path", Test_write_path.suite);
     ]
