@@ -224,7 +224,7 @@ let abort_rw t txn =
       match entry with
       | U_insert (tname, rid, tuple) ->
         (match table_opt t tname with
-         | Some table -> Table.raw_delete table rid ~old_tuple:tuple
+         | Some table -> ignore (Table.raw_delete table rid ~old_tuple:tuple : bytes)
          | None -> ())
       | U_delete (tname, rid, tuple) ->
         (* restore at the exact original rid: version chains are keyed by
@@ -419,6 +419,19 @@ let logged_update t txn tname table rid ~before after =
   txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
   fire t txn tname (Trigger.Updated (rid, before, after))
 
+(* the logged delete of a row whose decoded [before] image the caller
+   holds: the WAL carries the record the heap slot held, as it was *)
+let logged_delete t txn tname table rid ~before =
+  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
+  let before_rec = Table.raw_delete table rid ~old_tuple:before in
+  log_dml t
+    {
+      Log_record.tx = txn.id;
+      body = Log_record.Delete { table = tname; rid; before = before_rec };
+    };
+  txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
+  fire t txn tname (Trigger.Deleted (rid, before))
+
 let insert t txn tname tuple =
   check_writable txn;
   statement_boundary t;
@@ -546,21 +559,8 @@ let delete_where t txn tname ~where =
   statement_boundary t;
   let table = table t tname in
   acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  let schema = Table.schema table in
   let victims = matching ~mode:t.plan_mode table where in
-  List.iter
-    (fun (rid, before) ->
-      Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
-      Table.raw_delete table rid ~old_tuple:before;
-      log_dml t
-        {
-          Log_record.tx = txn.id;
-          body =
-            Log_record.Delete { table = tname; rid; before = Codec.encode_binary schema before };
-        };
-      txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
-      fire t txn tname (Trigger.Deleted (rid, before)))
-    victims;
+  List.iter (fun (rid, before) -> logged_delete t txn tname table rid ~before) victims;
   List.length victims
 
 (* snapshot read path: resolve each candidate rid through the version
@@ -664,17 +664,8 @@ let delete_rid t txn tname rid =
   check_writable txn;
   let table = table t tname in
   acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  let schema = Table.schema table in
   let before = Heap_file.get (Table.heap table) rid in
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
-  Table.raw_delete table rid ~old_tuple:before;
-  log_dml t
-    {
-      Log_record.tx = txn.id;
-      body = Log_record.Delete { table = tname; rid; before = Codec.encode_binary schema before };
-    };
-  txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
-  fire t txn tname (Trigger.Deleted (rid, before))
+  logged_delete t txn tname table rid ~before
 
 let select t txn tname ?where () =
   check_live txn;

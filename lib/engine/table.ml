@@ -118,8 +118,9 @@ let raw_update t rid ~old_tuple tuple =
   record
 
 let raw_delete t rid ~old_tuple =
-  Heap_file.delete t.heap rid;
-  index_remove t old_tuple
+  let record = Heap_file.delete t.heap rid in
+  index_remove t old_tuple;
+  record
 
 let rebuild_indexes t =
   (* collect, sort once, bulk-load packed trees *)

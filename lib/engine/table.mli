@@ -72,7 +72,9 @@ val raw_update : t -> Heap_file.rid -> old_tuple:Tuple.t -> Tuple.t -> bytes
 (** Overwrites the row in place and maintains indexes; returns the
     encoded record written. *)
 
-val raw_delete : t -> Heap_file.rid -> old_tuple:Tuple.t -> unit
+val raw_delete : t -> Heap_file.rid -> old_tuple:Tuple.t -> bytes
+(** Frees the row's slot and removes its index entries; returns the
+    encoded record the slot held. *)
 
 val rebuild_indexes : t -> unit
 

@@ -62,36 +62,52 @@ let decode_binary schema buf off =
           let len = Bytes.get_uint16_le buf p in
           Value.Str (Bytes.sub_string buf (p + 2) len))
 
+(* runs without a byte to escape are copied whole *)
 let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '|' -> Buffer.add_string buf "\\p"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | _ -> Buffer.add_char buf c)
-    s
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let escaped =
+      match String.unsafe_get s i with
+      | '|' -> "\\p"
+      | '\n' -> "\\n"
+      | '\\' -> "\\\\"
+      | _ -> ""
+    in
+    if String.length escaped > 0 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf escaped;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start)
 
 let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '\\' && i + 1 < n then begin
-        (match s.[i + 1] with
-         | 'p' -> Buffer.add_char buf '|'
-         | 'n' -> Buffer.add_char buf '\n'
-         | '\\' -> Buffer.add_char buf '\\'
-         | c -> Buffer.add_char buf c);
-        go (i + 2)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents buf
+  if not (String.contains s '\\') then s
+  else begin
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let rec go i =
+      if i < n then
+        if s.[i] = '\\' && i + 1 < n then begin
+          (match s.[i + 1] with
+           | 'p' -> Buffer.add_char buf '|'
+           | 'n' -> Buffer.add_char buf '\n'
+           | '\\' -> Buffer.add_char buf '\\'
+           | c -> Buffer.add_char buf c);
+          go (i + 2)
+        end
+        else begin
+          Buffer.add_char buf s.[i];
+          go (i + 1)
+        end
+    in
+    go 0;
+    Buffer.contents buf
+  end
+
+(* the primitive [Printf.sprintf "%.17g"] calls, without parsing the format *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let encode_ascii schema tuple =
   Tuple.validate_exn schema tuple;
@@ -103,75 +119,75 @@ let encode_ascii schema tuple =
       | Value.Null -> Buffer.add_string buf "\\0"
       | Value.Int n -> Buffer.add_string buf (string_of_int n)
       | Value.Date d -> Buffer.add_string buf (string_of_int d)
-      | Value.Float f -> Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      | Value.Float f -> Buffer.add_string buf (format_float "%.17g" f)
       | Value.Bool b -> Buffer.add_string buf (if b then "T" else "F")
       | Value.Str s -> escape_into buf s)
     tuple;
   Buffer.contents buf
 
-let split_fields line =
-  (* split on unescaped '|' *)
-  let fields = ref [] in
-  let buf = Buffer.create 32 in
-  let n = String.length line in
-  let rec go i =
-    if i >= n then fields := Buffer.contents buf :: !fields
-    else
-      match line.[i] with
-      | '|' ->
-        fields := Buffer.contents buf :: !fields;
-        Buffer.clear buf;
-        go (i + 1)
-      | '\\' when i + 1 < n ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf line.[i + 1];
-        go (i + 2)
-      | c ->
-        Buffer.add_char buf c;
-        go (i + 1)
-  in
-  go 0;
-  List.rev !fields
+(* one field of a line, still escaped *)
+let decode_field (col : Schema.column) field =
+  if String.equal field "\\0" then Ok Value.Null
+  else
+    match col.Schema.ty with
+    | Value.Tint -> (
+        match int_of_string_opt field with
+        | Some n -> Ok (Value.Int n)
+        | None -> Error (Printf.sprintf "bad int %S" field))
+    | Value.Tdate -> (
+        match int_of_string_opt field with
+        | Some n -> Ok (Value.Date n)
+        | None -> Error (Printf.sprintf "bad date %S" field))
+    | Value.Tfloat -> (
+        match float_of_string_opt field with
+        | Some f -> Ok (Value.Float f)
+        | None -> Error (Printf.sprintf "bad float %S" field))
+    | Value.Tbool -> (
+        match field with
+        | "T" -> Ok (Value.Bool true)
+        | "F" -> Ok (Value.Bool false)
+        | _ -> Error (Printf.sprintf "bad bool %S" field))
+    | Value.Tstring _ -> Ok (Value.Str (unescape field))
 
 let decode_ascii schema line =
-  let fields = split_fields line in
-  if List.length fields <> Schema.arity schema then
-    Error (Printf.sprintf "field count %d does not match schema arity %d"
-             (List.length fields) (Schema.arity schema))
+  (* one pass over the line: each unescaped '|' ends a field, which is
+     the raw substring (an escape's two bytes stay in it); fields past
+     the arity are only counted *)
+  let arity = Schema.arity schema in
+  let fields = Array.make arity "" in
+  let n = String.length line in
+  let count = ref 0 in
+  let start = ref 0 in
+  let cut stop =
+    if !count < arity then fields.(!count) <- String.sub line !start (stop - !start);
+    incr count
+  in
+  let i = ref 0 in
+  while !i < n do
+    match String.unsafe_get line !i with
+    | '|' ->
+      cut !i;
+      incr i;
+      start := !i
+    | '\\' when !i + 1 < n -> i := !i + 2
+    | _ -> incr i
+  done;
+  cut n;
+  if !count <> arity then
+    Error (Printf.sprintf "field count %d does not match schema arity %d" !count arity)
   else begin
-    let result = ref (Ok ()) in
-    let tuple =
-      Array.of_list
-        (List.mapi
-           (fun i field ->
-             let col = Schema.column schema i in
-             if field = "\\0" then Value.Null
-             else
-               match col.Schema.ty with
-               | Value.Tint ->
-                 (match int_of_string_opt field with
-                  | Some n -> Value.Int n
-                  | None -> result := Error (Printf.sprintf "bad int %S" field); Value.Null)
-               | Value.Tdate ->
-                 (match int_of_string_opt field with
-                  | Some n -> Value.Date n
-                  | None -> result := Error (Printf.sprintf "bad date %S" field); Value.Null)
-               | Value.Tfloat ->
-                 (match float_of_string_opt field with
-                  | Some f -> Value.Float f
-                  | None -> result := Error (Printf.sprintf "bad float %S" field); Value.Null)
-               | Value.Tbool ->
-                 (match field with
-                  | "T" -> Value.Bool true
-                  | "F" -> Value.Bool false
-                  | _ -> result := Error (Printf.sprintf "bad bool %S" field); Value.Null)
-               | Value.Tstring _ -> Value.Str (unescape field))
-           fields)
-    in
-    match !result with
-    | Error e -> Error e
-    | Ok () ->
-      (match Tuple.validate schema tuple with
-       | Ok () -> Ok tuple
-       | Error e -> Error e)
+    (* every field is decoded; a bad one reports the last error *)
+    let tuple = Array.make arity Value.Null in
+    let err = ref None in
+    for j = 0 to arity - 1 do
+      match decode_field (Schema.column schema j) fields.(j) with
+      | Ok v -> tuple.(j) <- v
+      | Error e -> err := Some e
+    done;
+    match !err with
+    | Some e -> Error e
+    | None -> (
+        match Tuple.validate schema tuple with
+        | Ok () -> Ok tuple
+        | Error e -> Error e)
   end

@@ -137,28 +137,54 @@ let prec = function
   | Binop ((Mul | Div), _, _) -> 6
   | Col _ | Lit _ -> 7
 
-let rec pp_prec ctx ppf expr =
+let rec add_prec ctx buf expr =
   let p = prec expr in
   let parens = p < ctx in
-  if parens then Format.pp_print_char ppf '(';
+  if parens then Buffer.add_char buf '(';
   (match expr with
-   | Col name -> Format.pp_print_string ppf name
-   | Lit v -> Format.pp_print_string ppf (Value.to_sql_literal v)
+   | Col name -> Buffer.add_string buf name
+   | Lit v -> Buffer.add_string buf (Value.to_sql_literal v)
    | Binop (op, a, b) ->
-     Format.fprintf ppf "%a %s %a" (pp_prec p) a (binop_str op) (pp_prec (p + 1)) b
+     add_prec p buf a;
+     Buffer.add_char buf ' ';
+     Buffer.add_string buf (binop_str op);
+     Buffer.add_char buf ' ';
+     add_prec (p + 1) buf b
    | Cmp (op, a, b) ->
-     Format.fprintf ppf "%a %s %a" (pp_prec (p + 1)) a (cmp_str op) (pp_prec (p + 1)) b
+     add_prec (p + 1) buf a;
+     Buffer.add_char buf ' ';
+     Buffer.add_string buf (cmp_str op);
+     Buffer.add_char buf ' ';
+     add_prec (p + 1) buf b
    (* AND/OR parse right-associatively, so the right operand prints at the
       operator's own precedence and the left one is forced tighter *)
-   | And (a, b) -> Format.fprintf ppf "%a AND %a" (pp_prec (p + 1)) a (pp_prec p) b
-   | Or (a, b) -> Format.fprintf ppf "%a OR %a" (pp_prec (p + 1)) a (pp_prec p) b
-   | Not a -> Format.fprintf ppf "NOT %a" (pp_prec (p + 1)) a
-   | Is_null a -> Format.fprintf ppf "%a IS NULL" (pp_prec (p + 1)) a
-   | Is_not_null a -> Format.fprintf ppf "%a IS NOT NULL" (pp_prec (p + 1)) a);
-  if parens then Format.pp_print_char ppf ')'
+   | And (a, b) ->
+     add_prec (p + 1) buf a;
+     Buffer.add_string buf " AND ";
+     add_prec p buf b
+   | Or (a, b) ->
+     add_prec (p + 1) buf a;
+     Buffer.add_string buf " OR ";
+     add_prec p buf b
+   | Not a ->
+     Buffer.add_string buf "NOT ";
+     add_prec (p + 1) buf a
+   | Is_null a ->
+     add_prec (p + 1) buf a;
+     Buffer.add_string buf " IS NULL"
+   | Is_not_null a ->
+     add_prec (p + 1) buf a;
+     Buffer.add_string buf " IS NOT NULL");
+  if parens then Buffer.add_char buf ')'
 
-let pp ppf expr = pp_prec 0 ppf expr
-let to_string expr = Format.asprintf "%a" pp expr
+let add_to_buffer buf expr = add_prec 0 buf expr
+
+let to_string expr =
+  let buf = Buffer.create 64 in
+  add_to_buffer buf expr;
+  Buffer.contents buf
+
+let pp ppf expr = Format.pp_print_string ppf (to_string expr)
 
 let conj = function
   | [] -> None

@@ -43,10 +43,15 @@ val columns : t -> string list
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** SQL-syntax rendering (parenthesised where precedence requires). *)
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the SQL-syntax rendering (parenthesised where precedence
+    requires); [Parser.parse_expr] reads it back as an equal expression. *)
 
 val to_string : t -> string
+(** {!add_to_buffer} into a fresh buffer. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 val conj : t list -> t option
 (** [conj ps] is the AND of all predicates, or [None] for the empty list. *)

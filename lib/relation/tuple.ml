@@ -5,19 +5,27 @@ let validate schema tuple =
   if Array.length tuple <> n then
     Error (Printf.sprintf "arity mismatch: schema has %d columns, tuple has %d" n (Array.length tuple))
   else begin
-    let err = ref None in
-    for i = 0 to n - 1 do
-      if !err = None then begin
+    let rec go i =
+      if i >= n then Ok ()
+      else
         let col = Schema.column schema i in
         let v = tuple.(i) in
         if not (Value.ty_compatible col.Schema.ty v) then
-          err := Some (Printf.sprintf "column %s: value %s does not fit type %s"
-                         col.Schema.name (Value.to_string v) (Value.ty_to_string col.Schema.ty))
-        else if Value.is_null v && (not col.Schema.nullable || i < Schema.key_arity schema) then
-          err := Some (Printf.sprintf "column %s: NULL not allowed" col.Schema.name)
-      end
-    done;
-    match !err with None -> Ok () | Some e -> Error e
+          Error (Printf.sprintf "column %s: value %s does not fit type %s"
+                   col.Schema.name (Value.to_string v) (Value.ty_to_string col.Schema.ty))
+        else
+          match v with
+          | Value.Null when (not col.Schema.nullable) || i < Schema.key_arity schema ->
+            Error (Printf.sprintf "column %s: NULL not allowed" col.Schema.name)
+          (* an infinity or NaN has no SQL literal, so no statement or
+             value delta could carry it to a replica *)
+          | Value.Float f when not (Float.is_finite f) ->
+            Error (Printf.sprintf "column %s: FLOAT %s is not finite" col.Schema.name
+                     (Value.to_string v))
+          | Value.Null | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Date _ | Value.Str _ ->
+            go (i + 1)
+    in
+    go 0
   end
 
 let validate_exn schema tuple =

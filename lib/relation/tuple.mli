@@ -4,7 +4,8 @@ type t = Value.t array
 
 val validate : Schema.t -> t -> (unit, string) result
 (** Arity check, per-column type compatibility, null-in-non-nullable and
-    null-in-key checks. *)
+    null-in-key checks, and a FLOAT must be finite (an infinity or NaN
+    has no SQL literal, so no Op-Delta or value delta could carry it). *)
 
 val validate_exn : Schema.t -> t -> unit
 (** Raises [Invalid_argument] with the error message. *)

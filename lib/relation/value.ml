@@ -116,12 +116,20 @@ let to_string = function
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
+(* the primitive [Printf.sprintf "%.17g"] calls, without parsing the format *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_sql_literal = function
   | Int n -> string_of_int n
-  | Float f ->
-    (* keep a decimal point so the literal round-trips as a float *)
-    let s = Printf.sprintf "%.17g" f in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
+  | Float f -> (
+    (* keep a decimal point so the literal lexes as a float: [1e+17]
+       would read as [1] then the identifier [e], so it prints as [1.0e+17] *)
+    let s = format_float "%.17g" f in
+    if String.contains s '.' then s
+    else
+      match String.index_opt s 'e' with
+      | Some i -> String.sub s 0 i ^ ".0" ^ String.sub s i (String.length s - i)
+      | None -> s ^ ".0")
   | Bool b -> if b then "TRUE" else "FALSE"
   | Date d -> Printf.sprintf "DATE %d" d
   | Str s ->

@@ -49,7 +49,10 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_sql_literal : t -> string
-(** Render as a literal of the SQL dialect (strings quoted and escaped). *)
+(** Render as a literal of the SQL dialect (strings quoted and escaped).
+    A finite float prints with 17 significant digits and always with a
+    decimal point ([1.0e+17], not [1e+17]), so the lexer reads it back
+    as the same float. *)
 
 val encoded_size : ty -> int
 (** Fixed on-disk width of a value of this column type, in bytes. *)

@@ -19,15 +19,23 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+(* upper-cased word -> its keyword, built once; the stored string is
+   shared by every [KW] token the lexer emits for it *)
+let keyword_table =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun kw -> Hashtbl.replace tbl kw kw) keywords;
+  tbl
+
 let tokenize input =
   let n = String.length input in
   let tokens = ref [] in
   let error = ref None in
   let emit tok = tokens := tok :: !tokens in
   let rec go i =
-    if !error <> None then ()
-    else if i >= n then emit EOF
-    else
+    match !error with
+    | Some _ -> ()
+    | None when i >= n -> emit EOF
+    | None ->
       let c = input.[i] in
       match c with
       | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
@@ -68,10 +76,11 @@ let tokenize input =
           end
         in
         let next = str (i + 1) in
-        if !error = None then begin
-          emit (STRING (Buffer.contents buf));
-          go next
-        end
+        (match !error with
+         | None ->
+           emit (STRING (Buffer.contents buf));
+           go next
+         | Some _ -> ())
       | c when is_digit c ->
         let j = ref i in
         while !j < n && is_digit input.[!j] do incr j done;
@@ -90,9 +99,11 @@ let tokenize input =
               j := !k
             end
           end;
+          (* a literal past [max_float] would read as infinity, which no
+             FLOAT column accepts *)
           match float_of_string_opt (String.sub input i (!j - i)) with
-          | Some f -> emit (FLOAT f); go !j
-          | None -> error := Some (Printf.sprintf "bad float at %d" i)
+          | Some f when Float.is_finite f -> emit (FLOAT f); go !j
+          | Some _ | None -> error := Some (Printf.sprintf "bad float at %d" i)
         end
         else begin
           match int_of_string_opt (String.sub input i (!j - i)) with
@@ -103,8 +114,9 @@ let tokenize input =
         let j = ref i in
         while !j < n && is_ident_char input.[!j] do incr j done;
         let word = String.sub input i (!j - i) in
-        let upper = String.uppercase_ascii word in
-        if List.mem upper keywords then emit (KW upper) else emit (IDENT word);
+        (match Hashtbl.find_opt keyword_table (String.uppercase_ascii word) with
+         | Some kw -> emit (KW kw)
+         | None -> emit (IDENT word));
         go !j
       | c -> error := Some (Printf.sprintf "unexpected character %C at %d" c i)
   in

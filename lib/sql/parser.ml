@@ -13,14 +13,34 @@ let advance st = st.pos <- st.pos + 1
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* a constructor match, not polymorphic [=] *)
+let same_token a b =
+  match a, b with
+  | Lexer.KW x, Lexer.KW y | Lexer.IDENT x, Lexer.IDENT y | Lexer.STRING x, Lexer.STRING y ->
+    String.equal x y
+  | Lexer.INT x, Lexer.INT y -> Int.equal x y
+  | Lexer.FLOAT x, Lexer.FLOAT y -> Float.equal x y
+  | Lexer.LPAREN, Lexer.LPAREN | Lexer.RPAREN, Lexer.RPAREN | Lexer.COMMA, Lexer.COMMA
+  | Lexer.STAR, Lexer.STAR | Lexer.DOT, Lexer.DOT | Lexer.SEMI, Lexer.SEMI
+  | Lexer.EQ, Lexer.EQ | Lexer.NEQ, Lexer.NEQ | Lexer.LT, Lexer.LT | Lexer.LE, Lexer.LE
+  | Lexer.GT, Lexer.GT | Lexer.GE, Lexer.GE | Lexer.PLUS, Lexer.PLUS
+  | Lexer.MINUS, Lexer.MINUS | Lexer.SLASH, Lexer.SLASH | Lexer.EOF, Lexer.EOF ->
+    true
+  | ( ( Lexer.IDENT _ | Lexer.INT _ | Lexer.FLOAT _ | Lexer.STRING _ | Lexer.KW _
+      | Lexer.LPAREN | Lexer.RPAREN | Lexer.COMMA | Lexer.STAR | Lexer.DOT | Lexer.SEMI
+      | Lexer.EQ | Lexer.NEQ | Lexer.LT | Lexer.LE | Lexer.GT | Lexer.GE | Lexer.PLUS
+      | Lexer.MINUS | Lexer.SLASH | Lexer.EOF ),
+      _ ) ->
+    false
+
 let expect st tok =
-  if peek st = tok then advance st
+  if same_token (peek st) tok then advance st
   else fail "expected %s, found %s" (Lexer.token_to_string tok) (Lexer.token_to_string (peek st))
 
 let expect_kw st kw = expect st (Lexer.KW kw)
 
 let accept st tok =
-  if peek st = tok then begin
+  if same_token (peek st) tok then begin
     advance st;
     true
   end
@@ -153,7 +173,7 @@ let select_item st =
     advance st;
     expect st Lexer.LPAREN;
     let item =
-      if fn = Ast.Count && peek st = Lexer.STAR then begin
+      if fn = Ast.Count && same_token (peek st) Lexer.STAR then begin
         advance st;
         expect st Lexer.RPAREN;
         Ast.Agg (Ast.Count_star, None, None)
@@ -202,7 +222,7 @@ let insert_stmt st =
   expect_kw st "INTO";
   let table = ident st in
   let columns =
-    if peek st = Lexer.LPAREN then begin
+    if same_token (peek st) Lexer.LPAREN then begin
       advance st;
       let cols = comma_sep st ident in
       expect st Lexer.RPAREN;

@@ -78,13 +78,20 @@ let find t k =
 
 let mem t k = find t k <> None
 
+(* a node edit builds a fresh exact-size array (the node is then
+   replaced whole, so a concurrent reader sees the old or the new one) *)
 let array_insert arr i x =
   let n = Array.length arr in
-  Array.init (n + 1) (fun j -> if j < i then arr.(j) else if j = i then x else arr.(j - 1))
+  let r = Array.make (n + 1) x in
+  Array.blit arr 0 r 0 i;
+  Array.blit arr i r (i + 1) (n - i);
+  r
 
 let array_remove arr i =
   let n = Array.length arr in
-  Array.init (n - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
+  let r = Array.sub arr 0 (n - 1) in
+  Array.blit arr (i + 1) r i (n - 1 - i);
+  r
 
 (* result of inserting below: either done, or the child split producing a
    new right sibling with separator key *)

@@ -113,8 +113,17 @@ let update t rid record =
 
 let delete t rid =
   check_rid t rid;
-  Buffer_pool.with_page t.pool t.file rid.page ~dirty:true (fun page -> Page.delete page rid.slot);
-  push_free t rid.page
+  let record =
+    Buffer_pool.with_page t.pool t.file rid.page ~dirty:true (fun page ->
+        (* a free slot is left to [Page.delete], which rejects it *)
+        let record =
+          if Page.is_used page rid.slot then Page.read_slot page rid.slot else Bytes.empty
+        in
+        Page.delete page rid.slot;
+        record)
+  in
+  push_free t rid.page;
+  record
 
 let iter_pages t ~from_page ~to_page f =
   for pno = max 0 from_page to min (to_page - 1) (page_count t - 1) do

@@ -39,7 +39,9 @@ val update : t -> rid -> bytes -> unit
 (** Overwrite the record at [rid] with an encoded record
     ([Codec.encode_binary] of a valid tuple). *)
 
-val delete : t -> rid -> unit
+val delete : t -> rid -> bytes
+(** Frees the slot and returns the record it held.  Raises
+    [Invalid_argument] for a free or out-of-range rid. *)
 
 val iter : t -> (rid -> Tuple.t -> unit) -> unit
 (** Full scan in page order. *)

@@ -34,7 +34,7 @@ val ship_messages :
   string list ->
   (stats, string) result
 (** Coalesced message shipping: pack the messages — each framed with its
-    own {!Persistent_queue.checksum} — into blocks of at most
+    own [Dw_util.Checksum.fnv1a] — into blocks of at most
     [block_size] bytes (a message never spans two blocks; an oversized
     message gets a block to itself) and write each block as one
     retried, fixed-offset, idempotent write, with a single fsync at the

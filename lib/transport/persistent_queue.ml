@@ -1,13 +1,9 @@
 module Vfs = Dw_storage.Vfs
 module Metrics = Dw_util.Metrics
+module Checksum = Dw_util.Checksum
 
 (* log frame: [u32 len][u32 fnv1a][payload]
    sidecar:   [u64 read_off][u32 fnv1a of the 8 offset bytes] *)
-
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
-  !h
 
 type t = {
   metrics : Metrics.t;
@@ -19,13 +15,11 @@ type t = {
   mutable enqueued : int;
 }
 
-let checksum = fnv1a
-
 let frame payload =
   let len = String.length payload in
   let out = Bytes.create (8 + len) in
   Bytes.set_int32_le out 0 (Int32.of_int len);
-  Bytes.set_int32_le out 4 (Int32.of_int (fnv1a payload));
+  Bytes.set_int32_le out 4 (Int32.of_int (Checksum.fnv1a payload));
   Bytes.blit_string payload 0 out 8 len;
   out
 
@@ -46,7 +40,7 @@ let decode_frames bytes =
         Error (Printf.sprintf "torn frame body at %d" off)
       else
         let payload = Bytes.sub_string bytes (off + 8) len in
-        if fnv1a payload <> csum then
+        if Checksum.fnv1a payload <> csum then
           Error (Printf.sprintf "checksum mismatch at %d" off)
         else go (off + 8 + len) (payload :: acc)
     end
@@ -62,8 +56,9 @@ let read_frame log off =
     let csum = Int32.to_int (Bytes.get_int32_le header 4) land 0xFFFFFFFF in
     if len < 0 || off + 8 + len > size then None
     else
-      let payload = Bytes.to_string (Vfs.read_at log ~off:(off + 8) ~len) in
-      if fnv1a payload <> csum then None else Some (payload, off + 8 + len)
+      (* [Vfs.read_at] returns a fresh buffer nothing else holds *)
+      let payload = Bytes.unsafe_to_string (Vfs.read_at log ~off:(off + 8) ~len) in
+      if Checksum.fnv1a payload <> csum then None else Some (payload, off + 8 + len)
   end
 
 let count_from log off =
@@ -105,8 +100,7 @@ let recover_read_off vfs offset_file ~boundaries =
     let b = Vfs.read_at offset_file ~off:0 ~len:12 in
     let off = Int64.to_int (Bytes.get_int64_le b 0) in
     let csum = Int32.to_int (Bytes.get_int32_le b 8) land 0xFFFFFFFF in
-    let stored = Bytes.to_string (Bytes.sub b 0 8) in
-    if fnv1a stored = csum && List.mem off boundaries then off
+    if Checksum.fnv1a ~len:8 (Bytes.unsafe_to_string b) = csum && List.mem off boundaries then off
     else begin
       Metrics.incr (Vfs.metrics vfs) "queue.offset_resets";
       0
@@ -163,7 +157,7 @@ let peek t =
 let write_offset t off =
   let b = Bytes.create 12 in
   Bytes.set_int64_le b 0 (Int64.of_int off);
-  Bytes.set_int32_le b 8 (Int32.of_int (fnv1a (Bytes.to_string (Bytes.sub b 0 8))));
+  Bytes.set_int32_le b 8 (Int32.of_int (Checksum.fnv1a ~len:8 (Bytes.to_string b)));
   Vfs.write_at t.offset_file ~off:0 b;
   Vfs.fsync t.offset_file
 

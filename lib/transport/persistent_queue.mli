@@ -81,9 +81,6 @@ val enqueued_total : t -> int
     so shipped blocks carry the same per-message checksums as the queue
     log. *)
 
-val checksum : string -> int
-(** FNV-1a (32-bit) of a payload — the per-frame checksum. *)
-
 val encode_frames : string list -> bytes
 (** Concatenated checksummed frames, one per payload. *)
 

@@ -1,3 +1,5 @@
+module Checksum = Dw_util.Checksum
+
 type txid = int
 type rid = Dw_storage.Heap_file.rid
 
@@ -11,17 +13,6 @@ type body =
   | Checkpoint of txid list
 
 type t = { tx : txid; body : body }
-
-(* FNV-1a over [len] bytes at [off].  The low 32 bits of a product
-   depend only on the low 32 bits of its factors (and likewise for
-   [lxor]), so the hash is masked once at the end instead of per byte. *)
-let fnv1a bytes off len =
-  if off < 0 || len < 0 || off > Bytes.length bytes - len then invalid_arg "Log_record.fnv1a";
-  let h = ref 0x811c9dc5 in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get bytes i)) * 0x01000193
-  done;
-  !h land 0xFFFFFFFF
 
 (* payload serialisation: [encode] sizes the whole frame up front and
    every [put_*] writes one field in place, returning the next offset.
@@ -88,7 +79,9 @@ let encode t =
       List.fold_left (put_i64 out) (put_u32 out pos (List.length active)) active
   in
   assert (pos = total);
-  let (_ : int) = put_u32 out 4 (fnv1a out 8 (total - 8)) in
+  (* the string view lives only for the hash, before the field is written *)
+  let csum = Checksum.fnv1a ~off:8 ~len:(total - 8) (Bytes.unsafe_to_string out) in
+  let (_ : int) = put_u32 out 4 csum in
   out
 
 exception Bad of string
@@ -101,7 +94,8 @@ let decode buf ~off =
     if total < 9 || off + total > Bytes.length buf then raise (Bad "bad frame length");
     let csum = Int32.to_int (Bytes.get_int32_le buf (off + 4)) land 0xFFFFFFFF in
     let plen = total - 8 in
-    if fnv1a buf (off + 8) plen <> csum then raise (Bad "checksum mismatch");
+    if Checksum.fnv1a ~off:(off + 8) ~len:plen (Bytes.unsafe_to_string buf) <> csum then
+      raise (Bad "checksum mismatch");
     let pos = ref (off + 8) in
     let limit = off + total in
     let u8 () =

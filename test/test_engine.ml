@@ -713,7 +713,7 @@ let prop_index_consistency =
              | None -> ()
              | Some k ->
                let rid, old_tuple = Hashtbl.find live k in
-               Table.raw_delete t rid ~old_tuple;
+               ignore (Table.raw_delete t rid ~old_tuple : bytes);
                Hashtbl.remove live k));
         consistent ()
       in

@@ -26,4 +26,5 @@ let () =
       ("properties", Test_properties.suite);
       ("scheduler", Test_scheduler.suite);
       ("write_path", Test_write_path.suite);
+      ("value_path", Test_value_path.suite);
     ]

@@ -46,6 +46,26 @@ let lexer_numbers () =
     Alcotest.failf "unexpected: %s" (String.concat " " (List.map Lexer.token_to_string toks))
   | Error e -> Alcotest.fail e
 
+(* a float in exponent form prints with a decimal point, so it lexes
+   back as one FLOAT; a literal past [max_float] is not a float *)
+let float_literal_exponent_form () =
+  List.iter
+    (fun f ->
+      let lit = Value.to_sql_literal (Value.Float f) in
+      match Parser.parse_expr lit with
+      | Ok (Expr.Lit (Value.Float g)) ->
+        check Alcotest.bool (Printf.sprintf "%s reads back" lit) true
+          (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
+      | Ok e -> Alcotest.failf "%s parsed as %s" lit (Expr.to_string e)
+      | Error e -> Alcotest.failf "%s: %s" lit e)
+    [ 1e17; 1e22; 2e+20; -1e17; 1e-7; 5e-324; Float.max_float; -0.0 ];
+  check Alcotest.string "1e17" "1.0e+17" (Value.to_sql_literal (Value.Float 1e17));
+  check Alcotest.string "1.5" "1.5" (Value.to_sql_literal (Value.Float 1.5));
+  check Alcotest.string "3" "3.0" (Value.to_sql_literal (Value.Float 3.0));
+  match Lexer.tokenize "1.0e400" with
+  | Error e -> check Alcotest.string "overflow" "bad float at 0" e
+  | Ok _ -> Alcotest.fail "1.0e400 lexed"
+
 (* ---------- parser ---------- *)
 
 let parse_select () =
@@ -192,12 +212,29 @@ let gen_ident =
       (char_range 'a' 'z')
       (string_size ~gen:(char_range 'a' 'z') (int_range 0 6)))
 
+(* any finite float: every bit pattern but infinities and NaNs (those
+   become [max_float]), plus the edge cases a bit pattern rarely hits *)
+let gen_finite_float =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun f -> float_of_int f /. 4.0) (int_range (-100) 100);
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else Float.max_float)
+          ui64;
+        oneofl
+          [ -0.0; 0.0; Float.max_float; -.Float.max_float; Float.min_float; 5e-324;
+            -5e-324; 2.2250738585072009e-308; 1e17; 1e22; 2e+20; -1e100; 1e-7; 0.1 ];
+      ])
+
 let gen_literal =
   QCheck2.Gen.(
     oneof
       [
         map (fun n -> Value.Int n) (int_range (-1000) 1000);
-        map (fun f -> Value.Float (float_of_int f /. 4.0)) (int_range (-100) 100);
+        map (fun f -> Value.Float f) gen_finite_float;
         map (fun s -> Value.Str s) (string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
         map (fun b -> Value.Bool b) bool;
         map (fun d -> Value.Date d) (int_range 0 20000);
@@ -265,6 +302,7 @@ let suite =
     test "lexer case-insensitive keywords" lexer_case_insensitive_keywords;
     test "lexer errors" lexer_errors;
     test "lexer numbers" lexer_numbers;
+    test "float literal in exponent form" float_literal_exponent_form;
     test "parse select" parse_select;
     test "parse select items" parse_select_items;
     test "parse insert" parse_insert;

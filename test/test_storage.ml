@@ -281,7 +281,7 @@ let heap_crud () =
   check Alcotest.bool "get r1" true (Tuple.equal (Heap_file.get heap r1) (row 1 "one"));
   Heap_file.update heap r2 (Dw_relation.Codec.encode_binary heap_schema (row 2 "TWO"));
   check Alcotest.bool "updated" true (Tuple.equal (Heap_file.get heap r2) (row 2 "TWO"));
-  Heap_file.delete heap r1;
+  ignore (Heap_file.delete heap r1 : bytes);
   check Alcotest.int "after delete" 1 (Heap_file.count heap);
   (try
      ignore (Heap_file.get heap r1);
@@ -304,7 +304,7 @@ let heap_slot_reuse_after_delete () =
   let heap = mk_heap () in
   let rids = Array.init 100 (fun i -> Heap_file.insert heap (row i "x")) in
   let pages_before = Heap_file.page_count heap in
-  Array.iter (Heap_file.delete heap) rids;
+  Array.iter (fun rid -> ignore (Heap_file.delete heap rid : bytes)) rids;
   for i = 100 to 199 do
     ignore (Heap_file.insert heap (row i "y") : Heap_file.rid)
   done;

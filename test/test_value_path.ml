@@ -1,0 +1,761 @@
+(* The per-record value-delta path against references kept here: the
+   Buffer printers against the Format/Printf printers they replaced, the
+   lexer against its List.mem/polymorphic-compare form, the one-pass
+   ASCII decoder against the list-based one, the one FNV-1a against a
+   byte loop, B-tree node edits against a Map model, and a logged
+   DELETE's WAL image against the encoded before image.  Plus the
+   overflowing-FLOAT regression: the source rejects the UPDATE, and the
+   trigger and Op-Delta pipelines reach the same replica. *)
+
+module Vfs = Dw_storage.Vfs
+module Btree = Dw_storage.Btree
+module Heap_file = Dw_storage.Heap_file
+module Value = Dw_relation.Value
+module Schema = Dw_relation.Schema
+module Tuple = Dw_relation.Tuple
+module Expr = Dw_relation.Expr
+module Codec = Dw_relation.Codec
+module Checksum = Dw_util.Checksum
+module Lexer = Dw_sql.Lexer
+module Parser = Dw_sql.Parser
+module Printer = Dw_sql.Printer
+module Ast = Dw_sql.Ast
+module Log_record = Dw_txn.Log_record
+module Wal = Dw_txn.Wal
+module Db = Dw_engine.Db
+module Table = Dw_engine.Table
+module Workload = Dw_workload.Workload
+module Warehouse = Dw_warehouse.Warehouse
+module Pipeline = Dw_etl.Pipeline
+module Opdelta_capture = Dw_core.Opdelta_capture
+
+let test name f = Alcotest.test_case name `Quick f
+
+(* ---------- printers: Buffer vs Format/Printf ---------- *)
+
+module Ref_printer = struct
+  (* [Value.to_sql_literal] through [Printf], with the exponent-form
+     decimal point put in by a regexp instead of a scan *)
+  let literal = function
+    | Value.Int n -> string_of_int n
+    | Value.Float f ->
+      let s = Printf.sprintf "%.17g" f in
+      if String.exists (fun c -> c = '.') s then s
+      else if String.exists (fun c -> c = 'e') s then
+        Str.replace_first (Str.regexp "e") ".0e" s
+      else s ^ ".0"
+    | Value.Bool b -> if b then "TRUE" else "FALSE"
+    | Value.Date d -> Printf.sprintf "DATE %d" d
+    | Value.Str s -> "'" ^ Str.global_replace (Str.regexp "'") "''" s ^ "'"
+    | Value.Null -> "NULL"
+
+  let binop_str = function Expr.Add -> "+" | Expr.Sub -> "-" | Expr.Mul -> "*" | Expr.Div -> "/"
+
+  let cmp_str = function
+    | Expr.Eq -> "=" | Expr.Neq -> "<>" | Expr.Lt -> "<" | Expr.Le -> "<="
+    | Expr.Gt -> ">" | Expr.Ge -> ">="
+
+  let prec = function
+    | Expr.Or _ -> 1
+    | Expr.And _ -> 2
+    | Expr.Not _ -> 3
+    | Expr.Cmp _ | Expr.Is_null _ | Expr.Is_not_null _ -> 4
+    | Expr.Binop ((Expr.Add | Expr.Sub), _, _) -> 5
+    | Expr.Binop ((Expr.Mul | Expr.Div), _, _) -> 6
+    | Expr.Col _ | Expr.Lit _ -> 7
+
+  (* [Expr.pp] as it was, one [Format.fprintf] per node *)
+  let rec pp_prec ctx ppf expr =
+    let p = prec expr in
+    let parens = p < ctx in
+    if parens then Format.pp_print_char ppf '(';
+    (match expr with
+     | Expr.Col name -> Format.pp_print_string ppf name
+     | Expr.Lit v -> Format.pp_print_string ppf (literal v)
+     | Expr.Binop (op, a, b) ->
+       Format.fprintf ppf "%a %s %a" (pp_prec p) a (binop_str op) (pp_prec (p + 1)) b
+     | Expr.Cmp (op, a, b) ->
+       Format.fprintf ppf "%a %s %a" (pp_prec (p + 1)) a (cmp_str op) (pp_prec (p + 1)) b
+     | Expr.And (a, b) -> Format.fprintf ppf "%a AND %a" (pp_prec (p + 1)) a (pp_prec p) b
+     | Expr.Or (a, b) -> Format.fprintf ppf "%a OR %a" (pp_prec (p + 1)) a (pp_prec p) b
+     | Expr.Not a -> Format.fprintf ppf "NOT %a" (pp_prec (p + 1)) a
+     | Expr.Is_null a -> Format.fprintf ppf "%a IS NULL" (pp_prec (p + 1)) a
+     | Expr.Is_not_null a -> Format.fprintf ppf "%a IS NOT NULL" (pp_prec (p + 1)) a);
+    if parens then Format.pp_print_char ppf ')'
+
+  let expr e = Format.asprintf "%a" (pp_prec 0) e
+
+  let where = function Some e -> " WHERE " ^ expr e | None -> ""
+
+  let agg_name = function
+    | Ast.Count_star | Ast.Count -> "COUNT"
+    | Ast.Sum -> "SUM"
+    | Ast.Avg -> "AVG"
+    | Ast.Min -> "MIN"
+    | Ast.Max -> "MAX"
+
+  let item = function
+    | Ast.Star -> "*"
+    | Ast.Item (e, None) -> expr e
+    | Ast.Item (e, Some alias) -> expr e ^ " AS " ^ alias
+    | Ast.Agg (fn, e, alias) ->
+      Printf.sprintf "%s(%s)%s" (agg_name fn)
+        (match e with None -> "*" | Some e -> expr e)
+        (match alias with None -> "" | Some a -> " AS " ^ a)
+
+  let names kw = function [] -> "" | l -> kw ^ String.concat ", " l
+
+  (* [Printer.to_string] as it was: [Printf] and [String.concat] *)
+  let stmt = function
+    | Ast.Select { items; table; where = w; group_by; order_by } ->
+      Printf.sprintf "SELECT %s FROM %s%s%s%s"
+        (String.concat ", " (List.map item items))
+        table (where w) (names " GROUP BY " group_by) (names " ORDER BY " order_by)
+    | Ast.Insert { table; columns; rows } ->
+      let cols = match columns with None -> "" | Some cs -> " (" ^ String.concat ", " cs ^ ")" in
+      let row vs = "(" ^ String.concat ", " (List.map literal vs) ^ ")" in
+      Printf.sprintf "INSERT INTO %s%s VALUES %s" table cols
+        (String.concat ", " (List.map row rows))
+    | Ast.Update { table; sets; where = w } ->
+      Printf.sprintf "UPDATE %s SET %s%s" table
+        (String.concat ", " (List.map (fun (c, e) -> Printf.sprintf "%s = %s" c (expr e)) sets))
+        (where w)
+    | Ast.Delete { table; where = w } -> Printf.sprintf "DELETE FROM %s%s" table (where w)
+    | Ast.Create_table _ -> invalid_arg "Ref_printer.stmt: not generated"
+end
+
+(* generated statements, plus SELECTs with aggregates, aliases, GROUP BY
+   and ORDER BY, which [Test_sql.gen_stmt] leaves out *)
+let gen_print_stmt =
+  let open QCheck2.Gen in
+  let gen_expr = int_range 0 6 >>= Test_sql.gen_expr_sized in
+  let gen_item =
+    oneof
+      [
+        map2 (fun e alias -> Ast.Item (e, alias)) gen_expr (option Test_sql.gen_ident);
+        map3
+          (fun fn e alias -> Ast.Agg (fn, e, alias))
+          (oneofl [ Ast.Count; Ast.Sum; Ast.Avg; Ast.Min; Ast.Max ])
+          (map Option.some gen_expr) (option Test_sql.gen_ident);
+        map (fun alias -> Ast.Agg (Ast.Count_star, None, alias)) (option Test_sql.gen_ident);
+      ]
+  in
+  let names = list_size (int_range 0 2) Test_sql.gen_ident in
+  oneof
+    [
+      Test_sql.gen_stmt;
+      map
+        (fun (items, table, where, (group_by, order_by)) ->
+          Ast.Select { items; table; where; group_by; order_by })
+        (quad (list_size (int_range 1 3) gen_item) Test_sql.gen_ident (option gen_expr)
+           (pair names names));
+    ]
+
+let prop_printers_match =
+  QCheck2.Test.make ~name:"Buffer printers match the Format/Printf printers" ~count:500
+    ~print:Ref_printer.stmt gen_print_stmt (fun stmt ->
+      let want = Ref_printer.stmt stmt in
+      String.equal (Printer.to_string stmt) want
+      && String.equal (Format.asprintf "%a" Printer.pp stmt) want
+      &&
+      match stmt with
+      | Ast.Update { sets; _ } ->
+        List.for_all
+          (fun (_, e) ->
+            let want = Ref_printer.expr e in
+            String.equal (Expr.to_string e) want
+            && String.equal (Format.asprintf "%a" Expr.pp e) want)
+          sets
+      | Ast.Select _ | Ast.Insert _ | Ast.Delete _ | Ast.Create_table _ -> true)
+
+let prop_float_literal_reads_back =
+  QCheck2.Test.make ~name:"every finite float literal reads back bit for bit" ~count:1000
+    ~print:(fun f -> Printf.sprintf "%h" f)
+    Test_sql.gen_finite_float (fun f ->
+      match Parser.parse_expr (Value.to_sql_literal (Value.Float f)) with
+      | Ok (Expr.Lit (Value.Float g)) -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | Ok _ | Error _ -> false)
+
+(* ---------- lexer: keyword table vs List.mem ---------- *)
+
+(* [Lexer.tokenize] as it was, with polymorphic compares on the error
+   state and [List.mem] over the keywords; the only change is that a
+   float literal out of range is an error *)
+let ref_tokenize input =
+  let open Lexer in
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
+  let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') in
+  let is_digit c = c >= '0' && c <= '9' in
+  let n = String.length input in
+  let tokens = ref [] in
+  let error = ref None in
+  let emit tok = tokens := tok :: !tokens in
+  let rec go i =
+    if !error <> None then ()
+    else if i >= n then emit EOF
+    else
+      let c = input.[i] in
+      match c with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
+      | '(' -> emit LPAREN; go (i + 1)
+      | ')' -> emit RPAREN; go (i + 1)
+      | ',' -> emit COMMA; go (i + 1)
+      | '*' -> emit STAR; go (i + 1)
+      | '.' -> emit DOT; go (i + 1)
+      | ';' -> emit SEMI; go (i + 1)
+      | '+' -> emit PLUS; go (i + 1)
+      | '-' -> emit MINUS; go (i + 1)
+      | '/' -> emit SLASH; go (i + 1)
+      | '=' -> emit EQ; go (i + 1)
+      | '<' ->
+        if i + 1 < n && input.[i + 1] = '=' then begin emit LE; go (i + 2) end
+        else if i + 1 < n && input.[i + 1] = '>' then begin emit NEQ; go (i + 2) end
+        else begin emit LT; go (i + 1) end
+      | '>' ->
+        if i + 1 < n && input.[i + 1] = '=' then begin emit GE; go (i + 2) end
+        else begin emit GT; go (i + 1) end
+      | '!' when i + 1 < n && input.[i + 1] = '=' -> emit NEQ; go (i + 2)
+      | '\'' ->
+        let buf = Buffer.create 16 in
+        let rec str j =
+          if j >= n then begin
+            error := Some (Printf.sprintf "unterminated string starting at %d" i);
+            j
+          end
+          else if input.[j] = '\'' then
+            if j + 1 < n && input.[j + 1] = '\'' then begin
+              Buffer.add_char buf '\'';
+              str (j + 2)
+            end
+            else j + 1
+          else begin
+            Buffer.add_char buf input.[j];
+            str (j + 1)
+          end
+        in
+        let next = str (i + 1) in
+        if !error = None then begin
+          emit (STRING (Buffer.contents buf));
+          go next
+        end
+      | c when is_digit c ->
+        let j = ref i in
+        while !j < n && is_digit input.[!j] do incr j done;
+        let is_float = !j < n && input.[!j] = '.' && !j + 1 < n && is_digit input.[!j + 1] in
+        if is_float then begin
+          incr j;
+          while !j < n && is_digit input.[!j] do incr j done;
+          if !j < n && (input.[!j] = 'e' || input.[!j] = 'E') then begin
+            let k = ref (!j + 1) in
+            if !k < n && (input.[!k] = '+' || input.[!k] = '-') then incr k;
+            if !k < n && is_digit input.[!k] then begin
+              while !k < n && is_digit input.[!k] do incr k done;
+              j := !k
+            end
+          end;
+          match float_of_string_opt (String.sub input i (!j - i)) with
+          | Some f when Float.is_finite f -> emit (FLOAT f); go !j
+          | Some _ | None -> error := Some (Printf.sprintf "bad float at %d" i)
+        end
+        else begin
+          match int_of_string_opt (String.sub input i (!j - i)) with
+          | Some v -> emit (INT v); go !j
+          | None -> error := Some (Printf.sprintf "bad int at %d" i)
+        end
+      | c when is_ident_start c ->
+        let j = ref i in
+        while !j < n && is_ident_char input.[!j] do incr j done;
+        let word = String.sub input i (!j - i) in
+        let upper = String.uppercase_ascii word in
+        if List.mem upper keywords then emit (KW upper) else emit (IDENT word);
+        go !j
+      | c -> error := Some (Printf.sprintf "unexpected character %C at %d" c i)
+  in
+  go 0;
+  match !error with Some e -> Error e | None -> Ok (List.rev !tokens)
+
+(* characters the lexer treats specially, digits and exponent letters
+   weighted up so numbers of every shape (and out-of-range ones) occur *)
+let gen_sqlish =
+  QCheck2.Gen.(
+    string_size (int_range 0 40)
+      ~gen:
+        (frequency
+           [
+             (4, char_range '0' '9');
+             (2, oneofl [ 'e'; 'E'; '.'; '+'; '-' ]);
+             (3, char_range 'a' 'z');
+             (1, char_range 'A' 'Z');
+             (2, oneofl [ ' '; '\''; '('; ')'; ','; '*'; ';'; '='; '<'; '>'; '!'; '/'; '_' ]);
+             (1, oneofl [ '@'; '"'; '\t'; '\n'; '#' ]);
+           ]))
+
+let gen_lexer_input =
+  QCheck2.Gen.(
+    oneof
+      [
+        map Printer.to_string gen_print_stmt;
+        gen_sqlish;
+        map (fun (a, b) -> a ^ " " ^ b)
+          (pair (oneofl ("1.0e400" :: "99999999999999999999" :: Lexer.keywords)) gen_sqlish);
+      ])
+
+let prop_lexer_matches =
+  QCheck2.Test.make ~name:"lexer matches its List.mem form, errors included" ~count:1000
+    ~print:(Printf.sprintf "%S") gen_lexer_input (fun input ->
+      match Lexer.tokenize input, ref_tokenize input with
+      | Ok got, Ok want -> got = want
+      | Error got, Error want -> String.equal got want
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* ---------- decode_ascii: one pass vs split list ---------- *)
+
+(* [Codec.decode_ascii] as it was: split into a list, decode with
+   [List.mapi], the last bad field's error wins *)
+let ref_decode_ascii schema line =
+  let unescape s =
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let rec go i =
+      if i < n then
+        if s.[i] = '\\' && i + 1 < n then begin
+          (match s.[i + 1] with
+           | 'p' -> Buffer.add_char buf '|'
+           | 'n' -> Buffer.add_char buf '\n'
+           | '\\' -> Buffer.add_char buf '\\'
+           | c -> Buffer.add_char buf c);
+          go (i + 2)
+        end
+        else begin
+          Buffer.add_char buf s.[i];
+          go (i + 1)
+        end
+    in
+    go 0;
+    Buffer.contents buf
+  in
+  let split_fields line =
+    let fields = ref [] in
+    let buf = Buffer.create 32 in
+    let n = String.length line in
+    let rec go i =
+      if i >= n then fields := Buffer.contents buf :: !fields
+      else
+        match line.[i] with
+        | '|' ->
+          fields := Buffer.contents buf :: !fields;
+          Buffer.clear buf;
+          go (i + 1)
+        | '\\' when i + 1 < n ->
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf line.[i + 1];
+          go (i + 2)
+        | c ->
+          Buffer.add_char buf c;
+          go (i + 1)
+    in
+    go 0;
+    List.rev !fields
+  in
+  let fields = split_fields line in
+  if List.length fields <> Schema.arity schema then
+    Error
+      (Printf.sprintf "field count %d does not match schema arity %d" (List.length fields)
+         (Schema.arity schema))
+  else begin
+    let result = ref (Ok ()) in
+    let bad fmt field = result := Error (Printf.sprintf fmt field); Value.Null in
+    let tuple =
+      Array.of_list
+        (List.mapi
+           (fun i field ->
+             let col = Schema.column schema i in
+             if field = "\\0" then Value.Null
+             else
+               match col.Schema.ty with
+               | Value.Tint -> (
+                   match int_of_string_opt field with
+                   | Some n -> Value.Int n
+                   | None -> bad "bad int %S" field)
+               | Value.Tdate -> (
+                   match int_of_string_opt field with
+                   | Some n -> Value.Date n
+                   | None -> bad "bad date %S" field)
+               | Value.Tfloat -> (
+                   match float_of_string_opt field with
+                   | Some f -> Value.Float f
+                   | None -> bad "bad float %S" field)
+               | Value.Tbool -> (
+                   match field with
+                   | "T" -> Value.Bool true
+                   | "F" -> Value.Bool false
+                   | _ -> bad "bad bool %S" field)
+               | Value.Tstring _ -> Value.Str (unescape field))
+           fields)
+    in
+    match !result with
+    | Error e -> Error e
+    | Ok () -> ( match Tuple.validate schema tuple with Ok () -> Ok tuple | Error e -> Error e)
+  end
+
+let codec_schema =
+  Schema.make
+    [
+      { Schema.name = "k"; ty = Value.Tint; nullable = false };
+      { Schema.name = "s"; ty = Value.Tstring 12; nullable = true };
+      { Schema.name = "f"; ty = Value.Tfloat; nullable = true };
+      { Schema.name = "b"; ty = Value.Tbool; nullable = true };
+      { Schema.name = "d"; ty = Value.Tdate; nullable = false };
+    ]
+
+let gen_row =
+  QCheck2.Gen.(
+    let nullable g = frequency [ (1, pure Value.Null); (4, g) ] in
+    map
+      (fun (k, s, f, (b, d)) -> [| Value.Int k; s; f; b; Value.Date d |])
+      (quad (int_range (-1000) 1000)
+         (nullable
+            (map
+               (fun s -> Value.Str s)
+               (string_size (int_range 0 12)
+                  ~gen:(oneof [ char_range 'a' 'z'; oneofl [ '|'; '\\'; '\n'; '\t'; 'p'; '0' ] ]))))
+         (nullable (map (fun f -> Value.Float f) Test_sql.gen_finite_float))
+         (pair (nullable (map (fun b -> Value.Bool b) bool)) (int_range 0 30000))))
+
+(* an encoded row, then a few edits that land on separators, escapes and
+   field contents: wrong field counts, bad numbers, stray escapes *)
+let gen_ascii_line =
+  QCheck2.Gen.(
+    let edit line =
+      map3
+        (fun pos c mode ->
+          let n = String.length line in
+          let pos = if n = 0 then 0 else pos mod (n + 1) in
+          let before = String.sub line 0 pos and after = String.sub line pos (n - pos) in
+          match mode with
+          | 0 -> before ^ String.make 1 c ^ after
+          | 1 when n > pos -> before ^ String.sub after 1 (String.length after - 1)
+          | _ ->
+            before ^ String.make 1 c ^ if n > pos then String.sub after 1 (n - pos - 1) else "")
+        nat
+        (oneofl [ '|'; '\\'; 'x'; '0'; '.'; 'e'; 'T'; 'n'; 'i'; '-' ])
+        (int_range 0 2)
+    in
+    oneof
+      [
+        map (Codec.encode_ascii codec_schema) gen_row;
+        map (Codec.encode_ascii codec_schema) gen_row >>= edit;
+        map (Codec.encode_ascii codec_schema) gen_row >>= edit >>= edit >>= edit;
+        oneofl [ "1|\\0|inf|T|3"; "1|\\0|nan|\\0|3"; "1|a|1e400|T|3"; "\\0|\\0|\\0|\\0|\\0"; "" ];
+        string_size (int_range 0 30) ~gen:(oneofl [ '|'; '\\'; '1'; 'T'; '0'; 'a' ]);
+      ])
+
+let same_tuple a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         match x, y with
+         | Value.Float f, Value.Float g ->
+           Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+         | _ -> Value.equal x y)
+       a b
+
+let prop_decode_matches =
+  QCheck2.Test.make ~name:"one-pass decode_ascii matches the list decoder, errors included"
+    ~count:1000 ~print:(Printf.sprintf "%S") gen_ascii_line (fun line ->
+      match Codec.decode_ascii codec_schema line, ref_decode_ascii codec_schema line with
+      | Ok got, Ok want -> same_tuple got want
+      | Error got, Error want -> String.equal got want
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* [Codec.encode_ascii] as it was: [Printf] floats, a closure per byte *)
+let ref_encode_ascii row =
+  let buf = Buffer.create 128 in
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf '|';
+      match v with
+      | Value.Null -> Buffer.add_string buf "\\0"
+      | Value.Int n | Value.Date n -> Buffer.add_string buf (string_of_int n)
+      | Value.Float f -> Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      | Value.Bool b -> Buffer.add_string buf (if b then "T" else "F")
+      | Value.Str s ->
+        String.iter
+          (function
+            | '|' -> Buffer.add_string buf "\\p"
+            | '\n' -> Buffer.add_string buf "\\n"
+            | '\\' -> Buffer.add_string buf "\\\\"
+            | c -> Buffer.add_char buf c)
+          s)
+    row;
+  Buffer.contents buf
+
+let prop_ascii_roundtrip =
+  QCheck2.Test.make ~name:"encode_ascii matches its Printf form and decodes back" ~count:500
+    gen_row (fun row ->
+      let line = Codec.encode_ascii codec_schema row in
+      String.equal line (ref_encode_ascii row)
+      &&
+      match Codec.decode_ascii codec_schema line with
+      | Ok back -> same_tuple row back
+      | Error _ -> false)
+
+(* ---------- FNV-1a vs a byte loop ---------- *)
+
+(* the per-byte masked loop each copy of the hash used to run *)
+let ref_fnv1a s =
+  let h = ref 0x811c9dc5 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
+  !h
+
+let prop_fnv1a_matches =
+  QCheck2.Test.make ~name:"Checksum.fnv1a matches the byte loop on any range" ~count:1000
+    QCheck2.Gen.(triple (string_size (int_range 0 200) ~gen:char) nat nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      Checksum.fnv1a s = ref_fnv1a s
+      && Checksum.fnv1a ~off s = ref_fnv1a (String.sub s off (n - off))
+      && Checksum.fnv1a ~off ~len s = ref_fnv1a (String.sub s off len)
+      && String.equal (Checksum.hex s) (Printf.sprintf "%08x" (ref_fnv1a s)))
+
+let fnv1a_rejects_bad_ranges () =
+  List.iter
+    (fun (off, len) ->
+      match Checksum.fnv1a ~off ~len "abcd" with
+      | _ -> Alcotest.failf "range %d+%d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, 5); (3, 2); (5, 0); (1, -1) ]
+
+(* ---------- B-tree node edits vs a Map model ---------- *)
+
+module Int_map = Map.Make (Int)
+
+(* insert or remove of a small key range, so removes often hit and
+   nodes split, borrow and merge at branching 4 *)
+let gen_btree_ops =
+  QCheck2.Gen.(
+    pair (oneofl [ 4; 6; 8 ])
+      (list_size (int_range 1 400) (pair bool (int_range 0 60))))
+
+let prop_btree_matches_map =
+  QCheck2.Test.make ~name:"B-tree insert/remove streams match a Map, invariants hold" ~count:200
+    gen_btree_ops (fun (branching, ops) ->
+      let tree = Btree.create ~branching () in
+      let key k = [| Value.Int k |] in
+      let step model (is_insert, k) =
+        let model =
+          if is_insert then begin
+            Btree.insert tree (key k) (-k);
+            Int_map.add k (-k) model
+          end
+          else begin
+            let was = Btree.remove tree (key k) in
+            if was <> Int_map.mem k model then Alcotest.failf "remove %d returned %b" k was;
+            Int_map.remove k model
+          end
+        in
+        (match Btree.check_invariants tree with
+         | Ok () -> ()
+         | Error e ->
+           Alcotest.failf "after %s %d: %s" (if is_insert then "insert" else "remove") k e);
+        if Btree.cardinal tree <> Int_map.cardinal model then Alcotest.fail "cardinal";
+        model
+      in
+      let model = List.fold_left step Int_map.empty ops in
+      List.equal
+        (fun (k, v) (k', v') -> Tuple.equal k k' && Int.equal v v')
+        (Btree.to_list tree)
+        (List.map (fun (k, v) -> (key k, v)) (Int_map.bindings model)))
+
+(* ---------- a logged DELETE carries the encoded before image ---------- *)
+
+type wal_op = Ins of Tuple.t | Upd of int * Tuple.t | Del_where of int * int | Del_rid of int
+
+let gen_wal_ops =
+  QCheck2.Gen.(
+    list_size (int_range 5 60)
+      (frequency
+         [
+           (4, map (fun r -> Ins r) gen_row);
+           (2, map2 (fun k r -> Upd (k, r)) (int_range (-1000) 1000) gen_row);
+           (2, map2 (fun lo w -> Del_where (lo, lo + w)) (int_range (-1000) 1000)
+                 (int_range 0 300));
+           (2, map (fun k -> Del_rid k) (int_range (-1000) 1000));
+         ]))
+
+let key_of row = match row.(0) with Value.Int k -> k | _ -> assert false
+
+let prop_delete_logs_before_image =
+  QCheck2.Test.make ~name:"a logged DELETE's image is the encoded before image" ~count:100
+    gen_wal_ops (fun ops ->
+      let db = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+      ignore (Db.create_table db ~name:"t" codec_schema : Table.t);
+      (* the row each key holds, and the image each deleted key had *)
+      let live = Hashtbl.create 64 in
+      let deleted = Hashtbl.create 64 in
+      let find_rid txn k =
+        match Db.find_by_key db txn "t" [| Value.Int k |] with
+        | Some (rid, _) -> rid
+        | None -> Alcotest.failf "key %d not found" k
+      in
+      List.iter
+        (fun op ->
+          Db.with_txn db (fun txn ->
+              match op with
+              | Ins row ->
+                let k = key_of row in
+                if not (Hashtbl.mem live k || Hashtbl.mem deleted k) then begin
+                  ignore (Db.insert db txn "t" row : Heap_file.rid);
+                  Hashtbl.replace live k row
+                end
+              | Upd (k, row) ->
+                (* any live key, overwritten in place with a new image *)
+                let keys = Hashtbl.fold (fun k _ acc -> k :: acc) live [] |> List.sort compare in
+                if keys <> [] then begin
+                  let k = List.nth keys (abs k mod List.length keys) in
+                  let row = Array.copy row in
+                  row.(0) <- Value.Int k;
+                  Db.update_rid db txn "t" (find_rid txn k) row;
+                  Hashtbl.replace live k row
+                end
+              | Del_where (lo, hi) ->
+                let where =
+                  Expr.And
+                    ( Expr.Cmp (Expr.Ge, Expr.Col "k", Expr.Lit (Value.Int lo)),
+                      Expr.Cmp (Expr.Le, Expr.Col "k", Expr.Lit (Value.Int hi)) )
+                in
+                let victims =
+                  Hashtbl.fold
+                    (fun k row acc -> if k >= lo && k <= hi then (k, row) :: acc else acc)
+                    live []
+                in
+                let n = Db.delete_where db txn "t" ~where:(Some where) in
+                if n <> List.length victims then
+                  Alcotest.failf "deleted %d, want %d" n (List.length victims);
+                List.iter
+                  (fun (k, row) ->
+                    Hashtbl.remove live k;
+                    Hashtbl.replace deleted k row)
+                  victims
+              | Del_rid k -> (
+                  match Hashtbl.find_opt live k with
+                  | None -> ()
+                  | Some row ->
+                    Db.delete_rid db txn "t" (find_rid txn k);
+                    Hashtbl.remove live k;
+                    Hashtbl.replace deleted k row)))
+        ops;
+      let logged = ref 0 in
+      Wal.iter_all (Db.wal db) (fun _ r ->
+          match r.Log_record.body with
+          | Log_record.Delete { before; _ } ->
+            incr logged;
+            let k = key_of (Codec.decode_binary codec_schema before 0) in
+            let want = Codec.encode_binary codec_schema (Hashtbl.find deleted k) in
+            if not (Bytes.equal before want) then Alcotest.failf "key %d: image differs" k
+          | Log_record.Begin | Log_record.Commit | Log_record.Abort | Log_record.Insert _
+          | Log_record.Update _ | Log_record.Checkpoint _ ->
+            ());
+      !logged = Hashtbl.length deleted)
+
+let heap_delete_returns_record () =
+  let db = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+  let table = Db.create_table db ~name:"t" codec_schema in
+  let row = [| Value.Int 7; Value.Str "a|b"; Value.Null; Value.Bool true; Value.Date 3 |] in
+  let rid, written = Table.raw_insert table row in
+  let record = Heap_file.delete (Table.heap table) rid in
+  Alcotest.(check bool) "the bytes the slot held" true (Bytes.equal record written);
+  Alcotest.(check bool) "= encode_binary of the row" true
+    (Bytes.equal record (Codec.encode_binary codec_schema row));
+  match Heap_file.delete (Table.heap table) rid with
+  | _ -> Alcotest.fail "deleting a free slot succeeded"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "Page.delete's error" "Page.delete: slot already free" msg
+
+(* ---------- an overflowing FLOAT never reaches a replica ---------- *)
+
+let parts_rows db =
+  let rows = ref [] in
+  Table.scan (Db.table db "parts") (fun _ t -> rows := t :: !rows);
+  List.sort Tuple.compare !rows
+
+let price db id =
+  match List.find (fun row -> Value.equal row.(0) (Value.Int id)) (parts_rows db) with
+  | row -> row.(3)
+  | exception Not_found -> Alcotest.failf "part %d missing" id
+
+let overflowing_float_rejected () =
+  let side method_ queue =
+    let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+    ignore (Workload.create_parts_table src : Table.t);
+    let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
+    Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
+    let pipe =
+      Pipeline.create ~source:src ~warehouse:wh ~table:"parts" ~method_
+        ~transport:(Pipeline.Queued queue) ()
+    in
+    (* one statement list as one source transaction: through the wrapper
+       when there is one, else straight into the engine *)
+    let run stmts =
+      match Pipeline.capture pipe with
+      | Some cap -> (
+          match Opdelta_capture.exec_txn cap stmts with Ok _ -> Ok () | Error e -> Error e)
+      | None -> (
+          let txn = Db.begin_txn src in
+          match List.iter (fun s -> ignore (Db.exec src txn s : Db.exec_result)) stmts with
+          | () -> Db.commit src txn; Ok ()
+          | exception Invalid_argument e -> Db.abort src txn; Error e)
+    in
+    let round () = match Pipeline.run_round pipe with Ok _ -> () | Error e -> Alcotest.fail e in
+    (src, wh, run, round)
+  in
+  let sides = [ side Pipeline.Trigger "tq"; side Pipeline.Op_delta_wrapper "oq" ] in
+  let parse sql = match Parser.parse sql with Ok s -> s | Error e -> Alcotest.fail e in
+  List.iter
+    (fun (src, _, run, round) ->
+      (match run (Workload.insert_parts_txn ~first_id:1 ~size:5 ~day:(Db.current_day src) ()) with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail e);
+      round ();
+      let before = price src 2 in
+      let overflow = parse "UPDATE parts SET price = price * 1.0e300 * 1.0e300 WHERE part_id = 2" in
+      (match run [ overflow ] with
+       | Ok () -> Alcotest.fail "an infinite price committed"
+       | Error e ->
+         Alcotest.(check bool) (Printf.sprintf "named error: %s" e) true
+           (Str.string_match (Str.regexp ".*FLOAT inf is not finite") e 0));
+      Alcotest.(check bool) "the row keeps its value" true (Value.equal before (price src 2));
+      (* a literal past max_float does not even parse *)
+      Alcotest.(check bool) "1.0e400 rejected" true
+        (Result.is_error (Parser.parse "UPDATE parts SET price = 1.0e400"));
+      (match run [ parse "UPDATE parts SET price = price * 2.0e300 WHERE part_id <= 3" ] with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail e);
+      round ())
+    sides;
+  match sides with
+  | [ (src_t, wh_t, _, _); (src_o, wh_o, _, _) ] ->
+    let same a b = List.equal Tuple.equal a b in
+    Alcotest.(check bool) "sources agree" true (same (parts_rows src_t) (parts_rows src_o));
+    Alcotest.(check bool) "trigger replica = its source" true
+      (same (parts_rows (Warehouse.db wh_t)) (parts_rows src_t));
+    Alcotest.(check bool) "Op-Delta replica = trigger replica" true
+      (same (parts_rows (Warehouse.db wh_o)) (parts_rows (Warehouse.db wh_t)))
+  | _ -> assert false
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_printers_match;
+    QCheck_alcotest.to_alcotest prop_float_literal_reads_back;
+    QCheck_alcotest.to_alcotest prop_lexer_matches;
+    QCheck_alcotest.to_alcotest prop_decode_matches;
+    QCheck_alcotest.to_alcotest prop_ascii_roundtrip;
+    QCheck_alcotest.to_alcotest prop_fnv1a_matches;
+    test "fnv1a rejects ranges outside the string" fnv1a_rejects_bad_ranges;
+    QCheck_alcotest.to_alcotest prop_btree_matches_map;
+    QCheck_alcotest.to_alcotest prop_delete_logs_before_image;
+    test "heap delete returns the record the slot held" heap_delete_returns_record;
+    test "an overflowing FLOAT update is rejected; pipelines agree" overflowing_float_rejected;
+  ]

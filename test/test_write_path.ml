@@ -277,7 +277,7 @@ let prop_rids_follow_free_page_policy =
           else begin
             let victim = List.nth !live (r mod List.length !live) in
             live := List.filter (fun x -> Heap_file.rid_compare x victim <> 0) !live;
-            Heap_file.delete heap victim;
+            ignore (Heap_file.delete heap victim : bytes);
             model_delete m victim;
             true
           end)
