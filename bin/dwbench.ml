@@ -1,13 +1,11 @@
 (* dwbench — command-line driver for the delta-extraction experiment
-   suite (cmdliner interface over Dw_experiments.Registry, the list
-   bench/main.exe runs too).
+   suite (cmdliner interface over Dw_experiments.Registry).
 
      dwbench run t1 t2 --scale 2
      dwbench run t3 w1 --json out.json   # machine-readable results
      dwbench stats t3                    # metrics tables after the run
      dwbench check out.json --baseline BENCH_dwbench.json   # the bench gate
-     dwbench list
-     dwbench demo            # tiny end-to-end walkthrough on stdout *)
+     dwbench list *)
 
 open Cmdliner
 module E = Dw_experiments
@@ -238,33 +236,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc) Term.(ret (const run $ doc_arg $ base_arg))
 
-let demo_cmd =
-  let doc = "A miniature end-to-end delta extraction walkthrough." in
-  let run () =
-    let module Vfs = Dw_storage.Vfs in
-    let module Db = Dw_engine.Db in
-    let module Workload = Dw_workload.Workload in
-    let module Trigger_extract = Dw_core.Trigger_extract in
-    let module Opdelta_capture = Dw_core.Opdelta_capture in
-    let db = Db.create ~vfs:(Vfs.in_memory ()) ~name:"demo" () in
-    let _ = Workload.create_parts_table db in
-    Workload.load_parts db ~rows:100 ();
-    let h = Trigger_extract.install db ~table:"parts" in
-    let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "op.log") in
-    (match Opdelta_capture.exec_txn cap [ Workload.update_parts_stmt ~first_id:1 ~size:50 ] with
-     | Ok _ -> ()
-     | Error e -> failwith e);
-    let vd = Trigger_extract.collect db h in
-    Printf.printf
-      "updated 50 of 100 rows in one transaction:\n  value delta: %d images, %d bytes\n  \
-       op-delta:    1 statement, %d bytes\n"
-      (Dw_core.Delta.image_count vd)
-      (Dw_core.Delta.size_bytes vd)
-      (Opdelta_capture.captured_bytes cap)
-  in
-  Cmd.v (Cmd.info "demo" ~doc) Term.(const run $ const ())
-
 let () =
   let doc = "delta-extraction experiment suite (Ram & Do, ICDE 2000 reproduction)" in
   let info = Cmd.info "dwbench" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; stats_cmd; check_cmd; list_cmd; demo_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; stats_cmd; check_cmd; list_cmd ]))

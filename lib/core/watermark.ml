@@ -2,37 +2,20 @@ module Vfs = Dw_storage.Vfs
 module Checksum = Dw_util.Checksum
 
 type mark = { day : int; lsn : Dw_txn.Wal.lsn }
-type cursor = { next_key : int; chunks_done : int }
 
-type t = {
-  vfs : Vfs.t;
-  name : string;
-  marks : (string, mark) Hashtbl.t;
-  cursors : (string, cursor) Hashtbl.t;
-}
+type t = { vfs : Vfs.t; name : string; marks : (string, mark) Hashtbl.t }
 
 (* Journal records, one per line, body guarded by an FNV-1a suffix:
      m|table|day|lsn|crc        mark advanced
-     c|table|next_key|done|crc  bootstrap chunk cursor updated
-     x|table|crc                chunk cursor cleared
    plus the legacy unchecksummed [table|day|lsn] lines from the rewrite
    format this journal replaced.  A record whose checksum does not match
    its body is treated as the torn tail: it and everything after it are
    ignored, so a crash mid-append falls back to the last durable state
-   instead of poisoning [load]. *)
+   instead of poisoning [load].  An intact record of another kind (the
+   [c|]/[x|] bootstrap-cursor records older journals hold) is skipped. *)
 
-type record =
-  | Mark of string * mark
-  | Cursor of string * cursor
-  | Clear of string
-
-let record_body = function
-  | Mark (table, m) -> Printf.sprintf "m|%s|%d|%d" table m.day m.lsn
-  | Cursor (table, c) -> Printf.sprintf "c|%s|%d|%d" table c.next_key c.chunks_done
-  | Clear table -> Printf.sprintf "x|%s" table
-
-let encode_record r =
-  let body = record_body r in
+let encode_mark table m =
+  let body = Printf.sprintf "m|%s|%d|%d" table m.day m.lsn in
   Printf.sprintf "%s|%s\n" body (Checksum.hex body)
 
 (* split off the trailing [|crc] field and verify it against the rest *)
@@ -44,36 +27,25 @@ let split_checksum line =
     let crc = String.sub line (i + 1) (String.length line - i - 1) in
     if String.length crc = 8 && String.equal (Checksum.hex body) crc then Some body else None
 
+let parse_mark table day lsn =
+  match (int_of_string_opt day, int_of_string_opt lsn) with
+  | Some day, Some lsn -> Some (`Mark (table, { day; lsn }))
+  | _ -> None
+
 let parse_record line =
   match split_checksum line with
   | Some body -> (
     match String.split_on_char '|' body with
-    | [ "m"; table; day; lsn ] -> (
-      match (int_of_string_opt day, int_of_string_opt lsn) with
-      | Some day, Some lsn -> Some (Mark (table, { day; lsn }))
-      | _ -> None)
-    | [ "c"; table; next_key; chunks_done ] -> (
-      match (int_of_string_opt next_key, int_of_string_opt chunks_done) with
-      | Some next_key, Some chunks_done -> Some (Cursor (table, { next_key; chunks_done }))
-      | _ -> None)
-    | [ "x"; table ] -> Some (Clear table)
-    | _ -> None)
+    | [ "m"; table; day; lsn ] -> parse_mark table day lsn
+    | _ -> Some `Other)
   | None -> (
     (* legacy full-rewrite format: [table|day|lsn], no checksum *)
     match String.split_on_char '|' line with
-    | [ table; day; lsn ] -> (
-      match (int_of_string_opt day, int_of_string_opt lsn) with
-      | Some day, Some lsn -> Some (Mark (table, { day; lsn }))
-      | _ -> None)
+    | [ table; day; lsn ] -> parse_mark table day lsn
     | _ -> None)
 
-let apply_record t = function
-  | Mark (table, m) -> Hashtbl.replace t.marks table m
-  | Cursor (table, c) -> Hashtbl.replace t.cursors table c
-  | Clear table -> Hashtbl.remove t.cursors table
-
 let load vfs ~name =
-  let t = { vfs; name; marks = Hashtbl.create 8; cursors = Hashtbl.create 8 } in
+  let t = { vfs; name; marks = Hashtbl.create 8 } in
   if Vfs.exists vfs name then begin
     let file = Vfs.open_existing vfs name in
     let len = Vfs.size file in
@@ -89,9 +61,10 @@ let load vfs ~name =
       | "" :: rest -> replay (valid + 1) rest
       | line :: rest -> (
         match parse_record line with
-        | Some r ->
-          apply_record t r;
+        | Some (`Mark (table, m)) ->
+          Hashtbl.replace t.marks table m;
           replay (valid + String.length line + 1) rest
+        | Some `Other -> replay (valid + String.length line + 1) rest
         | None -> valid)
     in
     let valid = replay 0 lines in
@@ -109,38 +82,17 @@ let get t ~table =
   | Some mark -> mark
   | None -> { day = -1; lsn = 0 }
 
-let cursor t ~table = Hashtbl.find_opt t.cursors table
-
-let append_record t r =
-  let file = Vfs.open_or_create t.vfs t.name in
-  ignore (Vfs.append file (Bytes.of_string (encode_record r)) : int);
-  Vfs.fsync file;
-  Vfs.close file
-
 let advance t ~table mark =
   let current = get t ~table in
   if mark.day < current.day || mark.lsn < current.lsn then
     invalid_arg
       (Printf.sprintf "Watermark.advance: regression for %s (day %d->%d, lsn %d->%d)" table
          current.day mark.day current.lsn mark.lsn);
-  append_record t (Mark (table, mark));
+  let file = Vfs.open_or_create t.vfs t.name in
+  ignore (Vfs.append file (Bytes.of_string (encode_mark table mark)) : int);
+  Vfs.fsync file;
+  Vfs.close file;
   Hashtbl.replace t.marks table mark
-
-let set_cursor t ~table c =
-  (match Hashtbl.find_opt t.cursors table with
-  | Some old when c.chunks_done < old.chunks_done ->
-    invalid_arg
-      (Printf.sprintf "Watermark.set_cursor: regression for %s (chunks %d->%d)" table
-         old.chunks_done c.chunks_done)
-  | _ -> ());
-  append_record t (Cursor (table, c));
-  Hashtbl.replace t.cursors table c
-
-let clear_cursor t ~table =
-  if Hashtbl.mem t.cursors table then begin
-    append_record t (Clear table);
-    Hashtbl.remove t.cursors table
-  end
 
 let tables t =
   Hashtbl.fold (fun table _ acc -> table :: acc) t.marks [] |> List.sort String.compare

@@ -4,9 +4,9 @@
     running example, plus the log position for the log-based method).
 
     State is an append-only journal on a {!Dw_storage.Vfs.t}: every
-    {!advance} / {!set_cursor} appends one FNV-1a-checksummed record and
-    fsyncs, so an extraction agent that crashes re-extracts at most one
-    round (at-least-once, pairing with the transport queue's redelivery).
+    {!advance} appends one FNV-1a-checksummed record and fsyncs, so an
+    extraction agent that crashes re-extracts at most one round
+    (at-least-once, pairing with the transport queue's redelivery).
     {!load} replays the journal and stops at the first record whose
     checksum fails — a torn tail from a crash mid-append falls back to
     the last durable state instead of raising or dropping other tables'
@@ -21,13 +21,6 @@ type mark = {
   lsn : Dw_txn.Wal.lsn;       (** first log position NOT yet extracted *)
 }
 
-type cursor = {
-  next_key : int;             (** first primary key NOT yet chunk-loaded *)
-  chunks_done : int;          (** chunks durably applied by the bootstrap *)
-}
-(** Keyset-pagination progress of a chunked bootstrap load
-    ({!Dw_etl.Bootstrap}): present only while a table is bootstrapping. *)
-
 val load : Dw_storage.Vfs.t -> name:string -> t
 (** Open (or create) the watermark journal [name], replaying valid
     records; a corrupt tail is truncated away so recovery appends stay
@@ -39,18 +32,6 @@ val get : t -> table:string -> mark
 val advance : t -> table:string -> mark -> unit
 (** Persist a new mark.  Marks may only move forward; raises
     [Invalid_argument] on regression. *)
-
-val cursor : t -> table:string -> cursor option
-(** Chunk cursor for a bootstrapping table, [None] once complete. *)
-
-val set_cursor : t -> table:string -> cursor -> unit
-(** Persist bootstrap chunk progress.  [chunks_done] may only move
-    forward; raises [Invalid_argument] on regression (clear first to
-    restart a load from scratch). *)
-
-val clear_cursor : t -> table:string -> unit
-(** Drop the chunk cursor (bootstrap finished or abandoned); no-op if
-    none is set. *)
 
 val tables : t -> string list
 (** Tables with recorded marks, sorted. *)

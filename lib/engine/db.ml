@@ -129,6 +129,8 @@ let advance_day t = t.day <- t.day + 1
 
 let heap_file_name db_name table_name = Printf.sprintf "%s.%s.heap" db_name table_name
 
+let has_table_file ~vfs ~name table = Vfs.exists vfs (heap_file_name name table)
+
 let create_table t ~name ?ts_column schema =
   if Hashtbl.mem t.tables name then
     invalid_arg (Printf.sprintf "Db.create_table: table %s exists" name);

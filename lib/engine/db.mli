@@ -240,4 +240,9 @@ val reopen :
     above everything in the log.  Heap files that never got created before
     the crash start empty. *)
 
+val has_table_file : vfs:Dw_storage.Vfs.t -> name:string -> string -> bool
+(** Whether database [name] on [vfs] ever created this table's heap file
+    — a read-only check to make before {!reopen}, which starts a missing
+    table empty. *)
+
 val flush_all : t -> unit

@@ -4,7 +4,7 @@
     are first staged through the utility's *own internal pages* (written
     to a staging file and read back — the "extra I/O" the paper points
     at), then inserted through the normal transactional, logged insert
-    path.  This is structurally more expensive than {!Ascii_loader}'s
+    path.  This is structurally more expensive than {!Ascii_util.load}'s
     direct block writes, which is exactly the Import ≫ Loader gap in
     Table 1. *)
 

@@ -398,11 +398,6 @@ let apply_chunk t touched =
     t.rows_deduped <- t.rows_deduped + (n_rows - n_loaded);
     Metrics.observe t.metrics "bootstrap.chunk_rows" (float_of_int n_loaded);
     Metrics.add t.metrics "bootstrap.rows_deduped" (n_rows - n_loaded);
-    (* mirror the durable cursor into the source-side watermark store so
-       source-side tooling can see bootstrap progress *)
-    Watermark.set_cursor t.wm ~table:t.table
-      { Watermark.next_key = t.row.Run_state.next_key;
-        chunks_done = t.row.Run_state.chunks_done };
     journal t
       (Printf.sprintf "chunk|%s|%d|%d|%d" t.row.Run_state.run_id chunk_idx n_loaded
          t.row.Run_state.next_key);
@@ -486,17 +481,15 @@ let chunk_cycle t =
 
 (* steady-state handoff: mark Complete + release the lease (one
    warehouse transaction), then point the source-side pipeline watermark
-   past everything the bootstrap applied and drop the chunk cursor.
-   Idempotent — a crash between the two halves redoes only the
-   source-side half on resume. *)
+   past everything the bootstrap applied.  Idempotent — a crash between
+   the two halves redoes only the source-side half on resume. *)
 let handoff t =
   let mark =
     { Watermark.day = Db.current_day t.source; lsn = Wal.next_lsn (Db.wal t.source) }
   in
   let cur = Watermark.get t.wm ~table:t.table in
   if mark.Watermark.day >= cur.Watermark.day && mark.Watermark.lsn >= cur.Watermark.lsn then
-    Watermark.advance t.wm ~table:t.table mark;
-  Watermark.clear_cursor t.wm ~table:t.table
+    Watermark.advance t.wm ~table:t.table mark
 
 let final_swap t =
   t.hook Before_swap;
@@ -547,7 +540,6 @@ let run t =
     Ok (progress t)
   end
   else begin
-    if not t.resumed then Watermark.clear_cursor t.wm ~table:t.table;
     match
       while not t.chunks_exhausted do
         chunk_cycle t

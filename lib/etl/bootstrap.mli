@@ -117,7 +117,7 @@ val run : t -> (progress, error) result
 (** Drive the state machine to completion: chunk cycles until the keyset
     is exhausted, catch-up until the delta queue is dry, then the final
     swap (state row [Complete] + lease release, then source-side
-    watermark advance + cursor clear).  Raises nothing on transient
+    watermark advance).  Raises nothing on transient
     faults below the retry budget; returns [Failed] after a clean abort;
     lets {!Dw_storage.Vfs.Fault.Crash} propagate (that is the simulated
     process kill). *)

@@ -52,7 +52,7 @@ val rebuild_shard :
 (** Swap in a fresh shard ({!Dw_warehouse.Partitioned.begin_rebuild}
     with [donor]), bootstrap its partition slice from [source], and
     re-admit it.  [capture] must force hybrid images and [watermark] is
-    the rebuild's own cursor/watermark store (keep it separate from the
+    the rebuild's own watermark store (keep it separate from the
     steady-state pipeline's).  Raises [Invalid_argument] via
     [begin_rebuild]/[readmit] on state-machine misuse; lets
     {!Dw_storage.Vfs.Fault.Crash} propagate (resume with

@@ -1,10 +1,17 @@
 (* Shared helpers for the experiment harness: timing, scaling, table
-   rendering, and source-database construction. *)
+   rendering, and source and warehouse construction. *)
 
 module Vfs = Dw_storage.Vfs
 module Db = Dw_engine.Db
+module Table = Dw_engine.Table
+module Tuple = Dw_relation.Tuple
+module Value = Dw_relation.Value
+module Expr = Dw_relation.Expr
 module Workload = Dw_workload.Workload
+module Spj_view = Dw_core.Spj_view
+module Warehouse = Dw_warehouse.Warehouse
 module Fmt_util = Dw_util.Fmt_util
+module Prng = Dw_util.Prng
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -65,6 +72,80 @@ let fresh_source ?(archive = false) ?(rows = 0) () =
   let _ = Workload.create_parts_table db in
   if rows > 0 then Workload.load_parts db ~rows ();
   db
+
+(* one source transaction: [stmts] in one Db transaction *)
+let exec_txn db stmts =
+  Db.with_txn db (fun txn ->
+      List.iter (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result)) stmts)
+
+(* the statement kinds of the paper's per-operation figures, and one
+   [size]-row transaction of each over a [table_rows]-row source: fresh
+   ids past the table for inserts, the first [size] ids otherwise *)
+type op_kind = Insert | Delete | Update
+
+let op_kinds = [ Insert; Delete; Update ]
+
+let op_name = function Insert -> "insert" | Delete -> "delete" | Update -> "update"
+
+let txn_stmts ?seed ~table_rows ~day kind size =
+  match kind with
+  | Insert -> Workload.insert_parts_txn ?seed ~first_id:(table_rows + 1) ~size ~day ()
+  | Delete -> [ Workload.delete_parts_stmt ~first_id:1 ~size ]
+  | Update -> [ Workload.update_parts_stmt ~first_id:1 ~size ]
+
+(* a fresh [table_rows]-row source moved one day past its load, and the
+   statements of one [kind] transaction stamped with that day *)
+let source_txn ?seed ~table_rows kind size =
+  let db = fresh_source ~rows:table_rows () in
+  let day = Db.current_day db + 1 in
+  Db.set_day db day;
+  (db, txn_stmts ?seed ~table_rows ~day kind size)
+
+(* F2's and F3's cell: the median response time of one [size]-row [kind]
+   transaction on a fresh source, where [prepare db stmts] installs the
+   capture under test and returns the transaction to time *)
+let response_time ~table_rows ~prepare kind size =
+  best_of
+    ~setup:(fun () ->
+      let db, stmts = source_txn ~table_rows kind size in
+      prepare db stmts)
+    (fun txn -> txn ())
+
+(* [rows] parts rows, ids 1..rows at day 0, from a seed-77 stream unless
+   told otherwise: the replica contents the warehouse experiments share *)
+let parts_rows ?(seed = 77) rows =
+  let rng = Prng.create ~seed in
+  List.init rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0)
+
+(* a warehouse with a loaded [parts] replica and [views] over it *)
+let parts_warehouse ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?seed ?(views = []) ~rows () =
+  let wh =
+    Warehouse.create ?pool_pages ?pool_stripes ~vfs:(Vfs.in_memory ~op_delay ()) ~name:"dw" ()
+  in
+  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
+  Warehouse.load_replica wh ~table:"parts" (parts_rows ?seed rows);
+  List.iter (Warehouse.define_view wh) views;
+  wh
+
+(* W1's and T5's view: parts under a price bound, id and quantity *)
+let cheap_parts =
+  Spj_view.Select_project
+    {
+      name = "cheap_parts";
+      table = "parts";
+      schema = Workload.parts_schema;
+      filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "price", Expr.Lit (Value.Float 500.0)));
+      project =
+        [
+          { Spj_view.out_name = "part_id"; from_side = Spj_view.L; from_col = "part_id" };
+          { Spj_view.out_name = "qty"; from_side = Spj_view.L; from_col = "qty" };
+        ];
+    }
+
+let sorted_rows db table =
+  let rows = ref [] in
+  Table.scan (Db.table db table) (fun _ t -> rows := t :: !rows);
+  List.sort Tuple.compare !rows
 
 let print_table ~title ~header ~rows =
   Printf.printf "\n== %s ==\n%s\n" title (Fmt_util.table ~header ~rows)

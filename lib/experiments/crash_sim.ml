@@ -20,8 +20,8 @@
    the partitioned sweep (Exp_partition) re-applies valve-governed runs
    under a watermark [mark] — exactly-once on redelivery in both.
 
-   Every flow runs through {!sweep}; a flow supplies only its
-   fault-free event count and its one-point check.
+   Every flow runs through {!sweep}, which arms the fault plans itself:
+   a flow supplies its workload once, plus a recovery check.
 
    Everything is deterministic: the op mix, the payloads and the tear
    points all derive from seeded Dw_util.Prng streams, so a failing
@@ -58,28 +58,77 @@ let accumulate totals vfs =
         Metrics.add totals name v)
     (Metrics.snapshot (Vfs.metrics vfs))
 
-(* The one crash-point sweep.  [total] lists the fault-free event count
-   of each device the flow faults (one entry for a single-device flow).
-   Crash points are numbered across those devices' events in order, and
-   each device is swept from its own first event at [stride].
-   [point ~totals k] runs crash point [k] and folds its counters into the
-   shared [totals]; failures come back in sweep order. *)
-let sweep ?(stride = 1) ~total point =
-  let rec strided base = function
+(* A crash flow.  [setup] builds a fresh scene, and [devices] names the
+   devices the sweep faults on it, in numbering order (read when the
+   plans go on, so a device the workload swaps in counts).  [workload]
+   runs on the scene and calls [arm] once, where the plans go on.
+   [check] restarts from the surviving bytes and verifies recovery; it
+   gets the workload's result, or [None] when the workload died of the
+   injected crash. *)
+type ('s, 'o) flow = {
+  seed : int;
+  setup : unit -> 's;
+  devices : 's -> Vfs.t list;
+  workload : 's -> arm:(unit -> unit) -> 'o;
+  check : 's -> 'o option -> (unit, string) result;
+}
+
+(* the fault-free event count of each device: the workload runs once
+   with a counting-only plan (seed [seed]) armed on every device *)
+let count flow =
+  let s = flow.setup () in
+  let arm () =
+    List.iter
+      (fun vfs -> Vfs.set_fault vfs (Some (Fault.make ~seed:flow.seed ())))
+      (flow.devices s)
+  in
+  ignore (flow.workload s ~arm);
+  List.map
+    (fun vfs -> match Vfs.fault vfs with Some f -> Fault.events f | None -> 0)
+    (flow.devices s)
+
+(* one crash point: device [device] fail-stops at its event [k] (seed
+   [seed + k]; the other devices run unplanned), then [check] runs and
+   every device's counters fold into [totals] *)
+let point flow ~totals ~device k =
+  let s = flow.setup () in
+  let arm () =
+    Vfs.set_fault (List.nth (flow.devices s) device)
+      (Some (Fault.make ~fail_stop_after:k ~seed:(flow.seed + k) ()))
+  in
+  let outcome = match flow.workload s ~arm with o -> Some o | exception Fault.Crash _ -> None in
+  let result = flow.check s outcome in
+  List.iter (accumulate totals) (flow.devices s);
+  result
+
+(* The one crash-point sweep.  Crash points are numbered across the
+   devices' events in order, and each device is swept from its own first
+   event at [stride]; failures come back in sweep order, a multi-device
+   flow's messages naming the device and its event. *)
+let sweep ?(stride = 1) flow =
+  let total = count flow in
+  let multi = List.length total > 1 in
+  let totals = Metrics.create () in
+  let rec go device base = function
     | [] -> []
     | n :: rest ->
-      List.init ((n + stride - 1) / stride) (fun i -> base + (i * stride)) @ strided (base + n) rest
+      let here =
+        List.filter_map
+          (fun i ->
+            let k = i * stride in
+            match point flow ~totals ~device k with
+            | Ok () -> None
+            | Error msg when multi ->
+              Some (base + k, Printf.sprintf "device %d event %d: %s" device k msg)
+            | Error msg -> Some (base + k, msg))
+          (List.init ((n + stride - 1) / stride) Fun.id)
+      in
+      here @ go (device + 1) (base + n) rest
   in
-  let points = strided 0 total in
-  let totals = Metrics.create () in
-  let failures =
-    List.filter_map
-      (fun k -> match point ~totals k with Ok () -> None | Error msg -> Some (k, msg))
-      points
-  in
+  let failures = go 0 0 total in
   {
     total_events = List.fold_left ( + ) 0 total;
-    explored = List.length points;
+    explored = List.fold_left (fun acc n -> acc + ((n + stride - 1) / stride)) 0 total;
     failures;
     fault_metrics = Metrics.snapshot totals;
   }
@@ -160,10 +209,7 @@ let model_rows spec ops =
   List.iter (apply_op spec model) ops;
   List.sort Tuple.compare (Hashtbl.fold (fun _ t acc -> t :: acc) model [])
 
-let actual_rows db =
-  let rows = ref [] in
-  Table.scan (Db.table db Workload.parts_table) (fun _ t -> rows := t :: !rows);
-  List.sort Tuple.compare !rows
+let actual_rows db = Bench_support.sorted_rows db Workload.parts_table
 
 let rows_equal a b =
   List.length a = List.length b && List.for_all2 (fun x y -> Tuple.compare x y = 0) a b
@@ -217,37 +263,25 @@ let reopen_src vfs =
   Db.set_day db 0;
   db
 
-let count_db_events spec ops =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~seed:spec.seed ()));
-  let progress = { committed = []; in_flight = None } in
-  let (_ : Db.t) = run_db_workload spec vfs ops progress in
-  match Vfs.fault vfs with Some f -> Fault.events f | None -> assert false
-
-(* one crash point: run with fail-stop at [index], restart over the
-   surviving bytes, check the visible rows are exactly the committed
-   model (the in-flight transaction may additionally be visible as a
-   whole), then prove the db is usable: commit one more row and make it
-   survive a second restart. *)
-let run_db_crash_point spec ops ~totals index =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.seed + index) ()));
-  let progress = { committed = []; in_flight = None } in
-  (match run_db_workload spec vfs ops progress with
-   | (_ : Db.t) -> ()
-   | exception Fault.Crash _ -> ());
-  let db = reopen_src vfs in
-  let committed = List.rev progress.committed in
-  let act = actual_rows db in
-  let visible =
-    if rows_equal act (model_rows spec committed) then Some committed
-    else
-      match progress.in_flight with
-      | Some op when rows_equal act (model_rows spec (committed @ [ op ])) ->
-        Some (committed @ [ op ])
-      | Some _ | None -> None
-  in
-  let result =
+(* The source-db flow.  The check: restart over the surviving bytes,
+   demand that the visible rows be exactly the committed model (the
+   in-flight transaction may additionally be visible as a whole), then
+   prove the db is usable: commit one more row and make it survive a
+   second restart. *)
+let db_flow spec =
+  let ops = ops_of_spec spec in
+  let check (vfs, progress) _ =
+    let db = reopen_src vfs in
+    let committed = List.rev progress.committed in
+    let act = actual_rows db in
+    let visible =
+      if rows_equal act (model_rows spec committed) then Some committed
+      else
+        match progress.in_flight with
+        | Some op when rows_equal act (model_rows spec (committed @ [ op ])) ->
+          Some (committed @ [ op ])
+        | Some _ | None -> None
+    in
     match visible with
     | None ->
       Error
@@ -262,7 +296,7 @@ let run_db_crash_point spec ops ~totals index =
            reader opened before the probe commit never sees it *)
         let snap = Db.begin_txn ~mode:`Snapshot db in
         let frozen = snapshot_rows db snap in
-        let probe = Insert { first_id = 1_000_000 + index; size = 1 } in
+        let probe = Insert { first_id = 1_000_000; size = 1 } in
         let txn = Db.begin_txn db in
         List.iter (fun s -> ignore (Db.exec db txn s : Db.exec_result)) (stmts_of spec probe);
         Db.commit db txn;
@@ -276,14 +310,20 @@ let run_db_crash_point spec ops ~totals index =
         end
       end
   in
-  accumulate totals vfs;
-  result
+  {
+    seed = spec.seed;
+    setup = (fun () -> (Vfs.in_memory (), { committed = []; in_flight = None }));
+    devices = (fun (vfs, _) -> [ vfs ]);
+    workload =
+      (fun (vfs, progress) ~arm ->
+        arm ();
+        ignore (run_db_workload spec vfs ops progress : Db.t));
+    check;
+  }
 
-let explore ?(spec = default_db_spec) ?stride () =
-  let ops = ops_of_spec spec in
-  sweep ?stride ~total:[ count_db_events spec ops ] (run_db_crash_point spec ops)
+let explore ?(spec = default_db_spec) ?stride () = sweep ?stride (db_flow spec)
 
-(* ---------- persistent-queue explorer ---------- *)
+(* ---------- persistent-queue explorers ---------- *)
 
 type queue_spec = {
   messages : int;
@@ -292,103 +332,6 @@ type queue_spec = {
 }
 
 let default_queue_spec = { messages = 12; ack_every = 4; qseed = 9 }
-
-type queue_progress = {
-  mutable enqueued : string list;  (* completed enqueues, newest first *)
-  mutable enq_in_flight : string option;
-  mutable acked : string list;
-  mutable ack_in_flight : string option;
-}
-
-let run_queue_workload spec vfs p =
-  let rng = Prng.create ~seed:spec.qseed in
-  let q = Pq.open_ vfs ~name:"deltas" in
-  for i = 1 to spec.messages do
-    let m = Printf.sprintf "msg-%04d-%s" i (Prng.alpha_string rng 8) in
-    p.enq_in_flight <- Some m;
-    Pq.enqueue q m;
-    p.enqueued <- m :: p.enqueued;
-    p.enq_in_flight <- None;
-    if spec.ack_every > 0 && i mod spec.ack_every = 0 then begin
-      let continue = ref true in
-      while !continue do
-        match Pq.peek q with
-        | None -> continue := false
-        | Some m ->
-          p.ack_in_flight <- Some m;
-          Pq.ack q;
-          p.acked <- m :: p.acked;
-          p.ack_in_flight <- None
-      done
-    end
-  done;
-  q
-
-let drain q =
-  let rec go acc =
-    match Pq.peek q with
-    | None -> List.rev acc
-    | Some m ->
-      Pq.ack q;
-      go (m :: acc)
-  in
-  go []
-
-let count_queue_events spec =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~seed:spec.qseed ()));
-  let p = { enqueued = []; enq_in_flight = None; acked = []; ack_in_flight = None } in
-  let (_ : Pq.t) = run_queue_workload spec vfs p in
-  match Vfs.fault vfs with Some f -> Fault.events f | None -> assert false
-
-(* at-least-once invariant: after a crash at any point, every completed
-   enqueue that was not (possibly) consumed must be redelivered; nothing
-   that was never enqueued may appear; and the re-opened queue must
-   still accept and retain new messages across another restart. *)
-let run_queue_crash_point spec ~totals index =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.qseed + index) ()));
-  let p = { enqueued = []; enq_in_flight = None; acked = []; ack_in_flight = None } in
-  (match run_queue_workload spec vfs p with
-   | (_ : Pq.t) -> ()
-   | exception Fault.Crash _ -> ());
-  Vfs.crash_reset vfs;
-  let q = Pq.open_ vfs ~name:"deltas" in
-  let delivered = drain q in
-  let required =
-    List.filter
-      (fun m -> not (List.mem m p.acked) && p.ack_in_flight <> Some m)
-      (List.rev p.enqueued)
-  in
-  let lost = List.filter (fun m -> not (List.mem m delivered)) required in
-  let phantom =
-    List.filter
-      (fun m -> not (List.mem m p.enqueued) && p.enq_in_flight <> Some m)
-      delivered
-  in
-  let result =
-    if lost <> [] then
-      Error (Printf.sprintf "lost %d unacked message(s), e.g. %s" (List.length lost)
-               (List.hd lost))
-    else if phantom <> [] then
-      Error (Printf.sprintf "delivered %d phantom message(s), e.g. %s" (List.length phantom)
-               (List.hd phantom))
-    else begin
-      (* the repaired log must keep accepting messages durably *)
-      Pq.enqueue q "probe-after-recovery";
-      Vfs.crash_reset vfs;
-      let q2 = Pq.open_ vfs ~name:"deltas" in
-      if List.mem "probe-after-recovery" (drain q2) then Ok ()
-      else Error "post-recovery enqueue lost after a second restart"
-    end
-  in
-  accumulate totals vfs;
-  result
-
-let explore_queue ?(spec = default_queue_spec) ?stride () =
-  sweep ?stride ~total:[ count_queue_events spec ] (run_queue_crash_point spec)
-
-(* ---------- batched-queue explorer ---------- *)
 
 (* The coalesced transport path: enqueue_batch appends a whole batch of
    frames under one fsync, ack_run consumes whole runs under one sidecar
@@ -410,12 +353,132 @@ type batched_queue_spec = {
 
 let default_batched_queue_spec = { b_messages = 18; batch = 3; run = 4; bseed = 13 }
 
-type batched_queue_progress = {
-  mutable b_enqueued : string list;  (* completed batches' messages, newest first *)
-  mutable b_enq_in_flight : string list;  (* batch being appended, in order *)
-  mutable b_acked : string list;
-  mutable b_ack_in_flight : string list;  (* run being acked, in order *)
+(* how messages go into and come out of the queue: one at a time, or in
+   batches and runs *)
+type queue_path = {
+  put : Pq.t -> string list -> unit;
+  next : Pq.t -> string list;
+  take : Pq.t -> string list -> unit;
 }
+
+let per_message =
+  {
+    put = (fun q ms -> List.iter (Pq.enqueue q) ms);
+    next = (fun q -> Option.to_list (Pq.peek q));
+    take = (fun q _ -> Pq.ack q);
+  }
+
+let batched spec =
+  {
+    put = Pq.enqueue_batch;
+    next = Pq.peek_run ~max:spec.run;
+    take = (fun q run -> Pq.ack_run q (List.length run));
+  }
+
+type queue_progress = {
+  mutable enqueued : string list;  (* completed enqueues' messages, newest first *)
+  mutable enq_in_flight : string list;  (* message or batch being appended, in order *)
+  mutable acked : string list;
+  mutable ack_in_flight : string list;  (* message or run being acked, in order *)
+}
+
+let tracked_put path p q batch =
+  p.enq_in_flight <- batch;
+  path.put q batch;
+  p.enqueued <- List.rev_append batch p.enqueued;
+  p.enq_in_flight <- []
+
+let rec tracked_drain path p q =
+  match path.next q with
+  | [] -> ()
+  | run ->
+    p.ack_in_flight <- run;
+    path.take q run;
+    p.acked <- List.rev_append run p.acked;
+    p.ack_in_flight <- [];
+    tracked_drain path p q
+
+let drain path q =
+  let rec go acc =
+    match path.next q with
+    | [] -> List.rev acc
+    | run ->
+      path.take q run;
+      go (List.rev_append run acc)
+  in
+  go []
+
+(* [sub] must be a prefix of [full] — the only shape a torn batch append
+   may survive in *)
+let rec is_prefix sub full =
+  match (sub, full) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+
+(* at-least-once invariant: after a crash at any point, every completed
+   enqueue that was not (possibly) consumed must be redelivered; nothing
+   that was never enqueued may appear; a torn batch survives only as a
+   prefix; and the re-opened queue must still accept and retain new
+   messages across another restart. *)
+let queue_check path (vfs, p) _ =
+  Vfs.crash_reset vfs;
+  let q = Pq.open_ vfs ~name:"deltas" in
+  let delivered = drain path q in
+  let required =
+    List.filter
+      (fun m -> not (List.mem m p.acked) && not (List.mem m p.ack_in_flight))
+      (List.rev p.enqueued)
+  in
+  let lost = List.filter (fun m -> not (List.mem m delivered)) required in
+  let phantom =
+    List.filter
+      (fun m -> not (List.mem m p.enqueued) && not (List.mem m p.enq_in_flight))
+      delivered
+  in
+  let torn_survivors = List.filter (fun m -> List.mem m delivered) p.enq_in_flight in
+  if lost <> [] then
+    Error
+      (Printf.sprintf "lost %d unacked message(s), e.g. %s" (List.length lost) (List.hd lost))
+  else if phantom <> [] then
+    Error
+      (Printf.sprintf "delivered %d phantom message(s), e.g. %s" (List.length phantom)
+         (List.hd phantom))
+  else if not (is_prefix torn_survivors p.enq_in_flight) then
+    Error "torn batch survived as a non-prefix subset (hole or reorder inside the batch)"
+  else begin
+    (* the repaired log must keep accepting messages durably *)
+    let probes = [ "probe-1"; "probe-2" ] in
+    path.put q probes;
+    Vfs.crash_reset vfs;
+    let redelivered = drain per_message (Pq.open_ vfs ~name:"deltas") in
+    if List.for_all (fun m -> List.mem m redelivered) probes then Ok ()
+    else Error "post-recovery enqueue lost after a second restart"
+  end
+
+let queue_flow_of path ~seed workload =
+  {
+    seed;
+    setup =
+      (fun () ->
+        (Vfs.in_memory (), { enqueued = []; enq_in_flight = []; acked = []; ack_in_flight = [] }));
+    devices = (fun (vfs, _) -> [ vfs ]);
+    workload =
+      (fun (vfs, p) ~arm ->
+        arm ();
+        workload p (Pq.open_ vfs ~name:"deltas"));
+    check = queue_check path;
+  }
+
+let queue_flow spec =
+  queue_flow_of per_message ~seed:spec.qseed (fun p q ->
+      let rng = Prng.create ~seed:spec.qseed in
+      for i = 1 to spec.messages do
+        tracked_put per_message p q [ Printf.sprintf "msg-%04d-%s" i (Prng.alpha_string rng 8) ];
+        if spec.ack_every > 0 && i mod spec.ack_every = 0 then tracked_drain per_message p q
+      done)
+
+let explore_queue ?(spec = default_queue_spec) ?stride () = sweep ?stride (queue_flow spec)
 
 let batched_queue_batches spec =
   let rng = Prng.create ~seed:spec.bseed in
@@ -432,101 +495,17 @@ let batched_queue_batches spec =
   in
   split [] msgs
 
-let drain_runs spec p q =
-  let continue = ref true in
-  while !continue do
-    match Pq.peek_run q ~max:spec.run with
-    | [] -> continue := false
-    | run ->
-      p.b_ack_in_flight <- run;
-      Pq.ack_run q (List.length run);
-      p.b_acked <- List.rev_append run p.b_acked;
-      p.b_ack_in_flight <- []
-  done
-
-let run_batched_queue_workload spec vfs p =
-  let q = Pq.open_ vfs ~name:"deltas" in
-  List.iteri
-    (fun i batch ->
-      p.b_enq_in_flight <- batch;
-      Pq.enqueue_batch q batch;
-      p.b_enqueued <- List.rev_append batch p.b_enqueued;
-      p.b_enq_in_flight <- [];
-      if (i + 1) mod 2 = 0 then drain_runs spec p q)
-    (batched_queue_batches spec);
-  q
-
-let count_batched_queue_events spec =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~seed:spec.bseed ()));
-  let p = { b_enqueued = []; b_enq_in_flight = []; b_acked = []; b_ack_in_flight = [] } in
-  let (_ : Pq.t) = run_batched_queue_workload spec vfs p in
-  match Vfs.fault vfs with Some f -> Fault.events f | None -> assert false
-
-(* [sub] must be a prefix of [full] — the only shape a torn batch append
-   may survive in *)
-let rec is_prefix sub full =
-  match (sub, full) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs, y :: ys -> x = y && is_prefix xs ys
-
-let run_batched_queue_crash_point spec ~totals index =
-  let vfs = Vfs.in_memory () in
-  Vfs.set_fault vfs (Some (Fault.make ~fail_stop_after:index ~seed:(spec.bseed + index) ()));
-  let p = { b_enqueued = []; b_enq_in_flight = []; b_acked = []; b_ack_in_flight = [] } in
-  (match run_batched_queue_workload spec vfs p with
-   | (_ : Pq.t) -> ()
-   | exception Fault.Crash _ -> ());
-  Vfs.crash_reset vfs;
-  let q = Pq.open_ vfs ~name:"deltas" in
-  let delivered =
-    let rec go acc =
-      match Pq.peek_run q ~max:spec.run with
-      | [] -> List.rev acc
-      | run ->
-        Pq.ack_run q (List.length run);
-        go (List.rev_append run acc)
-    in
-    go []
-  in
-  let required =
-    List.filter
-      (fun m -> not (List.mem m p.b_acked) && not (List.mem m p.b_ack_in_flight))
-      (List.rev p.b_enqueued)
-  in
-  let lost = List.filter (fun m -> not (List.mem m delivered)) required in
-  let phantom =
-    List.filter
-      (fun m -> not (List.mem m p.b_enqueued) && not (List.mem m p.b_enq_in_flight))
-      delivered
-  in
-  let torn_survivors = List.filter (fun m -> List.mem m delivered) p.b_enq_in_flight in
-  let result =
-    if lost <> [] then
-      Error
-        (Printf.sprintf "lost %d unacked message(s), e.g. %s" (List.length lost) (List.hd lost))
-    else if phantom <> [] then
-      Error
-        (Printf.sprintf "delivered %d phantom message(s), e.g. %s" (List.length phantom)
-           (List.hd phantom))
-    else if not (is_prefix torn_survivors p.b_enq_in_flight) then
-      Error "torn batch survived as a non-prefix subset (hole or reorder inside the batch)"
-    else begin
-      (* the repaired log must keep accepting batches durably *)
-      Pq.enqueue_batch q [ "probe-1"; "probe-2" ];
-      Vfs.crash_reset vfs;
-      let q2 = Pq.open_ vfs ~name:"deltas" in
-      let redelivered = drain q2 in
-      if List.mem "probe-1" redelivered && List.mem "probe-2" redelivered then Ok ()
-      else Error "post-recovery batch enqueue lost after a second restart"
-    end
-  in
-  accumulate totals vfs;
-  result
+let batched_queue_flow spec =
+  let path = batched spec in
+  queue_flow_of path ~seed:spec.bseed (fun p q ->
+      List.iteri
+        (fun i batch ->
+          tracked_put path p q batch;
+          if (i + 1) mod 2 = 0 then tracked_drain path p q)
+        (batched_queue_batches spec))
 
 let explore_batched_queue ?(spec = default_batched_queue_spec) ?stride () =
-  sweep ?stride ~total:[ count_batched_queue_events spec ] (run_batched_queue_crash_point spec)
+  sweep ?stride (batched_queue_flow spec)
 
 (* ---------- transient-fault file shipping ---------- *)
 

@@ -32,16 +32,10 @@ let run_a1 ~scale =
   (* a delete delta: keyed DELETE statements at the warehouse *)
   let src = fresh_source ~rows:table_rows () in
   let handle = Trigger_extract.install src ~table:"parts" in
-  Db.with_txn src (fun txn ->
-      ignore (Db.exec src txn (Workload.delete_parts_stmt ~first_id:1 ~size:delta_rows)
-              : Db.exec_result));
+  exec_txn src [ Workload.delete_parts_stmt ~first_id:1 ~size:delta_rows ];
   let delta = Trigger_extract.collect src handle in
   let run mode =
-    let wh = Warehouse.create ~pool_pages:2048 ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-    Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-    let rng = Prng.create ~seed:77 in
-    Warehouse.load_replica wh ~table:"parts"
-      (List.init table_rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0));
+    let wh = parts_warehouse ~pool_pages:2048 ~rows:table_rows () in
     Db.set_plan_mode (Warehouse.db wh) mode;
     time_only (fun () -> ignore (Warehouse.integrate_value_delta wh delta : Warehouse.stats))
   in
@@ -79,10 +73,7 @@ let run_a2 ~scale =
     let t =
       time_only (fun () ->
           for i = 1 to txns do
-            Db.with_txn db (fun txn ->
-                List.iter
-                  (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result))
-                  (Workload.insert_parts_txn ~first_id:i ~size:1 ~day:0 ()))
+            exec_txn db (Workload.insert_parts_txn ~first_id:i ~size:1 ~day:0 ())
           done;
           Db.checkpoint db)
     in
@@ -237,21 +228,11 @@ let run_a5 ~scale =
   let db = fresh_source ~rows:table_rows () in
   let handle = Trigger_extract.install db ~table:"parts" in
   for round = 1 to 25 do
-    Db.with_txn db (fun txn ->
-        ignore
-          (Db.exec db txn (Workload.update_parts_stmt ~first_id:(1 + (round mod 5)) ~size:200)
-            : Db.exec_result))
+    exec_txn db [ Workload.update_parts_stmt ~first_id:(1 + (round mod 5)) ~size:200 ]
   done;
   let delta = Trigger_extract.collect db handle in
   let compacted, t_compact = time (fun () -> Delta.compact delta) in
-  let mk_wh () =
-    let wh = Warehouse.create ~pool_pages:2048 ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-    Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-    let rng = Prng.create ~seed:77 in
-    Warehouse.load_replica wh ~table:"parts"
-      (List.init table_rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0));
-    wh
-  in
+  let mk_wh () = parts_warehouse ~pool_pages:2048 ~rows:table_rows () in
   let t_raw =
     best_of ~repeat:3 ~setup:mk_wh (fun wh ->
         ignore (Warehouse.integrate_value_delta wh delta : Warehouse.stats))

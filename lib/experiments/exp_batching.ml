@@ -23,15 +23,11 @@
 module Vfs = Dw_storage.Vfs
 module Db = Dw_engine.Db
 module Metrics = Dw_util.Metrics
-module Value = Dw_relation.Value
-module Expr = Dw_relation.Expr
 module Workload = Dw_workload.Workload
 module Op_delta = Dw_core.Op_delta
-module Spj_view = Dw_core.Spj_view
 module Warehouse = Dw_warehouse.Warehouse
 module Persistent_queue = Dw_transport.Persistent_queue
 module File_ship = Dw_transport.File_ship
-module Prng = Dw_util.Prng
 open Bench_support
 
 let group_sizes = [ 1; 2; 4; 8; 16 ]
@@ -52,10 +48,7 @@ let run_group_commit ~scale =
         let fsyncs0 = Metrics.observed_count m "wal.fsync" in
         let day = Db.current_day db in
         for i = 0 to txns - 1 do
-          Db.with_txn db (fun txn ->
-              List.iter
-                (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result))
-                (Workload.insert_parts_txn ~first_id:(i + 1) ~size:1 ~day ()))
+          exec_txn db (Workload.insert_parts_txn ~first_id:(i + 1) ~size:1 ~day ())
         done;
         (* durability barrier: close the last (possibly partial) group so
            every mode has made all [txns] commits durable *)
@@ -166,33 +159,11 @@ let run_transport ~scale =
 
 (* ---------- part c: micro-batched warehouse refresh ---------- *)
 
-let sp_view =
-  Spj_view.Select_project
-    {
-      name = "cheap_parts";
-      table = "parts";
-      schema = Workload.parts_schema;
-      filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "price", Expr.Lit (Value.Float 500.0)));
-      project =
-        [
-          { Spj_view.out_name = "part_id"; from_side = Spj_view.L; from_col = "part_id" };
-          { Spj_view.out_name = "qty"; from_side = Spj_view.L; from_col = "qty" };
-        ];
-    }
-
 (* the warehouse device gets a per-operation latency so the per-commit
    fixed cost (commit record + fsync) is physically real, as on the
    paper's staging database, instead of an in-memory no-op *)
 let mk_wh ~replica_rows ~op_delay =
-  let wh =
-    Warehouse.create ~pool_pages:2048 ~vfs:(Vfs.in_memory ~op_delay ()) ~name:"dw" ()
-  in
-  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-  let rng = Prng.create ~seed:77 in
-  Warehouse.load_replica wh ~table:"parts"
-    (List.init replica_rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0));
-  Warehouse.define_view wh sp_view;
-  wh
+  parts_warehouse ~pool_pages:2048 ~op_delay ~views:[ cheap_parts ] ~rows:replica_rows ()
 
 let run_refresh ~scale =
   section "T5c: refresh window - one txn per source txn vs micro-batched runs";

@@ -13,9 +13,9 @@
    - mutual exclusion: a second start while the lease is live is
      refused.
 
-   [explore_bootstrap] runs the sweep through {!Crash_sim.sweep} for the
-   @crash alias; [run_bench] is the dwbench "w4" entry, whose sweep also
-   tracks the worst-case re-done chunks. *)
+   [flow] is the crash flow {!Crash_sim.sweep} runs: [explore_bootstrap]
+   for the @crash alias; [run_bench] is the dwbench "w4" entry, whose
+   sweep also tracks the worst-case re-done chunks. *)
 
 module Vfs = Dw_storage.Vfs
 module Fault = Vfs.Fault
@@ -121,94 +121,73 @@ let run_attempt ?owner env =
     | Error (Bootstrap.Failed e) -> `Failed e
     | exception Fault.Crash _ -> `Crashed (Bootstrap.progress b).Bootstrap.chunks_this_run)
 
-let catalog =
-  [
-    (Workload.parts_table, Workload.parts_schema, None);
-    (Run_state.table_name, Run_state.schema, None);
-  ]
-
-(* restart from bytes: reopen the warehouse database and queue off the
-   crashed VFS and re-attach the replica (no table creation) *)
+(* restart from bytes: reopen the warehouse and queue off the crashed
+   VFS (no table creation) *)
 let restart env =
   Vfs.crash_reset env.whvfs;
-  let db, (_ : Dw_txn.Recovery.stats) =
-    Db.reopen ~pool_pages:64 ~vfs:env.whvfs ~name:"dw" ~tables:catalog ()
-  in
-  let wh = Warehouse.attach ~db () in
-  Warehouse.attach_replica wh ~table:Workload.parts_table;
-  env.wh <- wh;
+  env.wh <-
+    Warehouse.reopen ~pool_pages:64 ~extra:[ (Run_state.table_name, Run_state.schema) ]
+      ~vfs:env.whvfs ~name:"dw" ~replicas:[ (Workload.parts_table, Workload.parts_schema) ]
+      ~views:[] ~agg_views:[] ();
   env.queue <- Pq.open_ env.whvfs ~name:"boot.q"
 
-let sorted_rows db table =
-  let rows = ref [] in
-  Table.scan (Db.table db table) (fun _ t -> rows := t :: !rows);
-  List.sort Tuple.compare !rows
-
 let converged env =
-  let s = sorted_rows env.src Workload.parts_table in
-  let w = sorted_rows (Warehouse.db env.wh) Workload.parts_table in
+  let s = Bench_support.sorted_rows env.src Workload.parts_table in
+  let w = Bench_support.sorted_rows (Warehouse.db env.wh) Workload.parts_table in
   List.length s = List.length w && List.for_all2 Tuple.equal s w
 
-(* fault-free run: counts write/fsync events for the sweep and yields the
-   from-scratch chunk cost the resume arm is compared against *)
-let baseline spec =
-  let env = mk_env spec in
-  Vfs.set_fault env.whvfs (Some (Fault.make ~seed:spec.seed ()));
-  let p =
+(* restart from bytes after the first attempt, resume, verify.  Returns
+   the chunk transactions re-done beyond the durable total on success. *)
+let resume env first =
+  match first with
+  | `Failed e -> Error ("first attempt failed: " ^ e)
+  | `Refused -> Error "first attempt refused"
+  | `Done p ->
+    (* the fault fired after the bootstrap's last warehouse write (or
+       not at all); nothing to resume *)
+    if converged env then Ok (max 0 (p.Bootstrap.chunks_this_run - p.Bootstrap.chunks_done))
+    else Error "completed run did not converge"
+  | `Crashed chunks_run1 -> (
+    restart env;
     match run_attempt env with
-    | `Done p -> p
-    | `Crashed _ | `Refused | `Failed _ -> failwith "w4: fault-free bootstrap did not complete"
-  in
-  if not (converged env) then failwith "w4: fault-free bootstrap did not converge";
-  let events = match Vfs.fault env.whvfs with Some f -> Fault.events f | None -> 0 in
-  (env, p, events)
-
-(* kill at event [k], restart from bytes, resume, verify.  Returns the
-   chunk transactions re-done beyond the durable total on success. *)
-let run_crash_point spec ~totals k =
-  let env = mk_env spec in
-  Vfs.set_fault env.whvfs (Some (Fault.make ~fail_stop_after:k ~seed:(spec.seed + k) ()));
-  let first = run_attempt env in
-  let result =
-    match first with
-    | `Failed e -> Error ("first attempt failed: " ^ e)
-    | `Refused -> Error "first attempt refused"
     | `Done p ->
-      (* the fault fired after the bootstrap's last warehouse write (or
-         not at all); nothing to resume *)
-      if converged env then Ok (max 0 (p.Bootstrap.chunks_this_run - p.Bootstrap.chunks_done))
-      else Error "completed run did not converge"
-    | `Crashed chunks_run1 -> (
-      restart env;
-      match run_attempt env with
-      | `Done p ->
-        if not p.Bootstrap.complete then Error "resumed run did not complete"
-        else if not (converged env) then Error "resumed run did not converge"
-        else begin
-          let redone = chunks_run1 + p.Bootstrap.chunks_this_run - p.Bootstrap.chunks_done in
-          if redone > 1 then
-            Error (Printf.sprintf "resume re-did %d chunks (> 1)" redone)
-          else if chunks_run1 > 0 && not p.Bootstrap.resumed && p.Bootstrap.chunks_this_run > 0
-          then
-            (* a durable chunk txn implies a durable state row, so a second
-               attempt that re-does chunk work must have picked it up; a
-               crash before anything durable legitimately restarts fresh,
-               and one after the durable Complete swap legitimately
-               reopens as a non-resumed no-op *)
-            Error "second attempt did not resume"
-          else Ok (max 0 redone)
-        end
-      | `Crashed _ -> Error "resumed run crashed again (fault plan not inert)"
-      | `Refused -> Error "resume refused its own expired lease"
-      | `Failed e -> Error ("resume failed: " ^ e))
-  in
-  Cs.accumulate totals env.whvfs;
-  result
+      if not p.Bootstrap.complete then Error "resumed run did not complete"
+      else if not (converged env) then Error "resumed run did not converge"
+      else begin
+        let redone = chunks_run1 + p.Bootstrap.chunks_this_run - p.Bootstrap.chunks_done in
+        if redone > 1 then
+          Error (Printf.sprintf "resume re-did %d chunks (> 1)" redone)
+        else if chunks_run1 > 0 && not p.Bootstrap.resumed && p.Bootstrap.chunks_this_run > 0
+        then
+          (* a durable chunk txn implies a durable state row, so a second
+             attempt that re-does chunk work must have picked it up; a
+             crash before anything durable legitimately restarts fresh,
+             and one after the durable Complete swap legitimately
+             reopens as a non-resumed no-op *)
+          Error "second attempt did not resume"
+        else Ok (max 0 redone)
+      end
+    | `Crashed _ -> Error "resumed run crashed again (fault plan not inert)"
+    | `Refused -> Error "resume refused its own expired lease"
+    | `Failed e -> Error ("resume failed: " ^ e))
+
+(* The bootstrap crash flow: the plan goes on after setup, and the check
+   resumes from the surviving bytes, handing [redone] each recovered
+   point's re-done chunk count.  [run_attempt] catches the crash itself. *)
+let flow ~redone spec =
+  {
+    Cs.seed = spec.seed;
+    setup = (fun () -> mk_env spec);
+    devices = (fun env -> [ env.whvfs ]);
+    workload =
+      (fun env ~arm ->
+        arm ();
+        run_attempt env);
+    check = (fun env first -> Result.map redone (resume env (Option.get first)));
+  }
 
 let explore_bootstrap ?(spec = default_spec) ?stride () =
-  let _, _, total = baseline spec in
-  Cs.sweep ?stride ~total:[ total ] (fun ~totals k ->
-      Result.map ignore (run_crash_point spec ~totals k))
+  Cs.sweep ?stride (flow ~redone:ignore spec)
 
 let run_bench ~scale =
   Bench_support.section "W4: resumable bootstrap (chunked load + watermark windows)";
@@ -241,10 +220,8 @@ let run_bench ~scale =
      re-done work *)
   let max_extra = ref 0 in
   let report =
-    Cs.sweep ~stride:(max 1 (total_events / 40)) ~total:[ total_events ] (fun ~totals k ->
-        Result.map
-          (fun extra -> max_extra := max !max_extra extra)
-          (run_crash_point spec ~totals k))
+    Cs.sweep ~stride:(max 1 (total_events / 40))
+      (flow ~redone:(fun extra -> max_extra := max !max_extra extra) spec)
   in
   List.iter (fun (k, msg) -> Printf.printf "  crash point %d FAILED: %s\n%!" k msg) report.Cs.failures;
   let failures = List.length report.Cs.failures in

@@ -36,7 +36,6 @@
 module Vfs = Dw_storage.Vfs
 module Fault = Vfs.Fault
 module Db = Dw_engine.Db
-module Tuple = Dw_relation.Tuple
 module Metrics = Dw_util.Metrics
 module Sim_clock = Dw_util.Sim_clock
 module Breaker = Dw_util.Breaker
@@ -45,7 +44,6 @@ module Workload = Dw_workload.Workload
 module Op_delta = Dw_core.Op_delta
 module Opdelta_capture = Dw_core.Opdelta_capture
 module Watermark = Dw_core.Watermark
-module Table = Dw_engine.Table
 module Warehouse = Dw_warehouse.Warehouse
 module Partitioned = Dw_warehouse.Partitioned
 module Stage = Dw_etl.Stage
@@ -128,7 +126,7 @@ let mk_env ?(health = Partitioned.default_health_config) ~rows ~parts ~seed () =
   let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"w6_src" () in
   let _ = Workload.create_parts_table src in
   (* pin the source calendar to day 0 so the loaded rows match the
-     replica/reference load (load_rows generates at day 0) and the run
+     replica/reference load (parts_rows generates at day 0) and the run
      does not depend on the wall clock *)
   Db.set_day src 0;
   Workload.load_parts ~seed src ~rows ();
@@ -143,7 +141,7 @@ let mk_env ?(health = Partitioned.default_health_config) ~rows ~parts ~seed () =
     Partitioned.create ~pool_pages:64 ~health ~metrics:hm ~spec ~name:"w6" ()
   in
   Partitioned.add_replica fleet ~table:"parts" ~schema:Workload.parts_schema;
-  Partitioned.load_replica fleet ~table:"parts" (P.load_rows ~rows ~seed);
+  Partitioned.load_replica fleet ~table:"parts" (Bench_support.parts_rows ~seed rows);
   Partitioned.define_view fleet P.spj_view;
   Partitioned.define_agg_view fleet P.agg_view;
   (* the initial load is bulk-unlogged: checkpoint before any fault plan
@@ -167,11 +165,6 @@ let one_shot_flap =
 let terminal_flap =
   Fault.Crash_flap
     { window = { Fault.from_event = 0; until_event = max_int }; period_on = 1; period_off = 0 }
-
-let sorted_source_rows db =
-  let rows = ref [] in
-  Table.scan (Db.table db Workload.parts_table) (fun _ t -> rows := t :: !rows);
-  List.sort Tuple.compare !rows
 
 (* degraded-policy read of everything the fleet serves; returns
    (answered, skipped shard count, staleness in source txns) *)
@@ -319,7 +312,8 @@ let run_bench ~scale =
   ignore (Warehouse.integrate_op_deltas reference ods : Warehouse.stats);
   let identical = P.matches_reference (P.reference_state reference) env.fleet in
   let converged =
-    sorted_source_rows env.src = Partitioned.replica_rows env.fleet "parts"
+    Bench_support.sorted_rows env.src Workload.parts_table
+    = Partitioned.replica_rows env.fleet "parts"
   in
   let m = Metrics.create () in
   let flag b = if b then 1.0 else 0.0 in
@@ -475,42 +469,17 @@ let verify_converged env =
     end
   end
 
-(* fault-free rebuild with a counting-only plan armed on the fresh shard
-   Vfs at the first chunk: its event total is the sweep space *)
-let count_rebuild_events spec =
-  let env, flappy = quarantined_scene spec in
-  let armed = ref false in
-  let hook = function
-    | Bootstrap.Before_chunk 0 when not !armed ->
-      armed := true;
-      Vfs.set_fault (Partitioned.vfss env.fleet).(flappy) (Some (Fault.make ~seed:env.seed ()))
-    | _ -> ()
-  in
-  (match rebuild_of ~hook env flappy with
-   | Ok _ -> ()
-   | Error _ -> failwith "rebuild explorer: fault-free rebuild failed");
-  match Vfs.fault (Partitioned.vfss env.fleet).(flappy) with
-  | Some f -> Fault.events f
-  | None -> 0
-
-(* kill the rebuild at event [k] of the fresh shard's device, resume it
-   from the surviving bytes, and verify convergence *)
-let run_rebuild_crash_point spec ~totals k =
-  let env, flappy = quarantined_scene spec in
-  let armed = ref false in
-  let hook = function
-    | Bootstrap.Before_chunk 0 when not !armed ->
-      armed := true;
-      Vfs.set_fault (Partitioned.vfss env.fleet).(flappy)
-        (Some (Fault.make ~fail_stop_after:k ~seed:(env.seed + k) ()))
-    | _ -> ()
-  in
-  let result =
-    match rebuild_of ~hook env flappy with
-    | Ok _ -> Error (Printf.sprintf "rebuild survived its fail-stop at event %d" k)
-    | Error (Bootstrap.Lease_held _) -> Error "first rebuild refused its own lease"
-    | Error (Bootstrap.Failed e) -> Error ("first rebuild aborted instead of crashing: " ^ e)
-    | exception Fault.Crash _ -> (
+(* The kill-during-rebuild flow: the plan goes on the fresh shard's
+   device at the first chunk; the check resumes the crashed rebuild from
+   the surviving bytes and verifies convergence. *)
+let rebuild_flow spec =
+  let check (env, flappy) outcome =
+    match outcome with
+    | Some (Ok _) -> Error "rebuild survived its fail-stop"
+    | Some (Error (Bootstrap.Lease_held _)) -> Error "first rebuild refused its own lease"
+    | Some (Error (Bootstrap.Failed e)) ->
+      Error ("first rebuild aborted instead of crashing: " ^ e)
+    | None -> (
       if Partitioned.shard_health env.fleet flappy <> Partitioned.Rebuilding then
         Error "crashed rebuild did not leave the shard Rebuilding"
       else
@@ -520,8 +489,23 @@ let run_rebuild_crash_point spec ~totals k =
         | Error (Bootstrap.Lease_held _) -> Error "resume refused its own expired lease"
         | Error (Bootstrap.Failed e) -> Error ("resume failed: " ^ e))
   in
-  Crash_sim.accumulate totals (Partitioned.vfss env.fleet).(flappy);
-  result
+  {
+    Crash_sim.seed = spec.r_seed;
+    setup = (fun () -> quarantined_scene spec);
+    (* the rebuild swaps a fresh device in before its first chunk *)
+    devices = (fun (env, flappy) -> [ (Partitioned.vfss env.fleet).(flappy) ]);
+    workload =
+      (fun (env, flappy) ~arm ->
+        let armed = ref false in
+        let hook = function
+          | Bootstrap.Before_chunk 0 when not !armed ->
+            armed := true;
+            arm ()
+          | _ -> ()
+        in
+        rebuild_of ~hook env flappy);
+    check;
+  }
 
 let explore_rebuild ?(spec = default_crash_spec) ?stride () =
-  Crash_sim.sweep ?stride ~total:[ count_rebuild_events spec ] (run_rebuild_crash_point spec)
+  Crash_sim.sweep ?stride (rebuild_flow spec)

@@ -5,7 +5,6 @@
    Expected shape: Import >> Loader > Export, all roughly linear. *)
 
 module Db = Dw_engine.Db
-module Vfs = Dw_storage.Vfs
 module Workload = Dw_workload.Workload
 module Export_util = Dw_engine.Export_util
 module Import_util = Dw_engine.Import_util

@@ -31,7 +31,6 @@
                  w3.refresh_window_snapshot_s / w3.refresh_window_locking_s,
                  w3.batch_outage_s *)
 
-module Vfs = Dw_storage.Vfs
 module Db = Dw_engine.Db
 module Scheduler = Dw_engine.Scheduler
 module Metrics = Dw_util.Metrics
@@ -122,10 +121,7 @@ let run_batch_arm ~table_rows =
   let handle = Trigger_extract.install src ~table:"parts" in
   List.iter
     (fun od ->
-      Db.with_txn src (fun txn ->
-          List.iter
-            (fun (op : Op_delta.op) -> ignore (Db.exec src txn op.Op_delta.stmt : Db.exec_result))
-            od.Op_delta.ops))
+      exec_txn src (List.map (fun (op : Op_delta.op) -> op.Op_delta.stmt) od.Op_delta.ops))
     (maintenance_stream ());
   let vd = Trigger_extract.collect src handle in
   let wh = Exp_warehouse.mk_warehouse ~replica_rows:table_rows in

@@ -10,55 +10,25 @@
    - V1: op-delta bytes flat in txn size for update/delete, value-delta
      bytes linear. *)
 
-module Db = Dw_engine.Db
-module Workload = Dw_workload.Workload
 module Opdelta_capture = Dw_core.Opdelta_capture
 module Trigger_extract = Dw_core.Trigger_extract
 module Delta = Dw_core.Delta
-module Op_delta = Dw_core.Op_delta
 open Bench_support
 
-type op_kind = Insert | Delete | Update
-
-let op_name = function Insert -> "insert" | Delete -> "delete" | Update -> "update"
-
-let stmts_for ~table_rows kind size day =
-  match kind with
-  | Insert -> Workload.insert_parts_txn ~first_id:(table_rows + 1) ~size ~day ()
-  | Delete -> [ Workload.delete_parts_stmt ~first_id:1 ~size ]
-  | Update -> [ Workload.update_parts_stmt ~first_id:1 ~size ]
-
 (* response time of one transaction, with capture = None | DB | File *)
-let response_time ~table_rows ~capture kind size =
-  let setup () =
-    let db = fresh_source ~rows:table_rows () in
-    let day = Db.current_day db + 1 in
-    Db.set_day db day;
-    let stmts = stmts_for ~table_rows kind size day in
-    let exec =
+let response_time ~table_rows ~capture =
+  response_time ~table_rows ~prepare:(fun db stmts ->
+      let captured sink =
+        let cap = Opdelta_capture.create db ~sink in
+        fun () ->
+          match Opdelta_capture.exec_txn cap stmts with
+          | Ok _ -> ()
+          | Error e -> failwith e
+      in
       match capture with
-      | `None ->
-        fun () ->
-          Db.with_txn db (fun txn ->
-              List.iter (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result)) stmts)
-      | `Db_log ->
-        let cap =
-          Opdelta_capture.create db ~sink:(Opdelta_capture.To_db_table "opdelta_log")
-        in
-        fun () ->
-          (match Opdelta_capture.exec_txn cap stmts with
-           | Ok _ -> ()
-           | Error e -> failwith e)
-      | `File_log ->
-        let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "opdelta.log") in
-        fun () ->
-          (match Opdelta_capture.exec_txn cap stmts with
-           | Ok _ -> ()
-           | Error e -> failwith e)
-    in
-    exec
-  in
-  best_of ~setup (fun exec -> exec ())
+      | `None -> fun () -> exec_txn db stmts
+      | `Db_log -> captured (Opdelta_capture.To_db_table "opdelta_log")
+      | `File_log -> captured (Opdelta_capture.To_file "opdelta.log"))
 
 let run_f3 ~scale =
   section "F3 (Figure 3): Op-Delta extraction overhead";
@@ -73,7 +43,7 @@ let run_f3 ~scale =
           List.map2 (fun b c -> Printf.sprintf "%.1f%%" ((c -. b) /. b *. 100.0)) base cap
         in
         [ (op_name kind ^ " overhead") :: overhead ])
-      [ Insert; Delete; Update ]
+      op_kinds
   in
   print_table ~title:"Figure 3: Op-Delta capture overhead (DB-table sink) vs txn size" ~header
     ~rows;
@@ -117,12 +87,10 @@ let run_v1 ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let db = fresh_source ~rows:table_rows () in
-          let day = Db.current_day db + 1 in
-          Db.set_day db day;
+          let db, stmts = source_txn ~table_rows kind size in
           let handle = Trigger_extract.install db ~table:"parts" in
           let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "op.log") in
-          (match Opdelta_capture.exec_txn cap (stmts_for ~table_rows kind size day) with
+          (match Opdelta_capture.exec_txn cap stmts with
            | Ok _ -> ()
            | Error e -> failwith e);
           let value_delta = Trigger_extract.collect db handle in
@@ -138,7 +106,7 @@ let run_v1 ~scale =
             ]
             :: !rows)
         txn_sizes)
-    [ Insert; Delete; Update ];
+    op_kinds;
   print_table ~title:"Delta volume: Op-Delta vs value delta" ~header ~rows:(List.rev !rows);
   print_endline
     "shape check (paper): update/delete Op-Delta size independent of txn size; insert sizes \

@@ -26,13 +26,10 @@
                  w5.identical (1.0 when parallel == sequential results),
                  w5.partitions, w5.refresh_window_s *)
 
-module Vfs = Dw_storage.Vfs
 module Db = Dw_engine.Db
 module Metrics = Dw_util.Metrics
 module Domain_pool = Dw_util.Domain_pool
-module Prng = Dw_util.Prng
 module Workload = Dw_workload.Workload
-module Op_delta = Dw_core.Op_delta
 module Trigger_extract = Dw_core.Trigger_extract
 module Warehouse = Dw_warehouse.Warehouse
 module Olap = Dw_warehouse.Olap
@@ -50,14 +47,7 @@ let refresh_txn_size = 40
 
 let queries = Olap.standard_queries ~table:"parts"
 
-let mk_slow_warehouse ~rows =
-  let vfs = Vfs.in_memory ~op_delay () in
-  let wh = Warehouse.create ~pool_pages ~pool_stripes ~vfs ~name:"dw" () in
-  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-  let rng = Prng.create ~seed:77 in
-  Warehouse.load_replica wh ~table:"parts"
-    (List.init rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0));
-  wh
+let mk_slow_warehouse ~rows = parts_warehouse ~pool_pages ~pool_stripes ~op_delay ~rows ()
 
 (* the refresh payload: the same shape as W3's batch arm — source-side
    update transactions captured by triggers into one value delta *)
@@ -65,15 +55,9 @@ let build_refresh_delta ~rows =
   let src = fresh_source ~rows () in
   Db.set_day src (Db.current_day src + 1);
   let handle = Trigger_extract.install src ~table:"parts" in
-  List.iter
-    (fun od ->
-      Db.with_txn src (fun txn ->
-          List.iter
-            (fun (op : Op_delta.op) -> ignore (Db.exec src txn op.Op_delta.stmt : Db.exec_result))
-            od.Op_delta.ops))
-    (List.init refresh_txns (fun i ->
-         Op_delta.make ~txn_id:i
-           [ Workload.update_parts_stmt ~first_id:(1 + (i * 50)) ~size:refresh_txn_size ]));
+  for i = 0 to refresh_txns - 1 do
+    exec_txn src [ Workload.update_parts_stmt ~first_id:(1 + (i * 50)) ~size:refresh_txn_size ]
+  done;
   Trigger_extract.collect src handle
 
 type arm = { domains : int; qps : float; p95 : float; wall : float; wh : Warehouse.t }

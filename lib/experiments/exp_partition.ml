@@ -29,15 +29,12 @@
                 t6.stage_routed, t6.stage_broadcast, t6.stage_split_rows *)
 
 module Vfs = Dw_storage.Vfs
-module Fault = Vfs.Fault
 module Db = Dw_engine.Db
-module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
 module Value = Dw_relation.Value
 module Expr = Dw_relation.Expr
 module Metrics = Dw_util.Metrics
 module Domain_pool = Dw_util.Domain_pool
-module Prng = Dw_util.Prng
 module Workload = Dw_workload.Workload
 module Op_delta = Dw_core.Op_delta
 module Spj_view = Dw_core.Spj_view
@@ -103,10 +100,6 @@ let build_deltas ~rows ~txns ~seed =
       in
       Op_delta.make ~txn_id stmts)
 
-let load_rows ~rows ~seed =
-  let rng = Prng.create ~seed in
-  List.init rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0)
-
 (* ceil-spaced range bounds so the id space spreads evenly over p parts *)
 let range_spec ~id_space ~parts =
   let bounds =
@@ -118,16 +111,13 @@ let mk_partitioned ?(pages = pool_pages) ?(op_delay = op_delay) ~rows ~seed ~par
   let spec = range_spec ~id_space ~parts in
   let pw = Partitioned.create ~pool_pages:pages ~op_delay ~spec ~name:"t6" () in
   Partitioned.add_replica pw ~table:"parts" ~schema:Workload.parts_schema;
-  Partitioned.load_replica pw ~table:"parts" (load_rows ~rows ~seed);
+  Partitioned.load_replica pw ~table:"parts" (parts_rows ~seed rows);
   Partitioned.define_view pw spj_view;
   Partitioned.define_agg_view pw agg_view;
   pw
 
 let mk_reference ~rows ~seed =
-  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"t6_ref" () in
-  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-  Warehouse.load_replica wh ~table:"parts" (load_rows ~rows ~seed);
-  Warehouse.define_view wh spj_view;
+  let wh = parts_warehouse ~seed ~views:[ spj_view ] ~rows () in
   Warehouse.define_agg_view wh agg_view;
   wh
 
@@ -255,40 +245,41 @@ let checkpoint_shards pw =
     Db.checkpoint (Warehouse.db (Partitioned.shard pw i))
   done
 
-(* one shard crashes mid-refresh (its Vfs fail-stops at event k), the
-   process restarts: every shard is re-adopted from its surviving bytes
-   and the SAME staged buckets are re-applied.  Invariants: the merged
-   final state equals the sequential integrator's, and every shard's
-   watermark reached its bucket's last transaction — i.e. redelivered
-   runs applied exactly once per shard. *)
-let run_partitioned_crash_point spec ~totals ~shard:s index =
+type crash_scene = { pw : Partitioned.t; ods : Op_delta.t list; buckets : Op_delta.t list array }
+
+(* One shard crashes mid-refresh (its Vfs fail-stops), the process
+   restarts: every shard is re-adopted from its surviving bytes and the
+   SAME staged buckets are re-applied.  Invariants: the merged final
+   state equals the sequential integrator's, and every shard's watermark
+   reached its bucket's last transaction — i.e. redelivered runs applied
+   exactly once per shard.  The plans go on after the setup checkpoint;
+   each shard is one device, swept in turn. *)
+let partitioned_flow spec =
   let { c_rows = rows; c_txns = txns; c_parts = parts; c_seed = seed } = spec in
-  let id_space = rows + txns in
-  let ods = build_deltas ~rows ~txns ~seed in
-  let reference = mk_reference ~rows ~seed in
-  ignore (Warehouse.integrate_op_deltas reference ods : Warehouse.stats);
-  let expected = reference_state reference in
-  let pw = mk_partitioned ~pages:64 ~op_delay:0.0 ~rows ~seed ~parts ~id_space () in
-  checkpoint_shards pw;
-  let pspec = Partitioned.spec pw in
-  let buckets, (_ : Stage.stats) = Stage.split ~spec:pspec ods in
-  let vfss = Partitioned.vfss pw in
-  Vfs.set_fault vfss.(s) (Some (Fault.make ~fail_stop_after:index ~seed:(seed + index) ()));
-  (match
-     Domain_pool.with_pool ~domains:parts (fun pool ->
-         ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats))
-   with
-   | () -> ()
-   | exception Fault.Crash _ -> ());
-  let pw2 =
-    Partitioned.reopen
-      ~replicas:[ ("parts", Workload.parts_schema) ]
-      ~views:[ spj_view ] ~agg_views:[ agg_view ] ~spec:pspec ~name:"t6" ~vfss ()
+  let setup () =
+    let ods = build_deltas ~rows ~txns ~seed in
+    let pw =
+      mk_partitioned ~pages:64 ~op_delay:0.0 ~rows ~seed ~parts ~id_space:(rows + txns) ()
+    in
+    checkpoint_shards pw;
+    let buckets, (_ : Stage.stats) = Stage.split ~spec:(Partitioned.spec pw) ods in
+    { pw; ods; buckets }
   in
-  Domain_pool.with_pool ~domains:parts (fun pool ->
-      ignore (Partitioned.refresh ~pool pw2 buckets : Warehouse.stats));
-  let result =
-    if not (matches_reference expected pw2) then
+  let refresh pw buckets =
+    Domain_pool.with_pool ~domains:parts (fun pool ->
+        ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats))
+  in
+  let check { pw; ods; buckets } _ =
+    let reference = mk_reference ~rows ~seed in
+    ignore (Warehouse.integrate_op_deltas reference ods : Warehouse.stats);
+    let pw2 =
+      Partitioned.reopen
+        ~replicas:[ ("parts", Workload.parts_schema) ]
+        ~views:[ spj_view ] ~agg_views:[ agg_view ] ~spec:(Partitioned.spec pw) ~name:"t6"
+        ~vfss:(Partitioned.vfss pw) ()
+    in
+    refresh pw2 buckets;
+    if not (matches_reference (reference_state reference) pw2) then
       Error "partitioned refresh diverged from the sequential integrator after recovery"
     else begin
       let wms = Partitioned.watermarks pw2 in
@@ -306,31 +297,16 @@ let run_partitioned_crash_point spec ~totals ~shard:s index =
       | None -> Ok ()
     end
   in
-  Array.iter (Crash_sim.accumulate totals) vfss;
-  result
+  {
+    Crash_sim.seed;
+    setup;
+    devices = (fun { pw; _ } -> Array.to_list (Partitioned.vfss pw));
+    workload =
+      (fun { pw; buckets; _ } ~arm ->
+        arm ();
+        refresh pw buckets);
+    check;
+  }
 
-(* the fault-free event counts, per shard: the same workload runs once
-   with counting-only fault plans armed after setup *)
-let count_partitioned_events spec =
-  let { c_rows = rows; c_txns = txns; c_parts = parts; c_seed = seed } = spec in
-  let id_space = rows + txns in
-  let ods = build_deltas ~rows ~txns ~seed in
-  let pw = mk_partitioned ~pages:64 ~op_delay:0.0 ~rows ~seed ~parts ~id_space () in
-  checkpoint_shards pw;
-  let buckets, (_ : Stage.stats) = Stage.split ~spec:(Partitioned.spec pw) ods in
-  let vfss = Partitioned.vfss pw in
-  Array.iter (fun vfs -> Vfs.set_fault vfs (Some (Fault.make ~seed ()))) vfss;
-  Domain_pool.with_pool ~domains:parts (fun pool ->
-      ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats));
-  Array.map (fun vfs -> match Vfs.fault vfs with Some f -> Fault.events f | None -> 0) vfss
-
-(* each shard's events are swept in turn; the sweep numbers them across
-   the shards, so point [k] is decoded back to (shard, event) *)
 let explore_partitioned ?(spec = default_crash_spec) ?stride () =
-  let events = count_partitioned_events spec in
-  let rec locate s k = if k < events.(s) then (s, k) else locate (s + 1) (k - events.(s)) in
-  Crash_sim.sweep ?stride ~total:(Array.to_list events) (fun ~totals k ->
-      let s, k = locate 0 k in
-      Result.map_error
-        (Printf.sprintf "shard %d event %d: %s" s k)
-        (run_partitioned_crash_point spec ~totals ~shard:s k))
+  Crash_sim.sweep ?stride (partitioned_flow spec)

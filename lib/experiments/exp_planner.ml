@@ -82,8 +82,7 @@ let exec_stmts db cap stmts =
       | Ok _ -> ()
       | Error e -> failwith ("t7: captured transaction failed: " ^ e))
   | None ->
-    Db.with_txn db (fun txn ->
-        List.iter (fun s -> ignore (Db.exec db txn s : Db.exec_result)) stmts)
+    exec_txn db stmts
 
 let exec_op db cap lg op =
   match op with
@@ -97,11 +96,6 @@ let exec_op db cap lg op =
              ()
             : Tuple.t list))
   | Load_gen.Dml _ -> exec_stmts db cap (Load_gen.stmts_of_op lg ~day:(Db.current_day db) op)
-
-let sorted_rows db =
-  let rows = ref [] in
-  Table.scan (Db.table db Workload.parts_table) (fun _ t -> rows := t :: !rows);
-  List.sort Tuple.compare !rows
 
 type arm_result = {
   a_label : string;
@@ -175,7 +169,9 @@ let run_arm metrics ~rows ~seed ~rate ~seconds ~ticks_per_round arm =
       in
       phase_units.(!phase) <- phase_units.(!phase) +. units
   done;
-  let identical = sorted_rows src = sorted_rows (Warehouse.db wh) in
+  let identical =
+    sorted_rows src Workload.parts_table = sorted_rows (Warehouse.db wh) Workload.parts_table
+  in
   {
     a_label = arm.label;
     phase_units;

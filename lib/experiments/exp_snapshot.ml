@@ -34,19 +34,15 @@ let run ~scale =
   (* the change activity: one update txn + one delete txn + one insert txn *)
   let t_workload_with_trigger =
     time_only (fun () ->
-        Db.with_txn db (fun txn ->
-            ignore (Db.exec db txn (Workload.update_parts_stmt ~first_id:1 ~size:delta_rows)
-                    : Db.exec_result));
-        Db.with_txn db (fun txn ->
-            ignore
-              (Db.exec db txn
-                 (Workload.delete_parts_stmt ~first_id:(table_rows - delta_rows) ~size:(delta_rows / 2))
-                : Db.exec_result));
-        Db.with_txn db (fun txn ->
-            List.iter
-              (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result))
-              (Workload.insert_parts_txn ~first_id:(table_rows + 1) ~size:(delta_rows / 2)
-                 ~day:(Db.current_day db) ())))
+        exec_txn db [ Workload.update_parts_stmt ~first_id:1 ~size:delta_rows ];
+        exec_txn db
+          [
+            Workload.delete_parts_stmt ~first_id:(table_rows - delta_rows)
+              ~size:(delta_rows / 2);
+          ];
+        exec_txn db
+          (Workload.insert_parts_txn ~first_id:(table_rows + 1) ~size:(delta_rows / 2)
+             ~day:(Db.current_day db) ()))
   in
   (* each method extracts the same change set *)
   let (_, t_trigger) = time (fun () -> Trigger_extract.collect db handle) in

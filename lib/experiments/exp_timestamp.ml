@@ -23,10 +23,7 @@ let source_with_delta ~table_rows ~delta_rows =
   let watermark = Db.current_day db in
   Db.set_day db (watermark + 1);
   if delta_rows > 0 then
-    Db.with_txn db (fun txn ->
-        ignore
-          (Db.exec db txn (Workload.update_parts_stmt ~first_id:1 ~size:delta_rows)
-            : Db.exec_result));
+    exec_txn db [ Workload.update_parts_stmt ~first_id:1 ~size:delta_rows ];
   (db, watermark)
 
 let run_t2 ~scale =

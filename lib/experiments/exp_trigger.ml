@@ -11,30 +11,13 @@ module Workload = Dw_workload.Workload
 module Trigger_extract = Dw_core.Trigger_extract
 open Bench_support
 
-type op_kind = Insert | Delete | Update
-
-let op_name = function Insert -> "insert" | Delete -> "delete" | Update -> "update"
-
-(* run one transaction of [size] affected rows against a fresh source,
-   optionally with the capture trigger installed; returns seconds *)
-let response_time ~table_rows ~with_trigger kind size =
-  let setup () =
-    let db = fresh_source ~rows:table_rows () in
-    if with_trigger then
-      ignore (Trigger_extract.install db ~table:"parts" : Trigger_extract.handle);
-    let day = Db.current_day db + 1 in
-    Db.set_day db day;
-    let stmts =
-      match kind with
-      | Insert -> Workload.insert_parts_txn ~first_id:(table_rows + 1) ~size ~day ()
-      | Delete -> [ Workload.delete_parts_stmt ~first_id:1 ~size ]
-      | Update -> [ Workload.update_parts_stmt ~first_id:1 ~size ]
-    in
-    (db, stmts)
-  in
-  best_of ~setup (fun (db, stmts) ->
-      Db.with_txn db (fun txn ->
-          List.iter (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result)) stmts))
+(* one transaction of [size] affected rows against a fresh source,
+   optionally with the capture trigger installed *)
+let response_time ~table_rows ~with_trigger =
+  response_time ~table_rows ~prepare:(fun db stmts ->
+      if with_trigger then
+        ignore (Trigger_extract.install db ~table:"parts" : Trigger_extract.handle);
+      fun () -> exec_txn db stmts)
 
 let run ~scale =
   section "F2 (Figure 2): insert/delete/update trigger overhead";
@@ -54,7 +37,7 @@ let run ~scale =
           (op_name kind ^ " (trigger)") :: List.map dur trig;
           (op_name kind ^ " overhead") :: overhead;
         ])
-      [ Insert; Delete; Update ]
+      op_kinds
   in
   print_table ~title:"Figure 2: trigger overhead vs transaction size" ~header ~rows;
   print_endline
@@ -137,7 +120,7 @@ let remote_response_time ~table_rows ~target size =
     (db, stmt)
   in
   best_of ~repeat:3 ~setup (fun (db, stmt) ->
-      Db.with_txn db (fun txn -> ignore (Db.exec db txn stmt : Db.exec_result)))
+      exec_txn db [ stmt ])
 
 let run_remote ~scale =
   section "F2R (Section 3.1.3): trigger capture to local vs external staging";

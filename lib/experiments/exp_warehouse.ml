@@ -8,64 +8,24 @@
    Expected: the value-delta batch blocks OLAP readers for the whole
    integration, Op-Delta interleaves with them with small bounded waits. *)
 
-module Vfs = Dw_storage.Vfs
 module Db = Dw_engine.Db
-module Value = Dw_relation.Value
-module Schema = Dw_relation.Schema
-module Expr = Dw_relation.Expr
 module Workload = Dw_workload.Workload
-module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
-module Spj_view = Dw_core.Spj_view
 module Trigger_extract = Dw_core.Trigger_extract
 module Warehouse = Dw_warehouse.Warehouse
-module Prng = Dw_util.Prng
 module Metrics = Dw_util.Metrics
 open Bench_support
 
-type op_kind = Insert | Delete | Update
-
-let op_name = function Insert -> "insert" | Delete -> "delete" | Update -> "update"
-
 let w1_txn_sizes = [ 10; 100; 1000; 10000 ]
 
-let sp_view =
-  Spj_view.Select_project
-    {
-      name = "cheap_parts";
-      table = "parts";
-      schema = Workload.parts_schema;
-      filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "price", Expr.Lit (Value.Float 500.0)));
-      project =
-        [
-          { Spj_view.out_name = "part_id"; from_side = Spj_view.L; from_col = "part_id" };
-          { Spj_view.out_name = "qty"; from_side = Spj_view.L; from_col = "qty" };
-        ];
-    }
-
 let mk_warehouse ~replica_rows =
-  let wh = Warehouse.create ~pool_pages:2048 ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-  let rng = Prng.create ~seed:77 in
-  Warehouse.load_replica wh ~table:"parts"
-    (List.init replica_rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0));
-  Warehouse.define_view wh sp_view;
-  wh
+  parts_warehouse ~pool_pages:2048 ~views:[ cheap_parts ] ~rows:replica_rows ()
 
 (* capture both representations of one source transaction *)
 let capture_both ~table_rows kind size =
-  let db = fresh_source ~rows:table_rows () in
-  let day = Db.current_day db + 1 in
-  Db.set_day db day;
-  let stmts =
-    match kind with
-    | Insert -> Workload.insert_parts_txn ~seed:99 ~first_id:(table_rows + 1) ~size ~day ()
-    | Delete -> [ Workload.delete_parts_stmt ~first_id:1 ~size ]
-    | Update -> [ Workload.update_parts_stmt ~first_id:1 ~size ]
-  in
+  let db, stmts = source_txn ~seed:99 ~table_rows kind size in
   let handle = Trigger_extract.install db ~table:"parts" in
-  Db.with_txn db (fun txn ->
-      List.iter (fun stmt -> ignore (Db.exec db txn stmt : Db.exec_result)) stmts);
+  exec_txn db stmts;
   let value_delta = Trigger_extract.collect db handle in
   let od = Op_delta.make ~txn_id:1 stmts in
   (value_delta, od)
@@ -117,7 +77,7 @@ let run_w1 ~scale =
               Printf.sprintf "%.1f%%" shorter ]
             :: !rows)
         sizes)
-    [ Insert; Delete; Update ];
+    op_kinds;
   print_table ~title:"Maintenance window per source transaction" ~header ~rows:(List.rev !rows);
   let avg kind =
     let l = try Hashtbl.find improvements kind with Not_found -> [] in
@@ -127,7 +87,7 @@ let run_w1 ~scale =
   List.iter
     (fun kind ->
       Metrics.set_gauge m ("w1.window_ratio_" ^ op_name kind) (1.0 -. (avg kind /. 100.0)))
-    [ Insert; Delete; Update ];
+    op_kinds;
   Printf.printf
     "averages over txn sizes: insert %.1f%% | delete %.1f%% | update %.1f%% shorter with \
      Op-Delta\n(paper: insert parity; delete 31.8%% shorter; update 69.7%% shorter)\n"
@@ -147,11 +107,7 @@ let agg_view =
   }
 
 let mk_agg_warehouse ~replica_rows =
-  let wh = Warehouse.create ~pool_pages:2048 ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-  let rng = Prng.create ~seed:77 in
-  Warehouse.load_replica wh ~table:"parts"
-    (List.init replica_rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0));
+  let wh = parts_warehouse ~pool_pages:2048 ~rows:replica_rows () in
   Warehouse.define_agg_view wh agg_view;
   wh
 
@@ -180,7 +136,7 @@ let run_w1_agg ~scale =
               Printf.sprintf "%.1f%%" (pct_change ~base:t_value ~other:t_op) ]
             :: !rows)
         [ 10; 100; 1000 ])
-    [ Insert; Delete; Update ];
+    op_kinds;
   print_table ~title:"Maintenance window (COUNT/SUM aggregate view attached)" ~header
     ~rows:(List.rev !rows);
   print_endline
@@ -216,14 +172,11 @@ let run_w2_real ~scale =
             if online then ignore (Warehouse.integrate_op_deltas wh ods : Warehouse.stats)
             else begin
               (* the batch: all transactions' statements in ONE warehouse txn *)
-              Db.with_txn db (fun txn ->
-                  List.iter
-                    (fun od ->
-                      List.iter
-                        (fun (op : Op_delta.op) ->
-                          ignore (Db.exec db txn op.Op_delta.stmt : Db.exec_result))
-                        od.Op_delta.ops)
-                    ods)
+              exec_txn db
+                (List.concat_map
+                   (fun od ->
+                     List.map (fun (op : Op_delta.op) -> op.Op_delta.stmt) od.Op_delta.ops)
+                   ods)
             end);
       }
     in

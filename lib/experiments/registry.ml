@@ -48,7 +48,6 @@ let all =
       (fun ~scale -> Exp_ablation.run_all ~scale);
     e "crash" "robustness: crash-point sweep, faulty shipping, fault/retry counters"
       (fun ~scale -> Crash_sim.run_bench ~scale);
-    e "micro" "bechamel micro-benchmarks of engine primitives" (fun ~scale:_ -> Micro.run ());
   ]
 
 let ids = List.map (fun x -> x.id) all

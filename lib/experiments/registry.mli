@@ -1,6 +1,5 @@
 (** The experiment registry: every experiment the suite can run, in run
-    order.  [dwbench run|stats|list] and [bench/main.exe] both select
-    from this one list. *)
+    order.  [dwbench run|stats|list] selects from this one list. *)
 
 type experiment = {
   id : string;  (** selector on the command line, e.g. ["t3"] *)

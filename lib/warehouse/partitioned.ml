@@ -351,28 +351,18 @@ let refresh ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
 
 (* ---------- crash re-adoption ---------- *)
 
-let shard_catalog ~replicas ~views ~agg_views ~extra =
-  List.map (fun (table, schema) -> (table, schema, None)) replicas
-  @ List.map (fun v -> (Spj_view.name v, Warehouse.view_backing_schema v, None)) views
-  @ List.map
-      (fun (v : Agg_view.t) -> (v.Agg_view.name, Warehouse.agg_view_backing_schema v, None))
-      agg_views
-  @ List.map (fun (table, schema) -> (table, schema, None)) extra
-  @ [
-      (Partition.spec_table, Partition.spec_schema, None);
-      (progress_table, progress_schema, None);
-    ]
-
-(* re-adopt one shard's surviving bytes: reopen + recover, verify the
-   persisted placement belongs to this slot, re-attach replicas/views *)
+(* re-adopt one shard's surviving bytes: reopen + recover the shard's
+   warehouse, then verify the persisted placement belongs to this slot *)
 let adopt_shard ?pool_pages ?pool_stripes ~replicas ~views ~agg_views ~extra ~spec ~name ~vfs i
     =
-  let catalog = shard_catalog ~replicas ~views ~agg_views ~extra in
-  let db, (_ : Dw_txn.Recovery.stats) =
-    Db.reopen ?pool_pages ?pool_stripes ~vfs ~name:(Printf.sprintf "%s_p%d" name i)
-      ~tables:catalog ()
+  let wh =
+    Warehouse.reopen ?pool_pages ?pool_stripes
+      ~extra:
+        (extra
+         @ [ (Partition.spec_table, Partition.spec_schema); (progress_table, progress_schema) ])
+      ~vfs ~name:(Printf.sprintf "%s_p%d" name i) ~replicas ~views ~agg_views ()
   in
-  (match Partition.load db with
+  (match Partition.load (Warehouse.db wh) with
    | Some (shard, persisted) when shard = i && Partition.equal persisted spec -> ()
    | Some (shard, persisted) ->
      invalid_arg
@@ -380,10 +370,6 @@ let adopt_shard ?pool_pages ?pool_stripes ~replicas ~views ~agg_views ~extra ~sp
           (Partition.to_string persisted) shard (Partition.to_string spec))
    | None ->
      invalid_arg (Printf.sprintf "Partitioned.reopen: shard %d has no persisted spec" i));
-  let wh = Warehouse.attach ~db () in
-  List.iter (fun (table, _) -> Warehouse.attach_replica wh ~table) replicas;
-  List.iter (Warehouse.attach_view wh) views;
-  List.iter (Warehouse.attach_agg_view wh) agg_views;
   wh
 
 let reopen ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?(health = default_health_config)

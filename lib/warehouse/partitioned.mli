@@ -193,12 +193,12 @@ val reopen :
   unit ->
   t
 (** Re-adopt a crashed partitioned warehouse from its shards' surviving
-    bytes: per shard, {!Vfs.crash_reset} + {!Db.reopen} (catalog built
-    from [replicas], the views' backing schemas and the metadata
-    tables), then re-attach replicas, views and aggregate views without
-    re-materializing anything.  The persisted spec of every shard must
-    match [spec] (raises [Invalid_argument] on mismatch or a missing
-    spec row — the shard bytes belong to a different layout).  After
+    bytes: per shard, {!Vfs.crash_reset} + {!Warehouse.reopen} over
+    [replicas], [views], [agg_views] and the shard's metadata tables,
+    which re-registers them without re-materializing anything.  The
+    persisted spec of every shard must match [spec] (raises
+    [Invalid_argument] on mismatch or a missing spec row — the shard
+    bytes belong to a different layout).  After
     reopen, re-running {!refresh} with the same buckets completes an
     interrupted refresh exactly-once.  Health state starts over: every
     shard [Healthy], breakers closed ([health], [metrics], [op_delay] as

@@ -54,7 +54,7 @@ type t = {
   mutable runs : run list;  (* at most one per refresh transaction *)
 }
 
-let attach ~db () =
+let of_db db =
   (* the warehouse resolves keyed predicates through the pk index, unlike
      the paper's scan-bound operational sources *)
   Db.set_plan_mode db `Index_preferred;
@@ -72,7 +72,7 @@ let attach ~db () =
   }
 
 let create ?pool_pages ?pool_stripes ~vfs ~name () =
-  attach ~db:(Db.create ?pool_pages ?pool_stripes ~vfs ~name ()) ()
+  of_db (Db.create ?pool_pages ?pool_stripes ~vfs ~name ())
 
 let db t = t.db
 
@@ -372,13 +372,6 @@ let add_replica t ~table ~schema =
   ignore (Db.create_table t.db ~name:table schema : Table.t);
   install_replica t ~table schema
 
-let attach_replica t ~table =
-  if Hashtbl.mem t.replicas table then
-    invalid_arg (Printf.sprintf "Warehouse.attach_replica: %s already attached" table);
-  match Db.table_opt t.db table with
-  | None -> invalid_arg (Printf.sprintf "Warehouse.attach_replica: no table %s" table)
-  | Some tbl -> install_replica t ~table (Table.schema tbl)
-
 let load_replica t ~table rows =
   let tbl = Db.table t.db table in
   let schema = Table.schema tbl in
@@ -394,7 +387,7 @@ let replica_rows t table =
   List.rev !rows
 
 (* every view kind names its own backing table, so a view name must be
-   free in all three registries — an attach that found another kind's
+   free in all three registries — a view registered over another kind's
    table would maintain the wrong rows into it *)
 let check_view_name t ctx name =
   if Hashtbl.mem t.views name || Hashtbl.mem t.agg_views name || Hashtbl.mem t.viewonly name
@@ -403,10 +396,6 @@ let check_view_name t ctx name =
 let check_valid ctx = function
   | Ok () -> ()
   | Error e -> invalid_arg (Printf.sprintf "Warehouse.%s: %s" ctx e)
-
-let check_backing t ctx name =
-  if Db.table_opt t.db name = None then
-    invalid_arg (Printf.sprintf "Warehouse.%s: no backing table %s" ctx name)
 
 let index_source index source name =
   match Hashtbl.find_opt index source with
@@ -423,9 +412,6 @@ let materialize t name back_schema contents =
           : Heap_file.rid))
     contents;
   Table.rebuild_indexes tbl
-
-let view_backing_schema view = backing_schema (Spj_view.output_schema view)
-let agg_view_backing_schema view = backing_schema_keyed (Agg_view.output_schema view)
 
 let view_state_of view =
   let out_schema = Spj_view.output_schema view in
@@ -450,7 +436,7 @@ let register_agg_view t view =
       adef = view;
       abacking = name;
       aout_schema = Agg_view.output_schema view;
-      aback_schema = agg_view_backing_schema view;
+      aback_schema = backing_schema_keyed (Agg_view.output_schema view);
       passes = Agg_view.passes view;
       group_key = Agg_view.group_key view;
       init_group = Agg_view.init_group view;
@@ -474,22 +460,11 @@ let define_view t view =
         invalid_arg
           (Printf.sprintf "Warehouse.define_view: no replica for source table %s" source))
     (Spj_view.source_tables view);
-  let back_schema = view_backing_schema view in
+  let back_schema = backing_schema (Spj_view.output_schema view) in
   ignore (Db.create_table t.db ~name back_schema : Table.t);
   register_view t view;
   (* materialize from current replica contents *)
   materialize t name back_schema (Spj_view.eval view ~rows_of:(replica_rows t))
-
-(* register an existing view's definition without creating or
-   materializing its backing table — the resume path after a crash, where
-   the backing table's bytes were recovered by Db.reopen and only the
-   in-memory registration was lost *)
-let attach_view t view =
-  let name = Spj_view.name view in
-  check_view_name t "attach_view" name;
-  check_valid "attach_view" (Spj_view.validate view);
-  check_backing t "attach_view" name;
-  register_view t view
 
 let view_rows t name =
   match Hashtbl.find_opt t.views name, Hashtbl.find_opt t.viewonly name with
@@ -509,18 +484,11 @@ let define_agg_view t view =
   if not (Hashtbl.mem t.replicas view.Agg_view.table) then
     invalid_arg
       (Printf.sprintf "Warehouse.define_agg_view: no replica for %s" view.Agg_view.table);
-  let aback_schema = agg_view_backing_schema view in
+  let aback_schema = backing_schema_keyed (Agg_view.output_schema view) in
   ignore (Db.create_table t.db ~name aback_schema : Table.t);
   register_agg_view t view;
   materialize t name aback_schema
     (Agg_view.eval view ~rows:(replica_rows t view.Agg_view.table))
-
-let attach_agg_view t view =
-  let name = view.Agg_view.name in
-  check_view_name t "attach_agg_view" name;
-  check_valid "attach_agg_view" (Agg_view.validate view);
-  check_backing t "attach_agg_view" name;
-  register_agg_view t view
 
 let agg_view_rows t name =
   match Hashtbl.find_opt t.agg_views name with
@@ -764,3 +732,44 @@ let integrate_op_delta_viewonly (t : t) od =
                      [] changes))
               views)
         (Op_delta.tables od))
+
+(* ---------- re-adoption after a crash ---------- *)
+
+(* Every check runs before the device is touched: [Db.reopen] writes
+   (torn-tail truncation, recovery), and it would start a never-created
+   table empty, so a view that never existed must fail here. *)
+let reopen ?pool_pages ?pool_stripes ?(extra = []) ~vfs ~name ~replicas ~views ~agg_views () =
+  let agg_name (v : Agg_view.t) = v.Agg_view.name in
+  let data = List.map fst replicas @ List.map Spj_view.name views @ List.map agg_name agg_views in
+  let rec check_unique seen = function
+    | [] -> ()
+    | n :: rest ->
+      if List.mem n seen then invalid_arg (Printf.sprintf "Warehouse.reopen: %s exists" n);
+      check_unique (n :: seen) rest
+  in
+  check_unique [] (data @ List.map fst extra);
+  List.iter (fun v -> check_valid "reopen" (Spj_view.validate v)) views;
+  List.iter (fun v -> check_valid "reopen" (Agg_view.validate v)) agg_views;
+  List.iter
+    (fun table ->
+      if not (Db.has_table_file ~vfs ~name table) then
+        invalid_arg (Printf.sprintf "Warehouse.reopen: no table %s on the device" table))
+    data;
+  let tables =
+    List.map (fun (table, schema) -> (table, schema, None)) replicas
+    @ List.map
+        (fun v -> (Spj_view.name v, backing_schema (Spj_view.output_schema v), None))
+        views
+    @ List.map
+        (fun v -> (agg_name v, backing_schema_keyed (Agg_view.output_schema v), None))
+        agg_views
+    @ List.map (fun (table, schema) -> (table, schema, None)) extra
+  in
+  let db, (_ : Dw_txn.Recovery.stats) =
+    Db.reopen ?pool_pages ?pool_stripes ~vfs ~name ~tables ()
+  in
+  let t = of_db db in
+  List.iter (fun (table, schema) -> install_replica t ~table schema) replicas;
+  List.iter (register_view t) views;
+  List.iter (register_agg_view t) agg_views;
+  t

@@ -40,7 +40,7 @@
     Views are bags materialized with multiplicity counts.  Projected view
     columns must be non-nullable (they form the backing table's key).
     View names are unique across SPJ, aggregate and view-only views:
-    every [define_*] / [attach_*] raises [Invalid_argument] on a name
+    every [define_*] and {!reopen} raises [Invalid_argument] on a name
     already registered as any kind of view. *)
 
 module Schema = Dw_relation.Schema
@@ -54,9 +54,8 @@ type t
 
 val create :
   ?pool_pages:int -> ?pool_stripes:int -> vfs:Dw_storage.Vfs.t -> name:string -> unit -> t
-(** An empty warehouse over its own engine instance — {!attach} over a
-    fresh [Db.create]: [`Index_preferred] plan mode, no replicas or
-    views yet.  [pool_stripes] splits the
+(** An empty warehouse over its own engine instance: [`Index_preferred]
+    plan mode, no replicas or views yet.  [pool_stripes] splits the
     buffer pool into that many independently-latched stripes (default 1)
     so parallel OLAP domains do not serialise on one pool lock. *)
 
@@ -224,42 +223,28 @@ val integrate_op_delta_viewonly : t -> Op_delta.t -> stats
     {!Dw_core.Opdelta_capture.create}. *)
 
 (** {2 Re-adopting a warehouse} — the resume path of {!Dw_etl.Bootstrap}
-    and {!Partitioned} after a crash: re-register the tables a
-    {!Db.reopen} recovered.  The bootstrap's writes themselves go through
-    {!integrate_value_delta} (window deltas and chunks, as row images)
-    and {!integrate_op_deltas} (deltas outside a window), each with a
-    [mark]. *)
+    and {!Partitioned} after a crash.  The bootstrap's writes themselves
+    go through {!integrate_value_delta} (window deltas and chunks, as row
+    images) and {!integrate_op_deltas} (deltas outside a window), each
+    with a [mark]. *)
 
-val attach : db:Db.t -> unit -> t
-(** Wrap an existing (typically {!Db.reopen}ed) database as a warehouse
-    without creating any tables — the resume path after a crash.  No
-    replicas or views are registered; re-add them with
-    {!attach_replica} / view definitions. *)
-
-val attach_replica : t -> table:string -> unit
-(** Register an already-existing table of [t]'s database as a source
-    replica and re-install its view-maintenance trigger (the persistent
-    half of {!add_replica}, which also creates the table).  Raises
-    [Invalid_argument] if the table is missing or already attached. *)
-
-val attach_view : t -> Spj_view.t -> unit
-(** Register a view definition whose backing table already exists in
-    [t]'s database (the persistent half of {!define_view}): validates
-    the definition and hooks it back into trigger maintenance {e without}
-    creating or re-materializing the backing table — its recovered
-    contents are trusted.  Raises [Invalid_argument] if the backing
-    table is missing, the definition is invalid, or the name is already
-    registered as any kind of view. *)
-
-val attach_agg_view : t -> Dw_core.Agg_view.t -> unit
-(** {!attach_view} for aggregate views (the persistent half of
-    {!define_agg_view}). *)
-
-val view_backing_schema : Spj_view.t -> Schema.t
-(** Schema of the backing table {!define_view} creates for this view
-    (output columns as key plus the [__count] multiplicity column) —
-    what a {!Db.reopen} catalog entry for the backing table needs. *)
-
-val agg_view_backing_schema : Dw_core.Agg_view.t -> Schema.t
-(** Backing-table schema for an aggregate view (group columns as key,
-    aggregate columns, [__count] group cardinality). *)
+val reopen :
+  ?pool_pages:int ->
+  ?pool_stripes:int ->
+  ?extra:(string * Schema.t) list ->
+  vfs:Dw_storage.Vfs.t ->
+  name:string ->
+  replicas:(string * Schema.t) list ->
+  views:Spj_view.t list ->
+  agg_views:Dw_core.Agg_view.t list ->
+  unit ->
+  t
+(** Restart warehouse [name] from the bytes surviving on [vfs] (after
+    {!Dw_storage.Vfs.crash_reset}): {!Db.reopen} over the catalog of the
+    replicas, the views' backing tables, the aggregate views' backing
+    tables and [extra] (tables the warehouse does not maintain, such as
+    progress rows), in that order; then re-register the replicas and
+    views {e without} creating or re-materializing anything — the
+    recovered contents are trusted.  Raises [Invalid_argument], before
+    the device is touched, when a name appears twice, a view definition
+    is invalid, or a replica or view was never created on [vfs]. *)

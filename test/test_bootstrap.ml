@@ -19,6 +19,7 @@ module Bootstrap = Dw_etl.Bootstrap
 module Run_state = Dw_etl.Run_state
 module Pipeline = Dw_etl.Pipeline
 module EB = Dw_experiments.Exp_bootstrap
+module Cs = Dw_experiments.Crash_sim
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -64,8 +65,7 @@ let basic_convergence () =
      check Alcotest.bool "state complete" true (row.Run_state.state = Run_state.Complete);
      check Alcotest.string "lease released" "" row.Run_state.lease_owner
    | None -> Alcotest.fail "no state row");
-  (* source-side watermark: mark advanced past the load, cursor cleared *)
-  check Alcotest.bool "cursor cleared" true (Watermark.cursor env.EB.wm ~table:"parts" = None);
+  (* source-side watermark: mark advanced past the load *)
   check Alcotest.bool "mark advanced" true
     ((Watermark.get env.EB.wm ~table:"parts").Watermark.day >= 0);
   (* advisory journal tells the run's story *)
@@ -217,13 +217,17 @@ let lease_expired_single_winner () =
 
 let crash_mid_load_resumes () =
   let s = spec ~rows:48 ~commits:6 ~seed:5 () in
-  let _, _, total = EB.baseline s in
+  let flow =
+    EB.flow s ~redone:(fun extra ->
+        check Alcotest.bool "resume re-does <= 1 chunk" true (extra <= 1))
+  in
+  let total = List.hd (Cs.count flow) in
   check Alcotest.bool "events counted" true (total > 0);
   let totals = Metrics.create () in
   List.iter
     (fun k ->
-      match EB.run_crash_point s ~totals k with
-      | Ok extra -> check Alcotest.bool "resume re-does <= 1 chunk" true (extra <= 1)
+      match Cs.point flow ~totals ~device:0 k with
+      | Ok () -> ()
       | Error msg -> Alcotest.fail (Printf.sprintf "crash point %d: %s" k msg))
     [ 1; total / 3; total / 2; total - 2 ]
 
@@ -372,9 +376,10 @@ let prop_random_crash_converges =
     QCheck2.Gen.(triple (int_range 0 400) (int_range 0 8) (int_range 0 999))
     (fun (k, commits, seed) ->
       let s = spec ~rows:48 ~commits ~seed () in
-      let totals = Metrics.create () in
-      match EB.run_crash_point s ~totals k with
-      | Ok extra -> extra <= 1
+      let extra = ref 0 in
+      let flow = EB.flow s ~redone:(fun e -> extra := e) in
+      match Cs.point flow ~totals:(Metrics.create ()) ~device:0 k with
+      | Ok () -> !extra <= 1
       | Error msg -> QCheck2.Test.fail_report msg)
 
 (* ---------- one transient fault on a warehouse commit ---------- *)

@@ -5,6 +5,7 @@
 
 module Cs = Dw_experiments.Crash_sim
 module Metrics = Dw_util.Metrics
+module Vfs = Dw_storage.Vfs
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -43,6 +44,59 @@ let single_shard_refresh () =
        ~spec:{ Dw_experiments.Exp_partition.default_crash_spec with c_parts = 1 }
        ~stride:4 ())
 
+(* the sweep itself, on a synthetic flow over two devices: five
+   one-byte writes to the first, then four to the second, each a single
+   event, so a crash at global point k leaves exactly k writes done *)
+let synthetic_flow ~fail_at =
+  let write vfs name =
+    let f = Vfs.open_or_create vfs name in
+    Vfs.write_at f ~off:(Vfs.size f) (Bytes.make 1 'x');
+    Vfs.close f
+  in
+  {
+    Cs.seed = 7;
+    setup = (fun () -> (Vfs.in_memory (), Vfs.in_memory (), ref 0));
+    devices = (fun (a, b, _) -> [ a; b ]);
+    workload =
+      (fun (a, b, done_) ~arm ->
+        arm ();
+        List.iter
+          (fun (vfs, n) ->
+            for _ = 1 to n do
+              write vfs "f";
+              incr done_
+            done)
+          [ (a, 5); (b, 4) ]);
+    check =
+      (fun (_, _, done_) outcome ->
+        match outcome with
+        | Some () -> Error "no crash"
+        | None when fail_at !done_ -> Error (string_of_int !done_)
+        | None -> Ok ());
+  }
+
+let sweep_numbers_points_across_devices () =
+  let r = Cs.sweep (synthetic_flow ~fail_at:(fun k -> k = 7)) in
+  check Alcotest.int "total events" 9 r.Cs.total_events;
+  check Alcotest.int "explored at stride 1" 9 r.Cs.explored;
+  check
+    Alcotest.(list (pair int string))
+    "the one failing point, on the second device" [ (7, "device 1 event 2: 7") ] r.Cs.failures;
+  (* a check failing everywhere lists every explored point: each device
+     is swept from its own first event, numbered after the devices before *)
+  let r = Cs.sweep ~stride:3 (synthetic_flow ~fail_at:(fun _ -> true)) in
+  check Alcotest.int "explored at stride 3" 4 r.Cs.explored;
+  check
+    Alcotest.(list int)
+    "points at stride 3" [ 0; 3; 5; 8 ] (List.map fst r.Cs.failures);
+  check
+    Alcotest.(list string)
+    "writes done before each point"
+    [ "device 0 event 0: 0"; "device 0 event 3: 3"; "device 1 event 0: 5"; "device 1 event 3: 8" ]
+    (List.map snd r.Cs.failures);
+  check Alcotest.bool "every point crashed" true
+    (List.assoc_opt "fault.crashes" r.Cs.fault_metrics = Some 4)
+
 let fault_counters_exported () =
   let r = Cs.explore ~spec:Cs.small_db_spec ~stride:4 () in
   let get name = match List.assoc_opt name r.Cs.fault_metrics with Some v -> v | None -> 0 in
@@ -58,8 +112,7 @@ let flake_seeds_pinned () =
   List.iter
     (fun (seed, index) ->
       let spec = { Cs.small_db_spec with Cs.seed } in
-      let ops = Cs.ops_of_spec spec in
-      match Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) index with
+      match Cs.point (Cs.db_flow spec) ~totals:(Metrics.create ()) ~device:0 index with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "seed %d, event %d: %s" seed index msg)
     [ (13, 22); (18, 22); (24, 22); (29, 23); (71, 23); (72, 22) ]
@@ -83,7 +136,7 @@ let prop_queue_random_crash_never_loses =
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 80))
     (fun (qseed, index) ->
       let spec = { Cs.default_queue_spec with Cs.qseed } in
-      match Cs.run_queue_crash_point spec ~totals:(Metrics.create ()) index with
+      match Cs.point (Cs.queue_flow spec) ~totals:(Metrics.create ()) ~device:0 index with
       | Ok () -> true
       | Error msg -> QCheck2.Test.fail_reportf "seed %d, event %d: %s" qseed index msg)
 
@@ -93,8 +146,7 @@ let prop_db_random_crash_exact_rows =
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 60))
     (fun (seed, index) ->
       let spec = { Cs.small_db_spec with Cs.seed } in
-      let ops = Cs.ops_of_spec spec in
-      match Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) index with
+      match Cs.point (Cs.db_flow spec) ~totals:(Metrics.create ()) ~device:0 index with
       | Ok () -> true
       | Error msg -> QCheck2.Test.fail_reportf "seed %d, event %d: %s" seed index msg)
 
@@ -104,8 +156,7 @@ let prop_grouped_db_random_crash =
     QCheck2.Gen.(triple (int_range 0 10_000) (int_range 0 60) (int_range 2 6))
     (fun (seed, index, group) ->
       let spec = { Cs.small_db_spec with Cs.seed; Cs.group = group } in
-      let ops = Cs.ops_of_spec spec in
-      match Cs.run_db_crash_point spec ops ~totals:(Metrics.create ()) index with
+      match Cs.point (Cs.db_flow spec) ~totals:(Metrics.create ()) ~device:0 index with
       | Ok () -> true
       | Error msg ->
         QCheck2.Test.fail_reportf "seed %d, event %d, group %d: %s" seed index group msg)
@@ -117,7 +168,7 @@ let prop_batched_queue_random_crash =
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 60))
     (fun (bseed, index) ->
       let spec = { Cs.default_batched_queue_spec with Cs.bseed } in
-      match Cs.run_batched_queue_crash_point spec ~totals:(Metrics.create ()) index with
+      match Cs.point (Cs.batched_queue_flow spec) ~totals:(Metrics.create ()) ~device:0 index with
       | Ok () -> true
       | Error msg -> QCheck2.Test.fail_reportf "seed %d, event %d: %s" bseed index msg)
 
@@ -129,6 +180,7 @@ let suite =
     test "queue crash points (stride 4)" queue_strided;
     test "batched queue crash points (exhaustive)" queue_batched_exhaustive;
     test "1-shard partitioned refresh exactly-once on redelivery (stride 4)" single_shard_refresh;
+    test "sweep numbers crash points across devices" sweep_numbers_points_across_devices;
     test "fault counters exported" fault_counters_exported;
     test "index-rebuild-before-recovery flake seeds stay green" flake_seeds_pinned;
     test "ship under 25% transient faults" ship_under_heavy_transient_faults;

@@ -588,31 +588,87 @@ let rejected_by_warehouse what f =
     check Alcotest.bool (what ^ " reports the warehouse check") true
       (String.starts_with ~prefix:"Warehouse." msg)
 
-(* an SPJ attach under an aggregate view's name would maintain SPJ rows
-   into the aggregate's backing table on the next replica change *)
-let attach_view_rejects_agg_name () =
+(* ---------- re-adopting a warehouse after a crash ---------- *)
+
+(* checkpoint, then "kill the process": what reopen sees is the bytes *)
+let crash wh =
+  Db.checkpoint (Warehouse.db wh);
+  let vfs = Db.vfs (Warehouse.db wh) in
+  Vfs.crash_reset vfs;
+  vfs
+
+let reopen ?(views = [ sp_view ]) ?(agg_views = [ qty_by_price_band ]) ?extra vfs =
+  Warehouse.reopen ?extra ~vfs ~name:"dw"
+    ~replicas:[ ("parts", parts_schema); ("supply", supply_schema) ]
+    ~views ~agg_views ()
+
+let update_txn ~txn_id ~first_id =
+  Op_delta.make ~txn_id [ Workload.update_parts_stmt ~first_id ~size:10 ]
+
+let reopen_round_trip () =
+  let wh = mk_wh ~views:[ sp_view ] () in
+  Warehouse.define_agg_view wh qty_by_price_band;
+  ignore (Warehouse.integrate_op_deltas wh [ update_txn ~txn_id:1 ~first_id:1 ] : Warehouse.stats);
+  let before = Warehouse.replica_rows wh "parts" in
+  let wh = reopen (crash wh) in
+  check Alcotest.bool "replica recovered" true (Warehouse.replica_rows wh "parts" = before);
+  ignore
+    (Warehouse.integrate_op_deltas wh
+       [ update_txn ~txn_id:2 ~first_id:5;
+         Op_delta.make ~txn_id:3 [ Workload.delete_parts_stmt ~first_id:30 ~size:4 ];
+         Op_delta.make ~txn_id:4 (Workload.insert_parts_txn ~first_id:100 ~size:3 ~day:0 ()) ]
+      : Warehouse.stats);
+  check Alcotest.bool "SPJ view maintained after reopen" true (views_agree wh "small_qty");
+  check Alcotest.bool "aggregate view maintained after reopen" true
+    (agg_views_agree wh "qty_stats")
+
+(* a refused reopen must leave the device as the crash left it: it runs
+   under a counting fault plan, which sees every write and fsync, and a
+   reopen that reached the device would create a missing table's file *)
+let rejected_untouched ~reason vfs f =
+  let files = Vfs.list_files vfs in
+  let plan = Vfs.Fault.make ~seed:1 () in
+  Vfs.set_fault vfs (Some plan);
+  (match f () with
+   | (_ : Warehouse.t) -> Alcotest.fail "reopen: expected Invalid_argument"
+   | exception Invalid_argument msg ->
+     check Alcotest.string "the warehouse check" ("Warehouse.reopen: " ^ reason) msg);
+  check Alcotest.int "no write or fsync" 0 (Vfs.Fault.events plan);
+  check Alcotest.(list string) "no file created" files (Vfs.list_files vfs)
+
+(* an SPJ view registered under an aggregate view's name would maintain
+   SPJ rows into the aggregate's backing table on the next replica change *)
+let reopen_rejects_agg_name () =
   let wh = mk_wh () in
   Warehouse.define_agg_view wh qty_by_price_band;
-  rejected_by_warehouse "attach_view" (fun () ->
-      Warehouse.attach_view wh (sp_named "qty_stats"));
   rejected_by_warehouse "define_view" (fun () ->
       Warehouse.define_view wh (sp_named "qty_stats"));
   ignore
-    (Warehouse.integrate_op_deltas wh
-       [ Op_delta.make ~txn_id:1 [ Workload.update_parts_stmt ~first_id:1 ~size:10 ] ]
-      : Warehouse.stats);
+    (Warehouse.integrate_op_deltas wh [ update_txn ~txn_id:1 ~first_id:1 ] : Warehouse.stats);
   check Alcotest.bool "aggregate view untouched by a stray SPJ view" true
-    (agg_views_agree wh "qty_stats")
+    (agg_views_agree wh "qty_stats");
+  let vfs = crash wh in
+  (* [sp_view] was never defined here: its file appears if reopen runs *)
+  rejected_untouched ~reason:"qty_stats exists" vfs (fun () ->
+      reopen ~views:[ sp_named "qty_stats"; sp_view ] vfs)
 
-let attach_agg_view_rejects_viewonly_name () =
-  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  Warehouse.add_replica wh ~table:"parts" ~schema:parts_schema;
+let reopen_rejects_taken_name () =
+  let wh = mk_wh () in
   Warehouse.define_viewonly_view wh viewonly_view;
   let clash = { qty_by_price_band with Agg_view.name = "vo_small_qty" } in
-  rejected_by_warehouse "attach_agg_view" (fun () -> Warehouse.attach_agg_view wh clash);
   rejected_by_warehouse "define_agg_view" (fun () -> Warehouse.define_agg_view wh clash);
   check Alcotest.bool "no aggregate registered" true
-    (Warehouse.agg_view_def wh "vo_small_qty" = None)
+    (Warehouse.agg_view_def wh "vo_small_qty" = None);
+  Warehouse.define_agg_view wh qty_by_price_band;
+  let vfs = crash wh in
+  rejected_untouched ~reason:"qty_stats exists" vfs (fun () ->
+      reopen ~views:[ sp_view ] ~extra:[ ("qty_stats", parts_schema) ] vfs)
+
+(* reopen would start a never-created backing table empty and trust it *)
+let reopen_rejects_missing_backing () =
+  let wh = mk_wh ~views:[ sp_view ] () in
+  let vfs = crash wh in
+  rejected_untouched ~reason:"no table qty_stats on the device" vfs (fun () -> reopen vfs)
 
 (* ---------- OLAP queries ---------- *)
 
@@ -802,8 +858,10 @@ let suite =
     test "view-only hybrid matches replica-based (alt seed)" viewonly_alt;
     test "view-only bare delete is no-op" viewonly_bare_delete_is_noop;
     test "view-only rejects join views" viewonly_rejects_join;
-    test "attach_view rejects an aggregate view's name" attach_view_rejects_agg_name;
-    test "attach_agg_view rejects a view-only name" attach_agg_view_rejects_viewonly_name;
+    test "reopen round trip keeps views maintained" reopen_round_trip;
+    test "reopen rejects an aggregate view's name" reopen_rejects_agg_name;
+    test "reopen rejects a name already taken" reopen_rejects_taken_name;
+    test "reopen rejects a missing backing table" reopen_rejects_missing_backing;
     test "olap standard mix" olap_standard_mix;
     test "olap rejects dml" olap_rejects_dml;
     QCheck_alcotest.to_alcotest prop_twin_warehouses;
