@@ -40,9 +40,9 @@ val output_schema : t -> Schema.t
 (** Group columns (key) followed by the aggregate columns. *)
 
 (** The functions below that take a view and then rows compile when
-    partially applied: [group_key t], [passes t], [agg_value t fn],
-    [init_group t], [apply_insert t] and [apply_delete t] resolve column
-    names and the filter once, to be applied to many rows. *)
+    partially applied: [group_key t], [passes t], [init_group t],
+    [apply_insert t] and [apply_delete t] resolve column names and the
+    filter once, to be applied to many rows. *)
 
 val group_key : t -> Tuple.t -> Tuple.t
 (** The group a (filter-passing) source row belongs to. *)
@@ -53,9 +53,6 @@ val eval : t -> rows:Tuple.t list -> (Tuple.t * int) list
 (** Full recomputation: one output row per non-empty group, with the
     group's cardinality (used by maintenance to know when a group dies),
     sorted by group key. *)
-
-val agg_value : t -> agg_fn -> Tuple.t list -> Value.t
-(** Aggregate one group's rows (used for extremum re-derivation). *)
 
 (** {2 Incremental state transitions} — pure helpers the warehouse calls.
     State per group: the output row (group cols + agg cols) and the group

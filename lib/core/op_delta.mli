@@ -35,11 +35,6 @@ val make : txn_id:int -> Ast.stmt list -> t
 
 val with_before_images : txn_id:int -> (Ast.stmt * Tuple.t list) list -> t
 
-val op_size_bytes : op -> schema_of:(string -> Schema.t option) -> int
-(** SQL text length plus, in hybrid mode, the before images' record bytes
-    ([schema_of] must resolve the statement's table when images are
-    present). *)
-
 val size_bytes : ?schema_of:(string -> Schema.t option) -> t -> int
 
 val tables : t -> string list

@@ -49,10 +49,7 @@ let create ?(views = []) ?(replicas = true) ?(capture_images = false) db ~sink =
 
 let captures_images t = t.capture_images
 
-let schema_for_images t table =
-  Option.map Table.schema (Db.table_opt t.db table)
-
-let schema_of t table = schema_for_images t table
+let schema_of t table = Option.map Table.schema (Db.table_opt t.db table)
 
 (* before images: the rows the statement is about to affect *)
 let before_images_of t txn stmt =

@@ -85,6 +85,3 @@ val captured_bytes : t -> int
 val read_sink : t -> (Op_delta.t list, string) result
 (** Decode the Op-Deltas back out of the sink (capture table or file) —
     what the transport layer ships to the warehouse. *)
-
-val schema_for_images : t -> string -> Dw_relation.Schema.t option
-(** Schema of a captured table (needed to decode hybrid before images). *)

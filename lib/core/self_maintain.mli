@@ -21,9 +21,6 @@
 
 type op_kind = K_insert | K_update | K_delete
 
-val kind_of_stmt : Dw_sql.Ast.stmt -> op_kind option
-(** [None] for SELECT / CREATE TABLE. *)
-
 type verdict = {
   self_maintainable : bool;
       (** can the warehouse refresh without contacting the source? *)

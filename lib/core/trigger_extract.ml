@@ -1,7 +1,6 @@
 module Db = Dw_engine.Db
 module Table = Dw_engine.Table
 module Trigger = Dw_engine.Trigger
-module Export_util = Dw_engine.Export_util
 module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
 module Value = Dw_relation.Value
@@ -15,9 +14,6 @@ type handle = {
   delta_schema : Schema.t;
   seq : int ref;
 }
-
-let delta_table_name h = h.delta_table
-let source_table h = h.source
 
 (* delta table layout: seq, kind ("I" insert-new / "D" delete-old /
    "O" update-old / "N" update-new), then every source column *)
@@ -96,5 +92,3 @@ let collect ?(drain = false) db h =
   if drain then
     ignore (Db.with_txn db (fun txn -> Db.delete_where db txn h.delta_table ~where:None) : int);
   delta
-
-let export_delta db h ~dest = Export_util.export_table db ~table:h.delta_table ~dest ()

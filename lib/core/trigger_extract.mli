@@ -26,9 +26,6 @@ val install : Db.t -> table:string -> handle
 val uninstall : Db.t -> handle -> unit
 (** Removes the trigger; the delta table stays until dropped. *)
 
-val delta_table_name : handle -> string
-val source_table : handle -> string
-
 val capture_units : images:int -> float
 (** Deterministic {e source-side} overhead estimate in abstract row-visit
     units: each captured image is one extra triggered insert inside the
@@ -44,8 +41,3 @@ val work_units : images:int -> float
 val collect : ?drain:bool -> Db.t -> handle -> Delta.t
 (** Rows in capture order.  [drain] (default false) empties the delta
     table afterwards. *)
-
-val export_delta :
-  Db.t -> handle -> dest:string -> Dw_engine.Export_util.stats
-(** The additional step the paper notes: moving the delta table out of
-    the source system with the Export utility. *)

@@ -79,7 +79,6 @@ let binding_for t i table =
   | Some b -> b
   | None -> raise Not_found
 
-let source_count t = Array.length t.sources
 let source_db t i = t.sources.(i).db
 let rule_to_physical t i = (binding_for t i t.logical_table).rule
 let physical_table t i = (binding_for t i t.logical_table).rule.Transform.dst_table

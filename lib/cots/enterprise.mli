@@ -41,7 +41,6 @@ val create :
 (** Builds [sources] in-memory source databases, creates the physical
     replica tables in each, and installs the per-replica trigger capture. *)
 
-val source_count : t -> int
 val source_db : t -> int -> Db.t
 val rule_to_physical : t -> int -> Transform.rule
 (** The logical→physical transformation of source [i]. *)

@@ -164,7 +164,6 @@ let drop_table t name =
 
 (* transactions *)
 
-let last_csn t = t.last_csn
 let version_store t = t.vstore
 
 (* the oldest snapshot any active reader holds; with no readers the

@@ -119,11 +119,6 @@ val snapshot_csn : txn -> int
 (** The CSN this transaction reads at (for [`Read_write] transactions,
     merely the CSN current at begin). *)
 
-val last_csn : t -> int
-(** CSN of the newest committed transaction (0 before any commit).
-    Assigned in WAL commit-record order; group commit defers only the
-    fsync, not CSN assignment or in-process visibility. *)
-
 val version_store : t -> Dw_txn.Version_store.t
 (** The before-image version store backing snapshot reads.  Exposed for
     observability (entry counts, GC behaviour in tests). *)

@@ -10,9 +10,6 @@ type stats = {
   bytes : int;
 }
 
-val product_tag : string
-(** Identifies this engine build; Import refuses files from another tag. *)
-
 val export_table :
   Db.t -> table:string -> ?where:Dw_relation.Expr.t -> dest:string -> unit -> stats
 (** Write all (matching) rows of [table] into vfs file [dest].  Sequential

@@ -1,6 +1,5 @@
 module Db = Dw_engine.Db
 module Table = Dw_engine.Table
-module Wal = Dw_txn.Wal
 module Vfs = Dw_storage.Vfs
 module Schema = Dw_relation.Schema
 module Value = Dw_relation.Value
@@ -12,7 +11,6 @@ module Ast = Dw_sql.Ast
 module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
 module Opdelta_capture = Dw_core.Opdelta_capture
-module Watermark = Dw_core.Watermark
 module Warehouse = Dw_warehouse.Warehouse
 module Pq = Dw_transport.Persistent_queue
 module Frame = Dw_transport.Frame
@@ -77,7 +75,6 @@ type t = {
   queue : Pq.t;
   wh : Warehouse.t;
   wh_db : Db.t;
-  wm : Watermark.t;
   metrics : Metrics.t;
   rng : Prng.t;
   backoff : Backoff.t;
@@ -143,7 +140,7 @@ let pending_max_txn ~wh_db queue =
 
 let start ?(config = default_config) ?(hook = fun (_ : phase) -> ())
     ?(restrict = fun (od : Op_delta.t) -> od) ?(owns = fun (_ : int) -> true) ~owner ~source
-    ~capture ~table ~queue ~warehouse ~watermark () =
+    ~capture ~table ~queue ~warehouse () =
   validate_config config;
   if String.equal owner "" then invalid_arg "Bootstrap.start: empty owner";
   let wh_db = Warehouse.db warehouse in
@@ -211,7 +208,6 @@ let start ?(config = default_config) ?(hook = fun (_ : phase) -> ())
         queue;
         wh = warehouse;
         wh_db;
-        wm = watermark;
         metrics;
         rng;
         backoff = Backoff.create ~base_s:config.backoff_s ~seed:config.seed ();
@@ -479,18 +475,8 @@ let chunk_cycle t =
   enqueue_bracket t (Frame.Wm_high { run; chunk; nonce });
   drain_until_hw t
 
-(* steady-state handoff: mark Complete + release the lease (one
-   warehouse transaction), then point the source-side pipeline watermark
-   past everything the bootstrap applied.  Idempotent — a crash between
-   the two halves redoes only the source-side half on resume. *)
-let handoff t =
-  let mark =
-    { Watermark.day = Db.current_day t.source; lsn = Wal.next_lsn (Db.wal t.source) }
-  in
-  let cur = Watermark.get t.wm ~table:t.table in
-  if mark.Watermark.day >= cur.Watermark.day && mark.Watermark.lsn >= cur.Watermark.lsn then
-    Watermark.advance t.wm ~table:t.table mark
-
+(* steady-state handoff: mark Complete + release the lease, in one
+   warehouse transaction *)
 let final_swap t =
   t.hook Before_swap;
   let row =
@@ -499,8 +485,7 @@ let final_swap t =
   with_retry t (fun () -> Db.with_txn t.wh_db (fun txn -> Run_state.put t.wh_db txn row));
   t.row <- row;
   journal t (Printf.sprintf "complete|%s|%d|%d" row.Run_state.run_id row.Run_state.chunks_done
-               row.Run_state.rows_loaded);
-  handoff t
+               row.Run_state.rows_loaded)
 
 let abort t reason =
   journal t (Printf.sprintf "abort|%s|%s" t.row.Run_state.run_id reason);
@@ -533,12 +518,7 @@ let catch_up t =
   go ()
 
 let run t =
-  if t.row.Run_state.state = Run_state.Complete then begin
-    (* re-entry after a crash between the state swap and the source-side
-       handoff: redo the idempotent half *)
-    handoff t;
-    Ok (progress t)
-  end
+  if t.row.Run_state.state = Run_state.Complete then Ok (progress t)
   else begin
     match
       while not t.chunks_exhausted do

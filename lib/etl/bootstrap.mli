@@ -1,7 +1,8 @@
 (** Resumable watermark-based CDC bootstrap (DBLog-style, PAPERS.md):
     brings a fresh warehouse replica to a consistent snapshot of a live
     source table {e while the source keeps committing}, then hands the
-    table off to the steady-state extraction pipeline.
+    table off to the steady-state Op-Delta pipeline, which continues
+    from the capture position the bootstrap reached.
 
     The paper assumes an offline full load precedes any of its delta
     extraction methods; this module removes that assumption.  The load
@@ -57,7 +58,7 @@ type phase =
   | After_select of int  (** chunk rows selected; high watermark not yet enqueued *)
   | Chunk_done of int    (** chunk [i] durably applied *)
   | Catch_up             (** chunks exhausted; draining remaining deltas *)
-  | Before_swap          (** about to mark Complete and hand off *)
+  | Before_swap          (** about to mark Complete and release the lease *)
 (** Observation points surfaced to the [hook] callback — experiments use
     them to inject concurrent source commits at controlled positions
     relative to the watermark window. *)
@@ -69,7 +70,7 @@ type progress = {
   rows_deduped : int;       (** chunk rows dropped for window-touched keys, this run *)
   delta_txns_applied : int; (** delta transactions applied by this run *)
   resumed : bool;           (** this run continued an interrupted one *)
-  complete : bool;          (** consistent snapshot reached and handed off *)
+  complete : bool;          (** consistent snapshot reached, state row [Complete] *)
 }
 
 type error =
@@ -92,7 +93,6 @@ val start :
   table:string ->
   queue:Dw_transport.Persistent_queue.t ->
   warehouse:Dw_warehouse.Warehouse.t ->
-  watermark:Dw_core.Watermark.t ->
   unit ->
   (t, error) result
 (** Acquire (or re-acquire after a crash) the bootstrap lease for
@@ -102,7 +102,7 @@ val start :
     replica table must already exist in the warehouse, and its primary
     key must be a single INT column.  A [Bootstrapping] state row from a
     crashed run resumes from its durable cursor; a [Complete] row makes
-    the subsequent {!run} a no-op (plus the idempotent handoff).
+    the subsequent {!run} a no-op.
 
     [restrict] and [owns] carve a {e slice} bootstrap out of the full
     one — how {!Rebuild} reloads a single partition of a partitioned
@@ -116,8 +116,8 @@ val start :
 val run : t -> (progress, error) result
 (** Drive the state machine to completion: chunk cycles until the keyset
     is exhausted, catch-up until the delta queue is dry, then the final
-    swap (state row [Complete] + lease release, then source-side
-    watermark advance).  Raises nothing on transient
+    swap (state row [Complete] + lease release, one warehouse
+    transaction).  Raises nothing on transient
     faults below the retry budget; returns [Failed] after a clean abort;
     lets {!Dw_storage.Vfs.Fault.Crash} propagate (that is the simulated
     process kill). *)

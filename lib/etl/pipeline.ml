@@ -1,12 +1,13 @@
 module Db = Dw_engine.Db
 module Table = Dw_engine.Table
+module Schema = Dw_relation.Schema
+module Value = Dw_relation.Value
 module Wal = Dw_txn.Wal
 module Vfs = Dw_storage.Vfs
 module Warehouse = Dw_warehouse.Warehouse
 module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
 module Transform = Dw_core.Transform
-module Watermark = Dw_core.Watermark
 module Timestamp_extract = Dw_core.Timestamp_extract
 module Trigger_extract = Dw_core.Trigger_extract
 module Log_extract = Dw_core.Log_extract
@@ -29,6 +30,47 @@ type signals = { lock_wait_p95_s : float; ship_p95_s : float }
 
 let no_signals () = { lock_wait_p95_s = 0.0; ship_p95_s = 0.0 }
 
+(* Where the next round starts: the timestamp day and the first log
+   position it has not extracted, and the snapshot round whose file it
+   diffs against (0 = none yet).  One warehouse row per source table,
+   written by the round's own integrating transaction. *)
+type mark = { day : int; lsn : Wal.lsn; snap : int }
+
+let no_mark = { day = -1; lsn = 0; snap = 0 }
+
+let marks =
+  ( "__extract_marks",
+    Schema.make
+      [
+        { Schema.name = "table_name"; ty = Value.Tstring 40; nullable = false };
+        { Schema.name = "day"; ty = Value.Tint; nullable = false };
+        { Schema.name = "lsn"; ty = Value.Tint; nullable = false };
+        { Schema.name = "snap"; ty = Value.Tint; nullable = false };
+      ] )
+
+let keeps_mark = function
+  | Timestamp | Log | Snapshot _ | Planned -> true
+  | Trigger | Op_delta_wrapper -> false
+
+(* the table's durable mark, creating the marks table on first use *)
+let load_mark wh ~table =
+  let db = Warehouse.db wh in
+  let name, schema = marks in
+  if Db.table_opt db name = None then begin
+    if Db.has_table_file ~vfs:(Db.vfs db) ~name:(Db.name db) name then
+      invalid_arg
+        (Printf.sprintf
+           "Pipeline.create: %s is on the device but not in the catalog (reopen with \
+            ~extra:[Pipeline.marks])"
+           name);
+    ignore (Db.create_table db ~name schema : Table.t)
+  end;
+  Db.with_txn db (fun txn ->
+      match Db.find_by_key db txn name [| Value.Str table |] with
+      | Some (_, [| _; Value.Int day; Value.Int lsn; Value.Int snap |]) -> { day; lsn; snap }
+      | Some _ -> invalid_arg "Pipeline.create: malformed mark row"
+      | None -> no_mark)
+
 type t = {
   source : Db.t;
   warehouse : Warehouse.t;
@@ -38,14 +80,13 @@ type t = {
   transport : transport;
   transform : Transform.rule option;
   compact : bool;
-  wm : Watermark.t;
+  mutable mark : mark;  (* mirror of the committed mark row *)
   trigger_handle : Trigger_extract.handle option;
   cap : Opdelta_capture.t option;
   queue : Persistent_queue.t option;
   planner : Planner.t option;
   signals : unit -> signals;
   mutable op_consumed : int;
-  mutable snapshot_round : int;
   mutable rounds_run : int;
   mutable ewma : Planner.observed option;
   mutable last_used : Planner.method_ option;
@@ -111,14 +152,13 @@ let create ?transform ?(compact = false) ?(capture_images = false) ?planner
     transport;
     transform;
     compact;
-    wm = Watermark.load (Db.vfs source) ~name:(Printf.sprintf "pipeline.%s.wm" table);
+    mark = (if keeps_mark method_ then load_mark warehouse ~table else no_mark);
     trigger_handle;
     cap;
     queue;
     planner;
     signals;
     op_consumed = 0;
-    snapshot_round = 0;
     rounds_run = 0;
     ewma = None;
     last_used = None;
@@ -145,13 +185,15 @@ let dst_schema t = Table.schema (Db.table (Warehouse.db t.warehouse) t.dst_table
 (* ship a payload through the transport and hand it back at the other
    side, counting wire bytes; queued transport round-trips the encoded
    form through the persistent queue, so its bytes and fsyncs are the
-   wire path's.  It is not a crash-safe hand-off: every message is acked
-   here, before anything is integrated.  Exactly-once re-delivery lives
-   in the [mark]s of Bootstrap and Partitioned. *)
+   wire path's.  Every message is acked here, before anything is
+   integrated.  A pipeline that keeps a mark regenerates a crashed
+   round's delta from it, so it first drops whatever that round left
+   unacked; a Trigger or Op-Delta pipeline has no such mark. *)
 let ship t payloads =
   match t.queue with
   | None -> (payloads, List.fold_left (fun acc p -> acc + String.length p) 0 payloads)
   | Some q ->
+    if keeps_mark t.method_ then Persistent_queue.ack_run q (Persistent_queue.pending q);
     (* coalesced: one fsync covers the whole batch of payloads, and the
        consumer side acks whole runs under one sidecar update *)
     Persistent_queue.enqueue_batch q payloads;
@@ -169,27 +211,23 @@ let ship t payloads =
 
 let snap_name t round = Printf.sprintf "pipeline.%s.snap.%d" t.table round
 
-(* run one snapshot dump+diff against the pipeline's rolling snapshot
-   chain, retiring the pre-previous snapshot to bound space *)
+(* one snapshot dump+diff against the snapshot the mark names, into the
+   next round's file *)
 let snapshot_step t ~algorithm =
-  let prev = if t.snapshot_round = 0 then None else Some (snap_name t t.snapshot_round) in
-  let dest = snap_name t (t.snapshot_round + 1) in
-  match
-    Snapshot_extract.extract t.source ~table:t.table ~prev_snapshot:prev ~snapshot_dest:dest
-      ~algorithm
-  with
-  | Ok (delta, stats) ->
-    if t.snapshot_round > 1 then Vfs.delete (Db.vfs t.source) (snap_name t (t.snapshot_round - 1));
-    t.snapshot_round <- t.snapshot_round + 1;
-    Ok (delta, stats)
-  | Error e -> Error e
+  let prev = if t.mark.snap = 0 then None else Some (snap_name t t.mark.snap) in
+  Snapshot_extract.extract t.source ~table:t.table ~prev_snapshot:prev
+    ~snapshot_dest:(snap_name t (t.mark.snap + 1)) ~algorithm
+
+(* the snapshot round a value round of [method_] leaves behind *)
+let snapshot_after t = function
+  | Snapshot _ -> Some (t.mark.snap + 1)
+  | Timestamp | Trigger | Log | Op_delta_wrapper | Planned -> None
 
 let extract_value_delta t method_ =
-  let mark = Watermark.get t.wm ~table:t.table in
   match method_ with
   | Timestamp ->
     let delta, stats =
-      Timestamp_extract.extract t.source ~table:t.table ~since:mark.Watermark.day
+      Timestamp_extract.extract t.source ~table:t.table ~since:t.mark.day
         ~output:(Timestamp_extract.To_file (Printf.sprintf "pipeline.%s.ts.asc" t.table))
     in
     Ok
@@ -204,7 +242,7 @@ let extract_value_delta t method_ =
       | None -> Error "trigger pipeline without handle")
   | Log ->
     let delta, stats =
-      Log_extract.extract ~since_lsn:mark.Watermark.lsn t.source ~table:t.table ()
+      Log_extract.extract ~since_lsn:t.mark.lsn t.source ~table:t.table ()
     in
     Ok
       ( delta,
@@ -223,9 +261,40 @@ let extract_value_delta t method_ =
   | Op_delta_wrapper | Planned ->
     Error "op-delta/planned pipelines extract transactions, not value deltas"
 
-let integrate_value t delta =
+(* The mark the next round starts from, read when this round
+   integrates; [snap] is the snapshot round this one leaves behind. *)
+let next_mark t ~snap =
+  { day = Db.current_day t.source; lsn = Wal.next_lsn (Db.wal t.source); snap }
+
+let put_mark t txn m =
+  let db = Warehouse.db t.warehouse in
+  let name, _ = marks in
+  let row = [| Value.Str t.table; Value.Int m.day; Value.Int m.lsn; Value.Int m.snap |] in
+  match Db.find_by_key db txn name [| Value.Str t.table |] with
+  | Some (rid, _) -> Db.update_rid db txn name rid row
+  | None -> ignore (Db.insert_row db txn name row : Dw_storage.Heap_file.rid)
+
+(* Run one round's integration, handing it the mark writer to call
+   inside its transactions; [snap] is the snapshot round the round leaves
+   behind.  A round that committed no transaction commits its mark in one
+   of its own.  Once the mark is durable, the pre-previous snapshot is
+   retired: no committed mark names it any more. *)
+let integrating ?snap t integrate =
+  if not (keeps_mark t.method_) then integrate (fun (_ : Db.txn) -> ())
+  else begin
+    let m = next_mark t ~snap:(Option.value snap ~default:t.mark.snap) in
+    let put txn = put_mark t txn m in
+    let stats = integrate put in
+    if stats.Warehouse.txns = 0 then Db.with_txn (Warehouse.db t.warehouse) put;
+    if m.snap > t.mark.snap && m.snap > 2 then
+      Vfs.delete (Db.vfs t.source) (snap_name t (m.snap - 2));
+    t.mark <- m;
+    stats
+  end
+
+let integrate_value ?snap t delta =
   (* optional compaction and transform, then wire round-trip, then batch
-     integration *)
+     integration, with the mark in the same transaction *)
   let delta = if t.compact then Delta.compact delta else delta in
   let delta =
     match t.transform with
@@ -236,7 +305,11 @@ let integrate_value t delta =
   let shipped, bytes = ship t lines in
   match Delta.of_lines ~table:t.dst_table ~schema:(dst_schema t) shipped with
   | Error e -> Error e
-  | Ok received -> Ok (bytes, Warehouse.integrate_value_delta t.warehouse received)
+  | Ok received ->
+    Ok
+      ( bytes,
+        integrating ?snap t (fun mark ->
+            Warehouse.integrate_value_delta ~mark t.warehouse received) )
 
 (* drain the capture wrapper's fresh transactions since the last round *)
 let drain_ops t cap =
@@ -275,7 +348,12 @@ let integrate_ods t fresh =
           let count =
             List.fold_left (fun acc od -> acc + List.length od.Op_delta.ops) 0 received
           in
-          Ok (count, bytes, Warehouse.integrate_op_deltas t.warehouse received)))
+          Ok
+            ( count,
+              bytes,
+              integrating t (fun mark ->
+                  Warehouse.integrate_op_deltas ~mark:(fun txn _ -> mark txn) t.warehouse
+                    received) )))
 
 let integrate_ops t =
   match t.cap with
@@ -303,7 +381,7 @@ let blend_observed prev (now : Planner.observed) : Planner.observed =
       ship_p95_s = mix now.ship_p95_s p.ship_p95_s;
     }
 
-let observe_round t ~mark trig_delta stmt_count =
+let observe_round t trig_delta stmt_count =
   let count kind =
     List.fold_left
       (fun acc c ->
@@ -323,7 +401,7 @@ let observe_round t ~mark trig_delta stmt_count =
       insert_rows = float_of_int (count `Ins);
       update_rows = float_of_int (count `Upd);
       delete_rows = float_of_int (count `Del);
-      log_records = float_of_int (Wal.next_lsn (Db.wal t.source) - mark.Watermark.lsn);
+      log_records = float_of_int (Wal.next_lsn (Db.wal t.source) - t.mark.lsn);
       lock_wait_p95_s = (t.signals ()).lock_wait_p95_s;
       ship_p95_s = (t.signals ()).ship_p95_s;
       log_available = Wal.archive_enabled (Db.wal t.source);
@@ -341,7 +419,6 @@ let observe_round t ~mark trig_delta stmt_count =
    baseline is stale integrates the trigger delta while dumping a fresh
    baseline for the next round (warm-up). *)
 let run_planned_round t planner =
-  let mark = Watermark.get t.wm ~table:t.table in
   let handle = Option.get t.trigger_handle in
   let cap = Option.get t.cap in
   let trig_delta = Trigger_extract.collect ~drain:true t.source handle in
@@ -349,7 +426,7 @@ let run_planned_round t planner =
   let stmt_count =
     List.fold_left (fun acc od -> acc + List.length od.Op_delta.ops) 0 fresh_ods
   in
-  let obs = observe_round t ~mark trig_delta stmt_count in
+  let obs = observe_round t trig_delta stmt_count in
   let round = t.rounds_run + 1 in
   let decision = Planner.plan planner ~round obs in
   Planner.log_decision t.warehouse ~table:t.table decision;
@@ -368,15 +445,15 @@ let run_planned_round t planner =
   in
   let trigger_units () = Trigger_extract.work_units ~images:(Delta.image_count trig_delta) in
   (* every value-shaped choice integrates one way *)
-  let value delta units =
-    match integrate_value t delta with
+  let value ?snap delta units =
+    match integrate_value ?snap t delta with
     | Error e -> Error e
     | Ok (bytes, stats) -> Ok (Delta.row_count delta, bytes, units, stats)
   in
   let extracted method_ =
     match extract_value_delta t method_ with
     | Error e -> Error e
-    | Ok (delta, units) -> value delta units
+    | Ok (delta, units) -> value ?snap:(snapshot_after t method_) delta units
   in
   let result =
     match chosen with
@@ -397,13 +474,12 @@ let run_planned_round t planner =
            integrate this round's trigger delta instead. *)
         match
           Snapshot_extract.extract t.source ~table:t.table ~prev_snapshot:None
-            ~snapshot_dest:(snap_name t (t.snapshot_round + 1))
+            ~snapshot_dest:(snap_name t (t.mark.snap + 1))
             ~algorithm:Snapshot_extract.Sort_merge
         with
         | Error e -> Error e
         | Ok (_, sstats) ->
-          t.snapshot_round <- t.snapshot_round + 1;
-          value trig_delta
+          value ~snap:(t.mark.snap + 1) trig_delta
             (float_of_int sstats.Snapshot_extract.dumped_rows +. trigger_units ()))
   in
   match result with
@@ -417,8 +493,6 @@ let run_round t =
   let start = Metrics.now clock in
   let finish extracted_changes shipped_bytes extract_units method_used integration =
     t.rounds_run <- t.rounds_run + 1;
-    Watermark.advance t.wm ~table:t.table
-      { Watermark.day = Db.current_day t.source; lsn = Wal.next_lsn (Db.wal t.source) };
     Ok
       {
         round = t.rounds_run;
@@ -444,17 +518,17 @@ let run_round t =
       match extract_value_delta t t.method_ with
       | Error e -> Error e
       | Ok (delta, units) -> (
-          match integrate_value t delta with
+          match integrate_value ?snap:(snapshot_after t t.method_) t delta with
           | Error e -> Error e
           | Ok (bytes, stats) ->
             finish (Delta.row_count delta) bytes units (method_name t) stats))
 
 let rounds t = t.rounds_run
 
-(* Online initial load through the pipeline's own capture, queue and
-   watermark store: once [bootstrap] returns [complete = true], the
-   pipeline watermark sits past everything the bootstrap applied and
-   ordinary [run_round]s continue incremental maintenance seamlessly. *)
+(* Online initial load through the pipeline's own capture and queue:
+   once [bootstrap] returns [complete = true], ordinary [run_round]s
+   continue incremental maintenance from the capture position the
+   bootstrap reached. *)
 let bootstrap ?config ?hook t ~owner =
   let failed msg = Bootstrap.Failed ("Pipeline.bootstrap: " ^ msg) in
   match (t.method_, t.cap, t.queue, t.transform) with
@@ -464,7 +538,7 @@ let bootstrap ?config ?hook t ~owner =
     else (
       match
         Bootstrap.start ?config ?hook ~owner ~source:t.source ~capture ~table:t.table ~queue
-          ~warehouse:t.warehouse ~watermark:t.wm ()
+          ~warehouse:t.warehouse ()
       with
       | Error e -> Error e
       | Ok b -> (

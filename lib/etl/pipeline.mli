@@ -2,13 +2,23 @@
     reference architecture as a library: {e extraction} (any of the five
     methods) → {e transport} (direct or through the persistent queue) →
     {e transformation} (optional schema mapping) → {e integration}
-    (batch for value deltas, per-source-transaction for Op-Deltas), with
-    watermark-driven rounds.
+    (batch for value deltas, per-source-transaction for Op-Deltas).
 
     One pipeline maintains one source table into one warehouse replica
     (plus whatever views hang off it).  Call {!run_round} on whatever
     cadence the deployment needs; each round extracts exactly the changes
-    since the previous round. *)
+    since the previous round.
+
+    A Timestamp, Log, Snapshot or Planned round starts from a {e mark}:
+    the timestamp day, the first log position not yet extracted, and the
+    snapshot round to diff against.  The mark is one row per source table
+    in the warehouse's [__extract_marks] table, written by the round's own
+    integrating transaction, so a round's data and the mark past it
+    commit or roll back together.  Such a round applies exactly once
+    across a warehouse crash or a pipeline restart: a restart is
+    {!Dw_warehouse.Warehouse.reopen} with [~extra:[marks]], then
+    {!create}.  Trigger and Op-Delta rounds read no position and keep no
+    mark. *)
 
 module Db = Dw_engine.Db
 module Warehouse = Dw_warehouse.Warehouse
@@ -34,9 +44,10 @@ type transport =
   | Queued of string
       (** through a persistent queue on the warehouse Vfs: the measured wire
           path (encoded bytes, batch fsyncs).  Each round acks its messages
-          as it drains them, before integration commits, so this is not a
-          crash-safe hand-off; exactly-once re-delivery is the [mark]s of
-          {!Bootstrap} and {!Dw_warehouse.Partitioned}. *)
+          as it drains them, before integration commits.  A pipeline that
+          keeps a mark first drops whatever a crashed round left unacked
+          and regenerates that delta from the mark; a Trigger or Op-Delta
+          pipeline re-delivers nothing after a crash. *)
 
 type signals = {
   lock_wait_p95_s : float;  (** source lock-wait p95 the planner scores *)
@@ -46,6 +57,10 @@ type signals = {
     channels — sampled once per round from the [signals] callback. *)
 
 type t
+
+val marks : string * Dw_relation.Schema.t
+(** The marks table's catalog entry ([__extract_marks]), for the [extra]
+    of {!Dw_warehouse.Warehouse.reopen}. *)
 
 val create :
   ?transform:Transform.rule ->
@@ -68,12 +83,16 @@ val create :
   unit ->
   t
 (** Installs whatever the method needs at the source (the capture trigger,
-    the Op-Delta wrapper — both for [Planned]) and the watermark store.
-    The warehouse must already have the destination replica ([table], or
-    the transform rule's destination).  [Log] requires the source to run
-    with archive logging or an extraction cadence faster than checkpoints;
-    a [Planned] pipeline checks this itself and marks the log method
-    ineligible when archiving is off.
+    the Op-Delta wrapper — both for [Planned]).  A Timestamp, Log,
+    Snapshot or Planned pipeline creates the warehouse's marks table if it
+    is missing, and resumes from [table]'s mark when the warehouse holds
+    one; it raises [Invalid_argument] when the marks table's file is on
+    the warehouse device but its catalog left the table out (reopen with
+    [~extra:[marks]]).  The warehouse must already have the destination
+    replica ([table], or the transform rule's destination).  [Log]
+    requires the source to run with archive logging or an extraction
+    cadence faster than checkpoints; a [Planned] pipeline checks this
+    itself and marks the log method ineligible when archiving is off.
 
     A [Planned] pipeline expects the application to submit its
     transactions through {!capture} (like [Op_delta_wrapper]) and the
@@ -111,8 +130,11 @@ type round_stats = {
 }
 
 val run_round : t -> (round_stats, string) result
-(** Extract-ship-transform-integrate everything since the last round, then
-    advance the watermark.  In [Planned] mode: drain every channel, score
+(** Extract-ship-transform-integrate everything since the last round, with
+    the next round's mark in the integrating transaction (a round that
+    integrates nothing commits its mark in a transaction of its own).
+    A snapshot round retires the pre-previous snapshot file once its mark
+    has committed.  In [Planned] mode: drain every channel, score
     the methods against blended per-round observations, integrate through
     the chosen channel, and append the decision to the warehouse's
     [__planner_log] — with two correctness overrides (timestamp falls
@@ -132,8 +154,8 @@ val bootstrap :
   t ->
   owner:string ->
   (Bootstrap.progress, Bootstrap.error) result
-(** Online initial load ({!Bootstrap}) through this pipeline's capture,
-    queue and watermark store, for untransformed [Op_delta_wrapper] +
-    [Queued] pipelines created with [~capture_images:true].  On success
-    the pipeline watermark sits past everything the bootstrap applied
-    and subsequent {!run_round}s continue incrementally. *)
+(** Online initial load ({!Bootstrap}) through this pipeline's capture
+    and queue, for untransformed [Op_delta_wrapper] + [Queued] pipelines
+    created with [~capture_images:true].  On success subsequent
+    {!run_round}s continue incrementally from the capture position the
+    bootstrap reached. *)

@@ -123,8 +123,6 @@ let create ?(config = default_config) ?metrics () =
   }
 
 let config t = t.cfg
-let calibrated t = t.coeffs <> None
-let coeffs t = t.coeffs
 let current t = t.current
 let decisions t = List.rev t.decisions
 let switches t = t.switches

@@ -144,12 +144,6 @@ val calibrate : t -> unit
     pays the probe cost; {!plan} calls this lazily if needed.  Counts
     [planner.calibrations] when the probes actually ran. *)
 
-val calibrated : t -> bool
-(** Whether coefficients are installed (own probe run or session memo). *)
-
-val coeffs : t -> coeffs option
-(** The installed coefficients, [None] before calibration. *)
-
 val predict : t -> observed -> (method_ * float) list
 (** Score every method against [observed] without planning: predicted
     cost in work units, [infinity] for ineligible methods, in

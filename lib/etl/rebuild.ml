@@ -6,8 +6,6 @@ module Partitioned = Dw_warehouse.Partitioned
 module Warehouse = Dw_warehouse.Warehouse
 module Pq = Dw_transport.Persistent_queue
 
-let queue_name = "rebuild.q"
-
 type outcome = {
   progress : Bootstrap.progress;
   watermark : int;
@@ -29,16 +27,16 @@ let owns ~spec ~shard k = Partition.route_key spec k = shard
 
 (* run the slice bootstrap against the (fresh or re-adopted) shard and
    re-admit it into the fleet at its applied-through source txn *)
-let drive ?config ?hook ~owner ~source ~capture ~watermark ~fleet ~shard wh =
+let drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh =
   let spec = Partitioned.spec fleet in
   let table = Partition.table spec in
   let vfs = (Partitioned.vfss fleet).(shard) in
-  let queue = Pq.open_ vfs ~name:queue_name in
+  let queue = Pq.open_ vfs ~name:"rebuild.q" in
   match
     Bootstrap.start ?config ?hook
       ~restrict:(restrict_to ~spec ~shard)
       ~owns:(owns ~spec ~shard)
-      ~owner ~source ~capture ~table ~queue ~warehouse:wh ~watermark ()
+      ~owner ~source ~capture ~table ~queue ~warehouse:wh ()
   with
   | Error e -> Error e
   | Ok b -> (
@@ -54,13 +52,13 @@ let drive ?config ?hook ~owner ~source ~capture ~watermark ~fleet ~shard wh =
       Metrics.incr (Partitioned.health_metrics fleet) "health.rebuild_complete";
       Ok { progress; watermark = wm_txn })
 
-let rebuild_shard ?config ?hook ?donor ~owner ~source ~capture ~watermark ~fleet ~shard () =
+let rebuild_shard ?config ?hook ?donor ~owner ~source ~capture ~fleet ~shard () =
   let wh = Partitioned.begin_rebuild ?donor fleet shard in
-  drive ?config ?hook ~owner ~source ~capture ~watermark ~fleet ~shard wh
+  drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh
 
-let resume_shard ?config ?hook ~owner ~source ~capture ~watermark ~fleet ~shard () =
+let resume_shard ?config ?hook ~owner ~source ~capture ~fleet ~shard () =
   Partitioned.reattach_rebuilding
     ~extra:[ (Run_state.table_name, Run_state.schema) ]
     fleet shard;
   let wh = Partitioned.shard fleet shard in
-  drive ?config ?hook ~owner ~source ~capture ~watermark ~fleet ~shard wh
+  drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh

@@ -34,9 +34,6 @@ type outcome = {
       (** applied-through source txn id the shard was re-admitted at *)
 }
 
-val queue_name : string
-(** ["rebuild.q"] — the rebuild queue file on the shard's Vfs. *)
-
 val rebuild_shard :
   ?config:Bootstrap.config ->
   ?hook:(Bootstrap.phase -> unit) ->
@@ -44,18 +41,15 @@ val rebuild_shard :
   owner:string ->
   source:Db.t ->
   capture:Dw_core.Opdelta_capture.t ->
-  watermark:Dw_core.Watermark.t ->
   fleet:Dw_warehouse.Partitioned.t ->
   shard:int ->
   unit ->
   (outcome, Bootstrap.error) result
 (** Swap in a fresh shard ({!Dw_warehouse.Partitioned.begin_rebuild}
     with [donor]), bootstrap its partition slice from [source], and
-    re-admit it.  [capture] must force hybrid images and [watermark] is
-    the rebuild's own watermark store (keep it separate from the
-    steady-state pipeline's).  Raises [Invalid_argument] via
-    [begin_rebuild]/[readmit] on state-machine misuse; lets
-    {!Dw_storage.Vfs.Fault.Crash} propagate (resume with
+    re-admit it.  [capture] must force hybrid images.  Raises
+    [Invalid_argument] via [begin_rebuild]/[readmit] on state-machine
+    misuse; lets {!Dw_storage.Vfs.Fault.Crash} propagate (resume with
     {!resume_shard}). *)
 
 val resume_shard :
@@ -64,7 +58,6 @@ val resume_shard :
   owner:string ->
   source:Db.t ->
   capture:Dw_core.Opdelta_capture.t ->
-  watermark:Dw_core.Watermark.t ->
   fleet:Dw_warehouse.Partitioned.t ->
   shard:int ->
   unit ->

@@ -16,7 +16,7 @@ module Db = Dw_engine.Db
 
 type state =
   | Bootstrapping  (** chunks still loading, or catch-up not finished *)
-  | Complete       (** consistent snapshot reached; steady-state handoff done *)
+  | Complete       (** consistent snapshot reached; lease released *)
 
 type row = {
   table : string;        (** source/replica table being bootstrapped *)

@@ -45,14 +45,6 @@ type route =
   | To of int  (** exactly the one partition owning every affected row *)
   | All  (** every partition (safe fallback; inserts are never [All]) *)
 
-val route_stmt : spec:Partition.t -> Ast.stmt -> route
-(** Routing decision for one non-INSERT statement (INSERTs are
-    decomposed row-wise by {!split} instead; calling this on a fact-
-    table INSERT returns the route of its first row's key).  Raises
-    [Invalid_argument] on a fact-table UPDATE that assigns the
-    partition key, and on a fact-table INSERT carrying a non-integer or
-    missing key. *)
-
 (** Staging tallies for one {!split} call (observability: T6 reports
     them as gauges). *)
 type stats = {
@@ -69,5 +61,6 @@ val split : spec:Partition.t -> Op_delta.t list -> Op_delta.t list array * stats
     {!Dw_warehouse.Partitioned} shards).  Each source transaction
     contributes at most one op-delta per bucket, keeping its [txn_id];
     transactions contributing nothing to a partition simply do not
-    appear in that bucket.  Raises [Invalid_argument] on the statements
-    {!route_stmt} rejects. *)
+    appear in that bucket.  Raises [Invalid_argument] on a fact-table
+    UPDATE that assigns the partition key, and on a fact-table INSERT
+    carrying a non-integer or missing key. *)

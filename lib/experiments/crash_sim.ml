@@ -12,9 +12,12 @@
      restart (the torn WAL tail really was truncated, not skipped);
    - persistent queue: no enqueued-and-unacked message is ever lost
      (redelivery of acked ones is allowed — at-least-once), no phantom
-     messages appear, and a post-recovery enqueue stays reachable.
+     messages appear, and a post-recovery enqueue stays reachable;
+   - extraction pipeline: a Timestamp, Log or Snapshot round commits its
+     mark with its data, so the restarted pipeline converges without
+     re-applying or skipping the round.
 
-   Warehouse refresh is swept on the real integrator, not here: the
+   Op-Delta refresh is swept on the real integrator elsewhere: the
    bootstrap sweep (Exp_bootstrap) applies queued op-deltas through
    [Warehouse.integrate_op_deltas ~mark] and acks after the commit, and
    the partitioned sweep (Exp_partition) re-applies valve-governed runs
@@ -37,6 +40,8 @@ module Workload = Dw_workload.Workload
 module Metrics = Dw_util.Metrics
 module Prng = Dw_util.Prng
 module Pq = Dw_transport.Persistent_queue
+module Warehouse = Dw_warehouse.Warehouse
+module Pipeline = Dw_etl.Pipeline
 
 type report = {
   total_events : int;  (* write/fsync events in the fault-free run *)
@@ -506,6 +511,112 @@ let batched_queue_flow spec =
 
 let explore_batched_queue ?(spec = default_batched_queue_spec) ?stride () =
   sweep ?stride (batched_queue_flow spec)
+
+(* ---------- extraction-pipeline explorer ---------- *)
+
+(* A Timestamp, Log or Snapshot pipeline on queued transport, killed at
+   every write and fsync of one round on the source and the warehouse
+   device.  Recovery restarts both from their bytes and re-creates the
+   pipeline, which resumes from the mark its last committed round wrote;
+   rounds then run until one extracts nothing, and the replica must equal
+   the source and the view its recomputation.  A mark that committed
+   apart from its round's data re-applies or skips that round. *)
+
+type pipeline_scene = {
+  method_ : Pipeline.method_;
+  srcvfs : Vfs.t;
+  whvfs : Vfs.t;
+  src : Db.t;  (* its day survives the restart *)
+  pipe : Pipeline.t;
+}
+
+let pipe_view =
+  let column c = { Dw_core.Spj_view.out_name = c; from_side = Dw_core.Spj_view.L; from_col = c } in
+  Dw_core.Spj_view.Select_project
+    {
+      name = "parts_qty";
+      table = Workload.parts_table;
+      schema = Workload.parts_schema;
+      filter = None;
+      project = [ column "part_id"; column "qty" ];
+    }
+
+let pipe_create method_ src wh =
+  Pipeline.create ~source:src ~warehouse:wh ~table:Workload.parts_table ~method_
+    ~transport:(Pipeline.Queued "pipe.q") ()
+
+let exec_txn db stmts =
+  Db.with_txn db (fun txn ->
+      List.iter (fun st -> ignore (Db.exec db txn st : Db.exec_result)) stmts)
+
+(* one day of source activity; the timestamp method cannot see deletes *)
+let pipe_activity method_ src ~first_id =
+  Db.advance_day src;
+  exec_txn src (Workload.insert_parts_txn ~first_id ~size:3 ~day:(Db.current_day src) ());
+  exec_txn src [ Workload.update_parts_stmt ~first_id:(first_id - 20) ~size:4 ];
+  if method_ <> Pipeline.Timestamp then
+    exec_txn src [ Workload.delete_parts_stmt ~first_id:(first_id - 12) ~size:2 ]
+
+let pipe_round pipe =
+  match Pipeline.run_round pipe with
+  | Ok stats -> stats.Pipeline.extracted_changes
+  | Error e -> failwith ("crash-sim pipeline round: " ^ e)
+
+(* two committed rounds, then the activity the swept round extracts *)
+let pipe_setup method_ () =
+  let srcvfs = Vfs.in_memory () and whvfs = Vfs.in_memory () in
+  let src = Db.create ~pool_pages:64 ~archive_log:true ~vfs:srcvfs ~name:"src" () in
+  let (_ : Table.t) = Workload.create_parts_table src in
+  let wh = Warehouse.create ~pool_pages:64 ~vfs:whvfs ~name:"dw" () in
+  Warehouse.add_replica wh ~table:Workload.parts_table ~schema:Workload.parts_schema;
+  Warehouse.define_view wh pipe_view;
+  exec_txn src (Workload.insert_parts_txn ~first_id:1 ~size:24 ~day:(Db.current_day src) ());
+  let pipe = pipe_create method_ src wh in
+  ignore (pipe_round pipe : int);
+  pipe_activity method_ src ~first_id:100;
+  ignore (pipe_round pipe : int);
+  pipe_activity method_ src ~first_id:200;
+  { method_; srcvfs; whvfs; src; pipe }
+
+let pipe_check s _ =
+  Vfs.crash_reset s.srcvfs;
+  Vfs.crash_reset s.whvfs;
+  let src, (_ : Dw_txn.Recovery.stats) =
+    Db.reopen ~pool_pages:64 ~archive_log:true ~vfs:s.srcvfs ~name:"src" ~tables:parts_catalog ()
+  in
+  Db.set_day src (Db.current_day s.src);
+  let wh =
+    Warehouse.reopen ~pool_pages:64 ~extra:[ Pipeline.marks ] ~vfs:s.whvfs ~name:"dw"
+      ~replicas:[ (Workload.parts_table, Workload.parts_schema) ]
+      ~views:[ pipe_view ] ~agg_views:[] ()
+  in
+  let view = Dw_core.Spj_view.name pipe_view in
+  let rec settle pipe n =
+    if n = 0 then Error "rounds kept extracting changes after recovery"
+    else if pipe_round pipe > 0 then settle pipe (n - 1)
+    else if not (rows_equal (actual_rows src) (actual_rows (Warehouse.db wh))) then
+      Error "replica diverges from the source"
+    else if Warehouse.view_rows wh view <> Warehouse.recompute_view wh view then
+      Error "view diverges from its recomputation"
+    else Ok ()
+  in
+  match settle (pipe_create s.method_ src wh) 3 with
+  | result -> result
+  | exception (Failure e | Invalid_argument e) -> Error e
+
+let pipeline_flow method_ =
+  {
+    seed = 31;
+    setup = pipe_setup method_;
+    devices = (fun s -> [ s.srcvfs; s.whvfs ]);
+    workload =
+      (fun s ~arm ->
+        arm ();
+        pipe_round s.pipe);
+    check = pipe_check;
+  }
+
+let explore_pipeline ?stride method_ = sweep ?stride (pipeline_flow method_)
 
 (* ---------- transient-fault file shipping ---------- *)
 

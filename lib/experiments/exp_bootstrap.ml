@@ -25,7 +25,6 @@ module Tuple = Dw_relation.Tuple
 module Workload = Dw_workload.Workload
 module Warehouse = Dw_warehouse.Warehouse
 module Pq = Dw_transport.Persistent_queue
-module Watermark = Dw_core.Watermark
 module Opdelta_capture = Dw_core.Opdelta_capture
 module Bootstrap = Dw_etl.Bootstrap
 module Run_state = Dw_etl.Run_state
@@ -48,7 +47,6 @@ type env = {
   whvfs : Vfs.t;
   mutable wh : Warehouse.t;
   mutable queue : Pq.t;
-  wm : Watermark.t;
   mutable commits_left : int;
   mutable commit_idx : int;
 }
@@ -91,8 +89,7 @@ let mk_env spec =
   let wh = Warehouse.create ~vfs:whvfs ~name:"dw" () in
   Warehouse.add_replica wh ~table:Workload.parts_table ~schema:Workload.parts_schema;
   let queue = Pq.open_ whvfs ~name:"boot.q" in
-  let wm = Watermark.load (Db.vfs src) ~name:"boot.wm" in
-  { spec; src; cap; whvfs; wh; queue; wm; commits_left = spec.commits; commit_idx = 0 }
+  { spec; src; cap; whvfs; wh; queue; commits_left = spec.commits; commit_idx = 0 }
 
 let config spec =
   {
@@ -104,8 +101,7 @@ let config spec =
 
 let start_bootstrap ?(owner = "w4-primary") env =
   Bootstrap.start ~config:(config env.spec) ~hook:(hook env) ~owner ~source:env.src
-    ~capture:env.cap ~table:Workload.parts_table ~queue:env.queue ~warehouse:env.wh
-    ~watermark:env.wm ()
+    ~capture:env.cap ~table:Workload.parts_table ~queue:env.queue ~warehouse:env.wh ()
 
 (* one bootstrap attempt; a fail-stop fault surfaces as `Crashed with the
    chunk transactions the attempt managed to apply durably *)

@@ -43,7 +43,6 @@ module Domain_pool = Dw_util.Domain_pool
 module Workload = Dw_workload.Workload
 module Op_delta = Dw_core.Op_delta
 module Opdelta_capture = Dw_core.Opdelta_capture
-module Watermark = Dw_core.Watermark
 module Warehouse = Dw_warehouse.Warehouse
 module Partitioned = Dw_warehouse.Partitioned
 module Stage = Dw_etl.Stage
@@ -264,7 +263,6 @@ let run_bench ~scale =
   if !degraded_rounds < 1 then failwith "w6: no degraded read round observed";
   if !stalls > 0 then failwith "w6: a degraded read stalled (raised Unhealthy)";
   (* phase 4: rebuild the quarantined shard online from the live source *)
-  let wm_store = Watermark.load (Db.vfs env.src) ~name:"w6.wm" in
   let hook = function
     | Bootstrap.Window_open 0 -> commit_round env (* live writes mid-rebuild *)
     | _ -> ()
@@ -273,7 +271,7 @@ let run_bench ~scale =
     match
       Rebuild.rebuild_shard
         ~config:{ Bootstrap.default_config with chunk_max = 64; chunk_min = 8; seed }
-        ~hook ~owner:"w6" ~source:env.src ~capture:env.cap ~watermark:wm_store ~fleet:env.fleet
+        ~hook ~owner:"w6" ~source:env.src ~capture:env.cap ~fleet:env.fleet
         ~shard:flappy ()
     with
     | Ok o -> o
@@ -426,17 +424,15 @@ let quarantined_scene spec =
   (env, flappy)
 
 let rebuild_of ?hook env flappy =
-  let wm = Watermark.load (Db.vfs env.src) ~name:"rebuild.wm" in
   Rebuild.rebuild_shard
     ~config:{ Bootstrap.default_config with chunk_max = 8; chunk_min = 4; seed = env.seed }
-    ?hook ~owner:"explorer" ~source:env.src ~capture:env.cap ~watermark:wm ~fleet:env.fleet
+    ?hook ~owner:"explorer" ~source:env.src ~capture:env.cap ~fleet:env.fleet
     ~shard:flappy ()
 
 let resume_of env flappy =
-  let wm = Watermark.load (Db.vfs env.src) ~name:"rebuild.wm" in
   Rebuild.resume_shard
     ~config:{ Bootstrap.default_config with chunk_max = 8; chunk_min = 4; seed = env.seed }
-    ~owner:"explorer" ~source:env.src ~capture:env.cap ~watermark:wm ~fleet:env.fleet
+    ~owner:"explorer" ~source:env.src ~capture:env.cap ~fleet:env.fleet
     ~shard:flappy ()
 
 (* after readmission the fleet must converge: one guarded round, every

@@ -33,10 +33,6 @@ let table_of = function
   | Create_table { table; _ } ->
     table
 
-let is_dml = function
-  | Insert _ | Update _ | Delete _ -> true
-  | Select _ | Create_table _ -> false
-
 let opt_expr_equal a b =
   match a, b with
   | None, None -> true

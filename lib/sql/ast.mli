@@ -51,7 +51,5 @@ type stmt =
     }
 
 val table_of : stmt -> string
-val is_dml : stmt -> bool
-(** INSERT/UPDATE/DELETE. *)
 
 val equal : stmt -> stmt -> bool

@@ -104,10 +104,6 @@ let holders_unlocked sp resource =
       | exception Not_found -> [])
   | Row _ -> ( match Hashtbl.find sp.rows resource with h -> h.granted | exception Not_found -> [])
 
-let holders t resource =
-  let sp = stripe_for t resource in
-  locked sp.stripe_lock (fun () -> holders_unlocked sp resource)
-
 let compatible a b = a = S && b = S
 
 let tally_for sp tname tx =

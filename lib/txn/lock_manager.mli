@@ -54,9 +54,6 @@ val acquire : t -> txid -> resource -> mode -> outcome
 val release_all : t -> txid -> unit
 (** End of transaction: drop all locks and pending waits of [txid]. *)
 
-val holders : t -> resource -> (txid * mode) list
-(** Current grantees of [resource] with their modes ([] when free). *)
-
 val held_by : t -> txid -> resource list
 (** Resources [txid] currently holds a lock on, in no particular order. *)
 

@@ -116,7 +116,3 @@ let run ~wal ~resolve =
             ())
         !loser_dml);
   { records_scanned = !scanned; winners; losers; redone = !redone; undone = !undone }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "scanned=%d winners=%d losers=%d redone=%d undone=%d" s.records_scanned
-    s.winners s.losers s.redone s.undone

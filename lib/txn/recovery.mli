@@ -33,6 +33,3 @@ val run :
   stats
 (** [resolve] maps a table name from the log to its heap file; records for
     unknown tables (dropped since) are skipped. *)
-
-val pp_stats : Format.formatter -> stats -> unit
-(** One-line human summary (records replayed, txns won/lost, bytes). *)

@@ -134,7 +134,6 @@ let iter_table t ~table f =
   List.iter f rids
 
 let entries t = locked t (fun () -> t.live)
-let pending_txns t = locked t (fun () -> Hashtbl.length t.by_tx)
 
 let gc t ~horizon =
   locked t @@ fun () ->

@@ -68,9 +68,6 @@ val iter_table : t -> table:string -> (Heap_file.rid -> unit) -> unit
 val entries : t -> int
 (** Live entries across all chains (pending + published), O(1). *)
 
-val pending_txns : t -> int
-(** Writers with at least one unpublished entry. *)
-
 val drop_table : t -> table:string -> unit
 (** Remove every chain of [table] (the table itself is being dropped; a
     later table of the same name must not inherit stale versions). *)

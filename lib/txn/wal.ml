@@ -16,7 +16,6 @@ type t = {
   mutable segments : segment list;  (* oldest first; last is current *)
   mutable current : Vfs.file;
   mutable next : lsn;
-  mutable last_checkpoint : lsn option;
   append_hist : Metrics.hist;  (* [wal.append], resolved once *)
 }
 
@@ -78,7 +77,6 @@ let create vfs ~name ~archive =
       segments = [ { base = 0; sname; closed = false } ];
       current;
       next = 0;
-      last_checkpoint = None;
       append_hist;
     }
   | segs ->
@@ -103,14 +101,12 @@ let create vfs ~name ~archive =
       segments;
       current;
       next = last.base + Vfs.size current;
-      last_checkpoint = None;
       append_hist;
     }
 
 let archive_enabled t = t.archive
 let metrics t = Vfs.metrics t.vfs
 let next_lsn t = t.next
-let last_checkpoint t = t.last_checkpoint
 
 let append t record =
   let lsn = t.next in
@@ -140,7 +136,6 @@ let checkpoint t ~active =
   let lsn = append t { Log_record.tx = 0; body = Log_record.Checkpoint active } in
   flush t;
   rotate t;
-  t.last_checkpoint <- Some lsn;
   if not t.archive then begin
     (* recycling policy: delete every closed segment except the one holding
        the checkpoint record itself (recovery needs the checkpoint) *)

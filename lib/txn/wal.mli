@@ -58,9 +58,6 @@ val archived_segments : t -> string list
 val segment_bytes : t -> int
 (** Total bytes across retained segments including the current one. *)
 
-val last_checkpoint : t -> lsn option
-(** LSN of the most recent checkpoint record, [None] before the first. *)
-
 val prune_archived : t -> upto:lsn -> int
 (** Delete archived (closed) segments consisting entirely of records below
     [upto] — the log-retention companion of watermark-driven extraction:

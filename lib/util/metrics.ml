@@ -409,11 +409,6 @@ let with_span t name f =
 let spans t = locked t (fun () -> List.rev t.completed_spans)
 let span_depth t = locked t (fun () -> List.length t.span_stack)
 
-let clear_spans t =
-  locked t (fun () ->
-      t.span_stack <- [];
-      t.completed_spans <- [])
-
 (* ---------- snapshots, reset, rendering ---------- *)
 
 let snapshot t =

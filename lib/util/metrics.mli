@@ -175,8 +175,6 @@ val spans : t -> span_record list
 val span_depth : t -> int
 (** Currently open spans (0 when balanced — property-tested). *)
 
-val clear_spans : t -> unit
-
 (** {2 Reset, rendering, export} *)
 
 val reset : t -> unit

@@ -68,13 +68,3 @@ let run_all ?mode wh queries =
         | Error e -> (List.rev acc, Some e))
   in
   go [] queries
-
-let run_all_parallel ?partitions ~pool wh queries =
-  let rec go acc = function
-    | [] -> (List.rev acc, None)
-    | q :: rest -> (
-        match run_parallel ?partitions ~pool wh q with
-        | Ok r -> go (r :: acc) rest
-        | Error e -> (List.rev acc, Some e))
-  in
-  go [] queries

@@ -37,7 +37,7 @@ val run_parallel :
   (query_result, string) result
 (** Like {!run} in [`Snapshot] mode, but executed by {!Par_scan} across
     the pool's domains: the scan is split into [partitions] page ranges
-    (default {!Par_scan.default_partitions}) and results are merged
+    (default 8) and results are merged
     byte-identically to the sequential path.  Timed into the
     [olap.query_parallel] histogram on the registry clock. *)
 
@@ -49,11 +49,3 @@ val run_all :
 (** Runs queries in order, stopping at the first failure; the results of
     the queries completed before it are always returned, with [Some
     error] describing the one that failed ([None] = all succeeded). *)
-
-val run_all_parallel :
-  ?partitions:int ->
-  pool:Dw_util.Domain_pool.t ->
-  Warehouse.t ->
-  query list ->
-  query_result list * string option
-(** {!run_all}, with each query executed through {!run_parallel}. *)

@@ -17,9 +17,6 @@
     (DML notes before-images before touching the heap, pages only ever
     grow). *)
 
-val default_partitions : int
-(** Partition count used when [?partitions] is omitted (8). *)
-
 val exec :
   ?partitions:int ->
   pool:Dw_util.Domain_pool.t ->

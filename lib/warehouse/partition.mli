@@ -53,11 +53,6 @@ val route_key : t -> int -> int
 (** The partition (in [0, partitions - 1]) owning integer key [k].
     Total and deterministic: same spec, same key, same partition. *)
 
-val route_value : t -> Value.t -> int
-(** {!route_key} on an [Int] or [Date] value.  Raises
-    [Invalid_argument] on any other type — partition keys are integers
-    and non-nullable. *)
-
 val route_row : t -> Schema.t -> Tuple.t -> int
 (** Route a whole row of the fact table by its partition-key column.
     Raises [Not_found] if [schema] lacks the key column. *)

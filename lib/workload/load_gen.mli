@@ -62,9 +62,6 @@ type op =
   | Dml of Workload.op  (** one source transaction's worth of DML *)
   | Scan of int  (** read-only range scan over [n] rows (drives lock waits) *)
 
-val op_rows : config -> op -> int
-(** Rows an op touches (service-time and delta-rate driver). *)
-
 type tick_stats = {
   tick : int;  (** 1-based virtual second since the run started *)
   phase : phase_kind;

@@ -1,7 +1,7 @@
 (* Systematic crash-point sweep (dune alias: @crash).
 
    Exhaustively enumerates every write/fsync event of small source-DB,
-   queue, bootstrap and partitioned workloads, then sweeps the standard
+   queue, bootstrap, partitioned and extraction-pipeline workloads, then sweeps the standard
    ones at stride <= 8.  Each flow prints one deterministic
    `name events points failures` line on stdout, which the alias diffs
    against crash_sweep.expected.  Any violated recovery invariant
@@ -60,6 +60,14 @@ let () =
      and the re-admitted fleet must converge with the sequential
      integrator at one watermark *)
   check "rebuild (stride 2)" (Dw_experiments.Exp_chaos.explore_rebuild ~stride:2 ());
+  (* extraction pipelines on queued transport: one round killed at every
+     source and warehouse event, restarted from the bytes (the mark row
+     re-adopted with the warehouse), then run to quiescence — replica =
+     source, view = its recomputation *)
+  check "pipeline timestamp (exhaustive)" (Cs.explore_pipeline Dw_etl.Pipeline.Timestamp);
+  check "pipeline log (exhaustive)" (Cs.explore_pipeline Dw_etl.Pipeline.Log);
+  check "pipeline snapshot (exhaustive)"
+    (Cs.explore_pipeline (Dw_etl.Pipeline.Snapshot Dw_core.Snapshot_extract.Sort_merge));
   (* domain-pool clean shutdown with a sweep mid-flight: a batch is
      draining (some tasks still queued, some raising) while another domain
      issues the shutdown — the batch must complete, the error must

@@ -13,7 +13,6 @@ module Table = Dw_engine.Table
 module Tuple = Dw_relation.Tuple
 module Workload = Dw_workload.Workload
 module Warehouse = Dw_warehouse.Warehouse
-module Watermark = Dw_core.Watermark
 module Opdelta_capture = Dw_core.Opdelta_capture
 module Bootstrap = Dw_etl.Bootstrap
 module Run_state = Dw_etl.Run_state
@@ -45,7 +44,7 @@ let start_hooked env ~hook ~owner =
   match
     Bootstrap.start ~config:(EB.config env.EB.spec) ~hook ~owner ~source:env.EB.src
       ~capture:env.EB.cap ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh
-      ~watermark:env.EB.wm ()
+      ()
   with
   | Ok b -> b
   | Error _ -> Alcotest.fail "start refused"
@@ -65,9 +64,6 @@ let basic_convergence () =
      check Alcotest.bool "state complete" true (row.Run_state.state = Run_state.Complete);
      check Alcotest.string "lease released" "" row.Run_state.lease_owner
    | None -> Alcotest.fail "no state row");
-  (* source-side watermark: mark advanced past the load *)
-  check Alcotest.bool "mark advanced" true
-    ((Watermark.get env.EB.wm ~table:"parts").Watermark.day >= 0);
   (* advisory journal tells the run's story *)
   let records = Run_state.journal_read env.EB.whvfs ~table:"parts" in
   check Alcotest.bool "journal start" true
@@ -237,7 +233,7 @@ let abort_then_resume () =
   let b =
     match
       Bootstrap.start ~config ~owner:"o1" ~source:env.EB.src ~capture:env.EB.cap
-        ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh ~watermark:env.EB.wm ()
+        ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh ()
     with
     | Ok b -> b
     | Error _ -> Alcotest.fail "start refused"
@@ -261,7 +257,7 @@ let abort_then_resume () =
   let b2 =
     match
       Bootstrap.start ~config ~owner:"o1" ~source:env.EB.src ~capture:env.EB.cap
-        ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh ~watermark:env.EB.wm ()
+        ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh ()
     with
     | Ok b -> b
     | Error _ -> Alcotest.fail "resume refused"
@@ -285,7 +281,7 @@ let aimd_shrinks_under_lock_pressure () =
   let b =
     match
       Bootstrap.start ~config ~owner:"aimd" ~source:env.EB.src ~capture:env.EB.cap
-        ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh ~watermark:env.EB.wm ()
+        ~table:"parts" ~queue:env.EB.queue ~warehouse:env.EB.wh ()
     with
     | Ok b -> b
     | Error _ -> Alcotest.fail "start refused"

@@ -258,7 +258,23 @@ let round_with_zero_changes () =
   check Alcotest.bool "still converged" true (converged src wh);
   check Alcotest.int "3 rounds counted" 3 (Pipeline.rounds pipe)
 
-(* the source faulting mid-extract must not advance the watermark: the
+(* the table's committed mark row in the warehouse: (day, lsn, snap) *)
+let mark_row wh =
+  let db = Warehouse.db wh in
+  match Db.with_txn db (fun txn -> Db.select db txn (fst Pipeline.marks) ()) with
+  | [ [| _; Value.Int day; Value.Int lsn; Value.Int snap |] ] -> (day, lsn, snap)
+  | rows -> Alcotest.fail (Printf.sprintf "expected one mark row, got %d" (List.length rows))
+
+let mark_day wh =
+  let day, _, _ = mark_row wh in
+  day
+
+let ok_round pipe =
+  match Pipeline.run_round pipe with
+  | Ok stats -> stats.Pipeline.extracted_changes
+  | Error e -> Alcotest.fail e
+
+(* the source faulting mid-extract must not advance the mark: the
    failed round is a no-op and the next round re-extracts everything *)
 let crash_mid_extract_resumes () =
   let src = mk_source () in
@@ -274,13 +290,7 @@ let crash_mid_extract_resumes () =
   Db.advance_day src;
   Db.with_txn src (fun txn ->
       ignore (Db.exec src txn (Workload.update_parts_stmt ~first_id:3 ~size:6) : Db.exec_result));
-  let wm_day () =
-    (Dw_core.Watermark.get
-       (Dw_core.Watermark.load (Db.vfs src) ~name:"pipeline.parts.wm")
-       ~table:"parts")
-      .Dw_core.Watermark.day
-  in
-  let day_before = wm_day () in
+  let day_before = mark_day wh in
   (* every source write now faults: the extract dies writing its delta
      file, before anything ships *)
   Vfs.set_fault (Db.vfs src) (Some (Vfs.Fault.make ~write_fail_p:1.0 ~fsync_fail_p:1.0 ~seed:4 ()));
@@ -290,14 +300,63 @@ let crash_mid_extract_resumes () =
      | Error _ -> ()
    with Vfs.Fault.Transient _ -> ());
   Vfs.set_fault (Db.vfs src) None;
-  check Alcotest.int "watermark never regressed or advanced" day_before (wm_day ());
+  check Alcotest.int "mark never regressed or advanced" day_before (mark_day wh);
   check Alcotest.int "failed round not counted" 1 (Pipeline.rounds pipe);
   (* the next round picks the changes up as if the fault never happened *)
   (match Pipeline.run_round pipe with
    | Ok stats -> check Alcotest.int "re-extracted after fault" 6 stats.Pipeline.extracted_changes
    | Error e -> Alcotest.fail e);
   check Alcotest.bool "converged after resume" true (converged src wh);
-  check Alcotest.bool "watermark advanced after success" true (wm_day () > day_before)
+  check Alcotest.bool "mark advanced after success" true (mark_day wh > day_before)
+
+(* a log round commits its mark with its data, so a write fault on the
+   source device (where no mark lives any more) cannot split them: no
+   later round re-applies the faulted round's inserts *)
+let log_round_after_faulted_mark_write () =
+  let src = mk_source () in
+  let wh = mk_warehouse () in
+  let pipe =
+    Pipeline.create ~source:src ~warehouse:wh ~table:"parts" ~method_:Pipeline.Log
+      ~transport:(Pipeline.Queued "lq") ()
+  in
+  Db.with_txn src (fun txn ->
+      List.iter
+        (fun s -> ignore (Db.exec src txn s : Db.exec_result))
+        (Workload.insert_parts_txn ~first_id:1 ~size:40 ~day:(Db.current_day src) ()));
+  ignore (ok_round pipe : int);
+  run_activity src ~seed:1 ~txns:8 ~first_insert_id:100;
+  Vfs.set_fault (Db.vfs src) (Some (Vfs.Fault.make ~write_fail_p:1.0 ~fsync_fail_p:1.0 ~seed:4 ()));
+  ignore (ok_round pipe : int);
+  Vfs.set_fault (Db.vfs src) None;
+  ignore (ok_round pipe : int);
+  ignore (ok_round pipe : int);
+  check Alcotest.bool "converged" true (converged src wh);
+  check Alcotest.bool "view consistent" true
+    (Warehouse.view_rows wh "parts_view" = Warehouse.recompute_view wh "parts_view")
+
+(* the snapshot round a pipeline diffs against is part of its mark: a
+   pipeline re-created over the same source and warehouse applies only
+   what changed since the last committed round *)
+let restarted_snapshot_pipeline_resumes () =
+  let src = mk_source () in
+  Workload.load_parts src ~rows:30 ();
+  let wh = mk_warehouse () in
+  let create () =
+    Pipeline.create ~source:src ~warehouse:wh ~table:"parts"
+      ~method_:(Pipeline.Snapshot Snapshot_extract.Sort_merge) ~transport:Pipeline.Direct ()
+  in
+  check Alcotest.int "initial round" 30 (ok_round (create ()));
+  Db.advance_day src;
+  Db.with_txn src (fun txn ->
+      ignore (Db.exec src txn (Workload.update_parts_stmt ~first_id:3 ~size:4) : Db.exec_result);
+      List.iter
+        (fun s -> ignore (Db.exec src txn s : Db.exec_result))
+        (Workload.insert_parts_txn ~first_id:100 ~size:3 ~day:(Db.current_day src) ()));
+  let pipe = create () in
+  check Alcotest.int "only the new changes" 7 (ok_round pipe);
+  check Alcotest.bool "converged" true (converged src wh);
+  check Alcotest.int "quiet round" 0 (ok_round pipe);
+  check Alcotest.int "mark names round 3" 3 (let _, _, snap = mark_row wh in snap)
 
 let create_validates () =
   let src = mk_source () in
@@ -343,6 +402,8 @@ let suite =
     test "compacted pipeline" compacted_pipeline;
     test "round with zero changes is a no-op" round_with_zero_changes;
     test "crash mid-extract leaves watermark, resumes" crash_mid_extract_resumes;
+    test "log round after a faulted mark write converges" log_round_after_faulted_mark_write;
+    test "restarted snapshot pipeline resumes" restarted_snapshot_pipeline_resumes;
     test "create validates" create_validates;
     test "round time reads the warehouse clock" round_time_on_registry_clock;
   ]

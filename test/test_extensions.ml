@@ -1,5 +1,5 @@
 (* Tests for the extension features: timestamp-extraction restriction and
-   sub-setting, extraction watermarks, group commit, and the aggregate
+   sub-setting, extraction marks, group commit, and the aggregate
    view unit pieces not covered by the warehouse suite. *)
 
 module Vfs = Dw_storage.Vfs
@@ -12,8 +12,8 @@ module Table = Dw_engine.Table
 module Workload = Dw_workload.Workload
 module Delta = Dw_core.Delta
 module Timestamp_extract = Dw_core.Timestamp_extract
-module Watermark = Dw_core.Watermark
-module Log_extract = Dw_core.Log_extract
+module Warehouse = Dw_warehouse.Warehouse
+module Pipeline = Dw_etl.Pipeline
 module Prng = Dw_util.Prng
 
 let check = Alcotest.check
@@ -87,150 +87,113 @@ let ts_restrict_and_project_to_table () =
   check Alcotest.int "table arity" 2 (Schema.arity (Table.schema tbl));
   check Alcotest.int "table rows" 6 (Table.row_count tbl)
 
-(* ---------- watermarks ---------- *)
+(* ---------- extraction marks ---------- *)
 
+let mk_dw () =
+  let vfs = Vfs.in_memory () in
+  let wh = Warehouse.create ~vfs ~name:"dw" () in
+  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
+  (vfs, wh)
+
+let reopen_dw ?(extra = [ Pipeline.marks ]) vfs =
+  Vfs.crash_reset vfs;
+  Warehouse.reopen ~extra ~vfs ~name:"dw" ~replicas:[ ("parts", Workload.parts_schema) ]
+    ~views:[] ~agg_views:[] ()
+
+let pipe ?(method_ = Pipeline.Timestamp) src wh =
+  Pipeline.create ~source:src ~warehouse:wh ~table:"parts" ~method_ ~transport:Pipeline.Direct ()
+
+let round p =
+  match Pipeline.run_round p with
+  | Ok stats -> stats.Pipeline.extracted_changes
+  | Error e -> Alcotest.fail e
+
+(* the parts mark row, if any: (day, lsn, snapshot round) *)
+let mark_of wh =
+  let db = Warehouse.db wh in
+  match Db.with_txn db (fun txn -> Db.select db txn (fst Pipeline.marks) ()) with
+  | [] -> None
+  | [ [| _; Value.Int day; Value.Int lsn; Value.Int snap |] ] -> Some (day, lsn, snap)
+  | _ -> Alcotest.fail "malformed marks table"
+
+let replica wh = List.sort Tuple.compare (Warehouse.replica_rows wh "parts")
+
+let logged_load db ~size =
+  Db.with_txn db (fun txn ->
+      List.iter
+        (fun s -> ignore (Db.exec db txn s : Db.exec_result))
+        (Workload.insert_parts_txn ~first_id:1 ~size ~day:(Db.current_day db) ()))
+
+let mark = Alcotest.(option (triple int int int))
+
+(* a mark survives re-creating the pipeline, over the same warehouse and
+   over one re-adopted from its bytes *)
 let watermark_roundtrip () =
-  let vfs = Vfs.in_memory () in
-  let wm = Watermark.load vfs ~name:"marks" in
-  check Alcotest.int "virgin day" (-1) (Watermark.get wm ~table:"parts").Watermark.day;
-  Watermark.advance wm ~table:"parts" { Watermark.day = 10; lsn = 512 };
-  Watermark.advance wm ~table:"orders" { Watermark.day = 4; lsn = 100 };
-  (* re-open: state survives *)
-  let wm2 = Watermark.load vfs ~name:"marks" in
-  check Alcotest.int "day persisted" 10 (Watermark.get wm2 ~table:"parts").Watermark.day;
-  check Alcotest.int "lsn persisted" 512 (Watermark.get wm2 ~table:"parts").Watermark.lsn;
-  check (Alcotest.list Alcotest.string) "tables" [ "orders"; "parts" ] (Watermark.tables wm2)
+  let src = mk_source () in
+  let vfs, wh = mk_dw () in
+  let p = pipe src wh in
+  check mark "no mark before the first round" None (mark_of wh);
+  check Alcotest.int "first round = everything" 40 (round p);
+  let want = Some (Db.current_day src, Dw_txn.Wal.next_lsn (Db.wal src), 0) in
+  check mark "mark committed" want (mark_of wh);
+  check Alcotest.int "re-created pipeline resumes" 0 (round (pipe src wh));
+  let wh = reopen_dw vfs in
+  check mark "mark persisted" want (mark_of wh);
+  check Alcotest.int "restarted pipeline resumes" 0 (round (pipe src wh));
+  (* a catalog that leaves the marks table out must not restart from
+     scratch *)
+  let wh = reopen_dw ~extra:[] vfs in
+  match pipe src wh with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
-let watermark_no_regression () =
-  let vfs = Vfs.in_memory () in
-  let wm = Watermark.load vfs ~name:"marks" in
-  Watermark.advance wm ~table:"parts" { Watermark.day = 10; lsn = 512 };
-  try
-    Watermark.advance wm ~table:"parts" { Watermark.day = 9; lsn = 600 };
-    Alcotest.fail "expected regression failure"
-  with Invalid_argument _ -> ()
-
+(* two rounds of each position-reading method; round 2 only sees round-2
+   changes *)
 let watermark_drives_incremental_rounds () =
-  (* two extraction rounds; round 2 only sees round-2 changes *)
-  let db = mk_source () in
-  let vfs = Db.vfs db in
-  let wm = Watermark.load vfs ~name:"marks" in
-  (* round 1 *)
-  let w1 = touch db ~first_id:1 ~size:5 in
-  ignore w1;
-  let mark = Watermark.get wm ~table:"parts" in
-  let d1, _ =
-    Timestamp_extract.extract db ~table:"parts" ~since:mark.Watermark.day
-      ~output:(Timestamp_extract.To_file "r1.asc")
-  in
-  Watermark.advance wm ~table:"parts"
-    { Watermark.day = Db.current_day db; lsn = Dw_txn.Wal.next_lsn (Db.wal db) };
-  (* round 1 sees the full table (initial mark = -1) *)
-  check Alcotest.int "round 1 = everything" 40 (Delta.row_count d1);
-  (* round 2 *)
+  let db = mk_source ~rows:0 () in
+  logged_load db ~size:40;
+  let _, ts_wh = mk_dw () and _, log_wh = mk_dw () in
+  let ts = pipe db ts_wh and log = pipe ~method_:Pipeline.Log db log_wh in
+  check Alcotest.int "round 1 = everything" 40 (round ts);
+  check Alcotest.int "log round 1 = everything" 40 (round log);
   ignore (touch db ~first_id:11 ~size:3 : int);
-  let mark = Watermark.get wm ~table:"parts" in
-  let d2, _ =
-    Timestamp_extract.extract db ~table:"parts" ~since:mark.Watermark.day
-      ~output:(Timestamp_extract.To_file "r2.asc")
-  in
-  check Alcotest.int "round 2 = new changes only" 3 (Delta.row_count d2);
-  (* log-based round with the lsn watermark *)
-  let d3, _ = Log_extract.extract ~since_lsn:mark.Watermark.lsn db ~table:"parts" () in
-  check Alcotest.int "log round matches" 3 (Delta.row_count d3)
+  check Alcotest.int "round 2 = new changes only" 3 (round ts);
+  check Alcotest.int "log round matches" 3 (round log)
 
-(* ---------- watermark torn-tail / fault hardening ---------- *)
-
-let append_raw vfs name s =
-  let f = Vfs.open_or_create vfs name in
-  ignore (Vfs.append f (Bytes.of_string s) : int);
-  Vfs.fsync f;
-  Vfs.close f
-
-(* a crash mid-append leaves a partial record: load falls back to the
-   last durable state and truncates the tail, so post-recovery advances
-   stay visible to every later load *)
-let watermark_torn_tail () =
-  let vfs = Vfs.in_memory () in
-  let wm = Watermark.load vfs ~name:"marks" in
-  Watermark.advance wm ~table:"parts" { Watermark.day = 3; lsn = 30 };
-  Watermark.advance wm ~table:"orders" { Watermark.day = 1; lsn = 10 };
-  append_raw vfs "marks" "m|parts|9|9";
-  let wm2 = Watermark.load vfs ~name:"marks" in
-  check Alcotest.int "parts fell back" 3 (Watermark.get wm2 ~table:"parts").Watermark.day;
-  check Alcotest.int "orders unaffected" 1 (Watermark.get wm2 ~table:"orders").Watermark.day;
-  Watermark.advance wm2 ~table:"parts" { Watermark.day = 4; lsn = 40 };
-  let wm3 = Watermark.load vfs ~name:"marks" in
-  check Alcotest.int "recovery advance visible" 4 (Watermark.get wm3 ~table:"parts").Watermark.day;
-  check Alcotest.int "lsn too" 40 (Watermark.get wm3 ~table:"parts").Watermark.lsn
-
-let watermark_corrupt_checksum () =
-  let vfs = Vfs.in_memory () in
-  let wm = Watermark.load vfs ~name:"marks" in
-  Watermark.advance wm ~table:"parts" { Watermark.day = 1; lsn = 10 };
-  Watermark.advance wm ~table:"parts" { Watermark.day = 2; lsn = 20 };
-  (* flip bytes inside the last record's checksum field *)
-  let f = Vfs.open_existing vfs "marks" in
-  let len = Vfs.size f in
-  Vfs.write_at f ~off:(len - 3) (Bytes.of_string "zz");
-  Vfs.fsync f;
-  Vfs.close f;
-  let wm2 = Watermark.load vfs ~name:"marks" in
-  check Alcotest.int "fell back to last valid record" 1
-    (Watermark.get wm2 ~table:"parts").Watermark.day
-
-(* fault-injection regression: kill the store at every write/fsync event
-   of one advance; whatever survives must be one of the two adjacent
-   durable states, and the store must stay fully usable *)
+(* fault-injection regression: kill the warehouse at every write/fsync
+   event of one log round; the recovered mark and replica must be both
+   before the round or both after it, and the restarted pipeline must
+   converge *)
 let watermark_crash_during_advance () =
-  let mk () =
-    let vfs = Vfs.in_memory () in
-    let wm = Watermark.load vfs ~name:"marks" in
-    Watermark.advance wm ~table:"parts" { Watermark.day = 1; lsn = 10 };
-    (vfs, wm)
+  let scene () =
+    let src = mk_source ~rows:0 () in
+    logged_load src ~size:20;
+    let vfs, wh = mk_dw () in
+    let p = pipe ~method_:Pipeline.Log src wh in
+    ignore (round p : int);
+    ignore (touch src ~first_id:3 ~size:5 : int);
+    (src, vfs, wh, p)
   in
-  let vfs0, wm0 = mk () in
+  let _, vfs0, wh0, p0 = scene () in
+  let before = (mark_of wh0, replica wh0) in
   Vfs.set_fault vfs0 (Some (Vfs.Fault.make ~seed:1 ()));
-  Watermark.advance wm0 ~table:"parts" { Watermark.day = 2; lsn = 20 };
+  check Alcotest.int "round applies the touch" 5 (round p0);
+  let after = (mark_of wh0, replica wh0) in
   let total = match Vfs.fault vfs0 with Some f -> Vfs.Fault.events f | None -> 0 in
   check Alcotest.bool "events counted" true (total > 0);
   for k = 0 to total - 1 do
-    let vfs, wm = mk () in
+    let src, vfs, _, p = scene () in
     Vfs.set_fault vfs (Some (Vfs.Fault.make ~fail_stop_after:k ~seed:(10 + k) ()));
-    (try Watermark.advance wm ~table:"parts" { Watermark.day = 2; lsn = 20 }
+    (try ignore (Pipeline.run_round p : (Pipeline.round_stats, string) result)
      with Vfs.Fault.Crash _ -> ());
-    Vfs.crash_reset vfs;
-    let wm2 = Watermark.load vfs ~name:"marks" in
-    let day = (Watermark.get wm2 ~table:"parts").Watermark.day in
-    check Alcotest.bool "durable state only" true (day = 1 || day = 2);
-    Watermark.advance wm2 ~table:"parts" { Watermark.day = 3; lsn = 30 };
-    check Alcotest.int "usable after crash" 3
-      (Watermark.get (Watermark.load vfs ~name:"marks") ~table:"parts").Watermark.day
+    let wh = reopen_dw vfs in
+    let got = (mark_of wh, replica wh) in
+    check Alcotest.bool (Printf.sprintf "event %d: mark and data agree" k) true
+      (got = before || got = after);
+    ignore (round (pipe ~method_:Pipeline.Log src wh) : int);
+    check Alcotest.bool (Printf.sprintf "event %d: converged" k) true
+      (replica wh = List.sort Tuple.compare (Db.with_txn src (fun txn -> Db.select src txn "parts" ())))
   done
-
-(* journals written before the bootstrap cursor moved out of the
-   watermark store hold intact [c|]/[x|] records: load skips them rather
-   than truncating them, and the marks after them, as a torn tail *)
-let watermark_skips_cursor_records () =
-  let vfs = Vfs.in_memory () in
-  let record body = Printf.sprintf "%s|%s\n" body (Dw_util.Checksum.hex body) in
-  let f = Vfs.create vfs "marks" in
-  Vfs.write_at f ~off:0
-    (Bytes.of_string
-       (record "m|parts|1|10" ^ record "c|parts|100|2" ^ record "x|parts"
-        ^ record "m|parts|2|20"));
-  Vfs.close f;
-  let size () =
-    let f = Vfs.open_existing vfs "marks" in
-    let n = Vfs.size f in
-    Vfs.close f;
-    n
-  in
-  let before = size () in
-  let wm = Watermark.load vfs ~name:"marks" in
-  check Alcotest.int "mark after the cursor records" 2
-    (Watermark.get wm ~table:"parts").Watermark.day;
-  check Alcotest.int "nothing truncated" before (size ())
 
 (* ---------- group commit ---------- *)
 
@@ -268,12 +231,8 @@ let suite =
     test "ts project must keep key" ts_project_must_keep_key;
     test "ts restrict+project to table" ts_restrict_and_project_to_table;
     test "watermark roundtrip" watermark_roundtrip;
-    test "watermark no regression" watermark_no_regression;
     test "watermark drives incremental rounds" watermark_drives_incremental_rounds;
-    test "watermark torn tail truncated" watermark_torn_tail;
-    test "watermark corrupt checksum ignored" watermark_corrupt_checksum;
     test "watermark crash sweep during advance" watermark_crash_during_advance;
-    test "watermark skips legacy cursor records" watermark_skips_cursor_records;
     test "group commit fewer fsyncs" group_commit_fewer_fsyncs;
     test "group commit validates" group_commit_validates;
   ]
