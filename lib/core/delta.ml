@@ -24,19 +24,6 @@ let change_key schema = function
   | Insert after | Upsert after -> Tuple.key schema after
   | Delete before | Update (before, _) -> Tuple.key schema before
 
-let concat = function
-  | [] -> invalid_arg "Delta.concat: empty list"
-  | first :: rest ->
-    List.iter
-      (fun d ->
-        if d.table <> first.table || not (Schema.equal d.schema first.schema) then
-          invalid_arg "Delta.concat: table/schema mismatch")
-      rest;
-    {
-      first with
-      changes = List.concat_map (fun d -> d.changes) (first :: rest);
-    }
-
 module KeyMap = Map.Make (struct
   type t = Tuple.t
 

@@ -42,10 +42,6 @@ val size_bytes : t -> int
 
 val change_key : Schema.t -> change -> Tuple.t
 
-val concat : t list -> t
-(** Concatenate batches for the same table/schema.
-    Raises [Invalid_argument] on mismatch or empty list. *)
-
 val apply_to_rows : t -> Tuple.t list -> Tuple.t list
 (** Replay onto a bag of rows keyed by primary key (model semantics used
     by tests): Insert adds (error if key exists), Delete removes by key,

@@ -4,15 +4,12 @@ module Trigger = Dw_engine.Trigger
 module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
 module Value = Dw_relation.Value
-module Heap_file = Dw_storage.Heap_file
 
 type handle = {
   source : string;
-  delta_table : string;
   trigger_name : string;
-  schema : Schema.t;        (* source schema *)
-  delta_schema : Schema.t;
-  seq : int ref;
+  schema : Schema.t;  (* source schema *)
+  log : Capture_table.t;
 }
 
 (* delta table layout: seq, kind ("I" insert-new / "D" delete-old /
@@ -24,21 +21,14 @@ let delta_schema_of schema =
      :: Schema.columns schema)
 
 let install db ~table =
-  let tbl = Db.table db table in
-  let schema = Table.schema tbl in
-  let delta_table = table ^ "__delta" in
+  let schema = Table.schema (Db.table db table) in
   let trigger_name = "capture__" ^ table in
   if List.mem trigger_name (Db.triggers_on db table) then
     invalid_arg (Printf.sprintf "Trigger_extract: already installed on %s" table);
-  let delta_schema = delta_schema_of schema in
-  (match Db.table_opt db delta_table with
-   | Some _ -> ()
-   | None -> ignore (Db.create_table db ~name:delta_table delta_schema : Table.t));
-  let seq = ref 0 in
+  let log = Capture_table.attach db ~name:(table ^ "__delta") (delta_schema_of schema) in
   let write (ctx : Db.trigger_ctx) kind tuple =
-    incr seq;
-    let row = Array.append [| Value.Int !seq; Value.Str kind |] tuple in
-    ignore (Db.insert ctx.Db.ctx_db ctx.Db.ctx_txn delta_table row : Heap_file.rid)
+    Capture_table.insert ctx.Db.ctx_db ctx.Db.ctx_txn log
+      (Array.append [| Value.Null; Value.Str kind |] tuple)
   in
   let action ctx event =
     match event with
@@ -52,7 +42,7 @@ let install db ~table =
     { Trigger.name = trigger_name;
       on = [ Trigger.On_insert; Trigger.On_delete; Trigger.On_update ];
       action };
-  { source = table; delta_table; trigger_name; schema; delta_schema; seq }
+  { source = table; trigger_name; schema; log }
 
 let uninstall db h = Db.remove_trigger db ~table:h.source h.trigger_name
 
@@ -61,18 +51,9 @@ let work_units ~images = float_of_int images
 
 let strip h row = Array.sub row 2 (Schema.arity h.schema)
 
-let collect ?(drain = false) db h =
-  let tbl = Db.table db h.delta_table in
+let read db h ~after =
   let rows = ref [] in
-  Table.scan tbl (fun _ row -> rows := row :: !rows);
-  let rows =
-    List.sort
-      (fun a b ->
-        match a.(0), b.(0) with
-        | Value.Int x, Value.Int y -> compare x y
-        | _ -> 0)
-      !rows
-  in
+  let last = Capture_table.read db h.log ~after (fun row -> rows := row :: !rows) in
   let rec to_changes = function
     | [] -> []
     | row :: rest -> (
@@ -88,7 +69,7 @@ let collect ?(drain = false) db h =
         | "N", _ -> Delta.Insert (strip h row) :: to_changes rest
         | _, _ -> to_changes rest)
   in
-  let delta = Delta.make ~table:h.source ~schema:h.schema (to_changes rows) in
-  if drain then
-    ignore (Db.with_txn db (fun txn -> Db.delete_where db txn h.delta_table ~where:None) : int);
-  delta
+  (Delta.make ~table:h.source ~schema:h.schema (to_changes (List.rev !rows)), last)
+
+let collect db h = fst (read db h ~after:0)
+let purge db h ~through = Capture_table.purge db h.log ~through

@@ -139,13 +139,10 @@ let iter_pages t ~from_page ~to_page f =
 
 let iter t f = iter_pages t ~from_page:0 ~to_page:(page_count t) f
 
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun rid tuple -> acc := f !acc rid tuple);
-  !acc
-
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc rid tuple -> (rid, tuple) :: acc))
-let count t = fold t ~init:0 ~f:(fun acc _ _ -> acc + 1)
+let count t =
+  let n = ref 0 in
+  iter t (fun _ _ -> incr n);
+  !n
 let flush t = Buffer_pool.flush_file t.pool t.file
 
 let ensure_page t pno =

@@ -52,8 +52,6 @@ val iter_pages : t -> from_page:int -> to_page:int -> (rid -> Tuple.t -> unit) -
     outside it — the unit of work a partitioned parallel scan hands one
     domain. *)
 
-val fold : t -> init:'a -> f:('a -> rid -> Tuple.t -> 'a) -> 'a
-val to_list : t -> (rid * Tuple.t) list
 val count : t -> int
 (** Number of live records (scans). *)
 

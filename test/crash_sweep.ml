@@ -60,14 +60,18 @@ let () =
      and the re-admitted fleet must converge with the sequential
      integrator at one watermark *)
   check "rebuild (stride 2)" (Dw_experiments.Exp_chaos.explore_rebuild ~stride:2 ());
-  (* extraction pipelines on queued transport: one round killed at every
-     source and warehouse event, restarted from the bytes (the mark row
-     re-adopted with the warehouse), then run to quiescence — replica =
-     source, view = its recomputation *)
+  (* extraction pipelines on queued transport, one per method: one round
+     killed at every source and warehouse event, restarted from the bytes
+     (the mark row re-adopted with the warehouse, the capture tables with
+     the source), then run to quiescence — replica = source, view = its
+     recomputation *)
   check "pipeline timestamp (exhaustive)" (Cs.explore_pipeline Dw_etl.Pipeline.Timestamp);
   check "pipeline log (exhaustive)" (Cs.explore_pipeline Dw_etl.Pipeline.Log);
   check "pipeline snapshot (exhaustive)"
     (Cs.explore_pipeline (Dw_etl.Pipeline.Snapshot Dw_core.Snapshot_extract.Sort_merge));
+  check "pipeline trigger (exhaustive)" (Cs.explore_pipeline Dw_etl.Pipeline.Trigger);
+  check "pipeline op-delta (exhaustive)" (Cs.explore_pipeline Dw_etl.Pipeline.Op_delta_wrapper);
+  check "pipeline planned (exhaustive)" (Cs.explore_pipeline Dw_etl.Pipeline.Planned);
   (* domain-pool clean shutdown with a sweep mid-flight: a batch is
      draining (some tasks still queued, some raising) while another domain
      issues the shutdown — the batch must complete, the error must

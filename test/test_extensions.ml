@@ -113,7 +113,7 @@ let mark_of wh =
   let db = Warehouse.db wh in
   match Db.with_txn db (fun txn -> Db.select db txn (fst Pipeline.marks) ()) with
   | [] -> None
-  | [ [| _; Value.Int day; Value.Int lsn; Value.Int snap |] ] -> Some (day, lsn, snap)
+  | [ [| _; Value.Int day; Value.Int lsn; Value.Int snap; _; _ |] ] -> Some (day, lsn, snap)
   | _ -> Alcotest.fail "malformed marks table"
 
 let replica wh = List.sort Tuple.compare (Warehouse.replica_rows wh "parts")
