@@ -79,6 +79,16 @@ let validate t =
            | (lc, rc) :: _ -> err "view %s: join key type mismatch %s/%s" (name t) lc rc)
         | c :: _ -> err "view %s: unknown column %s" (name t) c)
 
+(* the projection begins with the source's primary-key columns, in key
+   order: each source row gives a view row with its own key *)
+let preserves_key schema project =
+  let rec go i = function
+    | _ when i = Schema.key_arity schema -> true
+    | p :: rest -> p.from_col = (Schema.column schema i).Schema.name && go (i + 1) rest
+    | [] -> false
+  in
+  go 0 project
+
 let output_schema t =
   let col_of schema p =
     let src = Schema.column schema (Schema.index_of schema p.from_col) in
@@ -86,7 +96,10 @@ let output_schema t =
   in
   match t with
   | Select_project { schema; project; _ } ->
-    Schema.make ~key_arity:(List.length project) (List.map (col_of schema) project)
+    let key_arity =
+      if preserves_key schema project then Schema.key_arity schema else List.length project
+    in
+    Schema.make ~key_arity (List.map (col_of schema) project)
   | Join { left_schema; right_schema; project; _ } ->
     Schema.make ~key_arity:(List.length project)
       (List.map

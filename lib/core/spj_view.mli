@@ -3,7 +3,9 @@
     These are the warehouse views the Op-Delta maintenance algorithms of
     the paper's companion report [8] operate over.  Views are bags: the
     warehouse materialises each distinct output row with a multiplicity
-    count, which is what makes projection maintainable under deletes.
+    count, which is what makes projection maintainable under deletes —
+    except a key-preserving view (see {!output_schema}), whose rows are
+    distinct by their key.
 
     Two shapes, which cover the experiments:
     - {b select-project} over one source table;
@@ -48,8 +50,13 @@ val validate : t -> (unit, string) result
 (** Column references exist, projection non-empty, join keys typed. *)
 
 val output_schema : t -> Schema.t
-(** Schema of the view rows (all projected columns; key spans the whole
-    row — bag semantics live in the multiplicity count, not the key). *)
+(** Schema of the view rows: all projected columns.  A select-project
+    view whose projection begins with its source's primary-key columns,
+    in key order, is {e key-preserving}: its key is those columns, and
+    every view row has multiplicity 1.  Every other view's key spans the
+    whole row, and bag semantics live in a multiplicity count, not in the
+    key.  The warehouse derives a view's backing layout from this key
+    alone. *)
 
 val eval : t -> rows_of:(string -> Tuple.t list) -> (Tuple.t * int) list
 (** Full recomputation: distinct output rows with multiplicities, sorted

@@ -56,6 +56,14 @@ let table =
     exact "w1.statements_value_update"; exact "w1.row_ops_value_insert";
     exact "w1.row_ops_value_delete"; exact "w1.row_ops_value_update";
     exact "w1.row_ops_op_insert"; exact "w1.row_ops_op_delete"; exact "w1.row_ops_op_update";
+    (* both paths make the same view-backing writes: a value delta's
+       DELETE + INSERT of one row nets to the one in-place update the
+       Op-Delta's UPDATE makes *)
+    gauge "w1.view_writes_op_insert" ~rel:[ eq (k "w1.view_writes_value_insert") ] ~drift:Exact;
+    gauge "w1.view_writes_op_delete" ~rel:[ eq (k "w1.view_writes_value_delete") ] ~drift:Exact;
+    gauge "w1.view_writes_op_update" ~rel:[ eq (k "w1.view_writes_value_update") ] ~drift:Exact;
+    exact "w1.view_writes_value_insert"; exact "w1.view_writes_value_delete";
+    exact "w1.view_writes_value_update";
     (* w3: snapshot readers are lock-free (scheduler-verified), locking
        readers are not, and it shows as a lower OLAP tail latency *)
     gauge "w3.olap_p95_snapshot_s" ~rel:[ lt (k "w3.olap_p95_locking_s") ];

@@ -117,15 +117,19 @@ let parts_rows ?(seed = 77) rows =
   let rng = Prng.create ~seed in
   List.init rows (fun i -> Workload.gen_part rng ~id:(i + 1) ~day:0)
 
-(* a warehouse with a loaded [parts] replica and [views] over it *)
-let parts_warehouse ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?seed ?(views = []) ~rows () =
+(* a warehouse whose [parts] replica holds [contents], with [views] over it *)
+let replica_warehouse ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?(views = []) contents =
   let wh =
     Warehouse.create ?pool_pages ?pool_stripes ~vfs:(Vfs.in_memory ~op_delay ()) ~name:"dw" ()
   in
   Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
-  Warehouse.load_replica wh ~table:"parts" (parts_rows ?seed rows);
+  Warehouse.load_replica wh ~table:"parts" contents;
   List.iter (Warehouse.define_view wh) views;
   wh
+
+(* the same with [rows] generated parts rows (see [parts_rows]) *)
+let parts_warehouse ?pool_pages ?pool_stripes ?op_delay ?seed ?views ~rows () =
+  replica_warehouse ?pool_pages ?pool_stripes ?op_delay ?views (parts_rows ?seed rows)
 
 (* W1's and T5's view: parts under a price bound, id and quantity *)
 let cheap_parts =

@@ -21,17 +21,39 @@ let w1_txn_sizes = [ 10; 100; 1000; 10000 ]
 let mk_warehouse ~replica_rows =
   parts_warehouse ~pool_pages:2048 ~views:[ cheap_parts ] ~rows:replica_rows ()
 
-(* capture both representations of one source transaction *)
+(* capture both representations of one source transaction, with the
+   rows the source held before it: the replica contents a warehouse must
+   start from for either representation to apply to it *)
 let capture_both ~table_rows kind size =
   let db, stmts = source_txn ~seed:99 ~table_rows kind size in
+  let contents = sorted_rows db "parts" in
   let handle = Trigger_extract.install db ~table:"parts" in
   exec_txn db stmts;
   let value_delta = Trigger_extract.collect db handle in
   let od = Op_delta.make ~txn_id:1 stmts in
-  (value_delta, od)
+  (contents, value_delta, od)
 
 (* the one txn size, shared by quick and full runs, whose counts W1 emits *)
 let w1_gauge_size = 100
+
+(* best-of-3 [integrate] on a fresh warehouse per repetition (GC noise):
+   the window, and the last repetition's warehouse and stats (the counts
+   are the same in every repetition) *)
+let timed_path ~setup integrate =
+  let last = ref None in
+  let window = best_of ~repeat:3 ~setup (fun wh -> last := Some (wh, integrate wh)) in
+  let wh, stats = Option.get !last in
+  (window, wh, stats)
+
+(* view-backing writes of every kind on [wh]'s registry *)
+let view_writes wh =
+  let m = Db.metrics (Warehouse.db wh) in
+  List.fold_left
+    (fun acc kind -> acc + Metrics.get m ("warehouse.view_writes." ^ kind))
+    0 [ "insert"; "update"; "delete" ]
+
+let same_view_rows a b =
+  List.equal (fun (r, n) (r', n') -> Tuple.equal r r' && n = n') a b
 
 let run_w1 ~scale =
   section "W1: warehouse maintenance window - Op-Delta vs value delta";
@@ -48,27 +70,34 @@ let run_w1 ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let value_delta, od = capture_both ~table_rows kind size in
-          (* best-of-3 on a fresh warehouse per repetition (GC noise);
-             the counts are the same in every repetition *)
-          let s_value = ref Warehouse.zero_stats and s_op = ref Warehouse.zero_stats in
-          let t_value =
-            best_of ~repeat:3
-              ~setup:(fun () -> mk_warehouse ~replica_rows:table_rows)
-              (fun wh -> s_value := Warehouse.integrate_value_delta wh value_delta)
+          let contents, value_delta, od = capture_both ~table_rows kind size in
+          let setup () = replica_warehouse ~pool_pages:2048 ~views:[ cheap_parts ] contents in
+          let t_value, wh_value, s_value =
+            timed_path ~setup (fun wh -> Warehouse.integrate_value_delta wh value_delta)
           in
-          let t_op =
-            best_of ~repeat:3
-              ~setup:(fun () -> mk_warehouse ~replica_rows:table_rows)
-              (fun wh -> s_op := Warehouse.integrate_op_deltas wh [ od ])
+          let t_op, wh_op, s_op =
+            timed_path ~setup (fun wh -> Warehouse.integrate_op_deltas wh [ od ])
           in
+          (* both representations of one source transaction, applied to
+             the rows it ran against, must leave the same view *)
+          if
+            not
+              (same_view_rows
+                 (Warehouse.view_rows wh_value "cheap_parts")
+                 (Warehouse.view_rows wh_op "cheap_parts"))
+          then
+            failwith
+              (Printf.sprintf "W1 %s %d: the value and Op-Delta paths left different views"
+                 (op_name kind) size);
           if size = w1_gauge_size then
             List.iter
               (fun (name, v) ->
                 Metrics.set_gauge m ("w1." ^ name ^ "_" ^ op_name kind) (float_of_int v))
               Warehouse.
-                [ ("statements_value", !s_value.statements); ("statements_op", !s_op.statements);
-                  ("row_ops_value", !s_value.row_ops); ("row_ops_op", !s_op.row_ops) ];
+                [ ("statements_value", s_value.statements); ("statements_op", s_op.statements);
+                  ("row_ops_value", s_value.row_ops); ("row_ops_op", s_op.row_ops);
+                  ("view_writes_value", view_writes wh_value);
+                  ("view_writes_op", view_writes wh_op) ];
           let shorter = pct_change ~base:t_value ~other:t_op in
           Hashtbl.replace improvements kind
             (shorter :: (try Hashtbl.find improvements kind with Not_found -> []));
@@ -106,8 +135,8 @@ let agg_view =
       [ ("n", Dw_core.Agg_view.Count); ("value", Dw_core.Agg_view.Sum "price") ];
   }
 
-let mk_agg_warehouse ~replica_rows =
-  let wh = parts_warehouse ~pool_pages:2048 ~rows:replica_rows () in
+let mk_agg_warehouse contents =
+  let wh = replica_warehouse ~pool_pages:2048 contents in
   Warehouse.define_agg_view wh agg_view;
   wh
 
@@ -120,15 +149,15 @@ let run_w1_agg ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let value_delta, od = capture_both ~table_rows kind size in
+          let contents, value_delta, od = capture_both ~table_rows kind size in
           let t_value =
             best_of ~repeat:3
-              ~setup:(fun () -> mk_agg_warehouse ~replica_rows:table_rows)
+              ~setup:(fun () -> mk_agg_warehouse contents)
               (fun wh -> ignore (Warehouse.integrate_value_delta wh value_delta : Warehouse.stats))
           in
           let t_op =
             best_of ~repeat:3
-              ~setup:(fun () -> mk_agg_warehouse ~replica_rows:table_rows)
+              ~setup:(fun () -> mk_agg_warehouse contents)
               (fun wh -> ignore (Warehouse.integrate_op_deltas wh [ od ] : Warehouse.stats))
           in
           rows :=

@@ -21,6 +21,7 @@ type view_state = {
   backing : string;
   out_schema : Schema.t;
   back_schema : Schema.t;
+  keyed : bool;  (* [keyed_layout out_schema]: rows stored as is, no [__count] *)
   project : Tuple.t -> Tuple.t option;  (* [Spj_view.project_sp def]; select-project only *)
 }
 
@@ -41,6 +42,9 @@ type agg_state = {
    not yet maintained into the views; [ctx] names the integrator *)
 type run = { txid : int; table : string; ctx : string; mutable events : Trigger.event list }
 
+(* view-backing writes by kind, SPJ and aggregate views alike *)
+type view_writes = { inserts : Metrics.counter; updates : Metrics.counter; deletes : Metrics.counter }
+
 type t = {
   db : Db.t;
   replicas : (string, Schema.t) Hashtbl.t;
@@ -52,6 +56,7 @@ type t = {
   mutable row_ops : int;  (* replica row events plus view-row and group writes *)
   mutable statements : int;  (* counted by [exec] *)
   mutable runs : run list;  (* at most one per refresh transaction *)
+  writes : view_writes;
 }
 
 let of_db db =
@@ -69,6 +74,13 @@ let of_db db =
     row_ops = 0;
     statements = 0;
     runs = [];
+    writes =
+      (let m = Db.metrics db in
+       {
+         inserts = Metrics.counter m "warehouse.view_writes.insert";
+         updates = Metrics.counter m "warehouse.view_writes.update";
+         deletes = Metrics.counter m "warehouse.view_writes.delete";
+       });
   }
 
 let create ?pool_pages ?pool_stripes ~vfs ~name () =
@@ -81,16 +93,22 @@ let views_on t source =
   | Some cell -> List.filter_map (Hashtbl.find_opt t.views) !cell
   | None -> []
 
-let backing_schema out_schema =
-  Schema.make ~key_arity:(Schema.arity out_schema)
-    (Schema.columns out_schema
-     @ [ { Schema.name = "__count"; ty = Value.Tint; nullable = false } ])
-
-(* aggregate backing: the key is only the group columns *)
-let backing_schema_keyed out_schema =
+(* the output columns and their key, plus a [__count] column: an
+   aggregate view's group cardinality, or the multiplicity of an SPJ view
+   row whose key spans the whole row *)
+let counted_schema out_schema =
   Schema.make ~key_arity:(Schema.key_arity out_schema)
     (Schema.columns out_schema
      @ [ { Schema.name = "__count"; ty = Value.Tint; nullable = false } ])
+
+(* The one layout rule for SPJ views.  A key-preserving view
+   ([Spj_view.output_schema] keys it by a proper prefix of its row, the
+   source key) has one row per key: it is stored as is, and a changed row
+   is one in-place write.  Every other view is counted. *)
+let keyed_layout out_schema = Schema.key_arity out_schema < Schema.arity out_schema
+
+let backing_schema out_schema =
+  if keyed_layout out_schema then out_schema else counted_schema out_schema
 
 let count_of back_schema row =
   match row.(Schema.arity back_schema - 1) with
@@ -99,25 +117,66 @@ let count_of back_schema row =
 
 let with_count out_row count = Array.append out_row [| Value.Int count |]
 
-(* adjust one view row's multiplicity inside the current transaction *)
-let adjust t txn vs out_row delta =
+(* the three view-backing writes, each counted once in [row_ops] and in
+   its [warehouse.view_writes.*] counter *)
+let insert_view_row t txn backing row =
   t.row_ops <- t.row_ops + 1;
+  Metrics.bump t.writes.inserts 1;
+  ignore (Db.insert_row t.db txn backing row : Heap_file.rid)
+
+let update_view_row t txn backing rid row =
+  t.row_ops <- t.row_ops + 1;
+  Metrics.bump t.writes.updates 1;
+  Db.update_rid t.db txn backing rid row
+
+let delete_view_row t txn backing rid =
+  t.row_ops <- t.row_ops + 1;
+  Metrics.bump t.writes.deletes 1;
+  Db.delete_rid t.db txn backing rid
+
+let violated vs what row =
+  invalid_arg
+    (Printf.sprintf "Warehouse: view %s %s %s" (Spj_view.name vs.def) what (Tuple.to_string row))
+
+(* adjust one counted view row's multiplicity inside the current
+   transaction *)
+let adjust t txn vs out_row delta =
   match Db.find_by_key t.db txn vs.backing out_row with
   | Some (rid, existing) ->
     let c = count_of vs.back_schema existing + delta in
-    if c < 0 then
-      invalid_arg
-        (Printf.sprintf "Warehouse: view %s multiplicity below zero for %s"
-           (Spj_view.name vs.def) (Tuple.to_string out_row))
-    else if c = 0 then Db.delete_rid t.db txn vs.backing rid
-    else Db.update_rid t.db txn vs.backing rid (with_count out_row c)
+    if c < 0 then violated vs "multiplicity below zero for" out_row
+    else if c = 0 then delete_view_row t txn vs.backing rid
+    else update_view_row t txn vs.backing rid (with_count out_row c)
   | None ->
-    if delta < 0 then
-      invalid_arg
-        (Printf.sprintf "Warehouse: view %s removing absent row %s" (Spj_view.name vs.def)
-           (Tuple.to_string out_row))
-    else if delta > 0 then
-      ignore (Db.insert_row t.db txn vs.backing (with_count out_row delta) : Heap_file.rid)
+    if delta < 0 then violated vs "removing absent row" out_row
+    else if delta > 0 then insert_view_row t txn vs.backing (with_count out_row delta)
+
+(* One write for one key of a keyed view: [leave] is the image the run
+   removed from the key, which must be the stored row, and [enter] the
+   image it put there.  An image entering an occupied key with nothing
+   leaving it fails the backing table's duplicate-key check. *)
+let write_key t txn vs leave enter =
+  match leave, enter with
+  | None, None -> ()
+  | None, Some row -> insert_view_row t txn vs.backing row
+  | Some old, _ -> (
+      match Db.find_by_key t.db txn vs.backing (Tuple.key vs.back_schema old) with
+      | Some (rid, stored) when Tuple.equal stored old -> (
+          match enter with
+          | Some row -> update_view_row t txn vs.backing rid row
+          | None -> delete_view_row t txn vs.backing rid)
+      | Some _ -> violated vs "leaving image differs from the stored row:" old
+      | None -> violated vs "removing absent row" old)
+
+let same_key vs a b =
+  let rec go i = i = Schema.key_arity vs.back_schema || (Value.equal a.(i) b.(i) && go (i + 1)) in
+  go 0
+
+(* [row] falls under another key than the pending [leave]/[enter] *)
+let new_key vs leave enter row =
+  match leave, enter with
+  | Some r, _ | None, Some r -> not (same_key vs r row)
+  | None, None -> false
 
 let other_side_rows t vs source =
   match vs.def with
@@ -145,6 +204,22 @@ let rec adjust_merged t txn vs = function
     adjust_merged t txn vs rest
   | [] -> ()
 
+(* The keyed form: the same netting, then the rows of one key (adjacent
+   after the sort, the key being a prefix) make one write.  A key takes
+   at most one leaving and one entering image. *)
+let rec write_keys t txn vs leave enter = function
+  | (out, d) :: (out', d') :: rest when Tuple.equal out out' ->
+    write_keys t txn vs leave enter ((out, d + d') :: rest)
+  | (_, 0) :: rest -> write_keys t txn vs leave enter rest
+  | (out, _) :: _ as changes when new_key vs leave enter out ->
+    write_key t txn vs leave enter;
+    write_keys t txn vs None None changes
+  | (out, -1) :: rest when Option.is_none leave -> write_keys t txn vs (Some out) enter rest
+  | (out, 1) :: rest when Option.is_none enter -> write_keys t txn vs leave (Some out) rest
+  | (out, d) :: _ ->
+    violated vs (if d > 0 then "two images enter the key of" else "two images leave the key of") out
+  | [] -> write_key t txn vs leave enter
+
 (* sort (row, _) pairs by row, equal rows kept in list order; a list of
    fewer than two is returned as it is, since [List.stable_sort] would
    still allocate its closures — a run of one row event pays
@@ -153,7 +228,9 @@ let sort_by_row = function
   | ([] | [ _ ]) as l -> l
   | l -> List.stable_sort (fun (a, _) (b, _) -> Tuple.compare a b) l
 
-let adjust_net t txn vs changes = adjust_merged t txn vs (sort_by_row changes)
+let adjust_net t txn vs changes =
+  if vs.keyed then write_keys t txn vs None None (sort_by_row changes)
+  else adjust_merged t txn vs (sort_by_row changes)
 
 (* prepend view rows, each with multiplicity change [d] *)
 let rec signed d acc = function [] -> acc | out :: rest -> signed d ((out, d) :: acc) rest
@@ -284,15 +361,9 @@ and agg_fold_run t txn ast group existing state = function
       | Absent | Present _ -> state
     in
     (match existing, final with
-     | Some (rid, _), Present (out, n) ->
-       t.row_ops <- t.row_ops + 1;
-       Db.update_rid t.db txn ast.abacking rid (with_count out n)
-     | None, Present (out, n) ->
-       t.row_ops <- t.row_ops + 1;
-       ignore (Db.insert_row t.db txn ast.abacking (with_count out n) : Heap_file.rid)
-     | Some (rid, _), (Absent | Rescan) ->
-       t.row_ops <- t.row_ops + 1;
-       Db.delete_rid t.db txn ast.abacking rid
+     | Some (rid, _), Present (out, n) -> update_view_row t txn ast.abacking rid (with_count out n)
+     | None, Present (out, n) -> insert_view_row t txn ast.abacking (with_count out n)
+     | Some (rid, _), (Absent | Rescan) -> delete_view_row t txn ast.abacking rid
      | None, (Absent | Rescan) -> ());
     agg_write_runs t txn ast rest
 
@@ -403,15 +474,15 @@ let index_source index source name =
   | None -> Hashtbl.add index source (ref [ name ])
 
 (* bulk-fill a freshly created backing table (unlogged, like load_replica) *)
-let materialize t name back_schema contents =
+let materialize t name back_schema rows =
   let tbl = Db.table t.db name in
   List.iter
-    (fun (row, count) ->
-      ignore
-        (Table.raw_insert_blind tbl (Codec.encode_binary back_schema (with_count row count))
-          : Heap_file.rid))
-    contents;
+    (fun row ->
+      ignore (Table.raw_insert_blind tbl (Codec.encode_binary back_schema row) : Heap_file.rid))
+    rows;
   Table.rebuild_indexes tbl
+
+let counted rows = List.map (fun (row, count) -> with_count row count) rows
 
 let view_state_of view =
   let out_schema = Spj_view.output_schema view in
@@ -420,14 +491,15 @@ let view_state_of view =
     backing = Spj_view.name view;
     out_schema;
     back_schema = backing_schema out_schema;
+    keyed = keyed_layout out_schema;
     project = Spj_view.project_sp view;
   }
 
 (* hook a view into trigger maintenance over its backing table *)
-let register_view t view =
-  let name = Spj_view.name view in
-  Hashtbl.add t.views name (view_state_of view);
-  List.iter (fun source -> index_source t.by_source source name) (Spj_view.source_tables view)
+let register_view t vs =
+  let name = Spj_view.name vs.def in
+  Hashtbl.add t.views name vs;
+  List.iter (fun source -> index_source t.by_source source name) (Spj_view.source_tables vs.def)
 
 let register_agg_view t view =
   let name = view.Agg_view.name in
@@ -436,7 +508,7 @@ let register_agg_view t view =
       adef = view;
       abacking = name;
       aout_schema = Agg_view.output_schema view;
-      aback_schema = backing_schema_keyed (Agg_view.output_schema view);
+      aback_schema = counted_schema (Agg_view.output_schema view);
       passes = Agg_view.passes view;
       group_key = Agg_view.group_key view;
       init_group = Agg_view.init_group view;
@@ -460,11 +532,12 @@ let define_view t view =
         invalid_arg
           (Printf.sprintf "Warehouse.define_view: no replica for source table %s" source))
     (Spj_view.source_tables view);
-  let back_schema = backing_schema (Spj_view.output_schema view) in
-  ignore (Db.create_table t.db ~name back_schema : Table.t);
-  register_view t view;
+  let vs = view_state_of view in
+  ignore (Db.create_table t.db ~name vs.back_schema : Table.t);
+  register_view t vs;
   (* materialize from current replica contents *)
-  materialize t name back_schema (Spj_view.eval view ~rows_of:(replica_rows t))
+  let rows = Spj_view.eval view ~rows_of:(replica_rows t) in
+  materialize t name vs.back_schema (if vs.keyed then List.map fst rows else counted rows)
 
 let view_rows t name =
   match Hashtbl.find_opt t.views name, Hashtbl.find_opt t.viewonly name with
@@ -472,9 +545,10 @@ let view_rows t name =
   | Some vs, _ | None, Some vs ->
     let rows = ref [] in
     Table.scan (Db.table t.db name) (fun _ row ->
-        let count = count_of vs.back_schema row in
-        let out = Array.sub row 0 (Schema.arity vs.out_schema) in
-        rows := (out, count) :: !rows);
+        if vs.keyed then rows := (row, 1) :: !rows
+        else
+          let out = Array.sub row 0 (Schema.arity vs.out_schema) in
+          rows := (out, count_of vs.back_schema row) :: !rows);
     List.sort (fun (a, _) (b, _) -> Tuple.compare a b) !rows
 
 let define_agg_view t view =
@@ -484,11 +558,11 @@ let define_agg_view t view =
   if not (Hashtbl.mem t.replicas view.Agg_view.table) then
     invalid_arg
       (Printf.sprintf "Warehouse.define_agg_view: no replica for %s" view.Agg_view.table);
-  let aback_schema = backing_schema_keyed (Agg_view.output_schema view) in
+  let aback_schema = counted_schema (Agg_view.output_schema view) in
   ignore (Db.create_table t.db ~name aback_schema : Table.t);
   register_agg_view t view;
   materialize t name aback_schema
-    (Agg_view.eval view ~rows:(replica_rows t view.Agg_view.table))
+    (counted (Agg_view.eval view ~rows:(replica_rows t view.Agg_view.table)))
 
 let agg_view_rows t name =
   match Hashtbl.find_opt t.agg_views name with
@@ -755,13 +829,12 @@ let reopen ?pool_pages ?pool_stripes ?(extra = []) ~vfs ~name ~replicas ~views ~
       if not (Db.has_table_file ~vfs ~name table) then
         invalid_arg (Printf.sprintf "Warehouse.reopen: no table %s on the device" table))
     data;
+  let views = List.map view_state_of views in
   let tables =
     List.map (fun (table, schema) -> (table, schema, None)) replicas
+    @ List.map (fun vs -> (vs.backing, vs.back_schema, None)) views
     @ List.map
-        (fun v -> (Spj_view.name v, backing_schema (Spj_view.output_schema v), None))
-        views
-    @ List.map
-        (fun v -> (agg_name v, backing_schema_keyed (Agg_view.output_schema v), None))
+        (fun v -> (agg_name v, counted_schema (Agg_view.output_schema v), None))
         agg_views
     @ List.map (fun (table, schema) -> (table, schema, None)) extra
   in

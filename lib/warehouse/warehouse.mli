@@ -31,14 +31,27 @@
     the delta rules run over the whole set.  An SPJ view applies one net
     multiplicity change per view row (a join view scans its other side
     once); an aggregate view reads each touched group once, folds the row
-    transitions into it in event order and writes it once.  So a 50-row
+    transitions into it in event order and writes it once.  A
+    key-preserving view (below) makes one write per changed key: an
+    in-place update when one image leaves the key and another enters it,
+    as a value delta's DELETE and INSERT of one row do inside a run.  So a 50-row
     UPDATE whose rows stay in one group rewrites that group once, and so
     does a value delta of 50 such updates (100 one-row statements).  A
     replica write made directly on {!db}, outside an integrator, is
     maintained at once as a one-event set.
 
-    Views are bags materialized with multiplicity counts.  Projected view
-    columns must be non-nullable (they form the backing table's key).
+    Views are bags materialized with multiplicity counts, with one
+    exception.  A select-project view whose projection begins with its
+    source's primary-key columns, in key order, is {e key-preserving}
+    ({!Dw_core.Spj_view.output_schema}): its backing table is keyed by
+    those columns and has no [__count] column, since every view row has
+    multiplicity 1.  The layout follows from the definition alone, in
+    {!define_view}, {!define_viewonly_view}, {!reopen} and every
+    {!Partitioned} shard; nothing else selects it.  Every view-backing
+    write is counted by kind in the [warehouse.view_writes.insert],
+    [.update] and [.delete] counters of [Db.metrics (db t)].  Projected
+    view columns must be non-nullable (they form the backing table's
+    key).
     View names are unique across SPJ, aggregate and view-only views:
     every [define_*] and {!reopen} raises [Invalid_argument] on a name
     already registered as any kind of view. *)
@@ -70,13 +83,19 @@ val load_replica : t -> table:string -> Tuple.t list -> unit
 (** Initial load (bulk, unlogged). *)
 
 val define_view : t -> Spj_view.t -> unit
-(** Validates the view, creates its backing table ([<name>] with the
-    output columns as key plus a [__count] column) and materializes it
-    from current replica contents. *)
+(** Validates the view, creates its backing table [<name>] and
+    materializes it from current replica contents.  A key-preserving
+    view's backing table holds the output columns keyed by the source
+    key; every other view's holds the output columns as key plus a
+    [__count] column.  Maintenance raises [Invalid_argument] when a
+    change breaks the layout's invariant: a multiplicity below zero, or,
+    for a key-preserving view, two images entering one key or a leaving
+    image that differs from the stored row. *)
 
 val view_rows : t -> string -> (Tuple.t * int) list
 (** Current materialized rows with multiplicities, sorted — of an SPJ
-    view or a view-only view ({!define_viewonly_view}). *)
+    view or a view-only view ({!define_viewonly_view}).  A key-preserving
+    view's rows have multiplicity 1. *)
 
 val recompute_view : t -> string -> (Tuple.t * int) list
 (** Recompute from replicas (ground truth for tests/benches). *)

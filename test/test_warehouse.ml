@@ -837,6 +837,202 @@ let value_delta_group_written_once_per_run () =
   in
   check Alcotest.int "one group write for 50 value-delta updates" 1 (row_ops true - row_ops false)
 
+(* ---------- key-preserving views ---------- *)
+
+module Table = Dw_engine.Table
+module Metrics = Dw_util.Metrics
+module Trigger_extract = Dw_core.Trigger_extract
+
+(* [small_qty] with the key projected last: it keeps the counted layout *)
+let key_last_view =
+  Spj_view.Select_project
+    {
+      name = "qty_then_id";
+      table = "parts";
+      schema = parts_schema;
+      filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
+      project = [ proj Spj_view.L "qty" "qty"; proj Spj_view.L "part_id" "part_id" ];
+    }
+
+let backing_schema wh name = Table.schema (Db.table (Warehouse.db wh) name)
+let backing_columns wh name = List.map (fun c -> c.Schema.name) (Schema.columns (backing_schema wh name))
+
+let view_writes wh kind = Metrics.get (Db.metrics (Warehouse.db wh)) ("warehouse.view_writes." ^ kind)
+
+let qty_of row = match row.(2) with Value.Int q -> q | _ -> invalid_arg "qty_of"
+
+(* [small_qty] is stored as is and keyed by [part_id]; the key-last and
+   join views keep [__count] *)
+let keyed_layout_only_for_a_key_prefix () =
+  let wh = mk_wh ~views:[ sp_view; key_last_view; join_view ] () in
+  check Alcotest.(list string) "key-preserving view stored as is" [ "part_id"; "qty" ]
+    (backing_columns wh "small_qty");
+  check Alcotest.int "keyed by the source key" 1 (Schema.key_arity (backing_schema wh "small_qty"));
+  check Alcotest.(list string) "key-last view counted" [ "qty"; "part_id"; "__count" ]
+    (backing_columns wh "qty_then_id");
+  check Alcotest.(list string) "join view counted" [ "supplier"; "qty"; "__count" ]
+    (backing_columns wh "parts_by_supplier");
+  List.iter
+    (fun name -> check Alcotest.bool (name ^ " equals recompute") true (views_agree wh name))
+    [ "small_qty"; "qty_then_id"; "parts_by_supplier" ]
+
+(* a 10-row [qty + 1] UPDATE: a row that stays in the view is one
+   in-place write of the keyed view, and a delete plus an insert of the
+   counted one *)
+let one_write_per_changed_row () =
+  let writes view =
+    let wh = mk_wh ~views:[ view ] () in
+    let stays, leaves =
+      List.fold_left
+        (fun (stays, leaves) row ->
+          if id_of row > 10 || qty_of row >= 500 then (stays, leaves)
+          else if qty_of row + 1 < 500 then (stays + 1, leaves)
+          else (stays, leaves + 1))
+        (0, 0) (Warehouse.replica_rows wh "parts")
+    in
+    ignore
+      (Warehouse.integrate_op_deltas wh
+         [ Op_delta.make ~txn_id:1 [ Workload.update_parts_stmt ~first_id:1 ~size:10 ] ]
+        : Warehouse.stats);
+    check Alcotest.bool "view equals recompute" true (views_agree wh (Spj_view.name view));
+    ((stays, leaves), List.map (view_writes wh) [ "insert"; "update"; "delete" ])
+  in
+  let (stays, leaves), keyed = writes sp_view in
+  check Alcotest.bool "some rows stay in the view" true (stays > 0);
+  check Alcotest.(list int) "keyed: one update per row" [ 0; stays; leaves ] keyed;
+  let _, counted = writes key_last_view in
+  check Alcotest.(list int) "counted: delete and insert per row" [ stays; 0; stays + leaves ]
+    counted
+
+(* the invariants of a keyed view, through view-only maintenance (no
+   replica stands in front of it): a refused refresh leaves the view as
+   it was *)
+let keyed_view_rejects_bad_images () =
+  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
+  Warehouse.define_viewonly_view wh viewonly_view;
+  let row id qty = [| Value.Int id; Value.Str "p"; Value.Int qty; Value.Float 1.0; Value.Date 0 |] in
+  let apply stmts =
+    ignore (Warehouse.integrate_op_delta_viewonly wh (Op_delta.with_before_images ~txn_id:1 stmts)
+      : Warehouse.stats)
+  in
+  apply [ (insert_part (row 1 10), []) ];
+  let before = Warehouse.view_rows wh "vo_small_qty" in
+  let refused what stmts =
+    (match apply stmts with
+     | () -> Alcotest.failf "%s: expected Invalid_argument" what
+     | exception Invalid_argument _ -> ());
+    check Alcotest.bool (what ^ ": view unchanged") true
+      (same_rows before (Warehouse.view_rows wh "vo_small_qty"))
+  in
+  refused "two images enter one key in one run"
+    [ (insert_part (row 2 10), []); (insert_part (row 2 20), []) ];
+  refused "an image enters an occupied key" [ (insert_part (row 1 20), []) ];
+  refused "a leaving image differs from the stored row"
+    [ (delete_where (key_is 1), [ row 1 30 ]) ];
+  refused "an absent row leaves" [ (delete_where (key_is 3), [ row 3 10 ]) ]
+
+(* every key in [first_id, first_id + size) moves up by [by] *)
+let shift_keys ~first_id ~size ~by =
+  Dw_sql.Ast.Update
+    { table = "parts";
+      sets = [ ("part_id", Expr.Binop (Expr.Add, Expr.Col "part_id", Expr.Lit (Value.Int by))) ];
+      where = Some (between ~first_id ~size) }
+
+(* qty becomes 999 - qty: most rows cross the [qty < 500] filter *)
+let flip_qty ~first_id ~size =
+  Dw_sql.Ast.Update
+    { table = "parts";
+      sets = [ ("qty", Expr.Binop (Expr.Sub, Expr.Lit (Value.Int 999), Expr.Col "qty")) ];
+      where = Some (between ~first_id ~size) }
+
+(* one source transaction of 1-4 statements: inserts of fresh ids,
+   [qty + 1] updates, filter-crossing updates, key shifts to fresh ids
+   (alone, or followed by a refill of the vacated ids, so one key leaves
+   and enters in one run) and deletes; [next_free] is past every id used *)
+let gen_keyed_txn rng next_free =
+  let range () = (1 + Prng.int rng 60, 1 + Prng.int rng 8) in
+  let fresh size =
+    let first_id = !next_free in
+    next_free := first_id + size;
+    first_id
+  in
+  let stmt () =
+    match Prng.int rng 6 with
+    | 0 ->
+      let size = 1 + Prng.int rng 3 in
+      Workload.insert_parts_txn ~seed:(Prng.int rng 1000) ~first_id:(fresh size) ~size ~day:0 ()
+    | 1 ->
+      let first_id, size = range () in
+      [ Workload.update_parts_stmt ~first_id ~size ]
+    | 2 ->
+      let first_id, size = range () in
+      [ flip_qty ~first_id ~size ]
+    | 3 ->
+      let first_id, size = range () in
+      [ shift_keys ~first_id ~size ~by:(fresh size - first_id) ]
+    | 4 ->
+      let first_id, size = range () in
+      shift_keys ~first_id ~size ~by:(fresh size - first_id)
+      :: Workload.insert_parts_txn ~seed:(Prng.int rng 1000) ~first_id ~size ~day:0 ()
+    | _ ->
+      let first_id, size = range () in
+      [ Workload.delete_parts_stmt ~first_id ~size ]
+  in
+  List.concat (List.init (1 + Prng.int rng 4) (fun _ -> stmt ()))
+
+(* each source transaction is integrated twice, as the value delta its
+   trigger captured and as its Op-Delta, into warehouses holding a keyed
+   and a counted view *)
+let prop_keyed_views_both_integrators =
+  QCheck2.Test.make ~name:"keyed and counted views equal recompute under both integrators"
+    ~count:30
+    QCheck2.Gen.(int_range 0 10000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+      let _ = Workload.create_parts_table src in
+      Workload.load_parts ~seed:77 src ~rows:50 ();
+      Db.set_day src 0;
+      let handle = Trigger_extract.install src ~table:"parts" in
+      let views = [ sp_view; key_last_view ] in
+      let wh_value = mk_wh ~views () and wh_op = mk_wh ~views () in
+      let next_free = ref 1000 and pos = ref 0 in
+      for i = 1 to 8 do
+        let stmts = gen_keyed_txn rng next_free in
+        Db.with_txn src (fun txn ->
+            List.iter (fun s -> ignore (Db.exec src txn s : Db.exec_result)) stmts);
+        let delta, pos' = Trigger_extract.read src handle ~after:!pos in
+        pos := pos';
+        ignore (Warehouse.integrate_value_delta wh_value delta : Warehouse.stats);
+        ignore (Warehouse.integrate_op_deltas wh_op [ Op_delta.make ~txn_id:i stmts ] : Warehouse.stats)
+      done;
+      let rows wh = List.sort Tuple.compare (Warehouse.replica_rows wh "parts") in
+      List.equal Tuple.equal (rows wh_value) (rows wh_op)
+      && List.for_all
+           (fun name ->
+             views_agree wh_value name && views_agree wh_op name
+             && same_rows (Warehouse.view_rows wh_value name) (Warehouse.view_rows wh_op name))
+           [ "small_qty"; "qty_then_id" ])
+
+(* a keyed view refreshed, re-adopted after a crash and refreshed again
+   (a key shift included) stays keyed and equal to its recomputation *)
+let reopen_keeps_keyed_view () =
+  let views = [ sp_view; key_last_view ] in
+  let wh = mk_wh ~views () in
+  ignore (Warehouse.integrate_op_deltas wh [ update_txn ~txn_id:1 ~first_id:1 ] : Warehouse.stats);
+  let wh = reopen ~views ~agg_views:[] (crash wh) in
+  check Alcotest.(list string) "still stored as is" [ "part_id"; "qty" ]
+    (backing_columns wh "small_qty");
+  ignore
+    (Warehouse.integrate_op_deltas wh
+       [ update_txn ~txn_id:2 ~first_id:5;
+         Op_delta.make ~txn_id:3
+           [ shift_keys ~first_id:20 ~size:5 ~by:1000; flip_qty ~first_id:30 ~size:10 ] ]
+      : Warehouse.stats);
+  List.iter
+    (fun name -> check Alcotest.bool (name ^ " equals recompute") true (views_agree wh name))
+    [ "small_qty"; "qty_then_id" ]
+
 let suite =
   [
     test "materialize sp view" materialize_sp;
@@ -870,4 +1066,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_value_delta_twins;
     test "alternating tables in one refresh transaction" alternating_tables_run;
     test "value-delta group written once per run" value_delta_group_written_once_per_run;
+    test "keyed layout only for a key prefix" keyed_layout_only_for_a_key_prefix;
+    test "one write per changed view row" one_write_per_changed_row;
+    test "keyed view rejects bad images" keyed_view_rejects_bad_images;
+    QCheck_alcotest.to_alcotest prop_keyed_views_both_integrators;
+    test "reopen keeps a keyed view keyed" reopen_keeps_keyed_view;
   ]
