@@ -1,6 +1,5 @@
 module Db = Dw_engine.Db
 module Op_delta = Dw_core.Op_delta
-module Metrics = Dw_util.Metrics
 module Partition = Dw_warehouse.Partition
 module Partitioned = Dw_warehouse.Partitioned
 module Warehouse = Dw_warehouse.Warehouse
@@ -49,11 +48,10 @@ let drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh =
         | None -> 0
       in
       Partitioned.readmit fleet shard ~watermark:wm_txn;
-      Metrics.incr (Partitioned.health_metrics fleet) "health.rebuild_complete";
       Ok { progress; watermark = wm_txn })
 
-let rebuild_shard ?config ?hook ?donor ~owner ~source ~capture ~fleet ~shard () =
-  let wh = Partitioned.begin_rebuild ?donor fleet shard in
+let rebuild_shard ?config ?hook ~owner ~source ~capture ~fleet ~shard () =
+  let wh = Partitioned.begin_rebuild fleet shard in
   drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh
 
 let resume_shard ?config ?hook ~owner ~source ~capture ~fleet ~shard () =

@@ -37,7 +37,6 @@ type outcome = {
 val rebuild_shard :
   ?config:Bootstrap.config ->
   ?hook:(Bootstrap.phase -> unit) ->
-  ?donor:int ->
   owner:string ->
   source:Db.t ->
   capture:Dw_core.Opdelta_capture.t ->
@@ -45,8 +44,8 @@ val rebuild_shard :
   shard:int ->
   unit ->
   (outcome, Bootstrap.error) result
-(** Swap in a fresh shard ({!Dw_warehouse.Partitioned.begin_rebuild}
-    with [donor]), bootstrap its partition slice from [source], and
+(** Swap in a fresh shard ({!Dw_warehouse.Partitioned.begin_rebuild}),
+    bootstrap its partition slice from [source], and
     re-admit it.  [capture] must force hybrid images.  Raises
     [Invalid_argument] via [begin_rebuild]/[readmit] on state-machine
     misuse; lets {!Dw_storage.Vfs.Fault.Crash} propagate (resume with

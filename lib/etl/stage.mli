@@ -5,8 +5,9 @@
     (PAPERS.md): incoming op-delta transactions are split {e before}
     integration into one delta stream per partition of a
     {!Dw_warehouse.Partition} spec, so
-    {!Dw_warehouse.Partitioned.refresh} can apply independent
-    partitions' buckets concurrently.
+    {!Dw_warehouse.Partitioned.refresh} — the one fleet refresh — can
+    apply independent partitions' buckets concurrently, each shard
+    under its own circuit breaker.
 
     Routing is by statement analysis against the spec's key column:
     - an INSERT into the fact table is {e decomposed} — each row goes

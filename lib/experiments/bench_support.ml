@@ -128,8 +128,8 @@ let replica_warehouse ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?(views = []) 
   wh
 
 (* the same with [rows] generated parts rows (see [parts_rows]) *)
-let parts_warehouse ?pool_pages ?pool_stripes ?op_delay ?seed ?views ~rows () =
-  replica_warehouse ?pool_pages ?pool_stripes ?op_delay ?views (parts_rows ?seed rows)
+let parts_warehouse ?pool_pages ?op_delay ?seed ?views ~rows () =
+  replica_warehouse ?pool_pages ?op_delay ?views (parts_rows ?seed rows)
 
 (* W1's and T5's view: parts under a price bound, id and quantity *)
 let cheap_parts =
@@ -150,6 +150,14 @@ let sorted_rows db table =
   let rows = ref [] in
   Table.scan (Db.table db table) (fun _ t -> rows := t :: !rows);
   List.sort Tuple.compare !rows
+
+(* fail unless [wh]'s parts replica, loaded from [src]'s rows before the
+   captured transactions and fed their delta, ends equal to [src]'s
+   parts table *)
+let require_replica_matches ~what wh src =
+  let replica = List.sort Tuple.compare (Warehouse.replica_rows wh "parts") in
+  if not (List.equal Tuple.equal replica (sorted_rows src "parts")) then
+    failwith (what ^ ": the replica ended different from its source")
 
 let print_table ~title ~header ~rows =
   Printf.printf "\n== %s ==\n%s\n" title (Fmt_util.table ~header ~rows)

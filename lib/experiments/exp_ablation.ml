@@ -31,13 +31,18 @@ let run_a1 ~scale =
   let delta_rows = 500 in
   (* a delete delta: keyed DELETE statements at the warehouse *)
   let src = fresh_source ~rows:table_rows () in
+  let contents = sorted_rows src "parts" in
   let handle = Trigger_extract.install src ~table:"parts" in
   exec_txn src [ Workload.delete_parts_stmt ~first_id:1 ~size:delta_rows ];
   let delta = Trigger_extract.collect src handle in
   let run mode =
-    let wh = parts_warehouse ~pool_pages:2048 ~rows:table_rows () in
+    let wh = replica_warehouse ~pool_pages:2048 contents in
     Db.set_plan_mode (Warehouse.db wh) mode;
-    time_only (fun () -> ignore (Warehouse.integrate_value_delta wh delta : Warehouse.stats))
+    let t =
+      time_only (fun () -> ignore (Warehouse.integrate_value_delta wh delta : Warehouse.stats))
+    in
+    require_replica_matches ~what:"A1" wh src;
+    t
   in
   let t_scan = run `Scan_only in
   let t_index = run `Index_preferred in
@@ -226,21 +231,29 @@ let run_a5 ~scale =
   let table_rows = 5_000 * scale in
   (* a hot-spot workload: the same 200 ids updated over and over *)
   let db = fresh_source ~rows:table_rows () in
+  let contents = sorted_rows db "parts" in
   let handle = Trigger_extract.install db ~table:"parts" in
   for round = 1 to 25 do
     exec_txn db [ Workload.update_parts_stmt ~first_id:(1 + (round mod 5)) ~size:200 ]
   done;
   let delta = Trigger_extract.collect db handle in
   let compacted, t_compact = time (fun () -> Delta.compact delta) in
-  let mk_wh () = parts_warehouse ~pool_pages:2048 ~rows:table_rows () in
-  let t_raw =
-    best_of ~repeat:3 ~setup:mk_wh (fun wh ->
-        ignore (Warehouse.integrate_value_delta wh delta : Warehouse.stats))
+  (* best-of-3 integration of [delta] into a replica of the source's
+     rows; the last repetition's replica must end equal to the source *)
+  let window name delta =
+    let last = ref None in
+    let t =
+      best_of ~repeat:3
+        ~setup:(fun () -> replica_warehouse ~pool_pages:2048 contents)
+        (fun wh ->
+          ignore (Warehouse.integrate_value_delta wh delta : Warehouse.stats);
+          last := Some wh)
+    in
+    require_replica_matches ~what:("A5 " ^ name) (Option.get !last) db;
+    t
   in
-  let t_compacted =
-    best_of ~repeat:3 ~setup:mk_wh (fun wh ->
-        ignore (Warehouse.integrate_value_delta wh compacted : Warehouse.stats))
-  in
+  let t_raw = window "raw" delta in
+  let t_compacted = window "compacted" compacted in
   print_table ~title:"25 update transactions over a 200-row hot spot"
     ~header:[ "differential file"; "changes"; "bytes"; "integration time" ]
     ~rows:

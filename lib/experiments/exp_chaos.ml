@@ -108,14 +108,14 @@ let captured_ods env =
    rebuild catches up from the same array *)
 let staged env = fst (Stage.split ~spec:env.spec (captured_ods env))
 
-let refresh_round env =
+let refresh env =
   let buckets = staged env in
-  let outcome =
-    Domain_pool.with_pool ~domains:env.parts (fun pool ->
-        Partitioned.refresh_guarded ~pool env.fleet buckets)
-  in
-  Sim_clock.advance env.sim 10;
-  outcome
+  Domain_pool.with_pool ~domains:env.parts (fun pool ->
+      ignore (Partitioned.refresh ~pool env.fleet buckets : Warehouse.stats))
+
+let refresh_round env =
+  refresh env;
+  Sim_clock.advance env.sim 10
 
 let counter reg name =
   match List.assoc_opt name (Metrics.snapshot reg) with Some v -> v | None -> 0
@@ -198,13 +198,11 @@ let run_bench ~scale =
           seed = 29;
         };
       max_retries = 1;
-      retry_backoff_s = 0.0;
       refresh_timeout_s = infinity;
     }
   in
   let env = mk_env ~health ~rows ~parts ~seed () in
   let vfss = Partitioned.vfss env.fleet in
-  let breaker = Partitioned.shard_breaker env.fleet flappy in
   let degraded_rounds = ref 0 in
   let stalls = ref 0 in
   let staleness_max = ref 0 in
@@ -216,7 +214,7 @@ let run_bench ~scale =
   in
   let one_round () =
     commit_round env;
-    let _ = refresh_round env in
+    refresh_round env;
     observe_reads ()
   in
   (* phase 1: two fault-free rounds *)
@@ -228,14 +226,16 @@ let run_bench ~scale =
   Vfs.set_fault vfss.(flappy) (Some (Fault.make ~sustained:[ one_shot_flap ] ~seed ()));
   let deadline = ref 10 in
   while
-    not (Partitioned.shard_health env.fleet flappy = Partitioned.Healthy && Breaker.trips breaker >= 1)
+    not
+      (Partitioned.shard_health env.fleet flappy = Partitioned.Healthy
+      && counter env.hm "breaker.trips" >= 1)
     && !deadline > 0
   do
     decr deadline;
     one_round ()
   done;
   if !deadline = 0 then failwith "w6: flapped shard did not self-heal through a probe";
-  let healed_trips = Breaker.trips breaker in
+  let healed_trips = counter env.hm "breaker.trips" in
   if counter env.hm "health.recovered" < 1 then
     failwith "w6: probe heal not counted under health.recovered";
   (* phase 3: terminal flap — re-trip, probes keep failing *)
@@ -288,7 +288,7 @@ let run_bench ~scale =
   (* phase 5: one more round; every shard converges to the same watermark
      and the merged state matches the sequential integrator + the source *)
   commit_round env;
-  let _ = refresh_round env in
+  refresh_round env;
   observe_reads ();
   if Partitioned.healths env.fleet <> Array.make parts Partitioned.Healthy then
     failwith "w6: fleet not fully healthy after rebuild";
@@ -378,7 +378,7 @@ type crash_spec = {
 let default_crash_spec = { r_rows = 48; r_parts = 3; r_seed = 23 }
 
 (* deterministically drive shard [flappy] to Quarantined: arm a dead
-   device and let two guarded rounds trip its breaker (threshold 2; the
+   device and let two refresh rounds trip its breaker (threshold 2; the
    sim clock never advances, so the dwell never elapses and no probe
    races the rebuild) *)
 let quarantined_scene spec =
@@ -394,28 +394,20 @@ let quarantined_scene spec =
           seed = 31;
         };
       max_retries = 0;
-      retry_backoff_s = 0.0;
       refresh_timeout_s = infinity;
     }
   in
   let env = mk_env ~health ~rows ~parts ~seed () in
   let flappy = 1 in
-  let guarded () =
-    let buckets = staged env in
-    Domain_pool.with_pool ~domains:parts (fun pool ->
-        ignore
-          (Partitioned.refresh_guarded ~pool env.fleet buckets
-            : Warehouse.stats * Partitioned.shard_outcome array))
-  in
   commit_round env;
-  guarded ();
+  refresh env;
   commit_round env;
-  guarded ();
+  refresh env;
   Vfs.set_fault (Partitioned.vfss env.fleet).(flappy)
     (Some (Fault.make ~sustained:[ terminal_flap ] ~seed ()));
   commit_round env;
-  guarded ();
-  guarded ();
+  refresh env;
+  refresh env;
   if Partitioned.shard_health env.fleet flappy <> Partitioned.Quarantined then
     failwith "rebuild explorer: scene did not quarantine the shard";
   (* one more committed round the quarantined shard has never seen, so
@@ -435,14 +427,11 @@ let resume_of env flappy =
     ~owner:"explorer" ~source:env.src ~capture:env.cap ~fleet:env.fleet
     ~shard:flappy ()
 
-(* after readmission the fleet must converge: one guarded round, every
+(* after readmission the fleet must converge: one more round, every
    shard caught up with its bucket, merged state = sequential reference *)
 let verify_converged env =
+  refresh env;
   let buckets = staged env in
-  Domain_pool.with_pool ~domains:env.parts (fun pool ->
-      ignore
-        (Partitioned.refresh_guarded ~pool env.fleet buckets
-          : Warehouse.stats * Partitioned.shard_outcome array));
   if Partitioned.healths env.fleet <> Array.make env.parts Partitioned.Healthy then
     Error "fleet not healthy after readmission"
   else begin

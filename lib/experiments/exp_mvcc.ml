@@ -118,17 +118,19 @@ let run_arm ~table_rows mode =
 let run_batch_arm ~table_rows =
   let src = fresh_source ~rows:(table_rows + (txns * 60)) () in
   Db.set_day src (Db.current_day src + 1);
+  let contents = sorted_rows src "parts" in
   let handle = Trigger_extract.install src ~table:"parts" in
   List.iter
     (fun od ->
       exec_txn src (List.map (fun (op : Op_delta.op) -> op.Op_delta.stmt) od.Op_delta.ops))
     (maintenance_stream ());
   let vd = Trigger_extract.collect src handle in
-  let wh = Exp_warehouse.mk_warehouse ~replica_rows:table_rows in
+  let wh = replica_warehouse ~pool_pages:2048 ~views:[ cheap_parts ] contents in
   let metrics = Db.metrics (Warehouse.db wh) in
   let t0 = Unix.gettimeofday () in
   ignore (Warehouse.integrate_value_delta wh vd : Warehouse.stats);
   let outage = Unix.gettimeofday () -. t0 in
+  require_replica_matches ~what:"w3 batch arm" wh src;
   Metrics.set_gauge metrics "w3.batch_outage_s" outage;
   outage
 

@@ -47,23 +47,24 @@ let refresh_txn_size = 40
 
 let queries = Olap.standard_queries ~table:"parts"
 
-let mk_slow_warehouse ~rows = parts_warehouse ~pool_pages ~pool_stripes ~op_delay ~rows ()
-
 (* the refresh payload: the same shape as W3's batch arm — source-side
-   update transactions captured by triggers into one value delta *)
+   update transactions captured by triggers into one value delta.
+   Returns the source, its rows before the transactions (the replica's
+   contents) and the delta. *)
 let build_refresh_delta ~rows =
   let src = fresh_source ~rows () in
   Db.set_day src (Db.current_day src + 1);
+  let contents = sorted_rows src "parts" in
   let handle = Trigger_extract.install src ~table:"parts" in
   for i = 0 to refresh_txns - 1 do
     exec_txn src [ Workload.update_parts_stmt ~first_id:(1 + (i * 50)) ~size:refresh_txn_size ]
   done;
-  Trigger_extract.collect src handle
+  (src, contents, Trigger_extract.collect src handle)
 
 type arm = { domains : int; qps : float; p95 : float; wall : float; wh : Warehouse.t }
 
-let run_arm ~rows ~vd ~domains ~queries_n =
-  let wh = mk_slow_warehouse ~rows in
+let run_arm ~src ~contents ~vd ~domains ~queries_n =
+  let wh = replica_warehouse ~pool_pages ~pool_stripes ~op_delay contents in
   let db = Warehouse.db wh in
   let metrics = Db.metrics db in
   let label = Printf.sprintf "d%d" domains in
@@ -86,6 +87,7 @@ let run_arm ~rows ~vd ~domains ~queries_n =
   done;
   let wall = Unix.gettimeofday () -. t0 in
   Domain.join refresher;
+  require_replica_matches ~what:("w5 " ^ label) wh src;
   let qps = float_of_int queries_n /. wall in
   let p95 = Metrics.percentile metrics ("w5.olap_latency_" ^ label) 0.95 in
   Metrics.set_gauge metrics ("w5.olap_qps_" ^ label) qps;
@@ -111,8 +113,10 @@ let run_w5 ~scale =
   let rows = (if is_quick () then 2_000 else 8_000) * scale in
   let queries_n = if is_quick () then 10 else 25 in
   let domain_counts = if is_quick () then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let vd = build_refresh_delta ~rows in
-  let arms = List.map (fun d -> run_arm ~rows ~vd ~domains:d ~queries_n) domain_counts in
+  let src, contents, vd = build_refresh_delta ~rows in
+  let arms =
+    List.map (fun d -> run_arm ~src ~contents ~vd ~domains:d ~queries_n) domain_counts
+  in
   let arm d = List.find (fun a -> a.domains = d) arms in
   let speedup = (arm 4).qps /. (arm 1).qps in
   let last = List.nth arms (List.length arms - 1) in

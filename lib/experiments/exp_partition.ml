@@ -249,11 +249,13 @@ type crash_scene = { pw : Partitioned.t; ods : Op_delta.t list; buckets : Op_del
 
 (* One shard crashes mid-refresh (its Vfs fail-stops), the process
    restarts: every shard is re-adopted from its surviving bytes and the
-   SAME staged buckets are re-applied.  Invariants: the merged final
-   state equals the sequential integrator's, and every shard's watermark
-   reached its bucket's last transaction — i.e. redelivered runs applied
-   exactly once per shard.  The plans go on after the setup checkpoint;
-   each shard is one device, swept in turn. *)
+   SAME staged buckets are re-applied.  Invariants: the crash never
+   raises out of the fleet refresh (the shard's breaker absorbs it), the
+   merged final state equals the sequential integrator's, and every
+   shard's watermark reached its bucket's last transaction — i.e.
+   redelivered runs applied exactly once per shard.  The plans go on
+   after the setup checkpoint; each shard is one device, swept in
+   turn. *)
 let partitioned_flow spec =
   let { c_rows = rows; c_txns = txns; c_parts = parts; c_seed = seed } = spec in
   let setup () =
@@ -269,33 +271,36 @@ let partitioned_flow spec =
     Domain_pool.with_pool ~domains:parts (fun pool ->
         ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats))
   in
-  let check { pw; ods; buckets } _ =
-    let reference = mk_reference ~rows ~seed in
-    ignore (Warehouse.integrate_op_deltas reference ods : Warehouse.stats);
-    let pw2 =
-      Partitioned.reopen
-        ~replicas:[ ("parts", Workload.parts_schema) ]
-        ~views:[ spj_view ] ~agg_views:[ agg_view ] ~spec:(Partitioned.spec pw) ~name:"t6"
-        ~vfss:(Partitioned.vfss pw) ()
-    in
-    refresh pw2 buckets;
-    if not (matches_reference (reference_state reference) pw2) then
-      Error "partitioned refresh diverged from the sequential integrator after recovery"
-    else begin
-      let wms = Partitioned.watermarks pw2 in
-      let bad = ref None in
-      Array.iteri
-        (fun i bucket ->
-          let want =
-            List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 bucket
-          in
-          if wms.(i) <> want && !bad = None then bad := Some (i, wms.(i), want))
-        buckets;
-      match !bad with
-      | Some (i, got, want) ->
-        Error (Printf.sprintf "shard %d watermark %d after recovery, expected %d" i got want)
-      | None -> Ok ()
-    end
+  let check { pw; ods; buckets } outcome =
+    match outcome with
+    | None -> Error "a shard's fail-stop raised out of the fleet refresh"
+    | Some () ->
+      let reference = mk_reference ~rows ~seed in
+      ignore (Warehouse.integrate_op_deltas reference ods : Warehouse.stats);
+      let pw2 =
+        Partitioned.reopen
+          ~replicas:[ ("parts", Workload.parts_schema) ]
+          ~views:[ spj_view ] ~agg_views:[ agg_view ] ~spec:(Partitioned.spec pw) ~name:"t6"
+          ~vfss:(Partitioned.vfss pw) ()
+      in
+      refresh pw2 buckets;
+      if not (matches_reference (reference_state reference) pw2) then
+        Error "partitioned refresh diverged from the sequential integrator after recovery"
+      else begin
+        let wms = Partitioned.watermarks pw2 in
+        let bad = ref None in
+        Array.iteri
+          (fun i bucket ->
+            let want =
+              List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 bucket
+            in
+            if wms.(i) <> want && !bad = None then bad := Some (i, wms.(i), want))
+          buckets;
+        match !bad with
+        | Some (i, got, want) ->
+          Error (Printf.sprintf "shard %d watermark %d after recovery, expected %d" i got want)
+        | None -> Ok ()
+      end
   in
   {
     Crash_sim.seed;

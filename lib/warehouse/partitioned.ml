@@ -11,7 +11,6 @@ module Vfs = Dw_storage.Vfs
 module Domain_pool = Dw_util.Domain_pool
 module Metrics = Dw_util.Metrics
 module Breaker = Dw_util.Breaker
-module Backoff = Dw_util.Backoff
 
 (* ---------- shard health ---------- *)
 
@@ -28,30 +27,21 @@ let health_code = function Healthy -> 0 | Suspect -> 1 | Quarantined -> 2 | Rebu
 type health_config = {
   breaker : Breaker.config;
   max_retries : int;
-  retry_backoff_s : float;
   refresh_timeout_s : float;
 }
 
 let default_health_config =
-  {
-    breaker = Breaker.default_config;
-    max_retries = 2;
-    retry_backoff_s = 0.0;
-    refresh_timeout_s = infinity;
-  }
+  { breaker = Breaker.default_config; max_retries = 2; refresh_timeout_s = infinity }
 
 let validate_health_config c =
   if c.max_retries < 0 then invalid_arg "Partitioned: max_retries < 0";
-  if c.retry_backoff_s < 0.0 then invalid_arg "Partitioned: retry_backoff_s < 0";
   if not (c.refresh_timeout_s > 0.0) then invalid_arg "Partitioned: refresh_timeout_s <= 0"
 
-(* per-shard circuit state.  All mutation happens on the caller's domain
-   (the guarded refresh does its breaker bookkeeping sequentially, before
-   dispatch and after the pool barrier); pool tasks only touch their own
-   shard's [retry] backoff. *)
+(* per-shard circuit state.  All mutation happens on the caller's domain:
+   the refresh does its breaker bookkeeping sequentially, before dispatch
+   and after the pool barrier. *)
 type shard_state = {
   breaker : Breaker.t;
-  retry : Backoff.t;
   mutable health : health;
   mutable last_watermark : int;  (* best known; served when the shard is unreadable *)
   mutable last_error : string option;
@@ -78,10 +68,8 @@ let spec t = t.spec
 let partitions t = Array.length t.shards
 let shard t i = t.shards.(i)
 let vfss t = t.vfss
-let health_metrics t = t.hmetrics
 let shard_health t i = t.states.(i).health
 let healths t = Array.map (fun s -> s.health) t.states
-let shard_breaker t i = t.states.(i).breaker
 
 let publish_health t =
   let healthy = ref 0 in
@@ -138,12 +126,19 @@ let mk_state t_hmetrics (hcfg : health_config) i =
         ~config:{ hcfg.breaker with Breaker.seed = hcfg.breaker.Breaker.seed + i }
         ~clock:(fun () -> Metrics.now t_hmetrics)
         ();
-    retry =
-      Backoff.create ~base_s:hcfg.retry_backoff_s ~seed:(hcfg.breaker.Breaker.seed + i) ();
     health = Healthy;
     last_watermark = 0;
     last_error = None;
   }
+
+(* an empty shard [i] over [vfs]: its placement and a zero watermark *)
+let fresh_shard ?pool_pages ?pool_stripes ~spec ~name ~vfs i =
+  let wh =
+    Warehouse.create ?pool_pages ?pool_stripes ~vfs ~name:(Printf.sprintf "%s_p%d" name i) ()
+  in
+  Partition.save (Warehouse.db wh) ~shard:i spec;
+  init_progress (Warehouse.db wh);
+  wh
 
 let create ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?(health = default_health_config)
     ?metrics ~spec ~name () =
@@ -152,14 +147,7 @@ let create ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?(health = default_health
   let hmetrics = match metrics with Some m -> m | None -> Metrics.create () in
   let vfss = Array.init n (fun _ -> Vfs.in_memory ~op_delay ()) in
   let shards =
-    Array.init n (fun i ->
-        let wh =
-          Warehouse.create ?pool_pages ?pool_stripes ~vfs:vfss.(i)
-            ~name:(Printf.sprintf "%s_p%d" name i) ()
-        in
-        Partition.save (Warehouse.db wh) ~shard:i spec;
-        init_progress (Warehouse.db wh);
-        wh)
+    Array.init n (fun i -> fresh_shard ?pool_pages ?pool_stripes ~spec ~name ~vfs:vfss.(i) i)
   in
   let t =
     {
@@ -227,22 +215,9 @@ let define_agg_view t view =
   Array.iter (fun wh -> Warehouse.define_agg_view wh view) t.shards;
   t.agg_views <- t.agg_views @ [ view ]
 
-(* ---------- merged reads ---------- *)
+(* ---------- merging per-shard reads ---------- *)
 
 let indices t = List.init (partitions t) Fun.id
-
-let replica_rows_of t idxs table =
-  let rows =
-    if is_fact t table then
-      List.concat_map (fun i -> Warehouse.replica_rows t.shards.(i) table) idxs
-    else
-      match idxs with
-      | [] -> invalid_arg "Partitioned: no shard to serve a replicated table"
-      | i :: _ -> Warehouse.replica_rows t.shards.(i) table
-  in
-  List.sort Tuple.compare rows
-
-let replica_rows t table = replica_rows_of t (indices t) table
 
 (* sum multiplicities of identical output rows across shards (a base row
    lives on exactly one shard, but two shards' slices can project to the
@@ -260,11 +235,6 @@ let merge_counted rows_by_shard =
     rows_by_shard;
   List.rev_map (fun row -> (row, Hashtbl.find tbl row)) !order
   |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
-
-let view_rows_of t idxs name =
-  merge_counted (List.map (fun i -> Warehouse.view_rows t.shards.(i) name) idxs)
-
-let view_rows t name = view_rows_of t (indices t) name
 
 let merge_agg_value fn a b =
   let add a b =
@@ -318,36 +288,31 @@ let agg_view_rows_of t idxs name =
   List.rev_map (fun key -> Hashtbl.find tbl key) !order
   |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
 
-let agg_view_rows t name = agg_view_rows_of t (indices t) name
+(* ---------- one shard's refresh ---------- *)
 
-(* ---------- parallel refresh ---------- *)
-
-(* one shard's apply: drop what its watermark says is already applied,
-   then run the valve over the rest.  The valve reads this shard's own
-   lock.wait p95 — backpressure on one partition leaves the others' run
-   lengths alone — and each run's transaction advances the watermark to
-   the run's highest txn id. *)
+(* drop what the shard's watermark says is already applied, then run the
+   valve over the rest.  The valve reads this shard's own lock.wait p95 —
+   backpressure on one partition leaves the others' run lengths alone —
+   and each run's transaction advances the watermark to the run's
+   highest txn id.  Returns the stats and the watermark the last run
+   committed (the bucket is in source commit order), so the caller never
+   reads it back. *)
 let refresh_shard policy wh ods =
   let db = Warehouse.db wh in
   let wm = watermark_of wh in
-  let mark txn run =
-    set_progress db txn (List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 run)
+  let top run = List.fold_left (fun acc od -> max acc od.Op_delta.txn_id) 0 run in
+  let pending = List.filter (fun od -> od.Op_delta.txn_id > wm) ods in
+  let stats =
+    Warehouse.integrate_op_deltas ~policy ~mark:(fun txn run -> set_progress db txn (top run)) wh
+      pending
   in
-  Warehouse.integrate_op_deltas ~policy ~mark wh
-    (List.filter (fun od -> od.Op_delta.txn_id > wm) ods)
+  (stats, max wm (top pending))
 
 let check_buckets t buckets =
   if Array.length buckets <> partitions t then
     invalid_arg
       (Printf.sprintf "Partitioned.refresh: %d buckets for %d partitions"
          (Array.length buckets) (partitions t))
-
-let refresh ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
-  Warehouse.validate_batch_policy policy;
-  check_buckets t buckets;
-  Domain_pool.run_all pool
-    (List.init (partitions t) (fun i () -> refresh_shard policy t.shards.(i) buckets.(i)))
-  |> List.fold_left Warehouse.add_stats Warehouse.zero_stats
 
 (* ---------- crash re-adoption ---------- *)
 
@@ -409,12 +374,7 @@ let reopen ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?(health = default_health
   publish_health t;
   t
 
-(* ---------- guarded refresh: breaker-driven health transitions ---------- *)
-
-type shard_outcome =
-  | Applied of Warehouse.stats
-  | Skipped of health
-  | Failed of string
+(* ---------- breaker-driven health transitions ---------- *)
 
 (* a failure was recorded against shard [i]; derive its health from the
    breaker and count trip transitions *)
@@ -433,10 +393,9 @@ let apply_failure t i msg =
         | Breaker.Open | Breaker.Half_open -> Quarantined
         | Breaker.Closed -> Suspect))
 
-let apply_success t i wm =
+let apply_success t i =
   let s = t.states.(i) in
   Breaker.record_success s.breaker;
-  s.last_watermark <- wm;
   s.last_error <- None;
   match Breaker.state s.breaker with
   | Breaker.Closed ->
@@ -463,7 +422,9 @@ let probe_reopen t i =
     Error (Printf.sprintf "probe reopen crashed on %s at event %d" op index)
   | exception Vfs.Fault.Transient op -> Error ("probe reopen transient fault on " ^ op)
 
-let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
+(* ---------- parallel refresh ---------- *)
+
+let refresh ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
   Warehouse.validate_batch_policy policy;
   check_buckets t buckets;
   let n = partitions t in
@@ -472,7 +433,7 @@ let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
     Array.init n (fun i ->
         let s = t.states.(i) in
         match s.health with
-        | Rebuilding -> `Skip Rebuilding
+        | Rebuilding -> `Skip
         | Healthy | Suspect -> `Attempt
         | Quarantined ->
           if Breaker.allow s.breaker then
@@ -481,28 +442,23 @@ let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
             | Error msg ->
               Metrics.incr t.hmetrics "breaker.probe_failures";
               `Probe_failed msg
-          else `Skip Quarantined)
+          else `Skip)
   in
   (* parallel attempts: pool tasks touch only their own shard (its
-     warehouse, its registry, its retry backoff) — never the breaker or
-     the fleet registry, whose bookkeeping stays on this domain *)
-  let attempts =
-    List.filter_map (fun i -> match plan.(i) with `Attempt -> Some i | _ -> None)
-      (List.init n Fun.id)
-  in
+     warehouse and registry) — never the breaker or the fleet registry,
+     whose bookkeeping stays on this domain *)
+  let attempts = List.filter (fun i -> plan.(i) = `Attempt) (indices t) in
   let task i () =
-    let s = t.states.(i) in
     (* the breaker's timeout check reads the fleet registry's clock, as
        its dwell does: deterministic under a Sim_clock *)
     let started = Metrics.now t.hmetrics in
     let retries = ref 0 in
-    let rec go attempt =
+    let rec go () =
       match refresh_shard policy t.shards.(i) buckets.(i) with
-      | stats -> Ok stats
-      | exception Vfs.Fault.Transient _ when attempt < t.hcfg.max_retries ->
+      | applied -> Ok applied
+      | exception Vfs.Fault.Transient _ when !retries < t.hcfg.max_retries ->
         incr retries;
-        ignore (Backoff.wait s.retry ~attempt : float);
-        go (attempt + 1)
+        go ()
       | exception Vfs.Fault.Transient op ->
         Error
           (Printf.sprintf "transient fault on %s persisted after %d retries" op
@@ -510,51 +466,44 @@ let refresh_guarded ?(policy = Warehouse.default_batch_policy) ~pool t buckets =
       | exception Vfs.Fault.Crash { op; index } ->
         Error (Printf.sprintf "crash on %s at event %d" op index)
     in
-    let result = go 0 in
+    let result = go () in
     (result, !retries, Metrics.now t.hmetrics -. started)
   in
-  let results = Domain_pool.run_all pool (List.map (fun i -> task i) attempts) in
+  let results = Array.make n None in
+  List.iter2
+    (fun i r -> results.(i) <- Some r)
+    attempts
+    (Domain_pool.run_all pool (List.map task attempts));
   (* sequential post-pass: breaker bookkeeping and health transitions *)
-  let by_shard = Hashtbl.create 8 in
-  List.iter2 (fun i r -> Hashtbl.replace by_shard i r) attempts results;
-  let outcomes =
-    Array.init n (fun i ->
-        match plan.(i) with
-        | `Skip h ->
-          Metrics.incr t.hmetrics "health.refresh_skipped";
-          Skipped h
-        | `Probe_failed msg ->
-          apply_failure t i msg;
-          Failed msg
-        | `Attempt -> (
-          let result, retries, elapsed = Hashtbl.find by_shard i in
-          if retries > 0 then Metrics.add t.hmetrics "health.retries" retries;
-          match result with
-          | Ok stats ->
-            (* post-hoc timeout breach: the work applied (and stays
-               applied — the watermark advanced), but a shard this slow
-               counts against its breaker like a failure *)
-            if elapsed >= t.hcfg.refresh_timeout_s then begin
-              Metrics.incr t.hmetrics "health.timeout_breaches";
-              apply_failure t i
-                (Printf.sprintf "refresh took %.3fs (timeout %.3fs)" elapsed
-                   t.hcfg.refresh_timeout_s)
-            end
-            else apply_success t i (watermark_of t.shards.(i));
-            Applied stats
-          | Error msg ->
-            apply_failure t i msg;
-            Failed msg))
-  in
+  let stats = ref Warehouse.zero_stats in
+  Array.iteri
+    (fun i plan ->
+      match plan with
+      | `Skip -> Metrics.incr t.hmetrics "health.refresh_skipped"
+      | `Probe_failed msg -> apply_failure t i msg
+      | `Attempt -> (
+        let result, retries, elapsed = Option.get results.(i) in
+        if retries > 0 then Metrics.add t.hmetrics "health.retries" retries;
+        match result with
+        | Ok (s, wm) ->
+          stats := Warehouse.add_stats !stats s;
+          t.states.(i).last_watermark <- wm;
+          (* post-hoc timeout breach: the work applied (and stays
+             applied — the watermark advanced), but a shard this slow
+             counts against its breaker like a failure *)
+          if elapsed >= t.hcfg.refresh_timeout_s then begin
+            Metrics.incr t.hmetrics "health.timeout_breaches";
+            apply_failure t i
+              (Printf.sprintf "refresh took %.3fs (timeout %.3fs)" elapsed
+                 t.hcfg.refresh_timeout_s)
+          end
+          else apply_success t i
+        | Error msg -> apply_failure t i msg))
+    plan;
   publish_health t;
-  let stats =
-    Array.fold_left
-      (fun acc -> function Applied s -> Warehouse.add_stats acc s | Skipped _ | Failed _ -> acc)
-      Warehouse.zero_stats outcomes
-  in
-  (stats, outcomes)
+  !stats
 
-(* ---------- degraded reads ---------- *)
+(* ---------- merged reads ---------- *)
 
 type read_policy = [ `Fail_closed | `Degraded ]
 
@@ -575,7 +524,8 @@ let serving t i = match t.states.(i).health with
 (* run [f i] over the serving shards; a shard that faults mid-read is
    recorded against its breaker and moved to the skipped set.  Under
    [`Fail_closed] any skipped shard (pre-existing or new) aborts the
-   read. *)
+   read; under [`Degraded] only an empty serving set does, so [served]
+   is never empty. *)
 let read_checked (type a) ~policy t (f : int -> a) : (int * a) list * (int * health) list =
   let served = ref [] and skipped = ref [] in
   List.iter
@@ -609,7 +559,7 @@ let coverage_of (t : t) ~served ~skipped =
            still fault on the watermark probe (reading the progress table
            opens a transaction, which touches the device) — fall back to
            its last known watermark rather than failing the read *)
-        if List.mem_assoc i served then
+        if List.mem i served then
           match watermark_of t.shards.(i) with
           | wm ->
             s.last_watermark <- wm;
@@ -620,36 +570,55 @@ let coverage_of (t : t) ~served ~skipped =
   in
   {
     shards = partitions t;
-    served = List.map fst served;
+    served;
     skipped;
     watermarks = wms;
     max_watermark = Array.fold_left max 0 wms;
   }
 
-let replica_rows_checked ?(policy = `Fail_closed) t table =
+(* each merged read: its rows, the shards that served them, the skipped *)
+let read_replica ~policy t table =
   if is_fact t table then begin
     let served, skipped =
       read_checked ~policy t (fun i -> Warehouse.replica_rows t.shards.(i) table)
     in
-    (List.sort Tuple.compare (List.concat_map snd served), coverage_of t ~served ~skipped)
+    (List.sort Tuple.compare (List.concat_map snd served), List.map fst served, skipped)
   end
   else begin
-    (* replicated table: one serving shard answers for the fleet *)
-    let served, skipped = read_checked ~policy t (fun i -> i) in
-    let rows = replica_rows_of t (List.map fst served) table in
-    (rows, coverage_of t ~served ~skipped)
+    (* replicated table: the first serving shard answers for the fleet *)
+    let served, skipped = read_checked ~policy t Fun.id in
+    let served = List.map fst served in
+    (List.sort Tuple.compare (Warehouse.replica_rows t.shards.(List.hd served) table), served,
+     skipped)
   end
 
-let view_rows_checked ?(policy = `Fail_closed) t name =
+let read_view ~policy t name =
   let served, skipped =
     read_checked ~policy t (fun i -> Warehouse.view_rows t.shards.(i) name)
   in
-  (merge_counted (List.map snd served), coverage_of t ~served ~skipped)
+  (merge_counted (List.map snd served), List.map fst served, skipped)
 
-let agg_view_rows_checked ?(policy = `Fail_closed) t name =
-  let served, skipped = read_checked ~policy t (fun i -> i) in
-  let rows = agg_view_rows_of t (List.map fst served) name in
+let read_agg_view ~policy t name =
+  let served, skipped = read_checked ~policy t Fun.id in
+  let served = List.map fst served in
+  (agg_view_rows_of t served name, served, skipped)
+
+(* the plain reads are the checked ones under [`Fail_closed], without the
+   coverage probe (and so without its I/O) *)
+let plain read t name =
+  let rows, _, _ = read ~policy:`Fail_closed t name in
+  rows
+
+let checked read ~policy t name =
+  let rows, served, skipped = read ~policy t name in
   (rows, coverage_of t ~served ~skipped)
+
+let replica_rows t table = plain read_replica t table
+let view_rows t name = plain read_view t name
+let agg_view_rows t name = plain read_agg_view t name
+let replica_rows_checked ?(policy = `Fail_closed) t table = checked read_replica ~policy t table
+let view_rows_checked ?(policy = `Fail_closed) t name = checked read_view ~policy t name
+let agg_view_rows_checked ?(policy = `Fail_closed) t name = checked read_agg_view ~policy t name
 
 (* ---------- quarantined-shard rebuild ---------- *)
 
@@ -658,7 +627,7 @@ let fleet_watermark t =
     (fun acc i -> if serving t i then max acc (watermark_of t.shards.(i)) else acc)
     0 (indices t)
 
-let begin_rebuild ?donor t i =
+let begin_rebuild t i =
   let s = t.states.(i) in
   (match s.health with
    | Quarantined -> ()
@@ -667,24 +636,15 @@ let begin_rebuild ?donor t i =
        (Printf.sprintf "Partitioned.begin_rebuild: shard %d is %s, not quarantined" i
           (health_to_string h)));
   let replicated = List.filter (fun (table, _) -> not (is_fact t table)) t.replicas in
-  let donor =
-    match donor with
-    | Some d ->
-      if not (serving t d) then
-        invalid_arg (Printf.sprintf "Partitioned.begin_rebuild: donor shard %d is not serving" d);
-      Some d
-    | None -> List.find_opt (fun j -> j <> i && serving t j) (indices t)
-  in
+  let donor = List.find_opt (fun j -> j <> i && serving t j) (indices t) in
   if replicated <> [] && donor = None then
     invalid_arg "Partitioned.begin_rebuild: no serving donor shard for replicated tables";
   (* fresh device, empty shard — the quarantined bytes are abandoned *)
   let vfs = Vfs.in_memory ~op_delay:t.op_delay () in
   let wh =
-    Warehouse.create ?pool_pages:t.pool_pages ?pool_stripes:t.pool_stripes ~vfs
-      ~name:(Printf.sprintf "%s_p%d" t.name i) ()
+    fresh_shard ?pool_pages:t.pool_pages ?pool_stripes:t.pool_stripes ~spec:t.spec
+      ~name:t.name ~vfs i
   in
-  Partition.save (Warehouse.db wh) ~shard:i t.spec;
-  init_progress (Warehouse.db wh);
   List.iter
     (fun (table, schema) ->
       Warehouse.add_replica wh ~table ~schema;

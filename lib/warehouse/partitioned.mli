@@ -8,11 +8,15 @@
     buffer pool, lock table and metrics registry), each owning exactly
     the fact-table rows the {!Partition} spec routes to it.  Replicated
     (dimension) tables are copied whole into every shard.  Because the
-    shards share no mutable engine state, {!refresh} can apply
-    independent partitions' delta buckets concurrently, one
-    {!Dw_util.Domain_pool} worker per shard, and each shard keeps the
-    PR 3 AIMD backpressure valve working against {e its own} [lock.wait]
-    p95 — a hot partition throttles without slowing its siblings.
+    shards share no mutable engine state, {!refresh} — the one fleet
+    refresh — applies independent partitions' delta buckets
+    concurrently, one {!Dw_util.Domain_pool} worker per shard, and each
+    shard keeps the AIMD backpressure valve working against {e its own}
+    [lock.wait] p95 — a hot partition throttles without slowing its
+    siblings.  The same call runs every shard under a circuit breaker
+    (see {e Shard health} below): a shard's fault never raises
+    out of {!refresh}; the fleet keeps refreshing the others, and
+    callers read {!shard_health} to learn what happened.
 
     {b Equivalence.}  The staged-and-partitioned refresh is logically
     equivalent to {!Warehouse.integrate_op_deltas} on a monolithic
@@ -47,8 +51,8 @@ module Domain_pool = Dw_util.Domain_pool
 type t
 (** A partitioned warehouse: [Partition.partitions spec] shards. *)
 
-(** {2 Shard health} — per-shard circuit state driving the guarded
-    refresh ({!refresh_guarded}) and degraded reads.
+(** {2 Shard health} — per-shard circuit state driving
+    {!refresh} and the merged reads.
 
     Each shard carries a {!Dw_util.Breaker} and walks
     [Healthy -> Suspect -> Quarantined -> Rebuilding -> Healthy]:
@@ -57,7 +61,7 @@ type t
     [failure_threshold] consecutive failures trip it and quarantine the
     shard.  A quarantined shard is excluded from refresh and from
     degraded reads until the breaker's dwell elapses, when the next
-    {!refresh_guarded} admits one half-open {e probe}: the shard's
+    {!refresh} admits one half-open {e probe}: the shard's
     simulated process is restarted over its surviving bytes
     ({!Vfs.revive} + reopen, keeping any sustained fault schedule armed)
     and its bucket attempted; success closes the breaker, failure
@@ -75,8 +79,7 @@ type health_config = {
   breaker : Dw_util.Breaker.config;
       (** trip threshold, dwell, probe count, dwell cap, jitter seed
           (per-shard breakers use [seed + shard index]) *)
-  max_retries : int;  (** in-task transient-fault retries per shard refresh *)
-  retry_backoff_s : float;  (** base of the equal-jitter in-task retry backoff *)
+  max_retries : int;  (** immediate in-task transient-fault retries per shard refresh *)
   refresh_timeout_s : float;
       (** post-hoc breach threshold on one shard's refresh, in seconds
           of the fleet registry's clock (the clock that also drives the
@@ -86,7 +89,7 @@ type health_config = {
 
 val default_health_config : health_config
 (** [{ breaker = Dw_util.Breaker.default_config; max_retries = 2;
-      retry_backoff_s = 0.0; refresh_timeout_s = infinity }]. *)
+      refresh_timeout_s = infinity }]. *)
 
 val create :
   ?pool_pages:int ->
@@ -144,16 +147,20 @@ val define_agg_view : t -> Agg_view.t -> unit
 
 val replica_rows : t -> string -> Tuple.t list
 (** Merged logical contents: the fact table is the concatenation of the
-    shards' slices, a replicated table is shard 0's copy; both sorted
-    (heap order is shard-local and scheduling-dependent). *)
+    shards' slices, a replicated table is the first shard's copy; both
+    sorted (heap order is shard-local and scheduling-dependent).  This
+    is {!replica_rows_checked} under [`Fail_closed] without the
+    coverage probe: it raises {!Unhealthy} unless every shard serves. *)
 
 val view_rows : t -> string -> (Tuple.t * int) list
 (** Merged materialized view rows: per-shard multiplicities summed per
-    output row (each base row lives on exactly one shard), sorted. *)
+    output row (each base row lives on exactly one shard), sorted.
+    Fail-closed, as {!replica_rows}. *)
 
 val agg_view_rows : t -> string -> (Tuple.t * int) list
 (** Merged aggregate view rows: group cardinalities and COUNT/SUM
-    combine additively, MIN/MAX by comparison, sorted by group. *)
+    combine additively, MIN/MAX by comparison, sorted by group.
+    Fail-closed, as {!replica_rows}. *)
 
 val watermarks : t -> int array
 (** Per-shard applied-through source transaction id (0 before any
@@ -167,16 +174,39 @@ val refresh :
   Warehouse.stats
 (** Apply staged per-partition delta buckets (index-aligned with shards,
     as produced by [Dw_etl.Stage.split]) concurrently, one pool task per
-    shard.  Each shard filters its bucket by its watermark, then applies
-    valve-governed runs through {!Warehouse.integrate_op_deltas}
+    serving shard.  Each shard filters its bucket by its watermark, then
+    applies valve-governed runs through {!Warehouse.integrate_op_deltas}
     [~policy ~mark]: each run is one shard transaction whose [mark]
     carries the watermark advance, its size observed into that shard's
     [warehouse.batch_size] histogram; the run-length target halves
     (floored at [policy.min_batch]) when the {e shard's own} [lock.wait]
     p95 exceeds [policy.lock_wait_p95_s] and recovers +1 otherwise — the
-    per-partition valve.  Returns summed stats (durations add across shards;
-    wall-clock is the caller's to measure).  Raises [Invalid_argument]
-    on a bucket array of the wrong length or an invalid policy. *)
+    per-partition valve.
+
+    Healthy and suspect shards attempt their buckets; a transient fault
+    is retried in-task, at once, up to [max_retries] times, and a
+    fail-stop crash fails the shard at once.  A quarantined shard is
+    skipped until its breaker dwell elapses, then given one
+    revive-and-reopen probe; a rebuilding shard is always skipped (the
+    rebuild owns it).  A shard's fault never raises out of this call:
+    it is counted against the shard's breaker, and callers read
+    {!shard_health} (or {!healths}) to learn what happened.  Deliver
+    {e cumulative} buckets while any shard lags — the per-shard
+    watermark filter keeps re-delivery exactly-once.  Breaker
+    bookkeeping runs on the calling domain only, and no shard's
+    watermark is read back after its runs commit.
+
+    Returns the summed stats of the shards that applied (durations add
+    across shards; wall-clock is the caller's to measure).  Raises
+    [Invalid_argument] on a bucket array of the wrong length or an
+    invalid policy.
+
+    Metrics (fleet registry): [health.refresh_failures],
+    [health.refresh_skipped], [health.retries],
+    [health.timeout_breaches], [health.recovered], [breaker.trips],
+    [breaker.probes], [breaker.probe_failures], gauges
+    [health.shard<i>] (0 healthy / 1 suspect / 2 quarantined /
+    3 rebuilding) and [health.healthy_shards]. *)
 
 val reopen :
   ?pool_pages:int ->
@@ -204,50 +234,13 @@ val reopen :
     shard [Healthy], breakers closed ([health], [metrics], [op_delay] as
     in {!create}). *)
 
-(** {2 Guarded refresh, degraded reads, rebuild} *)
-
-val health_metrics : t -> Dw_util.Metrics.t
-(** The fleet registry passed to (or created by) {!create}/{!reopen}. *)
+(** {2 Health, checked reads, rebuild} *)
 
 val shard_health : t -> int -> health
 (** Shard [i]'s current state in the health machine. *)
 
 val healths : t -> health array
 (** Per-shard health, index-aligned with shards. *)
-
-val shard_breaker : t -> int -> Dw_util.Breaker.t
-(** Shard [i]'s breaker (tests and experiments inspect trip/probe
-    counts). *)
-
-type shard_outcome =
-  | Applied of Warehouse.stats  (** bucket applied (possibly after retries) *)
-  | Skipped of health  (** not attempted: breaker open or shard rebuilding *)
-  | Failed of string  (** attempted and failed; counted against the breaker *)
-
-val refresh_guarded :
-  ?policy:Warehouse.batch_policy ->
-  pool:Domain_pool.t ->
-  t ->
-  Op_delta.t list array ->
-  Warehouse.stats * shard_outcome array
-(** {!refresh} under the health state machine: healthy and suspect
-    shards apply their buckets concurrently (transient faults retried
-    in-task up to [max_retries] with equal-jitter backoff; a fail-stop
-    crash fails the shard immediately); a quarantined shard is skipped
-    until its breaker dwell elapses, then given one revive-and-reopen
-    probe; a rebuilding shard is always skipped (the rebuild owns it).
-    One shard's failure never fails the fleet — the summed stats cover
-    the shards that applied, and the outcome array says what happened
-    to each.  Deliver {e cumulative} buckets while any shard lags (the
-    per-shard watermark filter keeps re-delivery exactly-once).
-    Breaker bookkeeping runs on the calling domain only.
-
-    Metrics (fleet registry): [health.refresh_failures],
-    [health.refresh_skipped], [health.retries],
-    [health.timeout_breaches], [health.recovered], [breaker.trips],
-    [breaker.probes], [breaker.probe_failures], gauges
-    [health.shard<i>] (0 healthy / 1 suspect / 2 quarantined /
-    3 rebuilding) and [health.healthy_shards]. *)
 
 type read_policy = [ `Fail_closed | `Degraded ]
 
@@ -292,18 +285,18 @@ val agg_view_rows_checked :
 (** {!agg_view_rows} with an availability policy (see
     {!replica_rows_checked}). *)
 
-val begin_rebuild : ?donor:int -> t -> int -> Warehouse.t
+val begin_rebuild : t -> int -> Warehouse.t
 (** Abandon quarantined shard [i]'s bytes and swap in a fresh empty
     shard over a fresh {!Vfs}: the partition spec and watermark table
     are recreated, every registered replica table is re-created (the
     fact table empty — {!Dw_etl.Bootstrap} with a shard slice reloads
-    it online — and replicated tables copied from [donor], default the
-    first serving shard, then checkpointed so the bulk copy survives a
+    it online — and replicated tables copied from the first other
+    serving shard, then checkpointed so the bulk copy survives a
     kill during the rebuild), and views re-defined.  The shard enters
     [Rebuilding]: refresh and reads skip it until {!readmit}.  Returns
     the fresh shard for the rebuild driver.  Raises [Invalid_argument]
     unless the shard is [Quarantined], or when replicated tables exist
-    but no serving donor does.  Replicated tables must stay quiescent
+    but no other shard serves.  Replicated tables must stay quiescent
     during the rebuild — the slice bootstrap replays fact-table deltas
     only.  Counted under [health.rebuilds]. *)
 

@@ -184,9 +184,10 @@ val integrate_value_delta : ?mark:(Db.txn -> unit) -> t -> Delta.t -> stats
     {b [mark txn run]} runs inside each run's warehouse transaction,
     after the run's statements, and receives the run.  Callers store a
     progress record there — the applied-through source transaction id of
-    {!Partitioned.refresh} and {!Dw_etl.Bootstrap} — so the run and its
-    progress commit or roll back together (exactly-once under
-    re-delivery of the same delta stream after a crash). *)
+    {!Partitioned.refresh} (which derives the committed watermark from
+    the runs instead of reading it back) and {!Dw_etl.Bootstrap} — so
+    the run and its progress commit or roll back together (exactly-once
+    under re-delivery of the same delta stream after a crash). *)
 
 type batch_policy = {
   max_batch : int;  (** run-length ceiling (>= min_batch) *)

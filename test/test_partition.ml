@@ -306,14 +306,13 @@ let skewed_deltas =
       let first_id = if i = 10 then 60 else 1 + (i * 4) in
       Op_delta.make ~txn_id:(i + 1) [ Workload.update_parts_stmt ~first_id ~size:4 ])
 
-(* one guarded refresh of the skewed deltas; returns each shard's writes,
+(* one refresh of the skewed deltas; returns each shard's writes,
    the breach count and the healths after it *)
-let guarded_refresh ~op_delay ~timeout =
+let skewed_refresh ~op_delay ~timeout =
   let spec = Partition.make ~table:"parts" ~key_column:"part_id" (Partition.Range [ 50 ]) in
   let health =
     {
-      Partitioned.default_health_config with
-      breaker = { Dw_util.Breaker.default_config with failure_threshold = 1 };
+      Partitioned.breaker = { Dw_util.Breaker.default_config with failure_threshold = 1 };
       max_retries = 0;
       refresh_timeout_s = timeout;
     }
@@ -329,14 +328,12 @@ let guarded_refresh ~op_delay ~timeout =
   let before = writes () in
   let buckets, (_ : Stage.stats) = Stage.split ~spec skewed_deltas in
   Domain_pool.with_pool ~domains:1 (fun pool ->
-      ignore
-        (Partitioned.refresh_guarded ~pool pw buckets
-          : Warehouse.stats * Partitioned.shard_outcome array));
+      ignore (Partitioned.refresh ~pool pw buckets : Warehouse.stats));
   let work = Array.map2 ( - ) (writes ()) before in
   (work, Metrics.get hm "health.timeout_breaches", Partitioned.healths pw)
 
 let breaker_timeout_on_fleet_clock () =
-  let work, breaches, _ = guarded_refresh ~op_delay:0.0 ~timeout:infinity in
+  let work, breaches, _ = skewed_refresh ~op_delay:0.0 ~timeout:infinity in
   check Alcotest.int "no breach without a timeout" 0 breaches;
   check Alcotest.bool "shard 0 is the slow one" true (work.(0) > 2 * work.(1));
   let between = float_of_int (work.(0) + work.(1)) /. 2.0 in
@@ -344,7 +341,7 @@ let breaker_timeout_on_fleet_clock () =
   (* the slower device stands in for a slower machine: the outcome must
      not change with it *)
   let same_on_any_device timeout =
-    match List.map (fun op_delay -> guarded_refresh ~op_delay ~timeout) [ 0.0; 0.0002 ] with
+    match List.map (fun op_delay -> skewed_refresh ~op_delay ~timeout) [ 0.0; 0.0002 ] with
     | [ (w, b, h); (w', b', h') ] ->
       check (Alcotest.array Alcotest.int) "same work" w w';
       check Alcotest.int "same breaches" b b';
