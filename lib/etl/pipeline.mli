@@ -12,8 +12,8 @@
     Every round starts from a {e mark}: the timestamp day, the first log
     position not yet extracted, the snapshot round to diff against, and
     the last trigger-delta and Op-Delta capture positions integrated.  The
-    mark is one row per source table in the warehouse's [__extract_marks]
-    table, written by the round's own integrating transactions, so a
+    mark is the source table's {!Dw_warehouse.Warehouse.mark} row,
+    written by the round's own integrating transactions, so a
     round's data and the mark past it commit or roll back together.  A
     Trigger or Op-Delta round reads its capture by position — the trigger
     delta table's [__seq], the byte offset in the wrapper's file log —
@@ -25,9 +25,9 @@
     append-only.  Every round applies exactly once across a source or
     warehouse crash or a pipeline restart: a restart reopens the source
     with the delta table in its catalog, then
-    {!Dw_warehouse.Warehouse.reopen}s the warehouse with [~extra:[marks]]
-    (and the planner log, for [Planned]), then calls {!create}, which
-    creates the Op-Delta wrapper over the reopened source. *)
+    {!Dw_warehouse.Warehouse.reopen}s the warehouse (with the planner
+    log in [~extra], for [Planned]), then calls {!create}, which creates
+    the Op-Delta wrapper over the reopened source. *)
 
 module Db = Dw_engine.Db
 module Warehouse = Dw_warehouse.Warehouse
@@ -67,10 +67,6 @@ type signals = {
 
 type t
 
-val marks : string * Dw_relation.Schema.t
-(** The marks table's catalog entry ([__extract_marks]), for the [extra]
-    of {!Dw_warehouse.Warehouse.reopen}. *)
-
 val create :
   ?transform:Transform.rule ->
   ?compact:bool ->
@@ -92,13 +88,11 @@ val create :
   unit ->
   t
 (** Installs whatever the method needs at the source (the capture trigger,
-    the Op-Delta wrapper — both for [Planned]).  Creates the warehouse's
-    marks table if it is missing, and resumes from [table]'s mark when the
-    warehouse holds one, finishing the purge a stopped run left; it raises
-    [Invalid_argument] when the marks table's file is on the warehouse
-    device but its catalog left the table out (reopen with
-    [~extra:[marks]]), and likewise for the trigger's delta table at the
-    source.  The warehouse must already have the destination
+    the Op-Delta wrapper — both for [Planned]).  Resumes from [table]'s
+    mark when the warehouse holds one, finishing the purge a stopped run
+    left; it raises [Invalid_argument] when the trigger's delta table's
+    file is on the source device but the source's catalog left the table
+    out.  The warehouse must already have the destination
     replica ([table], or the transform rule's destination).  [Log]
     requires the source to run with archive logging or an extraction
     cadence faster than checkpoints; a [Planned] pipeline checks this

@@ -518,7 +518,8 @@ let explore_batched_queue ?(spec = default_batched_queue_spec) ?stride () =
    and fsync of one round on the source and the warehouse device (and,
    for a capture method, of the source activity before it).
    Recovery restarts both from their bytes (the source with its capture
-   tables, the warehouse with its marks and planner log) and re-creates
+   tables, the warehouse, which adopts its marks, with its planner log)
+   and re-creates
    the pipeline, which resumes from the mark its last committed round
    wrote; rounds then run until one extracts nothing, and the replica
    must equal the source and the view its recomputation.  A mark that
@@ -619,10 +620,9 @@ let pipe_check s _ =
   in
   Db.set_day src (Db.current_day s.src);
   let extra =
-    Pipeline.marks
-    :: (match Db.table_opt s.wh Dw_etl.Planner.log_table with
-        | Some t -> [ (Dw_etl.Planner.log_table, Table.schema t) ]
-        | None -> [])
+    match Db.table_opt s.wh Dw_etl.Planner.log_table with
+    | Some t -> [ (Dw_etl.Planner.log_table, Table.schema t) ]
+    | None -> []
   in
   let wh =
     Warehouse.reopen ~pool_pages:64 ~extra ~vfs:s.whvfs ~name:"dw"

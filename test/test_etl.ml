@@ -260,10 +260,8 @@ let round_with_zero_changes () =
 
 (* the table's committed mark row in the warehouse: (day, lsn, snap) *)
 let mark_row wh =
-  let db = Warehouse.db wh in
-  match Db.with_txn db (fun txn -> Db.select db txn (fst Pipeline.marks) ()) with
-  | [ [| _; Value.Int day; Value.Int lsn; Value.Int snap; _; _ |] ] -> (day, lsn, snap)
-  | rows -> Alcotest.fail (Printf.sprintf "expected one mark row, got %d" (List.length rows))
+  let m = Warehouse.mark wh "parts" in
+  Warehouse.(m.day, m.lsn, m.snap)
 
 let mark_day wh =
   let day, _, _ = mark_row wh in
@@ -454,7 +452,7 @@ let restarted_capture_pipeline_resumes method_ () =
   Vfs.crash_reset whvfs;
   let src, _ = Db.reopen ~vfs:srcvfs ~name:"src" ~tables:catalog () in
   let wh =
-    Warehouse.reopen ~extra:[ Pipeline.marks ] ~vfs:whvfs ~name:"dw"
+    Warehouse.reopen ~vfs:whvfs ~name:"dw"
       ~replicas:[ ("parts", Workload.parts_schema) ] ~views:[] ~agg_views:[] ()
   in
   let pipe = create src wh in
