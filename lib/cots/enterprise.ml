@@ -82,7 +82,6 @@ let binding_for t i table =
 let source_db t i = t.sources.(i).db
 let rule_to_physical t i = (binding_for t i t.logical_table).rule
 let physical_table t i = (binding_for t i t.logical_table).rule.Transform.dst_table
-let logical_schema t = List.assoc t.logical_table t.tables
 let logical_tables t = List.map fst t.tables
 
 let submit t stmts =

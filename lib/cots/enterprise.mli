@@ -46,7 +46,6 @@ val rule_to_physical : t -> int -> Transform.rule
 (** The logical→physical transformation of source [i]. *)
 
 val physical_table : t -> int -> string
-val logical_schema : t -> Schema.t
 
 val submit : t -> Ast.stmt list -> (unit, string) result
 (** One business transaction, in the logical schema.  Statements must

@@ -88,12 +88,8 @@ let vfs t = t.vfs
 let metrics t = Vfs.metrics t.vfs
 let wal t = t.wal
 let locks t = t.locks
-let pool t = t.pool
 
-let plan_mode t = t.plan_mode
 let set_plan_mode t mode = t.plan_mode <- mode
-
-let sync_mode t = t.sync_mode
 
 let set_sync_mode t mode =
   (match mode with

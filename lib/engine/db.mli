@@ -46,7 +46,6 @@ val vfs : t -> Dw_storage.Vfs.t
     predicate implies bounds on the leading key column — the warehouse
     runs in this mode. *)
 
-val plan_mode : t -> [ `Scan_only | `Index_preferred ]
 val set_plan_mode : t -> [ `Scan_only | `Index_preferred ] -> unit
 
 (** {2 Commit durability} — [`Every_commit] (default) fsyncs the log at
@@ -61,8 +60,6 @@ val set_plan_mode : t -> [ `Scan_only | `Index_preferred ] -> unit
     [wal.group_size] histograms.  Aborts and checkpoints always flush
     (covering any open group).  Wall-clock impact is only observable on
     the on-disk Vfs backend. *)
-
-val sync_mode : t -> [ `Every_commit | `Group of int | `Group_policy of Dw_txn.Group_commit.policy ]
 
 val set_sync_mode :
   t -> [ `Every_commit | `Group of int | `Group_policy of Dw_txn.Group_commit.policy ] -> unit
@@ -81,7 +78,6 @@ val pending_group_commits : t -> int
 val metrics : t -> Dw_util.Metrics.t
 val wal : t -> Dw_txn.Wal.t
 val locks : t -> Dw_txn.Lock_manager.t
-val pool : t -> Dw_storage.Buffer_pool.t
 
 (** {2 Logical date} — drives timestamp columns ("last_modified"). *)
 

@@ -122,8 +122,6 @@ let create ?(config = default_config) ?metrics () =
     switches = 0;
   }
 
-let config t = t.cfg
-let current t = t.current
 let decisions t = List.rev t.decisions
 let switches t = t.switches
 

@@ -134,9 +134,6 @@ val create : ?config:config -> ?metrics:Metrics.t -> unit -> t
     counters/gauges (default: a private registry).  Raises
     [Invalid_argument] via {!validate_config} on a bad config. *)
 
-val config : t -> config
-(** The knobs this planner runs with. *)
-
 val calibrate : t -> unit
 (** Run the micro-probes and install the coefficients.  Idempotent per
     process: the probe results are memoised for the session (they
@@ -161,9 +158,6 @@ val force : t -> round:int -> method_ -> unit
 (** Install [method_] as the incumbent without scoring (recorded as a
     non-scored decision) — the [`Planned] pipeline uses it when a
     correctness fallback overrides the planned choice mid-round. *)
-
-val current : t -> method_ option
-(** The incumbent method, [None] before the first {!plan}. *)
 
 val decisions : t -> decision list
 (** Every decision so far, oldest first. *)

@@ -31,6 +31,8 @@
                  w3.refresh_window_snapshot_s / w3.refresh_window_locking_s,
                  w3.batch_outage_s *)
 
+module Schema = Dw_relation.Schema
+module Value = Dw_relation.Value
 module Db = Dw_engine.Db
 module Scheduler = Dw_engine.Scheduler
 module Metrics = Dw_util.Metrics
@@ -44,11 +46,23 @@ open Bench_support
 let reader_count = 6
 let txns = 20
 let txn_size = 25
+let stride = 60
 
 let maintenance_stream () =
   List.init txns (fun i ->
       Op_delta.make ~txn_id:i
-        [ Workload.update_parts_stmt ~first_id:(1 + (i * 60)) ~size:txn_size ])
+        [ Workload.update_parts_stmt ~first_id:(1 + (i * stride)) ~size:txn_size ])
+
+(* the highest part id the stream updates: every arm's table holds at
+   least this many rows, so each transaction matches [txn_size] of them *)
+let stream_top = ((txns - 1) * stride) + txn_size
+
+let qty_total wh =
+  let qty = Schema.index_of Workload.parts_schema "qty" in
+  List.fold_left
+    (fun acc row -> match row.(qty) with Value.Int q -> acc + q | _ -> acc)
+    0
+    (Warehouse.replica_rows wh "parts")
 
 let arm_label = function `Snapshot -> "snapshot" | `Read_write -> "locking"
 
@@ -89,6 +103,7 @@ let run_arm ~table_rows mode =
               | Error e -> failwith e);
         })
   in
+  let qty_before = qty_total wh in
   let report = Scheduler.run db (integrator :: readers) in
   List.iter
     (fun s ->
@@ -96,6 +111,12 @@ let run_arm ~table_rows mode =
       | Some e -> failwith (Printf.sprintf "w3 %s arm: session %s failed: %s" label s.Scheduler.session e)
       | None -> ())
     report.Scheduler.sessions;
+  (* each UPDATE adds 1 to the qty of every row it matches *)
+  let updated = qty_total wh - qty_before in
+  if updated <> txns * txn_size then
+    failwith
+      (Printf.sprintf "w3 %s arm: the stream updated %d replica rows, not %d" label updated
+         (txns * txn_size));
   let reader_blocked =
     List.fold_left
       (fun acc s ->
@@ -116,7 +137,7 @@ let run_arm ~table_rows mode =
 (* the offline contrast: the whole cycle as one value-delta batch
    transaction; readers would be locked out for its entire duration *)
 let run_batch_arm ~table_rows =
-  let src = fresh_source ~rows:(table_rows + (txns * 60)) () in
+  let src = fresh_source ~rows:table_rows () in
   Db.set_day src (Db.current_day src + 1);
   let contents = sorted_rows src "parts" in
   let handle = Trigger_extract.install src ~table:"parts" in
@@ -136,7 +157,7 @@ let run_batch_arm ~table_rows =
 
 let run_w3 ~scale =
   section "W3: OLAP latency and refresh window - snapshot vs locking reads vs batch";
-  let table_rows = scaled 2_000 ~scale in
+  let table_rows = max (scaled 2_000 ~scale) stream_top in
   let snap_report, snap_refresh = run_arm ~table_rows `Snapshot in
   let lock_report, lock_refresh = run_arm ~table_rows `Read_write in
   let outage = run_batch_arm ~table_rows in

@@ -47,17 +47,6 @@ let equal a b =
   && Array.length a.cols = Array.length b.cols
   && Array.for_all2 (fun x y -> x.name = y.name && x.ty = y.ty && x.nullable = y.nullable) a.cols b.cols
 
-let pp ppf t =
-  Format.fprintf ppf "@[<hov 1>(";
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Format.fprintf ppf ",@ ";
-      Format.fprintf ppf "%s %s%s%s" c.name (Value.ty_to_string c.ty)
-        (if c.nullable then "" else " NOT NULL")
-        (if i < t.key_arity then " KEY" else ""))
-    t.cols;
-  Format.fprintf ppf ")@]"
-
 let project t names =
   let cols = List.map (fun n -> t.cols.(index_of t n)) names in
   make ~key_arity:(List.length cols) cols

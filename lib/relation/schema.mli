@@ -35,7 +35,6 @@ val record_size : t -> int
     plus the sum of column widths). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val project : t -> string list -> t
 (** [project t names] is the sub-schema with the given columns in the given

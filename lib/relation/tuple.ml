@@ -69,5 +69,3 @@ let set schema tuple name v =
 
 let to_string t =
   "(" ^ (Array.to_list t |> List.map Value.to_string |> String.concat ", ") ^ ")"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

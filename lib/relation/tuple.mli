@@ -27,5 +27,4 @@ val get : Schema.t -> t -> string -> Value.t
 val set : Schema.t -> t -> string -> Value.t -> t
 (** Functional update by column name; returns a fresh tuple. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -114,8 +114,6 @@ let to_string = function
   | Str s -> s
   | Null -> "NULL"
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* the primitive [Printf.sprintf "%.17g"] calls, without parsing the format *)
 external format_float : string -> float -> string = "caml_format_float"
 

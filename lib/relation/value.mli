@@ -45,7 +45,6 @@ val ty_to_string : ty -> string
 val ty_of_string : string -> ty option
 (** Parses what {!ty_to_string} produces, e.g. ["INT"], ["STRING(40)"]. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_sql_literal : t -> string

@@ -43,7 +43,6 @@ val iter_range : 'a t -> lo:bound -> hi:bound -> (Tuple.t -> 'a -> unit) -> unit
 (** In ascending key order.  The in-range bindings are copied under the
     latch; the callback runs after it is released. *)
 
-val iter : 'a t -> (Tuple.t -> 'a -> unit) -> unit
 val to_list : 'a t -> (Tuple.t * 'a) list
 val min_binding : 'a t -> (Tuple.t * 'a) option
 val max_binding : 'a t -> (Tuple.t * 'a) option

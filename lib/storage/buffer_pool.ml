@@ -95,8 +95,6 @@ let create ?(stripes = 1) ~vfs ~capacity () =
     append_lock = Mutex.create ();
   }
 
-let vfs t = t.vfs
-
 let stripe_count t = Array.length t.stripes
 
 let capacity t = Array.fold_left (fun acc sp -> acc + Array.length sp.frames) 0 t.stripes

@@ -29,8 +29,6 @@ val stripe_count : t -> int
 val capacity : t -> int
 (** Total frame count across all stripes. *)
 
-val vfs : t -> Vfs.t
-
 val page_count : t -> Vfs.file -> int
 (** Number of pages currently in the file (size / page size). *)
 

@@ -50,9 +50,7 @@ let attach pool file schema =
   done;
   t
 
-let schema t = t.schema
 let file t = t.file
-let pool t = t.pool
 let page_count t = Buffer_pool.page_count t.pool t.file
 
 (* one frame visit per insert: place the record and see whether the

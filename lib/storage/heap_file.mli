@@ -21,9 +21,7 @@ val create : Buffer_pool.t -> Vfs.file -> Schema.t -> t
 val attach : Buffer_pool.t -> Vfs.file -> Schema.t -> t
 (** Re-open a heap file previously created with the same schema. *)
 
-val schema : t -> Schema.t
 val file : t -> Vfs.file
-val pool : t -> Buffer_pool.t
 
 val insert : t -> Tuple.t -> rid
 (** Validates the tuple; appends a page when no free slot exists. *)

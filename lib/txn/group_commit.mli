@@ -35,9 +35,6 @@ type policy = {
           [infinity] = size-only, [0.] = flush at every registration) *)
 }
 
-val default_policy : policy
-(** [{ max_group = 8; max_wait_s = infinity }]. *)
-
 val validate_policy : policy -> unit
 (** Raises [Invalid_argument] unless [max_group >= 1] and
     [max_wait_s >= 0.] (NaN rejected). *)

@@ -166,11 +166,6 @@ let decode buf ~off =
     Ok ({ tx; body }, off + total)
   with Bad msg -> Error msg
 
-let table_of t =
-  match t.body with
-  | Insert { table; _ } | Delete { table; _ } | Update { table; _ } -> Some table
-  | Begin | Commit | Abort | Checkpoint _ -> None
-
 let pp ppf t =
   let rid_str (r : rid) = Dw_storage.Heap_file.rid_to_string r in
   match t.body with

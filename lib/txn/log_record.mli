@@ -34,6 +34,3 @@ val decode : bytes -> off:int -> (t * int, string) result
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer ([tx] plus the body constructor and its sizes). *)
-
-val table_of : t -> string option
-(** The table a DML record touches; [None] for control records. *)

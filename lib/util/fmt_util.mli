@@ -7,8 +7,5 @@ val human_duration : float -> string
 (** [human_duration seconds] renders like the paper's tables: ["43min"],
     ["1hr 8min"], ["862ms"], ["3.2s"]. *)
 
-val pad : int -> string -> string
-(** [pad w s] right-pads [s] with spaces to width [w] (no-op if longer). *)
-
 val table : header:string list -> rows:string list list -> string
 (** Render an aligned plain-text table with a separator under the header. *)

@@ -96,13 +96,10 @@ let now t = t.clock ()
    bench harness can capture the union of per-Vfs registries an
    experiment creates internally without threading a registry through
    every constructor.  The cell is an Atomic so concurrent domains see a
-   consistent sink; prefer the scoped {!with_sink} over the raw setter,
-   which restores the previous sink even when the thunk raises. *)
+   consistent sink; {!with_sink} restores the previous sink even when
+   the thunk raises. *)
 
 let the_sink : t option Atomic.t = Atomic.make None
-
-let set_sink s = Atomic.set the_sink s
-let sink () = Atomic.get the_sink
 
 let with_sink s f =
   let old = Atomic.exchange the_sink s in
@@ -434,17 +431,6 @@ let diff ~before ~after =
     after;
   Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s = %d@," k v) (snapshot t);
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s = %g@," k v) (gauges t);
-  List.iter
-    (fun (k, s) ->
-      Format.fprintf ppf "%s: n=%d sum=%.6f min=%.6f p50=%.6f p95=%.6f p99=%.6f max=%.6f@," k
-        s.count s.sum s.vmin s.p50 s.p95 s.p99 s.vmax)
-    (histograms t);
-  Format.fprintf ppf "@]"
 
 (* aggregate completed spans by (name, parent) for compact reporting *)
 let span_rollup t =

@@ -179,9 +179,7 @@ val span_depth : t -> int
 
 val reset : t -> unit
 (** Remove every entry and span.  Entries are {e cleared}, not zeroed:
-    a later {!snapshot}/{!pp} shows nothing from before the reset. *)
-
-val pp : Format.formatter -> t -> unit
+    a later {!snapshot} shows nothing from before the reset. *)
 
 val to_json : t -> Json.t
 (** [{"counters": {..}, "gauges": {..}, "histograms": {name: {count, sum,
@@ -198,12 +196,4 @@ val to_json : t -> Json.t
 
 val with_sink : t option -> (unit -> 'a) -> 'a
 (** [with_sink s f] installs [s] as the sink, runs [f], and restores the
-    previously installed sink even when [f] raises — the scoped form
-    harnesses should use instead of the raw {!set_sink}, which leaks the
-    installation on exception. *)
-
-val set_sink : t option -> unit
-(** Replace the process-global sink unconditionally.  Prefer
-    {!with_sink}; this remains for REPL-style use. *)
-
-val sink : unit -> t option
+    previously installed sink even when [f] raises. *)

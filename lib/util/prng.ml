@@ -17,8 +17,6 @@ let split t =
   let seed = int64 t in
   { state = seed }
 
-let copy t = { state = t.state }
-
 let int t bound =
   assert (bound > 0);
   (* mask to 62 bits so the conversion to OCaml's 63-bit int stays
@@ -33,12 +31,6 @@ let int_in t lo hi =
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. (v /. 9007199254740992.0)
-
-let bool t = Int64.logand (int64 t) 1L = 1L
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

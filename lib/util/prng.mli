@@ -14,9 +14,6 @@ val create : seed:int -> t
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing it. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
@@ -28,11 +25,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -357,6 +357,38 @@ let breaker_timeout_on_fleet_clock () =
   check Alcotest.int "no breach above the slow shard's time" 0 breaches;
   check Alcotest.bool "both healthy" true (healths = [| Partitioned.Healthy; Partitioned.Healthy |])
 
+(* ---------- degraded reads around a faulting shard ---------- *)
+
+(* shard 0's device dies with pages of every table out of its pool: an
+   aggregate-view read and a replicated-table read must each count the
+   fault against the shard and answer from shard 1 *)
+let degraded_reads_skip_faulting_shard () =
+  let spec = Partition.make ~table:"parts" ~key_column:"part_id" (Partition.Hash 2) in
+  let hm = Metrics.create () in
+  let pw = Partitioned.create ~pool_pages:8 ~metrics:hm ~spec ~name:"faulty" () in
+  let rows = load_rows ~rows:600 ~seed:5 in
+  List.iter
+    (fun table ->
+      Partitioned.add_replica pw ~table ~schema:Workload.parts_schema;
+      Partitioned.load_replica pw ~table rows)
+    [ "parts"; "dim" ];
+  Partitioned.define_agg_view pw view;
+  let shard i = Partitioned.shard pw i in
+  let shard1_groups = Warehouse.agg_view_rows (shard 1) "band_stats" in
+  (* a full scan of [dim] leaves only its tail pages cached *)
+  ignore (Warehouse.replica_rows (shard 0) "dim" : Tuple.t list);
+  Vfs.set_fault (Partitioned.vfss pw).(0) (Some (Vfs.Fault.make ~fail_stop_after:0 ~seed:1 ()));
+  (try Db.checkpoint (Warehouse.db (shard 0)) with Vfs.Fault.Crash _ -> ());
+  let failures () = Metrics.get hm "degraded.read_failures" in
+  let groups, cov = Partitioned.agg_view_rows_checked ~policy:`Degraded pw "band_stats" in
+  check Alcotest.int "aggregate read fault counted" 1 (failures ());
+  check Alcotest.(list int) "aggregate read served by shard 1" [ 1 ] cov.Partitioned.served;
+  check Alcotest.bool "shard 1's groups" true (groups = shard1_groups);
+  let dim, cov = Partitioned.replica_rows_checked ~policy:`Degraded pw "dim" in
+  check Alcotest.int "replicated read fault counted" 2 (failures ());
+  check Alcotest.(list int) "replicated read served by shard 1" [ 1 ] cov.Partitioned.served;
+  check Alcotest.bool "the whole replicated table" true (dim = List.sort Tuple.compare rows)
+
 (* ---------- guard rails ---------- *)
 
 let rejects_join_view () =
@@ -400,6 +432,7 @@ let suite =
     test "crash mid-refresh recovers" crash_recovery;
     test "per-partition valve independence" valve_independence;
     test "breaker timeout reads the fleet clock" breaker_timeout_on_fleet_clock;
+    test "degraded reads skip a shard faulting mid-read" degraded_reads_skip_faulting_shard;
     test "rejects join views" rejects_join_view;
     test "rejects mismatched leading key" rejects_wrong_leading_key;
   ]
