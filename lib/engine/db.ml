@@ -667,6 +667,14 @@ let update_rid t txn tname rid tuple =
   let before = Heap_file.get (Table.heap table) rid in
   logged_update t txn tname table rid ~before (stamp t table tuple)
 
+(* the key index finds the row without a lock; [update_rid] X-locks it
+   before reading its before-image *)
+let upsert_row t txn tname tuple =
+  let table = table t tname in
+  match Table.find_key table (Tuple.key (Table.schema table) tuple) with
+  | Some (rid, _) -> update_rid t txn tname rid tuple
+  | None -> ignore (insert_row t txn tname tuple : Heap_file.rid)
+
 let delete_rid t txn tname rid =
   check_writable txn;
   let table = table t tname in

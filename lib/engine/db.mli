@@ -185,6 +185,10 @@ val append_row : t -> txn -> string -> Tuple.t -> unit
 val update_rid : t -> txn -> string -> Heap_file.rid -> Tuple.t -> unit
 val delete_rid : t -> txn -> string -> Heap_file.rid -> unit
 
+val upsert_row : t -> txn -> string -> Tuple.t -> unit
+(** Overwrite the row with this tuple's primary key, or insert it when
+    there is none.  Takes one X row lock, on the written row. *)
+
 (** {2 Cooperative scheduling hooks} — used by {!Scheduler} to interleave
     logical sessions over the single-threaded engine.  [yield_hook] is
     invoked at every statement boundary; [block_hook] is invoked instead

@@ -76,12 +76,11 @@ type t = {
   wh : Warehouse.t;
   wh_db : Db.t;
   metrics : Metrics.t;
-  rng : Prng.t;
   backoff : Backoff.t;
   restrict : Op_delta.t -> Op_delta.t;  (* delta slice filter (shard rebuild) *)
   owns : int -> bool;  (* chunk-row key ownership (shard rebuild) *)
   resumed : bool;
-  mutable row : Run_state.row;  (* in-memory mirror of the durable state row *)
+  mutable row : Warehouse.bootstrap;  (* in-memory mirror of the durable state row *)
   mutable target : int;         (* AIMD chunk-size target *)
   mutable last_pumped : int;    (* highest source txn id enqueued *)
   mutable nonce : int;          (* this attempt's watermark-bracket nonce *)
@@ -118,10 +117,6 @@ let with_retry ?(settled = fun () -> None) t f =
   in
   attempt 0
 
-let journal t record =
-  try Run_state.journal_append (Db.vfs t.wh_db) ~table:t.table record
-  with Vfs.Fault.Transient _ -> ()  (* advisory: never fail the run over it *)
-
 (* highest txn id already sitting in the queue: redelivered or
    not-yet-drained frames from before a crash must not be re-enqueued *)
 let pending_max_txn ~wh_db queue =
@@ -155,33 +150,28 @@ let start ?(config = default_config) ?(hook = fun (_ : phase) -> ())
   if not (Opdelta_capture.captures_images capture) then
     invalid_arg "Bootstrap.start: capture must force hybrid images (~capture_images:true)";
   let rng = Prng.create ~seed:config.seed in
-  Run_state.ensure_table wh_db;
   let now = Metrics.now metrics in
   let decision =
     Db.with_txn wh_db (fun txn ->
-        match Run_state.get wh_db txn ~table with
+        match Warehouse.lock_bootstrap warehouse txn table with
         | Some row
-          when (not (String.equal row.Run_state.lease_owner ""))
-               && (not (String.equal row.Run_state.lease_owner owner))
-               && row.Run_state.lease_expiry > now
-               && row.Run_state.state = Run_state.Bootstrapping ->
-          `Held (row.Run_state.lease_owner, row.Run_state.lease_expiry)
+          when (not (String.equal row.Warehouse.lease_owner ""))
+               && (not (String.equal row.Warehouse.lease_owner owner))
+               && row.Warehouse.lease_expiry > now
+               && row.Warehouse.state = Warehouse.Bootstrapping ->
+          `Held (row.Warehouse.lease_owner, row.Warehouse.lease_expiry)
+        | Some row when row.Warehouse.state = Warehouse.Complete -> `Go (row, false)
         | Some row ->
-          let resumed = row.Run_state.state = Run_state.Bootstrapping in
-          let row =
-            if resumed then
-              { row with Run_state.lease_owner = owner;
-                         lease_expiry = now +. config.lease_ttl_s }
-            else row
-          in
-          if resumed then Run_state.put wh_db txn row;
-          `Go (row, resumed)
+          let lease_expiry = now +. config.lease_ttl_s in
+          let row = { row with Warehouse.lease_owner = owner; lease_expiry } in
+          Warehouse.put_bootstrap warehouse txn row;
+          `Go (row, true)
         | None ->
           let row =
             {
-              Run_state.table;
+              Warehouse.table;
               run_id = Prng.alpha_string rng 8;
-              state = Run_state.Bootstrapping;
+              state = Warehouse.Bootstrapping;
               next_key = 0;
               chunks_done = 0;
               rows_loaded = 0;
@@ -190,7 +180,7 @@ let start ?(config = default_config) ?(hook = fun (_ : phase) -> ())
               lease_expiry = now +. config.lease_ttl_s;
             }
           in
-          Run_state.put wh_db txn row;
+          Warehouse.put_bootstrap warehouse txn row;
           `Go (row, false))
   in
   match decision with
@@ -209,14 +199,13 @@ let start ?(config = default_config) ?(hook = fun (_ : phase) -> ())
         wh = warehouse;
         wh_db;
         metrics;
-        rng;
         backoff = Backoff.create ~base_s:config.backoff_s ~seed:config.seed ();
         restrict;
         owns;
         resumed;
         row;
         target = config.chunk_max;
-        last_pumped = max row.Run_state.last_txn (pending_max_txn ~wh_db queue);
+        last_pumped = max row.Warehouse.last_txn (pending_max_txn ~wh_db queue);
         nonce = -1;
         window_touched = None;
         chunk_rows = [];
@@ -226,21 +215,20 @@ let start ?(config = default_config) ?(hook = fun (_ : phase) -> ())
         delta_txns_applied = 0;
       }
     in
-    if row.Run_state.state = Run_state.Bootstrapping then
-      journal t
-        (Printf.sprintf "%s|%s|%s|%d" (if resumed then "resume" else "start")
-           row.Run_state.run_id owner row.Run_state.chunks_done);
+    if resumed then Metrics.incr metrics "bootstrap.resumed"
+    else if row.Warehouse.state = Warehouse.Bootstrapping then
+      Metrics.incr metrics "bootstrap.started";
     Ok t
 
 let progress t =
   {
-    chunks_done = t.row.Run_state.chunks_done;
+    chunks_done = t.row.Warehouse.chunks_done;
     chunks_this_run = t.chunks_this_run;
-    rows_loaded = t.row.Run_state.rows_loaded;
+    rows_loaded = t.row.Warehouse.rows_loaded;
     rows_deduped = t.rows_deduped;
     delta_txns_applied = t.delta_txns_applied;
     resumed = t.resumed;
-    complete = t.row.Run_state.state = Run_state.Complete;
+    complete = t.row.Warehouse.state = Warehouse.Complete;
   }
 
 let renew_lease t =
@@ -248,12 +236,12 @@ let renew_lease t =
   let row =
     with_retry t (fun () ->
         Db.with_txn t.wh_db (fun txn ->
-            match Run_state.get t.wh_db txn ~table:t.table with
+            match Warehouse.lock_bootstrap t.wh txn t.table with
             | Some row
-              when String.equal row.Run_state.run_id t.row.Run_state.run_id
-                   && String.equal row.Run_state.lease_owner t.owner ->
-              let row = { row with Run_state.lease_expiry = now +. t.cfg.lease_ttl_s } in
-              Run_state.put t.wh_db txn row;
+              when String.equal row.Warehouse.run_id t.row.Warehouse.run_id
+                   && String.equal row.Warehouse.lease_owner t.owner ->
+              let row = { row with Warehouse.lease_expiry = now +. t.cfg.lease_ttl_s } in
+              Warehouse.put_bootstrap t.wh txn row;
               row
             | Some _ | None -> raise Lease_lost))
   in
@@ -284,7 +272,7 @@ let select_chunk t =
   let txn = Db.begin_txn ~mode:`Snapshot t.source in
   let rows =
     Db.select t.source txn t.table
-      ~where:(Expr.Cmp (Expr.Ge, Expr.Col key_col, Expr.Lit (Value.Int t.row.Run_state.next_key)))
+      ~where:(Expr.Cmp (Expr.Ge, Expr.Col key_col, Expr.Lit (Value.Int t.row.Warehouse.next_key)))
       ()
   in
   Db.commit t.source txn;
@@ -312,18 +300,15 @@ let apply_delta t od =
   let txid = od.Op_delta.txn_id in
   let marked = ref t.row in
   let mark txn =
-    let row = { t.row with Run_state.last_txn = txid } in
-    Run_state.put t.wh_db txn row;
+    let row = { t.row with Warehouse.last_txn = txid } in
+    Warehouse.put_bootstrap t.wh txn row;
     marked := row
   in
   (* a fault on the commit's fsync leaves the transaction, mark included,
      committed: the retry must not re-execute it *)
   let settled () =
-    let txn = Db.begin_txn ~mode:`Snapshot t.wh_db in
-    let row = Run_state.get t.wh_db txn ~table:t.table in
-    Db.commit t.wh_db txn;
-    match row with
-    | Some row when row.Run_state.last_txn >= txid -> Some Warehouse.zero_stats
+    match Warehouse.bootstrap t.wh t.table with
+    | Some row when row.Warehouse.last_txn >= txid -> Some Warehouse.zero_stats
     | Some _ | None -> None
   in
   (match t.window_touched with
@@ -364,7 +349,7 @@ let apply_chunk t touched =
   match rows with
   | [] -> t.chunks_exhausted <- true
   | rows ->
-    let chunk_idx = t.row.Run_state.chunks_done in
+    let chunk_idx = t.row.Warehouse.chunks_done in
     (* the cursor advances over every selected key — including keys a
        shard rebuild does not own, which must still be stepped past or
        the keyset scan would loop on them forever *)
@@ -376,11 +361,11 @@ let apply_chunk t touched =
     let marked = ref t.row in
     let mark txn =
       let row =
-        { t.row with Run_state.next_key = max_key + 1;
-                     chunks_done = t.row.Run_state.chunks_done + 1;
-                     rows_loaded = t.row.Run_state.rows_loaded + n_loaded }
+        { t.row with Warehouse.next_key = max_key + 1;
+                     chunks_done = t.row.Warehouse.chunks_done + 1;
+                     rows_loaded = t.row.Warehouse.rows_loaded + n_loaded }
       in
-      Run_state.put t.wh_db txn row;
+      Warehouse.put_bootstrap t.wh txn row;
       marked := row
     in
     ignore
@@ -394,9 +379,6 @@ let apply_chunk t touched =
     t.rows_deduped <- t.rows_deduped + (n_rows - n_loaded);
     Metrics.observe t.metrics "bootstrap.chunk_rows" (float_of_int n_loaded);
     Metrics.add t.metrics "bootstrap.rows_deduped" (n_rows - n_loaded);
-    journal t
-      (Printf.sprintf "chunk|%s|%d|%d|%d" t.row.Run_state.run_id chunk_idx n_loaded
-         t.row.Run_state.next_key);
     (* AIMD valve, same policy shape as the warehouse batch integrator:
        halve under reader lock pressure, creep back up otherwise *)
     let p95 = Metrics.percentile t.metrics "lock.wait" 0.95 in
@@ -418,7 +400,7 @@ let process_frame t payload =
     match Op_delta.decode_line ~schema_of:(schema_of_wh t.wh_db) line with
     | Error e -> failwith ("bootstrap: undecodable delta frame: " ^ e)
     | Ok od ->
-      if od.Op_delta.txn_id > t.row.Run_state.last_txn then apply_delta t od;
+      if od.Op_delta.txn_id > t.row.Warehouse.last_txn then apply_delta t od;
       `Continue)
   | Ok (Frame.Wm_low { nonce; _ }) ->
     if nonce = t.nonce then t.window_touched <- Some (Hashtbl.create 32);
@@ -461,11 +443,11 @@ let enqueue_bracket t frame = with_retry t (fun () -> Pq.enqueue t.queue (Frame.
 let chunk_cycle t =
   renew_lease t;
   pump t;
-  let chunk = t.row.Run_state.chunks_done in
+  let chunk = t.row.Warehouse.chunks_done in
   t.hook (Before_chunk chunk);
   let nonce = Pq.enqueued_total t.queue in
   t.nonce <- nonce;
-  let run = t.row.Run_state.run_id in
+  let run = t.row.Warehouse.run_id in
   enqueue_bracket t (Frame.Wm_low { run; chunk; nonce });
   t.hook (Window_open chunk);
   pump t;
@@ -480,15 +462,14 @@ let chunk_cycle t =
 let final_swap t =
   t.hook Before_swap;
   let row =
-    { t.row with Run_state.state = Run_state.Complete; lease_owner = ""; lease_expiry = 0.0 }
+    { t.row with Warehouse.state = Warehouse.Complete; lease_owner = ""; lease_expiry = 0.0 }
   in
-  with_retry t (fun () -> Db.with_txn t.wh_db (fun txn -> Run_state.put t.wh_db txn row));
+  with_retry t (fun () -> Db.with_txn t.wh_db (fun txn -> Warehouse.put_bootstrap t.wh txn row));
   t.row <- row;
-  journal t (Printf.sprintf "complete|%s|%d|%d" row.Run_state.run_id row.Run_state.chunks_done
-               row.Run_state.rows_loaded)
+  Metrics.incr t.metrics "bootstrap.completed"
 
 let abort t reason =
-  journal t (Printf.sprintf "abort|%s|%s" t.row.Run_state.run_id reason);
+  Metrics.incr t.metrics "bootstrap.aborted";
   (* best-effort lease release; the state row stays Bootstrapping so the
      table is visibly half-loaded and a later run resumes, never double
      runs.  Re-read under the transaction and release only a lease we
@@ -496,10 +477,10 @@ let abort t reason =
      the new owner's row (its cursor has moved past our stale copy) *)
   (try
      Db.with_txn t.wh_db (fun txn ->
-         match Run_state.get t.wh_db txn ~table:t.row.Run_state.table with
-         | Some row when String.equal row.Run_state.lease_owner t.owner ->
-           let row = { row with Run_state.lease_owner = ""; lease_expiry = 0.0 } in
-           Run_state.put t.wh_db txn row;
+         match Warehouse.lock_bootstrap t.wh txn t.table with
+         | Some row when String.equal row.Warehouse.lease_owner t.owner ->
+           let row = { row with Warehouse.lease_owner = ""; lease_expiry = 0.0 } in
+           Warehouse.put_bootstrap t.wh txn row;
            t.row <- row
          | Some _ | None -> ())
    with Vfs.Fault.Transient _ -> ());
@@ -518,7 +499,7 @@ let catch_up t =
   go ()
 
 let run t =
-  if t.row.Run_state.state = Run_state.Complete then Ok (progress t)
+  if t.row.Warehouse.state = Warehouse.Complete then Ok (progress t)
   else begin
     match
       while not t.chunks_exhausted do
@@ -534,6 +515,3 @@ let run t =
     | exception Lease_lost -> abort t "lease lost to a competing run"
     | exception Failure msg -> abort t msg
   end
-
-let state db ~table =
-  Db.with_txn db (fun txn -> Run_state.get db txn ~table)

@@ -25,7 +25,8 @@
 
     Crash safety: all progress (cursor, applied-through source txn id,
     lease) lives in the warehouse's [__bootstrap_state] table
-    ({!Run_state}) and commits atomically with the data it describes, so
+    ({!Dw_warehouse.Warehouse.bootstrap}, which reads a table's run row)
+    and commits atomically with the data it describes, so
     after a kill at {e any} write/fsync event the run resumes from its
     last durable chunk, re-doing at most one chunk of work.  Watermark
     brackets carry a nonce drawn from the queue's persistent enqueue
@@ -34,7 +35,11 @@
     clock) makes overlapping runs impossible; a second {!start} while
     the lease is live returns [Lease_held].  Transient VFS faults are
     retried with jittered exponential backoff; past the budget the run
-    aborts cleanly, leaving the table marked bootstrapping. *)
+    aborts cleanly, leaving the table marked bootstrapping.  The
+    warehouse registry counts each run's transitions:
+    [bootstrap.started] or [bootstrap.resumed] when {!start} takes the
+    lease of an unfinished load, then [bootstrap.completed] or
+    [bootstrap.aborted]. *)
 
 module Db = Dw_engine.Db
 
@@ -124,7 +129,3 @@ val run : t -> (progress, error) result
 
 val progress : t -> progress
 (** Current counters (meaningful mid-run from hooks, or after {!run}). *)
-
-val state : Db.t -> table:string -> Run_state.row option
-(** Read a table's durable bootstrap state row from a warehouse
-    database, if any run ever started. *)

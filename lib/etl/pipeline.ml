@@ -516,8 +516,8 @@ let rounds t = t.rounds_run
    its durable state row, so a repeated call moves nothing. *)
 let handoff t cap =
   let applied =
-    match Bootstrap.state (Warehouse.db t.warehouse) ~table:t.table with
-    | Some row -> row.Run_state.last_txn
+    match Warehouse.bootstrap t.warehouse t.table with
+    | Some row -> row.Warehouse.last_txn
     | None -> 0
   in
   let schema_of name = Option.map Table.schema (Db.table_opt t.source name) in

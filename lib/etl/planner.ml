@@ -554,10 +554,7 @@ let log_decision wh ~table d =
       Value.Str (clip 72 d.reason);
     |]
   in
-  Db.with_txn db (fun txn ->
-      match Db.find_by_key db txn log_table [| Value.Str (clip 40 table); Value.Int d.round |] with
-      | Some (rid, _) -> Db.update_rid db txn log_table rid row
-      | None -> ignore (Db.insert_row db txn log_table row : Dw_storage.Heap_file.rid))
+  Db.with_txn db (fun txn -> Db.upsert_row db txn log_table row)
 
 type log_row = {
   lr_table : string;

@@ -43,8 +43,8 @@ let drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh =
     | Error e -> Error e
     | Ok progress ->
       let wm_txn =
-        match Bootstrap.state (Warehouse.db wh) ~table with
-        | Some row -> row.Run_state.last_txn
+        match Warehouse.bootstrap wh table with
+        | Some row -> row.Warehouse.last_txn
         | None -> 0
       in
       Partitioned.readmit fleet shard ~watermark:wm_txn;
@@ -55,8 +55,6 @@ let rebuild_shard ?config ?hook ~owner ~source ~capture ~fleet ~shard () =
   drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh
 
 let resume_shard ?config ?hook ~owner ~source ~capture ~fleet ~shard () =
-  Partitioned.reattach_rebuilding
-    ~extra:[ (Run_state.table_name, Run_state.schema) ]
-    fleet shard;
+  Partitioned.reattach_rebuilding fleet shard;
   let wh = Partitioned.shard fleet shard in
   drive ?config ?hook ~owner ~source ~capture ~fleet ~shard wh

@@ -19,9 +19,9 @@
     The rebuild's queue ([rebuild.q]) and its [__bootstrap_state] row
     live on the {e rebuilt shard's own} Vfs, so a crash at any point
     during the rebuild is resumable: {!resume_shard} re-adopts the
-    surviving bytes ({!Dw_warehouse.Partitioned.reattach_rebuilding}
-    with the bootstrap-state table in the catalog) and continues from
-    the durable cursor.
+    surviving bytes ({!Dw_warehouse.Partitioned.reattach_rebuilding},
+    whose warehouse adopts the run row with the data) and continues
+    from the durable cursor.
 
     Replicated (non-fact) tables must stay quiescent during a rebuild —
     the slice replay applies fact-table deltas only. *)

@@ -94,15 +94,24 @@ let count flow =
 
 (* one crash point: device [device] fail-stops at its event [k] (seed
    [seed + k]; the other devices run unplanned), then [check] runs and
-   every device's counters fold into [totals] *)
+   every device's counters fold into [totals].  Any other exception out
+   of the workload or the check is this point's failure, not the
+   sweep's end. *)
 let point flow ~totals ~device k =
   let s = flow.setup () in
   let arm () =
     Vfs.set_fault (List.nth (flow.devices s) device)
       (Some (Fault.make ~fail_stop_after:k ~seed:(flow.seed + k) ()))
   in
-  let outcome = match flow.workload s ~arm with o -> Some o | exception Fault.Crash _ -> None in
-  let result = flow.check s outcome in
+  let check outcome =
+    try flow.check s outcome with e -> Error ("check raised " ^ Printexc.to_string e)
+  in
+  let result =
+    match flow.workload s ~arm with
+    | o -> check (Some o)
+    | exception Fault.Crash _ -> check None
+    | exception e -> Error ("workload raised " ^ Printexc.to_string e)
+  in
   List.iter (accumulate totals) (flow.devices s);
   result
 

@@ -27,7 +27,6 @@ module Warehouse = Dw_warehouse.Warehouse
 module Pq = Dw_transport.Persistent_queue
 module Opdelta_capture = Dw_core.Opdelta_capture
 module Bootstrap = Dw_etl.Bootstrap
-module Run_state = Dw_etl.Run_state
 module Metrics = Dw_util.Metrics
 module Cs = Crash_sim
 
@@ -122,8 +121,8 @@ let run_attempt ?owner env =
 let restart env =
   Vfs.crash_reset env.whvfs;
   env.wh <-
-    Warehouse.reopen ~pool_pages:64 ~extra:[ (Run_state.table_name, Run_state.schema) ]
-      ~vfs:env.whvfs ~name:"dw" ~replicas:[ (Workload.parts_table, Workload.parts_schema) ]
+    Warehouse.reopen ~pool_pages:64 ~vfs:env.whvfs ~name:"dw"
+      ~replicas:[ (Workload.parts_table, Workload.parts_schema) ]
       ~views:[] ~agg_views:[] ();
   env.queue <- Pq.open_ env.whvfs ~name:"boot.q"
 

@@ -9,5 +9,3 @@ let fnv1a ?(off = 0) ?len s =
     h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
   done;
   !h land 0xFFFFFFFF
-
-let hex s = Printf.sprintf "%08x" (fnv1a s)

@@ -288,11 +288,10 @@ let check_buckets t buckets =
 
 (* re-adopt one shard's surviving bytes: reopen + recover the shard's
    warehouse, then verify the persisted placement belongs to this slot *)
-let adopt_shard ?pool_pages ?pool_stripes ~replicas ~views ~agg_views ~extra ~spec ~name ~vfs i
-    =
+let adopt_shard ?pool_pages ?pool_stripes ~replicas ~views ~agg_views ~spec ~name ~vfs i =
   let wh =
     Warehouse.reopen ?pool_pages ?pool_stripes
-      ~extra:(extra @ [ (Partition.spec_table, Partition.spec_schema) ])
+      ~extra:[ (Partition.spec_table, Partition.spec_schema) ]
       ~vfs ~name:(Printf.sprintf "%s_p%d" name i) ~replicas ~views ~agg_views ()
   in
   (match Partition.load (Warehouse.db wh) with
@@ -317,8 +316,7 @@ let reopen ?pool_pages ?pool_stripes ?(op_delay = 0.0) ?(health = default_health
     Array.mapi
       (fun i vfs ->
         Vfs.crash_reset vfs;
-        adopt_shard ?pool_pages ?pool_stripes ~replicas ~views ~agg_views ~extra:[] ~spec
-          ~name ~vfs i)
+        adopt_shard ?pool_pages ?pool_stripes ~replicas ~views ~agg_views ~spec ~name ~vfs i)
       vfss
   in
   let t =
@@ -380,8 +378,7 @@ let probe_reopen t i =
   Vfs.revive t.vfss.(i);
   match
     adopt_shard ?pool_pages:t.pool_pages ?pool_stripes:t.pool_stripes ~replicas:t.replicas
-      ~views:t.views ~agg_views:t.agg_views ~extra:[] ~spec:t.spec ~name:t.name
-      ~vfs:t.vfss.(i) i
+      ~views:t.views ~agg_views:t.agg_views ~spec:t.spec ~name:t.name ~vfs:t.vfss.(i) i
   with
   | wh ->
     t.shards.(i) <- wh;
@@ -637,7 +634,7 @@ let begin_rebuild t i =
   publish_health t;
   wh
 
-let reattach_rebuilding ?(extra = []) t i =
+let reattach_rebuilding t i =
   let s = t.states.(i) in
   if s.health <> Rebuilding then
     invalid_arg
@@ -646,7 +643,7 @@ let reattach_rebuilding ?(extra = []) t i =
   Vfs.crash_reset t.vfss.(i);
   t.shards.(i) <-
     adopt_shard ?pool_pages:t.pool_pages ?pool_stripes:t.pool_stripes ~replicas:t.replicas
-      ~views:t.views ~agg_views:t.agg_views ~extra ~spec:t.spec ~name:t.name ~vfs:t.vfss.(i) i
+      ~views:t.views ~agg_views:t.agg_views ~spec:t.spec ~name:t.name ~vfs:t.vfss.(i) i
 
 let readmit t i ~watermark =
   let s = t.states.(i) in

@@ -299,11 +299,11 @@ val begin_rebuild : t -> int -> Warehouse.t
     during the rebuild — the slice bootstrap replays fact-table deltas
     only.  Counted under [health.rebuilds]. *)
 
-val reattach_rebuilding : ?extra:(string * Schema.t) list -> t -> int -> unit
+val reattach_rebuilding : t -> int -> unit
 (** Resume a rebuild interrupted by a crash: {!Vfs.crash_reset} +
-    reopen shard [i] over its surviving bytes (catalog extended with
-    [extra] — the rebuild driver passes its [__bootstrap_state] table)
-    and swap the re-adopted warehouse in, leaving health [Rebuilding].
+    reopen shard [i] over its surviving bytes (its warehouse adopts the
+    rebuild's [__bootstrap_state] run row with the data) and swap the
+    re-adopted warehouse in, leaving health [Rebuilding].
     Raises [Invalid_argument] if the shard is not rebuilding. *)
 
 val readmit : t -> int -> watermark:int -> unit

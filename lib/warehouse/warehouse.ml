@@ -804,7 +804,26 @@ let integrate_op_delta_viewonly (t : t) od =
               views)
         (Op_delta.tables od))
 
-(* ---------- extraction marks ---------- *)
+(* ---------- progress rows: extraction marks and bootstrap runs ---------- *)
+
+(* a progress table's engine, creating the table empty on first use *)
+let progress_db t table schema =
+  if Db.table_opt t.db table = None then
+    ignore (Db.create_table t.db ~name:table schema : Table.t);
+  t.db
+
+let not_null (name, ty) = { Schema.name; ty; nullable = false }
+
+(* a snapshot read: no lock, nothing logged *)
+let snapshot_find db table key =
+  let txn = Db.begin_txn ~mode:`Snapshot db in
+  match Db.find_by_key db txn table key with
+  | row ->
+    Db.commit db txn;
+    row
+  | exception e ->
+    Db.abort db txn;
+    raise e
 
 type mark = { day : int; lsn : int; snap : int; trig : int; ops : int }
 
@@ -812,34 +831,13 @@ let marks_table = "__extract_marks"
 
 let marks_schema =
   Schema.make
-    [
-      { Schema.name = "table_name"; ty = Value.Tstring 40; nullable = false };
-      { Schema.name = "day"; ty = Value.Tint; nullable = false };
-      { Schema.name = "lsn"; ty = Value.Tint; nullable = false };
-      { Schema.name = "snap"; ty = Value.Tint; nullable = false };
-      { Schema.name = "trig"; ty = Value.Tint; nullable = false };
-      { Schema.name = "ops"; ty = Value.Tint; nullable = false };
-    ]
+    (List.map not_null
+       [ ("table_name", Value.Tstring 40); ("day", Value.Tint); ("lsn", Value.Tint);
+         ("snap", Value.Tint); ("trig", Value.Tint); ("ops", Value.Tint) ])
 
-(* the marks table's engine, creating the table empty on first use *)
-let marks_db t =
-  if Db.table_opt t.db marks_table = None then
-    ignore (Db.create_table t.db ~name:marks_table marks_schema : Table.t);
-  t.db
-
-(* a snapshot read: no lock, nothing logged *)
 let mark t table =
-  let db = marks_db t in
-  let txn = Db.begin_txn ~mode:`Snapshot db in
-  let row =
-    match Db.find_by_key db txn marks_table [| Value.Str table |] with
-    | row -> row
-    | exception e ->
-      Db.abort db txn;
-      raise e
-  in
-  Db.commit db txn;
-  match row with
+  let db = progress_db t marks_table marks_schema in
+  match snapshot_find db marks_table [| Value.Str table |] with
   | Some (_, [| _; Value.Int day; Value.Int lsn; Value.Int snap; Value.Int trig; Value.Int ops |])
     ->
     { day; lsn; snap; trig; ops }
@@ -847,14 +845,68 @@ let mark t table =
   | None -> { day = -1; lsn = 0; snap = 0; trig = 0; ops = 0 }
 
 let put_mark t txn table m =
-  let db = marks_db t in
-  let row =
+  let db = progress_db t marks_table marks_schema in
+  Db.upsert_row db txn marks_table
     [| Value.Str table; Value.Int m.day; Value.Int m.lsn; Value.Int m.snap; Value.Int m.trig;
        Value.Int m.ops |]
-  in
-  match Db.find_by_key db txn marks_table [| Value.Str table |] with
-  | Some (rid, _) -> Db.update_rid db txn marks_table rid row
-  | None -> ignore (Db.insert_row db txn marks_table row : Heap_file.rid)
+
+type bootstrap_state = Bootstrapping | Complete
+
+type bootstrap = {
+  table : string;
+  run_id : string;
+  state : bootstrap_state;
+  next_key : int;
+  chunks_done : int;
+  rows_loaded : int;
+  last_txn : int;
+  lease_owner : string;
+  lease_expiry : float;
+}
+
+let runs_table = "__bootstrap_state"
+
+let runs_schema =
+  Schema.make
+    (List.map not_null
+       [ ("table_name", Value.Tstring 40); ("run_id", Value.Tstring 16); ("state", Value.Tint);
+         ("next_key", Value.Tint); ("chunks_done", Value.Tint); ("rows_loaded", Value.Tint);
+         ("last_txn", Value.Tint); ("lease_owner", Value.Tstring 16);
+         ("lease_expiry", Value.Tfloat) ])
+
+let bootstrap_of_row = function
+  | Some
+      ( _,
+        [| Value.Str table; Value.Str run_id; Value.Int state; Value.Int next_key;
+           Value.Int chunks_done; Value.Int rows_loaded; Value.Int last_txn;
+           Value.Str lease_owner; Value.Float lease_expiry |] ) ->
+    let state =
+      match state with
+      | 0 -> Bootstrapping
+      | 1 -> Complete
+      | n -> invalid_arg (Printf.sprintf "Warehouse.bootstrap: unknown state %d" n)
+    in
+    Some
+      { table; run_id; state; next_key; chunks_done; rows_loaded; last_txn; lease_owner;
+        lease_expiry }
+  | Some _ -> invalid_arg "Warehouse.bootstrap: malformed run row"
+  | None -> None
+
+let bootstrap t table =
+  if Db.table_opt t.db runs_table = None then None
+  else bootstrap_of_row (snapshot_find t.db runs_table [| Value.Str table |])
+
+let lock_bootstrap t txn table =
+  let db = progress_db t runs_table runs_schema in
+  bootstrap_of_row (Db.find_by_key db txn runs_table [| Value.Str table |])
+
+let put_bootstrap t txn b =
+  let db = progress_db t runs_table runs_schema in
+  Db.upsert_row db txn runs_table
+    [| Value.Str b.table; Value.Str b.run_id;
+       Value.Int (match b.state with Bootstrapping -> 0 | Complete -> 1);
+       Value.Int b.next_key; Value.Int b.chunks_done; Value.Int b.rows_loaded;
+       Value.Int b.last_txn; Value.Str b.lease_owner; Value.Float b.lease_expiry |]
 
 (* ---------- re-adoption after a crash ---------- *)
 
@@ -870,10 +922,12 @@ let reopen ?pool_pages ?pool_stripes ?(extra = []) ~vfs ~name ~replicas ~views ~
       if List.mem n seen then invalid_arg (Printf.sprintf "Warehouse.reopen: %s exists" n);
       check_unique (n :: seen) rest
   in
-  (* the marks table is the warehouse's own: adopted whenever it exists *)
+  (* the progress tables are the warehouse's own: adopted whenever they exist *)
   let extra =
-    if Db.has_table_file ~vfs ~name marks_table then (marks_table, marks_schema) :: extra
-    else extra
+    List.filter
+      (fun (table, _) -> Db.has_table_file ~vfs ~name table)
+      [ (marks_table, marks_schema); (runs_table, runs_schema) ]
+    @ extra
   in
   check_unique [] (data @ List.map fst extra);
   List.iter (fun v -> check_valid "reopen" (Spj_view.validate v)) views;

@@ -237,14 +237,17 @@ val integrate_op_delta_viewonly : t -> Op_delta.t -> stats
     so the capture side must run with [~replicas:false] and a view set —
     {!Dw_core.Opdelta_capture.create}. *)
 
-(** {2 Extraction marks} — the warehouse's one applied-through record.
+(** {2 Progress rows} — the warehouse owns every applied-through record.
 
-    A mark is one row per key in the warehouse's [__extract_marks]
-    table: for a {!Dw_etl.Pipeline}, the source table it maintains; for
-    a {!Partitioned} shard, the fact table.  Writers call {!put_mark}
-    inside the integrating transaction, so the data and the mark past it
-    commit or roll back together.  {!reopen} adopts the table whenever
-    it is on the device. *)
+    Two tables hold them, one row per key: [__extract_marks] holds the
+    extraction marks, [__bootstrap_state] the bootstrap runs.  Writers
+    call {!put_mark} or {!put_bootstrap} inside the integrating
+    transaction, so the data and the progress past it commit or roll
+    back together.  {!reopen} adopts each table whenever it is on the
+    device.
+
+    A mark's key is, for a {!Dw_etl.Pipeline}, the source table it
+    maintains; for a {!Partitioned} shard, the fact table. *)
 
 type mark = {
   day : int;  (** the timestamp method's next day ([-1] before any round) *)
@@ -268,6 +271,40 @@ val put_mark : t -> Db.txn -> string -> mark -> unit
 (** Insert or overwrite this key's mark inside the caller's
     transaction. *)
 
+(** A {!Dw_etl.Bootstrap} run's row, keyed by the table it loads.  The
+    lease in it makes overlapping runs impossible. *)
+
+type bootstrap_state =
+  | Bootstrapping  (** chunks still loading, or catch-up not finished *)
+  | Complete  (** consistent snapshot reached; lease released *)
+
+type bootstrap = {
+  table : string;  (** source/replica table being bootstrapped *)
+  run_id : string;  (** identifies the owning run across resumes *)
+  state : bootstrap_state;
+  next_key : int;  (** first primary key not yet chunk-loaded *)
+  chunks_done : int;  (** chunks durably applied *)
+  rows_loaded : int;  (** chunk rows durably applied (post-dedup) *)
+  last_txn : int;  (** highest source txn id applied (exactly-once mark) *)
+  lease_owner : string;  (** [""] = no lease held *)
+  lease_expiry : float;  (** registry-clock time the lease lapses *)
+}
+
+val bootstrap : t -> string -> bootstrap option
+(** The committed run row of this table, read under a snapshot
+    transaction; [None] when no bootstrap ever started.  Raises
+    [Invalid_argument] on a malformed row. *)
+
+val lock_bootstrap : t -> Db.txn -> string -> bootstrap option
+(** The run row of this table, read inside the caller's read-write
+    transaction under a row lock held to its end: the read that decides
+    a write, such as a lease claim.  Creates the empty table on first
+    use. *)
+
+val put_bootstrap : t -> Db.txn -> bootstrap -> unit
+(** Insert or overwrite the run row of its [table] inside the caller's
+    transaction. *)
+
 (** {2 Re-adopting a warehouse} — the resume path of {!Dw_etl.Bootstrap}
     and {!Partitioned} after a crash.  The bootstrap's writes themselves
     go through {!integrate_value_delta} (window deltas and chunks, as row
@@ -288,7 +325,7 @@ val reopen :
 (** Restart warehouse [name] from the bytes surviving on [vfs] (after
     {!Dw_storage.Vfs.crash_reset}): {!Db.reopen} over the catalog of the
     replicas, the views' backing tables, the aggregate views' backing
-    tables, the marks table when the device holds it, and [extra]
+    tables, each progress table the device holds, and [extra]
     (tables the warehouse does not maintain, such as a planner log), in
     that order; then re-register the replicas and
     views {e without} creating or re-materializing anything — the

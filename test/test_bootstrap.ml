@@ -2,8 +2,8 @@
    Pipeline integration: convergence with and without live writes,
    window dedup, lease mutual exclusion, crash/resume at systematic
    fault points, clean abort on exhausted retries, the AIMD chunk valve,
-   the advisory journal, and a qcheck property randomizing the crash
-   point under concurrent commits. *)
+   the run-transition counters, and a qcheck property randomizing the
+   crash point under concurrent commits. *)
 
 module Vfs = Dw_storage.Vfs
 module Fault = Vfs.Fault
@@ -15,7 +15,6 @@ module Workload = Dw_workload.Workload
 module Warehouse = Dw_warehouse.Warehouse
 module Opdelta_capture = Dw_core.Opdelta_capture
 module Bootstrap = Dw_etl.Bootstrap
-module Run_state = Dw_etl.Run_state
 module Pipeline = Dw_etl.Pipeline
 module EB = Dw_experiments.Exp_bootstrap
 module Cs = Dw_experiments.Crash_sim
@@ -49,7 +48,7 @@ let start_hooked env ~hook ~owner =
   | Ok b -> b
   | Error _ -> Alcotest.fail "start refused"
 
-(* ---------- plain convergence, durable state, journal ---------- *)
+(* ---------- plain convergence, durable state, run counters ---------- *)
 
 let basic_convergence () =
   let env = EB.mk_env (spec ()) in
@@ -59,19 +58,19 @@ let basic_convergence () =
   check Alcotest.int "all rows loaded" 40 p.Bootstrap.rows_loaded;
   check Alcotest.bool "converged" true (EB.converged env);
   (* durable state row: Complete, lease released *)
-  (match Bootstrap.state (Warehouse.db env.EB.wh) ~table:"parts" with
+  (match Warehouse.bootstrap env.EB.wh "parts" with
    | Some row ->
-     check Alcotest.bool "state complete" true (row.Run_state.state = Run_state.Complete);
-     check Alcotest.string "lease released" "" row.Run_state.lease_owner
+     check Alcotest.bool "state complete" true (row.Warehouse.state = Warehouse.Complete);
+     check Alcotest.string "lease released" "" row.Warehouse.lease_owner
    | None -> Alcotest.fail "no state row");
-  (* advisory journal tells the run's story *)
-  let records = Run_state.journal_read env.EB.whvfs ~table:"parts" in
-  check Alcotest.bool "journal start" true
-    (List.exists (has_prefix "start|") records);
-  check Alcotest.bool "journal chunks" true
-    (List.exists (has_prefix "chunk|") records);
-  check Alcotest.bool "journal complete" true
-    (List.exists (has_prefix "complete|") records)
+  (* the registry counts the run's transitions; its chunks are samples *)
+  let metrics = Db.metrics (Warehouse.db env.EB.wh) in
+  List.iter
+    (fun (key, want) -> check Alcotest.int key want (Metrics.get metrics key))
+    [ ("bootstrap.started", 1); ("bootstrap.resumed", 0); ("bootstrap.completed", 1);
+      ("bootstrap.aborted", 0) ];
+  check Alcotest.int "a chunk_rows sample per chunk" p.Bootstrap.chunks_this_run
+    (Metrics.observed_count metrics "bootstrap.chunk_rows")
 
 let live_writes_converge () =
   let env = EB.mk_env (spec ~rows:48 ~commits:9 ~seed:3 ()) in
@@ -248,10 +247,10 @@ let abort_then_resume () =
    | Error (Bootstrap.Lease_held _) -> Alcotest.fail "unexpected lease error");
   Vfs.set_fault env.EB.whvfs None;
   (* the table is visibly still bootstrapping *)
-  (match Bootstrap.state (Warehouse.db env.EB.wh) ~table:"parts" with
+  (match Warehouse.bootstrap env.EB.wh "parts" with
    | Some row ->
      check Alcotest.bool "still bootstrapping" true
-       (row.Run_state.state = Run_state.Bootstrapping)
+       (row.Warehouse.state = Warehouse.Bootstrapping)
    | None -> Alcotest.fail "no state row");
   (* the same owner resumes straight through *)
   let b2 =
@@ -265,7 +264,12 @@ let abort_then_resume () =
   let p = run_exn b2 in
   check Alcotest.bool "resumed" true p.Bootstrap.resumed;
   check Alcotest.bool "complete" true p.Bootstrap.complete;
-  check Alcotest.bool "converged" true (EB.converged env)
+  check Alcotest.bool "converged" true (EB.converged env);
+  let metrics = Db.metrics (Warehouse.db env.EB.wh) in
+  List.iter
+    (fun (key, want) -> check Alcotest.int key want (Metrics.get metrics key))
+    [ ("bootstrap.started", 1); ("bootstrap.aborted", 1); ("bootstrap.resumed", 1);
+      ("bootstrap.completed", 1) ]
 
 (* ---------- AIMD chunk valve ---------- *)
 
@@ -425,7 +429,7 @@ let single_fsync_fault_converges () =
 
 let suite =
   [
-    test "basic convergence + durable state + journal" basic_convergence;
+    test "basic convergence + durable state + run counters" basic_convergence;
     test "live writes converge" live_writes_converge;
     test "window dedup drops superseded chunk rows" window_dedup;
     test "lease refused while held, free after completion" lease_refused;

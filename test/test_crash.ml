@@ -97,6 +97,21 @@ let sweep_numbers_points_across_devices () =
   check Alcotest.bool "every point crashed" true
     (List.assoc_opt "fault.crashes" r.Cs.fault_metrics = Some 4)
 
+(* an exception out of a check is that point's failure, with its text,
+   and the sweep goes on to the next point *)
+let sweep_counts_a_raising_check () =
+  let flow = synthetic_flow ~fail_at:(fun _ -> false) in
+  let raising ((_, _, done_) as s) outcome =
+    if !done_ = 4 then invalid_arg "duplicate key on recovery" else flow.Cs.check s outcome
+  in
+  let r = Cs.sweep { flow with Cs.check = raising } in
+  check Alcotest.int "every point explored" 9 r.Cs.explored;
+  check
+    Alcotest.(list (pair int string))
+    "the raising point is the one failure"
+    [ (4, "device 0 event 4: check raised Invalid_argument(\"duplicate key on recovery\")") ]
+    r.Cs.failures
+
 let fault_counters_exported () =
   let r = Cs.explore ~spec:Cs.small_db_spec ~stride:4 () in
   let get name = match List.assoc_opt name r.Cs.fault_metrics with Some v -> v | None -> 0 in
@@ -181,6 +196,7 @@ let suite =
     test "batched queue crash points (exhaustive)" queue_batched_exhaustive;
     test "1-shard partitioned refresh exactly-once on redelivery (stride 4)" single_shard_refresh;
     test "sweep numbers crash points across devices" sweep_numbers_points_across_devices;
+    test "sweep counts a raising check and keeps sweeping" sweep_counts_a_raising_check;
     test "fault counters exported" fault_counters_exported;
     test "index-rebuild-before-recovery flake seeds stay green" flake_seeds_pinned;
     test "ship under 25% transient faults" ship_under_heavy_transient_faults;

@@ -517,8 +517,7 @@ let prop_fnv1a_matches =
       let len = b mod (n - off + 1) in
       Checksum.fnv1a s = ref_fnv1a s
       && Checksum.fnv1a ~off s = ref_fnv1a (String.sub s off (n - off))
-      && Checksum.fnv1a ~off ~len s = ref_fnv1a (String.sub s off len)
-      && String.equal (Checksum.hex s) (Printf.sprintf "%08x" (ref_fnv1a s)))
+      && Checksum.fnv1a ~off ~len s = ref_fnv1a (String.sub s off len))
 
 let fnv1a_rejects_bad_ranges () =
   List.iter

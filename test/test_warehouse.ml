@@ -672,6 +672,54 @@ let reopen_rejects_missing_backing () =
   let vfs = crash wh in
   rejected_untouched ~reason:"no table qty_stats on the device" vfs (fun () -> reopen vfs)
 
+(* ---------- progress rows ---------- *)
+
+(* the upserts write inside the caller's transaction: an abort takes the
+   write back, whether it inserted the row or overwrote it *)
+let progress_rows_upsert () =
+  let wh = mk_wh ~views:[ sp_view ] () in
+  Warehouse.define_agg_view wh qty_by_price_band;
+  let db = Warehouse.db wh in
+  Db.checkpoint db;
+  let aborted write =
+    match Db.with_txn db (fun txn -> write txn; failwith "abort") with
+    | () -> Alcotest.fail "the transaction committed"
+    | exception Failure _ -> ()
+  in
+  let mark ops = { Warehouse.day = 3; lsn = 40; snap = 2; trig = 9; ops } in
+  let no_mark = { Warehouse.day = -1; lsn = 0; snap = 0; trig = 0; ops = 0 } in
+  let run next_key =
+    { Warehouse.table = "parts"; run_id = "r1"; state = Warehouse.Bootstrapping; next_key;
+      chunks_done = 2; rows_loaded = 16; last_txn = 7; lease_owner = "loader";
+      lease_expiry = 30.0 }
+  in
+  aborted (fun txn -> Warehouse.put_mark wh txn "parts" (mark 10));
+  check Alcotest.bool "an aborted first mark leaves no row" true
+    (Warehouse.mark wh "parts" = no_mark);
+  aborted (fun txn -> Warehouse.put_bootstrap wh txn (run 17));
+  check Alcotest.bool "an aborted first run row leaves no row" true
+    (Warehouse.bootstrap wh "parts" = None);
+  Db.with_txn db (fun txn ->
+      Warehouse.put_mark wh txn "parts" (mark 10);
+      Warehouse.put_bootstrap wh txn (run 17));
+  check Alcotest.bool "the next mark inserts" true (Warehouse.mark wh "parts" = mark 10);
+  check Alcotest.bool "the next run row inserts" true
+    (Warehouse.bootstrap wh "parts" = Some (run 17));
+  aborted (fun txn ->
+      Warehouse.put_mark wh txn "parts" (mark 20);
+      Warehouse.put_bootstrap wh txn (run 33));
+  check Alcotest.bool "an aborted overwrite leaves the committed mark" true
+    (Warehouse.mark wh "parts" = mark 10);
+  check Alcotest.bool "an aborted overwrite leaves the committed run row" true
+    (Warehouse.bootstrap wh "parts" = Some (run 17));
+  (* no checkpoint: both rows come back through WAL recovery *)
+  let vfs = Db.vfs db in
+  Vfs.crash_reset vfs;
+  let wh = reopen vfs in
+  check Alcotest.bool "reopen adopts the mark" true (Warehouse.mark wh "parts" = mark 10);
+  check Alcotest.bool "reopen adopts the half-done run row" true
+    (Warehouse.bootstrap wh "parts" = Some (run 17))
+
 (* ---------- OLAP queries ---------- *)
 
 module Olap = Dw_warehouse.Olap
@@ -1060,6 +1108,7 @@ let suite =
     test "reopen rejects an aggregate view's name" reopen_rejects_agg_name;
     test "reopen rejects a name already taken" reopen_rejects_taken_name;
     test "reopen rejects a missing backing table" reopen_rejects_missing_backing;
+    test "progress rows upsert in the caller's transaction" progress_rows_upsert;
     test "olap standard mix" olap_standard_mix;
     test "olap rejects dml" olap_rejects_dml;
     QCheck_alcotest.to_alcotest prop_twin_warehouses;
