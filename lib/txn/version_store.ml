@@ -3,20 +3,34 @@ module Heap_file = Dw_storage.Heap_file
 
 type entry = {
   mutable superseded_at : int;  (* commit CSN of the superseding writer; max_int while pending *)
-  mutable writer : int;         (* txid while pending; -1 once published *)
+  mutable writer : int;         (* txid while pending; [published], then [unlinked] *)
   image : Tuple.t option;       (* None = the row did not exist before *)
 }
 
 let pending_csn = max_int
+let published = -1
+
+(* off its chain: retired by gc, discarded, or its table dropped.  A
+   writer's publish or discard and a batch's retirement skip it *)
+let unlinked = -2
+
+(* rid -> chain, newest entry first (descending superseded_at, with at
+   most one pending entry at the head — writers hold X locks, so two
+   transactions never have unpublished writes to the same rid) *)
+type rids = (Heap_file.rid, entry list ref) Hashtbl.t
+
+(* one noted write, holding its chain and its table's rid map so that
+   publish, discard and gc reach the entry without a lookup *)
+type write = { entry : entry; chain : entry list ref; rids : rids; rid : Heap_file.rid }
 
 type t = {
-  (* table -> rid -> chain, newest entry first (descending superseded_at,
-     with at most one pending entry at the head — writers hold X locks,
-     so two transactions never have unpublished writes to the same rid) *)
-  tables : (string, (Heap_file.rid, entry list ref) Hashtbl.t) Hashtbl.t;
-  (* writer txid -> the pending entries it noted, with their rids: publish
-     stamps each entry directly, discard unlinks it from its chain *)
-  by_tx : (int, (string * Heap_file.rid * entry) list ref) Hashtbl.t;
+  tables : (string, rids) Hashtbl.t;
+  (* writer txid -> the pending writes it noted *)
+  by_tx : (int, write list ref) Hashtbl.t;
+  (* one batch per published transaction, tagged with its CSN, oldest
+     first: publish runs under the caller's CSN bump, so the CSNs rise.
+     Empty whenever [live] is 0, so a caller may skip gc on an empty store *)
+  batches : (int * write list) Queue.t;
   mutable live : int;
   (* one mutex over the whole store: parallel snapshot readers resolve
      against it while a writer domain notes/publishes, and chain/entry
@@ -25,9 +39,13 @@ type t = {
 }
 
 let create () =
-  { tables = Hashtbl.create 8; by_tx = Hashtbl.create 8; live = 0; lock = Mutex.create () }
+  { tables = Hashtbl.create 8; by_tx = Hashtbl.create 8; batches = Queue.create (); live = 0;
+    lock = Mutex.create () }
 
 let locked t f = Mutex.protect t.lock f
+
+(* with no live entry left, every queued write is unlinked *)
+let settle t = if t.live = 0 then Queue.clear t.batches
 
 let table_tbl t table =
   match Hashtbl.find_opt t.tables table with
@@ -39,13 +57,13 @@ let table_tbl t table =
 
 let note t ~tx ~table ~rid ~image =
   locked t @@ fun () ->
-  let tbl = table_tbl t table in
+  let rids = table_tbl t table in
   let chain =
-    match Hashtbl.find_opt tbl rid with
+    match Hashtbl.find_opt rids rid with
     | Some chain -> chain
     | None ->
       let chain = ref [] in
-      Hashtbl.add tbl rid chain;
+      Hashtbl.add rids rid chain;
       chain
   in
   let already_noted =
@@ -65,7 +83,7 @@ let note t ~tx ~table ~rid ~image =
         Hashtbl.add t.by_tx tx cell;
         cell
     in
-    cell := (table, rid, entry) :: !cell
+    cell := { entry; chain; rids; rid } :: !cell
   end
 
 let publish t ~tx ~csn =
@@ -73,35 +91,37 @@ let publish t ~tx ~csn =
   match Hashtbl.find_opt t.by_tx tx with
   | None -> ()
   | Some cell ->
-    (* a pending entry stays its chain's head until published or
-       discarded, so no chain lookup is needed to find it *)
+    Hashtbl.remove t.by_tx tx;
     List.iter
-      (fun (_, _, e) ->
-        e.superseded_at <- csn;
-        e.writer <- -1)
+      (fun w ->
+        if w.entry.writer = tx then begin
+          w.entry.superseded_at <- csn;
+          w.entry.writer <- published
+        end)
       !cell;
-    Hashtbl.remove t.by_tx tx
+    Queue.add (csn, !cell) t.batches;
+    settle t
 
 let discard t ~tx =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.by_tx tx with
   | None -> ()
   | Some cell ->
+    Hashtbl.remove t.by_tx tx;
     List.iter
-      (fun (table, rid, _) ->
-        match Hashtbl.find_opt t.tables table with
-        | None -> ()
-        | Some tbl -> (
-            match Hashtbl.find_opt tbl rid with
-            | Some chain -> (
-                match !chain with
-                | head :: rest when head.writer = tx ->
-                  t.live <- t.live - 1;
-                  if rest = [] then Hashtbl.remove tbl rid else chain := rest
-                | _ -> ())
-            | None -> ()))
+      (fun w ->
+        if w.entry.writer = tx then begin
+          w.entry.writer <- unlinked;
+          t.live <- t.live - 1;
+          (* a pending entry stays its chain's head until published or
+             discarded *)
+          match !(w.chain) with
+          | [ _ ] -> Hashtbl.remove w.rids w.rid
+          | _ :: rest -> w.chain := rest
+          | [] -> ()
+        end)
       !cell;
-    Hashtbl.remove t.by_tx tx
+    settle t
 
 let resolve t ~table ~rid ~csn =
   locked t @@ fun () ->
@@ -138,40 +158,58 @@ let entries t = locked t (fun () -> t.live)
 let gc t ~horizon =
   locked t @@ fun () ->
   let dropped = ref 0 in
-  Hashtbl.iter
-    (fun _table tbl ->
-      let doomed = ref [] in
-      Hashtbl.iter
-        (fun rid chain ->
-          let keep, drop =
-            List.partition
-              (fun e -> e.superseded_at = pending_csn || e.superseded_at > horizon)
-              !chain
-          in
-          if drop <> [] then begin
-            dropped := !dropped + List.length drop;
-            if keep = [] then doomed := rid :: !doomed else chain := keep
-          end)
-        tbl;
-      List.iter (Hashtbl.remove tbl) !doomed)
-    t.tables;
+  (* batches retire oldest first, so a chain's entries superseded at or
+     below [horizon] are its tail and all retire in this pass: the first
+     of them reached cuts the whole tail, the others find themselves
+     unlinked *)
+  let rec keep = function
+    | e :: rest when e.superseded_at = pending_csn || e.superseded_at > horizon -> e :: keep rest
+    | tail ->
+      List.iter
+        (fun e ->
+          e.writer <- unlinked;
+          incr dropped)
+        tail;
+      []
+  in
+  let retire w =
+    if w.entry.writer <> unlinked then
+      match keep !(w.chain) with
+      | [] -> Hashtbl.remove w.rids w.rid
+      | kept -> w.chain := kept
+  in
+  let rec pass () =
+    match Queue.peek_opt t.batches with
+    | Some (csn, writes) when csn <= horizon ->
+      ignore (Queue.take t.batches : int * write list);
+      List.iter retire writes;
+      pass ()
+    | _ -> ()
+  in
+  pass ();
   t.live <- t.live - !dropped;
+  settle t;
   !dropped
 
 let drop_table t ~table =
   locked t @@ fun () ->
-  (match Hashtbl.find_opt t.tables table with
-   | None -> ()
-   | Some tbl ->
-     Hashtbl.iter (fun _ chain -> t.live <- t.live - List.length !chain) tbl;
-     Hashtbl.remove t.tables table);
-  (* forget the dropped table's rids in writers' publish lists *)
-  Hashtbl.iter
-    (fun _ cell -> cell := List.filter (fun (tname, _, _) -> tname <> table) !cell)
-    t.by_tx
+  match Hashtbl.find_opt t.tables table with
+  | None -> ()
+  | Some rids ->
+    Hashtbl.remove t.tables table;
+    Hashtbl.iter
+      (fun _ chain ->
+        List.iter
+          (fun e ->
+            e.writer <- unlinked;
+            t.live <- t.live - 1)
+          !chain)
+      rids;
+    settle t
 
 let clear t =
   locked t @@ fun () ->
   Hashtbl.reset t.tables;
   Hashtbl.reset t.by_tx;
+  Queue.clear t.batches;
   t.live <- 0

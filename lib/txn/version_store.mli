@@ -19,7 +19,11 @@
 
     Chains are bounded by {!gc}: an entry superseded at or below the
     oldest active reader's snapshot CSN can never be resolved again
-    (future readers start at the current CSN) and is dropped.  The store
+    (future readers start at the current CSN) and is dropped.  GC
+    retires versions in commit order: each {!publish} queues the
+    transaction's entries as one batch tagged with its CSN, and {!gc}
+    pops batches oldest first, so a pass costs what it frees and a
+    reader pinning old versions costs memory, not work per commit.  The store
     is process-local and deliberately {e not} persisted: crash recovery
     rebuilds committed state in the heaps and restarts the store empty
     ({!clear}), which is always safe because an empty store makes every
@@ -46,7 +50,8 @@ val publish : t -> tx:int -> csn:int -> unit
     making the images visible to readers with snapshots below [csn].
     Called at WAL commit, so publication is atomic per transaction:
     readers either see all of a transaction's before-images superseded
-    or none. *)
+    or none.  [csn] must exceed every CSN published before it (Db
+    publishes under its CSN bump): {!gc} retires batches in this order. *)
 
 val discard : t -> tx:int -> unit
 (** Drop every pending entry of [tx] (abort path: the undo log restores
@@ -76,7 +81,10 @@ val gc : t -> horizon:int -> int
 (** Drop published entries with [superseded_at <= horizon] — [horizon]
     is the oldest active snapshot CSN (or the newest committed CSN when
     no reader is active).  Pending entries are never dropped.  Returns
-    the number of entries removed. *)
+    the number of entries removed.  Retires published batches oldest
+    first and stops at the first one above [horizon], visiting no table
+    or chain that retires nothing: the cost is the entries freed plus
+    the newer entries of the chains they leave. *)
 
 val clear : t -> unit
 (** Empty the store (crash recovery / re-attach). *)

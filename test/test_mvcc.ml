@@ -2,7 +2,8 @@
    through Db (visibility, transaction consistency, read-only
    enforcement, GC, abort/rid stability, recovery reset), lock-free OLAP
    over the warehouse, batched-vs-sequential refresh equivalence under
-   concurrent snapshot readers, and a qcheck property that a reader's
+   concurrent snapshot readers, a qcheck property that the version store
+   answers as its full-scan reference kept here, and one that a reader's
    snapshot is exactly the committed-prefix state it began at. *)
 
 module Vfs = Dw_storage.Vfs
@@ -174,6 +175,22 @@ let abort_keeps_snapshot_exact () =
   check Alcotest.int "no stray versions after abort"
     0 (Version_store.entries (Db.version_store db));
   Db.commit db rw
+
+let abort_of_inserts_leaves_no_chain () =
+  let db = mk_db () in
+  let vs = Db.version_store db in
+  (* a pinned reader, so nothing but the abort can drop the entries *)
+  let snap = Db.begin_txn ~mode:`Snapshot db in
+  let txn = Db.begin_txn db in
+  List.iter (exec db txn) (Workload.insert_parts_txn ~first_id:30 ~size:5 ~day:0 ());
+  check Alcotest.int "one pending entry per insert" 5 (Version_store.entries vs);
+  Db.abort db txn;
+  check Alcotest.int "no entries after the abort" 0 (Version_store.entries vs);
+  let visited = ref 0 in
+  Version_store.iter_table vs ~table:"parts" (fun _ -> incr visited);
+  check Alcotest.int "iter_table visits no rid" 0 !visited;
+  check Alcotest.int "reader sees the loaded rows" 20 (count db snap);
+  Db.commit db snap
 
 (* ---------- garbage collection ---------- *)
 
@@ -407,11 +424,390 @@ let range_reader_races_writer () =
   check Alcotest.(list string) "no failed range query" [] (List.sort_uniq compare failed);
   check Alcotest.int "no result with a duplicate part_id" 0 dups
 
+(* ---------- the version store against its full-scan reference ---------- *)
+
+(* The store as it was before gc retired batches in commit order: every
+   gc pass walks every chain of every table and partitions it.  Kept
+   here, without the mutex, as the reference the store must match. *)
+module Full_scan_store = struct
+  type entry = {
+    mutable superseded_at : int;  (* commit CSN of the superseding writer; max_int while pending *)
+    mutable writer : int;         (* txid while pending; -1 once published *)
+    image : Tuple.t option;       (* None = the row did not exist before *)
+  }
+
+  let pending_csn = max_int
+
+  type t = {
+    (* table -> rid -> chain, newest entry first (descending superseded_at,
+       with at most one pending entry at the head — writers hold X locks,
+       so two transactions never have unpublished writes to the same rid) *)
+    tables : (string, (Heap_file.rid, entry list ref) Hashtbl.t) Hashtbl.t;
+    (* writer txid -> the pending entries it noted, with their rids: publish
+       stamps each entry directly, discard unlinks it from its chain *)
+    by_tx : (int, (string * Heap_file.rid * entry) list ref) Hashtbl.t;
+    mutable live : int;
+  }
+
+  let create () =
+    { tables = Hashtbl.create 8; by_tx = Hashtbl.create 8; live = 0 }
+
+  let table_tbl t table =
+    match Hashtbl.find_opt t.tables table with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 32 in
+      Hashtbl.add t.tables table tbl;
+      tbl
+
+  let note t ~tx ~table ~rid ~image =
+    let tbl = table_tbl t table in
+    let chain =
+      match Hashtbl.find_opt tbl rid with
+      | Some chain -> chain
+      | None ->
+        let chain = ref [] in
+        Hashtbl.add tbl rid chain;
+        chain
+    in
+    let already_noted =
+      match !chain with
+      | head :: _ -> head.superseded_at = pending_csn && head.writer = tx
+      | [] -> false
+    in
+    if not already_noted then begin
+      let entry = { superseded_at = pending_csn; writer = tx; image } in
+      chain := entry :: !chain;
+      t.live <- t.live + 1;
+      let cell =
+        match Hashtbl.find_opt t.by_tx tx with
+        | Some cell -> cell
+        | None ->
+          let cell = ref [] in
+          Hashtbl.add t.by_tx tx cell;
+          cell
+      in
+      cell := (table, rid, entry) :: !cell
+    end
+
+  let publish t ~tx ~csn =
+    match Hashtbl.find_opt t.by_tx tx with
+    | None -> ()
+    | Some cell ->
+      (* a pending entry stays its chain's head until published or
+         discarded, so no chain lookup is needed to find it *)
+      List.iter
+        (fun (_, _, e) ->
+          e.superseded_at <- csn;
+          e.writer <- -1)
+        !cell;
+      Hashtbl.remove t.by_tx tx
+
+  let discard t ~tx =
+    match Hashtbl.find_opt t.by_tx tx with
+    | None -> ()
+    | Some cell ->
+      List.iter
+        (fun (table, rid, _) ->
+          match Hashtbl.find_opt t.tables table with
+          | None -> ()
+          | Some tbl -> (
+              match Hashtbl.find_opt tbl rid with
+              | Some chain -> (
+                  match !chain with
+                  | head :: rest when head.writer = tx ->
+                    t.live <- t.live - 1;
+                    if rest = [] then Hashtbl.remove tbl rid else chain := rest
+                  | _ -> ())
+              | None -> ()))
+        !cell;
+      Hashtbl.remove t.by_tx tx
+
+  let resolve t ~table ~rid ~csn =
+    match Hashtbl.find_opt t.tables table with
+    | None -> `Current
+    | Some tbl -> (
+        match Hashtbl.find_opt tbl rid with
+        | None -> `Current
+        | Some chain ->
+          (* newest-first, superseded_at strictly descending: the visible
+             version is the oldest entry still superseded after [csn] *)
+          let rec go best = function
+            | [] -> best
+            | e :: rest -> if e.superseded_at > csn then go (Some e) rest else best
+          in
+          (match go None !chain with
+           | None -> `Current
+           | Some { image = Some tuple; _ } -> `Image tuple
+           | Some { image = None; _ } -> `Absent))
+
+  let iter_table t ~table f =
+    let rids =
+      match Hashtbl.find_opt t.tables table with
+      | None -> []
+      | Some tbl -> Hashtbl.fold (fun rid _ acc -> rid :: acc) tbl []
+    in
+    List.iter f rids
+
+  let entries t = t.live
+
+  let gc t ~horizon =
+    let dropped = ref 0 in
+    Hashtbl.iter
+      (fun _table tbl ->
+        let doomed = ref [] in
+        Hashtbl.iter
+          (fun rid chain ->
+            let keep, drop =
+              List.partition
+                (fun e -> e.superseded_at = pending_csn || e.superseded_at > horizon)
+                !chain
+            in
+            if drop <> [] then begin
+              dropped := !dropped + List.length drop;
+              if keep = [] then doomed := rid :: !doomed else chain := keep
+            end)
+          tbl;
+        List.iter (Hashtbl.remove tbl) !doomed)
+      t.tables;
+    t.live <- t.live - !dropped;
+    !dropped
+
+  let drop_table t ~table =
+    (match Hashtbl.find_opt t.tables table with
+     | None -> ()
+     | Some tbl ->
+       Hashtbl.iter (fun _ chain -> t.live <- t.live - List.length !chain) tbl;
+       Hashtbl.remove t.tables table);
+    (* forget the dropped table's rids in writers' publish lists *)
+    Hashtbl.iter
+      (fun _ cell -> cell := List.filter (fun (tname, _, _) -> tname <> table) !cell)
+      t.by_tx
+
+  let clear t =
+    Hashtbl.reset t.tables;
+    Hashtbl.reset t.by_tx;
+    t.live <- 0
+end
+
+let vs_tables = [| "a"; "b" |]
+let vs_rids = Array.init 6 (fun i -> { Heap_file.page = i / 3; slot = i mod 3 })
+
+type vs_op =
+  | Write of int * int * int  (* writer (0 mod 3 = a new one), (table, rid), image (0 mod 3 = an insert) *)
+  | Publish of int
+  | Discard of int
+  | Aborted_inserts of int  (* a new writer inserts at free rids of one table, then aborts *)
+  | Open_reader
+  | Close_reader of int
+  | Close_all  (* the horizon jumps to the newest CSN *)
+  | Gc
+  | Recreate of int  (* pin a reader, drop a table, write to a table of the same name *)
+  | Clear
+
+let show_vs_op = function
+  | Write (a, b, c) -> Printf.sprintf "Write(%d,%d,%d)" a b c
+  | Publish a -> Printf.sprintf "Publish %d" a
+  | Discard a -> Printf.sprintf "Discard %d" a
+  | Aborted_inserts a -> Printf.sprintf "Aborted_inserts %d" a
+  | Open_reader -> "Open_reader"
+  | Close_reader a -> Printf.sprintf "Close_reader %d" a
+  | Close_all -> "Close_all"
+  | Gc -> "Gc"
+  | Recreate a -> Printf.sprintf "Recreate %d" a
+  | Clear -> "Clear"
+
+let gen_vs_op =
+  QCheck2.Gen.(
+    let n = int_range 0 1000 in
+    frequency
+      [
+        (16, map3 (fun a b c -> Write (a, b, c)) n n n);
+        (6, map (fun a -> Publish a) n);
+        (2, map (fun a -> Discard a) n);
+        (2, map (fun a -> Aborted_inserts a) n);
+        (4, pure Open_reader);
+        (3, map (fun a -> Close_reader a) n);
+        (1, pure Close_all);
+        (6, pure Gc);
+        (2, map (fun a -> Recreate a) n);
+        (1, pure Clear);
+      ])
+
+exception Disagree of string
+
+type vs_model = {
+  store : Version_store.t;
+  reference : Full_scan_store.t;
+  mutable next_tx : int;
+  (* open writers, newest first, with the (table, rid) indexes they hold X locks on *)
+  mutable writers : (int * (int * int) list ref) list;
+  mutable csn : int;
+  (* the snapshot CSNs of the open readers *)
+  mutable readers : int list;
+}
+
+(* both stores answer alike: entries, every (table, rid, csn) up to one
+   past the newest CSN, and every table's rid set *)
+let vs_agree m what =
+  let disagree fmt = Printf.ksprintf (fun s -> raise (Disagree (what ^ ": " ^ s))) fmt in
+  let got = Version_store.entries m.store and want = Full_scan_store.entries m.reference in
+  if got <> want then disagree "entries %d, reference %d" got want;
+  Array.iter
+    (fun table ->
+      Array.iter
+        (fun rid ->
+          for csn = 0 to m.csn + 1 do
+            if Version_store.resolve m.store ~table ~rid ~csn
+               <> Full_scan_store.resolve m.reference ~table ~rid ~csn
+            then disagree "resolve %s %s at %d" table (Heap_file.rid_to_string rid) csn
+          done)
+        vs_rids;
+      let rids iter =
+        let acc = ref [] in
+        iter (fun rid -> acc := rid :: !acc);
+        List.sort Heap_file.rid_compare !acc
+      in
+      if rids (Version_store.iter_table m.store ~table)
+         <> rids (Full_scan_store.iter_table m.reference ~table)
+      then disagree "iter_table %s" table)
+    vs_tables
+
+let vs_pick xs k = List.nth xs (k mod List.length xs)
+
+let vs_new_writer m =
+  let tx = m.next_tx in
+  m.next_tx <- tx + 1;
+  let held = ref [] in
+  m.writers <- (tx, held) :: m.writers;
+  (tx, held)
+
+let vs_locked_by_other m tx key =
+  List.exists (fun (w, held) -> w <> tx && List.mem key !held) m.writers
+
+let vs_note m (tx, held) ((ti, ri) as key) image =
+  if not (vs_locked_by_other m tx key) then begin
+    let table = vs_tables.(ti) and rid = vs_rids.(ri) in
+    Version_store.note m.store ~tx ~table ~rid ~image;
+    Full_scan_store.note m.reference ~tx ~table ~rid ~image;
+    if not (List.mem key !held) then held := key :: !held;
+    vs_agree m "note"
+  end
+
+let vs_finish m tx ~commit =
+  m.writers <- List.filter (fun (w, _) -> w <> tx) m.writers;
+  if commit then begin
+    m.csn <- m.csn + 1;
+    Version_store.publish m.store ~tx ~csn:m.csn;
+    Full_scan_store.publish m.reference ~tx ~csn:m.csn;
+    vs_agree m "publish"
+  end
+  else begin
+    Version_store.discard m.store ~tx;
+    Full_scan_store.discard m.reference ~tx;
+    vs_agree m "discard"
+  end
+
+(* the horizon as Db computes it: the oldest open reader, else the newest CSN *)
+let vs_gc m =
+  let horizon = List.fold_left min m.csn m.readers in
+  let got = Version_store.gc m.store ~horizon
+  and want = Full_scan_store.gc m.reference ~horizon in
+  if got <> want then
+    raise (Disagree (Printf.sprintf "gc at %d dropped %d, reference %d" horizon got want));
+  vs_agree m "gc"
+
+let vs_step m = function
+  | Write (a, b, c) ->
+    let writer =
+      if a mod 3 = 0 || m.writers = [] then vs_new_writer m else vs_pick m.writers a
+    in
+    vs_note m writer (b mod 2, b / 2 mod 6) (if c mod 3 = 0 then None else Some [| Value.Int c |])
+  | Publish a -> if m.writers <> [] then vs_finish m (fst (vs_pick m.writers a)) ~commit:true
+  | Discard a -> if m.writers <> [] then vs_finish m (fst (vs_pick m.writers a)) ~commit:false
+  | Aborted_inserts a ->
+    let writer = vs_new_writer m in
+    for k = 0 to a mod 3 do
+      vs_note m writer (a mod 2, (a + k) mod 6) None
+    done;
+    vs_finish m (fst writer) ~commit:false
+  | Open_reader -> m.readers <- m.csn :: m.readers
+  | Close_reader a ->
+    if m.readers <> [] then begin
+      let i = a mod List.length m.readers in
+      m.readers <- List.filteri (fun j _ -> j <> i) m.readers
+    end
+  | Close_all ->
+    m.readers <- [];
+    vs_gc m
+  | Gc -> vs_gc m
+  | Recreate a ->
+    let ti = a mod 2 in
+    m.readers <- m.csn :: m.readers;
+    Version_store.drop_table m.store ~table:vs_tables.(ti);
+    Full_scan_store.drop_table m.reference ~table:vs_tables.(ti);
+    vs_agree m "drop_table";
+    let writer = vs_new_writer m in
+    vs_note m writer (ti, a / 2 mod 6) (Some [| Value.Int a |]);
+    vs_finish m (fst writer) ~commit:true
+  | Clear ->
+    (* crash recovery: every writer and reader of the old run is gone *)
+    Version_store.clear m.store;
+    Full_scan_store.clear m.reference;
+    m.writers <- [];
+    m.readers <- [];
+    vs_agree m "clear"
+
+(* With no live entry left, the store keeps no batch: Db skips gc on an
+   empty store, so a batch left queued would stay until the next write.
+   Two ways to empty it, each ending as small as a new store. *)
+let emptied_store_keeps_no_batch () =
+  let rid = { Heap_file.page = 0; slot = 0 } in
+  let size vs = Obj.reachable_words (Obj.repr vs) in
+  let empty = size (Version_store.create ()) in
+  (* a published batch not yet retired, then its table dropped *)
+  let vs = Version_store.create () in
+  Version_store.note vs ~tx:1 ~table:"a" ~rid ~image:None;
+  Version_store.publish vs ~tx:1 ~csn:1;
+  Version_store.drop_table vs ~table:"a";
+  check Alcotest.int "drop: no entries" 0 (Version_store.entries vs);
+  check Alcotest.int "drop: nothing queued" empty (size vs);
+  (* a writer's table dropped under it, then the writer commits *)
+  let vs = Version_store.create () in
+  Version_store.note vs ~tx:1 ~table:"a" ~rid ~image:None;
+  Version_store.drop_table vs ~table:"a";
+  Version_store.publish vs ~tx:1 ~csn:1;
+  check Alcotest.int "publish: no entries" 0 (Version_store.entries vs);
+  check Alcotest.int "publish: nothing queued" empty (size vs)
+
+let prop_version_store_matches_full_scan =
+  QCheck2.Test.make ~name:"version store = full-scan reference under random histories" ~count:300
+    ~print:QCheck2.Print.(list show_vs_op)
+    QCheck2.Gen.(list_size (int_range 1 80) gen_vs_op)
+    (fun ops ->
+      let m =
+        { store = Version_store.create (); reference = Full_scan_store.create (); next_tx = 1;
+          writers = []; csn = 0; readers = [] }
+      in
+      List.iteri
+        (fun i op ->
+          try vs_step m op
+          with Disagree what -> QCheck2.Test.fail_reportf "step %d (%s): %s" i (show_vs_op op) what)
+        ops;
+      (* every writer commits and every reader closes: both stores drain *)
+      (try
+         List.iter (fun (tx, _) -> vs_finish m tx ~commit:true) m.writers;
+         vs_step m Close_all
+       with Disagree what -> QCheck2.Test.fail_reportf "drain: %s" what);
+      Version_store.entries m.store = 0)
+
 (* ---------- the snapshot-exactness property ---------- *)
 
 (* Interleave random committed transactions with snapshot readers opened
-   at random points: each reader, queried at the very end, must see
-   exactly the committed-prefix state that was current when it began. *)
+   at random points and closed at random points, in random order: each
+   reader, queried as it closes, must see exactly the committed-prefix
+   state that was current when it began.  Each close runs a GC pass, so
+   the horizon moves up in steps while newer versions stay pinned. *)
 let prop_snapshot_is_committed_prefix =
   QCheck2.Test.make ~name:"snapshot = committed prefix under interleaved commits" ~count:30
     QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 12))
@@ -420,7 +816,7 @@ let prop_snapshot_is_committed_prefix =
       let db = mk_db ~rows () in
       let rng = Prng.create ~seed in
       let mix = Workload.gen_mix rng ~existing_ids:rows ~txns ~max_txn_size:5 in
-      let expected = ref [] in
+      let open_readers = ref [] in
       (* snapshot + independently captured state at every prefix point *)
       let open_reader () =
         let state =
@@ -430,30 +826,36 @@ let prop_snapshot_is_committed_prefix =
           s
         in
         let snap = Db.begin_txn ~mode:`Snapshot db in
-        expected := (snap, state) :: !expected
+        open_readers := (snap, state) :: !open_readers
+      in
+      let close_reader i =
+        let snap, state = List.nth !open_readers i in
+        open_readers := List.filteri (fun j _ -> j <> i) !open_readers;
+        let got = sorted_rows (select_all db snap) in
+        Db.commit db snap;
+        if got <> state then
+          QCheck2.Test.fail_reportf "seed %d: a snapshot diverged from its prefix" seed
+      in
+      let close_some () =
+        while !open_readers <> [] && Prng.int rng 3 = 0 do
+          close_reader (Prng.int rng (List.length !open_readers))
+        done
       in
       open_reader ();
       List.iteri
         (fun i op ->
           Db.with_txn db (fun txn ->
               List.iter (exec db txn) (Workload.op_to_stmts ~seed ~day:0 op));
+          close_some ();
           if i mod 2 = Prng.int rng 2 then open_reader ())
         mix;
-      let ok =
-        List.for_all
-          (fun (snap, state) ->
-            let got = sorted_rows (select_all db snap) in
-            Db.commit db snap;
-            got = state)
-          !expected
-      in
-      if not ok then QCheck2.Test.fail_reportf "seed %d: a snapshot diverged from its prefix" seed
-      else begin
-        (* all readers closed: everything must be collectable *)
-        if Version_store.entries (Db.version_store db) <> 0 then
-          QCheck2.Test.fail_reportf "seed %d: version store not drained" seed
-        else true
-      end)
+      while !open_readers <> [] do
+        close_reader (Prng.int rng (List.length !open_readers))
+      done;
+      (* all readers closed: everything must be collectable *)
+      if Version_store.entries (Db.version_store db) <> 0 then
+        QCheck2.Test.fail_reportf "seed %d: version store not drained" seed
+      else true)
 
 let suite =
   [
@@ -463,6 +865,7 @@ let suite =
     test "snapshot takes no locks, lock.wait empty" snapshot_takes_no_locks;
     test "snapshot transactions are read-only" snapshot_is_read_only;
     test "abort keeps snapshots exact (rid stability)" abort_keeps_snapshot_exact;
+    test "an aborted insert-only transaction leaves no chain" abort_of_inserts_leaves_no_chain;
     test "gc bounded by oldest reader" gc_bounded_by_oldest_reader;
     test "gc immediate without readers" gc_without_readers_is_immediate;
     test "recovery resets the version store" recovery_resets_version_store;
@@ -470,5 +873,7 @@ let suite =
     test "run_all returns completed prefix on failure" olap_run_all_keeps_prefix;
     test "batched = sequential under snapshot readers" batched_equals_sequential_under_readers;
     test "snapshot range reads race the writer safely" range_reader_races_writer;
+    test "an emptied version store keeps no batch" emptied_store_keeps_no_batch;
+    QCheck_alcotest.to_alcotest prop_version_store_matches_full_scan;
     QCheck_alcotest.to_alcotest prop_snapshot_is_committed_prefix;
   ]
