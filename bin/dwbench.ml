@@ -32,22 +32,6 @@ let run_captured ~scale ids =
           (id, Unix.gettimeofday () -. t0, sink)))
     (Registry.select ids)
 
-(* Aggregate completed spans by (name, parent): occurrence count and
-   total time, for both the JSON payload and the stats tables. *)
-let span_rollup sink =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (r : Metrics.span_record) ->
-      let key = (r.span_name, r.span_parent) in
-      match Hashtbl.find_opt tbl key with
-      | Some (n, total) -> Hashtbl.replace tbl key (n + 1, total +. r.span_duration)
-      | None ->
-        Hashtbl.add tbl key (1, r.span_duration);
-        order := key :: !order)
-    (Metrics.spans sink);
-  List.rev_map (fun key -> (key, Hashtbl.find tbl key)) !order
-
 let experiment_json (id, wall, sink) =
   match Metrics.to_json sink with
   | Json.Obj fields -> Json.Obj (("id", Json.String id) :: ("wall_s", Json.Float wall) :: fields)
@@ -116,7 +100,7 @@ let print_stats (id, wall, sink) =
                 [ name; string_of_int s.count; d s.p50; d s.p95; d s.p99; d s.vmax ])
               hists))
   end;
-  let rollup = span_rollup sink in
+  let rollup = Metrics.span_rollup sink in
   if rollup <> [] then begin
     print_newline ();
     print_string
@@ -124,7 +108,7 @@ let print_stats (id, wall, sink) =
          ~header:[ "span"; "parent"; "count"; "total" ]
          ~rows:
            (List.map
-              (fun ((name, parent), (n, total)) ->
+              (fun (name, parent, n, total) ->
                 [ name; Option.value parent ~default:"-"; string_of_int n;
                   Fmt_util.human_duration total ])
               rollup))

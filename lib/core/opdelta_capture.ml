@@ -178,6 +178,11 @@ let write_to_sink t txn od =
   let line = Op_delta.encode_line ~schema_of:(schema_of t) od in
   match t.store with
   | File name ->
+    (* the write-ahead rule for the file: the transaction's buffered log
+       frames reach the device before its line does, so a restart that
+       finds the line finds the transaction in the log and withdraws the
+       line unless the log shows its commit *)
+    Wal.write_out (Db.wal t.db);
     (* markers a failed append left behind go ahead of the line *)
     let markers = String.concat "" (List.rev_map marker t.withdrawn) in
     let file = Vfs.open_or_create (Db.vfs t.db) name in

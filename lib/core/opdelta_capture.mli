@@ -16,8 +16,10 @@
       whose transaction does not commit is withdrawn by a later marker
       line: {!exec_txn} appends one when the commit fails, and {!create}
       appends one for each transaction the source log shows without a
-      commit record (one a crash cut short).  A line's position is the
-      byte offset past it.
+      commit record (one a crash cut short).  The source log's buffered
+      frames are written out before a line is appended, so a line never
+      reaches the file ahead of its transaction's log.  A line's
+      position is the byte offset past it.
 
     Either way positions rise in capture order, and {!lines} returns
     committed transactions only: an extraction round reads the lines past

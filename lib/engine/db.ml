@@ -62,10 +62,14 @@ and t = {
 
 let create ?(pool_pages = 256) ?(pool_stripes = 1) ?(archive_log = false) ~vfs ~name () =
   let wal = Wal.create vfs ~name:(name ^ ".wal") ~archive:archive_log in
+  let pool = Buffer_pool.create ~stripes:pool_stripes ~vfs ~capacity:pool_pages () in
+  (* the write-ahead rule under steal: a page the pool writes back may
+     hold changes whose log frames are still in the log buffer *)
+  Buffer_pool.set_write_back_hook pool (fun () -> Wal.write_out wal);
   {
     db_name = name;
     vfs;
-    pool = Buffer_pool.create ~stripes:pool_stripes ~vfs ~capacity:pool_pages ();
+    pool;
     wal;
     locks = Lock_manager.create ~metrics:(Vfs.metrics vfs) ();
     vstore = Version_store.create ();
@@ -178,26 +182,26 @@ let vstore_gc t =
     ignore (Version_store.gc t.vstore ~horizon:(gc_horizon t) : int)
 
 let begin_txn ?(mode = `Read_write) t =
-  let txn =
+  let id =
     locked_txn t (fun () ->
         let id = t.next_txid in
         t.next_txid <- id + 1;
-        let txn =
-          { id; mode; snapshot_csn = t.last_csn; undo_log = []; in_trigger = false;
-            finished = false; committed = false }
-        in
-        Hashtbl.add t.active id txn;
-        txn)
+        id)
   in
   (* snapshot transactions log nothing: they cannot write, so neither
      recovery nor the group-commit barrier ever needs to see them.  A
-     faulted Begin append leaves no transaction behind. *)
-  (if mode = `Read_write then
-     try ignore (Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Begin } : Wal.lsn)
-     with e ->
-       locked_txn t (fun () -> Hashtbl.remove t.active txn.id);
-       raise e);
-  txn
+     Begin goes to the log buffer, and is logged before the transaction
+     is registered, so a fault writing out other sessions' frames to
+     make room for it leaves no transaction behind *)
+  if mode = `Read_write then
+    ignore (Wal.append t.wal { Log_record.tx = id; body = Log_record.Begin } : Wal.lsn);
+  locked_txn t (fun () ->
+      let txn =
+        { id; mode; snapshot_csn = t.last_csn; undo_log = []; in_trigger = false;
+          finished = false; committed = false }
+      in
+      Hashtbl.add t.active id txn;
+      txn)
 
 let txid txn = txn.id
 let txn_mode txn = txn.mode
@@ -259,8 +263,18 @@ let commit t txn =
     finish t txn;
     vstore_gc t
   | `Read_write ->
-    (match Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Commit } with
-     | (_ : Wal.lsn) -> ()
+    (* the Commit frame and every frame buffered before it go to the
+       device in one write.  When that write fails the frames are still
+       buffered: drop the Commit first, or the log would hold a Commit
+       and then the rollback's Abort for the transaction *)
+    (match
+       let lsn = Wal.append t.wal { Log_record.tx = txn.id; body = Log_record.Commit } in
+       try Wal.write_out t.wal
+       with Vfs.Fault.Transient _ as e ->
+         Wal.retract t.wal lsn;
+         raise e
+     with
+     | () -> ()
      | exception (Vfs.Fault.Transient _ as e) ->
        (* no Commit record reached the log, so the transaction lost, as
           recovery would find: roll it back rather than leave it open *)

@@ -58,7 +58,10 @@ val set_plan_mode : t -> [ `Scan_only | `Index_preferred ] -> unit
     boundary.  Both group modes trade a bounded durability window for
     throughput; the amortization shows up in the [wal.fsync] /
     [wal.group_size] histograms.  Aborts and checkpoints always flush
-    (covering any open group).  Wall-clock impact is only observable on
+    (covering any open group).  In every mode a commit writes its
+    Commit frame to the device at once, together with every frame the
+    log buffer holds ({!Dw_txn.Wal}); only the fsync waits for the
+    group.  Wall-clock impact is only observable on
     the on-disk Vfs backend. *)
 
 val set_sync_mode :
@@ -124,15 +127,18 @@ val committed : txn -> bool
     that raised (see there). *)
 
 val commit : t -> txn -> unit
-(** Writes the commit record and flushes the log (durability point),
+(** Writes the commit record, with the frames buffered before it, in one
+    log write and flushes the log (durability point),
     assigns the CSN and publishes the transaction's before-images
     atomically.  For [`Snapshot] transactions: just ends the
     transaction (possibly unpinning versions for GC).
 
     A {!Dw_storage.Vfs.Fault.Transient} fault is re-raised, and the
     transaction is finished either way.  Before the commit record is
-    logged, it is rolled back (as {!abort}, the abort record best-effort):
-    recovery would find it a loser too.  After — on the commit's fsync or
+    written, it is rolled back (as {!abort}, the abort record
+    best-effort; a Commit frame whose write failed is dropped from the
+    log buffer first, so the log never holds a Commit and then an Abort
+    for it): recovery would find it a loser too.  After — on the commit's fsync or
     the group flush it triggers — the commit stands: it is visible, and
     durable once a later flush succeeds. *)
 

@@ -64,6 +64,9 @@ type t = {
   (* file growth must be serialised across stripes: page numbers are
      allocated from the current file size *)
   append_lock : Mutex.t;
+  (* runs before every dirty page goes to the device: the write-ahead
+     rule under steal, installed by the page's log owner *)
+  mutable before_write_back : unit -> unit;
 }
 
 let mk_stripe capacity =
@@ -93,7 +96,10 @@ let create ?(stripes = 1) ~vfs ~capacity () =
         writebacks = Metrics.counter m "pool.writebacks"; miss_hist = Metrics.hist m "pool.miss" };
     stripes = Array.init n (fun i -> mk_stripe (base + if i < rem then 1 else 0));
     append_lock = Mutex.create ();
+    before_write_back = ignore;
   }
+
+let set_write_back_hook t hook = t.before_write_back <- hook
 
 let stripe_count t = Array.length t.stripes
 
@@ -134,6 +140,7 @@ let touch sp i =
 let write_back t frame =
   match frame.file with
   | Some file when frame.dirty ->
+    t.before_write_back ();
     Vfs.write_at file ~off:(page_of frame.key * Page.size) frame.data;
     frame.dirty <- false;
     Metrics.bump t.h.writebacks 1

@@ -23,6 +23,13 @@ val create : ?stripes:int -> vfs:Vfs.t -> capacity:int -> unit -> t
     each with its own LRU list; [stripes] is clamped to [capacity] so
     every stripe owns at least one frame. *)
 
+val set_write_back_hook : t -> (unit -> unit) -> unit
+(** Run the hook before every write-back of a dirty page (eviction,
+    {!flush_file}, {!flush_all}), under that page's stripe lock.  A
+    database installs its log's write-out here, so no page reaches the
+    device before the log frames that describe it (the write-ahead rule
+    under steal).  The hook must not use the pool. *)
+
 val stripe_count : t -> int
 (** Number of stripes actually created (after clamping). *)
 

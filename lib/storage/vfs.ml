@@ -109,7 +109,8 @@ end
    lock-free — they blit from whichever array the data pointer holds,
    and a superseded array still carries valid pre-realloc content.
    Writers never race on the same byte range: page frames are owned by
-   buffer-pool stripe locks and log appends have a single writer. *)
+   buffer-pool stripe locks and the WAL's writes are serialised by its
+   buffer mutex. *)
 module Mem_file = struct
   type t = { mutable data : Bytes.t; mutable len : int; lock : Mutex.t }
 
@@ -131,9 +132,8 @@ module Mem_file = struct
     Bytes.blit t.data off out 0 len;
     out
 
-  let write t ~off src =
+  let write t ~off src len =
     Mutex.protect t.lock (fun () ->
-        let len = Bytes.length src in
         ensure t (off + len);
         Bytes.blit src 0 t.data off len;
         if off + len > t.len then t.len <- off + len)
@@ -448,11 +448,11 @@ let read_at f ~off ~len =
     buf
   | exception e -> record_raise f.vfs f.vfs.h.read_hist started e
 
-let write_bytes f ~off data =
-  let len = Bytes.length data in
+(* the first [len] bytes of [data] *)
+let write_bytes f ~off data len =
   count_write f len;
   match f.vfs.backend with
-  | Mem _ -> Mem_file.write (mem_file f) ~off data
+  | Mem _ -> Mem_file.write (mem_file f) ~off data len
   | Disk _ ->
     let fd = Option.get f.fd in
     ignore (Unix.lseek fd off Unix.SEEK_SET);
@@ -465,11 +465,11 @@ let write_bytes f ~off data =
     go 0 len
 
 (* the write itself, or the torn prefix of a crashing one *)
-let faulted_write f ~off data =
-  match fault_event f.vfs "write" (`Write (Bytes.length data)) with
-  | `Proceed -> write_bytes f ~off data
+let faulted_write f ~off data len =
+  match fault_event f.vfs "write" (`Write len) with
+  | `Proceed -> write_bytes f ~off data len
   | `Tear (keep, index) ->
-    if keep > 0 then write_bytes f ~off (Bytes.sub data 0 keep);
+    if keep > 0 then write_bytes f ~off data keep;
     raise (Fault.Crash { op = "write"; index })
 
 (* one write's duration into [vfs.write], and into [also] when given *)
@@ -477,24 +477,25 @@ let record_write f also d =
   Metrics.record f.vfs.h.write_hist d;
   match also with Some h -> Metrics.record h d | None -> ()
 
-let write_timed f ~off data also =
+let write_timed f ~off data len also =
   if f.closed then invalid_arg "Vfs.write_at: closed file";
+  if len < 0 || len > Bytes.length data then invalid_arg "Vfs.append: bad length";
   let sz = size f in
   if off < 0 || off > sz then
     invalid_arg (Printf.sprintf "Vfs.write_at %s: offset %d beyond size %d" f.fname off sz);
   let started = Metrics.now f.vfs.metrics in
-  match faulted_write f ~off data with
+  match faulted_write f ~off data len with
   | () -> record_write f also (since f.vfs started)
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     record_write f also (since f.vfs started);
     Printexc.raise_with_backtrace e bt
 
-let write_at f ~off data = write_timed f ~off data None
+let write_at f ~off data = write_timed f ~off data (Bytes.length data) None
 
-let append ?hist f data =
+let append ?hist ?len f data =
   let off = size f in
-  write_timed f ~off data hist;
+  write_timed f ~off data (Option.value len ~default:(Bytes.length data)) hist;
   off
 
 let sync f =

@@ -162,10 +162,12 @@ val read_at : file -> off:int -> len:int -> bytes
 val write_at : file -> off:int -> bytes -> unit
 (** Extends the file if needed ([off] at most [size]). *)
 
-val append : ?hist:Dw_util.Metrics.hist -> file -> bytes -> int
-(** Returns the offset the data was written at.  The write's duration,
-    the sample [vfs.write] records, is also recorded into [hist] when
-    given (so a caller timing its appends reads the clock no more). *)
+val append : ?hist:Dw_util.Metrics.hist -> ?len:int -> file -> bytes -> int
+(** Appends the first [len] bytes of the data (default: all of it) in one
+    write and returns the offset they were written at.  The write's
+    duration, the sample [vfs.write] records, is also recorded into
+    [hist] when given (so a caller timing its appends reads the clock no
+    more).  Raises [Invalid_argument] when [len] is outside the data. *)
 
 val fsync : file -> unit
 val close : file -> unit

@@ -61,13 +61,15 @@ let body_length = function
     4 + String.length table + 8 + 4 + Bytes.length before + 4 + Bytes.length after
   | Checkpoint active -> 4 + (8 * List.length active)
 
-let encode t =
+let frame_length t = 8 + 1 + 8 + body_length t.body
+
+let encode_into t out ~off =
   (* [u32 total][u32 checksum] header, then the payload: u8 tag, i64 tx, body *)
-  let total = 8 + 1 + 8 + body_length t.body in
-  let out = Bytes.create total in
-  let (_ : int) = put_u32 out 0 total in
-  Bytes.set out 8 (Char.chr (tag_of_body t.body));
-  let pos = put_i64 out 9 t.tx in
+  let total = frame_length t in
+  if off < 0 || off > Bytes.length out - total then invalid_arg "Log_record.encode_into";
+  let (_ : int) = put_u32 out off total in
+  Bytes.set out (off + 8) (Char.chr (tag_of_body t.body));
+  let pos = put_i64 out (off + 9) t.tx in
   let pos =
     match t.body with
     | Begin | Commit | Abort -> pos
@@ -78,10 +80,15 @@ let encode t =
     | Checkpoint active ->
       List.fold_left (put_i64 out) (put_u32 out pos (List.length active)) active
   in
-  assert (pos = total);
+  assert (pos = off + total);
   (* the string view lives only for the hash, before the field is written *)
-  let csum = Checksum.fnv1a ~off:8 ~len:(total - 8) (Bytes.unsafe_to_string out) in
-  let (_ : int) = put_u32 out 4 csum in
+  let csum = Checksum.fnv1a ~off:(off + 8) ~len:(total - 8) (Bytes.unsafe_to_string out) in
+  let (_ : int) = put_u32 out (off + 4) csum in
+  total
+
+let encode t =
+  let out = Bytes.create (frame_length t) in
+  let (_ : int) = encode_into t out ~off:0 in
   out
 
 exception Bad of string

@@ -29,6 +29,15 @@ val encode : t -> bytes
 (** Framed and checksummed: [u32 total_len][u32 fnv1a of payload][payload].
     [decode] validates the checksum. *)
 
+val frame_length : t -> int
+(** The length of the frame {!encode} returns, computed without
+    encoding it. *)
+
+val encode_into : t -> bytes -> off:int -> int
+(** [encode_into t buf ~off] writes the bytes {!encode} returns at [off]
+    of [buf] and returns their length ({!frame_length}).  Raises
+    [Invalid_argument] when the frame does not fit there. *)
+
 val decode : bytes -> off:int -> (t * int, string) result
 (** [decode buf ~off] returns the record and the offset just past it. *)
 

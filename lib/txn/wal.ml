@@ -9,14 +9,24 @@ type segment = {
   mutable closed : bool;
 }
 
+(* the log buffer's fixed size: frames wait in it until one Vfs write
+   carries them all to the device.  Bounded so a long transaction (a
+   bulk load) does not hold its whole log in memory *)
+let buffer_size = 65536
+
 type t = {
   vfs : Vfs.t;
   name : string;
   archive : bool;
   mutable segments : segment list;  (* oldest first; last is current *)
   mutable current : Vfs.file;
-  mutable next : lsn;
-  append_hist : Metrics.hist;  (* [wal.append], resolved once *)
+  mutable next : lsn;  (* the device's end plus [buffered] *)
+  buf : Bytes.t;  (* frames not yet written, from offset 0 *)
+  mutable buffered : int;
+  (* guards [buf], [buffered], [next] and [current]: a buffer-pool
+     write-back on a reader domain can write the buffer out *)
+  lock : Mutex.t;
+  append_hist : Metrics.hist;  (* [wal.append], one sample per log write *)
 }
 
 let segment_name name base = Printf.sprintf "%s.%012d" name base
@@ -77,6 +87,9 @@ let create vfs ~name ~archive =
       segments = [ { base = 0; sname; closed = false } ];
       current;
       next = 0;
+      buf = Bytes.create buffer_size;
+      buffered = 0;
+      lock = Mutex.create ();
       append_hist;
     }
   | segs ->
@@ -101,6 +114,9 @@ let create vfs ~name ~archive =
       segments;
       current;
       next = last.base + Vfs.size current;
+      buf = Bytes.create buffer_size;
+      buffered = 0;
+      lock = Mutex.create ();
       append_hist;
     }
 
@@ -108,18 +124,46 @@ let archive_enabled t = t.archive
 let metrics t = Vfs.metrics t.vfs
 let next_lsn t = t.next
 
+let locked t f = Mutex.protect t.lock f
+
+(* callers hold [t.lock].  A transient fault leaves the buffer as it
+   was, so a later write-out retries it *)
+let write_buffer t =
+  if t.buffered > 0 then begin
+    ignore (Vfs.append ~hist:t.append_hist ~len:t.buffered t.current t.buf : int);
+    t.buffered <- 0
+  end
+
+let write_out t = locked t (fun () -> write_buffer t)
+
 let append t record =
-  let lsn = t.next in
-  let data = Log_record.encode record in
-  (* the [wal.append] sample is the duration Vfs measures for its
-     [vfs.write]: this runs once per logged row, so no second clock pair *)
-  ignore (Vfs.append ~hist:t.append_hist t.current data : int);
-  t.next <- lsn + Bytes.length data;
-  lsn
+  let len = Log_record.frame_length record in
+  locked t (fun () ->
+      if t.buffered + len > buffer_size then write_buffer t;
+      let lsn = t.next in
+      if len <= buffer_size then
+        t.buffered <- t.buffered + Log_record.encode_into record t.buf ~off:t.buffered
+      else
+        (* a frame larger than the whole buffer goes out on its own *)
+        ignore (Vfs.append ~hist:t.append_hist t.current (Log_record.encode record) : int);
+      t.next <- lsn + len;
+      lsn)
 
-let flush t = Metrics.time (Vfs.metrics t.vfs) "wal.fsync" (fun () -> Vfs.fsync t.current)
+let retract t lsn =
+  locked t (fun () ->
+      let start = t.next - t.buffered in
+      if lsn < start || lsn > t.next then invalid_arg "Wal.retract: frame already written";
+      t.buffered <- lsn - start;
+      t.next <- lsn)
 
+let flush t =
+  locked t (fun () ->
+      write_buffer t;
+      Metrics.time (Vfs.metrics t.vfs) "wal.fsync" (fun () -> Vfs.fsync t.current))
+
+(* callers hold [t.lock] *)
 let rotate t =
+  write_buffer t;
   Vfs.fsync t.current;
   Vfs.close t.current;
   (match t.segments with
@@ -135,7 +179,7 @@ let rotate t =
 let checkpoint t ~active =
   let lsn = append t { Log_record.tx = 0; body = Log_record.Checkpoint active } in
   flush t;
-  rotate t;
+  locked t (fun () -> rotate t);
   if not t.archive then begin
     (* recycling policy: delete every closed segment except the one holding
        the checkpoint record itself (recovery needs the checkpoint) *)
@@ -176,7 +220,9 @@ let iter_segment t seg ~from f =
   go 0;
   if seg.closed then Vfs.close file
 
-let iter_from t from f = List.iter (fun seg -> iter_segment t seg ~from f) t.segments
+let iter_from t from f =
+  write_out t;
+  List.iter (fun seg -> iter_segment t seg ~from f) t.segments
 let iter_all t f = iter_from t 0 f
 
 let archived_segments t =
@@ -199,6 +245,7 @@ let prune_archived t ~upto =
   List.length deletable
 
 let segment_bytes t =
+  write_out t;
   List.fold_left
     (fun acc seg ->
       if seg.closed then

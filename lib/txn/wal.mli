@@ -6,7 +6,19 @@
     with [archive:false] pre-checkpoint segments are recycled (deleted),
     with [archive:true] they accumulate — this is the paper's "archiving
     turned on" mode that the log-based delta extractor depends on
-    (Section 3, method 4). *)
+    (Section 3, method 4).
+
+    {b Log buffer.}  {!append} encodes each frame into one bounded,
+    reused buffer of the log; the buffer goes to the device in one Vfs
+    write ({!write_out}) at a commit or abort (the caller's
+    {!write_out} or {!flush}), at a checkpoint or segment rotation, at
+    any log read ({!iter_from}, {!segment_bytes}), and when the next
+    frame would not fit.  A caller that writes pages back under steal
+    must call {!write_out} first (the write-ahead rule; [Db] installs it
+    as the buffer pool's write-back hook).  The bytes on the device, the
+    LSNs and the fsyncs are those of writing every frame on its own;
+    only the number and size of the writes differ.  The buffer is
+    guarded by a mutex, so {!write_out} may run on another domain. *)
 
 type t
 type lsn = int
@@ -25,16 +37,34 @@ val archive_enabled : t -> bool
 val metrics : t -> Dw_util.Metrics.t
 (** The underlying Vfs registry.  The WAL records [wal.append] and
     [wal.fsync] latency histograms there, besides the torn-tail
-    counters. *)
+    counters.  A [wal.append] sample is one log write: the frames
+    buffered since the previous one. *)
 
 val next_lsn : t -> lsn
 (** The LSN the next {!append} will return. *)
 
 val append : t -> Log_record.t -> lsn
-(** Returns the LSN the record was placed at.  Does not flush. *)
+(** Returns the LSN the record was placed at.  The frame waits in the
+    log buffer; it reaches the device only if it does not fit there
+    after the buffer is written out (a frame larger than the whole
+    buffer is written on its own).  A fault writing the buffer out
+    raises with nothing appended. *)
+
+val write_out : t -> unit
+(** Write the buffered frames to the device in one Vfs write; no fsync.
+    Nothing happens when the buffer is empty.  A transient fault leaves
+    every frame buffered, so a later write-out retries it. *)
+
+val retract : t -> lsn -> unit
+(** [retract t lsn] drops the buffered frames from [lsn] (an LSN
+    {!append} returned) on, so that {!next_lsn} is [lsn] again.  Raises
+    [Invalid_argument] when a frame from [lsn] on is already on the
+    device.  A commit whose write-out failed retracts its Commit frame
+    before it logs the Abort. *)
 
 val flush : t -> unit
-(** fsync the current segment (the commit durability point). *)
+(** Write out the buffer and fsync the current segment (the commit
+    durability point). *)
 
 val checkpoint : t -> active:Log_record.txid list -> lsn
 (** Append a checkpoint record, flush, rotate segments; returns the

@@ -9,5 +9,6 @@
 val fnv1a : ?off:int -> ?len:int -> string -> int
 (** 32-bit FNV-1a hash of the [len] bytes at [off] (default: the whole
     string), in [0, 0xffffffff].  The one copy of the hash, for WAL frames
-    and queue frames and offsets.
+    and queue frames and offsets; its loop is a C stub
+    ([checksum_stubs.c]) that allocates nothing.
     Raises [Invalid_argument] when the range is outside the string. *)

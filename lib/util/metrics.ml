@@ -55,13 +55,20 @@ type span_record = {
   span_deltas : (string * int) list;
 }
 
+(* one (name, parent) pair's completed spans *)
+type span_total = { mutable n : int; mutable total : float }
+
 type t = {
   entries : (string, entry) Hashtbl.t;
   lock : Mutex.t;
   generation : int Atomic.t;  (* bumped by [reset]: handles re-resolve *)
   mutable clock : clock;
   mutable span_stack : open_span list;
-  mutable completed_spans : span_record list; (* newest first *)
+  (* a long-lived registry finishes a span per refresh: it keeps the
+     newest [span_ring] records and folds every one into [rollup] *)
+  recent_spans : span_record Queue.t;
+  rollup : (string * string option, span_total) Hashtbl.t;
+  rollup_order : (string * string option) Queue.t;  (* first seen first *)
 }
 
 and open_span = {
@@ -77,7 +84,8 @@ let default_clock = Unix.gettimeofday
 
 let create () =
   { entries = Hashtbl.create 32; lock = Mutex.create (); generation = Atomic.make 0;
-    clock = default_clock; span_stack = []; completed_spans = [] }
+    clock = default_clock; span_stack = []; recent_spans = Queue.create ();
+    rollup = Hashtbl.create 16; rollup_order = Queue.create () }
 
 (* Registry locking discipline: [locked] guards every read or write of
    [entries]/span state; nothing inside a locked region may call another
@@ -341,6 +349,18 @@ let time t name f =
 
 (* ---------- trace spans ---------- *)
 
+let diff ~before ~after =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k (-v)) before;
+  List.iter
+    (fun (k, v) ->
+      match Hashtbl.find_opt tbl k with
+      | Some v0 -> Hashtbl.replace tbl k (v0 + v)
+      | None -> Hashtbl.add tbl k v)
+    after;
+  Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
 type span = open_span
 
 (* callers hold t.lock *)
@@ -362,12 +382,20 @@ let start_span t name =
       t.span_stack <- sp :: t.span_stack;
       sp)
 
-let counter_deltas_unlocked ~before t =
-  counters_snapshot_unlocked t
-  |> List.filter_map (fun (k, v) ->
-         let v0 = match List.assoc_opt k before with Some v0 -> v0 | None -> 0 in
-         if v = v0 then None else Some (k, v - v0))
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let span_ring = 1024
+
+(* callers hold t.lock *)
+let keep_span t r =
+  Queue.add r t.recent_spans;
+  if Queue.length t.recent_spans > span_ring then ignore (Queue.take t.recent_spans : span_record);
+  let key = (r.span_name, r.span_parent) in
+  match Hashtbl.find_opt t.rollup key with
+  | Some s ->
+    s.n <- s.n + 1;
+    s.total <- s.total +. r.span_duration
+  | None ->
+    Hashtbl.add t.rollup key { n = 1; total = r.span_duration };
+    Queue.add key t.rollup_order
 
 let finish_span sp =
   let t = sp.sp_reg in
@@ -386,10 +414,10 @@ let finish_span sp =
               span_parent = sp.sp_parent;
               span_start = sp.sp_start;
               span_duration = stop -. sp.sp_start;
-              span_deltas = counter_deltas_unlocked ~before:sp.sp_counters t;
+              span_deltas = diff ~before:sp.sp_counters ~after:(counters_snapshot_unlocked t);
             }
           in
-          t.completed_spans <- record :: t.completed_spans;
+          keep_span t record;
           Some record
         end)
   in
@@ -397,13 +425,13 @@ let finish_span sp =
   | None -> ()
   | Some record ->
     observe t sp.sp_name record.span_duration;
-    mirror t (fun s -> locked s (fun () -> s.completed_spans <- record :: s.completed_spans))
+    mirror t (fun s -> locked s (fun () -> keep_span s record))
 
 let with_span t name f =
   let sp = start_span t name in
   Fun.protect ~finally:(fun () -> finish_span sp) f
 
-let spans t = locked t (fun () -> List.rev t.completed_spans)
+let spans t = locked t (fun () -> List.of_seq (Queue.to_seq t.recent_spans))
 let span_depth t = locked t (fun () -> List.length t.span_stack)
 
 (* ---------- snapshots, reset, rendering ---------- *)
@@ -418,33 +446,18 @@ let reset t =
       Hashtbl.reset t.entries;
       Atomic.incr t.generation;
       t.span_stack <- [];
-      t.completed_spans <- [])
+      Queue.clear t.recent_spans;
+      Hashtbl.reset t.rollup;
+      Queue.clear t.rollup_order)
 
-let diff ~before ~after =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k (-v)) before;
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt tbl k with
-      | Some v0 -> Hashtbl.replace tbl k (v0 + v)
-      | None -> Hashtbl.add tbl k v)
-    after;
-  Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* aggregate completed spans by (name, parent) for compact reporting *)
 let span_rollup t =
-  let completed = locked t (fun () -> t.completed_spans) in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let key = (r.span_name, r.span_parent) in
-      match Hashtbl.find_opt tbl key with
-      | Some (n, total) -> Hashtbl.replace tbl key (n + 1, total +. r.span_duration)
-      | None -> Hashtbl.add tbl key (1, r.span_duration))
-    completed;
-  Hashtbl.fold (fun (name, parent) (n, total) acc -> (name, parent, n, total) :: acc) tbl []
-  |> List.sort (fun (a, pa, _, _) (b, pb, _, _) -> compare (a, pa) (b, pb))
+  locked t (fun () ->
+      List.of_seq
+        (Seq.map
+           (fun ((name, parent) as key) ->
+             let s = Hashtbl.find t.rollup key in
+             (name, parent, s.n, s.total))
+           (Queue.to_seq t.rollup_order)))
 
 let to_json t =
   let counters = List.map (fun (k, v) -> (k, Json.Int v)) (snapshot t) in
@@ -476,5 +489,10 @@ let to_json t =
       ("counters", Json.Obj counters);
       ("gauges", Json.Obj gauges_j);
       ("histograms", Json.Obj (List.map histo (histograms t)));
-      ("spans", Json.List (List.map span_j (span_rollup t)));
+      ( "spans",
+        Json.List
+          (List.map span_j
+             (List.sort
+                (fun (a, pa, _, _) (b, pb, _, _) -> compare (a, pa) (b, pb))
+                (span_rollup t))) );
     ]

@@ -169,8 +169,17 @@ val finish_span : span -> unit
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Balanced open/finish even on raise. *)
 
+val span_ring : int
+(** How many completed span records a registry keeps for {!spans}
+    (1024): a long-lived registry finishes one span per refresh. *)
+
 val spans : t -> span_record list
-(** Completed spans in completion order. *)
+(** The newest {!span_ring} completed spans, in completion order. *)
+
+val span_rollup : t -> (string * string option * int * float) list
+(** Every completed span folded by (name, parent): [(name, parent,
+    count, total duration)], in the order each pair first completed.
+    Unbounded in count, bounded by the distinct pairs. *)
 
 val span_depth : t -> int
 (** Currently open spans (0 when balanced — property-tested). *)
@@ -184,7 +193,8 @@ val reset : t -> unit
 val to_json : t -> Json.t
 (** [{"counters": {..}, "gauges": {..}, "histograms": {name: {count, sum,
     min, max, p50, p95, p99}}, "spans": [{name, parent, count, total}]}] —
-    the per-experiment payload of [dwbench run --json]. *)
+    the per-experiment payload of [dwbench run --json]; the spans are
+    {!span_rollup} sorted by (name, parent). *)
 
 (** {2 Recording sink}
 

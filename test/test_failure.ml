@@ -14,6 +14,9 @@ module Table = Dw_engine.Table
 module Trigger = Dw_engine.Trigger
 module Workload = Dw_workload.Workload
 module Persistent_queue = Dw_transport.Persistent_queue
+module Wal = Dw_txn.Wal
+module Log_record = Dw_txn.Log_record
+module Metrics = Dw_util.Metrics
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -204,22 +207,160 @@ let commit_fsync_fault_finishes () =
   let seen = commit_under_fault (Vfs.Fault.make ~fsync_fail_p:1.0 ~seed:1 ()) in
   check (Alcotest.list Alcotest.int) "the commit stands" [ 7 ] seen
 
-(* the Begin record's append faults: the transaction never started, so
-   it must not stay in the active table a checkpoint records *)
-let begin_write_fault_leaves_no_txn () =
+(* a Begin goes to the log buffer: it makes no write or fsync event, so
+   a device that fails every write cannot fail it *)
+let begin_costs_no_device_event () =
   let vfs = Vfs.in_memory () in
   let db = Db.create ~vfs ~name:"src" () in
-  Vfs.set_fault vfs (Some (Vfs.Fault.make ~write_fail_p:1.0 ~seed:1 ()));
-  (try
-     ignore (Db.begin_txn db : Db.txn);
-     Alcotest.fail "expected Transient"
-   with Vfs.Fault.Transient _ -> ());
-  Vfs.set_fault vfs None;
-  check (Alcotest.list Alcotest.int) "no active transaction" [] (Db.active_txns db);
+  let plan = Vfs.Fault.make ~write_fail_p:1.0 ~seed:1 () in
+  Vfs.set_fault vfs (Some plan);
   let txn = Db.begin_txn db in
-  check (Alcotest.list Alcotest.int) "the next one is active" [ Db.txid txn ] (Db.active_txns db);
+  check Alcotest.int "no device event" 0 (Vfs.Fault.events plan);
+  check (Alcotest.list Alcotest.int) "the transaction is active" [ Db.txid txn ] (Db.active_txns db);
+  Vfs.set_fault vfs None;
   Db.commit db txn;
   check (Alcotest.list Alcotest.int) "and finishes" [] (Db.active_txns db)
+
+(* ---------- the log buffer: write-ahead, commit faults, torn writes ---------- *)
+
+let catalog db = List.map (fun t -> (Table.name t, Table.schema t, Table.ts_column t)) (Db.tables db)
+
+let parts_rows db =
+  let acc = ref [] in
+  Table.scan (Db.table db "parts") (fun _ tuple -> acc := tuple :: !acc);
+  List.sort Tuple.compare !acc
+
+let crash_and_reopen ?pool_pages vfs db =
+  let catalog = catalog db in
+  Vfs.crash_reset vfs;
+  Db.reopen ?pool_pages ~vfs ~name:(Db.name db) ~tables:catalog ()
+
+(* a transaction larger than a 2-page pool has its pages stolen while its
+   later frames are still in the log buffer; the pool's write-back hook
+   writes the buffer out first, so after a real crash (the buffer lost)
+   recovery still finds a frame for every stolen row and undoes it *)
+let write_ahead_under_steal () =
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~pool_pages:2 ~vfs ~name:"src" () in
+  let _ = Workload.create_parts_table db in
+  Db.with_txn db (fun txn ->
+      List.iter
+        (fun s -> ignore (Db.exec db txn s : Db.exec_result))
+        (Workload.insert_parts_txn ~first_id:1 ~size:50 ~day:0 ()));
+  let committed = parts_rows db in
+  let txn = Db.begin_txn db in
+  List.iter
+    (fun s -> ignore (Db.exec db txn s : Db.exec_result))
+    (Workload.insert_parts_txn ~first_id:1000 ~size:200 ~day:0 ());
+  check Alcotest.bool "pages were stolen" true (Metrics.get (Db.metrics db) "pool.writebacks" > 0);
+  let seg = Vfs.open_existing vfs "src.wal.000000000000" in
+  check Alcotest.bool "frames still buffered" true (Wal.next_lsn (Db.wal db) > Vfs.size seg);
+  Vfs.close seg;
+  let db, stats = crash_and_reopen ~pool_pages:2 vfs db in
+  check Alcotest.bool "losers undone" true (stats.Dw_txn.Recovery.undone > 0);
+  check Alcotest.bool "only the committed rows stand" true (parts_rows db = committed)
+
+(* the commit's log write fails and so does the Abort's: the buffered
+   frames go out with the next commit, and must not show a Commit for
+   the failed transaction *)
+let commit_write_fault_logs_no_commit () =
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~vfs ~name:"src" () in
+  let _ = Workload.create_parts_table db in
+  Workload.load_parts db ~rows:20 ();
+  Db.checkpoint db;
+  let before = parts_rows db in
+  let txn = Db.begin_txn db in
+  ignore (Db.exec db txn (Workload.update_parts_stmt ~first_id:1 ~size:10) : Db.exec_result);
+  let window = { Vfs.Fault.from_event = 0; until_event = 2 } in
+  Vfs.set_fault vfs
+    (Some
+       (Vfs.Fault.make ~sustained:[ Vfs.Fault.Error_rate { window; write_p = 1.0; fsync_p = 0.0 } ]
+          ~seed:1 ()));
+  (match Db.commit db txn with
+   | () -> Alcotest.fail "expected the commit to raise Transient"
+   | exception Vfs.Fault.Transient _ -> ());
+  check Alcotest.bool "rolled back in memory" true (parts_rows db = before);
+  Db.with_txn db (fun txn ->
+      ignore (Db.exec db txn (Workload.delete_parts_stmt ~first_id:15 ~size:2) : Db.exec_result));
+  let after = parts_rows db in
+  let db, stats = crash_and_reopen vfs db in
+  check Alcotest.int "the failed transaction is the one loser" 1 stats.Dw_txn.Recovery.losers;
+  check Alcotest.bool "the later commit stands alone" true (parts_rows db = after);
+  let frames tx =
+    let acc = ref [] in
+    Wal.iter_all (Db.wal db) (fun _ r ->
+        if r.Log_record.tx = tx then
+          match r.Log_record.body with
+          | Log_record.Commit -> acc := "commit" :: !acc
+          | Log_record.Abort -> acc := "abort" :: !acc
+          | _ -> ());
+    List.rev !acc
+  in
+  check Alcotest.(list string) "no Commit frame for it" [ "abort" ] (frames (Db.txid txn))
+
+(* a database whose parts rows are on the device, then one 50-row UPDATE
+   committed: the rows before and after it, the LSN of each of its
+   frames, the LSN past its Commit, and its number of log writes *)
+let fifty_row_update () =
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~vfs ~name:"src" () in
+  let _ = Workload.create_parts_table db in
+  Workload.load_parts db ~rows:80 ();
+  Db.checkpoint db;
+  let before = parts_rows db in
+  let wal = Db.wal db in
+  let from = Wal.next_lsn wal in
+  let m = Db.metrics db in
+  let writes = Metrics.observed_count m "wal.append" in
+  ignore
+    (Db.with_txn db (fun txn -> Db.exec db txn (Workload.update_parts_stmt ~first_id:11 ~size:50))
+      : Db.exec_result);
+  let log_writes = Metrics.observed_count m "wal.append" - writes in
+  let frames = ref [] in
+  Wal.iter_from wal from (fun lsn r -> frames := (lsn, r.Log_record.body) :: !frames);
+  (vfs, db, before, parts_rows db, List.rev !frames, Wal.next_lsn wal, log_writes)
+
+let fifty_row_update_one_write () =
+  let _, _, _, _, frames, _, log_writes = fifty_row_update () in
+  let kind = function
+    | Log_record.Begin -> "begin"
+    | Log_record.Update _ -> "update"
+    | Log_record.Commit -> "commit"
+    | Log_record.Abort | Log_record.Insert _ | Log_record.Delete _ | Log_record.Checkpoint _ ->
+      "other"
+  in
+  check Alcotest.(list string) "Begin, 50 Updates, Commit"
+    (("begin" :: List.init 50 (fun _ -> "update")) @ [ "commit" ])
+    (List.map (fun (_, body) -> kind body) frames);
+  check Alcotest.int "in one log write" 1 log_writes
+
+(* the update's one log write, torn at every frame boundary and one byte
+   either side (the surviving prefix is cut back on the device, as a
+   crash mid-write leaves it): without the whole Commit frame recovery
+   reaches the state before the update, with it the state after *)
+let torn_log_write_recovers () =
+  let _, _, before, after, frames, end_, _ = fifty_row_update () in
+  let start = fst (List.hd frames) in
+  let cuts =
+    List.concat_map (fun b -> [ b - 1; b; b + 1 ]) (List.map fst frames @ [ end_ ])
+    |> List.filter (fun k -> k >= start && k <= end_)
+    |> List.sort_uniq compare
+  in
+  List.iter
+    (fun cut ->
+      let vfs, db, _, _, _, _, _ = fifty_row_update () in
+      (* the checkpoint rotated the log: the update is the newest
+         segment, which begins at [start] *)
+      let seg = Vfs.open_existing vfs (Printf.sprintf "src.wal.%012d" start) in
+      Vfs.truncate seg (cut - start);
+      Vfs.close seg;
+      let db, _ = crash_and_reopen vfs db in
+      let want, what = if cut = end_ then (after, "after") else (before, "before") in
+      check Alcotest.bool (Printf.sprintf "cut at %d recovers the state %s" (cut - start) what) true
+        (parts_rows db = want))
+    cuts;
+  check Alcotest.bool "the update changed rows" true (before <> after)
 
 (* ---------- export corruption detection ---------- *)
 
@@ -263,8 +404,6 @@ let pool_churn_integrity () =
   | None -> Alcotest.fail "row 10 missing"
 
 (* ---------- sustained fault plans (flap / error window / latency) ---------- *)
-
-module Metrics = Dw_util.Metrics
 
 let vfs_counter vfs name =
   match List.assoc_opt name (Metrics.snapshot (Vfs.metrics vfs)) with
@@ -386,5 +525,9 @@ let suite =
     test "malformed sustained plans rejected" sustained_rejects_malformed;
     test "commit write fault rolls back" commit_write_fault_rolls_back;
     test "commit fsync fault finishes the commit" commit_fsync_fault_finishes;
-    test "begin write fault leaves no transaction" begin_write_fault_leaves_no_txn;
+    test "a Begin costs no device event" begin_costs_no_device_event;
+    test "write-ahead under steal survives a crash" write_ahead_under_steal;
+    test "a failed commit write logs no Commit" commit_write_fault_logs_no_commit;
+    test "a 50-row update is 52 frames in one log write" fifty_row_update_one_write;
+    test "a torn log write recovers at every frame boundary" torn_log_write_recovers;
   ]

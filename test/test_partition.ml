@@ -283,17 +283,19 @@ let valve_independence () =
 
 (* ---------- breaker timeout on the fleet clock ---------- *)
 
-(* A fleet clock that is a Sim_clock advanced by one tick per write the
-   shards make, so a shard's refresh time is the work it did — the same on
-   any machine.  A one-domain pool runs the shard tasks one at a time, so
-   each task's reading covers its own shard's writes only. *)
+(* A fleet clock that is a Sim_clock advanced by one tick per byte the
+   shards write, so a shard's refresh time is the work it did — the same
+   on any machine.  Bytes, not writes: a refresh transaction's log goes
+   out in one write however many rows it changed.  A one-domain pool runs
+   the shard tasks one at a time, so each task's reading covers its own
+   shard's bytes only. *)
 let work_clock pw =
   let clk = Dw_util.Sim_clock.create () in
   let seen = ref 0 in
   fun () ->
     let writes =
       Array.fold_left
-        (fun acc vfs -> acc + Metrics.get (Vfs.metrics vfs) "vfs.writes")
+        (fun acc vfs -> acc + Metrics.get (Vfs.metrics vfs) "vfs.write_bytes")
         0 (Partitioned.vfss pw)
     in
     Dw_util.Sim_clock.advance clk (writes - !seen);
@@ -306,7 +308,7 @@ let skewed_deltas =
       let first_id = if i = 10 then 60 else 1 + (i * 4) in
       Op_delta.make ~txn_id:(i + 1) [ Workload.update_parts_stmt ~first_id ~size:4 ])
 
-(* one refresh of the skewed deltas; returns each shard's writes,
+(* one refresh of the skewed deltas; returns each shard's written bytes,
    the breach count and the healths after it *)
 let skewed_refresh ~op_delay ~timeout =
   let spec = Partition.make ~table:"parts" ~key_column:"part_id" (Partition.Range [ 50 ]) in
@@ -323,7 +325,7 @@ let skewed_refresh ~op_delay ~timeout =
   Partitioned.load_replica pw ~table:"parts" (load_rows ~rows:100 ~seed:3);
   Metrics.set_clock hm (work_clock pw);
   let writes () =
-    Array.map (fun v -> Metrics.get (Vfs.metrics v) "vfs.writes") (Partitioned.vfss pw)
+    Array.map (fun v -> Metrics.get (Vfs.metrics v) "vfs.write_bytes") (Partitioned.vfss pw)
   in
   let before = writes () in
   let buckets, (_ : Stage.stats) = Stage.split ~spec skewed_deltas in

@@ -243,7 +243,8 @@ let span_finish_idempotent () =
 
 (* property: arbitrarily nested with_span calls — some unwinding through
    exceptions — always leave the stack balanced and record one span per
-   entered region *)
+   entered region: the rollup counts every one, the record ring keeps
+   the newest [span_ring] (a generated list can hold 10,000 depths) *)
 let prop_span_balance =
   QCheck.Test.make ~name:"span nesting stays balanced" ~count:100
     QCheck.(list (int_bound 5))
@@ -269,7 +270,9 @@ let prop_span_balance =
       let expected =
         List.fold_left (fun acc d -> acc + d + (if d land 1 = 1 then 1 else 0)) 0 depths
       in
-      Metrics.span_depth m = 0 && List.length (Metrics.spans m) = expected)
+      Metrics.span_depth m = 0
+      && List.length (Metrics.spans m) = min expected Metrics.span_ring
+      && List.fold_left (fun acc (_, _, n, _) -> acc + n) 0 (Metrics.span_rollup m) = expected)
 
 (* ---------- recording sink ---------- *)
 

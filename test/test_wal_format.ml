@@ -136,6 +136,25 @@ let prop_encode_matches_oracle =
       | Ok (r', next) -> next = Bytes.length got && Bytes.equal (Log_record.encode r') got
       | Error _ -> false)
 
+(* the log buffer's in-place encoder writes the same bytes at any offset,
+   touches nothing around them, and reports their length *)
+let prop_encode_into_matches_encode =
+  QCheck2.Test.make ~name:"encode_into writes encode's bytes in place" ~count:300
+    ~print:(fun (r, off) -> Printf.sprintf "%s at %d" (print_record r) off)
+    QCheck2.Gen.(pair gen_record (int_bound 64))
+    (fun (r, off) ->
+      let want = Oracle.encode r in
+      let n = Bytes.length want in
+      let buf = Bytes.make (off + n + 3) '\xaa' in
+      Log_record.frame_length r = n
+      && Log_record.encode_into r buf ~off = n
+      && Bytes.equal (Bytes.sub buf off n) want
+      && Bytes.for_all (fun c -> c = '\xaa') (Bytes.sub buf 0 off)
+      && Bytes.equal (Bytes.sub buf (off + n) 3) (Bytes.make 3 '\xaa')
+      && match Log_record.encode_into r buf ~off:(off + 4) with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
+
 (* ---------- golden frames, one per body kind ---------- *)
 
 let rid page slot = { Heap_file.page; slot }
@@ -189,4 +208,5 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_encode_matches_oracle;
     test "golden frame per body kind" golden_frames;
+    QCheck_alcotest.to_alcotest prop_encode_into_matches_encode;
   ]

@@ -1083,6 +1083,30 @@ let reopen_keeps_keyed_view () =
     (fun name -> check Alcotest.bool (name ^ " equals recompute") true (views_agree wh name))
     [ "small_qty"; "qty_then_id" ]
 
+(* a long-lived warehouse finishes one [warehouse.refresh] span per
+   refresh transaction: its registry keeps a bounded ring of span
+   records and still counts every span in the rollup *)
+let span_store_is_bounded () =
+  let wh = mk_wh () in
+  let m = Db.metrics (Warehouse.db wh) in
+  let refreshes () =
+    List.fold_left
+      (fun acc (name, parent, n, _) ->
+        if name = "warehouse.refresh" && parent = None then acc + n else acc)
+      0 (Metrics.span_rollup m)
+  in
+  let before = refreshes () in
+  let n = 10_000 in
+  ignore
+    (Warehouse.integrate_op_deltas wh
+       (List.init n (fun i ->
+            Op_delta.make ~txn_id:(i + 1)
+              [ Workload.update_parts_stmt ~first_id:(1 + (i mod 50)) ~size:1 ]))
+      : Warehouse.stats);
+  check Alcotest.bool "at most the ring's records" true
+    (List.length (Metrics.spans m) <= Metrics.span_ring);
+  check Alcotest.int "the rollup counts every refresh" n (refreshes () - before)
+
 let suite =
   [
     test "materialize sp view" materialize_sp;
@@ -1122,4 +1146,5 @@ let suite =
     test "keyed view rejects bad images" keyed_view_rejects_bad_images;
     QCheck_alcotest.to_alcotest prop_keyed_views_both_integrators;
     test "reopen keeps a keyed view keyed" reopen_keeps_keyed_view;
+    test "span store stays bounded over 10,000 refreshes" span_store_is_bounded;
   ]
