@@ -100,10 +100,6 @@ let compact t =
   in
   { t with changes }
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>delta on %s: %d changes, %d images, %d bytes@]" t.table
-    (row_count t) (image_count t) (size_bytes t)
-
 (* wire format: TAG|ascii-record, updates carry both images separated by
    an unescaped tab (Codec.encode_ascii never emits raw tabs unescaped —
    it escapes backslash and pipe; tab can appear inside string fields, so

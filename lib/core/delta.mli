@@ -57,8 +57,6 @@ val compact : t -> t
     ({!apply_to_rows}-equivalence is property-tested), in at most one
     change per key, ordered by key. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Wire format} — one line per change ([I]/[D]/[U]/[S] tag plus ASCII
     record images), for shipping differential files through the transport
     layer. *)

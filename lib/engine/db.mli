@@ -156,8 +156,6 @@ val active_txns : t -> int list
     the timestamp column, and fires AFTER triggers per affected row. *)
 
 val insert : t -> txn -> string -> Tuple.t -> Heap_file.rid
-val insert_values : t -> txn -> string -> columns:string list option -> Value.t list -> Heap_file.rid
-(** Build the tuple in schema order, [Null] for unnamed columns. *)
 
 val update_where : t -> txn -> string -> set:(string * Expr.t) list -> where:Expr.t option -> int
 (** Returns number of rows updated.  SET right-hand sides are evaluated

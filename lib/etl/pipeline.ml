@@ -2,6 +2,7 @@ module Db = Dw_engine.Db
 module Table = Dw_engine.Table
 module Wal = Dw_txn.Wal
 module Vfs = Dw_storage.Vfs
+module Schema = Dw_relation.Schema
 module Warehouse = Dw_warehouse.Warehouse
 module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
@@ -342,7 +343,8 @@ let integrate_ods t m lines =
 (* blend one round's actual statistics into the exponentially-weighted
    averages the planner scores against (alpha = 0.5: reactive enough to
    track a phase shift within a couple of rounds, damped enough that one
-   odd round cannot flip the choice past the hysteresis margin) *)
+   odd round cannot flip the choice past the hysteresis margin).  A
+   round without statements has no statement size to blend in. *)
 let blend_observed prev (now : Planner.observed) : Planner.observed =
   match prev with
   | None -> now
@@ -356,11 +358,29 @@ let blend_observed prev (now : Planner.observed) : Planner.observed =
       update_rows = mix now.update_rows p.update_rows;
       delete_rows = mix now.delete_rows p.delete_rows;
       log_records = mix now.log_records p.log_records;
+      stmt_bytes =
+        (if now.stmts = 0.0 then p.stmt_bytes
+         else if p.stmt_bytes = 0.0 then now.stmt_bytes
+         else mix now.stmt_bytes p.stmt_bytes);
       lock_wait_p95_s = mix now.lock_wait_p95_s p.lock_wait_p95_s;
       ship_p95_s = mix now.ship_p95_s p.ship_p95_s;
     }
 
-let observe_round t trig_delta stmt_count =
+(* the WAL records past the mark: what a log extraction would scan *)
+let log_records_since t =
+  let n = ref 0 in
+  Wal.iter_from (Db.wal t.source) t.mark.lsn (fun _ _ -> incr n);
+  !n
+
+let observe_round t trig_delta ods =
+  let stmt_count = statement_count ods in
+  let stmt_bytes =
+    if stmt_count = 0 then 0.0
+    else
+      let schema_of name = Option.map Table.schema (Db.table_opt t.source name) in
+      float_of_int (List.fold_left (fun acc od -> acc + Op_delta.size_bytes ~schema_of od) 0 ods)
+      /. float_of_int stmt_count
+  in
   let count kind =
     List.fold_left
       (fun acc c ->
@@ -380,10 +400,12 @@ let observe_round t trig_delta stmt_count =
       insert_rows = float_of_int (count `Ins);
       update_rows = float_of_int (count `Upd);
       delete_rows = float_of_int (count `Del);
-      log_records = float_of_int (Wal.next_lsn (Db.wal t.source) - t.mark.lsn);
+      log_records = float_of_int (log_records_since t);
       lock_wait_p95_s = (t.signals ()).lock_wait_p95_s;
       ship_p95_s = (t.signals ()).ship_p95_s;
       log_available = Wal.archive_enabled (Db.wal t.source);
+      image_bytes = float_of_int (Schema.record_size (dst_schema t));
+      stmt_bytes;
     }
   in
   let obs = blend_observed t.ewma now in
@@ -406,10 +428,8 @@ let run_planned_round t planner =
   let past m = { m with trig; ops } in
   (* a line that does not decode counts no statements here; the Op-Delta
      channel reports it if chosen *)
-  let stmt_count =
-    match decode_ods t (List.map snd lines) with Ok ods -> statement_count ods | Error _ -> 0
-  in
-  let obs = observe_round t trig_delta stmt_count in
+  let ods = match decode_ods t (List.map snd lines) with Ok ods -> ods | Error _ -> [] in
+  let obs = observe_round t trig_delta ods in
   let round = t.rounds_run + 1 in
   let decision = Planner.plan planner ~round obs in
   Planner.log_decision t.warehouse ~table:t.table decision;

@@ -77,7 +77,7 @@ val create :
      false); required if the pipeline will {!bootstrap} *)
   ?planner:Planner.t ->
   (* the planner a [Planned] pipeline consults (default: a fresh one
-     with {!Planner.default_config}); ignored for static methods *)
+     with no incumbent); ignored for static methods *)
   ?signals:(unit -> signals) ->
   (* per-round environment sample for [Planned] mode (default: zeros) *)
   source:Db.t ->

@@ -108,8 +108,6 @@ type arm_result = {
   lg_summary : Load_gen.summary;
 }
 
-let byte_unit = Planner.default_config.Planner.byte_unit
-
 let run_arm metrics ~rows ~seed ~rate ~seconds ~ticks_per_round arm =
   let src = Db.create ~archive_log:true ~vfs:(Vfs.in_memory ()) ~name:("t7_" ^ arm.label) () in
   ignore (Workload.create_parts_table src : Table.t);
@@ -164,7 +162,7 @@ let run_arm metrics ~rows ~seed ~rate ~seconds ~ticks_per_round arm =
       incr rounds;
       let units =
         stats.Pipeline.extract_units
-        +. (byte_unit *. float_of_int stats.Pipeline.shipped_bytes)
+        +. (Planner.byte_unit *. float_of_int stats.Pipeline.shipped_bytes)
         +. float_of_int stats.Pipeline.integration.Warehouse.row_ops
       in
       phase_units.(!phase) <- phase_units.(!phase) +. units
@@ -244,7 +242,7 @@ let run_t7 ~scale =
       (Printf.sprintf
          "%d-row source, %d op/s open loop, 3 phases x %ds, refresh every %d virtual s \
           (work units: extraction + %.2f/wire-byte + integration row ops)"
-         rows rate seconds ticks_per_round byte_unit)
+         rows rate seconds ticks_per_round Planner.byte_unit)
     ~header:
       ([ "arm"; "total units" ]
       @ List.map (fun k -> Load_gen.phase_name k) phase_kinds

@@ -60,7 +60,6 @@ module Fault = struct
     }
 
   let events t = t.events
-  let crashed t = t.crashed
 
   let in_window w idx = idx >= w.from_event && idx < w.until_event
 

@@ -96,8 +96,6 @@ module Fault : sig
   val events : t -> int
   (** Write/fsync events seen so far — run a workload with a never-crashing
       plan to count its crash points. *)
-
-  val crashed : t -> bool
 end
 
 val in_memory : ?metrics:Dw_util.Metrics.t -> ?op_delay:float -> unit -> t

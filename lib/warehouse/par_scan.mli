@@ -17,18 +17,6 @@
     (DML notes before-images before touching the heap, pages only ever
     grow). *)
 
-val exec :
-  ?partitions:int ->
-  pool:Dw_util.Domain_pool.t ->
-  Dw_engine.Db.t ->
-  Dw_engine.Db.txn ->
-  Dw_sql.Ast.stmt ->
-  Dw_engine.Db.exec_result
-(** Run a SELECT on [txn]'s snapshot across the pool's domains.  Raises
-    [Invalid_argument] for non-SELECT statements, non-[`Snapshot]
-    transactions, [partitions < 1], or any input the sequential executor
-    rejects (same messages); raises [Not_found] for an unknown table. *)
-
 val exec_sql :
   ?partitions:int ->
   pool:Dw_util.Domain_pool.t ->
@@ -36,5 +24,8 @@ val exec_sql :
   Dw_engine.Db.txn ->
   string ->
   (Dw_engine.Db.exec_result, string) result
-(** Parse then {!exec}, mapping exceptions to [Error] exactly like
-    {!Dw_engine.Db.exec_sql}. *)
+(** Parse, then run the SELECT on [txn]'s snapshot across the pool's
+    domains, mapping exceptions to [Error] exactly like
+    {!Dw_engine.Db.exec_sql}: non-SELECT statements, non-[`Snapshot]
+    transactions, [partitions < 1] and any input the sequential executor
+    rejects (same messages), and an unknown table. *)

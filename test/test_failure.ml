@@ -17,6 +17,10 @@ module Persistent_queue = Dw_transport.Persistent_queue
 module Wal = Dw_txn.Wal
 module Log_record = Dw_txn.Log_record
 module Metrics = Dw_util.Metrics
+module Spj_view = Dw_core.Spj_view
+module Opdelta_capture = Dw_core.Opdelta_capture
+module Warehouse = Dw_warehouse.Warehouse
+module Pipeline = Dw_etl.Pipeline
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -362,6 +366,101 @@ let torn_log_write_recovers () =
     cuts;
   check Alcotest.bool "the update changed rows" true (before <> after)
 
+(* the warehouse twin: a pipeline's Op-Delta refresh of one captured
+   UPDATE is one warehouse transaction (the replica rows, the view's
+   upkeep and the mark past the update), written to the log at once *)
+let qty_view =
+  let column c = { Spj_view.out_name = c; from_side = Spj_view.L; from_col = c } in
+  Spj_view.Select_project
+    {
+      name = "parts_qty";
+      table = "parts";
+      schema = Workload.parts_schema;
+      filter = None;
+      project = [ column "part_id"; column "qty" ];
+    }
+
+let wh_state wh =
+  ( List.sort Tuple.compare (Warehouse.replica_rows wh "parts"),
+    Warehouse.view_rows wh "parts_qty",
+    Warehouse.mark wh "parts" )
+
+let refresh_pipeline src wh =
+  Pipeline.create ~source:src ~warehouse:wh ~table:"parts" ~method_:Pipeline.Op_delta_wrapper
+    ~transport:Pipeline.Direct ()
+
+let refresh pipe =
+  match Pipeline.run_round pipe with Ok stats -> stats | Error e -> Alcotest.fail e
+
+(* a warehouse whose first refresh (20 inserted rows) is on the device,
+   then a second round refreshing one 10-row UPDATE: the source, the
+   warehouse device, its state before and after that round, the LSN of
+   each of the round's frames and the LSN past its Commit *)
+let op_delta_refresh () =
+  let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+  let _ = Workload.create_parts_table src in
+  let vfs = Vfs.in_memory () in
+  let wh = Warehouse.create ~vfs ~name:"dw" () in
+  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
+  Warehouse.define_view wh qty_view;
+  let pipe = refresh_pipeline src wh in
+  let exec stmts =
+    match Opdelta_capture.exec_txn (Option.get (Pipeline.capture pipe)) stmts with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  exec (Workload.insert_parts_txn ~first_id:1 ~size:20 ~day:0 ());
+  ignore (refresh pipe : Pipeline.round_stats);
+  let wdb = Warehouse.db wh in
+  Db.checkpoint wdb;
+  let before = wh_state wh in
+  exec [ Workload.update_parts_stmt ~first_id:5 ~size:10 ];
+  let wal = Db.wal wdb in
+  let from = Wal.next_lsn wal in
+  let writes = Metrics.observed_count (Db.metrics wdb) "wal.append" in
+  let stats = refresh pipe in
+  check Alcotest.int "one refresh transaction" 1 stats.Pipeline.integration.Warehouse.txns;
+  check Alcotest.int "in one log write" 1
+    (Metrics.observed_count (Db.metrics wdb) "wal.append" - writes);
+  let frames = ref [] in
+  Wal.iter_from wal from (fun lsn _ -> frames := lsn :: !frames);
+  (src, vfs, before, wh_state wh, List.rev !frames, Wal.next_lsn wal)
+
+(* that log write torn at every frame boundary and one byte either side:
+   after a restart the replica, the view and the mark are all before the
+   round or, with the whole Commit frame, all after it; re-running the
+   round then applies the UPDATE (qty + 1) exactly once *)
+let torn_refresh_write_recovers () =
+  let _, _, before, after, frames, end_ = op_delta_refresh () in
+  let start = List.hd frames in
+  let cuts =
+    List.concat_map (fun b -> [ b - 1; b; b + 1 ]) (frames @ [ end_ ])
+    |> List.filter (fun k -> k >= start && k <= end_)
+    |> List.sort_uniq compare
+  in
+  List.iter
+    (fun cut ->
+      let src, vfs, _, _, _, _ = op_delta_refresh () in
+      (* the checkpoint rotated the log: the round is the newest
+         segment, which begins at [start] *)
+      let seg = Vfs.open_existing vfs (Printf.sprintf "dw.wal.%012d" start) in
+      Vfs.truncate seg (cut - start);
+      Vfs.close seg;
+      Vfs.crash_reset vfs;
+      let wh =
+        Warehouse.reopen ~vfs ~name:"dw"
+          ~replicas:[ ("parts", Workload.parts_schema) ]
+          ~views:[ qty_view ] ~agg_views:[] ()
+      in
+      let want, what = if cut = end_ then (after, "after") else (before, "before") in
+      check Alcotest.bool (Printf.sprintf "cut at %d recovers the state %s" (cut - start) what)
+        true (wh_state wh = want);
+      ignore (refresh (refresh_pipeline src wh) : Pipeline.round_stats);
+      check Alcotest.bool (Printf.sprintf "cut at %d: the re-run applies the round once" (cut - start))
+        true (wh_state wh = after))
+    cuts;
+  check Alcotest.bool "the round changed the replica" true (before <> after)
+
 (* ---------- export corruption detection ---------- *)
 
 let truncated_export_rejected () =
@@ -530,4 +629,5 @@ let suite =
     test "a failed commit write logs no Commit" commit_write_fault_logs_no_commit;
     test "a 50-row update is 52 frames in one log write" fifty_row_update_one_write;
     test "a torn log write recovers at every frame boundary" torn_log_write_recovers;
+    test "a torn warehouse refresh recovers at every frame boundary" torn_refresh_write_recovers;
   ]

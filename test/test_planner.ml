@@ -37,13 +37,14 @@ let base_obs =
     lock_wait_p95_s = 0.0;
     ship_p95_s = 0.0;
     log_available = true;
+    image_bytes = 60.0;
+    stmt_bytes = 50.0;
   }
 
-let cost p m obs = List.assoc m (Planner.predict p obs)
+let cost m obs = List.assoc m (Planner.predict obs)
 
 let monotone name m lo hi =
-  let p = Planner.create () in
-  let c_lo = cost p m lo and c_hi = cost p m hi in
+  let c_lo = cost m lo and c_hi = cost m hi in
   if not (c_lo < c_hi && c_hi < infinity) then
     Alcotest.failf "%s: cost not strictly increasing (%g -> %g)" name c_lo c_hi
 
@@ -79,52 +80,14 @@ let ship_latency_amplifies_wire_volume () =
     { base_obs with Planner.ship_p95_s = 0.5 }
 
 let eligibility () =
-  let p = Planner.create () in
   check Alcotest.bool "timestamp priced out under deletes" true
-    (cost p Planner.Timestamp base_obs = infinity);
+    (cost Planner.Timestamp base_obs = infinity);
   check Alcotest.bool "timestamp eligible without deletes" true
-    (cost p Planner.Timestamp { base_obs with Planner.delete_rows = 0.0 } < infinity);
+    (cost Planner.Timestamp { base_obs with Planner.delete_rows = 0.0 } < infinity);
   check Alcotest.bool "log priced out without archiving" true
-    (cost p Planner.Log { base_obs with Planner.log_available = false } = infinity);
+    (cost Planner.Log { base_obs with Planner.log_available = false } = infinity);
   check Alcotest.bool "log eligible with archiving" true
-    (cost p Planner.Log base_obs < infinity)
-
-let config_validation () =
-  let bad f = Alcotest.check_raises "rejected" (Invalid_argument "") f in
-  let expect_invalid f =
-    try
-      f ();
-      Alcotest.fail "config accepted"
-    with Invalid_argument _ -> ()
-  in
-  ignore bad;
-  expect_invalid (fun () ->
-      Planner.validate_config { Planner.default_config with Planner.replan_interval = 0 });
-  expect_invalid (fun () ->
-      Planner.validate_config { Planner.default_config with Planner.hysteresis_margin = 1.0 });
-  expect_invalid (fun () ->
-      Planner.validate_config { Planner.default_config with Planner.byte_unit = 0.0 });
-  Planner.validate_config Planner.default_config
-
-let replan_interval_keeps_without_scoring () =
-  let p =
-    Planner.create ~config:{ Planner.default_config with Planner.replan_interval = 3 } ()
-  in
-  for r = 1 to 6 do
-    ignore (Planner.plan p ~round:r base_obs : Planner.decision)
-  done;
-  let ds = Planner.decisions p in
-  check Alcotest.int "six decisions" 6 (List.length ds);
-  let scored = List.filter (fun d -> d.Planner.scored) ds in
-  check Alcotest.int "scored every 3rd round" 2 (List.length scored);
-  List.iter
-    (fun d ->
-      if not d.Planner.scored then begin
-        check Alcotest.bool "kept rounds never switch" false d.Planner.switched;
-        check Alcotest.bool "kept rounds keep the incumbent" true
-          (Some d.Planner.chosen = d.Planner.previous)
-      end)
-    ds
+    (cost Planner.Log base_obs < infinity)
 
 (* ---------------- hysteresis properties ---------------- *)
 
@@ -145,6 +108,8 @@ let random_obs rng =
     lock_wait_p95_s = fi (Prng.int rng 10) /. 100.0;
     ship_p95_s = fi (Prng.int rng 10) /. 100.0;
     log_available = Prng.int rng 2 = 0;
+    image_bytes = 60.0;
+    stmt_bytes = 50.0;
   }
 
 (* stationary workload: the planner adopts one method on the first round
@@ -291,6 +256,60 @@ let planned_pipeline_converges () =
      check Alcotest.int "one decision per round" 7 (List.length (Planner.decisions p)));
   check Alcotest.int "audit log covers every round" 7
     (List.length (Planner.read_log wh ~table:Workload.parts_table))
+
+(* one Planned pipeline over the parts table with a captured day of
+   inserts, a range update and a range delete, before its first round *)
+let planned_first_round () =
+  let src = Db.create ~archive_log:true ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+  ignore (Workload.create_parts_table src : Table.t);
+  let wh = mk_warehouse () in
+  let pipe =
+    Pipeline.create ~source:src ~warehouse:wh ~table:Workload.parts_table
+      ~method_:Pipeline.Planned ~transport:Pipeline.Direct ()
+  in
+  let cap = Option.get (Pipeline.capture pipe) in
+  let exec stmts =
+    match Dw_core.Opdelta_capture.exec_txn cap stmts with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  Db.advance_day src;
+  exec (Workload.insert_parts_txn ~first_id:1 ~size:30 ~day:(Db.current_day src) ());
+  exec [ Workload.update_parts_stmt ~first_id:5 ~size:6 ];
+  exec [ Workload.delete_parts_stmt ~first_id:20 ~size:3 ];
+  (src, wh, pipe, cap)
+
+let first_inputs pipe =
+  match Pipeline.run_round pipe with
+  | Error e -> Alcotest.fail e
+  | Ok _ -> (
+      match Planner.decisions (Option.get (Pipeline.planner pipe)) with
+      | d :: _ -> d.Planner.inputs
+      | [] -> Alcotest.fail "no decision recorded")
+
+(* the first round's inputs are that round's own, unblended *)
+let planned_log_records_are_records () =
+  let src, wh, pipe, _ = planned_first_round () in
+  let since_lsn = (Warehouse.mark wh Workload.parts_table).Warehouse.lsn in
+  let _, stats = Dw_core.Log_extract.extract ~since_lsn src ~table:Workload.parts_table () in
+  let inputs = first_inputs pipe in
+  check (Alcotest.float 0.0) "log_records counts WAL records"
+    (float_of_int stats.Dw_core.Log_extract.records_scanned)
+    inputs.Planner.log_records
+
+let planned_round_measures_wire_sizes () =
+  let _, _, pipe, cap = planned_first_round () in
+  let ods = Dw_core.Opdelta_capture.captured cap in
+  let statements =
+    List.fold_left (fun acc od -> acc + List.length od.Dw_core.Op_delta.ops) 0 ods
+  in
+  let inputs = first_inputs pipe in
+  check (Alcotest.float 0.0) "image_bytes is the parts record size"
+    (float_of_int (Dw_relation.Schema.record_size Workload.parts_schema))
+    inputs.Planner.image_bytes;
+  check (Alcotest.float 1e-9) "stmt_bytes is Op-Delta bytes per statement"
+    (float_of_int (Dw_core.Opdelta_capture.captured_bytes cap) /. float_of_int statements)
+    inputs.Planner.stmt_bytes
 
 (* ---------------- load generator ---------------- *)
 
@@ -586,12 +605,12 @@ let suite =
     test "op-delta cost monotone in statements" op_delta_monotone_in_stmts;
     test "ship latency amplifies wire volume" ship_latency_amplifies_wire_volume;
     test "eligibility encodes correctness" eligibility;
-    test "config validation" config_validation;
-    test "replan interval keeps without scoring" replan_interval_keeps_without_scoring;
     QCheck_alcotest.to_alcotest prop_stationary_converges;
     QCheck_alcotest.to_alcotest prop_one_switch_per_shift;
     test "__planner_log roundtrip" planner_log_roundtrip;
     test "planned pipeline converges end-to-end" planned_pipeline_converges;
+    test "planned round counts WAL records, not bytes" planned_log_records_are_records;
+    test "planned round measures image and statement bytes" planned_round_measures_wire_sizes;
     test "load gen is deterministic per seed" load_gen_deterministic;
     test "load gen conserves offered ops" load_gen_conservation;
     test "load gen sheds under overload" load_gen_sheds_under_overload;

@@ -19,6 +19,16 @@
    exact key or a backticked [prefix.*].  Keys built at run time
    ([sprintf], [^]) are not checked.
 
+   With [--unused-exports ALLOWLIST LIBDIR DIR ...] it checks that every
+   public [val] of an .mli under LIBDIR is named, qualified, by some .ml
+   or .mli under the DIRs other than its own module's two files: [M.v]
+   for a top-level [val v] of [m.mli], [M.S.v] for one inside [module S
+   : sig ... end].  Comments do not count; a file's [module X = A.B]
+   aliases do ([X.v] names [A.B.v]).  A value used only through [open]
+   is flagged too, so ALLOWLIST holds the deliberate exceptions, one
+   [M.v reason] a line ([#] starts a comment); an entry that is not
+   flagged any more is an error as well.
+
    Exits 1 listing every undocumented item. *)
 
 let errors = ref []
@@ -190,12 +200,170 @@ let lint_metric_keys ~documented path =
         err "%s:%d: metric key %s is not in the operator guide" path line key)
     (metric_keys text)
 
-let report ~what dirs =
+(* ---------- unused exports ---------- *)
+
+(* [text] with its comments blanked (nested; string and character
+   literals inside code are kept, so a quote in one cannot open a
+   comment) *)
+let strip_comments text =
+  let n = String.length text in
+  let out = Bytes.of_string text in
+  let rec code i =
+    if i < n then
+      if i + 1 < n && text.[i] = '(' && text.[i + 1] = '*' then comment i 0
+      else if text.[i] = '"' then code (string_end (i + 1))
+      else if text.[i] = '\'' && i + 2 < n && text.[i + 1] <> '\\' && text.[i + 2] = '\'' then
+        code (i + 3)
+      else if text.[i] = '\'' && i + 1 < n && text.[i + 1] = '\\' then
+        code (match String.index_from_opt text (i + 2) '\'' with Some j -> j + 1 | None -> n)
+      else code (i + 1)
+  and string_end i =
+    if i >= n then n
+    else if text.[i] = '\\' then string_end (i + 2)
+    else if text.[i] = '"' then i + 1
+    else string_end (i + 1)
+  and comment i depth =
+    if i >= n then ()
+    else if i + 1 < n && text.[i] = '(' && text.[i + 1] = '*' then begin
+      Bytes.blit_string "  " 0 out i 2;
+      comment (i + 2) (depth + 1)
+    end
+    else if i + 1 < n && text.[i] = '*' && text.[i + 1] = ')' then begin
+      Bytes.blit_string "  " 0 out i 2;
+      if depth = 1 then code (i + 2) else comment (i + 2) (depth - 1)
+    end
+    else begin
+      if text.[i] <> '\n' then Bytes.set out i ' ';
+      comment (i + 1) depth
+    end
+  in
+  code 0;
+  Bytes.to_string out
+
+let is_upper c = c >= 'A' && c <= 'Z'
+
+(* the words of [text]: dotted identifier paths, and single punctuation *)
+let words text =
+  let n = String.length text in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_ident text.[i] && text.[i] <> '.' && text.[i] <> '\'' then
+      let j = ref i in
+      while !j < n && is_ident text.[!j] do incr j done;
+      go !j (String.sub text i (!j - i) :: acc)
+    else if text.[i] = '=' then go (i + 1) ("=" :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* every qualified name [text] mentions: each run of two or more
+   components of a dotted path that starts at a module component, after
+   expanding the file's own [module X = A.B] aliases *)
+let qualified_names text =
+  let ws = words (strip_comments text) in
+  let aliases = Hashtbl.create 8 in
+  let rec find_aliases = function
+    | "module" :: x :: "=" :: path :: rest when is_upper path.[0] ->
+      Hashtbl.replace aliases x (String.split_on_char '.' path);
+      find_aliases rest
+    | _ :: rest -> find_aliases rest
+    | [] -> ()
+  in
+  find_aliases ws;
+  let names = ref [] in
+  List.iter
+    (fun w ->
+      match String.split_on_char '.' w with
+      | first :: (_ :: _ as rest) when is_upper first.[0] ->
+        let comps =
+          match Hashtbl.find_opt aliases first with Some path -> path @ rest | None -> first :: rest
+        in
+        let a = Array.of_list comps in
+        let k = Array.length a in
+        for i = 0 to k - 2 do
+          if a.(i) <> "" && is_upper a.(i).[0] then
+            for j = i + 1 to k - 1 do
+              names := String.concat "." (Array.to_list (Array.sub a i (j - i + 1))) :: !names
+            done
+        done
+      | _ -> ())
+    ws;
+  !names
+
+(* the public vals of one .mli, qualified by its module (and by the
+   [module S : sig] they sit in), with their line numbers *)
+let public_vals path =
+  let m = String.capitalize_ascii (Filename.remove_extension (Filename.basename path)) in
+  let lines = read_lines path in
+  let scope = ref [ m ] in
+  let vals = ref [] in
+  Array.iteri
+    (fun i line ->
+      let t = String.trim line in
+      let ws = words t in
+      match ws with
+      | "module" :: s :: _ when String.length t > 4 && String.sub t (String.length t - 3) 3 = "sig" ->
+        scope := s :: !scope
+      | [ "end" ] when List.length !scope > 1 -> scope := List.tl !scope
+      | "val" :: v :: _ when starts_with "val " t ->
+        vals := (i + 1, String.concat "." (List.rev (v :: !scope))) :: !vals
+      | _ -> ())
+    lines;
+  List.rev !vals
+
+let lint_unused_exports ~allowlist ~lib dirs =
+  let allowed =
+    Array.to_list (read_lines allowlist)
+    |> List.filter_map (fun line ->
+           let t = String.trim line in
+           if t = "" || t.[0] = '#' then None
+           else
+             match String.index_opt t ' ' with
+             | Some j -> Some (String.sub t 0 j)
+             | None ->
+               err "%s: entry %s gives no reason" allowlist t;
+               None)
+  in
+  (* qualified name -> the files naming it *)
+  let named_by = Hashtbl.create 4096 in
+  let scan path =
+    let text = String.concat "\n" (Array.to_list (read_lines path)) in
+    List.iter (fun name -> Hashtbl.add named_by name path) (qualified_names text)
+  in
+  List.iter (walk ".ml" scan) dirs;
+  List.iter (walk ".mli" scan) dirs;
+  let total = ref 0 and flagged = ref [] in
+  walk ".mli"
+    (fun mli ->
+      let own = [ mli; Filename.remove_extension mli ^ ".ml" ] in
+      List.iter
+        (fun (line, name) ->
+          incr total;
+          let outside =
+            List.exists (fun p -> not (List.mem p own)) (Hashtbl.find_all named_by name)
+          in
+          if not outside then flagged := (mli, line, name) :: !flagged)
+        (public_vals mli))
+    lib;
+  List.iter
+    (fun (mli, line, name) ->
+      if not (List.mem name allowed) then
+        err "%s:%d: val %s is named nowhere outside its module" mli line name)
+    (List.rev !flagged);
+  List.iter
+    (fun name ->
+      if not (List.exists (fun (_, _, n) -> n = name) !flagged) then
+        err "%s: %s is used outside its module now; drop the entry" allowlist name)
+    allowed;
+  Printf.printf "doc-lint: %d public vals under %s, %d allowlisted\n" !total lib
+    (List.length allowed)
+
+let report ?(failing = "undocumented") ~what dirs =
   match List.rev !errors with
   | [] -> Printf.printf "doc-lint: %s ok (%s)\n" what (String.concat " " dirs)
   | es ->
     List.iter prerr_endline es;
-    Printf.eprintf "doc-lint: %d undocumented %s\n" (List.length es) what;
+    Printf.eprintf "doc-lint: %d %s %s\n" (List.length es) failing what;
     exit 1
 
 let () =
@@ -209,8 +377,13 @@ let () =
     let documented = documented_keys doc in
     List.iter (walk ~skip ".ml" (lint_metric_keys ~documented)) dirs;
     report ~what:"metric keys" dirs
+  | "--unused-exports" :: allowlist :: lib :: dirs ->
+    lint_unused_exports ~allowlist ~lib dirs;
+    report ~failing:"unused" ~what:"exports" dirs
   | [] ->
-    prerr_endline "usage: doc_lint DIR ... | doc_lint --metric-keys DOC [--skip DIR] DIR ...";
+    prerr_endline
+      "usage: doc_lint DIR ... | doc_lint --metric-keys DOC [--skip DIR] DIR ... | doc_lint \
+       --unused-exports ALLOWLIST LIBDIR DIR ...";
     exit 2
   | dirs ->
     List.iter (walk ".mli" lint_file) dirs;
