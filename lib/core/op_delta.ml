@@ -127,23 +127,33 @@ let decode_field s =
   go 0;
   Buffer.contents buf
 
-let encode_line ?(schema_of = fun _ -> None) t =
+let encode_line_sized ?(schema_of = fun _ -> None) t =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (string_of_int t.txn_id);
-  List.iter
-    (fun op ->
-      Buffer.add_char buf '\t';
-      Buffer.add_string buf (encode_field (Printer.to_string op.stmt));
-      List.iter
-        (fun image ->
-          match schema_of (Ast.table_of op.stmt) with
-          | Some schema ->
-            Buffer.add_char buf '#';
-            Buffer.add_string buf (encode_field (Codec.encode_ascii schema image))
-          | None -> invalid_arg "Op_delta.encode_line: images without schema")
-        op.before_images)
-    t.ops;
-  Buffer.contents buf
+  (* [size_bytes], counted from the text printed here *)
+  let size =
+    List.fold_left
+      (fun size op ->
+        Buffer.add_char buf '\t';
+        let text = Printer.to_string op.stmt in
+        Buffer.add_string buf (encode_field text);
+        match op.before_images with
+        | [] -> size + String.length text
+        | images -> (
+            match schema_of (Ast.table_of op.stmt) with
+            | Some schema ->
+              List.iter
+                (fun image ->
+                  Buffer.add_char buf '#';
+                  Buffer.add_string buf (encode_field (Codec.encode_ascii schema image)))
+                images;
+              size + String.length text + (List.length images * Schema.record_size schema)
+            | None -> invalid_arg "Op_delta.encode_line: images without schema"))
+      8 t.ops
+  in
+  (Buffer.contents buf, size)
+
+let encode_line ?schema_of t = fst (encode_line_sized ?schema_of t)
 
 let decode_line ?(schema_of = fun _ -> None) line =
   match String.split_on_char '\t' line with

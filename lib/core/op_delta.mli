@@ -56,6 +56,10 @@ val value_delta : table:string -> schema:Schema.t -> t -> Delta.t
     before-images ride as ASCII records after a [#] separator per op. *)
 
 val encode_line : ?schema_of:(string -> Schema.t option) -> t -> string
+val encode_line_sized : ?schema_of:(string -> Schema.t option) -> t -> string * int
+(** {!encode_line} and {!size_bytes} together, from one print of each
+    statement. *)
+
 val decode_line : ?schema_of:(string -> Schema.t option) -> string -> (t, string) result
 (** [schema_of] resolves each statement's table schema and is required to
     encode/decode before images; without it a line with images is an

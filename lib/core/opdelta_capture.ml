@@ -174,8 +174,7 @@ let reify_timestamp t stmt =
                Ast.Insert { i with rows })))
   | Ast.Delete _ | Ast.Select _ | Ast.Create_table _ -> stmt
 
-let write_to_sink t txn od =
-  let line = Op_delta.encode_line ~schema_of:(schema_of t) od in
+let write_to_sink t txn od line =
   match t.store with
   | File name ->
     (* the write-ahead rule for the file: the transaction's buffered log
@@ -214,34 +213,35 @@ let withdraw t txn_id =
       | exception (Vfs.Fault.Transient _) -> Vfs.close file)
 
 let exec_txn t stmts =
-  (* reject configurations that cannot be maintained from any capture *)
-  List.iter
-    (fun stmt ->
-      match Self_maintain.requirement ~views:t.views ~replicas:t.replicas stmt with
-      | `Not_self_maintainable reason -> raise (Not_self_maintainable reason)
-      | `Op_only | `Op_with_before_images -> ())
-    stmts;
+  (* reject configurations that cannot be maintained from any capture;
+     a statement's requirement depends on its kind and table only, which
+     [reify_timestamp] keeps, so each is asked once *)
+  let images_wanted =
+    List.map
+      (fun stmt ->
+        match Self_maintain.requirement ~views:t.views ~replicas:t.replicas stmt with
+        | `Not_self_maintainable reason -> raise (Not_self_maintainable reason)
+        | `Op_with_before_images -> true
+        | `Op_only -> t.capture_images)
+      stmts
+  in
   let txn = Db.begin_txn t.db in
   let run () =
     let ops_rev = ref [] in
     let results_rev = ref [] in
-    List.iter
-      (fun stmt ->
+    List.iter2
+      (fun stmt images_wanted ->
         let stmt = reify_timestamp t stmt in
-        let images =
-          if t.capture_images then before_images_of t txn stmt
-          else
-            match Self_maintain.requirement ~views:t.views ~replicas:t.replicas stmt with
-            | `Op_with_before_images -> before_images_of t txn stmt
-            | `Op_only | `Not_self_maintainable _ -> []
-        in
+        let images = if images_wanted then before_images_of t txn stmt else [] in
         let result = Db.exec t.db txn stmt in
         ops_rev := (stmt, images) :: !ops_rev;
         results_rev := result :: !results_rev)
-      stmts;
+      stmts images_wanted;
     let od = Op_delta.with_before_images ~txn_id:(Db.txid txn) (List.rev !ops_rev) in
-    write_to_sink t txn od;
-    (od, List.rev !results_rev)
+    (* the line and [Op_delta.size_bytes] from one print of each statement *)
+    let line, size = Op_delta.encode_line_sized ~schema_of:(schema_of t) od in
+    write_to_sink t txn od line;
+    (od, size, List.rev !results_rev)
   in
   (* any failure before the commit rolls the transaction back, as
      [Db.with_txn] does: a transaction left open would pin version-store
@@ -259,10 +259,10 @@ let exec_txn t stmts =
   | exception e ->
     Db.abort t.db txn;
     raise e
-  | od, results -> (
+  | od, size, results -> (
       let record () =
         t.captured <- od :: t.captured;
-        t.captured_bytes <- t.captured_bytes + Op_delta.size_bytes ~schema_of:(schema_of t) od
+        t.captured_bytes <- t.captured_bytes + size
       in
       match Db.commit t.db txn with
       | () ->

@@ -310,10 +310,18 @@ let statement_count ods =
 (* Ship the captured lines as they are, then integrate them: one
    warehouse transaction per source transaction, marking the position of
    its line.  A [Planned] round applies its transactions' statements as
-   one run, so its mark, with both capture positions, commits once. *)
-let integrate_ods t m lines =
+   one run, so its mark, with both capture positions, commits once.
+   [decoded] is the lines already decoded: [Direct] shipping hands on the
+   very payloads it was given, so they are not decoded again; a queue's
+   are decoded as received. *)
+let integrate_ods ?decoded t m lines =
   let shipped, bytes = ship t (List.map snd lines) in
-  match decode_ods t shipped with
+  let received =
+    match (decoded, t.queue) with
+    | Some decoded, None -> decoded
+    | _ -> decode_ods t shipped
+  in
+  match received with
   | Error e -> Error e
   | Ok received ->
     let integrate put =
@@ -428,8 +436,8 @@ let run_planned_round t planner =
   let past m = { m with trig; ops } in
   (* a line that does not decode counts no statements here; the Op-Delta
      channel reports it if chosen *)
-  let ods = match decode_ods t (List.map snd lines) with Ok ods -> ods | Error _ -> [] in
-  let obs = observe_round t trig_delta ods in
+  let decoded = decode_ods t (List.map snd lines) in
+  let obs = observe_round t trig_delta (Result.value decoded ~default:[]) in
   let round = t.rounds_run + 1 in
   let decision = Planner.plan planner ~round obs in
   Planner.log_decision t.warehouse ~table:t.table decision;
@@ -462,7 +470,7 @@ let run_planned_round t planner =
     match chosen with
     | Planner.Trigger -> value (next_mark t) trig_delta (trigger_units ())
     | Planner.Op_delta -> (
-        match integrate_ods t (past (next_mark t)) lines with
+        match integrate_ods ~decoded t (past (next_mark t)) lines with
         | Error e -> Error e
         | Ok (count, bytes, stats) ->
           Ok (count, bytes, Opdelta_capture.work_units ~statements:count, stats))

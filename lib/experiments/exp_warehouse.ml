@@ -23,15 +23,23 @@ let mk_warehouse ~replica_rows =
 
 (* capture both representations of one source transaction, with the
    rows the source held before it: the replica contents a warehouse must
-   start from for either representation to apply to it *)
+   start from for either representation to apply to it.  The Op-Delta is
+   its wire line, as the paper ships it. *)
 let capture_both ~table_rows kind size =
   let db, stmts = source_txn ~seed:99 ~table_rows kind size in
   let contents = sorted_rows db "parts" in
   let handle = Trigger_extract.install db ~table:"parts" in
   exec_txn db stmts;
   let value_delta = Trigger_extract.collect db handle in
-  let od = Op_delta.make ~txn_id:1 stmts in
-  (contents, value_delta, od)
+  (contents, value_delta, Op_delta.encode_line (Op_delta.make ~txn_id:1 stmts))
+
+(* The Op-Delta path's window: decode the line (one parse per statement,
+   where the warehouse receives it), then re-execute the statements.  The
+   value path's window likewise parses each record statement it loads. *)
+let integrate_line wh line =
+  match Op_delta.decode_line line with
+  | Ok od -> Warehouse.integrate_op_deltas wh [ od ]
+  | Error e -> failwith ("W1: Op-Delta line does not decode: " ^ e)
 
 (* the one txn size, shared by quick and full runs, whose counts W1 emits *)
 let w1_gauge_size = 100
@@ -70,13 +78,13 @@ let run_w1 ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let contents, value_delta, od = capture_both ~table_rows kind size in
+          let contents, value_delta, line = capture_both ~table_rows kind size in
           let setup () = replica_warehouse ~pool_pages:2048 ~views:[ cheap_parts ] contents in
           let t_value, wh_value, s_value =
             timed_path ~setup (fun wh -> Warehouse.integrate_value_delta wh value_delta)
           in
           let t_op, wh_op, s_op =
-            timed_path ~setup (fun wh -> Warehouse.integrate_op_deltas wh [ od ])
+            timed_path ~setup (fun wh -> integrate_line wh line)
           in
           (* both representations of one source transaction, applied to
              the rows it ran against, must leave the same view *)
@@ -149,7 +157,7 @@ let run_w1_agg ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let contents, value_delta, od = capture_both ~table_rows kind size in
+          let contents, value_delta, line = capture_both ~table_rows kind size in
           let t_value =
             best_of ~repeat:3
               ~setup:(fun () -> mk_agg_warehouse contents)
@@ -158,7 +166,7 @@ let run_w1_agg ~scale =
           let t_op =
             best_of ~repeat:3
               ~setup:(fun () -> mk_agg_warehouse contents)
-              (fun wh -> ignore (Warehouse.integrate_op_deltas wh [ od ] : Warehouse.stats))
+              (fun wh -> ignore (integrate_line wh line : Warehouse.stats))
           in
           rows :=
             [ op_name kind; string_of_int size; dur t_value; dur t_op;

@@ -619,10 +619,10 @@ let refresh_txn (t : t) ~mark body =
     duration = Metrics.now metrics -. start;
   }
 
-(* Every statement an integrator executes runs one way: printed to SQL
-   text and re-parsed, the full statement path whose per-statement cost
-   the paper's comparison (one statement per Op-Delta operation, one or
-   two per value-delta record) is about.  The statement joins its
+(* Every statement an integrator executes runs here, from its AST: a
+   statement that arrived as text was parsed once where it was received
+   ([Op_delta.decode_line]), and a fleet's statements were never text.
+   Errors read as [Db.exec_sql] reports them.  The statement joins its
    transaction's run when it writes the run's table; otherwise the run
    is maintained and a new one opens.  Views are maintained once per run,
    not per statement, so a value delta's one-row statements into one
@@ -635,16 +635,18 @@ let exec (t : t) txn ~ctx stmt =
    | _ ->
      flush_run t txn;
      t.runs <- { txid = Db.txid txn; table; ctx; events = [] } :: t.runs);
-  match Db.exec_sql t.db txn (Dw_sql.Printer.to_string stmt) with
-  | Ok result -> result
-  | Error e -> statement_failed ~ctx e
+  match Db.exec t.db txn stmt with
+  | result -> result
+  | exception Invalid_argument e -> statement_failed ~ctx e
+  | exception Not_found -> statement_failed ~ctx (Printf.sprintf "unknown table %s" table)
 
 (* Per the paper (Section 4.1), a value delta integrates as SQL
    statements: one INSERT per captured insert image, one keyed DELETE per
    delete image, and a keyed DELETE (before image) plus an INSERT (after
-   image) per update.  The statements run through the normal executor, so
-   a value delta of x updates costs 2x statement executions where the
-   Op-Delta costs one. *)
+   image) per update.  The differential file is data, so each statement
+   is loaded as text: printed to SQL, parsed, then run through the normal
+   executor.  A value delta of x updates thus costs 2x statement prints,
+   parses and executions where the Op-Delta costs one of each. *)
 let key_predicate schema tuple =
   let preds =
     List.init (Schema.key_arity schema) (fun i ->
@@ -668,20 +670,24 @@ let update_stmt table schema tuple =
   in
   Dw_sql.Ast.Update { table; sets; where = Some (key_predicate schema tuple) }
 
+(* the loader step: one value-delta statement as SQL text, parsed back
+   and executed *)
+let load t txn ~ctx stmt =
+  match Dw_sql.Parser.parse (Dw_sql.Printer.to_string stmt) with
+  | Ok stmt -> exec t txn ~ctx stmt
+  | Error e -> statement_failed ~ctx e
+
 (* update-or-insert by key *)
 let upsert_row t txn ~ctx schema ~table tuple =
-  match exec t txn ~ctx (update_stmt table schema tuple) with
-  | Db.Affected 0 -> ignore (exec t txn ~ctx (insert_stmt table tuple) : Db.exec_result)
+  match load t txn ~ctx (update_stmt table schema tuple) with
+  | Db.Affected 0 -> ignore (load t txn ~ctx (insert_stmt table tuple) : Db.exec_result)
   | Db.Affected _ | Db.Rows _ | Db.Created -> ()
 
 let integrate_value_delta ?(mark = ignore) (t : t) delta =
   let ctx = "integrate_value_delta" in
   let table = delta.Delta.table in
   let schema = delta.Delta.schema in
-  (* the differential file is data; each record becomes SQL text run
-     through the full statement path (parse included), which is where the
-     per-record statement overhead of the paper's value path comes from *)
-  let run txn stmt = ignore (exec t txn ~ctx stmt : Db.exec_result) in
+  let run txn stmt = ignore (load t txn ~ctx stmt : Db.exec_result) in
   refresh_txn t ~mark (fun txn ->
       List.iter
         (function
@@ -712,9 +718,9 @@ let validate_batch_policy p =
 
 let integrate_op_deltas ?policy ?(mark = fun _ _ -> ()) (t : t) ods =
   (* a run of whole, consecutive source transactions is ONE warehouse
-     transaction, every statement re-executed in source commit order —
-     op-deltas arrive as SQL text, one parse per source statement, not
-     per affected row *)
+     transaction, every statement re-executed from its AST in source
+     commit order: one execution per source statement, not per affected
+     row *)
   let apply run =
     refresh_txn t
       ~mark:(fun txn -> mark txn run)

@@ -20,8 +20,13 @@
     and go through {!integrate_value_delta}.
 
     Every integrator runs inside one [warehouse.refresh] span and
-    executes its statements one way: printed to SQL text, re-parsed and
-    run by the warehouse engine.
+    executes each statement from its AST through the warehouse engine
+    ({!Db.exec}), with the errors [Db.exec_sql] would report.  A
+    statement is parsed once where it arrives as text: an Op-Delta line
+    when it is decoded ({!Dw_core.Op_delta.decode_line}), a value-delta
+    record when the integrator loads it (printed to SQL and parsed, the
+    per-record statement cost of the paper's value path).  A fleet's
+    Op-Deltas are never text.
 
     Views are maintained {e set-oriented}, once per {e run}: a run is a
     maximal sequence of consecutive integrator statements, in one
@@ -205,10 +210,13 @@ val integrate_op_deltas :
   Op_delta.t list ->
   stats
 (** Apply the stream (see above) and return the runs' summed stats
-    ([txns] = runs applied = calls of [mark]).  Raises
+    ([txns] = runs applied = calls of [mark]).  Each statement runs from
+    the AST the Op-Delta holds, not parsed again.  Raises
     [Invalid_argument] on an invalid [policy] or a statement the
-    warehouse rejects; the failing run rolls back, mark included, and
-    earlier runs stay committed. *)
+    warehouse rejects, with the text [Db.exec_sql] gives it (e.g.
+    ["Warehouse.integrate_op_deltas: Table parts: duplicate primary key
+    (7)"]); the failing run rolls back, mark included, and earlier runs
+    stay committed. *)
 
 (** {2 Replica-less (view-only) maintenance} — the paper's hybrid case:
     "for some cases, a hybrid between a partial value delta (the before

@@ -28,6 +28,7 @@ module Workload = Dw_workload.Workload
 module Warehouse = Dw_warehouse.Warehouse
 module Pipeline = Dw_etl.Pipeline
 module Opdelta_capture = Dw_core.Opdelta_capture
+module Op_delta = Dw_core.Op_delta
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -673,6 +674,241 @@ let heap_delete_returns_record () =
   | exception Invalid_argument msg ->
     Alcotest.(check string) "Page.delete's error" "Page.delete: slot already free" msg
 
+(* ---------- a statement runs the same from its AST as from its text ---------- *)
+
+(* The integrators run each statement from its AST ([Db.exec] inside
+   [Warehouse.exec]); before, every one was printed and run through
+   [Db.exec_sql].  Twin engines run one statement stream both ways and
+   must agree on every outcome, error text included, on the rows and on
+   the whole log: plain engines compare [Db.exec] (its exceptions read as
+   [Db.exec_sql] reports them) with [Db.exec_sql]; twin warehouses compare
+   [Warehouse.integrate_op_deltas] with [Db.exec_sql] in a transaction of
+   its own. *)
+
+let twin_schema =
+  Schema.make
+    [
+      { Schema.name = "k"; ty = Value.Tint; nullable = false };
+      { Schema.name = "a"; ty = Value.Tint; nullable = true };
+      { Schema.name = "f"; ty = Value.Tfloat; nullable = true };
+      { Schema.name = "s"; ty = Value.Tstring 6; nullable = true };
+      { Schema.name = "d"; ty = Value.Tdate; nullable = true };
+    ]
+
+(* keys 0..5, so generated keys in -2..8 collide with some *)
+let twin_rows =
+  List.init 6 (fun k ->
+      [| Value.Int k; Value.Int (k * 10); Value.Float (float_of_int k /. 4.0);
+         Value.Str (String.make (k mod 4) 'x'); Value.Date (100 + k) |])
+
+let gen_twin_stmts =
+  let open QCheck2.Gen in
+  let gen_str =
+    string_size (int_range 0 8)
+      ~gen:
+        (oneof
+           [ char_range 'a' 'z'; oneofl [ '\''; '\\'; '\t'; '\n'; ' '; ','; '('; ';'; '-' ] ])
+  in
+  let gen_float =
+    oneof
+      [ Test_sql.gen_finite_float; oneofl [ 1.0e17; -1.0e17; 2.5e-7; -0.0; 1e22; -3.75 ] ]
+  in
+  let typed = function
+    | "k" -> map (fun n -> Value.Int n) (int_range (-2) 8)
+    | "a" ->
+      map (fun n -> Value.Int n) (oneof [ int_range (-1000) 1000; int_range (-max_int / 2) (-1) ])
+    | "f" -> map (fun f -> Value.Float f) gen_float
+    | "s" -> map (fun s -> Value.Str s) gen_str
+    | _ -> map (fun d -> Value.Date d) (int_range 0 20000)
+  in
+  (* mostly the column's type; otherwise NULL or any column's type *)
+  let literal col =
+    frequency
+      [ (6, typed col); (1, return Value.Null); (1, oneofl [ "a"; "f"; "s"; "d" ] >>= typed) ]
+  in
+  let columns = [ "k"; "a"; "f"; "s"; "d" ] in
+  (* a column name, now and then one the table does not have *)
+  let gen_col = frequency [ (8, oneofl columns); (1, return "zz") ] in
+  let gen_where =
+    let key_cmp =
+      map2
+        (fun op n -> Expr.Cmp (op, Expr.Col "k", Expr.Lit (Value.Int n)))
+        (oneofl [ Expr.Eq; Expr.Neq; Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ])
+        (int_range (-2) 8)
+    in
+    frequency
+      [
+        (1, return None);
+        (4, map Option.some key_cmp);
+        (2, map2 (fun p q -> Some (Expr.And (p, q))) key_cmp key_cmp);
+        (1, map2 (fun p q -> Some (Expr.Or (p, q))) key_cmp key_cmp);
+        (1, map (fun p -> Some (Expr.And (p, Expr.Is_null (Expr.Col "a")))) key_cmp);
+        (1, map (fun col -> Some (Expr.Is_not_null (Expr.Col col))) gen_col);
+      ]
+  in
+  let gen_insert =
+    let row = flatten_l (List.map literal columns) in
+    frequency
+      [
+        ( 3,
+          map
+            (fun rows -> Ast.Insert { table = "t"; columns = None; rows })
+            (list_size (int_range 1 2) row) );
+        (* a column list: some of the columns, in any order, maybe an
+           unknown one *)
+        ( 3,
+          gen_col |> list_size (int_range 1 4)
+          >>= fun cols ->
+          let cols = List.sort_uniq compare ("k" :: cols) in
+          shuffle_l cols >>= fun cols ->
+          map
+            (fun rows -> Ast.Insert { table = "t"; columns = Some cols; rows })
+            (list_size (int_range 1 2) (flatten_l (List.map literal cols))) );
+        (* one value short *)
+        ( 1,
+          map (fun row -> Ast.Insert { table = "t"; columns = None; rows = [ List.tl row ] }) row );
+      ]
+  in
+  let gen_set =
+    gen_col >>= fun col ->
+    map (fun e -> (col, e))
+      (frequency
+         [
+           (4, map (fun v -> Expr.Lit v) (literal col));
+           (1, map (fun v -> Expr.Binop (Expr.Add, Expr.Col "a", Expr.Lit v)) (literal "a"));
+           (1, map (fun v -> Expr.Binop (Expr.Mul, Expr.Col "f", Expr.Lit v)) (literal "f"));
+           (1, map (fun c -> Expr.Col c) gen_col);
+         ])
+  in
+  let gen_stmt =
+    frequency
+      [
+        (3, gen_insert);
+        ( 3,
+          map2
+            (fun sets where -> Ast.Update { table = "t"; sets; where })
+            (list_size (int_range 1 3) gen_set) gen_where );
+        (2, map (fun where -> Ast.Delete { table = "t"; where }) gen_where);
+      ]
+  in
+  list_size (int_range 1 5) gen_stmt
+
+(* [Applied]: an integrator ran the statement; it returns no statement
+   result *)
+type outcome = Done of Db.exec_result | Applied | Failed of string | Raised of string
+
+(* a plain engine or a warehouse over [twin_schema], loaded alike *)
+let twin_db () =
+  let db = Db.create ~vfs:(Vfs.in_memory ()) ~name:"twin" () in
+  ignore (Db.create_table db ~name:"t" twin_schema : Table.t);
+  db
+
+let twin_wh () =
+  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"twin" () in
+  Warehouse.add_replica wh ~table:"t" ~schema:twin_schema;
+  wh
+
+let load db =
+  Db.with_txn db (fun txn ->
+      List.iter (fun row -> ignore (Db.insert db txn "t" row : Heap_file.rid)) twin_rows)
+
+(* one statement in a transaction of its own, committed when it ran *)
+let in_txn db f =
+  let txn = Db.begin_txn db in
+  match f txn with
+  | (Done _ | Applied) as o ->
+    Db.commit db txn;
+    o
+  | (Failed _ | Raised _) as o ->
+    Db.abort db txn;
+    o
+  | exception e ->
+    Db.abort db txn;
+    Raised (Printexc.to_string e)
+
+let by_text db stmt =
+  in_txn db (fun txn ->
+      match Db.exec_sql db txn (Printer.to_string stmt) with
+      | Ok r -> Done r
+      | Error e -> Failed e)
+
+let by_ast db stmt =
+  in_txn db (fun txn ->
+      match Db.exec db txn stmt with
+      | r -> Done r
+      | exception Invalid_argument e -> Failed e
+      | exception Not_found -> Failed ("unknown table " ^ Ast.table_of stmt))
+
+let by_integrator wh stmt =
+  match Warehouse.integrate_op_deltas wh [ Op_delta.make ~txn_id:1 [ stmt ] ] with
+  | (_ : Warehouse.stats) -> Applied
+  | exception Invalid_argument e -> Failed e
+  | exception e -> Raised (Printexc.to_string e)
+
+let twin_rows_of db =
+  let rows = ref [] in
+  Table.scan (Db.table db "t") (fun _ row -> rows := row :: !rows);
+  List.sort Tuple.compare !rows
+
+let log_of db =
+  let records = ref [] in
+  Wal.iter_all (Db.wal db) (fun lsn r -> records := (lsn, r) :: !records);
+  List.rev !records
+
+let show_outcome = function
+  | Done (Db.Affected n) -> Printf.sprintf "affected %d" n
+  | Done _ -> "done"
+  | Applied -> "applied"
+  | Failed e -> "failed: " ^ e
+  | Raised e -> "raised " ^ e
+
+let prop_ast_runs_as_text =
+  QCheck2.Test.make ~name:"a statement runs from its AST as from its printed text" ~count:300
+    ~print:(fun stmts -> String.concat ";\n" (List.map Printer.to_string stmts))
+    gen_twin_stmts (fun stmts ->
+      let db_ast = twin_db () and db_text = twin_db () in
+      let wh_ast = twin_wh () and wh_text = twin_wh () in
+      List.iter load [ db_ast; db_text; Warehouse.db wh_ast; Warehouse.db wh_text ];
+      List.iteri
+        (fun i stmt ->
+          let agree what a b =
+            if a <> b then
+              QCheck2.Test.fail_reportf "statement %d (%s), %s: AST %s, text %s" i
+                (Printer.to_string stmt) what (show_outcome a) (show_outcome b)
+          in
+          agree "engine" (by_ast db_ast stmt) (by_text db_text stmt);
+          (* the integrator's error is [Db.exec_sql]'s, in its context *)
+          let text =
+            match by_text (Warehouse.db wh_text) stmt with
+            | Done _ -> Applied
+            | Failed e -> Failed ("Warehouse.integrate_op_deltas: " ^ e)
+            | (Applied | Raised _) as o -> o
+          in
+          agree "warehouse" (by_integrator wh_ast stmt) text)
+        stmts;
+      let same a b what =
+        if not (List.equal Tuple.equal (twin_rows_of a) (twin_rows_of b)) then
+          QCheck2.Test.fail_reportf "%s: rows differ" what;
+        if log_of a <> log_of b then QCheck2.Test.fail_reportf "%s: logs differ" what
+      in
+      same db_ast db_text "engine";
+      same (Warehouse.db wh_ast) (Warehouse.db wh_text) "warehouse";
+      true)
+
+let duplicate_key_error_text () =
+  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
+  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
+  let od txn_id =
+    Op_delta.make ~txn_id (Workload.insert_parts_txn ~first_id:7 ~size:1 ~day:0 ())
+  in
+  ignore (Warehouse.integrate_op_deltas wh [ od 1 ] : Warehouse.stats);
+  match Warehouse.integrate_op_deltas wh [ od 2 ] with
+  | (_ : Warehouse.stats) -> Alcotest.fail "a duplicate key integrated"
+  | exception Invalid_argument e ->
+    Alcotest.(check string)
+      "the statement's error"
+      "Warehouse.integrate_op_deltas: Table parts: duplicate primary key (7)" e
+
 (* ---------- an overflowing FLOAT never reaches a replica ---------- *)
 
 let parts_rows db =
@@ -757,4 +993,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delete_logs_before_image;
     test "heap delete returns the record the slot held" heap_delete_returns_record;
     test "an overflowing FLOAT update is rejected; pipelines agree" overflowing_float_rejected;
+    QCheck_alcotest.to_alcotest prop_ast_runs_as_text;
+    test "a duplicate-key Op-Delta keeps its error text" duplicate_key_error_text;
   ]
