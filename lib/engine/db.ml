@@ -446,14 +446,34 @@ let logged_delete t txn tname table rid ~before =
   txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
   fire t txn tname (Trigger.Deleted (rid, before))
 
-let insert t txn tname tuple =
+(* the row an upsert of [tuple] overwrites, if any; no stored key holds
+   NULL ([Tuple.validate]), so a NULL key finds none, as [k = NULL]
+   matches none *)
+let upsert_target ~upsert table tuple =
+  if upsert then Table.find_key table (Tuple.key (Table.schema table) tuple) else None
+
+(* a new row: stamped, stored ([row_lock]: X-locked) and logged *)
+let insert_new t txn tname table ~row_lock tuple =
+  let tuple = stamp t table tuple in
+  let rid, after = Table.raw_insert table tuple in
+  if row_lock then acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
+  logged_insert t txn tname rid tuple after
+
+let insert ?(upsert = false) t txn tname tuple =
   check_writable txn;
   statement_boundary t;
   let table = table t tname in
   acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  let tuple = stamp t table tuple in
-  let rid, after = Table.raw_insert table tuple in
-  logged_insert t txn tname rid tuple after
+  match upsert_target ~upsert table tuple with
+  | Some (rid, before) ->
+    logged_update t txn tname table rid ~before (stamp t table tuple);
+    rid
+  | None -> insert_new t txn tname table ~row_lock:false tuple
+
+let column_index schema col =
+  match Schema.index_of_opt schema col with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "unknown column %s" col)
 
 let insert_values t txn tname ~columns values =
   let tbl = table t tname in
@@ -468,17 +488,13 @@ let insert_values t txn tname ~columns values =
       if List.length cols <> List.length values then
         invalid_arg "Db.insert_values: columns/values length mismatch";
       let tuple = Array.make (Schema.arity schema) Value.Null in
-      List.iter2 (fun col v -> tuple.(Schema.index_of schema col) <- v) cols values;
+      List.iter2 (fun col v -> tuple.(column_index schema col) <- v) cols values;
       tuple
   in
   insert t txn tname tuple
 
 let check_columns schema expr =
-  List.iter
-    (fun col ->
-      if not (Schema.mem schema col) then
-        invalid_arg (Printf.sprintf "unknown column %s" col))
-    (Expr.columns expr)
+  List.iter (fun col -> ignore (column_index schema col : int)) (Expr.columns expr)
 
 (* conservative bound extraction: conjunctions of comparisons between the
    leading key column and literals imply an index range; anything else
@@ -548,11 +564,9 @@ let update_where t txn tname ~set ~where =
   let set =
     List.map
       (fun (col, e) ->
-        match Schema.index_of_opt schema col with
-        | None -> invalid_arg (Printf.sprintf "unknown column %s" col)
-        | Some i ->
-          check_columns schema e;
-          (i, Expr.compile schema e))
+        let i = column_index schema col in
+        check_columns schema e;
+        (i, Expr.compile schema e))
       set
   in
   let stamp_idx = Table.ts_col_idx table in
@@ -568,14 +582,21 @@ let update_where t txn tname ~set ~where =
     victims;
   List.length victims
 
-let delete_where t txn tname ~where =
+(* a DELETE statement of the rows [find] returns *)
+let delete_found t txn tname find =
   check_writable txn;
   statement_boundary t;
   let table = table t tname in
   acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  let victims = matching ~mode:t.plan_mode table where in
+  let victims = find table in
   List.iter (fun (rid, before) -> logged_delete t txn tname table rid ~before) victims;
   List.length victims
+
+let delete_where t txn tname ~where =
+  delete_found t txn tname (fun table -> matching ~mode:t.plan_mode table where)
+
+let delete_key t txn tname key =
+  delete_found t txn tname (fun table -> Option.to_list (Table.find_key table key))
 
 (* snapshot read path: resolve each candidate rid through the version
    store; readers take no locks and are never blocked *)
@@ -659,21 +680,6 @@ let find_by_key t txn tname key =
         ignore tuple;
         hit)
 
-let insert_row t txn tname tuple =
-  check_writable txn;
-  let table = table t tname in
-  let tuple = stamp t table tuple in
-  let rid, after = Table.raw_insert table tuple in
-  acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  logged_insert t txn tname rid tuple after
-
-let append_row t txn tname tuple =
-  check_writable txn;
-  let table = table t tname in
-  let tuple = stamp t table tuple in
-  let rid, after = Table.raw_insert table tuple in
-  ignore (logged_insert t txn tname rid tuple after : Heap_file.rid)
-
 let update_rid t txn tname rid tuple =
   check_writable txn;
   let table = table t tname in
@@ -681,13 +687,20 @@ let update_rid t txn tname rid tuple =
   let before = Heap_file.get (Table.heap table) rid in
   logged_update t txn tname table rid ~before (stamp t table tuple)
 
-(* the key index finds the row without a lock; [update_rid] X-locks it
-   before reading its before-image *)
-let upsert_row t txn tname tuple =
+(* an upsert's key index lookup takes no lock; [update_rid] X-locks the
+   row before reading its before-image *)
+let insert_row ?(upsert = false) t txn tname tuple =
+  check_writable txn;
   let table = table t tname in
-  match Table.find_key table (Tuple.key (Table.schema table) tuple) with
-  | Some (rid, _) -> update_rid t txn tname rid tuple
-  | None -> ignore (insert_row t txn tname tuple : Heap_file.rid)
+  match upsert_target ~upsert table tuple with
+  | Some (rid, _) ->
+    update_rid t txn tname rid tuple;
+    rid
+  | None -> insert_new t txn tname table ~row_lock:true tuple
+
+let append_row t txn tname tuple =
+  check_writable txn;
+  ignore (insert_new t txn tname (table t tname) ~row_lock:false tuple : Heap_file.rid)
 
 let delete_rid t txn tname rid =
   check_writable txn;

@@ -155,13 +155,21 @@ val active_txns : t -> int list
 (** {2 DML} — each call acquires statement locks, logs images, maintains
     the timestamp column, and fires AFTER triggers per affected row. *)
 
-val insert : t -> txn -> string -> Tuple.t -> Heap_file.rid
+val insert : ?upsert:bool -> t -> txn -> string -> Tuple.t -> Heap_file.rid
+(** With [~upsert:true], a row already under the tuple's primary key is
+    overwritten in place (an update, its rid returned) instead of
+    failing the duplicate-key check: one statement either way. *)
 
 val update_where : t -> txn -> string -> set:(string * Expr.t) list -> where:Expr.t option -> int
 (** Returns number of rows updated.  SET right-hand sides are evaluated
     against the before image. *)
 
 val delete_where : t -> txn -> string -> where:Expr.t option -> int
+
+val delete_key : t -> txn -> string -> Tuple.t -> int
+(** [DELETE] of the row whose primary key is this key tuple, found
+    through the key index instead of a predicate: 1, or 0 when there is
+    none. *)
 
 val select : t -> txn -> string -> ?where:Expr.t -> unit -> Tuple.t list
 (** Full tuples of matching rows.  [`Read_write]: shared table lock.
@@ -176,9 +184,9 @@ val find_by_key : t -> txn -> string -> Tuple.t -> (Heap_file.rid * Tuple.t) opt
 (** Primary-key lookup (shared row lock on hit; lock-free snapshot
     resolution in [`Snapshot] mode). *)
 
-val insert_row : t -> txn -> string -> Tuple.t -> Heap_file.rid
-(** Like {!insert} but takes only a row lock on the new rid, not a table
-    lock. *)
+val insert_row : ?upsert:bool -> t -> txn -> string -> Tuple.t -> Heap_file.rid
+(** Like {!insert} but takes only a row lock, on the written rid, not a
+    table lock. *)
 
 val append_row : t -> txn -> string -> Tuple.t -> unit
 (** Like {!insert_row} but takes no lock at all: for an append-only log
@@ -188,10 +196,6 @@ val append_row : t -> txn -> string -> Tuple.t -> unit
 
 val update_rid : t -> txn -> string -> Heap_file.rid -> Tuple.t -> unit
 val delete_rid : t -> txn -> string -> Heap_file.rid -> unit
-
-val upsert_row : t -> txn -> string -> Tuple.t -> unit
-(** Overwrite the row with this tuple's primary key, or insert it when
-    there is none.  Takes one X row lock, on the written row. *)
 
 (** {2 Cooperative scheduling hooks} — used by {!Scheduler} to interleave
     logical sessions over the single-threaded engine.  [yield_hook] is

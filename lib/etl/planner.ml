@@ -258,7 +258,8 @@ let log_decision wh ~table d =
       Value.Str (clip 72 d.reason);
     |]
   in
-  Db.with_txn db (fun txn -> Db.upsert_row db txn log_table row)
+  Db.with_txn db (fun txn ->
+      ignore (Db.insert_row ~upsert:true db txn log_table row : Dw_storage.Heap_file.rid))
 
 type log_row = {
   lr_table : string;

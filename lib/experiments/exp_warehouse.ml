@@ -11,6 +11,7 @@
 module Db = Dw_engine.Db
 module Workload = Dw_workload.Workload
 module Op_delta = Dw_core.Op_delta
+module Delta = Dw_core.Delta
 module Trigger_extract = Dw_core.Trigger_extract
 module Warehouse = Dw_warehouse.Warehouse
 module Metrics = Dw_util.Metrics
@@ -23,19 +24,24 @@ let mk_warehouse ~replica_rows =
 
 (* capture both representations of one source transaction, with the
    rows the source held before it: the replica contents a warehouse must
-   start from for either representation to apply to it.  The Op-Delta is
-   its wire line, as the paper ships it. *)
+   start from for either representation to apply to it.  Both are in
+   their wire form, as the paper ships them. *)
 let capture_both ~table_rows kind size =
   let db, stmts = source_txn ~seed:99 ~table_rows kind size in
   let contents = sorted_rows db "parts" in
   let handle = Trigger_extract.install db ~table:"parts" in
   exec_txn db stmts;
-  let value_delta = Trigger_extract.collect db handle in
-  (contents, value_delta, Op_delta.encode_line (Op_delta.make ~txn_id:1 stmts))
+  let value_lines = Delta.to_lines (Trigger_extract.collect db handle) in
+  (contents, value_lines, Op_delta.encode_line (Op_delta.make ~txn_id:1 stmts))
 
-(* The Op-Delta path's window: decode the line (one parse per statement,
-   where the warehouse receives it), then re-execute the statements.  The
-   value path's window likewise parses each record statement it loads. *)
+(* Each path's window decodes its own wire form where the warehouse
+   receives it: the differential file's ASCII records, or the Op-Delta
+   line's statements (one parse each). *)
+let integrate_lines wh lines =
+  match Delta.of_lines ~table:"parts" ~schema:Workload.parts_schema lines with
+  | Ok delta -> Warehouse.integrate_value_delta wh delta
+  | Error e -> failwith ("W1: differential file does not decode: " ^ e)
+
 let integrate_line wh line =
   match Op_delta.decode_line line with
   | Ok od -> Warehouse.integrate_op_deltas wh [ od ]
@@ -78,10 +84,10 @@ let run_w1 ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let contents, value_delta, line = capture_both ~table_rows kind size in
+          let contents, value_lines, line = capture_both ~table_rows kind size in
           let setup () = replica_warehouse ~pool_pages:2048 ~views:[ cheap_parts ] contents in
           let t_value, wh_value, s_value =
-            timed_path ~setup (fun wh -> Warehouse.integrate_value_delta wh value_delta)
+            timed_path ~setup (fun wh -> integrate_lines wh value_lines)
           in
           let t_op, wh_op, s_op =
             timed_path ~setup (fun wh -> integrate_line wh line)
@@ -157,11 +163,11 @@ let run_w1_agg ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let contents, value_delta, line = capture_both ~table_rows kind size in
+          let contents, value_lines, line = capture_both ~table_rows kind size in
           let t_value =
             best_of ~repeat:3
               ~setup:(fun () -> mk_agg_warehouse contents)
-              (fun wh -> ignore (Warehouse.integrate_value_delta wh value_delta : Warehouse.stats))
+              (fun wh -> ignore (integrate_lines wh value_lines : Warehouse.stats))
           in
           let t_op =
             best_of ~repeat:3

@@ -1,7 +1,6 @@
 module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
 module Value = Dw_relation.Value
-module Expr = Dw_relation.Expr
 module Db = Dw_engine.Db
 module Table = Dw_engine.Table
 module Trigger = Dw_engine.Trigger
@@ -619,84 +618,52 @@ let refresh_txn (t : t) ~mark body =
     duration = Metrics.now metrics -. start;
   }
 
-(* Every statement an integrator executes runs here, from its AST: a
-   statement that arrived as text was parsed once where it was received
-   ([Op_delta.decode_line]), and a fleet's statements were never text.
-   Errors read as [Db.exec_sql] reports them.  The statement joins its
-   transaction's run when it writes the run's table; otherwise the run
-   is maintained and a new one opens.  Views are maintained once per run,
-   not per statement, so a value delta's one-row statements into one
-   group rewrite it once. *)
-let exec (t : t) txn ~ctx stmt =
+(* Every statement an integrator executes runs here: [apply] is its one
+   engine call on replica [table].  Errors read as [Db.exec_sql] reports
+   them.  The statement joins its transaction's run when it writes the
+   run's table; otherwise the run is maintained and a new one opens.
+   Views are maintained once per run, not per statement, so a value
+   delta's one-row statements into one group rewrite it once. *)
+let statement (t : t) txn ~ctx ~table apply =
   t.statements <- t.statements + 1;
-  let table = Dw_sql.Ast.table_of stmt in
   (match run_of (Db.txid txn) t.runs with
    | Some r when String.equal r.table table -> ()
    | _ ->
      flush_run t txn;
      t.runs <- { txid = Db.txid txn; table; ctx; events = [] } :: t.runs);
-  match Db.exec t.db txn stmt with
+  match apply () with
   | result -> result
   | exception Invalid_argument e -> statement_failed ~ctx e
   | exception Not_found -> statement_failed ~ctx (Printf.sprintf "unknown table %s" table)
 
-(* Per the paper (Section 4.1), a value delta integrates as SQL
-   statements: one INSERT per captured insert image, one keyed DELETE per
-   delete image, and a keyed DELETE (before image) plus an INSERT (after
-   image) per update.  The differential file is data, so each statement
-   is loaded as text: printed to SQL, parsed, then run through the normal
-   executor.  A value delta of x updates thus costs 2x statement prints,
-   parses and executions where the Op-Delta costs one of each. *)
-let key_predicate schema tuple =
-  let preds =
-    List.init (Schema.key_arity schema) (fun i ->
-        let col = (Schema.column schema i).Schema.name in
-        Expr.Cmp (Expr.Eq, Expr.Col col, Expr.Lit tuple.(i)))
-  in
-  match Expr.conj preds with Some p -> p | None -> assert false
-
-let insert_stmt table tuple =
-  Dw_sql.Ast.Insert { table; columns = None; rows = [ Array.to_list tuple ] }
-
-let delete_stmt table schema tuple =
-  Dw_sql.Ast.Delete { table; where = Some (key_predicate schema tuple) }
-
-let update_stmt table schema tuple =
-  (* SET every non-key column to the after image's literal *)
-  let sets =
-    List.filteri (fun i _ -> i >= Schema.key_arity schema) (Schema.columns schema)
-    |> List.map (fun c ->
-           (c.Schema.name, Expr.Lit tuple.(Schema.index_of schema c.Schema.name)))
-  in
-  Dw_sql.Ast.Update { table; sets; where = Some (key_predicate schema tuple) }
-
-(* the loader step: one value-delta statement as SQL text, parsed back
-   and executed *)
-let load t txn ~ctx stmt =
-  match Dw_sql.Parser.parse (Dw_sql.Printer.to_string stmt) with
-  | Ok stmt -> exec t txn ~ctx stmt
-  | Error e -> statement_failed ~ctx e
-
-(* update-or-insert by key *)
-let upsert_row t txn ~ctx schema ~table tuple =
-  match load t txn ~ctx (update_stmt table schema tuple) with
-  | Db.Affected 0 -> ignore (load t txn ~ctx (insert_stmt table tuple) : Db.exec_result)
-  | Db.Affected _ | Db.Rows _ | Db.Created -> ()
-
+(* Per the paper (Section 4.1), a value delta integrates as SQL-level
+   operations: an INSERT per insert image, a keyed DELETE per delete
+   image, and both per update.  The differential file is data, so each
+   record is applied as the typed row it is, as the paper's Loader writes
+   rows: through the key index, one statement under the table X lock.
+   A value delta of x updates costs 2x statements and row writes where
+   the Op-Delta costs one UPDATE. *)
 let integrate_value_delta ?(mark = ignore) (t : t) delta =
   let ctx = "integrate_value_delta" in
   let table = delta.Delta.table in
   let schema = delta.Delta.schema in
-  let run txn stmt = ignore (load t txn ~ctx stmt : Db.exec_result) in
+  let insert ?upsert txn row =
+    statement t txn ~ctx ~table (fun () ->
+        ignore (Db.insert ?upsert t.db txn table row : Heap_file.rid))
+  in
+  let delete txn before =
+    statement t txn ~ctx ~table (fun () ->
+        ignore (Db.delete_key t.db txn table (Tuple.key schema before) : int))
+  in
   refresh_txn t ~mark (fun txn ->
       List.iter
         (function
-          | Delta.Insert after -> run txn (insert_stmt table after)
-          | Delta.Delete before -> run txn (delete_stmt table schema before)
+          | Delta.Insert after -> insert txn after
+          | Delta.Delete before -> delete txn before
           | Delta.Update (before, after) ->
-            run txn (delete_stmt table schema before);
-            run txn (insert_stmt table after)
-          | Delta.Upsert after -> upsert_row t txn ~ctx schema ~table after)
+            delete txn before;
+            insert txn after
+          | Delta.Upsert after -> insert ~upsert:true txn after)
         delta.Delta.changes)
 
 (* ---------- Op-Delta integration ---------- *)
@@ -720,7 +687,8 @@ let integrate_op_deltas ?policy ?(mark = fun _ _ -> ()) (t : t) ods =
   (* a run of whole, consecutive source transactions is ONE warehouse
      transaction, every statement re-executed from its AST in source
      commit order: one execution per source statement, not per affected
-     row *)
+     row.  A statement that arrived as text was parsed once where it was
+     received ([Op_delta.decode_line]); a fleet's never was text. *)
   let apply run =
     refresh_txn t
       ~mark:(fun txn -> mark txn run)
@@ -728,8 +696,9 @@ let integrate_op_deltas ?policy ?(mark = fun _ _ -> ()) (t : t) ods =
         List.iter
           (fun od ->
             List.iter
-              (fun (op : Op_delta.op) ->
-                ignore (exec t txn ~ctx:"integrate_op_deltas" op.Op_delta.stmt : Db.exec_result))
+              (fun { Op_delta.stmt; _ } ->
+                statement t txn ~ctx:"integrate_op_deltas" ~table:(Dw_sql.Ast.table_of stmt)
+                  (fun () -> ignore (Db.exec t.db txn stmt : Db.exec_result)))
               od.Op_delta.ops)
           run)
   in
@@ -852,9 +821,11 @@ let mark t table =
 
 let put_mark t txn table m =
   let db = progress_db t marks_table marks_schema in
-  Db.upsert_row db txn marks_table
-    [| Value.Str table; Value.Int m.day; Value.Int m.lsn; Value.Int m.snap; Value.Int m.trig;
-       Value.Int m.ops |]
+  ignore
+    (Db.insert_row ~upsert:true db txn marks_table
+       [| Value.Str table; Value.Int m.day; Value.Int m.lsn; Value.Int m.snap; Value.Int m.trig;
+          Value.Int m.ops |]
+      : Heap_file.rid)
 
 type bootstrap_state = Bootstrapping | Complete
 
@@ -908,11 +879,13 @@ let lock_bootstrap t txn table =
 
 let put_bootstrap t txn b =
   let db = progress_db t runs_table runs_schema in
-  Db.upsert_row db txn runs_table
-    [| Value.Str b.table; Value.Str b.run_id;
-       Value.Int (match b.state with Bootstrapping -> 0 | Complete -> 1);
-       Value.Int b.next_key; Value.Int b.chunks_done; Value.Int b.rows_loaded;
-       Value.Int b.last_txn; Value.Str b.lease_owner; Value.Float b.lease_expiry |]
+  ignore
+    (Db.insert_row ~upsert:true db txn runs_table
+       [| Value.Str b.table; Value.Str b.run_id;
+          Value.Int (match b.state with Bootstrapping -> 0 | Complete -> 1);
+          Value.Int b.next_key; Value.Int b.chunks_done; Value.Int b.rows_loaded;
+          Value.Int b.last_txn; Value.Str b.lease_owner; Value.Float b.lease_expiry |]
+      : Heap_file.rid)
 
 (* ---------- re-adoption after a crash ---------- *)
 

@@ -19,14 +19,14 @@
     hybrid images ({!Dw_core.Op_delta.value_delta}) — are a value delta
     and go through {!integrate_value_delta}.
 
-    Every integrator runs inside one [warehouse.refresh] span and
-    executes each statement from its AST through the warehouse engine
-    ({!Db.exec}), with the errors [Db.exec_sql] would report.  A
-    statement is parsed once where it arrives as text: an Op-Delta line
-    when it is decoded ({!Dw_core.Op_delta.decode_line}), a value-delta
-    record when the integrator loads it (printed to SQL and parsed, the
-    per-record statement cost of the paper's value path).  A fleet's
-    Op-Deltas are never text.
+    Every integrator runs inside one [warehouse.refresh] span, and each
+    of its statements fails with the error [Db.exec_sql] would report.
+    An Op-Delta statement runs from its AST through the warehouse engine
+    ({!Db.exec}), parsed once where it arrives as text: when its line is
+    decoded ({!Dw_core.Op_delta.decode_line}).  A fleet's Op-Deltas are
+    never text.  A value-delta record is never text at the warehouse: it
+    is applied as the typed row it is, through the replica's key index,
+    the way the paper's Loader writes rows.
 
     Views are maintained {e set-oriented}, once per {e run}: a run is a
     maximal sequence of consecutive integrator statements, in one
@@ -144,12 +144,15 @@ val add_stats : stats -> stats -> stats
 (** Component-wise sum (durations add). *)
 
 val integrate_value_delta : ?mark:(Db.txn -> unit) -> t -> Delta.t -> stats
-(** One batch transaction.  [Upsert] entries integrate as keyed
-    update-or-insert (the timestamp method's integration path) — the
-    only row-image writer: {!Dw_etl.Bootstrap} applies its window deltas
-    and chunks as value deltas through it.  [mark txn] runs inside the
-    transaction after the changes, so a progress record commits or rolls
-    back with them (as in {!integrate_op_deltas}). *)
+(** One batch transaction, each record a statement loaded by key from
+    its tuple: [Insert] by {!Db.insert}, [Delete] by {!Db.delete_key} on
+    the before image's key, [Update] as both (two statements and row
+    events: the paper's 2n against n), and [Upsert] — the timestamp
+    method's and {!Dw_etl.Bootstrap}'s path — as one keyed write
+    ([Db.insert ~upsert:true]), one statement whether it hits or misses.
+    [mark txn] runs inside the transaction after the changes, so a
+    progress record commits or rolls back with them (as in
+    {!integrate_op_deltas}). *)
 
 (** {2 Op-Delta integration} — the one statement integrator.
 

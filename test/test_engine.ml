@@ -333,6 +333,20 @@ let sql_errors () =
       check Alcotest.bool "unknown column" true
         (Result.is_error (Db.exec_sql db txn "SELECT * FROM parts WHERE nope = 1")))
 
+(* an INSERT's column list naming a column the table lacks reads as an
+   UPDATE of it does, not as a missing table *)
+let insert_unknown_column () =
+  let db = mk_parts () in
+  Db.with_txn db (fun txn ->
+      check
+        Alcotest.(result reject string)
+        "INSERT" (Error "unknown column zz")
+        (Db.exec_sql db txn "INSERT INTO parts (part_id, zz) VALUES (0, DATE 0)");
+      check
+        Alcotest.(result reject string)
+        "UPDATE" (Error "unknown column zz")
+        (Db.exec_sql db txn "UPDATE parts SET zz = 1 WHERE part_id = 0"))
+
 (* ---------- utilities ---------- *)
 
 let export_import_roundtrip () =
@@ -736,6 +750,7 @@ let suite =
     test "sql end to end" sql_end_to_end;
     test "sql aggregates" sql_aggregates;
     test "sql errors" sql_errors;
+    test "insert of an unknown column names it" insert_unknown_column;
     test "export/import roundtrip" export_import_roundtrip;
     test "import rejects wrong schema" import_rejects_wrong_schema;
     test "import rejects foreign product" import_rejects_foreign_product;

@@ -980,6 +980,349 @@ let overflowing_float_rejected () =
       (same (parts_rows (Warehouse.db wh_o)) (parts_rows (Warehouse.db wh_t)))
   | _ -> assert false
 
+(* ---------- a value delta loads by key as from its printed statements ---------- *)
+
+(* [Warehouse.integrate_value_delta] applies each record as the typed row
+   it is, through the key index ([Db.insert], [Db.delete_key],
+   [Db.insert ~upsert:true]).  Before, each record became a statement
+   that was printed, parsed back and run: an INSERT per insert image, a
+   DELETE on the key columns per delete image, both per update, and for
+   an upsert an UPDATE of every non-key column, then an INSERT when it
+   matched no row.  That loader is the reference kept here, twice:
+
+   - a plain engine runs the printed statements through [Db.exec_sql]
+     (the upsert's INSERT when the UPDATE reads [Affected 0]), against
+     the typed calls, on a table with a timestamp column;
+   - a warehouse with an SPJ view of each layout and an aggregate view
+     runs them, printed and parsed, through the statement integrator
+     ([Warehouse.integrate_op_deltas]: the old loader's run and view
+     bookkeeping), against [integrate_value_delta].  One transaction
+     cannot branch on an UPDATE's count, so the upsert's INSERT follows
+     when a model of the keys present says the UPDATE matches nothing.
+
+   Both must agree on the outcome, error text included, on every row,
+   view row and log record, and on the row ops; the typed loader counts
+   one statement per record, two per update. *)
+
+module Delta = Dw_core.Delta
+module Spj_view = Dw_core.Spj_view
+module Agg_view = Dw_core.Agg_view
+
+(* a composite key; a generated key may hold NULL, which no stored key
+   does ([Tuple.validate]) *)
+let comp_schema =
+  Schema.make ~key_arity:2
+    [
+      { Schema.name = "k"; ty = Value.Tint; nullable = false };
+      { Schema.name = "tag"; ty = Value.Tstring 4; nullable = false };
+      { Schema.name = "a"; ty = Value.Tint; nullable = true };
+      { Schema.name = "f"; ty = Value.Tfloat; nullable = true };
+      { Schema.name = "s"; ty = Value.Tstring 6; nullable = true };
+      { Schema.name = "d"; ty = Value.Tdate; nullable = false };
+    ]
+
+let comp_rows =
+  List.map
+    (fun (k, tag) ->
+      [| Value.Int k; tag; Value.Int (k * 7); Value.Float (float_of_int k *. 1.5e-3);
+         Value.Str (String.make k 'q'); Value.Date (200 + k) |])
+    [ (0, Value.Str "a"); (0, Value.Str "b"); (1, Value.Str "a"); (2, Value.Str "it's");
+      (3, Value.Str "b"); (4, Value.Str "") ]
+
+let parts_rows_init =
+  List.init 6 (fun i ->
+      let id = i + 1 in
+      [| Value.Int id; Value.Str (Printf.sprintf "part '%d'" id); Value.Int (id mod 3);
+         Value.Float (float_of_int (id * 150)); Value.Date (300 + id) |])
+
+(* an SPJ view of each layout and an aggregate view with a MIN, whose
+   extremum leaving forces a group rescan *)
+type shape = {
+  schema : Schema.t;
+  ts_column : string;
+  initial : Tuple.t list;
+  keyed_view : Spj_view.t;
+  bag_view : Spj_view.t;
+  agg_view : Agg_view.t;
+}
+
+let project table schema ?filter name cols =
+  Spj_view.Select_project
+    {
+      name;
+      table;
+      schema;
+      filter;
+      project =
+        List.map (fun c -> { Spj_view.out_name = c; from_side = Spj_view.L; from_col = c }) cols;
+    }
+
+let comp_shape =
+  let v = project "t" comp_schema in
+  {
+    schema = comp_schema;
+    ts_column = "d";
+    initial = comp_rows;
+    keyed_view =
+      v ~filter:(Expr.Cmp (Expr.Gt, Expr.Col "a", Expr.Lit (Value.Int 0))) "t_keyed"
+        [ "k"; "tag"; "f"; "s" ];
+    bag_view = v "t_bag" [ "tag"; "d" ];
+    agg_view =
+      { Agg_view.name = "t_agg"; table = "t"; schema = comp_schema; filter = None;
+        group_by = [ "tag" ];
+        aggregates = [ ("n", Agg_view.Count); ("total", Agg_view.Sum "k");
+                       ("first", Agg_view.Min "d") ] };
+  }
+
+let parts_shape =
+  let v = project "t" Workload.parts_schema in
+  {
+    schema = Workload.parts_schema;
+    ts_column = "last_modified";
+    initial = parts_rows_init;
+    keyed_view =
+      v ~filter:(Expr.Cmp (Expr.Lt, Expr.Col "price", Expr.Lit (Value.Float 500.0))) "cheap"
+        [ "part_id"; "qty" ];
+    bag_view = v "t_bag" [ "qty" ];
+    agg_view =
+      { Agg_view.name = "t_agg"; table = "t"; schema = Workload.parts_schema; filter = None;
+        group_by = [ "qty" ];
+        aggregates = [ ("n", Agg_view.Count); ("value", Agg_view.Sum "price");
+                       ("newest", Agg_view.Max "last_modified") ] };
+  }
+
+let gen_delta_case =
+  let open QCheck2.Gen in
+  let gen_str n =
+    string_size (int_range 0 n)
+      ~gen:(oneof [ char_range 'a' 'c'; oneofl [ '\''; '\\'; ' '; ','; '\n' ] ])
+  in
+  let gen_float =
+    oneof [ Test_sql.gen_finite_float; oneofl [ 1.0e17; -2.5e-7; 1e22; -0.0; 6.02e23 ] ]
+  in
+  (* mostly the column's type, NULL where the column admits it, and
+     rarely a value it rejects (NULL where it does not, a string one byte
+     too long): the load fails, and its error text is compared *)
+  let value (c : Schema.column) =
+    let typed =
+      match c.Schema.ty with
+      | Value.Tint -> map (fun n -> Value.Int n) (int_range (-3) 9)
+      | Value.Tfloat -> map (fun f -> Value.Float f) gen_float
+      | Value.Tstring n -> map (fun s -> Value.Str s) (gen_str n)
+      | Value.Tdate -> map (fun d -> Value.Date d) (int_range 0 20000)
+      | Value.Tbool -> map (fun b -> Value.Bool b) bool
+    in
+    let rejected =
+      match c.Schema.ty with
+      | Value.Tstring n -> return (Value.Str (String.make (n + 1) 'x'))
+      | Value.Tint | Value.Tfloat | Value.Tdate | Value.Tbool -> return Value.Null
+    in
+    if c.Schema.nullable then frequency [ (30, typed); (8, return Value.Null); (1, rejected) ]
+    else frequency [ (40, typed); (1, rejected) ]
+  in
+  (* keys from a small domain, so inserts collide and deletes miss *)
+  let key shape =
+    if shape == comp_shape then
+      map2
+        (fun k tag -> [ Value.Int k; tag ])
+        (int_range 0 6)
+        (frequency [ (30, map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "it's"; "" ]));
+                     (1, return Value.Null) ])
+    else map (fun k -> [ Value.Int k ]) (int_range 0 14)
+  in
+  let row shape =
+    let rest = List.filteri (fun i _ -> i >= Schema.key_arity shape.schema) (Schema.columns shape.schema) in
+    map2 (fun key rest -> Array.of_list (key @ rest)) (key shape) (flatten_l (List.map value rest))
+  in
+  let change shape =
+    frequency
+      [
+        (3, map (fun r -> Delta.Insert r) (row shape));
+        (2, map (fun r -> Delta.Delete r) (row shape));
+        ( 3,
+          row shape >>= fun before ->
+          map2
+            (fun after rekey ->
+              (* mostly the same key, as a captured update has *)
+              if rekey then Delta.Update (before, after)
+              else
+                let after = Array.copy after in
+                Array.blit before 0 after 0 (Schema.key_arity shape.schema);
+                Delta.Update (before, after))
+            (row shape) (frequency [ (1, return true); (3, return false) ]) );
+        (3, map (fun r -> Delta.Upsert r) (row shape));
+      ]
+  in
+  oneofl [ comp_shape; parts_shape ] >>= fun shape ->
+  map (fun changes -> (shape, changes)) (list_size (int_range 1 7) (change shape))
+
+let print_delta_case (shape, changes) =
+  String.concat "\n"
+    ((if shape == comp_shape then "composite key" else "parts")
+    :: List.map
+         (function
+           | Delta.Insert r -> "I " ^ Tuple.to_string r
+           | Delta.Delete r -> "D " ^ Tuple.to_string r
+           | Delta.Update (b, a) -> "U " ^ Tuple.to_string b ^ " -> " ^ Tuple.to_string a
+           | Delta.Upsert r -> "S " ^ Tuple.to_string r)
+         changes)
+
+(* the reference loader's statements, each printed and parsed back *)
+let key_predicate schema tuple =
+  Option.get
+    (Expr.conj
+       (List.init (Schema.key_arity schema) (fun i ->
+            Expr.Cmp (Expr.Eq, Expr.Col (Schema.column schema i).Schema.name, Expr.Lit tuple.(i)))))
+
+let insert_stmt tuple = Ast.Insert { table = "t"; columns = None; rows = [ Array.to_list tuple ] }
+let delete_stmt schema tuple = Ast.Delete { table = "t"; where = Some (key_predicate schema tuple) }
+
+let update_stmt schema tuple =
+  let sets =
+    List.filteri (fun i _ -> i >= Schema.key_arity schema) (Schema.columns schema)
+    |> List.mapi (fun i c -> (c.Schema.name, Expr.Lit tuple.(Schema.key_arity schema + i)))
+  in
+  Ast.Update { table = "t"; sets; where = Some (key_predicate schema tuple) }
+
+let reparse stmt =
+  match Parser.parse (Printer.to_string stmt) with
+  | Ok stmt -> stmt
+  | Error e -> QCheck2.Test.fail_reportf "%s does not parse back: %s" (Printer.to_string stmt) e
+
+(* one change as the reference loader's statements; an upsert's INSERT
+   follows its UPDATE unless [present], the keys a successful load holds
+   so far, has its key (a failed load rolls back whole, so the keys after
+   a failure do not matter; a key holding NULL is never present) *)
+let reference_stmts schema present change =
+  let key tuple = Tuple.key schema tuple in
+  let keyed tuple = not (Array.exists Value.is_null (key tuple)) in
+  let add tuple = if keyed tuple then Hashtbl.replace present (key tuple) () in
+  let remove tuple = Hashtbl.remove present (key tuple) in
+  match change with
+  | Delta.Insert after ->
+    add after;
+    [ insert_stmt after ]
+  | Delta.Delete before ->
+    remove before;
+    [ delete_stmt schema before ]
+  | Delta.Update (before, after) ->
+    remove before;
+    add after;
+    [ delete_stmt schema before; insert_stmt after ]
+  | Delta.Upsert after ->
+    let hit = keyed after && Hashtbl.mem present (key after) in
+    add after;
+    if hit then [ update_stmt schema after ] else [ update_stmt schema after; insert_stmt after ]
+
+let show_result = function Ok _ -> "ok" | Error e -> "failed: " ^ e
+
+(* the plain-engine twin: one transaction each, stopped at the first
+   failing change *)
+let engine_twin shape changes =
+  let mk () =
+    let db = Db.create ~vfs:(Vfs.in_memory ()) ~name:"twin" () in
+    ignore (Db.create_table db ~name:"t" ~ts_column:shape.ts_column shape.schema : Table.t);
+    Db.with_txn db (fun txn ->
+        List.iter (fun row -> ignore (Db.insert db txn "t" row : Heap_file.rid)) shape.initial);
+    (* stamps differ from every loaded date *)
+    Db.set_day db 77_777;
+    db
+  in
+  let typed = mk () and text = mk () in
+  let by_key db txn = function
+    | Delta.Insert after -> ignore (Db.insert db txn "t" after : Heap_file.rid)
+    | Delta.Delete before ->
+      ignore (Db.delete_key db txn "t" (Tuple.key shape.schema before) : int)
+    | Delta.Update (before, after) ->
+      ignore (Db.delete_key db txn "t" (Tuple.key shape.schema before) : int);
+      ignore (Db.insert db txn "t" after : Heap_file.rid)
+    | Delta.Upsert after -> ignore (Db.insert ~upsert:true db txn "t" after : Heap_file.rid)
+  in
+  let sql db txn stmt =
+    match Db.exec_sql db txn (Printer.to_string stmt) with Ok r -> r | Error e -> invalid_arg e
+  in
+  let by_text db txn = function
+    | Delta.Insert after -> ignore (sql db txn (insert_stmt after) : Db.exec_result)
+    | Delta.Delete before -> ignore (sql db txn (delete_stmt shape.schema before) : Db.exec_result)
+    | Delta.Update (before, after) ->
+      ignore (sql db txn (delete_stmt shape.schema before) : Db.exec_result);
+      ignore (sql db txn (insert_stmt after) : Db.exec_result)
+    | Delta.Upsert after -> (
+        match sql db txn (update_stmt shape.schema after) with
+        | Db.Affected 0 -> ignore (sql db txn (insert_stmt after) : Db.exec_result)
+        | _ -> ())
+  in
+  let run db apply =
+    let txn = Db.begin_txn db in
+    match List.iter (apply db txn) changes with
+    | () -> Db.commit db txn; Ok ()
+    | exception Invalid_argument e -> Db.abort db txn; Error e
+    | exception Not_found -> Db.abort db txn; Error "unknown table t"
+  in
+  let a = run typed by_key and b = run text by_text in
+  if a <> b then
+    QCheck2.Test.fail_reportf "engine: typed %s, text %s" (show_result a) (show_result b);
+  if not (List.equal Tuple.equal (twin_rows_of typed) (twin_rows_of text)) then
+    QCheck2.Test.fail_reportf "engine: rows differ";
+  if log_of typed <> log_of text then QCheck2.Test.fail_reportf "engine: logs differ"
+
+let delta_wh shape =
+  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"twin" () in
+  Warehouse.add_replica wh ~table:"t" ~schema:shape.schema;
+  Warehouse.load_replica wh ~table:"t" shape.initial;
+  Warehouse.define_view wh shape.keyed_view;
+  Warehouse.define_view wh shape.bag_view;
+  Warehouse.define_agg_view wh shape.agg_view;
+  wh
+
+let prop_value_delta_loads_by_key =
+  QCheck2.Test.make ~name:"a value delta loads by key as from its printed statements" ~count:300
+    ~print:print_delta_case gen_delta_case (fun (shape, changes) ->
+      engine_twin shape changes;
+      let typed = delta_wh shape and text = delta_wh shape in
+      let present = Hashtbl.create 16 in
+      List.iter (fun row -> Hashtbl.replace present (Tuple.key shape.schema row) ()) shape.initial;
+      let stmts = List.concat_map (reference_stmts shape.schema present) changes |> List.map reparse in
+      let result f =
+        match f () with
+        | (s : Warehouse.stats) -> Ok s
+        | exception Invalid_argument e -> Error e
+      in
+      let a =
+        result (fun () -> Warehouse.integrate_value_delta typed (Delta.make ~table:"t" ~schema:shape.schema changes))
+      in
+      (* the reference's error, in the value integrator's context *)
+      let b =
+        result (fun () -> Warehouse.integrate_op_deltas text [ Op_delta.make ~txn_id:1 stmts ])
+        |> Result.map_error (fun e ->
+               Str.replace_first (Str.regexp "^Warehouse.integrate_op_deltas: ")
+                 "Warehouse.integrate_value_delta: " e)
+      in
+      (match a, b with
+       | Ok sa, Ok sb ->
+         if sa.Warehouse.row_ops <> sb.Warehouse.row_ops then
+           QCheck2.Test.fail_reportf "row ops: typed %d, text %d" sa.row_ops sb.row_ops;
+         let want =
+           List.fold_left
+             (fun n -> function Delta.Update _ -> n + 2 | Delta.Insert _ | Delta.Delete _ | Delta.Upsert _ -> n + 1)
+             0 changes
+         in
+         if sa.statements <> want then
+           QCheck2.Test.fail_reportf "statements: typed %d, want %d" sa.statements want
+       | Error ea, Error eb when String.equal ea eb -> ()
+       | _ -> QCheck2.Test.fail_reportf "warehouse: typed %s, text %s" (show_result a) (show_result b));
+      let same what x y = if not (x = y) then QCheck2.Test.fail_reportf "warehouse: %s differ" what in
+      let dbt = Warehouse.db typed and dbx = Warehouse.db text in
+      same "replica rows" (twin_rows_of dbt) (twin_rows_of dbx);
+      List.iter
+        (fun v -> same v (Warehouse.view_rows typed v) (Warehouse.view_rows text v))
+        [ Spj_view.name shape.keyed_view; Spj_view.name shape.bag_view ];
+      same "aggregate rows"
+        (Warehouse.agg_view_rows typed shape.agg_view.Agg_view.name)
+        (Warehouse.agg_view_rows text shape.agg_view.Agg_view.name);
+      same "logs" (log_of dbt) (log_of dbx);
+      true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_printers_match;
@@ -995,4 +1338,5 @@ let suite =
     test "an overflowing FLOAT update is rejected; pipelines agree" overflowing_float_rejected;
     QCheck_alcotest.to_alcotest prop_ast_runs_as_text;
     test "a duplicate-key Op-Delta keeps its error text" duplicate_key_error_text;
+    QCheck_alcotest.to_alcotest prop_value_delta_loads_by_key;
   ]
