@@ -19,7 +19,6 @@ module Db = Dw_engine.Db
 module Table = Dw_engine.Table
 module Tuple = Dw_relation.Tuple
 module Value = Dw_relation.Value
-module Expr = Dw_relation.Expr
 
 type t = {
   name : string;
@@ -68,12 +67,11 @@ let read db t ~after visit =
       visit row);
   !last
 
-(* delete the rows through [through] in one statement, and hand out
-   positions past it from now on; open transactions hold no lock on
-   their rows, which all lie past [through] *)
+(* delete the rows through [through] in one key-range statement, and
+   hand out positions past it from now on; open transactions hold no
+   lock on their rows, which all lie past [through] *)
 let purge db t ~through =
   if through > 0 then begin
     t.last <- max t.last through;
-    let where = Expr.Cmp (Expr.Le, Expr.Col "__seq", Expr.Lit (Value.Int through)) in
-    ignore (Db.with_txn db (fun txn -> Db.delete_where db txn t.name ~where:(Some where)) : int)
+    ignore (Db.with_txn db (fun txn -> Db.delete_through db txn t.name (Value.Int through)) : int)
   end

@@ -100,54 +100,61 @@ let compact t =
   in
   { t with changes }
 
-(* wire format: TAG|ascii-record, updates carry both images separated by
-   an unescaped tab (Codec.encode_ascii never emits raw tabs unescaped —
-   it escapes backslash and pipe; tab can appear inside string fields, so
-   updates use a dedicated "U|" line followed by a second "u|" line) *)
+(* The differential file: one line per image, a tag, '|' and the ASCII
+   record, each ending in '\n' ([Codec.encode_ascii] escapes '\n', '|'
+   and '\\' inside strings, so a line is always one image).  An update is
+   a "U" line with its before image, then a "u" line with its after
+   image. *)
 
 module Codec = Dw_relation.Codec
 
-let to_lines t =
-  List.concat_map
-    (fun change ->
-      match change with
-      | Insert after -> [ "I|" ^ Codec.encode_ascii t.schema after ]
-      | Delete before -> [ "D|" ^ Codec.encode_ascii t.schema before ]
-      | Upsert after -> [ "S|" ^ Codec.encode_ascii t.schema after ]
-      | Update (before, after) ->
-        [ "U|" ^ Codec.encode_ascii t.schema before; "u|" ^ Codec.encode_ascii t.schema after ])
-    t.changes
-
-let of_lines ~table ~schema lines =
-  let decode body = Codec.decode_ascii schema body in
-  let rec go acc = function
-    | [] -> Ok (make ~table ~schema (List.rev acc))
-    | line :: rest ->
-      if String.length line < 2 || line.[1] <> '|' then
-        Error (Printf.sprintf "bad delta line %S" line)
-      else begin
-        let body = String.sub line 2 (String.length line - 2) in
-        match line.[0], rest with
-        | 'I', _ -> (
-            match decode body with
-            | Ok t -> go (Insert t :: acc) rest
-            | Error e -> Error e)
-        | 'D', _ -> (
-            match decode body with
-            | Ok t -> go (Delete t :: acc) rest
-            | Error e -> Error e)
-        | 'S', _ -> (
-            match decode body with
-            | Ok t -> go (Upsert t :: acc) rest
-            | Error e -> Error e)
-        | 'U', after_line :: rest'
-          when String.length after_line >= 2 && after_line.[0] = 'u' && after_line.[1] = '|' -> (
-            let after_body = String.sub after_line 2 (String.length after_line - 2) in
-            match decode body, decode after_body with
-            | Ok b, Ok a -> go (Update (b, a) :: acc) rest'
-            | Error e, _ | _, Error e -> Error e)
-        | 'U', _ -> Error "update line without its after-image line"
-        | c, _ -> Error (Printf.sprintf "unknown delta tag %C" c)
-      end
+let to_file t =
+  let buf = Buffer.create (max 64 (size_bytes t)) in
+  let line tag row =
+    Buffer.add_char buf tag;
+    Buffer.add_char buf '|';
+    Codec.encode_ascii_into t.schema row buf;
+    Buffer.add_char buf '\n'
   in
-  go [] lines
+  List.iter
+    (function
+      | Insert after -> line 'I' after
+      | Delete before -> line 'D' before
+      | Upsert after -> line 'S' after
+      | Update (before, after) ->
+        line 'U' before;
+        line 'u' after)
+    t.changes;
+  Buffer.contents buf
+
+(* Walks the file line by line, decoding each record where it lies.  A
+   last line without its '\n' still counts. *)
+let of_file ~table ~schema file =
+  let n = String.length file in
+  let line_end pos = Option.value (String.index_from_opt file pos '\n') ~default:n in
+  let record pos stop = Codec.decode_ascii_sub schema file ~off:(pos + 2) ~len:(stop - pos - 2) in
+  let rec go acc pos =
+    if pos >= n then Ok (make ~table ~schema (List.rev acc))
+    else
+      let stop = line_end pos in
+      let one change =
+        match record pos stop with Ok row -> go (change row :: acc) (stop + 1) | Error e -> Error e
+      in
+      if stop - pos < 2 || file.[pos + 1] <> '|' then
+        Error (Printf.sprintf "bad delta line %S" (String.sub file pos (stop - pos)))
+      else
+        match file.[pos] with
+        | 'I' -> one (fun row -> Insert row)
+        | 'D' -> one (fun row -> Delete row)
+        | 'S' -> one (fun row -> Upsert row)
+        | 'U' ->
+          let next = stop + 1 in
+          let next_stop = if next < n then line_end next else n in
+          if next < n && next_stop - next >= 2 && file.[next] = 'u' && file.[next + 1] = '|' then
+            match record pos stop, record next next_stop with
+            | Ok before, Ok after -> go (Update (before, after) :: acc) (next_stop + 1)
+            | Error e, _ | _, Error e -> Error e
+          else Error "update line without its after-image line"
+        | c -> Error (Printf.sprintf "unknown delta tag %C" c)
+  in
+  go [] 0

@@ -57,9 +57,16 @@ val compact : t -> t
     ({!apply_to_rows}-equivalence is property-tested), in at most one
     change per key, ordered by key. *)
 
-(** {2 Wire format} — one line per change ([I]/[D]/[U]/[S] tag plus ASCII
-    record images), for shipping differential files through the transport
-    layer. *)
+(** {2 Differential file} — what a round ships: one line per image, an
+    [I]/[D]/[S] tag or, for an update, a [U] line with the before image
+    and a [u] line with the after image, then [|] and the ASCII record
+    ({!Dw_relation.Codec.encode_ascii}), each line ending in a newline. *)
 
-val to_lines : t -> string list
-val of_lines : table:string -> schema:Schema.t -> string list -> (t, string) result
+val to_file : t -> string
+(** The whole delta as one string: the empty string for no changes. *)
+
+val of_file : table:string -> schema:Schema.t -> string -> (t, string) result
+(** Inverse of {!to_file}, reading each record where it lies in the
+    string.  The first bad line's error is returned: a line without a
+    tag and [|], an unknown tag, a [U] line not followed by a [u] line,
+    or a record that does not decode. *)

@@ -434,10 +434,11 @@ let logged_update t txn tname table rid ~before after =
   fire t txn tname (Trigger.Updated (rid, before, after))
 
 (* the logged delete of a row whose decoded [before] image the caller
-   holds: the WAL carries the record the heap slot held, as it was *)
-let logged_delete t txn tname table rid ~before =
+   holds, [free] taking it out of the table: the WAL carries the record
+   the heap slot held, as it was *)
+let logged_free t txn tname rid ~before free =
   Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
-  let before_rec = Table.raw_delete table rid ~old_tuple:before in
+  let before_rec = free () in
   log_dml t
     {
       Log_record.tx = txn.id;
@@ -445,6 +446,9 @@ let logged_delete t txn tname table rid ~before =
     };
   txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
   fire t txn tname (Trigger.Deleted (rid, before))
+
+let logged_delete t txn tname table rid ~before =
+  logged_free t txn tname rid ~before (fun () -> Table.raw_delete table rid ~old_tuple:before)
 
 (* the row an upsert of [tuple] overwrites, if any; no stored key holds
    NULL ([Tuple.validate]), so a NULL key finds none, as [k = NULL]
@@ -582,21 +586,31 @@ let update_where t txn tname ~set ~where =
     victims;
   List.length victims
 
-(* a DELETE statement of the rows [find] returns *)
-let delete_found t txn tname find =
+(* a DELETE statement on [tname], under its table X lock *)
+let delete_statement t txn tname delete =
   check_writable txn;
   statement_boundary t;
   let table = table t tname in
   acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  let victims = find table in
-  List.iter (fun (rid, before) -> logged_delete t txn tname table rid ~before) victims;
-  List.length victims
+  delete table
+
+(* a DELETE statement of the rows [find] returns *)
+let delete_found t txn tname find =
+  delete_statement t txn tname (fun table ->
+      let victims = find table in
+      List.iter (fun (rid, before) -> logged_delete t txn tname table rid ~before) victims;
+      List.length victims)
 
 let delete_where t txn tname ~where =
   delete_found t txn tname (fun table -> matching ~mode:t.plan_mode table where)
 
 let delete_key t txn tname key =
   delete_found t txn tname (fun table -> Option.to_list (Table.find_key table key))
+
+let delete_through t txn tname v =
+  delete_statement t txn tname (fun table ->
+      Table.raw_delete_through table v (fun rid before free ->
+          logged_free t txn tname rid ~before free))
 
 (* snapshot read path: resolve each candidate rid through the version
    store; readers take no locks and are never blocked *)

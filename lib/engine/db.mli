@@ -171,6 +171,16 @@ val delete_key : t -> txn -> string -> Tuple.t -> int
     through the key index instead of a predicate: 1, or 0 when there is
     none. *)
 
+val delete_through : t -> txn -> string -> Value.t -> int
+(** [DELETE] of every row whose leading key column is [<= v] (a
+    position log's purged prefix), found through the key index with no
+    predicate, in either plan mode.  Each row is logged, noted in the
+    version store and undone on abort as {!delete_where} does, in rid
+    order, so the log is the same as [delete_where]'s with [key <= v];
+    the key index drops the rows in one range removal at the end of the
+    statement.  Raises [Invalid_argument] where no key range ends at
+    [v] (see {!Table.raw_delete_through}). *)
+
 val select : t -> txn -> string -> ?where:Expr.t -> unit -> Tuple.t list
 (** Full tuples of matching rows.  [`Read_write]: shared table lock.
     [`Snapshot]: no lock; rows as of the transaction's snapshot CSN. *)

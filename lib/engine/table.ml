@@ -166,26 +166,62 @@ let ts_range t ~after f =
   | (None, _ | _, None) ->
     invalid_arg (Printf.sprintf "Table %s has no timestamp column" t.name)
 
+(* The upper bound that holds exactly the keys whose first column is
+   <= [v], if there is one.  A length-1 bound tuple compares below every
+   longer tuple with the same first component, so for composite keys the
+   inclusive bound is the exclusive bound of the successor. *)
+let through_bound t v =
+  match v with
+  | Value.Int n when n < max_int -> Some (Btree.Excl [| Value.Int (n + 1) |])
+  | Value.Date n when n < max_int -> Some (Btree.Excl [| Value.Date (n + 1) |])
+  | _ -> if Schema.key_arity t.schema = 1 then Some (Btree.Incl [| v |]) else None
+
 let key_range t ~lo ~hi f =
   let lo = match lo with Some v -> Btree.Incl [| v |] | None -> Btree.Unbounded in
+  (* where no exact bound exists, the scan runs to the end: callers
+     re-filter every row *)
   let hi =
-    (* a length-1 bound tuple compares below every longer tuple with the
-       same first component, so an inclusive upper bound must be widened
-       for composite keys: use Excl of the successor where possible *)
     match hi with
     | None -> Btree.Unbounded
-    | Some (Value.Int n) when n < max_int -> Btree.Excl [| Value.Int (n + 1) |]
-    | Some (Value.Date n) when n < max_int -> Btree.Excl [| Value.Date (n + 1) |]
-    | Some v ->
-      (* fall back: inclusive bound with a max sentinel second component
-         is not expressible generally; include equal-first-column keys by
-         using the raw bound when the key is single-column *)
-      if Schema.key_arity t.schema = 1 then Btree.Incl [| v |] else Btree.Unbounded
+    | Some v -> Option.value (through_bound t v) ~default:Btree.Unbounded
   in
   (* a lock-free snapshot reader may find the slot already freed by a
      concurrent delete: the row is gone from the heap, not an error *)
   Btree.iter_range t.pk ~lo ~hi (fun _key rid ->
       Option.iter (f rid) (Heap_file.get_opt t.heap rid))
+
+let raw_delete_through t v each =
+  let hi =
+    match through_bound t v with
+    | Some hi -> hi
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Table %s: no key range ends at %s" t.name (Value.to_string v))
+  in
+  let victims = ref [] in
+  Btree.iter_range t.pk ~lo:Btree.Unbounded ~hi (fun _key rid ->
+      victims := (rid, Heap_file.get t.heap rid) :: !victims);
+  let victims = List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !victims in
+  (* the slots are freed first and the index entries dropped last, as a
+     row delete does for each row; if a step fails, the entries of the
+     rows already freed go, so an undo can put each row back *)
+  let freed = ref [] in
+  let free rid tuple () =
+    let record = Heap_file.delete t.heap rid in
+    freed := tuple :: !freed;
+    record
+  in
+  (match List.iter (fun (rid, tuple) -> each rid tuple (free rid tuple)) victims with
+   | () ->
+     ignore (Btree.remove_range t.pk ~lo:Btree.Unbounded ~hi : int);
+     Option.iter
+       (fun idx ->
+         List.iter (fun (_, tuple) -> ignore (Btree.remove idx (ts_key t tuple) : bool)) victims)
+       t.ts_index
+   | exception e ->
+     List.iter (index_remove t) !freed;
+     raise e);
+  List.length victims
 
 let row_count t = Heap_file.count t.heap
 let cardinality t = Btree.cardinal t.pk

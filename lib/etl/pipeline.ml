@@ -261,17 +261,19 @@ let integrating t m integrate =
   stats
 
 let integrate_value t m delta =
-  (* optional compaction and transform, then wire round-trip, then batch
-     integration, with the mark in the same transaction *)
+  (* optional compaction and transform, then the differential file's
+     round trip as one message, then batch integration, with the mark in
+     the same transaction *)
   let delta = if t.compact then Delta.compact delta else delta in
   let delta =
     match t.transform with
     | None -> delta
     | Some rule -> Transform.apply_delta rule ~src:(src_schema t) ~dst:(dst_schema t) delta
   in
-  let lines = Delta.to_lines delta in
-  let shipped, bytes = ship t lines in
-  match Delta.of_lines ~table:t.dst_table ~schema:(dst_schema t) shipped with
+  let file = Delta.to_file delta in
+  let shipped, bytes = ship t (if file = "" then [] else [ file ]) in
+  let received = match shipped with [ file ] -> file | files -> String.concat "" files in
+  match Delta.of_file ~table:t.dst_table ~schema:(dst_schema t) received with
   | Error e -> Error e
   | Ok received ->
     Ok

@@ -31,14 +31,14 @@ let capture_both ~table_rows kind size =
   let contents = sorted_rows db "parts" in
   let handle = Trigger_extract.install db ~table:"parts" in
   exec_txn db stmts;
-  let value_lines = Delta.to_lines (Trigger_extract.collect db handle) in
-  (contents, value_lines, Op_delta.encode_line (Op_delta.make ~txn_id:1 stmts))
+  let value_file = Delta.to_file (Trigger_extract.collect db handle) in
+  (contents, value_file, Op_delta.encode_line (Op_delta.make ~txn_id:1 stmts))
 
 (* Each path's window decodes its own wire form where the warehouse
    receives it: the differential file's ASCII records, or the Op-Delta
    line's statements (one parse each). *)
-let integrate_lines wh lines =
-  match Delta.of_lines ~table:"parts" ~schema:Workload.parts_schema lines with
+let integrate_file wh file =
+  match Delta.of_file ~table:"parts" ~schema:Workload.parts_schema file with
   | Ok delta -> Warehouse.integrate_value_delta wh delta
   | Error e -> failwith ("W1: differential file does not decode: " ^ e)
 
@@ -84,10 +84,10 @@ let run_w1 ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let contents, value_lines, line = capture_both ~table_rows kind size in
+          let contents, value_file, line = capture_both ~table_rows kind size in
           let setup () = replica_warehouse ~pool_pages:2048 ~views:[ cheap_parts ] contents in
           let t_value, wh_value, s_value =
-            timed_path ~setup (fun wh -> integrate_lines wh value_lines)
+            timed_path ~setup (fun wh -> integrate_file wh value_file)
           in
           let t_op, wh_op, s_op =
             timed_path ~setup (fun wh -> integrate_line wh line)
@@ -163,11 +163,11 @@ let run_w1_agg ~scale =
     (fun kind ->
       List.iter
         (fun size ->
-          let contents, value_lines, line = capture_both ~table_rows kind size in
+          let contents, value_file, line = capture_both ~table_rows kind size in
           let t_value =
             best_of ~repeat:3
               ~setup:(fun () -> mk_agg_warehouse contents)
-              (fun wh -> ignore (integrate_lines wh value_lines : Warehouse.stats))
+              (fun wh -> ignore (integrate_file wh value_file : Warehouse.stats))
           in
           let t_op =
             best_of ~repeat:3

@@ -82,14 +82,17 @@ let escape_into buf s =
   done;
   Buffer.add_substring buf s !start (n - !start)
 
-let unescape s =
-  if not (String.contains s '\\') then s
+(* [s] from [start] to [stop], escapes resolved *)
+let unescape s start stop =
+  let rec first_escape i = if i = stop || s.[i] = '\\' then i else first_escape (i + 1) in
+  let first = first_escape start in
+  if first = stop then String.sub s start (stop - start)
   else begin
-    let buf = Buffer.create (String.length s) in
-    let n = String.length s in
+    let buf = Buffer.create (stop - start) in
+    Buffer.add_substring buf s start (first - start);
     let rec go i =
-      if i < n then
-        if s.[i] = '\\' && i + 1 < n then begin
+      if i < stop then
+        if s.[i] = '\\' && i + 1 < stop then begin
           (match s.[i + 1] with
            | 'p' -> Buffer.add_char buf '|'
            | 'n' -> Buffer.add_char buf '\n'
@@ -102,16 +105,66 @@ let unescape s =
           go (i + 1)
         end
     in
-    go 0;
+    go first;
     Buffer.contents buf
   end
 
 (* the primitive [Printf.sprintf "%.17g"] calls, without parsing the format *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let encode_ascii schema tuple =
+(* 10^k for k <= 15: every one is an exact double *)
+let pow10 = Array.init 16 (fun k -> float_of_string ("1e" ^ string_of_int k))
+let two_53 = 9007199254740992.0
+
+(* [f] as [m / 10^k] with the smallest [k <= 6] whose quotient is [f] bit
+   for bit, and [|m| < 2^53].  Both operands are then exact, so the
+   division rounds the decimal [m * 10^-k] correctly, as [strtod] does
+   when it reads it back.  [m] is the integer nearest [f * 10^k], as
+   [%.*f] rounds: the rounded product, or its neighbour on the product's
+   side when the product's own rounding carried it across a half.
+   [-0.0] has [m = -0], which prints as [0]: it keeps the [%.17g] form,
+   as do NaN and the infinities (no [m]). *)
+let short_decimal f =
+  if f = 0.0 && Float.sign_bit f then None
+  else
+    let bits = Int64.bits_of_float f in
+    let rec go k =
+      if k > 6 then None
+      else
+        let p = pow10.(k) in
+        let x = f *. p in
+        let m = Float.round x in
+        let reads_back m =
+          Float.abs m < two_53 && Int64.equal (Int64.bits_of_float (m /. p)) bits
+        in
+        if reads_back m then Some (int_of_float m, k)
+        else
+          let m' = if x > m then m +. 1.0 else m -. 1.0 in
+          if x <> m && reads_back m' then Some (int_of_float m', k) else go (k + 1)
+    in
+    go 0
+
+let add_float buf f =
+  match short_decimal f with
+  | None -> Buffer.add_string buf (format_float "%.17g" f)
+  | Some (m, 0) -> Buffer.add_string buf (string_of_int m)
+  | Some (m, k) ->
+    if m < 0 then Buffer.add_char buf '-';
+    let digits = string_of_int (abs m) in
+    let n = String.length digits in
+    if n <= k then begin
+      Buffer.add_string buf "0.";
+      for _ = 1 to k - n do Buffer.add_char buf '0' done;
+      Buffer.add_string buf digits
+    end
+    else begin
+      Buffer.add_substring buf digits 0 (n - k);
+      Buffer.add_char buf '.';
+      Buffer.add_substring buf digits (n - k) k
+    end
+
+let encode_ascii_into schema tuple buf =
   Tuple.validate_exn schema tuple;
-  let buf = Buffer.create 128 in
   Array.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char buf '|';
@@ -119,75 +172,116 @@ let encode_ascii schema tuple =
       | Value.Null -> Buffer.add_string buf "\\0"
       | Value.Int n -> Buffer.add_string buf (string_of_int n)
       | Value.Date d -> Buffer.add_string buf (string_of_int d)
-      | Value.Float f -> Buffer.add_string buf (format_float "%.17g" f)
+      | Value.Float f -> add_float buf f
       | Value.Bool b -> Buffer.add_string buf (if b then "T" else "F")
       | Value.Str s -> escape_into buf s)
-    tuple;
+    tuple
+
+let encode_ascii schema tuple =
+  let buf = Buffer.create 128 in
+  encode_ascii_into schema tuple buf;
   Buffer.contents buf
 
-(* one field of a line, still escaped *)
-let decode_field (col : Schema.column) field =
-  if String.equal field "\\0" then Ok Value.Null
+(* The fast readers of a field take the forms the encoder writes, and
+   read them as [int_of_string] and [float_of_string] do; anything else
+   goes to those.  An optional '-' then 1..18 digits never overflows. *)
+let small_int s start stop =
+  let neg = start < stop && s.[start] = '-' in
+  let first = if neg then start + 1 else start in
+  if stop - first < 1 || stop - first > 18 then None
+  else
+    let rec go i acc =
+      if i = stop then Some (if neg then -acc else acc)
+      else
+        match s.[i] with
+        | '0' .. '9' as c -> go (i + 1) ((acc * 10) + Char.code c - 48)
+        | _ -> None
+    in
+    go first 0
+
+(* An optional '-', digits, then optionally '.' and digits, 15 digits at
+   most: the decimal is [m / 10^k] with [m < 10^15 < 2^53] and [k <= 15],
+   both exact, so one IEEE division rounds it as [strtod] does. *)
+let short_float s start stop =
+  let neg = start < stop && s.[start] = '-' in
+  let first = if neg then start + 1 else start in
+  (* [point]: the digits before the '.', or -1 before one is seen *)
+  let rec go i m digits point =
+    if i = stop then
+      if digits = 0 || digits > 15 || point = digits then None
+      else
+        let v = float_of_int m /. pow10.(if point < 0 then 0 else digits - point) in
+        Some (if neg then -.v else v)
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> go (i + 1) ((m * 10) + Char.code c - 48) (digits + 1) point
+      | '.' when point < 0 && digits > 0 -> go (i + 1) m digits digits
+      | _ -> None
+  in
+  if stop - first > 16 then None else go first 0 0 (-1)
+
+(* one field of a record, [s] from [start] to [stop], still escaped *)
+let decode_field (col : Schema.column) s start stop =
+  let len = stop - start in
+  let field () = String.sub s start len in
+  (* the fast reader, else the standard one on the field's copy *)
+  let parsed fast standard what value =
+    match fast s start stop with
+    | Some x -> Ok (value x)
+    | None -> (
+        let field = field () in
+        match standard field with
+        | Some x -> Ok (value x)
+        | None -> Error (Printf.sprintf "bad %s %S" what field))
+  in
+  if len = 2 && s.[start] = '\\' && s.[start + 1] = '0' then Ok Value.Null
   else
     match col.Schema.ty with
-    | Value.Tint -> (
-        match int_of_string_opt field with
-        | Some n -> Ok (Value.Int n)
-        | None -> Error (Printf.sprintf "bad int %S" field))
-    | Value.Tdate -> (
-        match int_of_string_opt field with
-        | Some n -> Ok (Value.Date n)
-        | None -> Error (Printf.sprintf "bad date %S" field))
-    | Value.Tfloat -> (
-        match float_of_string_opt field with
-        | Some f -> Ok (Value.Float f)
-        | None -> Error (Printf.sprintf "bad float %S" field))
-    | Value.Tbool -> (
-        match field with
-        | "T" -> Ok (Value.Bool true)
-        | "F" -> Ok (Value.Bool false)
-        | _ -> Error (Printf.sprintf "bad bool %S" field))
-    | Value.Tstring _ -> Ok (Value.Str (unescape field))
+    | Value.Tint -> parsed small_int int_of_string_opt "int" (fun n -> Value.Int n)
+    | Value.Tdate -> parsed small_int int_of_string_opt "date" (fun n -> Value.Date n)
+    | Value.Tfloat -> parsed short_float float_of_string_opt "float" (fun f -> Value.Float f)
+    | Value.Tbool ->
+      if len = 1 && s.[start] = 'T' then Ok (Value.Bool true)
+      else if len = 1 && s.[start] = 'F' then Ok (Value.Bool false)
+      else Error (Printf.sprintf "bad bool %S" (field ()))
+    | Value.Tstring _ -> Ok (Value.Str (unescape s start stop))
 
-let decode_ascii schema line =
-  (* one pass over the line: each unescaped '|' ends a field, which is
-     the raw substring (an escape's two bytes stay in it); fields past
-     the arity are only counted *)
+let decode_ascii_sub schema s ~off ~len =
+  (* one pass over the record: each unescaped '|' ends a field (an
+     escape's two bytes stay in it), which is decoded where it lies;
+     fields past the arity are only counted.  Every field is decoded, and
+     a bad one reports the last error, but a wrong field count wins *)
   let arity = Schema.arity schema in
-  let fields = Array.make arity "" in
-  let n = String.length line in
+  let tuple = Array.make arity Value.Null in
+  let err = ref None in
   let count = ref 0 in
-  let start = ref 0 in
-  let cut stop =
-    if !count < arity then fields.(!count) <- String.sub line !start (stop - !start);
+  let start = ref off in
+  let stop = off + len in
+  let cut field_stop =
+    if !count < arity then begin
+      match decode_field (Schema.column schema !count) s !start field_stop with
+      | Ok v -> tuple.(!count) <- v
+      | Error e -> err := Some e
+    end;
     incr count
   in
-  let i = ref 0 in
-  while !i < n do
-    match String.unsafe_get line !i with
+  let i = ref off in
+  while !i < stop do
+    match String.unsafe_get s !i with
     | '|' ->
       cut !i;
       incr i;
       start := !i
-    | '\\' when !i + 1 < n -> i := !i + 2
+    | '\\' when !i + 1 < stop -> i := !i + 2
     | _ -> incr i
   done;
-  cut n;
+  cut stop;
   if !count <> arity then
     Error (Printf.sprintf "field count %d does not match schema arity %d" !count arity)
-  else begin
-    (* every field is decoded; a bad one reports the last error *)
-    let tuple = Array.make arity Value.Null in
-    let err = ref None in
-    for j = 0 to arity - 1 do
-      match decode_field (Schema.column schema j) fields.(j) with
-      | Ok v -> tuple.(j) <- v
-      | Error e -> err := Some e
-    done;
+  else
     match !err with
     | Some e -> Error e
     | None -> (
-        match Tuple.validate schema tuple with
-        | Ok () -> Ok tuple
-        | Error e -> Error e)
-  end
+        match Tuple.validate schema tuple with Ok () -> Ok tuple | Error e -> Error e)
+
+let decode_ascii schema line = decode_ascii_sub schema line ~off:0 ~len:(String.length line)

@@ -20,7 +20,22 @@ val decode_binary : Schema.t -> bytes -> int -> Tuple.t
 
 val encode_ascii : Schema.t -> Tuple.t -> string
 (** One line, no trailing newline.  [|], [\n] and [\\] in strings are
-    escaped. *)
+    escaped.
+
+    A float prints as the shortest decimal [m / 10^k], [k <= 6], that
+    reads back bit for bit: the smallest such [k] with [|m| < 2^53]
+    ([466.57], not [466.56999999999999]).  Then [m] and [10^k] are exact
+    doubles, so their correctly rounded quotient is the double [strtod]
+    reads from the decimal.  Every other float, [-0.0] included (its
+    [m] would print as [0]), prints as [%.17g], which also reads back
+    bit for bit. *)
+
+val encode_ascii_into : Schema.t -> Tuple.t -> Buffer.t -> unit
+(** {!encode_ascii} appended to a buffer. *)
 
 val decode_ascii : Schema.t -> string -> (Tuple.t, string) result
 (** Inverse of {!encode_ascii}. *)
+
+val decode_ascii_sub : Schema.t -> string -> off:int -> len:int -> (Tuple.t, string) result
+(** {!decode_ascii} of the [len] bytes of the string at [off], read where
+    they lie: a record inside a larger file. *)

@@ -160,8 +160,68 @@ let insert t k v =
           | Split (sep, right) ->
             t.root <- Some (Internal { ikeys = [| sep |]; children = [| root; right |] })))
 
-(* bulk loading: pack sorted bindings into leaves of ~3/4 branching (so
-   later inserts don't split immediately), then build parent levels *)
+(* [n] items in consecutive groups of [size]; a last group below
+   [min_size] is merged with its predecessor when the union fits
+   [max_size], else the union is split in half (both halves then hold
+   the minimum): (first index, length) pairs *)
+let groups n ~size ~min_size ~max_size =
+  let full = List.init (n / size) (fun i -> (i * size, size)) in
+  let all = if n mod size = 0 then full else full @ [ (n - (n mod size), n mod size) ] in
+  match List.rev all with
+  | (_, last) :: (start, prev) :: rest_rev when last < min_size ->
+    let union = prev + last in
+    if union <= max_size then List.rev ((start, union) :: rest_rev)
+    else
+      let half = union / 2 in
+      List.rev ((start + half, union - half) :: (start, half) :: rest_rev)
+  | _ -> all
+
+(* bulk loading: pack strictly ascending keys into leaves of ~3/4
+   branching (so later inserts don't split immediately), then build
+   parent levels; a fresh tree, so a reader sees none of it until the
+   root is swapped in *)
+let pack branching keys values =
+  let n = Array.length keys in
+  if n = 0 then None
+  else begin
+    let fill = max (branching / 2) (branching * 3 / 4) in
+    let leaves =
+      List.map
+        (fun (start, len) ->
+          { keys = Array.sub keys start len; values = Array.sub values start len; next = None })
+        (groups n ~size:fill ~min_size:(branching / 2) ~max_size:branching)
+    in
+    let rec chain = function
+      | a :: (b :: _ as rest) ->
+        a.next <- Some b;
+        chain rest
+      | [ _ ] | [] -> ()
+    in
+    chain leaves;
+    let rec min_key = function
+      | Leaf leaf -> leaf.keys.(0)
+      | Internal node -> min_key node.children.(0)
+    in
+    (* separator = min key of the right child.  An internal node with c
+       children has c-1 keys: minimum fill is branching/2 keys, i.e.
+       branching/2 + 1 children; two groups fit one node up to
+       branching + 1 children *)
+    let rec build = function
+      | [ single ] -> single
+      | nodes ->
+        let nodes = Array.of_list nodes in
+        build
+          (List.map
+             (fun (start, len) ->
+               let children = Array.sub nodes start len in
+               Internal
+                 { ikeys = Array.init (len - 1) (fun i -> min_key children.(i + 1)); children })
+             (groups (Array.length nodes) ~size:(max 2 (branching * 3 / 4))
+                ~min_size:((branching / 2) + 1) ~max_size:(branching + 1)))
+    in
+    Some (build (List.map (fun l -> Leaf l) leaves))
+  end
+
 let of_sorted ?(branching = 32) bindings =
   if branching < 4 || branching mod 2 <> 0 then
     invalid_arg "Btree.of_sorted: branching must be even and >= 4";
@@ -173,108 +233,14 @@ let of_sorted ?(branching = 32) bindings =
     | [ _ ] | [] -> ()
   in
   check_sorted bindings;
-  let t = { branching; root = None; cardinal = List.length bindings; latch = Mutex.create () } in
-  if bindings = [] then t
-  else begin
-    let fill = max (branching / 2) (branching * 3 / 4) in
-    (* build leaves *)
-    let rec leaves acc current n = function
-      | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-      | b :: rest ->
-        if n = fill then leaves (List.rev current :: acc) [ b ] 1 rest
-        else leaves acc (b :: current) (n + 1) rest
-    in
-    let groups = leaves [] [] 0 bindings in
-    (* fix an undersized final group: merge with its predecessor when the
-       union fits one node, otherwise split the union evenly (both halves
-       then satisfy the minimum fill) *)
-    let fix_tail ~min_size ~max_size groups =
-      match List.rev groups with
-      | last :: prev :: rest_rev when List.length last < min_size ->
-        let union = prev @ last in
-        let n = List.length union in
-        if n <= max_size then List.rev (union :: rest_rev)
-        else begin
-          let arr = Array.of_list union in
-          let half = n / 2 in
-          let g1 = Array.to_list (Array.sub arr 0 half) in
-          let g2 = Array.to_list (Array.sub arr half (n - half)) in
-          List.rev (g2 :: g1 :: rest_rev)
-        end
-      | _ -> groups
-    in
-    let groups = fix_tail ~min_size:(branching / 2) ~max_size:branching groups in
-    let leaf_nodes =
-      List.map
-        (fun group ->
-          {
-            keys = Array.of_list (List.map fst group);
-            values = Array.of_list (List.map snd group);
-            next = None;
-          })
-        groups
-    in
-    (* chain the leaves *)
-    let rec chain = function
-      | a :: (b :: _ as rest) ->
-        a.next <- Some b;
-        chain rest
-      | [ _ ] | [] -> ()
-    in
-    chain leaf_nodes;
-    (* build internal levels bottom-up; separator = min key of right child *)
-    let min_key = function
-      | Leaf leaf -> leaf.keys.(0)
-      | Internal node -> (
-          let rec go n = match n with Leaf l -> l.keys.(0) | Internal i -> go i.children.(0) in
-          go (Internal node))
-    in
-    let rec build level =
-      match level with
-      | [ single ] -> single
-      | nodes ->
-        let per_node = max 2 (branching * 3 / 4) in
-        let rec group acc current n = function
-          | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-          | node :: rest ->
-            if n = per_node then group (List.rev current :: acc) [ node ] 1 rest
-            else group acc (node :: current) (n + 1) rest
-        in
-        let groups = group [] [] 0 nodes in
-        (* an internal node with c children has c-1 keys: minimum fill is
-           branching/2 keys, i.e. branching/2 + 1 children; the union of
-           two groups fits one node up to branching + 1 children *)
-        let fix_tail ~min_size ~max_size groups =
-          match List.rev groups with
-          | last :: prev :: rest_rev when List.length last < min_size ->
-            let union = prev @ last in
-            let n = List.length union in
-            if n <= max_size then List.rev (union :: rest_rev)
-            else begin
-              let arr = Array.of_list union in
-              let half = n / 2 in
-              let g1 = Array.to_list (Array.sub arr 0 half) in
-              let g2 = Array.to_list (Array.sub arr half (n - half)) in
-              List.rev (g2 :: g1 :: rest_rev)
-            end
-          | _ -> groups
-        in
-        let groups =
-          fix_tail ~min_size:((branching / 2) + 1) ~max_size:(branching + 1) groups
-        in
-        let parents =
-          List.map
-            (fun children ->
-              let children = Array.of_list children in
-              let ikeys = Array.init (Array.length children - 1) (fun i -> min_key children.(i + 1)) in
-              Internal { ikeys; children })
-            groups
-        in
-        build parents
-    in
-    t.root <- Some (build (List.map (fun l -> Leaf l) leaf_nodes));
-    t
-  end
+  let keys = Array.of_list (List.map fst bindings) in
+  let values = Array.of_list (List.map snd bindings) in
+  {
+    branching;
+    root = pack branching keys values;
+    cardinal = Array.length keys;
+    latch = Mutex.create ();
+  }
 
 let min_keys t = t.branching / 2
 
@@ -388,29 +354,29 @@ let rec leftmost_leaf = function
   | Leaf leaf -> leaf
   | Internal node -> leftmost_leaf node.children.(0)
 
+let above_lo lo k =
+  match lo with
+  | Unbounded -> true
+  | Incl b -> Tuple.compare k b >= 0
+  | Excl b -> Tuple.compare k b > 0
+
+let below_hi hi k =
+  match hi with
+  | Unbounded -> true
+  | Incl b -> Tuple.compare k b <= 0
+  | Excl b -> Tuple.compare k b < 0
+
 (* the in-range bindings are copied under the latch and [f] runs after
    it is released, so [f] may touch the heap or the tree itself *)
 let iter_range t ~lo ~hi f =
-  let ge_lo k =
-    match lo with
-    | Unbounded -> true
-    | Incl b -> Tuple.compare k b >= 0
-    | Excl b -> Tuple.compare k b > 0
-  in
-  let le_hi k =
-    match hi with
-    | Unbounded -> true
-    | Incl b -> Tuple.compare k b <= 0
-    | Excl b -> Tuple.compare k b < 0
-  in
   let rec walk acc leaf =
     let n = Array.length leaf.keys in
     let rec go acc i =
       if i = n then match leaf.next with Some next -> walk acc next | None -> acc
       else
         let k = leaf.keys.(i) in
-        if not (le_hi k) then acc
-        else go (if ge_lo k then (k, leaf.values.(i)) :: acc else acc) (i + 1)
+        if not (below_hi hi k) then acc
+        else go (if above_lo lo k then (k, leaf.values.(i)) :: acc else acc) (i + 1)
     in
     go acc 0
   in
@@ -425,6 +391,31 @@ let iter_range t ~lo ~hi f =
              | Incl k | Excl k -> find_leaf root k))
   in
   List.iter (fun (k, v) -> f k v) (List.rev bindings)
+
+(* The tree is rebuilt from the keys outside the range, and the new root
+   replaces the old one in one store.  Removing a log's purged prefix
+   key by key would cost most keys a borrow or a merge. *)
+let remove_range t ~lo ~hi =
+  Mutex.protect t.latch (fun () ->
+      let kept = ref [] in
+      Option.iter
+        (fun root ->
+          let rec walk leaf =
+            Array.iteri
+              (fun i k ->
+                if not (above_lo lo k && below_hi hi k) then kept := (k, leaf.values.(i)) :: !kept)
+              leaf.keys;
+            Option.iter walk leaf.next
+          in
+          walk (leftmost_leaf root))
+        t.root;
+      let kept = Array.of_list (List.rev !kept) in
+      let removed = t.cardinal - Array.length kept in
+      if removed > 0 then begin
+        t.root <- pack t.branching (Array.map fst kept) (Array.map snd kept);
+        t.cardinal <- Array.length kept
+      end;
+      removed)
 
 let iter t f = iter_range t ~lo:Unbounded ~hi:Unbounded f
 

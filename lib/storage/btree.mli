@@ -6,9 +6,9 @@
     sequential.  Deletion rebalances (borrow from sibling, else merge), so
     the depth bound holds under arbitrary workloads.
 
-    {!insert}, {!remove}, {!find} and {!iter_range} hold the tree's latch,
-    so a lock-free reader on another domain never sees a node half
-    rewritten by a writer. *)
+    {!insert}, {!remove}, {!remove_range}, {!find} and {!iter_range} hold
+    the tree's latch, so a lock-free reader on another domain never sees
+    a node half rewritten by a writer. *)
 
 module Tuple = Dw_relation.Tuple
 
@@ -42,6 +42,12 @@ type bound =
 val iter_range : 'a t -> lo:bound -> hi:bound -> (Tuple.t -> 'a -> unit) -> unit
 (** In ascending key order.  The in-range bindings are copied under the
     latch; the callback runs after it is released. *)
+
+val remove_range : 'a t -> lo:bound -> hi:bound -> int
+(** Removes every binding in the range and returns how many there were.
+    The tree is rebuilt from the keys outside the range, packed as
+    {!of_sorted} packs them, in time linear in the tree: for removing
+    most of a tree, such as a position log's purged prefix. *)
 
 val to_list : 'a t -> (Tuple.t * 'a) list
 val min_binding : 'a t -> (Tuple.t * 'a) option

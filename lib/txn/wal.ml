@@ -29,6 +29,13 @@ type t = {
   append_hist : Metrics.hist;  (* [wal.append], one sample per log write *)
 }
 
+(* each segment with the LSN it ends at: a closed segment ends where
+   the next one begins, and the current one has no end yet *)
+let rec with_ends = function
+  | [] -> []
+  | [ seg ] -> [ (seg, max_int) ]
+  | a :: (b :: _ as rest) -> (a, b.base) :: with_ends rest
+
 let segment_name name base = Printf.sprintf "%s.%012d" name base
 
 let parse_segment_name name fname =
@@ -184,16 +191,10 @@ let checkpoint t ~active =
     (* recycling policy: delete every closed segment except the one holding
        the checkpoint record itself (recovery needs the checkpoint) *)
     let holds_ckpt seg next_base = seg.base <= lsn && lsn < next_base in
-    let rec bases = function
-      | [] -> []
-      | [ seg ] -> [ (seg, max_int) ]
-      | a :: (b :: _ as rest) -> (a, b.base) :: bases rest
-    in
-    let annotated = bases t.segments in
     let to_delete =
       List.filter
         (fun (seg, next_base) -> seg.closed && not (holds_ckpt seg next_base))
-        annotated
+        (with_ends t.segments)
       |> List.map fst
     in
     List.iter (fun seg -> Vfs.delete t.vfs seg.sname) to_delete;
@@ -220,23 +221,21 @@ let iter_segment t seg ~from f =
   go 0;
   if seg.closed then Vfs.close file
 
+(* a segment that ends at or before [from] holds no record to visit and
+   is not read *)
 let iter_from t from f =
   write_out t;
-  List.iter (fun seg -> iter_segment t seg ~from f) t.segments
+  List.iter
+    (fun (seg, ends) -> if ends > from then iter_segment t seg ~from f)
+    (with_ends t.segments)
 let iter_all t f = iter_from t 0 f
 
 let archived_segments t =
   t.segments |> List.filter (fun seg -> seg.closed) |> List.map (fun seg -> seg.sname)
 
 let prune_archived t ~upto =
-  (* a closed segment ends where the next one begins *)
-  let rec annotate = function
-    | [] -> []
-    | [ seg ] -> [ (seg, max_int) ]
-    | a :: (b :: _ as rest) -> (a, b.base) :: annotate rest
-  in
   let deletable =
-    annotate t.segments
+    with_ends t.segments
     |> List.filter (fun (seg, next_base) -> seg.closed && next_base <= upto)
     |> List.map fst
   in

@@ -72,10 +72,11 @@ val checkpoint : t -> active:Log_record.txid list -> lsn
     segments are deleted. *)
 
 val iter_from : t -> lsn -> (lsn -> Log_record.t -> unit) -> unit
-(** Replay retained records with LSN >= the argument, in order.  Corrupt
-    or torn trailing records terminate iteration (crash semantics) —
-    defence in depth; {!create} already truncates torn tails on
-    re-open. *)
+(** Replay retained records with LSN >= the argument, in order.  A
+    closed segment that ends at or before it (where the next one
+    begins) is not read.  Corrupt or torn trailing records terminate
+    iteration (crash semantics) — defence in depth; {!create} already
+    truncates torn tails on re-open. *)
 
 val iter_all : t -> (lsn -> Log_record.t -> unit) -> unit
 (** {!iter_from} from the start of the retained log. *)

@@ -174,20 +174,18 @@ let delta_wire_roundtrip_and_errors () =
     Delta.make ~table:"parts" ~schema
       [ Delta.Insert t1; Delta.Update (t1, t2); Delta.Delete t2; Delta.Upsert t1 ]
   in
-  (match Delta.of_lines ~table:"parts" ~schema (Delta.to_lines d) with
+  (match Delta.of_file ~table:"parts" ~schema (Delta.to_file d) with
    | Ok d' ->
      check Alcotest.int "same changes" (Delta.row_count d) (Delta.row_count d');
      check Alcotest.int "same images" (Delta.image_count d) (Delta.image_count d')
    | Error e -> Alcotest.fail e);
   (* error branches *)
   check Alcotest.bool "bad tag" true
-    (Result.is_error (Delta.of_lines ~table:"t" ~schema [ "X|junk" ]));
-  check Alcotest.bool "bad line" true
-    (Result.is_error (Delta.of_lines ~table:"t" ~schema [ "?" ]));
+    (Result.is_error (Delta.of_file ~table:"t" ~schema "X|junk\n"));
+  check Alcotest.bool "bad line" true (Result.is_error (Delta.of_file ~table:"t" ~schema "?\n"));
   check Alcotest.bool "update missing after" true
     (Result.is_error
-       (Delta.of_lines ~table:"t" ~schema
-          [ "U|" ^ Dw_relation.Codec.encode_ascii schema t1 ]))
+       (Delta.of_file ~table:"t" ~schema ("U|" ^ Dw_relation.Codec.encode_ascii schema t1 ^ "\n")))
 
 (* ---------- op-delta model ---------- *)
 

@@ -128,6 +128,33 @@ let wal_archive_retains_segments () =
       match r.Log_record.body with Log_record.Begin -> incr begins | _ -> ());
   check Alcotest.int "begins across segments" 2 !begins
 
+(* a read from the last mark opens no closed segment: it reads the same
+   bytes however many checkpoints archived the log before the mark *)
+let wal_iter_from_skips_closed_segments () =
+  let read_from_mark checkpoints =
+    let vfs = Vfs.in_memory () in
+    let wal = Wal.create vfs ~name:"m.wal" ~archive:true in
+    let begin_ tx = ignore (Wal.append wal { Log_record.tx; body = Log_record.Begin } : int) in
+    for i = 1 to checkpoints do
+      for tx = 1 to 20 do begin_ ((i * 100) + tx) done;
+      ignore (Wal.checkpoint wal ~active:[] : int)
+    done;
+    let mark = Wal.next_lsn wal in
+    for tx = 1 to 5 do begin_ tx done;
+    let read_bytes () = Dw_util.Metrics.get (Vfs.metrics vfs) "vfs.read_bytes" in
+    let before = read_bytes () in
+    let seen = ref 0 in
+    Wal.iter_from wal mark (fun _ _ -> incr seen);
+    check Alcotest.int "records past the mark" 5 !seen;
+    check Alcotest.int "archived segments" checkpoints (List.length (Wal.archived_segments wal));
+    read_bytes () - before
+  in
+  let bytes = read_from_mark 0 in
+  check Alcotest.bool "reads the records past the mark" true (bytes > 0);
+  List.iter
+    (fun n -> check Alcotest.int (Printf.sprintf "%d checkpoints" n) bytes (read_from_mark n))
+    [ 1; 3; 8 ]
+
 let wal_no_archive_recycles () =
   let vfs = Vfs.in_memory () in
   let wal = Wal.create vfs ~name:"b.wal" ~archive:false in
@@ -423,6 +450,7 @@ let suite =
     test "wal append/iter" wal_append_iter;
     test "wal iter_from" wal_iter_from;
     test "wal archive retains segments" wal_archive_retains_segments;
+    test "wal iter_from skips segments before the mark" wal_iter_from_skips_closed_segments;
     test "wal recycles without archive" wal_no_archive_recycles;
     test "wal survives torn tail" wal_survives_torn_tail;
     test "wal appends after torn tail" wal_appends_after_torn_tail;

@@ -409,6 +409,18 @@ let codec_schema =
       { Schema.name = "d"; ty = Value.Tdate; nullable = false };
     ]
 
+(* [m / 10^k] with [k <= 6]: a decimal of at most six places, as a
+   price column holds *)
+let gen_short_decimal =
+  QCheck2.Gen.(
+    map2
+      (fun m k -> float_of_int m /. (10.0 ** float_of_int k))
+      (int_range (-1_000_000_000) 1_000_000_000)
+      (int_range 0 6))
+
+(* random bits, the edge values and short decimals *)
+let gen_float = QCheck2.Gen.oneof [ Test_sql.gen_finite_float; gen_short_decimal ]
+
 let gen_row =
   QCheck2.Gen.(
     let nullable g = frequency [ (1, pure Value.Null); (4, g) ] in
@@ -420,7 +432,7 @@ let gen_row =
                (fun s -> Value.Str s)
                (string_size (int_range 0 12)
                   ~gen:(oneof [ char_range 'a' 'z'; oneofl [ '|'; '\\'; '\n'; '\t'; 'p'; '0' ] ]))))
-         (nullable (map (fun f -> Value.Float f) Test_sql.gen_finite_float))
+         (nullable (map (fun f -> Value.Float f) gen_float))
          (pair (nullable (map (fun b -> Value.Bool b) bool)) (int_range 0 30000))))
 
 (* an encoded row, then a few edits that land on separators, escapes and
@@ -469,7 +481,25 @@ let prop_decode_matches =
       | Error got, Error want -> String.equal got want
       | Ok _, Error _ | Error _, Ok _ -> false)
 
-(* [Codec.encode_ascii] as it was: [Printf] floats, a closure per byte *)
+(* the shortest [%.*f] form, [k <= 6], that reads back bit for bit
+   with fewer than 2^53 as its digits; else [%.17g], and always for
+   [-0.0] *)
+let ref_float f =
+  let reads_back s =
+    let digits = String.concat "" (String.split_on_char '.' s) in
+    Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float f)
+    && Float.abs (float_of_string digits) < 9007199254740992.0
+  in
+  let rec go k =
+    if k > 6 || Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (-0.0)) then
+      Printf.sprintf "%.17g" f
+    else
+      let s = Printf.sprintf "%.*f" k f in
+      if Float.is_finite f && reads_back s then s else go (k + 1)
+  in
+  go 0
+
+(* [Codec.encode_ascii] through [Printf] floats, a closure per byte *)
 let ref_encode_ascii row =
   let buf = Buffer.create 128 in
   Array.iteri
@@ -478,7 +508,7 @@ let ref_encode_ascii row =
       match v with
       | Value.Null -> Buffer.add_string buf "\\0"
       | Value.Int n | Value.Date n -> Buffer.add_string buf (string_of_int n)
-      | Value.Float f -> Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      | Value.Float f -> Buffer.add_string buf (ref_float f)
       | Value.Bool b -> Buffer.add_string buf (if b then "T" else "F")
       | Value.Str s ->
         String.iter
@@ -532,34 +562,67 @@ let fnv1a_rejects_bad_ranges () =
 
 module Int_map = Map.Make (Int)
 
+type btree_op = Put of int | Take of int | Take_range of Btree.bound * Btree.bound
+
 (* insert or remove of a small key range, so removes often hit and
-   nodes split, borrow and merge at branching 4 *)
+   nodes split, borrow and merge at branching 4; a range removal
+   rebuilds the tree from any number of kept keys *)
 let gen_btree_ops =
   QCheck2.Gen.(
+    let bound =
+      frequency
+        [
+          (1, return Btree.Unbounded);
+          (3, map (fun k -> Btree.Incl [| Value.Int k |]) (int_range (-2) 62));
+          (2, map (fun k -> Btree.Excl [| Value.Int k |]) (int_range (-2) 62));
+        ]
+    in
     pair (oneofl [ 4; 6; 8 ])
-      (list_size (int_range 1 400) (pair bool (int_range 0 60))))
+      (list_size (int_range 1 400)
+         (frequency
+            [
+              (10, map (fun k -> Put k) (int_range 0 60));
+              (10, map (fun k -> Take k) (int_range 0 60));
+              (1, map2 (fun lo hi -> Take_range (lo, hi)) bound bound);
+            ])))
+
+let in_bounds lo hi k =
+  let key = [| Value.Int k |] in
+  (match lo with
+   | Btree.Unbounded -> true
+   | Btree.Incl b -> Tuple.compare key b >= 0
+   | Btree.Excl b -> Tuple.compare key b > 0)
+  &&
+  match hi with
+  | Btree.Unbounded -> true
+  | Btree.Incl b -> Tuple.compare key b <= 0
+  | Btree.Excl b -> Tuple.compare key b < 0
 
 let prop_btree_matches_map =
   QCheck2.Test.make ~name:"B-tree insert/remove streams match a Map, invariants hold" ~count:200
     gen_btree_ops (fun (branching, ops) ->
       let tree = Btree.create ~branching () in
       let key k = [| Value.Int k |] in
-      let step model (is_insert, k) =
+      let step model op =
         let model =
-          if is_insert then begin
+          match op with
+          | Put k ->
             Btree.insert tree (key k) (-k);
             Int_map.add k (-k) model
-          end
-          else begin
+          | Take k ->
             let was = Btree.remove tree (key k) in
             if was <> Int_map.mem k model then Alcotest.failf "remove %d returned %b" k was;
             Int_map.remove k model
-          end
+          | Take_range (lo, hi) ->
+            let doomed, kept = Int_map.partition (fun k _ -> in_bounds lo hi k) model in
+            let n = Btree.remove_range tree ~lo ~hi in
+            if n <> Int_map.cardinal doomed then
+              Alcotest.failf "remove_range removed %d, want %d" n (Int_map.cardinal doomed);
+            kept
         in
         (match Btree.check_invariants tree with
          | Ok () -> ()
-         | Error e ->
-           Alcotest.failf "after %s %d: %s" (if is_insert then "insert" else "remove") k e);
+         | Error e -> Alcotest.failf "after an op on %d keys: %s" (Int_map.cardinal model) e);
         if Btree.cardinal tree <> Int_map.cardinal model then Alcotest.fail "cardinal";
         model
       in
@@ -1323,6 +1386,285 @@ let prop_value_delta_loads_by_key =
       same "logs" (log_of dbt) (log_of dbx);
       true)
 
+(* ---------- floats: short where exact, and back bit for bit ---------- *)
+
+let float_schema = Schema.make [ { Schema.name = "f"; ty = Value.Tfloat; nullable = false } ]
+
+(* [m / 10^k] printed as a decimal, trailing zeros dropped *)
+let decimal m k =
+  let digits = string_of_int (abs m) in
+  let digits = String.make (max 0 (k + 1 - String.length digits)) '0' ^ digits in
+  let n = String.length digits in
+  let whole = String.sub digits 0 (n - k) and frac = String.sub digits (n - k) k in
+  let rec trim s =
+    if s <> "" && s.[String.length s - 1] = '0' then trim (String.sub s 0 (String.length s - 1))
+    else s
+  in
+  let frac = trim frac in
+  (if m < 0 then "-" else "") ^ whole ^ if frac = "" then "" else "." ^ frac
+
+(* a float from one of: a short decimal with at most nine digits (its
+   shortest form is known), one near 2^53 / 10^k (where several decimals
+   of k places can read back as one double), a neighbour of either, or
+   the random-bit and edge values *)
+let gen_float_case =
+  QCheck2.Gen.(
+    let place = int_range 0 6 in
+    oneof
+      [
+        map2 (fun m k -> (float_of_int m /. (10.0 ** float_of_int k), Some (decimal m k)))
+          (int_range (-999_999_999) 999_999_999) place;
+        map3
+          (fun m k up ->
+            let f = float_of_int m /. (10.0 ** float_of_int k) in
+            ((if up then Float.succ f else f), None))
+          (int_range (1 lsl 50) ((1 lsl 53) - 1)) place bool;
+        map (fun f -> (f, None)) gen_float;
+        oneofl [ (-0.0, Some "-0"); (1e17, Some "1e+17"); (5e-324, None); (466.57, Some "466.57") ];
+      ])
+
+let prop_float_short_and_exact =
+  QCheck2.Test.make ~name:"a float field prints its short decimal and reads back bit for bit"
+    ~count:2000
+    ~print:(fun (f, want) ->
+      Printf.sprintf "%h (%.17g) printed %S, want %s" f f
+        (Codec.encode_ascii float_schema [| Value.Float f |])
+        (Option.value want ~default:"-"))
+    gen_float_case
+    (fun (f, want) ->
+      let line = Codec.encode_ascii float_schema [| Value.Float f |] in
+      String.equal line (ref_float f)
+      && Option.fold ~none:true ~some:(String.equal line) want
+      &&
+      match Codec.decode_ascii float_schema line with
+      | Ok [| Value.Float g |] -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | Ok _ | Error _ -> false)
+
+(* ---------- the differential file vs the line codec ---------- *)
+
+(* [Delta.to_lines] and [Delta.of_lines] as they were, one string per
+   image, over [codec_schema] records through the reference codec *)
+let ref_to_lines changes =
+  List.concat_map
+    (function
+      | Delta.Insert after -> [ "I|" ^ ref_encode_ascii after ]
+      | Delta.Delete before -> [ "D|" ^ ref_encode_ascii before ]
+      | Delta.Upsert after -> [ "S|" ^ ref_encode_ascii after ]
+      | Delta.Update (before, after) ->
+        [ "U|" ^ ref_encode_ascii before; "u|" ^ ref_encode_ascii after ])
+    changes
+
+let ref_of_lines lines =
+  let decode body = ref_decode_ascii codec_schema body in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest ->
+      if String.length line < 2 || line.[1] <> '|' then
+        Error (Printf.sprintf "bad delta line %S" line)
+      else begin
+        let body = String.sub line 2 (String.length line - 2) in
+        match line.[0], rest with
+        | 'I', _ -> Result.bind (decode body) (fun t -> go (Delta.Insert t :: acc) rest)
+        | 'D', _ -> Result.bind (decode body) (fun t -> go (Delta.Delete t :: acc) rest)
+        | 'S', _ -> Result.bind (decode body) (fun t -> go (Delta.Upsert t :: acc) rest)
+        | 'U', after_line :: rest'
+          when String.length after_line >= 2 && after_line.[0] = 'u' && after_line.[1] = '|' -> (
+            let after_body = String.sub after_line 2 (String.length after_line - 2) in
+            match decode body, decode after_body with
+            | Ok b, Ok a -> go (Delta.Update (b, a) :: acc) rest'
+            | Error e, _ | _, Error e -> Error e)
+        | 'U', _ -> Error "update line without its after-image line"
+        | c, _ -> Error (Printf.sprintf "unknown delta tag %C" c)
+      end
+  in
+  go [] lines
+
+(* the file's lines: every '\n' ends one, and a last one may lack it *)
+let lines_of file =
+  match List.rev (String.split_on_char '\n' file) with
+  | "" :: rest -> List.rev rest
+  | lines -> List.rev lines
+
+let gen_changes =
+  QCheck2.Gen.(
+    list_size (int_range 0 8)
+      (frequency
+         [
+           (2, map (fun r -> Delta.Insert r) gen_row);
+           (2, map (fun r -> Delta.Delete r) gen_row);
+           (2, map2 (fun b a -> Delta.Update (b, a)) gen_row gen_row);
+           (1, map (fun r -> Delta.Upsert r) gen_row);
+         ]))
+
+(* a file, then edits that land on tags, separators, newlines and
+   fields, or drop a whole line (a "U" loses its "u") *)
+let gen_file_case =
+  QCheck2.Gen.(
+    let edit file =
+      map3
+        (fun pos c mode ->
+          let n = String.length file in
+          let pos = if n = 0 then 0 else pos mod (n + 1) in
+          let before = String.sub file 0 pos and after = String.sub file pos (n - pos) in
+          match mode with
+          | 0 -> before ^ String.make 1 c ^ after
+          | 1 when n > pos -> before ^ String.sub after 1 (String.length after - 1)
+          | 2 ->
+            let lines = lines_of file in
+            let drop = if lines = [] then 0 else pos mod List.length lines in
+            List.filteri (fun i _ -> i <> drop) lines
+            |> List.map (fun l -> l ^ "\n")
+            |> String.concat ""
+          | _ -> before ^ String.make 1 c ^ if n > pos then String.sub after 1 (n - pos - 1) else "")
+        nat
+        (oneofl [ '\n'; '|'; '\\'; 'I'; 'U'; 'u'; 'D'; 'S'; 'X'; '.'; 'e'; '-'; '0'; 'T' ])
+        (int_range 0 3)
+    in
+    gen_changes >>= fun changes ->
+    let file = Delta.to_file (Delta.make ~table:"t" ~schema:codec_schema changes) in
+    map
+      (fun file -> (changes, file))
+      (frequency
+         [
+           (2, return file);
+           (3, edit file);
+           (2, edit file >>= edit >>= edit);
+           (1, string_size (int_range 0 20) ~gen:(oneofl [ '\n'; '|'; 'U'; 'u'; 'I'; '1'; '\\' ]));
+         ]))
+
+let same_changes a b =
+  List.equal
+    (fun x y ->
+      match x, y with
+      | Delta.Insert r, Delta.Insert r' | Delta.Delete r, Delta.Delete r'
+      | Delta.Upsert r, Delta.Upsert r' ->
+        same_tuple r r'
+      | Delta.Update (b, a), Delta.Update (b', a') -> same_tuple b b' && same_tuple a a'
+      | _ -> false)
+    a b
+
+let prop_file_matches_lines =
+  QCheck2.Test.make ~name:"the differential file matches the line codec, errors included"
+    ~count:1000
+    ~print:(fun (changes, file) ->
+      Printf.sprintf "%d changes, file %S" (List.length changes) file)
+    gen_file_case
+    (fun (changes, file) ->
+      let delta = Delta.make ~table:"t" ~schema:codec_schema changes in
+      let encoded = Delta.to_file delta in
+      let want = String.concat "" (List.map (fun l -> l ^ "\n") (ref_to_lines changes)) in
+      if not (String.equal encoded want) then QCheck2.Test.fail_reportf "encoded %S" encoded;
+      (match Delta.of_file ~table:"t" ~schema:codec_schema encoded with
+       | Ok back when same_changes back.Delta.changes changes -> ()
+       | Ok _ -> QCheck2.Test.fail_report "the file does not decode to its delta"
+       | Error e -> QCheck2.Test.fail_reportf "the file does not decode: %s" e);
+      match Delta.of_file ~table:"t" ~schema:codec_schema file, ref_of_lines (lines_of file) with
+      | Ok got, Ok want -> same_changes got.Delta.changes want
+      | Error got, Error want -> String.equal got want
+      | Ok _, Error e -> QCheck2.Test.fail_reportf "decoded, the lines fail with %s" e
+      | Error e, Ok _ -> QCheck2.Test.fail_reportf "failed with %s, the lines decode" e)
+
+(* ---------- the key-range delete vs DELETE ... WHERE key <= n ---------- *)
+
+let seq_schema =
+  Schema.make
+    [
+      { Schema.name = "__seq"; ty = Value.Tint; nullable = false };
+      { Schema.name = "v"; ty = Value.Tstring 8; nullable = true };
+      { Schema.name = "d"; ty = Value.Tdate; nullable = false };
+    ]
+
+type range_case = {
+  keys : int list;  (* inserted one transaction each, in this order *)
+  dropped : int list;  (* then deleted one each, freeing their slots *)
+  refill : int list;  (* then inserted into the freed slots *)
+  through : int;
+  ts : bool;  (* the table has a timestamp column, so a second index *)
+  index_plan : bool;  (* the WHERE twin runs in [`Index_preferred] *)
+  abort : bool;
+}
+
+let gen_range_case =
+  QCheck2.Gen.(
+    let distinct l = List.sort_uniq compare l in
+    map
+      (fun ((keys, dropped, refill), (through, ts, index_plan, abort)) ->
+        let keys = distinct keys in
+        (* the key order is shuffled against the slot order *)
+        let keys = List.sort (fun a b -> compare ((a * 7919) mod 61) ((b * 7919) mod 61)) keys in
+        let dropped = List.filter (fun k -> List.mem k keys) (distinct dropped) in
+        let refill = List.filter (fun k -> not (List.mem k keys)) (distinct refill) in
+        { keys; dropped; refill; through; ts; index_plan; abort })
+      (pair
+         (triple
+            (list_size (int_range 0 60) (int_range 1 80))
+            (list_size (int_range 0 10) (int_range 1 80))
+            (list_size (int_range 0 10) (int_range 81 120)))
+         (quad (int_range (-3) 125) bool bool bool)))
+
+let prop_range_delete_matches_where =
+  QCheck2.Test.make ~name:"a key-range delete is DELETE WHERE key <= n on a twin engine" ~count:300
+    ~print:(fun c ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "keys %s, dropped %s, refill %s, through %d, ts %b, index %b, abort %b"
+        (ints c.keys) (ints c.dropped) (ints c.refill) c.through c.ts c.index_plan c.abort)
+    gen_range_case
+    (fun c ->
+      let mk plan =
+        let db = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+        Db.set_plan_mode db plan;
+        let ts_column = if c.ts then Some "d" else None in
+        ignore (Db.create_table db ~name:"t" ?ts_column seq_schema : Table.t);
+        let row k = [| Value.Int k; Value.Str (string_of_int (k * 3)); Value.Date (k mod 5) |] in
+        let insert k =
+          Db.with_txn db (fun txn -> ignore (Db.insert db txn "t" (row k) : Heap_file.rid))
+        in
+        List.iter insert c.keys;
+        List.iter
+          (fun k ->
+            Db.with_txn db (fun txn -> ignore (Db.delete_key db txn "t" [| Value.Int k |] : int)))
+          c.dropped;
+        List.iter insert c.refill;
+        db
+      in
+      let ranged = mk `Scan_only in
+      let filtered = mk (if c.index_plan then `Index_preferred else `Scan_only) in
+      let snapshot db = Db.begin_txn ~mode:`Snapshot db in
+      let read db txn = List.sort Tuple.compare (Db.select db txn "t" ()) in
+      let old_r = snapshot ranged and old_f = snapshot filtered in
+      let run db delete =
+        let txn = Db.begin_txn db in
+        let n = delete txn in
+        if c.abort then Db.abort db txn else Db.commit db txn;
+        n
+      in
+      let n_r = run ranged (fun txn -> Db.delete_through ranged txn "t" (Value.Int c.through)) in
+      let n_f =
+        run filtered (fun txn ->
+            Db.delete_where filtered txn "t"
+              ~where:(Some (Expr.Cmp (Expr.Le, Expr.Col "__seq", Expr.Lit (Value.Int c.through)))))
+      in
+      let agree what a b = if not a then QCheck2.Test.fail_reportf "%s differ" what else b in
+      let same_rows = List.equal Tuple.equal in
+      agree "deleted counts" (n_r = n_f)
+      @@ agree "snapshot reads from before" (same_rows (read ranged old_r) (read filtered old_f))
+      @@ agree "rows" (same_rows (twin_rows_of ranged) (twin_rows_of filtered))
+      @@ agree "logs" (log_of ranged = log_of filtered)
+      @@ agree "snapshot reads after"
+           (same_rows (read ranged (snapshot ranged)) (read filtered (snapshot filtered)))
+      @@
+      (* every key the twins ever held finds the same row through the
+         index, and the index holds exactly the live rows *)
+      let keys = c.keys @ c.refill in
+      let find db k =
+        Db.with_txn db (fun txn -> Option.map snd (Db.find_by_key db txn "t" [| Value.Int k |]))
+      in
+      agree "key lookups"
+        (List.for_all (fun k -> Option.equal Tuple.equal (find ranged k) (find filtered k)) keys)
+      @@ agree "index sizes"
+           (Table.cardinality (Db.table ranged "t") = Table.row_count (Db.table ranged "t"))
+           true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_printers_match;
@@ -1339,4 +1681,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ast_runs_as_text;
     test "a duplicate-key Op-Delta keeps its error text" duplicate_key_error_text;
     QCheck_alcotest.to_alcotest prop_value_delta_loads_by_key;
+    QCheck_alcotest.to_alcotest prop_float_short_and_exact;
+    QCheck_alcotest.to_alcotest prop_file_matches_lines;
+    QCheck_alcotest.to_alcotest prop_range_delete_matches_where;
   ]
