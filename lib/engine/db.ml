@@ -206,7 +206,6 @@ let begin_txn ?(mode = `Read_write) t =
 let txid txn = txn.id
 let txn_mode txn = txn.mode
 let committed txn = txn.committed
-let snapshot_csn txn = txn.snapshot_csn
 
 let check_live txn =
   if txn.finished then invalid_arg "Db: transaction already finished"
@@ -406,18 +405,16 @@ let stamp t table tuple =
 
 let log_dml t body = ignore (Wal.append t.wal body : Wal.lsn)
 
-(* the logged tail of an insert, once the row is in the heap: [after]
-   is the record the heap holds, logged as it is *)
-let logged_insert t txn tname rid tuple after =
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:None;
-  log_dml t { Log_record.tx = txn.id; body = Log_record.Insert { table = tname; rid; after } };
-  txn.undo_log <- U_insert (tname, rid, tuple) :: txn.undo_log;
-  fire t txn tname (Trigger.Inserted (rid, tuple));
-  rid
+(* Each DML step pushes its undo entry as soon as the heap has changed,
+   before the WAL append: the append can write the log buffer out, and a
+   transient fault there must leave an abort that puts the row back.
+   Undo is physical, with no compensation records, so an entry whose
+   record never reached the log is still the right undo. *)
 
 let logged_update t txn tname table rid ~before after =
   Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
   let after_rec = Table.raw_update table rid ~old_tuple:before after in
+  txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
   log_dml t
     {
       Log_record.tx = txn.id;
@@ -430,7 +427,6 @@ let logged_update t txn tname table rid ~before after =
             after = after_rec;
           };
     };
-  txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
   fire t txn tname (Trigger.Updated (rid, before, after))
 
 (* the logged delete of a row whose decoded [before] image the caller
@@ -439,12 +435,12 @@ let logged_update t txn tname table rid ~before after =
 let logged_free t txn tname rid ~before free =
   Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
   let before_rec = free () in
+  txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
   log_dml t
     {
       Log_record.tx = txn.id;
       body = Log_record.Delete { table = tname; rid; before = before_rec };
     };
-  txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
   fire t txn tname (Trigger.Deleted (rid, before))
 
 let logged_delete t txn tname table rid ~before =
@@ -456,12 +452,17 @@ let logged_delete t txn tname table rid ~before =
 let upsert_target ~upsert table tuple =
   if upsert then Table.find_key table (Tuple.key (Table.schema table) tuple) else None
 
-(* a new row: stamped, stored ([row_lock]: X-locked) and logged *)
+(* a new row: stamped, stored ([row_lock]: X-locked) and logged; [after]
+   is the record the heap holds, logged as it is *)
 let insert_new t txn tname table ~row_lock tuple =
   let tuple = stamp t table tuple in
   let rid, after = Table.raw_insert table tuple in
+  txn.undo_log <- U_insert (tname, rid, tuple) :: txn.undo_log;
   if row_lock then acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  logged_insert t txn tname rid tuple after
+  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:None;
+  log_dml t { Log_record.tx = txn.id; body = Log_record.Insert { table = tname; rid; after } };
+  fire t txn tname (Trigger.Inserted (rid, tuple));
+  rid
 
 let insert ?(upsert = false) t txn tname tuple =
   check_writable txn;
@@ -621,8 +622,15 @@ let snapshot_visible t tname ~csn rid current =
   | `Image tuple -> Some tuple
   | `Absent -> None
 
-let snapshot_matching t txn table tname where =
+(* The rows of [table] visible at [txn]'s snapshot that satisfy [where],
+   in rid order: a heap (or key-index) pass, then a version-chain pass.
+   [pages] limits both passes to the rows in heap pages [[from, to)]:
+   a partitioned scan runs one such range per domain, so this takes no
+   lock and reaches no statement boundary. *)
+let snapshot_matching ?pages t txn table where =
+  let tname = Table.name table in
   let schema = Table.schema table in
+  let heap = Table.heap table in
   let keep =
     match where with
     | None -> fun _ -> true
@@ -641,18 +649,25 @@ let snapshot_matching t txn table tname where =
       | Some _ | None -> ()
     end
   in
-  (match t.plan_mode, where with
-   | `Index_preferred, Some e -> (
-       match key_bounds schema e with
-       | (None, None) -> Table.scan table (fun rid tuple -> consider rid (Some tuple))
-       | (lo, hi) -> Table.key_range table ~lo ~hi (fun rid tuple -> consider rid (Some tuple)))
-   | (`Scan_only | `Index_preferred), _ ->
-     Table.scan table (fun rid tuple -> consider rid (Some tuple)));
+  let visit rid tuple = consider rid (Some tuple) in
+  let in_range =
+    match pages with
+    | None ->
+      (match t.plan_mode, where with
+       | `Index_preferred, Some e -> (
+           match key_bounds schema e with
+           | (None, None) -> Table.scan table visit
+           | (lo, hi) -> Table.key_range table ~lo ~hi visit)
+       | (`Scan_only | `Index_preferred), _ -> Table.scan table visit);
+      fun _ -> true
+    | Some (from_page, to_page) ->
+      Heap_file.iter_pages heap ~from_page ~to_page visit;
+      fun rid -> rid.Heap_file.page >= from_page && rid.Heap_file.page < to_page
+  in
   (* rows the heap/index pass cannot surface — deleted since the snapshot,
      or re-keyed out of the index bounds — still have version chains *)
-  let heap = Table.heap table in
   Version_store.iter_table t.vstore ~table:tname (fun rid ->
-      if not (Hashtbl.mem seen rid) then consider rid (Heap_file.get_opt heap rid));
+      if in_range rid && not (Hashtbl.mem seen rid) then consider rid (Heap_file.get_opt heap rid));
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !acc
 
 let snapshot_find_by_key t txn tname key =
@@ -730,10 +745,15 @@ let select t txn tname ?where () =
   match txn.mode with
   | `Snapshot ->
     (* lock-free: visibility comes from the snapshot CSN, not from S locks *)
-    List.map snd (snapshot_matching t txn table tname where)
+    List.map snd (snapshot_matching t txn table where)
   | `Read_write ->
     acquire t txn (Lock_manager.Table tname) Lock_manager.S;
     List.map snd (matching ~mode:t.plan_mode table where)
+
+let select_pages t txn table ?where ~from_page ~to_page () =
+  check_live txn;
+  if txn.mode <> `Snapshot then invalid_arg "Db.select_pages: requires a `Snapshot transaction";
+  List.map snd (snapshot_matching ~pages:(from_page, to_page) t txn table where)
 
 (* SQL execution *)
 
@@ -751,14 +771,72 @@ let schema_of_defs defs =
   in
   Schema.make ~key_arity:(List.length keys) (List.map to_col (keys @ others))
 
+(* [e] compiled against [schema], an unknown column named as such *)
+let compile schema e =
+  check_columns schema e;
+  Expr.compile schema e
+
+(* stable sort on the values at [idxs], in order *)
+let sort_on idxs rows =
+  if idxs = [] then rows
+  else
+    List.sort
+      (fun (a : Value.t array) b ->
+        let rec go = function
+          | [] -> 0
+          | i :: rest ->
+            let c = Value.compare a.(i) b.(i) in
+            if c <> 0 then c else go rest
+        in
+        go idxs)
+      rows
+
+let output_name i = function
+  | Ast.Star -> "*"
+  | Ast.Item (_, Some alias) | Ast.Agg (_, _, Some alias) -> alias
+  | Ast.Item (Expr.Col c, None) -> c
+  | Ast.Item (_, None) | Ast.Agg (_, _, None) -> Printf.sprintf "col%d" i
+
+(* one aggregate over a group's rows; [eval] reads its operand *)
+let aggregate fn eval rows =
+  let values () =
+    List.filter_map
+      (fun row ->
+        let v = eval row in
+        if Value.is_null v then None else Some v)
+      rows
+  in
+  match fn with
+  | Ast.Count_star -> Value.Int (List.length rows)
+  | Ast.Count -> Value.Int (List.length (values ()))
+  | Ast.Sum -> List.fold_left Value.add (Value.Int 0) (values ())
+  | Ast.Avg -> (
+      match values () with
+      | [] -> Value.Null
+      | vs ->
+        let total = List.fold_left Value.add (Value.Int 0) vs in
+        Value.div
+          (match total with Value.Int n -> Value.Float (float_of_int n) | v -> v)
+          (Value.Float (float_of_int (List.length vs))))
+  | Ast.Min -> (
+      match values () with
+      | [] -> Value.Null
+      | v :: vs -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v vs)
+  | Ast.Max -> (
+      match values () with
+      | [] -> Value.Null
+      | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
+
 (* GROUP BY / aggregate SELECT evaluation *)
-let exec_aggregate _t schema ~items ~group_by ~order_by tuples =
-  List.iter
-    (fun col ->
-      if not (Schema.mem schema col) then
-        invalid_arg (Printf.sprintf "GROUP BY: unknown column %s" col))
-    group_by;
-  let group_idxs = List.map (Schema.index_of schema) group_by in
+let eval_aggregate schema ~items ~group_by ~order_by tuples =
+  let group_idxs =
+    List.map
+      (fun col ->
+        match Schema.index_of_opt schema col with
+        | Some i -> i
+        | None -> invalid_arg (Printf.sprintf "GROUP BY: unknown column %s" col))
+      group_by
+  in
   let module RowMap = Map.Make (struct
     type t = Value.t array
 
@@ -777,91 +855,66 @@ let exec_aggregate _t schema ~items ~group_by ~order_by tuples =
             acc)
         RowMap.empty tuples
   in
-  let agg_over rows fn e =
-    let values () =
-      let eval = Expr.compile schema e in
-      List.filter_map
-        (fun row ->
-          let v = eval row in
-          if Value.is_null v then None else Some v)
-        rows
-    in
-    match fn with
-    | Ast.Count_star -> Value.Int (List.length rows)
-    | Ast.Count -> Value.Int (List.length (values ()))
-    | Ast.Sum -> List.fold_left Value.add (Value.Int 0) (values ())
-    | Ast.Avg -> (
-        match values () with
-        | [] -> Value.Null
-        | vs ->
-          let total = List.fold_left Value.add (Value.Int 0) vs in
-          Value.div
-            (match total with Value.Int n -> Value.Float (float_of_int n) | v -> v)
-            (Value.Float (float_of_int (List.length vs))))
-    | Ast.Min -> (
-        match values () with
-        | [] -> Value.Null
-        | v :: vs -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v vs)
-    | Ast.Max -> (
-        match values () with
-        | [] -> Value.Null
-        | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
-  in
   let names =
     List.mapi
       (fun i item ->
         match item with
         | Ast.Star -> invalid_arg "SELECT: * not allowed with aggregates/GROUP BY"
-        | Ast.Item (_, Some alias) | Ast.Agg (_, _, Some alias) -> alias
-        | Ast.Item (Expr.Col c, None) -> c
-        | Ast.Item (_, None) | Ast.Agg (_, _, None) -> Printf.sprintf "col%d" i)
+        | Ast.Item _ | Ast.Agg _ -> output_name i item)
       items
   in
-  let eval_group _key rows =
-    (* non-aggregate items must be functionally determined by the group:
-       enforce plain group-column references *)
+  (* each item as a function of its group's rows, checked before any
+     group is seen; non-aggregate items must be functionally determined
+     by the group: plain group-column references *)
+  let item_fns =
     List.map
       (fun item ->
         match item with
         | Ast.Star -> assert false
-        | Ast.Agg (Ast.Count_star, _, _) -> agg_over rows Ast.Count_star (Expr.Lit Value.Null)
-        | Ast.Agg (fn, Some e, _) -> agg_over rows fn e
-        | Ast.Agg (fn, None, _) ->
-          if fn = Ast.Count_star then agg_over rows Ast.Count_star (Expr.Lit Value.Null)
-          else invalid_arg "aggregate without argument"
+        | Ast.Agg (Ast.Count_star, _, _) -> aggregate Ast.Count_star (fun _ -> Value.Null)
+        | Ast.Agg (fn, Some e, _) -> aggregate fn (compile schema e)
+        | Ast.Agg (_, None, _) -> invalid_arg "aggregate without argument"
         | Ast.Item (Expr.Col c, _) when List.mem c group_by -> (
-            match rows with
-            | row :: _ -> row.(Schema.index_of schema c)
-            | [] -> Value.Null)
+            let i = Schema.index_of schema c in
+            function row :: _ -> row.(i) | [] -> Value.Null)
         | Ast.Item _ ->
           invalid_arg "SELECT with GROUP BY: non-aggregate items must be grouping columns")
       items
-    |> Array.of_list
   in
-  let out_rows = RowMap.fold (fun key rows acc -> eval_group key rows :: acc) groups [] in
-  let out_rows = List.rev out_rows in
-  let out_rows =
-    if order_by = [] then out_rows
-    else begin
-      let idx_of name =
-        match List.find_index (fun n -> n = name) names with
-        | Some i -> i
-        | None -> invalid_arg (Printf.sprintf "ORDER BY: unknown output column %s" name)
-      in
-      let idxs = List.map idx_of order_by in
-      List.sort
-        (fun a b ->
-          let rec go = function
-            | [] -> 0
-            | i :: rest ->
-              let c = Value.compare a.(i) b.(i) in
-              if c <> 0 then c else go rest
-          in
-          go idxs)
-        out_rows
-    end
+  let eval_group rows = Array.of_list (List.map (fun f -> f rows) item_fns) in
+  let out_rows = List.rev (RowMap.fold (fun _key rows acc -> eval_group rows :: acc) groups []) in
+  let idx_of name =
+    match List.find_index (fun n -> n = name) names with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "ORDER BY: unknown output column %s" name)
   in
-  Rows { columns = names; rows = out_rows }
+  Rows { columns = names; rows = sort_on (List.map idx_of order_by) out_rows }
+
+let eval_select schema ~items ~group_by ~order_by tuples =
+  let has_agg = List.exists (function Ast.Agg _ -> true | Ast.Star | Ast.Item _ -> false) items in
+  if has_agg || group_by <> [] then eval_aggregate schema ~items ~group_by ~order_by tuples
+  else begin
+    let tuples = sort_on (List.map (column_index schema) order_by) tuples in
+    let columns, project =
+      match items with
+      | [ Ast.Star ] ->
+        ( List.map (fun c -> c.Schema.name) (Schema.columns schema),
+          fun (tuple : Tuple.t) -> Array.copy tuple )
+      | items ->
+        let evals =
+          List.map
+            (fun item ->
+              match item with
+              | Ast.Star -> fun _ -> invalid_arg "SELECT: * must be the only item"
+              | Ast.Agg _ -> assert false
+              | Ast.Item (e, _) -> compile schema e)
+            items
+        in
+        ( List.mapi output_name items,
+          fun tuple -> Array.of_list (List.map (fun eval -> eval tuple) evals) )
+    in
+    Rows { columns; rows = List.map project tuples }
+  end
 
 let exec t txn stmt =
   match stmt with
@@ -878,58 +931,8 @@ let exec t txn stmt =
   | Ast.Update { table = tname; sets; where } -> Affected (update_where t txn tname ~set:sets ~where)
   | Ast.Delete { table = tname; where } -> Affected (delete_where t txn tname ~where)
   | Ast.Select { items; table = tname; where; group_by; order_by } ->
-    let tbl = table t tname in
-    let schema = Table.schema tbl in
-    let tuples = select t txn tname ?where () in
-    let has_agg =
-      List.exists (function Ast.Agg _ -> true | Ast.Star | Ast.Item _ -> false) items
-    in
-    if has_agg || group_by <> [] then exec_aggregate t schema ~items ~group_by ~order_by tuples
-    else begin
-      let tuples =
-        if order_by = [] then tuples
-        else
-          let idxs = List.map (Schema.index_of schema) order_by in
-          List.sort
-            (fun a b ->
-              let rec go = function
-                | [] -> 0
-                | i :: rest ->
-                  let c = Value.compare a.(i) b.(i) in
-                  if c <> 0 then c else go rest
-              in
-              go idxs)
-            tuples
-      in
-      let columns, project =
-        match items with
-        | [ Ast.Star ] ->
-          ( List.map (fun c -> c.Schema.name) (Schema.columns schema),
-            fun (tuple : Tuple.t) -> Array.copy tuple )
-        | items ->
-          let names =
-            List.mapi
-              (fun i item ->
-                match item with
-                | Ast.Star -> "*"
-                | Ast.Item (_, Some alias) | Ast.Agg (_, _, Some alias) -> alias
-                | Ast.Item (Expr.Col c, None) -> c
-                | Ast.Item (_, None) | Ast.Agg (_, _, None) -> Printf.sprintf "col%d" i)
-              items
-          in
-          let evals =
-            List.map
-              (fun item ->
-                match item with
-                | Ast.Star -> fun _ -> invalid_arg "SELECT: * must be the only item"
-                | Ast.Agg _ -> fun _ -> assert false
-                | Ast.Item (e, _) -> Expr.compile schema e)
-              items
-          in
-          (names, fun tuple -> Array.of_list (List.map (fun eval -> eval tuple) evals))
-      in
-      Rows { columns; rows = List.map project tuples }
-    end
+    let schema = Table.schema (table t tname) in
+    eval_select schema ~items ~group_by ~order_by (select t txn tname ?where ())
 
 let exec_sql t txn input =
   match Dw_sql.Parser.parse input with

@@ -114,10 +114,6 @@ val begin_txn : ?mode:[ `Read_write | `Snapshot ] -> t -> txn
 val txid : txn -> int
 val txn_mode : txn -> [ `Read_write | `Snapshot ]
 
-val snapshot_csn : txn -> int
-(** The CSN this transaction reads at (for [`Read_write] transactions,
-    merely the CSN current at begin). *)
-
 val version_store : t -> Dw_txn.Version_store.t
 (** The before-image version store backing snapshot reads.  Exposed for
     observability (entry counts, GC behaviour in tests). *)
@@ -182,8 +178,21 @@ val delete_through : t -> txn -> string -> Value.t -> int
     [v] (see {!Table.raw_delete_through}). *)
 
 val select : t -> txn -> string -> ?where:Expr.t -> unit -> Tuple.t list
-(** Full tuples of matching rows.  [`Read_write]: shared table lock.
-    [`Snapshot]: no lock; rows as of the transaction's snapshot CSN. *)
+(** Full tuples of matching rows, in rid order.  [`Read_write]: shared
+    table lock.  [`Snapshot]: no lock; rows as of the transaction's
+    snapshot CSN. *)
+
+val select_pages :
+  t -> txn -> Table.t -> ?where:Expr.t -> from_page:int -> to_page:int -> unit -> Tuple.t list
+(** {!select} on a [`Snapshot] transaction, limited to the rows in heap
+    pages [[from_page, to_page)]: the heap pass scans only those pages,
+    and the version-chain pass keeps only their rids.  Concatenating
+    the results of contiguous ranges covering the table's pages at the
+    time of the call gives {!select}'s list, since a row in a later page
+    is invisible to the snapshot.  It reaches no statement boundary, so
+    it is safe on a reader domain.  Raises [Invalid_argument] on a
+    finished or [`Read_write] transaction and on an unknown column in
+    [where]. *)
 
 (** {2 Row-level DML} — key/rid addressed, row-granularity locks.  Used by
     the warehouse integrators so that short maintenance transactions can
@@ -231,6 +240,19 @@ type exec_result =
   | Rows of { columns : string list; rows : Value.t array list }
   | Affected of int
   | Created
+
+val eval_select :
+  Schema.t ->
+  items:Dw_sql.Ast.select_item list ->
+  group_by:string list ->
+  order_by:string list ->
+  Tuple.t list ->
+  exec_result
+(** The one SELECT evaluator: projection, ORDER BY, GROUP BY,
+    aggregates and column naming over the rows a scan returned, in the
+    scan's (rid) order.  {!exec} runs it on {!select}'s rows.  Raises
+    [Invalid_argument] naming an unknown column, and on items that do
+    not fit the query's shape. *)
 
 val exec : t -> txn -> Dw_sql.Ast.stmt -> exec_result
 val exec_sql : t -> txn -> string -> (exec_result, string) result

@@ -52,7 +52,6 @@ type span_record = {
   span_parent : string option;
   span_start : float;
   span_duration : float;
-  span_deltas : (string * int) list;
 }
 
 (* one (name, parent) pair's completed spans *)
@@ -76,7 +75,6 @@ and open_span = {
   sp_name : string;
   sp_parent : string option;
   sp_start : float;
-  sp_counters : (string * int) list;
   mutable sp_finished : bool;
 }
 
@@ -349,35 +347,14 @@ let time t name f =
 
 (* ---------- trace spans ---------- *)
 
-let diff ~before ~after =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k (-v)) before;
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt tbl k with
-      | Some v0 -> Hashtbl.replace tbl k (v0 + v)
-      | None -> Hashtbl.add tbl k v)
-    after;
-  Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 type span = open_span
-
-(* callers hold t.lock *)
-let counters_snapshot_unlocked t =
-  Hashtbl.fold
-    (fun k e acc -> match e with Counter r -> (k, Atomic.get r) :: acc | _ -> acc)
-    t.entries []
-
-let counters_snapshot t = locked t (fun () -> counters_snapshot_unlocked t)
 
 let start_span t name =
   let start = now t in
   locked t (fun () ->
       let parent = match t.span_stack with [] -> None | sp :: _ -> Some sp.sp_name in
       let sp =
-        { sp_reg = t; sp_name = name; sp_parent = parent; sp_start = start;
-          sp_counters = counters_snapshot_unlocked t; sp_finished = false }
+        { sp_reg = t; sp_name = name; sp_parent = parent; sp_start = start; sp_finished = false }
       in
       t.span_stack <- sp :: t.span_stack;
       sp)
@@ -414,7 +391,6 @@ let finish_span sp =
               span_parent = sp.sp_parent;
               span_start = sp.sp_start;
               span_duration = stop -. sp.sp_start;
-              span_deltas = diff ~before:sp.sp_counters ~after:(counters_snapshot_unlocked t);
             }
           in
           keep_span t record;
@@ -437,7 +413,23 @@ let span_depth t = locked t (fun () -> List.length t.span_stack)
 (* ---------- snapshots, reset, rendering ---------- *)
 
 let snapshot t =
-  counters_snapshot t |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun k e acc -> match e with Counter r -> (k, Atomic.get r) :: acc | _ -> acc)
+        t.entries [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let diff ~before ~after =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k (-v)) before;
+  List.iter
+    (fun (k, v) ->
+      match Hashtbl.find_opt tbl k with
+      | Some v0 -> Hashtbl.replace tbl k (v0 + v)
+      | None -> Hashtbl.add tbl k v)
+    after;
+  Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset t =
   (* clear entries outright: keeping zeroed keys pollutes later snapshots

@@ -13,9 +13,9 @@
     - {e gauges}: last-write-wins floats ([set_gauge]);
     - {e histograms}: log-bucketed latency/size distributions ([observe],
       [time], percentile queries);
-    - {e spans}: named, nested timed regions with counter deltas
-      ([with_span]), for decomposing e.g. a warehouse refresh into
-      extract → transport → load → apply segments.
+    - {e spans}: named, nested timed regions ([with_span]), for
+      decomposing e.g. a warehouse refresh into extract → transport →
+      load → apply segments.
 
     Timers and spans read a pluggable {!clock}; substitute a
     {!Sim_clock.t} ({!use_sim_clock}) for deterministic tests.
@@ -151,8 +151,8 @@ val time : t -> string -> (unit -> 'a) -> 'a
 
 (** {2 Trace spans} — nested timed regions.  A span's parent is whatever
     span was open on the same registry when it started; finishing records
-    (name, parent, start, duration, counter deltas) and observes the
-    duration into histogram [name].  [finish_span] is idempotent. *)
+    (name, parent, start, duration) and observes the duration into
+    histogram [name].  [finish_span] is idempotent. *)
 
 type span
 
@@ -161,7 +161,6 @@ type span_record = {
   span_parent : string option;
   span_start : float;
   span_duration : float;
-  span_deltas : (string * int) list;  (** nonzero counter movement *)
 }
 
 val start_span : t -> string -> span

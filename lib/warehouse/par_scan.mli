@@ -1,16 +1,16 @@
 (** Partitioned parallel snapshot SELECT: the OLAP read path fanned over a
     {!Dw_util.Domain_pool}.
 
-    The planner splits the table's heap into contiguous page-range
-    partitions fixed at plan time; each domain runs the snapshot scan
-    (heap pass, then the version-chain pass restricted to its range) over
-    one partition, filters, and — for aggregate queries — pre-aggregates
-    its rows into per-group partials.  The coordinator merges partials in
-    the exact order the single-domain executor would have evaluated
-    (ordered operand lists for SUM/AVG, strictly-better merges for
-    MIN/MAX), so results are {e byte-identical} to {!Dw_engine.Db.exec}
-    on the same snapshot — including row order, [col%d] naming, Int/Float
-    payloads on compare-equal ties, and error messages.
+    The planner splits the table's heap into contiguous page ranges fixed
+    at plan time.  Each domain runs the engine's snapshot scan
+    ({!Dw_engine.Db.select_pages}: heap pass, then the version-chain pass,
+    both limited to its range) and filters.  The coordinator joins the
+    rid-ordered range results in page order and hands them to the
+    engine's one SELECT evaluator ({!Dw_engine.Db.eval_select}).  The
+    joined list is the sequential scan's, and the evaluator is the one
+    {!Dw_engine.Db.exec} runs, so results are {e byte-identical} to it on
+    the same snapshot by construction — row order, column names, values
+    and error messages.
 
     Readers take no locks; safety against concurrent writers comes from
     the same version-store protocol the sequential snapshot path uses

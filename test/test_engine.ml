@@ -347,6 +347,37 @@ let insert_unknown_column () =
         "UPDATE" (Error "unknown column zz")
         (Db.exec_sql db txn "UPDATE parts SET zz = 1 WHERE part_id = 0"))
 
+(* a SELECT naming a column the table lacks — as an item, an ORDER BY
+   key or an aggregate's operand — names the column, in both modes *)
+let select_unknown_column () =
+  let db = mk_parts () in
+  List.iter
+    (fun mode ->
+      let txn = Db.begin_txn ~mode db in
+      List.iter
+        (fun sql ->
+          check Alcotest.(result reject string) sql (Error "unknown column nope")
+            (Db.exec_sql db txn sql))
+        [
+          "SELECT nope FROM parts";
+          "SELECT qty FROM parts ORDER BY nope";
+          "SELECT SUM(nope) FROM parts";
+          "SELECT qty, MAX(nope) FROM parts GROUP BY qty";
+        ];
+      Db.abort db txn)
+    [ `Read_write; `Snapshot ]
+
+(* a GROUP BY item that is not a grouping column is an error on an
+   empty table too: the evaluator checks the items, not the groups *)
+let select_shape_error_needs_no_rows () =
+  let db = mk_parts () in
+  Db.with_txn db (fun txn ->
+      check
+        Alcotest.(result reject string)
+        "empty table"
+        (Error "SELECT with GROUP BY: non-aggregate items must be grouping columns")
+        (Db.exec_sql db txn "SELECT descr, COUNT(*) FROM parts GROUP BY qty"))
+
 (* ---------- utilities ---------- *)
 
 let export_import_roundtrip () =
@@ -751,6 +782,8 @@ let suite =
     test "sql aggregates" sql_aggregates;
     test "sql errors" sql_errors;
     test "insert of an unknown column names it" insert_unknown_column;
+    test "select of an unknown column names it" select_unknown_column;
+    test "select shape errors need no rows" select_shape_error_needs_no_rows;
     test "export/import roundtrip" export_import_roundtrip;
     test "import rejects wrong schema" import_rejects_wrong_schema;
     test "import rejects foreign product" import_rejects_foreign_product;

@@ -287,6 +287,7 @@ let par_scan_error_parity () =
       "SELECT *, qty FROM parts";
       "SELECT price, COUNT(*) FROM parts GROUP BY qty";
       "SELECT qty FROM parts ORDER BY nope";
+      "SELECT SUM(nope) FROM parts";
     ];
   Db.commit db txn;
   (* non-snapshot transactions are rejected *)

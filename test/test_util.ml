@@ -219,8 +219,6 @@ let spans_nesting () =
      check (Alcotest.option Alcotest.string) "inner parent" (Some "outer")
        inner.Metrics.span_parent;
      check (Alcotest.float 1e-9) "inner duration" 2.0 inner.Metrics.span_duration;
-     check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "inner deltas"
-       [ ("rows", 1) ] inner.Metrics.span_deltas;
      check Alcotest.string "outer name" "outer" outer.Metrics.span_name;
      check (Alcotest.option Alcotest.string) "outer parent" None outer.Metrics.span_parent;
      check (Alcotest.float 1e-9) "outer duration" 4.0 outer.Metrics.span_duration

@@ -29,6 +29,12 @@
    [M.v reason] a line ([#] starts a comment); an entry that is not
    flagged any more is an error as well.
 
+   With [--sizes EXPECTED LIBDIR] it holds the size ratchet: the .ml
+   and .mli lines under LIBDIR, the .ml lines under LIBDIR/experiments
+   and the lines of LIBDIR's .mli files that start with [val ] may not
+   exceed the counts EXPECTED holds, one [name count] a line ([#]
+   starts a comment).
+
    Exits 1 listing every undocumented item. *)
 
 let errors = ref []
@@ -358,6 +364,39 @@ let lint_unused_exports ~allowlist ~lib dirs =
   Printf.printf "doc-lint: %d public vals under %s, %d allowlisted\n" !total lib
     (List.length allowed)
 
+(* ---------- size ratchet ---------- *)
+
+let lint_sizes ~expected lib =
+  let total suffix dir per_file =
+    let n = ref 0 in
+    walk suffix (fun path -> n := !n + per_file (read_lines path)) dir;
+    !n
+  in
+  let vals lines = Array.fold_left (fun n l -> if starts_with "val " l then n + 1 else n) 0 lines in
+  let measured =
+    [
+      ("lib_lines", total ".ml" lib Array.length + total ".mli" lib Array.length);
+      ("experiments_lines", total ".ml" (Filename.concat lib "experiments") Array.length);
+      ("public_vals", total ".mli" lib vals);
+    ]
+  in
+  let limits =
+    Array.to_list (read_lines expected)
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' (String.trim line) with
+           | [ name; n ] when name.[0] <> '#' -> Some (name, int_of_string n)
+           | _ -> None)
+  in
+  List.iter
+    (fun (name, n) ->
+      match List.assoc_opt name limits with
+      | None -> err "%s: no limit for %s" expected name
+      | Some limit when n > limit -> err "%s: %s is %d, above its limit %d" expected name n limit
+      | Some limit ->
+        Printf.printf "doc-lint: %s %d (limit %d)%s\n" name n limit
+          (if n < limit then "; lower the limit to hold the gain" else ""))
+    measured
+
 let report ?(failing = "undocumented") ~what dirs =
   match List.rev !errors with
   | [] -> Printf.printf "doc-lint: %s ok (%s)\n" what (String.concat " " dirs)
@@ -380,10 +419,13 @@ let () =
   | "--unused-exports" :: allowlist :: lib :: dirs ->
     lint_unused_exports ~allowlist ~lib dirs;
     report ~failing:"unused" ~what:"exports" dirs
+  | [ "--sizes"; expected; lib ] ->
+    lint_sizes ~expected lib;
+    report ~failing:"over the ratchet" ~what:"sizes" [ lib ]
   | [] ->
     prerr_endline
       "usage: doc_lint DIR ... | doc_lint --metric-keys DOC [--skip DIR] DIR ... | doc_lint \
-       --unused-exports ALLOWLIST LIBDIR DIR ...";
+       --unused-exports ALLOWLIST LIBDIR DIR ... | doc_lint --sizes EXPECTED LIBDIR";
     exit 2
   | dirs ->
     List.iter (walk ".mli" lint_file) dirs;
