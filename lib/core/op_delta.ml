@@ -26,18 +26,6 @@ let size_bytes ?(schema_of = fun _ -> None) t =
   (* 8 bytes of transaction framing *)
   List.fold_left (fun acc op -> acc + op_size_bytes op ~schema_of) 8 t.ops
 
-let tables t =
-  let seen = Hashtbl.create 4 in
-  List.filter_map
-    (fun op ->
-      let name = Ast.table_of op.stmt in
-      if Hashtbl.mem seen name then None
-      else begin
-        Hashtbl.add seen name ();
-        Some name
-      end)
-    t.ops
-
 (* the tuples an INSERT statement describes, in the schema's column order
    (the same resolution Db.insert_values performs) *)
 let tuples_of_insert schema columns rows =

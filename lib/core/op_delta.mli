@@ -2,8 +2,10 @@
 
     An Op-Delta captures a source {e transaction} as the ordered list of
     {e operations} (SQL statements) it executed, optionally augmented with
-    before images when the warehouse configuration is not self-maintainable
-    from the operations alone ({!Self_maintain}).
+    the before images of the rows its UPDATEs and DELETEs affected (hybrid
+    capture, {!Opdelta_capture.create} with [~capture_images:true]).  A
+    warehouse with replicas re-runs the statements and ignores the images;
+    a chunked bootstrap turns them into a value delta ({!value_delta}).
 
     Properties the paper leans on, all reflected here:
     - {!size_bytes} of a delete/update Op-Delta is independent of how many
@@ -36,9 +38,6 @@ val make : txn_id:int -> Ast.stmt list -> t
 val with_before_images : txn_id:int -> (Ast.stmt * Tuple.t list) list -> t
 
 val size_bytes : ?schema_of:(string -> Schema.t option) -> t -> int
-
-val tables : t -> string list
-(** Tables touched, deduplicated, in first-use order. *)
 
 val value_delta : table:string -> schema:Schema.t -> t -> Delta.t
 (** The row images of the transaction's changes to [table], in statement

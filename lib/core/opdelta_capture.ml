@@ -10,8 +10,6 @@ module Log_record = Dw_txn.Log_record
 
 type sink = To_db_table of string | To_file of string
 
-exception Not_self_maintainable of string
-
 let chunk_size = 240
 
 let capture_schema =
@@ -30,9 +28,7 @@ type store = File of string | Log of Capture_table.t
 type t = {
   db : Db.t;
   store : store;
-  views : Spj_view.t list;
-  replicas : bool;
-  capture_images : bool;  (* force hybrid before-image capture *)
+  capture_images : bool;  (* before images for every UPDATE and DELETE *)
   mutable captured : Op_delta.t list;  (* newest first *)
   mutable captured_bytes : int;
   mutable withdrawn : int list;  (* file lines withdrawn, markers not yet appended *)
@@ -108,7 +104,7 @@ let recover_file db name =
        ignore (Vfs.append file (Bytes.of_string (String.concat "" (List.map marker losers))) : int));
   Vfs.close file
 
-let create ?(views = []) ?(replicas = true) ?(capture_images = false) db ~sink =
+let create ?(capture_images = false) db ~sink =
   let store =
     match sink with
     | To_db_table name -> Log (Capture_table.attach db ~name capture_schema)
@@ -116,7 +112,7 @@ let create ?(views = []) ?(replicas = true) ?(capture_images = false) db ~sink =
       recover_file db name;
       File name
   in
-  { db; store; views; replicas; capture_images; captured = []; captured_bytes = 0; withdrawn = [] }
+  { db; store; capture_images; captured = []; captured_bytes = 0; withdrawn = [] }
 
 let captures_images t = t.capture_images
 
@@ -213,30 +209,18 @@ let withdraw t txn_id =
       | exception (Vfs.Fault.Transient _) -> Vfs.close file)
 
 let exec_txn t stmts =
-  (* reject configurations that cannot be maintained from any capture;
-     a statement's requirement depends on its kind and table only, which
-     [reify_timestamp] keeps, so each is asked once *)
-  let images_wanted =
-    List.map
-      (fun stmt ->
-        match Self_maintain.requirement ~views:t.views ~replicas:t.replicas stmt with
-        | `Not_self_maintainable reason -> raise (Not_self_maintainable reason)
-        | `Op_with_before_images -> true
-        | `Op_only -> t.capture_images)
-      stmts
-  in
   let txn = Db.begin_txn t.db in
   let run () =
     let ops_rev = ref [] in
     let results_rev = ref [] in
-    List.iter2
-      (fun stmt images_wanted ->
+    List.iter
+      (fun stmt ->
         let stmt = reify_timestamp t stmt in
-        let images = if images_wanted then before_images_of t txn stmt else [] in
+        let images = if t.capture_images then before_images_of t txn stmt else [] in
         let result = Db.exec t.db txn stmt in
         ops_rev := (stmt, images) :: !ops_rev;
         results_rev := result :: !results_rev)
-      stmts images_wanted;
+      stmts;
     let od = Op_delta.with_before_images ~txn_id:(Db.txid txn) (List.rev !ops_rev) in
     (* the line and [Op_delta.size_bytes] from one print of each statement *)
     let line, size = Op_delta.encode_line_sized ~schema_of:(schema_of t) od in

@@ -26,10 +26,11 @@
     its mark and commits the last position with its output.  The file log
     is append-only; the DB log keeps its rows.
 
-    When a view configuration is supplied, {!Self_maintain.requirement}
-    decides per statement whether before images must be captured too
-    (hybrid mode); the wrapper then reads the affected rows' before
-    images ahead of executing the statement. *)
+    A wrapper created with [~capture_images:true] also records, for each
+    UPDATE and DELETE, the before images of the rows it affects (the
+    paper's hybrid of the Op-Delta and "the before image portion" of a
+    value delta), read inside the transaction just ahead of the
+    statement.  An INSERT carries its full tuples and records none. *)
 
 module Db = Dw_engine.Db
 module Ast = Dw_sql.Ast
@@ -40,13 +41,7 @@ type sink =
 
 type t
 
-val create :
-  ?views:Spj_view.t list ->
-  ?replicas:bool ->        (* does the warehouse keep source replicas? default true *)
-  ?capture_images:bool ->  (* force hybrid capture for every statement, default false *)
-  Db.t ->
-  sink:sink ->
-  t
+val create : ?capture_images:bool -> Db.t -> sink:sink -> t
 (** With [To_db_table] the capture table is created when the device
     never had it, and positions continue past the largest one it holds;
     it raises [Invalid_argument] when the table's file is on the device
@@ -55,24 +50,20 @@ val create :
     lines of transactions that did not commit are withdrawn; create the
     wrapper right after a source restart, before a checkpoint retires
     the log records that tell.
-    [capture_images:true] records before images for {e every} UPDATE and
-    DELETE regardless of what {!Self_maintain.requirement} asks for — a
-    chunked bootstrap ({!Dw_etl.Bootstrap}) needs full row images to turn
-    statement deltas into last-write-wins upserts inside its watermark
-    windows. *)
+    [capture_images] (default [false]) records before images for every
+    UPDATE and DELETE — a chunked bootstrap ({!Dw_etl.Bootstrap}) needs
+    full row images to turn statement deltas into last-write-wins
+    upserts inside its watermark windows. *)
 
 val captures_images : t -> bool
 (** Whether this wrapper was created with [capture_images:true]. *)
 
-exception Not_self_maintainable of string
-(** Raised by {!exec_txn} when the view set cannot be maintained from
-    captures at all (join views without replicas). *)
-
 val exec_txn : t -> Ast.stmt list -> (Db.exec_result list, string) result
-(** Run the statements as one source transaction, capturing its Op-Delta.
-    On [Error] (bad statement) the transaction is aborted and nothing is
-    captured.  Any other exception before the commit, such as
-    {!Db.Would_block}, also aborts it and is re-raised; a
+(** Run the statements as one source transaction, capturing its Op-Delta,
+    with the before images of each UPDATE and DELETE when the wrapper
+    {!captures_images}.  On [Error] (bad statement) the transaction is
+    aborted and nothing is captured.  Any other exception before the
+    commit, such as {!Db.Would_block}, also aborts it and is re-raised; a
     [Vfs.Fault.Crash] is re-raised without the rollback, as
     {!Db.with_txn} does.  A commit that raises is re-raised too; when
     its transaction did not commit ({!Db.committed}), its file line is

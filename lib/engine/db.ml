@@ -905,7 +905,7 @@ let eval_select schema ~items ~group_by ~order_by tuples =
           List.map
             (fun item ->
               match item with
-              | Ast.Star -> fun _ -> invalid_arg "SELECT: * must be the only item"
+              | Ast.Star -> invalid_arg "SELECT: * must be the only item"
               | Ast.Agg _ -> assert false
               | Ast.Item (e, _) -> compile schema e)
             items

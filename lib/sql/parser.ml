@@ -188,6 +188,9 @@ let select_item st =
     (match item, alias with
      | Ast.Agg (fn, e, None), alias -> Ast.Agg (fn, e, alias)
      | item, _ -> item)
+  | None when same_token (peek st) Lexer.STAR ->
+    advance st;
+    Ast.Star
   | None ->
     let e = expr_or st in
     let alias = if accept_kw st "AS" then Some (ident st) else None in
@@ -195,9 +198,7 @@ let select_item st =
 
 let select_stmt st =
   expect_kw st "SELECT";
-  let items =
-    if accept st Lexer.STAR then [ Ast.Star ] else comma_sep st select_item
-  in
+  let items = comma_sep st select_item in
   expect_kw st "FROM";
   let table = ident st in
   let where = where_clause st in

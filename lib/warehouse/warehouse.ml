@@ -49,7 +49,6 @@ type t = {
   replicas : (string, Schema.t) Hashtbl.t;
   views : (string, view_state) Hashtbl.t;  (* view name -> state *)
   agg_views : (string, agg_state) Hashtbl.t;
-  viewonly : (string, view_state) Hashtbl.t;
   by_source : (string, string list ref) Hashtbl.t;  (* source table -> view names *)
   agg_by_source : (string, string list ref) Hashtbl.t;
   mutable row_ops : int;  (* replica row events plus view-row and group writes *)
@@ -67,7 +66,6 @@ let of_db db =
     replicas = Hashtbl.create 8;
     views = Hashtbl.create 8;
     agg_views = Hashtbl.create 8;
-    viewonly = Hashtbl.create 8;
     by_source = Hashtbl.create 8;
     agg_by_source = Hashtbl.create 8;
     row_ops = 0;
@@ -457,11 +455,11 @@ let replica_rows t table =
   List.rev !rows
 
 (* every view kind names its own backing table, so a view name must be
-   free in all three registries — a view registered over another kind's
-   table would maintain the wrong rows into it *)
+   free in both registries — a view registered over another kind's table
+   would maintain the wrong rows into it *)
 let check_view_name t ctx name =
-  if Hashtbl.mem t.views name || Hashtbl.mem t.agg_views name || Hashtbl.mem t.viewonly name
-  then invalid_arg (Printf.sprintf "Warehouse.%s: %s exists" ctx name)
+  if Hashtbl.mem t.views name || Hashtbl.mem t.agg_views name then
+    invalid_arg (Printf.sprintf "Warehouse.%s: %s exists" ctx name)
 
 let check_valid ctx = function
   | Ok () -> ()
@@ -539,9 +537,9 @@ let define_view t view =
   materialize t name vs.back_schema (if vs.keyed then List.map fst rows else counted rows)
 
 let view_rows t name =
-  match Hashtbl.find_opt t.views name, Hashtbl.find_opt t.viewonly name with
-  | None, None -> raise Not_found
-  | Some vs, _ | None, Some vs ->
+  match Hashtbl.find_opt t.views name with
+  | None -> raise Not_found
+  | Some vs ->
     let rows = ref [] in
     Table.scan (Db.table t.db name) (fun _ row ->
         if vs.keyed then rows := (row, 1) :: !rows
@@ -723,61 +721,6 @@ let integrate_op_deltas ?policy ?(mark = fun _ _ -> ()) (t : t) ods =
         go acc [] 0 rest
     in
     go zero_stats [] 0 ods
-
-(* ---------- replica-less (view-only) maintenance ---------- *)
-
-let define_viewonly_view t view =
-  (match view with
-   | Spj_view.Select_project _ -> ()
-   | Spj_view.Join _ ->
-     invalid_arg
-       "Warehouse.define_viewonly_view: join views are not self-maintainable without replicas");
-  let name = Spj_view.name view in
-  check_view_name t "define_viewonly_view" name;
-  check_valid "define_viewonly_view" (Spj_view.validate view);
-  let vs = view_state_of view in
-  ignore (Db.create_table t.db ~name vs.back_schema : Table.t);
-  Hashtbl.add t.viewonly name vs
-
-let viewonly_views_for t source =
-  Hashtbl.fold
-    (fun _ vs acc ->
-      if List.mem source (Spj_view.source_tables vs.def) then vs :: acc else acc)
-    t.viewonly []
-
-let integrate_op_delta_viewonly (t : t) od =
-  refresh_txn t ~mark:ignore (fun txn ->
-      (* one statement per captured operation, as the op-delta path counts *)
-      t.statements <- t.statements + List.length od.Op_delta.ops;
-      List.iter
-        (fun table ->
-          match viewonly_views_for t table with
-          | [] -> ()
-          | vs :: _ as views ->
-            let schema =
-              match vs.def with
-              | Spj_view.Select_project { schema; _ } -> schema
-              | Spj_view.Join _ -> assert false
-            in
-            (* a before image leaves the view, an after image enters it;
-               an empty image list is also what a zero-row DELETE looks
-               like, so it cannot be rejected — hybrid capture is the
-               caller's responsibility (see mli) *)
-            let changes = (Op_delta.value_delta ~table ~schema od).Delta.changes in
-            List.iter
-              (fun vs ->
-                adjust_net t txn vs
-                  (List.fold_left
-                     (fun acc -> function
-                       | Delta.Insert after | Delta.Upsert after ->
-                         signed 1 acc (sp_contributions vs after)
-                       | Delta.Delete before -> signed (-1) acc (sp_contributions vs before)
-                       | Delta.Update (before, after) ->
-                         let acc = signed (-1) acc (sp_contributions vs before) in
-                         signed 1 acc (sp_contributions vs after))
-                     [] changes))
-              views)
-        (Op_delta.tables od))
 
 (* ---------- progress rows: extraction marks and bootstrap runs ---------- *)
 

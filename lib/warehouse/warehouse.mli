@@ -14,10 +14,13 @@
       updates its x rows in place, which is where the ~70 % shorter
       update maintenance window comes from.
 
-    These two are the only writers of replica rows.  Row images of any
-    origin — a differential file, a bootstrap chunk, or an Op-Delta's
-    hybrid images ({!Dw_core.Op_delta.value_delta}) — are a value delta
-    and go through {!integrate_value_delta}.
+    These two are the only writers of replica rows.  Every view is
+    maintained from its replicas' row changes, so an Op-Delta integrates
+    from its statements alone: before images captured with it (hybrid
+    capture) are not read.  Row images of any origin — a differential
+    file, a bootstrap chunk, or an Op-Delta's hybrid images
+    ({!Dw_core.Op_delta.value_delta}) — are a value delta and go through
+    {!integrate_value_delta}.
 
     Every integrator runs inside one [warehouse.refresh] span, and each
     of its statements fails with the error [Db.exec_sql] would report.
@@ -51,15 +54,17 @@
     ({!Dw_core.Spj_view.output_schema}): its backing table is keyed by
     those columns and has no [__count] column, since every view row has
     multiplicity 1.  The layout follows from the definition alone, in
-    {!define_view}, {!define_viewonly_view}, {!reopen} and every
-    {!Partitioned} shard; nothing else selects it.  Every view-backing
+    {!define_view}, {!reopen} and every {!Partitioned} shard; nothing
+    else selects it.  Its checks on the images leaving and entering a
+    key guard the backing table against writes its replica did not make
+    (a hand edit through {!db}).  Every view-backing
     write is counted by kind in the [warehouse.view_writes.insert],
     [.update] and [.delete] counters of [Db.metrics (db t)].  Projected
     view columns must be non-nullable (they form the backing table's
     key).
-    View names are unique across SPJ, aggregate and view-only views:
-    every [define_*] and {!reopen} raises [Invalid_argument] on a name
-    already registered as any kind of view. *)
+    View names are unique across SPJ and aggregate views: every
+    [define_*] and {!reopen} raises [Invalid_argument] on a name already
+    registered as either kind of view. *)
 
 module Schema = Dw_relation.Schema
 module Tuple = Dw_relation.Tuple
@@ -98,9 +103,8 @@ val define_view : t -> Spj_view.t -> unit
     image that differs from the stored row. *)
 
 val view_rows : t -> string -> (Tuple.t * int) list
-(** Current materialized rows with multiplicities, sorted — of an SPJ
-    view or a view-only view ({!define_viewonly_view}).  A key-preserving
-    view's rows have multiplicity 1. *)
+(** Current materialized rows of an SPJ view with multiplicities,
+    sorted.  A key-preserving view's rows have multiplicity 1. *)
 
 val recompute_view : t -> string -> (Tuple.t * int) list
 (** Recompute from replicas (ground truth for tests/benches). *)
@@ -220,33 +224,6 @@ val integrate_op_deltas :
     ["Warehouse.integrate_op_deltas: Table parts: duplicate primary key
     (7)"]); the failing run rolls back, mark included, and earlier runs
     stay committed. *)
-
-(** {2 Replica-less (view-only) maintenance} — the paper's hybrid case:
-    "for some cases, a hybrid between a partial value delta (the before
-    image portion only) and the Op-Delta is necessary to refresh the data
-    warehouse in a self-maintainable manner."
-
-    A view-only warehouse stores {e no} detail data: select-project views
-    are maintained straight from the Op-Delta's row images
-    ({!Dw_core.Op_delta.value_delta}) — inserts from the INSERT
-    statements' own tuples, deletes/updates from the before images the
-    hybrid capture shipped ({!Dw_core.Opdelta_capture.create} with
-    [~replicas:false]) and the after images computed from them. *)
-
-val define_viewonly_view : t -> Spj_view.t -> unit
-(** Select-project views only (join views are not self-maintainable
-    without replicas — {!Dw_core.Self_maintain}); no replica needed, the
-    view starts empty.  Raises [Invalid_argument] on a Join view. *)
-
-val integrate_op_delta_viewonly : t -> Op_delta.t -> stats
-(** Apply one hybrid Op-Delta to every view-only view: each before image
-    removes its projection (−1), each after image adds it (+1);
-    [statements] counts the Op-Delta's operations.  Deletes/updates
-    are driven entirely by the ops' before images; a delete/update
-    captured {e without} hybrid mode carries none and is treated as
-    affecting zero rows (indistinguishable from a genuinely empty match),
-    so the capture side must run with [~replicas:false] and a view set —
-    {!Dw_core.Opdelta_capture.create}. *)
 
 (** {2 Progress rows} — the warehouse owns every applied-through record.
 

@@ -1,7 +1,7 @@
 (* Tests for Dw_core: delta model, Op-Delta codec, all four value-delta
    extractors (with the end-to-end soundness property: extracted delta
    applied to the old state reproduces the new state), Op-Delta capture,
-   self-maintainability analysis, reconciliation, transformation rules. *)
+   hybrid before images, reconciliation, transformation rules. *)
 
 module Vfs = Dw_storage.Vfs
 module Value = Dw_relation.Value
@@ -15,7 +15,6 @@ module Workload = Dw_workload.Workload
 module Delta = Dw_core.Delta
 module Op_delta = Dw_core.Op_delta
 module Spj_view = Dw_core.Spj_view
-module Self_maintain = Dw_core.Self_maintain
 module Timestamp_extract = Dw_core.Timestamp_extract
 module Trigger_extract = Dw_core.Trigger_extract
 module Log_extract = Dw_core.Log_extract
@@ -703,21 +702,9 @@ let capture_table_continues_positions () =
 
 let capture_hybrid_before_images () =
   let db = mk_source () in
-  let view =
-    Spj_view.Select_project
-      {
-        name = "active_parts";
-        table = "parts";
-        schema;
-        filter = Some (Expr.Cmp (Expr.Gt, Expr.Col "qty", Expr.Lit (Value.Int 0)));
-        project =
-          [ { Spj_view.out_name = "part_id"; from_side = Spj_view.L; from_col = "part_id" } ];
-      }
-  in
-  (* no replicas at the warehouse -> deletes/updates need before images *)
+  (* deletes and updates carry their before images; inserts never do *)
   let cap =
-    Opdelta_capture.create ~views:[ view ] ~replicas:false db
-      ~sink:(Opdelta_capture.To_file "oplog")
+    Opdelta_capture.create ~capture_images:true db ~sink:(Opdelta_capture.To_file "oplog")
   in
   ignore (Opdelta_capture.exec_txn cap [ Workload.delete_parts_stmt ~first_id:1 ~size:4 ]);
   (match Opdelta_capture.captured cap with
@@ -736,76 +723,103 @@ let capture_hybrid_before_images () =
       od2.Op_delta.ops
   | _ -> Alcotest.fail "capture shape 2"
 
-let capture_rejects_join_without_replicas () =
+let image_counts ods =
+  List.concat_map
+    (fun (od : Op_delta.t) ->
+      List.map (fun (op : Op_delta.op) -> List.length op.Op_delta.before_images) od.Op_delta.ops)
+    ods
+
+(* without [~capture_images] an UPDATE or DELETE is the statement alone,
+   in memory and on the sink, and its value delta is empty *)
+let plain_capture_records_no_images () =
   let db = mk_source () in
-  let schema2 =
-    Schema.make
-      [
-        { Schema.name = "part_id"; ty = Value.Tint; nullable = false };
-        { Schema.name = "supplier"; ty = Value.Tstring 20; nullable = false };
-      ]
-  in
-  let _ = Db.create_table db ~name:"supply" schema2 in
-  let join =
-    Spj_view.Join
-      {
-        name = "parts_suppliers";
-        left_table = "parts";
-        left_schema = schema;
-        right_table = "supply";
-        right_schema = schema2;
-        on = [ ("part_id", "part_id") ];
-        left_filter = None;
-        right_filter = None;
-        project =
-          [ { Spj_view.out_name = "part_id"; from_side = Spj_view.L; from_col = "part_id" };
-            { Spj_view.out_name = "supplier"; from_side = Spj_view.R; from_col = "supplier" } ];
-      }
-  in
+  let cap = Opdelta_capture.create db ~sink:(Opdelta_capture.To_file "oplog") in
+  check Alcotest.bool "not an image capture" false (Opdelta_capture.captures_images cap);
+  List.iter
+    (fun stmts ->
+      match Opdelta_capture.exec_txn cap stmts with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [ [ Workload.update_parts_stmt ~first_id:1 ~size:5 ];
+      [ Workload.delete_parts_stmt ~first_id:6 ~size:5 ];
+      Workload.insert_parts_txn ~first_id:400 ~size:2 ~day:0 () ];
+  check Alcotest.(list int) "no images captured" [ 0; 0; 0; 0 ]
+    (image_counts (Opdelta_capture.captured cap));
+  (match Opdelta_capture.read_sink cap with
+   | Ok ods -> check Alcotest.(list int) "no images on the sink" [ 0; 0; 0; 0 ] (image_counts ods)
+   | Error e -> Alcotest.fail e);
+  match Opdelta_capture.captured cap with
+  | [ upd; del; _ ] ->
+    List.iter
+      (fun od ->
+        check Alcotest.int "no value delta" 0
+          (Delta.row_count (Op_delta.value_delta ~table:"parts" ~schema od)))
+      [ upd; del ]
+  | _ -> Alcotest.fail "capture shape"
+
+(* each statement's images are the rows it is about to change, read
+   inside the transaction: a DELETE after an UPDATE of the same rows sees
+   the updated rows, and a statement that matches nothing records none *)
+let hybrid_images_precede_each_statement () =
+  let db = mk_source () in
+  let before = List.filter (fun r -> match r.(0) with Value.Int k -> k <= 4 | _ -> false) in
+  let start = before (table_rows db "parts") in
   let cap =
-    Opdelta_capture.create ~views:[ join ] ~replicas:false db
-      ~sink:(Opdelta_capture.To_file "oplog")
+    Opdelta_capture.create ~capture_images:true db ~sink:(Opdelta_capture.To_file "oplog")
   in
-  try
-    ignore (Opdelta_capture.exec_txn cap [ Workload.delete_parts_stmt ~first_id:1 ~size:1 ]);
-    Alcotest.fail "expected Not_self_maintainable"
-  with Opdelta_capture.Not_self_maintainable _ -> ()
-
-(* ---------- self-maintainability analysis ---------- *)
-
-let sm_verdicts () =
-  let sp =
-    Spj_view.Select_project
-      { name = "v"; table = "parts"; schema; filter = None;
-        project = [ { Spj_view.out_name = "part_id"; from_side = Spj_view.L; from_col = "part_id" } ] }
-  in
-  let v = Self_maintain.analyze sp Self_maintain.K_insert ~replicas:false in
-  check Alcotest.bool "sp insert sm" true v.Self_maintain.self_maintainable;
-  check Alcotest.bool "sp insert no images" false v.Self_maintain.needs_before_images;
-  let v = Self_maintain.analyze sp Self_maintain.K_delete ~replicas:false in
-  check Alcotest.bool "sp delete needs images" true v.Self_maintain.needs_before_images;
-  let v = Self_maintain.analyze sp Self_maintain.K_update ~replicas:true in
-  check Alcotest.bool "replicas make everything op-only" false v.Self_maintain.needs_before_images
-
-let sm_requirement_worst_case () =
-  let sp filter_col =
-    Spj_view.Select_project
-      { name = "v_" ^ filter_col; table = "parts"; schema; filter = None;
-        project = [ { Spj_view.out_name = filter_col; from_side = Spj_view.L; from_col = filter_col } ] }
-  in
-  let views = [ sp "part_id"; sp "qty" ] in
   (match
-     Self_maintain.requirement ~views ~replicas:false
-       (Workload.update_parts_stmt ~first_id:1 ~size:1)
+     Opdelta_capture.exec_txn cap
+       [ Workload.update_parts_stmt ~first_id:1 ~size:4;
+         Workload.delete_parts_stmt ~first_id:1 ~size:4;
+         Workload.delete_parts_stmt ~first_id:1 ~size:4 ]
    with
-   | `Op_with_before_images -> ()
-   | `Op_only | `Not_self_maintainable _ -> Alcotest.fail "expected hybrid");
-  match
-    Self_maintain.requirement ~views ~replicas:false
-      (List.hd (Workload.insert_parts_txn ~first_id:1 ~size:1 ~day:0 ()))
-  with
-  | `Op_only -> ()
-  | `Op_with_before_images | `Not_self_maintainable _ -> Alcotest.fail "expected op-only"
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  match Opdelta_capture.captured cap with
+  | [ { Op_delta.ops = [ upd; del; again ]; _ } as od ] ->
+    check Alcotest.bool "the UPDATE's images are the rows before it" true
+      (rows_equal start (List.sort Tuple.compare upd.Op_delta.before_images));
+    let afters =
+      List.filter_map
+        (function Delta.Update (_, after) -> Some after | _ -> None)
+        (Op_delta.value_delta ~table:"parts" ~schema od).Delta.changes
+    in
+    check Alcotest.bool "the DELETE's images are the UPDATE's after images" true
+      (rows_equal (List.sort Tuple.compare afters)
+         (List.sort Tuple.compare del.Op_delta.before_images));
+    check Alcotest.int "a DELETE of nothing records nothing" 0
+      (List.length again.Op_delta.before_images)
+  | _ -> Alcotest.fail "capture shape"
+
+(* a hybrid line spans many capture-table chunks and decodes back to the
+   same statements and images *)
+let hybrid_images_survive_the_capture_table () =
+  let db = mk_source () in
+  let cap =
+    Opdelta_capture.create ~capture_images:true db
+      ~sink:(Opdelta_capture.To_db_table "opdelta_log")
+  in
+  (match
+     Opdelta_capture.exec_txn cap
+       [ Workload.update_parts_stmt ~first_id:1 ~size:20;
+         Workload.delete_parts_stmt ~first_id:21 ~size:20 ]
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  check Alcotest.bool "the line spans several chunk rows" true
+    (Table.row_count (Db.table db "opdelta_log") > 2);
+  match Opdelta_capture.read_sink cap, Opdelta_capture.captured cap with
+  | Ok [ got ], [ want ] ->
+    List.iter2
+      (fun (g : Op_delta.op) (w : Op_delta.op) ->
+        check Alcotest.string "statement" (Dw_sql.Printer.to_string w.Op_delta.stmt)
+          (Dw_sql.Printer.to_string g.Op_delta.stmt);
+        check Alcotest.int "20 images" 20 (List.length g.Op_delta.before_images);
+        check Alcotest.bool "same images" true
+          (rows_equal w.Op_delta.before_images g.Op_delta.before_images))
+      got.Op_delta.ops want.Op_delta.ops
+  | Ok ods, _ -> Alcotest.failf "read %d op-deltas" (List.length ods)
+  | Error e, _ -> Alcotest.fail e
 
 (* ---------- reconciliation ---------- *)
 
@@ -972,9 +986,9 @@ let suite =
     test "trigger install continues positions" trigger_install_continues_positions;
     test "capture table continues positions" capture_table_continues_positions;
     test "capture hybrid before images" capture_hybrid_before_images;
-    test "capture rejects join without replicas" capture_rejects_join_without_replicas;
-    test "self-maintain verdicts" sm_verdicts;
-    test "self-maintain requirement worst case" sm_requirement_worst_case;
+    test "a plain capture records no before images" plain_capture_records_no_images;
+    test "hybrid images precede each statement" hybrid_images_precede_each_statement;
+    test "hybrid images survive the capture table" hybrid_images_survive_the_capture_table;
     test "reconcile drops duplicates" reconcile_drops_duplicates;
     test "reconcile priority wins conflicts" reconcile_priority_wins_conflicts;
     test "reconcile keeps repeated changes" reconcile_keeps_repeated_changes;

@@ -183,7 +183,7 @@ let multi_table_business_txn () =
   let ods = Enterprise.business_op_deltas ent in
   let cross = List.nth ods (List.length ods - 1) in
   check (Alcotest.list Alcotest.string) "txn spans both tables" [ "parts"; "orders" ]
-    (Op_delta.tables cross);
+    (List.map (fun op -> Dw_sql.Ast.table_of op.Op_delta.stmt) cross.Op_delta.ops);
   check Alcotest.int "both statements in one txn" 2 (List.length cross.Op_delta.ops);
   (* the value-delta view of the same activity: two independent per-table
      streams with no transaction linkage *)

@@ -378,6 +378,48 @@ let select_shape_error_needs_no_rows () =
         (Error "SELECT with GROUP BY: non-aggregate items must be grouping columns")
         (Db.exec_sql db txn "SELECT descr, COUNT(*) FROM parts GROUP BY qty"))
 
+(* [*] parses as one item among others, as [Printer] prints it, and the
+   evaluator refuses it beside any other item whether the table is empty
+   or not, from the text and from the AST alike *)
+let star_among_items_refused () =
+  let db = mk_parts () in
+  let qty = Dw_sql.Ast.Item (Expr.Col "qty", None) in
+  let cases =
+    [ ("SELECT *, qty FROM parts", "SELECT: * must be the only item");
+      ("SELECT qty, * FROM parts", "SELECT: * must be the only item");
+      ("SELECT *, COUNT(*) FROM parts", "SELECT: * not allowed with aggregates/GROUP BY") ]
+  in
+  let refused label =
+    Db.with_txn db (fun txn ->
+        List.iter
+          (fun (sql, msg) ->
+            check
+              Alcotest.(result reject string)
+              (label ^ ": " ^ sql) (Error msg) (Db.exec_sql db txn sql);
+            let ast =
+              match Dw_sql.Parser.parse sql with Ok ast -> ast | Error e -> Alcotest.fail e
+            in
+            check Alcotest.string ("prints as parsed: " ^ sql) sql (Dw_sql.Printer.to_string ast);
+            match Db.exec db txn ast with
+            | (_ : Db.exec_result) -> Alcotest.failf "%s: the AST ran: %s" label sql
+            | exception Invalid_argument m -> check Alcotest.string (label ^ ": AST") msg m)
+          cases;
+        let ast =
+          Dw_sql.Ast.Select
+            { items = [ Dw_sql.Ast.Star; qty ]; table = "parts"; where = None; group_by = [];
+              order_by = [] }
+        in
+        check Alcotest.bool (label ^ ": the AST [*; qty] parses back") true
+          (Dw_sql.Parser.parse (Dw_sql.Printer.to_string ast) = Ok ast);
+        match Db.exec db txn ast with
+        | (_ : Db.exec_result) -> Alcotest.failf "%s: the AST [*; qty] ran" label
+        | exception Invalid_argument m ->
+          check Alcotest.string (label ^ ": AST [*; qty]") "SELECT: * must be the only item" m)
+  in
+  refused "empty table";
+  seed_parts db 3;
+  refused "three rows"
+
 (* ---------- utilities ---------- *)
 
 let export_import_roundtrip () =
@@ -796,4 +838,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_plan_modes_agree_dml;
     QCheck_alcotest.to_alcotest prop_recovery_preserves_committed;
     QCheck_alcotest.to_alcotest prop_index_consistency;
+    test "star beside other items is refused" star_among_items_refused;
   ]

@@ -289,6 +289,14 @@ let par_scan_error_parity () =
       "SELECT qty FROM parts ORDER BY nope";
       "SELECT SUM(nope) FROM parts";
     ];
+  (* [*] beside another item parses, so both paths report the evaluator *)
+  let seq, par = exec_both ~pool ~partitions:3 db txn "SELECT *, qty FROM parts" in
+  List.iter
+    (fun (path, got) ->
+      check
+        Alcotest.(result reject string)
+        ("the evaluator's text: " ^ path) (Error "SELECT: * must be the only item") got)
+    [ ("Db.exec_sql", seq); ("Par_scan.exec_sql", par) ];
   Db.commit db txn;
   (* non-snapshot transactions are rejected *)
   let rw = Db.begin_txn db in

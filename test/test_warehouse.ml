@@ -483,96 +483,119 @@ let agg_rescan_written_once () =
   check Alcotest.int "one group write for a DELETE of the MIN" 1
     (agg_row_ops (Workload.delete_parts_stmt ~first_id:(max 1 (min_qty_id - 2)) ~size:5))
 
-(* ---------- replica-less (hybrid) maintenance ---------- *)
+(* ---------- hybrid Op-Deltas at a warehouse with replicas ---------- *)
 
 module Opdelta_capture = Dw_core.Opdelta_capture
+module Wal = Dw_txn.Wal
 
-let viewonly_view =
-  Spj_view.Select_project
-    {
-      name = "vo_small_qty";
-      table = "parts";
-      schema = parts_schema;
-      filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
-      project =
-        [ proj Spj_view.L "part_id" "part_id"; proj Spj_view.L "qty" "qty" ];
-    }
-
-(* run a workload through a hybrid capture at the source, feed the hybrid
-   op-deltas to a replica-less warehouse, and compare its view against a
-   conventional replica-based warehouse fed the same captures *)
-let hybrid_capture_workload ~seed ~txns =
+(* a seeded workload through a capture wrapper on a fresh source: 40
+   rows inserted through the wrapper (so a warehouse can start empty),
+   then [gen_mix] transactions, every third followed by an UPDATE that
+   moves rows across [small_qty]'s [qty < 500] filter *)
+let captured_workload ~capture_images ~seed =
   let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
   let _ = Workload.create_parts_table src in
   Db.set_day src 0;
   let cap =
-    Opdelta_capture.create ~views:[ viewonly_view ] ~replicas:false src
-      ~sink:(Opdelta_capture.To_file "hybrid.oplog")
+    Opdelta_capture.create ~capture_images src ~sink:(Opdelta_capture.To_file "oplog")
   in
   let submit stmts =
     match Opdelta_capture.exec_txn cap stmts with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   in
-  (* seed through the wrapper so both warehouses can start empty *)
   submit (Workload.insert_parts_txn ~first_id:1 ~size:40 ~day:0 ());
   let rng = Prng.create ~seed in
-  List.iter
-    (fun op -> submit (Workload.op_to_stmts ~day:0 op))
-    (Workload.gen_mix rng ~existing_ids:40 ~txns ~max_txn_size:5);
+  List.iteri
+    (fun i op ->
+      let flip =
+        Dw_sql.Ast.Update
+          { table = "parts";
+            sets = [ ("qty", Expr.Binop (Expr.Sub, Expr.Lit (Value.Int 999), Expr.Col "qty")) ];
+            where = Some (between ~first_id:(1 + Prng.int rng 40) ~size:5) }
+      in
+      submit (Workload.op_to_stmts ~day:0 op @ if i mod 3 = 0 then [ flip ] else []))
+    (Workload.gen_mix rng ~existing_ids:40 ~txns:12 ~max_txn_size:5);
   Opdelta_capture.captured cap
 
-let viewonly_matches_replica_based ~seed () =
-  let ods = hybrid_capture_workload ~seed ~txns:12 in
-  (* warehouse A: replica-less, hybrid integration *)
-  let wh_a = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dwa" () in
-  Warehouse.define_viewonly_view wh_a viewonly_view;
+(* an empty [parts] replica with a keyed SPJ view, a counted join view
+   and an aggregate view *)
+let empty_parts_wh () =
+  let wh = mk_wh ~parts:0 ~views:[ sp_view; join_view ] () in
+  Warehouse.define_agg_view wh qty_by_price_band;
+  wh
+
+let sorted_parts wh = List.sort Tuple.compare (Warehouse.replica_rows wh "parts")
+
+(* both warehouses end with the same replica, views and view checks *)
+let same_warehouse_rows a b =
+  check Alcotest.bool "same replica rows" true
+    (List.equal Tuple.equal (sorted_parts a) (sorted_parts b));
   List.iter
-    (fun od -> ignore (Warehouse.integrate_op_delta_viewonly wh_a od : Warehouse.stats))
+    (fun name ->
+      check Alcotest.bool (name ^ ": same rows") true
+        (same_rows (Warehouse.view_rows a name) (Warehouse.view_rows b name));
+      check Alcotest.bool (name ^ " equals recompute") true (views_agree a name))
+    [ "small_qty"; "parts_by_supplier" ];
+  check Alcotest.bool "qty_stats: same rows" true
+    (same_rows (Warehouse.agg_view_rows a "qty_stats") (Warehouse.agg_view_rows b "qty_stats"));
+  check Alcotest.bool "qty_stats equals recompute" true (agg_views_agree a "qty_stats")
+
+let image_count ods =
+  List.fold_left
+    (fun acc (od : Op_delta.t) ->
+      List.fold_left
+        (fun acc (op : Op_delta.op) -> acc + List.length op.Op_delta.before_images)
+        acc od.Op_delta.ops)
+    0 ods
+
+let wal_records wh =
+  let n = ref 0 in
+  Wal.iter_all (Db.wal (Warehouse.db wh)) (fun _ _ -> incr n);
+  !n
+
+(* A warehouse with replicas re-runs an Op-Delta's statements and reads
+   none of its images, so twin sources, one capturing images and one
+   not, leave twin warehouses with equal rows, counts and logs; a
+   bootstrap's handoff from its hybrid capture to plain rounds relies on
+   this. *)
+let hybrid_integrates_as_plain ~seed () =
+  let hybrid = captured_workload ~capture_images:true ~seed in
+  let plain = captured_workload ~capture_images:false ~seed in
+  check Alcotest.bool "the hybrid capture recorded images" true (image_count hybrid > 0);
+  check Alcotest.int "the plain capture recorded none" 0 (image_count plain);
+  let statements (od : Op_delta.t) =
+    Op_delta.encode_line
+      (Op_delta.make ~txn_id:od.Op_delta.txn_id
+         (List.map (fun (op : Op_delta.op) -> op.Op_delta.stmt) od.Op_delta.ops))
+  in
+  check Alcotest.(list string) "the same statements" (List.map statements plain)
+    (List.map statements hybrid);
+  let wh_h = empty_parts_wh () and wh_p = empty_parts_wh () in
+  let st_h = Warehouse.integrate_op_deltas wh_h hybrid in
+  let st_p = Warehouse.integrate_op_deltas wh_p plain in
+  same_warehouse_rows wh_h wh_p;
+  check Alcotest.int "statements" st_p.Warehouse.statements st_h.Warehouse.statements;
+  check Alcotest.int "row_ops" st_p.Warehouse.row_ops st_h.Warehouse.row_ops;
+  check Alcotest.int "log records" (wal_records wh_p) (wal_records wh_h)
+
+let hybrid_as_plain = hybrid_integrates_as_plain ~seed:3
+let hybrid_as_plain_alt = hybrid_integrates_as_plain ~seed:1234
+
+(* a hybrid Op-Delta's images, as the value delta a bootstrap loads,
+   bring the replica and its views where its statements do *)
+let hybrid_value_deltas_match () =
+  let ods = captured_workload ~capture_images:true ~seed:7 in
+  let wh_op = empty_parts_wh () and wh_value = empty_parts_wh () in
+  ignore (Warehouse.integrate_op_deltas wh_op ods : Warehouse.stats);
+  List.iter
+    (fun od ->
+      ignore
+        (Warehouse.integrate_value_delta wh_value
+           (Op_delta.value_delta ~table:"parts" ~schema:parts_schema od)
+          : Warehouse.stats))
     ods;
-  (* warehouse B: conventional replica + the same view definition *)
-  let wh_b = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dwb" () in
-  Warehouse.add_replica wh_b ~table:"parts" ~schema:parts_schema;
-  Warehouse.define_view wh_b
-    (Spj_view.Select_project
-       { name = "vo_small_qty"; table = "parts"; schema = parts_schema;
-         filter = Some (Expr.Cmp (Expr.Lt, Expr.Col "qty", Expr.Lit (Value.Int 500)));
-         project = [ proj Spj_view.L "part_id" "part_id"; proj Spj_view.L "qty" "qty" ] });
-  ignore (Warehouse.integrate_op_deltas wh_b ods : Warehouse.stats);
-  let a = Warehouse.view_rows wh_a "vo_small_qty" in
-  let b = Warehouse.view_rows wh_b "vo_small_qty" in
-  check Alcotest.int "same view cardinality" (List.length b) (List.length a);
-  List.iter2
-    (fun (ra, ca) (rb, cb) ->
-      check Alcotest.bool "same view row" true (Tuple.equal ra rb && ca = cb))
-    a b
-
-let viewonly_basic = viewonly_matches_replica_based ~seed:3
-let viewonly_alt = viewonly_matches_replica_based ~seed:1234
-
-let viewonly_bare_delete_is_noop () =
-  (* a delete without before images is indistinguishable from one that
-     matched zero rows: it must change nothing *)
-  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  Warehouse.define_viewonly_view wh viewonly_view;
-  ignore
-    (Warehouse.integrate_op_delta_viewonly wh
-       (Op_delta.make ~txn_id:1 (Workload.insert_parts_txn ~first_id:1 ~size:3 ~day:0 ()))
-      : Warehouse.stats);
-  let before = Warehouse.view_rows wh "vo_small_qty" in
-  ignore
-    (Warehouse.integrate_op_delta_viewonly wh
-       (Op_delta.make ~txn_id:2 [ Workload.delete_parts_stmt ~first_id:1 ~size:3 ])
-      : Warehouse.stats);
-  check Alcotest.int "unchanged" (List.length before)
-    (List.length (Warehouse.view_rows wh "vo_small_qty"))
-
-let viewonly_rejects_join () =
-  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  try
-    Warehouse.define_viewonly_view wh join_view;
-    Alcotest.fail "expected join rejection"
-  with Invalid_argument _ -> ()
+  same_warehouse_rows wh_value wh_op
 
 (* ---------- view names are unique across view kinds ---------- *)
 
@@ -653,12 +676,11 @@ let reopen_rejects_agg_name () =
       reopen ~views:[ sp_named "qty_stats"; sp_view ] vfs)
 
 let reopen_rejects_taken_name () =
-  let wh = mk_wh () in
-  Warehouse.define_viewonly_view wh viewonly_view;
-  let clash = { qty_by_price_band with Agg_view.name = "vo_small_qty" } in
+  let wh = mk_wh ~views:[ sp_view ] () in
+  let clash = { qty_by_price_band with Agg_view.name = "small_qty" } in
   rejected_by_warehouse "define_agg_view" (fun () -> Warehouse.define_agg_view wh clash);
   check Alcotest.bool "no aggregate registered" true
-    (match Warehouse.agg_view_rows wh "vo_small_qty" with
+    (match Warehouse.agg_view_rows wh "small_qty" with
      | _ -> false
      | exception Not_found -> true);
   Warehouse.define_agg_view wh qty_by_price_band;
@@ -954,32 +976,77 @@ let one_write_per_changed_row () =
   check Alcotest.(list int) "counted: delete and insert per row" [ stays; 0; stays + leaves ]
     counted
 
-(* the invariants of a keyed view, through view-only maintenance (no
-   replica stands in front of it): a refused refresh leaves the view as
-   it was *)
+(* hand-edit a view's backing table, as an operator could through
+   [Warehouse.db]; no trigger stands on a backing table *)
+let hand_edit wh f =
+  let db = Warehouse.db wh in
+  Db.with_txn db (fun txn -> f db txn)
+
+(* each refresh over a hand-edited row fails with a message that [says]
+   what broke, and leaves the view and the replica as they were *)
+let refuses wh view what ~says stmt =
+  let view_before = Warehouse.view_rows wh view and parts_before = sorted_parts wh in
+  (match Warehouse.integrate_op_deltas wh [ Op_delta.make ~txn_id:1 [ stmt ] ] with
+   | (_ : Warehouse.stats) -> Alcotest.failf "%s: expected Invalid_argument" what
+   | exception Invalid_argument msg ->
+     check Alcotest.bool (what ^ ": " ^ msg) true
+       (Str.string_match (Str.regexp (".*" ^ Str.quote says)) msg 0));
+  check Alcotest.bool (what ^ ": view unchanged") true
+    (same_rows view_before (Warehouse.view_rows wh view));
+  check Alcotest.bool (what ^ ": replica unchanged") true
+    (List.equal Tuple.equal parts_before (sorted_parts wh))
+
+(* parts in [small_qty] (qty < 500), by id *)
+let in_view wh =
+  List.filter_map
+    (fun row -> if qty_of row < 500 then Some (id_of row, qty_of row) else None)
+    (Warehouse.replica_rows wh "parts")
+  |> List.sort compare
+
+(* the invariants of a keyed view guard its backing table against edits
+   the replica did not make *)
 let keyed_view_rejects_bad_images () =
-  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
-  Warehouse.define_viewonly_view wh viewonly_view;
+  let wh = mk_wh ~views:[ sp_view ] () in
+  let (k1, q1), (k2, _) =
+    match in_view wh with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "too few view rows"
+  in
+  (* a row for part 100, which the replica lacks; a changed qty for k1;
+     no row for k2 *)
+  hand_edit wh (fun db txn ->
+      ignore
+        (Db.insert_row db txn "small_qty" [| Value.Int 100; Value.Int 10 |]
+          : Dw_storage.Heap_file.rid);
+      let rid, _ = Option.get (Db.find_by_key db txn "small_qty" [| Value.Int k1 |]) in
+      Db.update_rid db txn "small_qty" rid [| Value.Int k1; Value.Int (q1 + 7) |];
+      let rid, _ = Option.get (Db.find_by_key db txn "small_qty" [| Value.Int k2 |]) in
+      Db.delete_rid db txn "small_qty" rid);
   let row id qty = [| Value.Int id; Value.Str "p"; Value.Int qty; Value.Float 1.0; Value.Date 0 |] in
-  let apply stmts =
-    ignore (Warehouse.integrate_op_delta_viewonly wh (Op_delta.with_before_images ~txn_id:1 stmts)
-      : Warehouse.stats)
+  refuses wh "small_qty" "an image enters an occupied key" ~says:"duplicate primary key"
+    (insert_part (row 100 10));
+  refuses wh "small_qty" "a leaving image differs from the stored row"
+    ~says:"leaving image differs from the stored row"
+    (Workload.update_parts_stmt ~first_id:k1 ~size:1);
+  refuses wh "small_qty" "an absent row leaves" ~says:"removing absent row"
+    (delete_where (key_is k2))
+
+(* the counted layout's checks: a row must be there to leave, and its
+   multiplicity may not fall below zero *)
+let counted_view_rejects_bad_counts () =
+  let wh = mk_wh ~views:[ key_last_view ] () in
+  let (k1, q1), (k2, q2) =
+    match in_view wh with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "too few view rows"
   in
-  apply [ (insert_part (row 1 10), []) ];
-  let before = Warehouse.view_rows wh "vo_small_qty" in
-  let refused what stmts =
-    (match apply stmts with
-     | () -> Alcotest.failf "%s: expected Invalid_argument" what
-     | exception Invalid_argument _ -> ());
-    check Alcotest.bool (what ^ ": view unchanged") true
-      (same_rows before (Warehouse.view_rows wh "vo_small_qty"))
-  in
-  refused "two images enter one key in one run"
-    [ (insert_part (row 2 10), []); (insert_part (row 2 20), []) ];
-  refused "an image enters an occupied key" [ (insert_part (row 1 20), []) ];
-  refused "a leaving image differs from the stored row"
-    [ (delete_where (key_is 1), [ row 1 30 ]) ];
-  refused "an absent row leaves" [ (delete_where (key_is 3), [ row 3 10 ]) ]
+  (* k1's row counted 0 times, k2's row gone *)
+  hand_edit wh (fun db txn ->
+      let find key = fst (Option.get (Db.find_by_key db txn "qty_then_id" key)) in
+      Db.update_rid db txn "qty_then_id"
+        (find [| Value.Int q1; Value.Int k1 |])
+        [| Value.Int q1; Value.Int k1; Value.Int 0 |];
+      Db.delete_rid db txn "qty_then_id" (find [| Value.Int q2; Value.Int k2 |]));
+  refuses wh "qty_then_id" "a multiplicity below zero" ~says:"multiplicity below zero"
+    (delete_where (key_is k1));
+  refuses wh "qty_then_id" "an absent row leaves" ~says:"removing absent row"
+    (Workload.update_parts_stmt ~first_id:k2 ~size:1)
 
 (* every key in [first_id, first_id + size) moves up by [by] *)
 let shift_keys ~first_id ~size ~by =
@@ -1124,10 +1191,10 @@ let suite =
     test "agg min/max rescan on delete" agg_minmax_rescan_on_delete;
     test "agg update moves groups" agg_update_moves_groups;
     QCheck_alcotest.to_alcotest prop_agg_incremental;
-    test "view-only hybrid matches replica-based" viewonly_basic;
-    test "view-only hybrid matches replica-based (alt seed)" viewonly_alt;
-    test "view-only bare delete is no-op" viewonly_bare_delete_is_noop;
-    test "view-only rejects join views" viewonly_rejects_join;
+    test "hybrid and plain Op-Deltas agree" hybrid_as_plain;
+    test "hybrid and plain Op-Deltas agree (alt)" hybrid_as_plain_alt;
+    test "hybrid value deltas match Op-Deltas" hybrid_value_deltas_match;
+    test "counted view rejects bad multiplicities" counted_view_rejects_bad_counts;
     test "reopen round trip keeps views maintained" reopen_round_trip;
     test "reopen rejects an aggregate view's name" reopen_rejects_agg_name;
     test "reopen rejects a name already taken" reopen_rejects_taken_name;
