@@ -136,14 +136,13 @@ let reify_timestamp t stmt =
       | None -> stmt
       | Some tbl -> (
           match Table.ts_column tbl with
-          | Some ts_col when not (List.mem_assoc ts_col sets) ->
-            Ast.Update
-              {
-                u with
-                sets =
-                  sets @ [ (ts_col, Dw_relation.Expr.Lit (Value.Date (Db.current_day t.db))) ];
-              }
-          | Some _ | None -> stmt))
+          | None -> stmt
+          | Some ts_col ->
+            (* the source stamps every updated row, whatever the client
+               set: capture the value the source stores *)
+            let stamp = Dw_relation.Expr.Lit (Value.Date (Db.current_day t.db)) in
+            let sets = List.filter (fun (c, _) -> not (String.equal c ts_col)) sets in
+            Ast.Update { u with sets = sets @ [ (ts_col, stamp) ] }))
   | Ast.Insert ({ table; columns; rows } as i) -> (
       (* the source overwrites the timestamp literal the client supplied;
          rewrite the captured rows to the value the source will store *)

@@ -27,6 +27,7 @@ type txn = {
   mode : [ `Read_write | `Snapshot ];
   snapshot_csn : int;  (* last committed CSN at begin; reads resolve against it *)
   mutable undo_log : undo list;
+  mutable x_tables : string list;  (* tables this transaction holds in X *)
   mutable in_trigger : bool;
   mutable finished : bool;
   mutable committed : bool;  (* set once the commit stands *)
@@ -197,7 +198,7 @@ let begin_txn ?(mode = `Read_write) t =
     ignore (Wal.append t.wal { Log_record.tx = id; body = Log_record.Begin } : Wal.lsn);
   locked_txn t (fun () ->
       let txn =
-        { id; mode; snapshot_csn = t.last_csn; undo_log = []; in_trigger = false;
+        { id; mode; snapshot_csn = t.last_csn; undo_log = []; x_tables = []; in_trigger = false;
           finished = false; committed = false }
       in
       Hashtbl.add t.active id txn;
@@ -236,7 +237,8 @@ let abort_rw t txn =
          | None -> ())
       | U_update (tname, rid, before, after) ->
         (match table_opt t tname with
-         | Some table -> ignore (Table.raw_update table rid ~old_tuple:after before : bytes)
+         | Some table ->
+           ignore (Table.raw_update table rid ~old_tuple:after before : bytes * bytes)
          | None -> ()))
     txn.undo_log;
   txn.undo_log <- [];
@@ -337,7 +339,7 @@ let active_txns t =
 
 (* locking *)
 
-let rec acquire t txn resource mode =
+let rec request t txn resource mode =
   match Lock_manager.acquire t.locks txn.id resource mode with
   | Lock_manager.Granted -> ()
   | Lock_manager.Blocked blockers -> (
@@ -346,9 +348,22 @@ let rec acquire t txn resource mode =
         (* one observed sample per wait episode; a txn blocked repeatedly
            on the same resource contributes one sample per suspension *)
         Dw_util.Metrics.time (metrics t) "lock.wait" (fun () -> wait ~txid:txn.id ~blockers);
-        acquire t txn resource mode
+        request t txn resource mode
       | None -> raise (Would_block { tx = txn.id; blockers }))
   | Lock_manager.Deadlock blockers -> raise (Deadlock_abort { tx = txn.id; blockers })
+
+let holds_x txn tname = List.exists (String.equal tname) txn.x_tables
+
+(* A table [txn] holds in X implies every lock on the table and its rows
+   until the transaction ends (2PL releases nothing earlier), so such a
+   request never reaches the lock manager. *)
+let acquire t txn resource mode =
+  match resource with
+  | Lock_manager.Table tname | Lock_manager.Row (tname, _) when holds_x txn tname -> ()
+  | Lock_manager.Table tname ->
+    request t txn resource mode;
+    if mode = Lock_manager.X then txn.x_tables <- tname :: txn.x_tables
+  | Lock_manager.Row _ -> request t txn resource mode
 
 (* triggers *)
 
@@ -411,21 +426,16 @@ let log_dml t body = ignore (Wal.append t.wal body : Wal.lsn)
    Undo is physical, with no compensation records, so an entry whose
    record never reached the log is still the right undo. *)
 
+(* the logged update of a row whose decoded [before] image the caller
+   holds: the WAL carries the records the heap slot held and now holds *)
 let logged_update t txn tname table rid ~before after =
   Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
-  let after_rec = Table.raw_update table rid ~old_tuple:before after in
+  let before_rec, after_rec = Table.raw_update table rid ~old_tuple:before after in
   txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
   log_dml t
     {
       Log_record.tx = txn.id;
-      body =
-        Log_record.Update
-          {
-            table = tname;
-            rid;
-            before = Codec.encode_binary (Table.schema table) before;
-            after = after_rec;
-          };
+      body = Log_record.Update { table = tname; rid; before = before_rec; after = after_rec };
     };
   fire t txn tname (Trigger.Updated (rid, before, after))
 
@@ -446,11 +456,29 @@ let logged_free t txn tname rid ~before free =
 let logged_delete t txn tname table rid ~before =
   logged_free t txn tname rid ~before (fun () -> Table.raw_delete table rid ~old_tuple:before)
 
+(* the row under [key], read under [txn]'s [mode] lock on it.  Under a
+   table X lock that is one probe.  Otherwise the row is locked first and
+   then found again: a row image read before a wait may be another
+   transaction's uncommitted write, and the key may have moved to
+   another rid meanwhile, which is then locked in turn *)
+let rec locked_find t txn tname table key mode =
+  match Table.find_key table key with
+  | Some _ as hit when holds_x txn tname -> hit
+  | None -> None
+  | Some (rid, _) -> (
+      acquire t txn (Lock_manager.Row (tname, rid)) mode;
+      match Table.find_key table key with
+      | Some (rid', _) as hit when Heap_file.rid_compare rid rid' = 0 -> hit
+      | Some _ -> locked_find t txn tname table key mode
+      | None -> None)
+
 (* the row an upsert of [tuple] overwrites, if any; no stored key holds
    NULL ([Tuple.validate]), so a NULL key finds none, as [k = NULL]
    matches none *)
-let upsert_target ~upsert table tuple =
-  if upsert then Table.find_key table (Tuple.key (Table.schema table) tuple) else None
+let upsert_target ~upsert t txn tname table tuple =
+  if upsert then
+    locked_find t txn tname table (Tuple.key (Table.schema table) tuple) Lock_manager.X
+  else None
 
 (* a new row: stamped, stored ([row_lock]: X-locked) and logged; [after]
    is the record the heap holds, logged as it is *)
@@ -469,7 +497,7 @@ let insert ?(upsert = false) t txn tname tuple =
   statement_boundary t;
   let table = table t tname in
   acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  match upsert_target ~upsert table tuple with
+  match upsert_target ~upsert t txn tname table tuple with
   | Some (rid, before) ->
     logged_update t txn tname table rid ~before (stamp t table tuple);
     rid
@@ -700,30 +728,19 @@ let find_by_key t txn tname key =
   check_live txn;
   match txn.mode with
   | `Snapshot -> snapshot_find_by_key t txn tname key
-  | `Read_write -> (
-      let table = table t tname in
-      match Table.find_key table key with
-      | None -> None
-      | Some (rid, tuple) as hit ->
-        acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.S;
-        ignore tuple;
-        hit)
+  | `Read_write -> locked_find t txn tname (table t tname) key Lock_manager.S
 
-let update_rid t txn tname rid tuple =
+let lock_table t txn tname =
   check_writable txn;
-  let table = table t tname in
-  acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  let before = Heap_file.get (Table.heap table) rid in
-  logged_update t txn tname table rid ~before (stamp t table tuple)
+  ignore (table t tname : Table.t);
+  acquire t txn (Lock_manager.Table tname) Lock_manager.X
 
-(* an upsert's key index lookup takes no lock; [update_rid] X-locks the
-   row before reading its before-image *)
 let insert_row ?(upsert = false) t txn tname tuple =
   check_writable txn;
   let table = table t tname in
-  match upsert_target ~upsert table tuple with
-  | Some (rid, _) ->
-    update_rid t txn tname rid tuple;
+  match upsert_target ~upsert t txn tname table tuple with
+  | Some (rid, before) ->
+    logged_update t txn tname table rid ~before (stamp t table tuple);
     rid
   | None -> insert_new t txn tname table ~row_lock:true tuple
 
@@ -731,11 +748,19 @@ let append_row t txn tname tuple =
   check_writable txn;
   ignore (insert_new t txn tname (table t tname) ~row_lock:false tuple : Heap_file.rid)
 
-let delete_rid t txn tname rid =
+(* a row [find_by_key] returned: the S lock it took (or the table X
+   lock that implied it) kept its image current, so the X lock is an
+   upgrade and the heap is not read again *)
+let update_row t txn tname (rid, before) tuple =
   check_writable txn;
   let table = table t tname in
   acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  let before = Heap_file.get (Table.heap table) rid in
+  logged_update t txn tname table rid ~before (stamp t table tuple)
+
+let delete_row t txn tname (rid, before) =
+  check_writable txn;
+  let table = table t tname in
+  acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
   logged_delete t txn tname table rid ~before
 
 let select t txn tname ?where () =

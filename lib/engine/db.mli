@@ -194,18 +194,29 @@ val select_pages :
     finished or [`Read_write] transaction and on an unknown column in
     [where]. *)
 
+val lock_table : t -> txn -> string -> unit
+(** X-lock a table until the transaction ends, as a DML statement on it
+    does.  A table a transaction holds in X implies every later lock on
+    it and its rows, which then never reaches {!Dw_txn.Lock_manager}:
+    [lock.acquires] counts one per written table per transaction.
+    Raises [Not_found] for an unknown table and [Invalid_argument] on a
+    snapshot transaction. *)
+
 (** {2 Row-level DML} — key/rid addressed, row-granularity locks.  Used by
     the warehouse integrators so that short maintenance transactions can
     interleave with readers.  Same logging / trigger / undo behaviour as
     the statement-level DML. *)
 
 val find_by_key : t -> txn -> string -> Tuple.t -> (Heap_file.rid * Tuple.t) option
-(** Primary-key lookup (shared row lock on hit; lock-free snapshot
-    resolution in [`Snapshot] mode). *)
+(** Primary-key lookup.  [`Read_write]: the row is S-locked before the
+    returned image is read, so a lookup that waited for a writer never
+    returns its uncommitted image; under a table X lock, one probe.
+    [`Snapshot]: lock-free resolution at the transaction's snapshot. *)
 
 val insert_row : ?upsert:bool -> t -> txn -> string -> Tuple.t -> Heap_file.rid
 (** Like {!insert} but takes only a row lock, on the written rid, not a
-    table lock. *)
+    table lock; an upsert X-locks the row it overwrites before reading
+    its before image. *)
 
 val append_row : t -> txn -> string -> Tuple.t -> unit
 (** Like {!insert_row} but takes no lock at all: for an append-only log
@@ -213,8 +224,14 @@ val append_row : t -> txn -> string -> Tuple.t -> unit
     under a lock, before they commit.  Logged and undone on abort like
     any insert; a snapshot reader sees the row once it commits. *)
 
-val update_rid : t -> txn -> string -> Heap_file.rid -> Tuple.t -> unit
-val delete_rid : t -> txn -> string -> Heap_file.rid -> unit
+val update_row : t -> txn -> string -> Heap_file.rid * Tuple.t -> Tuple.t -> unit
+(** [update_row t txn table found after] overwrites [found], the
+    [(rid, image)] {!find_by_key} returned in [txn] with no write to the
+    row since, under an X row lock.  [image] is the before image undo
+    and the version store keep, so the row is not read again. *)
+
+val delete_row : t -> txn -> string -> Heap_file.rid * Tuple.t -> unit
+(** {!update_row}'s delete: the same [found] pair, the same lock. *)
 
 (** {2 Cooperative scheduling hooks} — used by {!Scheduler} to interleave
     logical sessions over the single-threaded engine.  [yield_hook] is

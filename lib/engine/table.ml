@@ -103,7 +103,7 @@ let raw_update t rid ~old_tuple tuple =
   if (not same_key) && Btree.mem t.pk new_key then
     invalid_arg
       (Printf.sprintf "Table %s: update collides on key %s" t.name (Tuple.to_string new_key));
-  Heap_file.update t.heap rid record;
+  let before = Heap_file.update t.heap rid record in
   (* the update is in place, so the rid is unchanged: an index entry
      whose key did not move already maps to it and is left alone *)
   if not same_key then begin
@@ -115,7 +115,7 @@ let raw_update t rid ~old_tuple tuple =
      ignore (Btree.remove idx (ts_key_of i old_tuple old_key) : bool);
      Btree.insert idx (ts_key_of i tuple new_key) rid
    | _ -> ());
-  record
+  (before, record)
 
 let raw_delete t rid ~old_tuple =
   let record = Heap_file.delete t.heap rid in

@@ -68,9 +68,10 @@ val raw_insert_at : t -> Heap_file.rid -> Tuple.t -> unit
     version chains are keyed by rid, so a row must never migrate to a
     different slot while old snapshots are live. *)
 
-val raw_update : t -> Heap_file.rid -> old_tuple:Tuple.t -> Tuple.t -> bytes
+val raw_update : t -> Heap_file.rid -> old_tuple:Tuple.t -> Tuple.t -> bytes * bytes
 (** Overwrites the row in place and maintains indexes; returns the
-    encoded record written. *)
+    encoded record the slot held and the one written (a WAL record's
+    before and after images, so neither row is encoded twice). *)
 
 val raw_delete : t -> Heap_file.rid -> old_tuple:Tuple.t -> bytes
 (** Frees the row's slot and removes its index entries; returns the

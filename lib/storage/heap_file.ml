@@ -107,7 +107,12 @@ let get t rid =
 let update t rid record =
   check_rid t rid;
   Buffer_pool.with_page t.pool t.file rid.page ~dirty:true (fun page ->
-      Page.write_slot page rid.slot record)
+      (* a free slot is left to [Page.write_slot], which rejects it *)
+      let before =
+        if Page.is_used page rid.slot then Page.read_slot page rid.slot else Bytes.empty
+      in
+      Page.write_slot page rid.slot record;
+      before)
 
 let delete t rid =
   check_rid t rid;

@@ -33,9 +33,10 @@ val insert_raw : t -> bytes -> rid
 val get : t -> rid -> Tuple.t
 (** Raises [Invalid_argument] for a free or out-of-range rid. *)
 
-val update : t -> rid -> bytes -> unit
+val update : t -> rid -> bytes -> bytes
 (** Overwrite the record at [rid] with an encoded record
-    ([Codec.encode_binary] of a valid tuple). *)
+    ([Codec.encode_binary] of a valid tuple) and return the record the
+    slot held, as {!delete} does. *)
 
 val delete : t -> rid -> bytes
 (** Frees the slot and returns the record it held.  Raises

@@ -115,21 +115,23 @@ let count_of back_schema row =
 let with_count out_row count = Array.append out_row [| Value.Int count |]
 
 (* the three view-backing writes, each counted once in [row_ops] and in
-   its [warehouse.view_writes.*] counter *)
+   its [warehouse.view_writes.*] counter.  An update or delete writes the
+   [(rid, image)] one key probe found, under the backing table's X lock:
+   no further lock request and no heap re-read. *)
 let insert_view_row t txn backing row =
   t.row_ops <- t.row_ops + 1;
   Metrics.bump t.writes.inserts 1;
   ignore (Db.insert_row t.db txn backing row : Heap_file.rid)
 
-let update_view_row t txn backing rid row =
+let update_view_row t txn backing found row =
   t.row_ops <- t.row_ops + 1;
   Metrics.bump t.writes.updates 1;
-  Db.update_rid t.db txn backing rid row
+  Db.update_row t.db txn backing found row
 
-let delete_view_row t txn backing rid =
+let delete_view_row t txn backing found =
   t.row_ops <- t.row_ops + 1;
   Metrics.bump t.writes.deletes 1;
-  Db.delete_rid t.db txn backing rid
+  Db.delete_row t.db txn backing found
 
 let violated vs what row =
   invalid_arg
@@ -139,11 +141,11 @@ let violated vs what row =
    transaction *)
 let adjust t txn vs out_row delta =
   match Db.find_by_key t.db txn vs.backing out_row with
-  | Some (rid, existing) ->
+  | Some ((_, existing) as found) ->
     let c = count_of vs.back_schema existing + delta in
     if c < 0 then violated vs "multiplicity below zero for" out_row
-    else if c = 0 then delete_view_row t txn vs.backing rid
-    else update_view_row t txn vs.backing rid (with_count out_row c)
+    else if c = 0 then delete_view_row t txn vs.backing found
+    else update_view_row t txn vs.backing found (with_count out_row c)
   | None ->
     if delta < 0 then violated vs "removing absent row" out_row
     else if delta > 0 then insert_view_row t txn vs.backing (with_count out_row delta)
@@ -158,10 +160,10 @@ let write_key t txn vs leave enter =
   | None, Some row -> insert_view_row t txn vs.backing row
   | Some old, _ -> (
       match Db.find_by_key t.db txn vs.backing (Tuple.key vs.back_schema old) with
-      | Some (rid, stored) when Tuple.equal stored old -> (
+      | Some ((_, stored) as found) when Tuple.equal stored old -> (
           match enter with
-          | Some row -> update_view_row t txn vs.backing rid row
-          | None -> delete_view_row t txn vs.backing rid)
+          | Some row -> update_view_row t txn vs.backing found row
+          | None -> delete_view_row t txn vs.backing found)
       | Some _ -> violated vs "leaving image differs from the stored row:" old
       | None -> violated vs "removing absent row" old)
 
@@ -225,9 +227,15 @@ let sort_by_row = function
   | ([] | [ _ ]) as l -> l
   | l -> List.stable_sort (fun (a, _) (b, _) -> Tuple.compare a b) l
 
-let adjust_net t txn vs changes =
-  if vs.keyed then write_keys t txn vs None None (sort_by_row changes)
-  else adjust_merged t txn vs (sort_by_row changes)
+(* A run with changes for a view X-locks its backing table, as the run's
+   statements lock the replica: every row lock after it is implied, so a
+   refresh transaction asks the lock manager once per table it writes. *)
+let adjust_net t txn vs = function
+  | [] -> ()
+  | changes ->
+    Db.lock_table t.db txn vs.backing;
+    if vs.keyed then write_keys t txn vs None None (sort_by_row changes)
+    else adjust_merged t txn vs (sort_by_row changes)
 
 (* prepend view rows, each with multiplicity change [d] *)
 let rec signed d acc = function [] -> acc | out :: rest -> signed d ((out, d) :: acc) rest
@@ -358,9 +366,9 @@ and agg_fold_run t txn ast group existing state = function
       | Absent | Present _ -> state
     in
     (match existing, final with
-     | Some (rid, _), Present (out, n) -> update_view_row t txn ast.abacking rid (with_count out n)
+     | Some found, Present (out, n) -> update_view_row t txn ast.abacking found (with_count out n)
      | None, Present (out, n) -> insert_view_row t txn ast.abacking (with_count out n)
-     | Some (rid, _), (Absent | Rescan) -> delete_view_row t txn ast.abacking rid
+     | Some found, (Absent | Rescan) -> delete_view_row t txn ast.abacking found
      | None, (Absent | Rescan) -> ());
     agg_write_runs t txn ast rest
 
@@ -371,7 +379,11 @@ and agg_fold_run t txn ast group existing state = function
 let rec maintain_aggs t txn events = function
   | [] -> ()
   | ast :: rest ->
-    agg_write_runs t txn ast (sort_by_row (agg_steps ast events));
+    (match agg_steps ast events with
+     | [] -> ()
+     | steps ->
+       Db.lock_table t.db txn ast.abacking;
+       agg_write_runs t txn ast (sort_by_row steps));
     maintain_aggs t txn events rest
 
 let rec maintain_spjs t txn source events = function

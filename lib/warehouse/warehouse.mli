@@ -48,6 +48,15 @@
     replica write made directly on {!db}, outside an integrator, is
     maintained at once as a one-event set.
 
+    Locks: a refresh transaction X-locks each table it writes once, the
+    replica by its first statement and a view's backing table
+    ({!Db.lock_table}) when a run first has changes for the view; every
+    later lock there is implied and never reaches the lock manager.  A
+    view row is read by one key probe and updated or deleted from the
+    [(rid, image)] that probe returned.  A read-write reader of a view
+    row therefore waits for the whole refresh transaction; a snapshot
+    reader never waits.
+
     Views are bags materialized with multiplicity counts, with one
     exception.  A select-project view whose projection begins with its
     source's primary-key columns, in key order, is {e key-preserving}

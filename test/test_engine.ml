@@ -780,7 +780,7 @@ let prop_index_consistency =
              | Some k ->
                let rid, old_tuple = Hashtbl.find live k in
                let tuple = idx_row k q d in
-               ignore (Table.raw_update t rid ~old_tuple tuple : bytes);
+               ignore (Table.raw_update t rid ~old_tuple tuple : bytes * bytes);
                Hashtbl.replace live k (rid, tuple))
          | I_upd_key (p, k', d) -> (
              match pick p with
@@ -789,9 +789,9 @@ let prop_index_consistency =
                let rid, old_tuple = Hashtbl.find live k in
                let tuple = idx_row k' 1 d in
                if k' <> k && Hashtbl.mem live k' then
-                 assert (rejects (fun () -> ignore (Table.raw_update t rid ~old_tuple tuple : bytes)))
+                 assert (rejects (fun () -> ignore (Table.raw_update t rid ~old_tuple tuple : bytes * bytes)))
                else begin
-                 ignore (Table.raw_update t rid ~old_tuple tuple : bytes);
+                 ignore (Table.raw_update t rid ~old_tuple tuple : bytes * bytes);
                  Hashtbl.remove live k;
                  Hashtbl.replace live k' (rid, tuple)
                end)

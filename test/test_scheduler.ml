@@ -222,6 +222,159 @@ let future_arrival_jump () =
   check Alcotest.bool "late session ran" true !ran;
   check Alcotest.bool "clock jumped to arrival" true (r.Scheduler.total_slices >= 50)
 
+(* a k/v table holding the row (1, 10) *)
+let kv_db () =
+  let db = Db.create ~vfs:(Vfs.in_memory ()) ~name:"db" () in
+  let schema =
+    Dw_relation.Schema.make ~key_arity:1
+      [ { Dw_relation.Schema.name = "k"; ty = Value.Tint; nullable = false };
+        { Dw_relation.Schema.name = "v"; ty = Value.Tint; nullable = false } ]
+  in
+  ignore (Db.create_table db ~name:"t" schema : Table.t);
+  Db.with_txn db (fun txn ->
+      ignore (Db.insert db txn "t" [| Value.Int 1; Value.Int 10 |] : Dw_storage.Heap_file.rid));
+  db
+
+let sql db txn text =
+  match Db.exec_sql db txn text with Ok _ -> () | Error e -> Alcotest.fail e
+
+(* a writer updates the row, runs a few statements and aborts; a
+   read-write reader arriving meanwhile waits for its row lock and must
+   then read the committed row, not the image it saw before the wait *)
+let find_by_key_reads_no_dirty_row () =
+  let db = kv_db () in
+  let writer =
+    {
+      Scheduler.name = "writer";
+      start_at = 0;
+      work =
+        (fun () ->
+          let txn = Db.begin_txn db in
+          sql db txn "UPDATE t SET v = 99 WHERE k = 1";
+          for _ = 1 to 3 do
+            ignore (Db.select db txn "t" ())
+          done;
+          Db.abort db txn);
+    }
+  in
+  let seen = ref None in
+  let reader =
+    {
+      Scheduler.name = "reader";
+      start_at = 2;
+      work =
+        (fun () ->
+          Db.with_txn db (fun txn -> seen := Db.find_by_key db txn "t" [| Value.Int 1 |]));
+    }
+  in
+  let r = Scheduler.run db [ writer; reader ] in
+  check Alcotest.bool "reader waited" true ((report_for "reader" r).Scheduler.blocked_slices > 0);
+  check (Alcotest.option Alcotest.string) "committed row"
+    (Some (Dw_relation.Tuple.to_string [| Value.Int 1; Value.Int 10 |]))
+    (Option.map (fun (_, row) -> Dw_relation.Tuple.to_string row) !seen)
+
+(* The locking rule at a warehouse: a refresh transaction X-locks a
+   view's backing table when it writes the view, so a read-write lookup
+   of a view row waits for the commit and then reads the committed row;
+   a snapshot lookup never waits and reads the row as it was. *)
+let view_row_lookup_waits_for_refresh () =
+  let module Warehouse = Dw_warehouse.Warehouse in
+  let module Op_delta = Dw_core.Op_delta in
+  let wh = Test_warehouse.mk_wh ~views:[ Test_warehouse.sp_view ] () in
+  let db = Warehouse.db wh in
+  let k, qty =
+    match
+      List.find_map
+        (fun (row, _) ->
+          match row with
+          | [| Value.Int k; Value.Int q |] when q < 499 -> Some (k, q)
+          | _ -> None)
+        (Warehouse.view_rows wh "small_qty")
+    with
+    | Some hit -> hit
+    | None -> Alcotest.fail "no small_qty row"
+  in
+  let parse text =
+    match Dw_sql.Parser.parse text with Ok stmt -> stmt | Error e -> Alcotest.fail e
+  in
+  (* the parts run's upkeep writes small_qty when the first supply
+     statement opens the next run; three statement boundaries follow *)
+  let stmts =
+    parse (Printf.sprintf "UPDATE parts SET qty = qty + 1 WHERE part_id = %d" k)
+    :: List.init 3 (fun i ->
+        parse (Printf.sprintf "UPDATE supply SET supplier = 'x' WHERE supply_id = %d" (i + 1)))
+  in
+  let refresh =
+    {
+      Scheduler.name = "refresh";
+      start_at = 0;
+      work =
+        (fun () ->
+          ignore
+            (Warehouse.integrate_op_deltas wh [ Op_delta.make ~txn_id:1 stmts ] : Warehouse.stats));
+    }
+  in
+  let key = [| Value.Int k |] in
+  let row_qty = function
+    | Some (_, [| _; Value.Int q |]) -> q
+    | Some _ | None -> Alcotest.fail "small_qty row missing"
+  in
+  let locked_qty = ref 0 and snapshot_qty = ref 0 in
+  let reader =
+    {
+      Scheduler.name = "reader";
+      start_at = 3;
+      work =
+        (fun () ->
+          Db.with_txn db (fun txn ->
+              locked_qty := row_qty (Db.find_by_key db txn "small_qty" key)));
+    }
+  in
+  let snapshot =
+    {
+      Scheduler.name = "snapshot";
+      start_at = 3;
+      work =
+        (fun () ->
+          let txn = Db.begin_txn ~mode:`Snapshot db in
+          snapshot_qty := row_qty (Db.find_by_key db txn "small_qty" key);
+          Db.commit db txn);
+    }
+  in
+  let r = Scheduler.run db [ refresh; reader; snapshot ] in
+  List.iter
+    (fun s -> check Alcotest.bool (s.Scheduler.session ^ " ok") true (s.Scheduler.failed = None))
+    r.Scheduler.sessions;
+  let rf = report_for "refresh" r and rd = report_for "reader" r in
+  check Alcotest.bool "reader waited" true (rd.Scheduler.blocked_slices > 0);
+  check Alcotest.bool "reader finished after the refresh" true
+    (rd.Scheduler.finished > rf.Scheduler.finished);
+  check Alcotest.int "reader reads the committed row" (qty + 1) !locked_qty;
+  check Alcotest.int "snapshot never waits" 0 (report_for "snapshot" r).Scheduler.blocked_slices;
+  check Alcotest.int "snapshot reads the row as it was" qty !snapshot_qty
+
+(* statements, row writes and reads on a table a transaction holds in X
+   reach the lock manager once *)
+let one_lock_request_per_written_table () =
+  let db = mk_db () in
+  Workload.load_parts db ~rows:50 ();
+  let acquires () = Dw_util.Metrics.get (Db.metrics db) "lock.acquires" in
+  let run_txn () =
+    let before = acquires () in
+    Db.with_txn db (fun txn ->
+        for i = 0 to 9 do
+          exec db txn (Workload.update_parts_stmt ~first_id:(1 + (i * 3)) ~size:3)
+        done;
+        exec db txn (Workload.delete_parts_stmt ~first_id:40 ~size:2);
+        let found = Option.get (Db.find_by_key db txn "parts" [| Value.Int 5 |]) in
+        Db.update_row db txn "parts" found (snd found);
+        ignore (Db.select db txn "parts" ());
+        Db.lock_table db txn "parts");
+    acquires () - before
+  in
+  check Alcotest.int "one request" 1 (run_txn ());
+  check Alcotest.int "one request in the next transaction" 1 (run_txn ())
+
 let suite =
   [
     test "sessions interleave" sessions_interleave;
@@ -231,4 +384,7 @@ let suite =
     test "batch vs online with real locks" batch_vs_online_with_real_locks;
     test "empty and trivial sessions" empty_and_trivial;
     test "future arrival jump" future_arrival_jump;
+    test "find_by_key reads no dirty row" find_by_key_reads_no_dirty_row;
+    test "a view row lookup waits for the refresh" view_row_lookup_waits_for_refresh;
+    test "one lock request per written table" one_lock_request_per_written_table;
   ]

@@ -658,9 +658,9 @@ let prop_delete_logs_before_image =
       (* the row each key holds, and the image each deleted key had *)
       let live = Hashtbl.create 64 in
       let deleted = Hashtbl.create 64 in
-      let find_rid txn k =
+      let find txn k =
         match Db.find_by_key db txn "t" [| Value.Int k |] with
-        | Some (rid, _) -> rid
+        | Some found -> found
         | None -> Alcotest.failf "key %d not found" k
       in
       List.iter
@@ -680,7 +680,7 @@ let prop_delete_logs_before_image =
                   let k = List.nth keys (abs k mod List.length keys) in
                   let row = Array.copy row in
                   row.(0) <- Value.Int k;
-                  Db.update_rid db txn "t" (find_rid txn k) row;
+                  Db.update_row db txn "t" (find txn k) row;
                   Hashtbl.replace live k row
                 end
               | Del_where (lo, hi) ->
@@ -706,7 +706,7 @@ let prop_delete_logs_before_image =
                   match Hashtbl.find_opt live k with
                   | None -> ()
                   | Some row ->
-                    Db.delete_rid db txn "t" (find_rid txn k);
+                    Db.delete_row db txn "t" (find txn k);
                     Hashtbl.remove live k;
                     Hashtbl.replace deleted k row)))
         ops;
@@ -1665,6 +1665,111 @@ let prop_range_delete_matches_where =
            (Table.cardinality (Db.table ranged "t") = Table.row_count (Db.table ranged "t"))
            true)
 
+(* ---------- UPDATE before images ---------- *)
+
+(* A transaction of the stream: range UPDATEs run as one Op-Delta (the
+   replica's [update_where] and the views' row writes in one refresh
+   transaction), or [update_row]s of found rows, each key possibly twice. *)
+type upd_txn = Ranges of (int * int * Tuple.t) list | Rows of (int * Tuple.t) list
+
+let gen_upd_txns =
+  QCheck2.Gen.(
+    let range = map3 (fun lo w row -> (lo, lo + w, row)) (int_range 0 39) (int_range 0 10) gen_row in
+    let one = map2 (fun k row -> (k, row)) (int_range 0 39) gen_row in
+    list_size (int_range 1 8)
+      (oneof
+         [ map (fun l -> Ranges l) (list_size (int_range 1 3) range);
+           map (fun l -> Rows l) (list_size (int_range 1 4) one) ]))
+
+(* The logged before image of every UPDATE (replica or view row) is the
+   record the slot held: it equals the image logged into that slot last,
+   or the stored row's encoding for a row loaded unlogged; each slot's
+   last image is the stored row's encoding at the end. *)
+let prop_update_logs_before_image =
+  QCheck2.Test.make ~name:"a logged UPDATE's before image is the stored row's encoding"
+    ~count:60
+    QCheck2.Gen.(pair (list_repeat 40 gen_row) gen_upd_txns)
+    (fun (rows, txns) ->
+      let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
+      Warehouse.add_replica wh ~table:"t" ~schema:codec_schema;
+      Warehouse.load_replica wh ~table:"t"
+        (List.mapi
+           (fun i row ->
+             let row = Array.copy row in
+             row.(0) <- Value.Int i;
+             row)
+           rows);
+      let v = project "t" codec_schema in
+      Warehouse.define_view wh (v "t_keyed" [ "k"; "s"; "f"; "b" ]);
+      Warehouse.define_view wh (v "t_bag" [ "d" ]);
+      Warehouse.define_agg_view wh
+        { Agg_view.name = "t_agg"; table = "t"; schema = codec_schema; filter = None;
+          group_by = [ "d" ]; aggregates = [ ("n", Agg_view.Count) ] };
+      let db = Warehouse.db wh in
+      let slot = Hashtbl.create 256 in
+      let stored () =
+        List.iter
+          (fun table ->
+            let schema = Table.schema table in
+            Table.scan table (fun rid row ->
+                Hashtbl.replace slot (Table.name table, rid) (Codec.encode_binary schema row)))
+          (Db.tables db)
+      in
+      stored ();
+      let set_of row =
+        List.map (fun i -> ((Schema.column codec_schema i).Schema.name, Expr.Lit row.(i))) [ 1; 2; 3; 4 ]
+      in
+      List.iteri
+        (fun i txn ->
+          match txn with
+          | Ranges ranges ->
+            let stmts =
+              List.map
+                (fun (lo, hi, row) ->
+                  Ast.Update
+                    { table = "t"; sets = set_of row;
+                      where =
+                        Some
+                          (Expr.And
+                             ( Expr.Cmp (Expr.Ge, Expr.Col "k", Expr.Lit (Value.Int lo)),
+                               Expr.Cmp (Expr.Le, Expr.Col "k", Expr.Lit (Value.Int hi)) )) })
+                ranges
+            in
+            ignore (Warehouse.integrate_op_deltas wh [ Op_delta.make ~txn_id:(i + 1) stmts ]
+                    : Warehouse.stats)
+          | Rows updates ->
+            Db.with_txn db (fun txn ->
+                List.iter
+                  (fun (k, row) ->
+                    let found = Option.get (Db.find_by_key db txn "t" [| Value.Int k |]) in
+                    let row = Array.copy row in
+                    row.(0) <- Value.Int k;
+                    Db.update_row db txn "t" found row)
+                  updates))
+        txns;
+      let updates = ref 0 in
+      Wal.iter_all (Db.wal db) (fun _ r ->
+          match r.Log_record.body with
+          | Log_record.Insert { table; rid; after } -> Hashtbl.replace slot (table, rid) after
+          | Log_record.Update { table; rid; before; after } ->
+            incr updates;
+            if not (Bytes.equal before (Hashtbl.find slot (table, rid))) then
+              Alcotest.failf "%s %s: before image differs" table (Heap_file.rid_to_string rid);
+            Hashtbl.replace slot (table, rid) after
+          | Log_record.Delete { table; rid; before } ->
+            if not (Bytes.equal before (Hashtbl.find slot (table, rid))) then
+              Alcotest.failf "%s %s: delete image differs" table (Heap_file.rid_to_string rid);
+            Hashtbl.remove slot (table, rid)
+          | Log_record.Begin | Log_record.Commit | Log_record.Abort | Log_record.Checkpoint _ -> ());
+      let logged = Hashtbl.copy slot in
+      Hashtbl.reset slot;
+      stored ();
+      !updates > 0
+      && Hashtbl.length logged = Hashtbl.length slot
+      && Hashtbl.fold
+           (fun key image ok -> ok && Bytes.equal image (Hashtbl.find slot key))
+           logged true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_printers_match;
@@ -1684,4 +1789,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_float_short_and_exact;
     QCheck_alcotest.to_alcotest prop_file_matches_lines;
     QCheck_alcotest.to_alcotest prop_range_delete_matches_where;
+    QCheck_alcotest.to_alcotest prop_update_logs_before_image;
   ]

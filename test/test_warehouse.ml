@@ -1016,10 +1016,10 @@ let keyed_view_rejects_bad_images () =
       ignore
         (Db.insert_row db txn "small_qty" [| Value.Int 100; Value.Int 10 |]
           : Dw_storage.Heap_file.rid);
-      let rid, _ = Option.get (Db.find_by_key db txn "small_qty" [| Value.Int k1 |]) in
-      Db.update_rid db txn "small_qty" rid [| Value.Int k1; Value.Int (q1 + 7) |];
-      let rid, _ = Option.get (Db.find_by_key db txn "small_qty" [| Value.Int k2 |]) in
-      Db.delete_rid db txn "small_qty" rid);
+      let found = Option.get (Db.find_by_key db txn "small_qty" [| Value.Int k1 |]) in
+      Db.update_row db txn "small_qty" found [| Value.Int k1; Value.Int (q1 + 7) |];
+      let found = Option.get (Db.find_by_key db txn "small_qty" [| Value.Int k2 |]) in
+      Db.delete_row db txn "small_qty" found);
   let row id qty = [| Value.Int id; Value.Str "p"; Value.Int qty; Value.Float 1.0; Value.Date 0 |] in
   refuses wh "small_qty" "an image enters an occupied key" ~says:"duplicate primary key"
     (insert_part (row 100 10));
@@ -1038,11 +1038,11 @@ let counted_view_rejects_bad_counts () =
   in
   (* k1's row counted 0 times, k2's row gone *)
   hand_edit wh (fun db txn ->
-      let find key = fst (Option.get (Db.find_by_key db txn "qty_then_id" key)) in
-      Db.update_rid db txn "qty_then_id"
+      let find key = Option.get (Db.find_by_key db txn "qty_then_id" key) in
+      Db.update_row db txn "qty_then_id"
         (find [| Value.Int q1; Value.Int k1 |])
         [| Value.Int q1; Value.Int k1; Value.Int 0 |];
-      Db.delete_rid db txn "qty_then_id" (find [| Value.Int q2; Value.Int k2 |]));
+      Db.delete_row db txn "qty_then_id" (find [| Value.Int q2; Value.Int k2 |]));
   refuses wh "qty_then_id" "a multiplicity below zero" ~says:"multiplicity below zero"
     (delete_where (key_is k1));
   refuses wh "qty_then_id" "an absent row leaves" ~says:"removing absent row"
@@ -1174,6 +1174,37 @@ let span_store_is_bounded () =
     (List.length (Metrics.spans m) <= Metrics.span_ring);
   check Alcotest.int "the rollup counts every refresh" n (refreshes () - before)
 
+(* the source stamps an updated row with the current day whatever the
+   client set, so the captured statement carries the stamp and the
+   replica ends where the source does *)
+let client_set_timestamp_replays () =
+  let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+  let _ = Workload.create_parts_table src in
+  Db.set_day src 0;
+  let cap = Opdelta_capture.create src ~sink:(Opdelta_capture.To_file "oplog") in
+  let submit stmts =
+    match Opdelta_capture.exec_txn cap stmts with Ok _ -> () | Error e -> Alcotest.fail e
+  in
+  submit (Workload.insert_parts_txn ~first_id:1 ~size:5 ~day:0 ());
+  Db.set_day src 5;
+  submit
+    [ (match Dw_sql.Parser.parse "UPDATE parts SET last_modified = DATE 2 WHERE part_id = 3" with
+       | Ok stmt -> stmt
+       | Error e -> Alcotest.fail e) ];
+  let wh = mk_wh ~parts:0 () in
+  ignore (Warehouse.integrate_op_deltas wh (Opdelta_capture.captured cap) : Warehouse.stats);
+  let day_of rows =
+    match List.find (fun row -> Value.equal row.(0) (Value.Int 3)) rows with
+    | row -> Tuple.get parts_schema row "last_modified"
+    | exception Not_found -> Alcotest.fail "part 3 missing"
+  in
+  let source_rows = Db.with_txn src (fun txn -> Db.select src txn "parts" ()) in
+  check Alcotest.string "source stamps the day" "#5" (Value.to_string (day_of source_rows));
+  check Alcotest.string "replica stamps the day" "#5"
+    (Value.to_string (day_of (Warehouse.replica_rows wh "parts")));
+  check Alcotest.bool "same replica rows" true
+    (List.equal Tuple.equal (List.sort Tuple.compare source_rows) (sorted_parts wh))
+
 let suite =
   [
     test "materialize sp view" materialize_sp;
@@ -1214,4 +1245,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_keyed_views_both_integrators;
     test "reopen keeps a keyed view keyed" reopen_keeps_keyed_view;
     test "span store stays bounded over 10,000 refreshes" span_store_is_bounded;
+    test "a client-set timestamp replays as the stamp" client_set_timestamp_replays;
   ]
