@@ -27,13 +27,26 @@ type txn = {
   mode : [ `Read_write | `Snapshot ];
   snapshot_csn : int;  (* last committed CSN at begin; reads resolve against it *)
   mutable undo_log : undo list;
-  mutable x_tables : string list;  (* tables this transaction holds in X *)
   mutable in_trigger : bool;
   mutable finished : bool;
   mutable committed : bool;  (* set once the commit stands *)
 }
 
 type trigger_ctx = { ctx_db : t; ctx_txn : txn }
+
+(* a table as the row paths use it: looked up once per statement (or
+   row-API call), it carries everything a row write needs without
+   another lookup by name *)
+and rel = {
+  table : Table.t;
+  rname : string;
+  chains : Version_store.table;  (* its version-store chains *)
+  mutable triggers : trigger_ctx Trigger.t list;
+  (* the transaction that last took the table in X.  Txids are never
+     reused and 2PL releases nothing before the end, so [x_holder =
+     txn.id] holds exactly while [txn] has the table in X *)
+  mutable x_holder : int;
+}
 
 and t = {
   db_name : string;
@@ -43,8 +56,7 @@ and t = {
   locks : Lock_manager.t;
   vstore : Dw_txn.Version_store.t;
   mutable last_csn : int;  (* CSN of the newest commit record in the WAL *)
-  tables : (string, Table.t) Hashtbl.t;
-  triggers : (string, trigger_ctx Trigger.t list ref) Hashtbl.t;
+  tables : (string, rel) Hashtbl.t;
   mutable next_txid : int;
   mutable active : (int, txn) Hashtbl.t;
   mutable day : int;
@@ -76,7 +88,6 @@ let create ?(pool_pages = 256) ?(pool_stripes = 1) ?(archive_log = false) ~vfs ~
     vstore = Version_store.create ();
     last_csn = 0;
     tables = Hashtbl.create 16;
-    triggers = Hashtbl.create 16;
     next_txid = 1;
     active = Hashtbl.create 8;
     day = Value.(match date_of_ymd ~year:1999 ~month:12 ~day:5 with Date d -> d | _ -> 0);
@@ -133,31 +144,37 @@ let heap_file_name db_name table_name = Printf.sprintf "%s.%s.heap" db_name tabl
 
 let has_table_file ~vfs ~name table = Vfs.exists vfs (heap_file_name name table)
 
+(* txid 0 is never allocated *)
+let add_rel t table =
+  let rname = Table.name table in
+  Hashtbl.add t.tables rname
+    { table; rname; chains = Version_store.table t.vstore rname; triggers = []; x_holder = 0 }
+
 let create_table t ~name ?ts_column schema =
   if Hashtbl.mem t.tables name then
     invalid_arg (Printf.sprintf "Db.create_table: table %s exists" name);
   let file = Vfs.create t.vfs (heap_file_name t.db_name name) in
   let table = Table.create ~pool:t.pool ~file ~name ~schema ~ts_column in
-  Hashtbl.add t.tables name table;
+  add_rel t table;
   table
 
-let table t name =
+let rel t name =
   match Hashtbl.find_opt t.tables name with
-  | Some table -> table
+  | Some rel -> rel
   | None -> raise Not_found
 
-let table_opt t name = Hashtbl.find_opt t.tables name
+let table t name = (rel t name).table
+let table_opt t name = Option.map (fun rel -> rel.table) (Hashtbl.find_opt t.tables name)
 
 let tables t =
-  Hashtbl.fold (fun _ table acc -> table :: acc) t.tables []
+  Hashtbl.fold (fun _ rel acc -> rel.table :: acc) t.tables []
   |> List.sort (fun a b -> String.compare (Table.name a) (Table.name b))
 
 let drop_table t name =
   match Hashtbl.find_opt t.tables name with
   | None -> raise Not_found
-  | Some table ->
+  | Some { table; _ } ->
     Hashtbl.remove t.tables name;
-    Hashtbl.remove t.triggers name;
     Version_store.drop_table t.vstore ~table:name;
     let file = Heap_file.file (Table.heap table) in
     Buffer_pool.invalidate_file t.pool file;
@@ -198,8 +215,8 @@ let begin_txn ?(mode = `Read_write) t =
     ignore (Wal.append t.wal { Log_record.tx = id; body = Log_record.Begin } : Wal.lsn);
   locked_txn t (fun () ->
       let txn =
-        { id; mode; snapshot_csn = t.last_csn; undo_log = []; x_tables = []; in_trigger = false;
-          finished = false; committed = false }
+        { id; mode; snapshot_csn = t.last_csn; undo_log = []; in_trigger = false; finished = false;
+          committed = false }
       in
       Hashtbl.add t.active id txn;
       txn)
@@ -352,50 +369,42 @@ let rec request t txn resource mode =
       | None -> raise (Would_block { tx = txn.id; blockers }))
   | Lock_manager.Deadlock blockers -> raise (Deadlock_abort { tx = txn.id; blockers })
 
-let holds_x txn tname = List.exists (String.equal tname) txn.x_tables
+let holds_x txn rel = rel.x_holder = txn.id
 
 (* A table [txn] holds in X implies every lock on the table and its rows
    until the transaction ends (2PL releases nothing earlier), so such a
    request never reaches the lock manager. *)
-let acquire t txn resource mode =
-  match resource with
-  | Lock_manager.Table tname | Lock_manager.Row (tname, _) when holds_x txn tname -> ()
-  | Lock_manager.Table tname ->
-    request t txn resource mode;
-    if mode = Lock_manager.X then txn.x_tables <- tname :: txn.x_tables
-  | Lock_manager.Row _ -> request t txn resource mode
+let lock_rel t txn rel mode =
+  if not (holds_x txn rel) then begin
+    request t txn (Lock_manager.Table rel.rname) mode;
+    if mode = Lock_manager.X then rel.x_holder <- txn.id
+  end
+
+let lock_row t txn rel rid mode =
+  if not (holds_x txn rel) then request t txn (Lock_manager.Row (rel.rname, rid)) mode
 
 (* triggers *)
 
-let triggers_for t tname =
-  match Hashtbl.find_opt t.triggers tname with Some l -> !l | None -> []
+let trigger_name (tr : trigger_ctx Trigger.t) = tr.Trigger.name
 
 let add_trigger t ~table trigger =
-  if not (Hashtbl.mem t.tables table) then raise Not_found;
-  let cell =
-    match Hashtbl.find_opt t.triggers table with
-    | Some cell -> cell
-    | None ->
-      let cell = ref [] in
-      Hashtbl.add t.triggers table cell;
-      cell
-  in
-  if List.exists (fun (tr : trigger_ctx Trigger.t) -> tr.Trigger.name = trigger.Trigger.name) !cell
-  then invalid_arg (Printf.sprintf "Db.add_trigger: trigger %s exists" trigger.Trigger.name);
-  cell := !cell @ [ trigger ]
+  let rel = rel t table in
+  if List.exists (fun tr -> trigger_name tr = trigger_name trigger) rel.triggers then
+    invalid_arg (Printf.sprintf "Db.add_trigger: trigger %s exists" (trigger_name trigger));
+  rel.triggers <- rel.triggers @ [ trigger ]
 
 let remove_trigger t ~table name =
-  match Hashtbl.find_opt t.triggers table with
-  | None -> ()
-  | Some cell ->
-    cell := List.filter (fun (tr : trigger_ctx Trigger.t) -> tr.Trigger.name <> name) !cell
+  Option.iter
+    (fun rel -> rel.triggers <- List.filter (fun tr -> trigger_name tr <> name) rel.triggers)
+    (Hashtbl.find_opt t.tables table)
 
 let triggers_on t tname =
-  List.map (fun (tr : trigger_ctx Trigger.t) -> tr.Trigger.name) (triggers_for t tname)
+  Option.fold ~none:[] ~some:(fun rel -> List.map trigger_name rel.triggers)
+    (Hashtbl.find_opt t.tables tname)
 
-let fire t txn tname event =
+let fire t txn rel event =
   if not txn.in_trigger then begin
-    let relevant = List.filter (fun tr -> Trigger.fires_on tr event) (triggers_for t tname) in
+    let relevant = List.filter (fun tr -> Trigger.fires_on tr event) rel.triggers in
     if relevant <> [] then begin
       txn.in_trigger <- true;
       Fun.protect
@@ -426,82 +435,93 @@ let log_dml t body = ignore (Wal.append t.wal body : Wal.lsn)
    Undo is physical, with no compensation records, so an entry whose
    record never reached the log is still the right undo. *)
 
-(* the logged update of a row whose decoded [before] image the caller
-   holds: the WAL carries the records the heap slot held and now holds *)
-let logged_update t txn tname table rid ~before after =
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
-  let before_rec, after_rec = Table.raw_update table rid ~old_tuple:before after in
-  txn.undo_log <- U_update (tname, rid, before, after) :: txn.undo_log;
+(* Each row write's before image is in the version store before the
+   heap changes: the caller notes an update's or delete's victims
+   ([note]: one store lock per statement), and [insert_new] inserts
+   inside [Version_store.note_insert]. *)
+let note t txn rel rows = Version_store.note_rows t.vstore rel.chains ~tx:txn.id rows
+
+(* the logged update of a noted row whose decoded [before] image the
+   caller holds: the WAL carries the records the heap slot held and now
+   holds *)
+let logged_update t txn rel rid ~before after =
+  let before_rec, after_rec = Table.raw_update rel.table rid ~old_tuple:before after in
+  txn.undo_log <- U_update (rel.rname, rid, before, after) :: txn.undo_log;
   log_dml t
     {
       Log_record.tx = txn.id;
-      body = Log_record.Update { table = tname; rid; before = before_rec; after = after_rec };
+      body = Log_record.Update { table = rel.rname; rid; before = before_rec; after = after_rec };
     };
-  fire t txn tname (Trigger.Updated (rid, before, after))
+  fire t txn rel (Trigger.Updated (rid, before, after))
 
-(* the logged delete of a row whose decoded [before] image the caller
-   holds, [free] taking it out of the table: the WAL carries the record
-   the heap slot held, as it was *)
-let logged_free t txn tname rid ~before free =
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:(Some before);
+(* the logged delete of a noted row whose decoded [before] image the
+   caller holds, [free] taking it out of the table: the WAL carries the
+   record the heap slot held, as it was *)
+let logged_free t txn rel rid ~before free =
   let before_rec = free () in
-  txn.undo_log <- U_delete (tname, rid, before) :: txn.undo_log;
+  txn.undo_log <- U_delete (rel.rname, rid, before) :: txn.undo_log;
   log_dml t
     {
       Log_record.tx = txn.id;
-      body = Log_record.Delete { table = tname; rid; before = before_rec };
+      body = Log_record.Delete { table = rel.rname; rid; before = before_rec };
     };
-  fire t txn tname (Trigger.Deleted (rid, before))
+  fire t txn rel (Trigger.Deleted (rid, before))
 
-let logged_delete t txn tname table rid ~before =
-  logged_free t txn tname rid ~before (fun () -> Table.raw_delete table rid ~old_tuple:before)
+let logged_delete t txn rel rid ~before =
+  logged_free t txn rel rid ~before (fun () -> Table.raw_delete rel.table rid ~old_tuple:before)
 
 (* the row under [key], read under [txn]'s [mode] lock on it.  Under a
    table X lock that is one probe.  Otherwise the row is locked first and
    then found again: a row image read before a wait may be another
    transaction's uncommitted write, and the key may have moved to
    another rid meanwhile, which is then locked in turn *)
-let rec locked_find t txn tname table key mode =
-  match Table.find_key table key with
-  | Some _ as hit when holds_x txn tname -> hit
+let rec locked_find t txn rel key mode =
+  match Table.find_key rel.table key with
+  | Some _ as hit when holds_x txn rel -> hit
   | None -> None
   | Some (rid, _) -> (
-      acquire t txn (Lock_manager.Row (tname, rid)) mode;
-      match Table.find_key table key with
+      lock_row t txn rel rid mode;
+      match Table.find_key rel.table key with
       | Some (rid', _) as hit when Heap_file.rid_compare rid rid' = 0 -> hit
-      | Some _ -> locked_find t txn tname table key mode
+      | Some _ -> locked_find t txn rel key mode
       | None -> None)
 
 (* the row an upsert of [tuple] overwrites, if any; no stored key holds
    NULL ([Tuple.validate]), so a NULL key finds none, as [k = NULL]
    matches none *)
-let upsert_target ~upsert t txn tname table tuple =
-  if upsert then
-    locked_find t txn tname table (Tuple.key (Table.schema table) tuple) Lock_manager.X
+let upsert_target ~upsert t txn rel tuple =
+  if upsert then locked_find t txn rel (Tuple.key (Table.schema rel.table) tuple) Lock_manager.X
   else None
 
-(* a new row: stamped, stored ([row_lock]: X-locked) and logged; [after]
-   is the record the heap holds, logged as it is *)
-let insert_new t txn tname table ~row_lock tuple =
-  let tuple = stamp t table tuple in
-  let rid, after = Table.raw_insert table tuple in
-  txn.undo_log <- U_insert (tname, rid, tuple) :: txn.undo_log;
-  if row_lock then acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  Version_store.note t.vstore ~tx:txn.id ~table:tname ~rid ~image:None;
-  log_dml t { Log_record.tx = txn.id; body = Log_record.Insert { table = tname; rid; after } };
-  fire t txn tname (Trigger.Inserted (rid, tuple));
+(* the upsert of [tuple] over [found], the row [upsert_target] returned *)
+let overwrite t txn rel ((rid, before) as found) tuple =
+  note t txn rel [ found ];
+  logged_update t txn rel rid ~before (stamp t rel.table tuple);
+  rid
+
+(* a new row: stamped, stored and noted in one store lock ([row_lock]:
+   X-locked) and logged; [after] is the record the heap holds, logged as
+   it is *)
+let insert_new t txn rel ~row_lock tuple =
+  let tuple = stamp t rel.table tuple in
+  let rid, after =
+    Version_store.note_insert t.vstore rel.chains ~tx:txn.id (fun () ->
+        Table.raw_insert rel.table tuple)
+  in
+  txn.undo_log <- U_insert (rel.rname, rid, tuple) :: txn.undo_log;
+  if row_lock then lock_row t txn rel rid Lock_manager.X;
+  log_dml t { Log_record.tx = txn.id; body = Log_record.Insert { table = rel.rname; rid; after } };
+  fire t txn rel (Trigger.Inserted (rid, tuple));
   rid
 
 let insert ?(upsert = false) t txn tname tuple =
   check_writable txn;
   statement_boundary t;
-  let table = table t tname in
-  acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  match upsert_target ~upsert t txn tname table tuple with
-  | Some (rid, before) ->
-    logged_update t txn tname table rid ~before (stamp t table tuple);
-    rid
-  | None -> insert_new t txn tname table ~row_lock:false tuple
+  let rel = rel t tname in
+  lock_rel t txn rel Lock_manager.X;
+  match upsert_target ~upsert t txn rel tuple with
+  | Some found -> overwrite t txn rel found tuple
+  | None -> insert_new t txn rel ~row_lock:false tuple
 
 let column_index schema col =
   match Schema.index_of_opt schema col with
@@ -590,9 +610,9 @@ let matching ?(mode = `Scan_only) table where =
 let update_where t txn tname ~set ~where =
   check_writable txn;
   statement_boundary t;
-  let table = table t tname in
-  acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  let schema = Table.schema table in
+  let rel = rel t tname in
+  lock_rel t txn rel Lock_manager.X;
+  let schema = Table.schema rel.table in
   (* each SET column's index and compiled expression, resolved once *)
   let set =
     List.map
@@ -602,8 +622,9 @@ let update_where t txn tname ~set ~where =
         (i, Expr.compile schema e))
       set
   in
-  let stamp_idx = Table.ts_col_idx table in
-  let victims = matching ~mode:t.plan_mode table where in
+  let stamp_idx = Table.ts_col_idx rel.table in
+  let victims = matching ~mode:t.plan_mode rel.table where in
+  note t txn rel victims;
   List.iter
     (fun (rid, before) ->
       (* one copy of the before image; every expression reads [before],
@@ -611,7 +632,7 @@ let update_where t txn tname ~set ~where =
       let after = Array.copy before in
       List.iter (fun (i, f) -> after.(i) <- f before) set;
       Option.iter (fun i -> after.(i) <- Value.Date t.day) stamp_idx;
-      logged_update t txn tname table rid ~before after)
+      logged_update t txn rel rid ~before after)
     victims;
   List.length victims
 
@@ -619,15 +640,16 @@ let update_where t txn tname ~set ~where =
 let delete_statement t txn tname delete =
   check_writable txn;
   statement_boundary t;
-  let table = table t tname in
-  acquire t txn (Lock_manager.Table tname) Lock_manager.X;
-  delete table
+  let rel = rel t tname in
+  lock_rel t txn rel Lock_manager.X;
+  delete rel
 
 (* a DELETE statement of the rows [find] returns *)
 let delete_found t txn tname find =
-  delete_statement t txn tname (fun table ->
-      let victims = find table in
-      List.iter (fun (rid, before) -> logged_delete t txn tname table rid ~before) victims;
+  delete_statement t txn tname (fun rel ->
+      let victims = find rel.table in
+      note t txn rel victims;
+      List.iter (fun (rid, before) -> logged_delete t txn rel rid ~before) victims;
       List.length victims)
 
 let delete_where t txn tname ~where =
@@ -637,26 +659,22 @@ let delete_key t txn tname key =
   delete_found t txn tname (fun table -> Option.to_list (Table.find_key table key))
 
 let delete_through t txn tname v =
-  delete_statement t txn tname (fun table ->
-      Table.raw_delete_through table v (fun rid before free ->
-          logged_free t txn tname rid ~before free))
+  delete_statement t txn tname (fun rel ->
+      Table.raw_delete_through rel.table v ~victims:(note t txn rel) (fun rid before free ->
+          logged_free t txn rel rid ~before free))
 
 (* snapshot read path: resolve each candidate rid through the version
-   store; readers take no locks and are never blocked *)
+   store; readers take no locks and are never blocked.  A reader takes
+   the table's version-store epoch before its heap pass, so a row image
+   it read there that an abort has since undone is read again *)
 
-let snapshot_visible t tname ~csn rid current =
-  match Version_store.resolve t.vstore ~table:tname ~rid ~csn with
-  | `Current -> current
-  | `Image tuple -> Some tuple
-  | `Absent -> None
-
-(* The rows of [table] visible at [txn]'s snapshot that satisfy [where],
+(* The rows of [rel] visible at [txn]'s snapshot that satisfy [where],
    in rid order: a heap (or key-index) pass, then a version-chain pass.
    [pages] limits both passes to the rows in heap pages [[from, to)]:
    a partitioned scan runs one such range per domain, so this takes no
    lock and reaches no statement boundary. *)
-let snapshot_matching ?pages t txn table where =
-  let tname = Table.name table in
+let snapshot_matching ?pages t txn rel where =
+  let table = rel.table in
   let schema = Table.schema table in
   let heap = Table.heap table in
   let keep =
@@ -667,12 +685,13 @@ let snapshot_matching ?pages t txn table where =
       Expr.compile_pred schema e
   in
   let csn = txn.snapshot_csn in
+  let epoch = Version_store.epoch t.vstore rel.chains in
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
   let consider rid current =
     if not (Hashtbl.mem seen rid) then begin
       Hashtbl.add seen rid ();
-      match snapshot_visible t tname ~csn rid current with
+      match Version_store.read t.vstore rel.chains ~csn ~epoch heap rid current with
       | Some tuple when keep tuple -> acc := (rid, tuple) :: !acc
       | Some _ | None -> ()
     end
@@ -694,91 +713,93 @@ let snapshot_matching ?pages t txn table where =
   in
   (* rows the heap/index pass cannot surface — deleted since the snapshot,
      or re-keyed out of the index bounds — still have version chains *)
-  Version_store.iter_table t.vstore ~table:tname (fun rid ->
+  Version_store.iter_rids t.vstore rel.chains (fun rid ->
       if in_range rid && not (Hashtbl.mem seen rid) then consider rid (Heap_file.get_opt heap rid));
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !acc
 
-let snapshot_find_by_key t txn tname key =
-  let table = table t tname in
+let snapshot_find_by_key t txn rel key =
+  let table = rel.table in
   let schema = Table.schema table in
+  let heap = Table.heap table in
   let csn = txn.snapshot_csn in
+  let epoch = Version_store.epoch t.vstore rel.chains in
+  let visible rid current = Version_store.read t.vstore rel.chains ~csn ~epoch heap rid current in
   let key_of tuple = Tuple.key schema tuple in
   let hit = ref None in
   (match Table.find_key table key with
    | Some (rid, tuple) -> (
-       match snapshot_visible t tname ~csn rid (Some tuple) with
+       match visible rid (Some tuple) with
        | Some img when Tuple.compare (key_of img) key = 0 -> hit := Some (rid, img)
        | Some _ | None -> ())
    | None -> ());
   (* the key's snapshot-time row may have been deleted or re-keyed since;
      its version chain still holds the image *)
-  if !hit = None then begin
-    let heap = Table.heap table in
-    Version_store.iter_table t.vstore ~table:tname (fun rid ->
+  if !hit = None then
+    Version_store.iter_rids t.vstore rel.chains (fun rid ->
         if !hit = None then
-          match snapshot_visible t tname ~csn rid (Heap_file.get_opt heap rid) with
+          match visible rid (Heap_file.get_opt heap rid) with
           | Some img when Tuple.compare (key_of img) key = 0 -> hit := Some (rid, img)
-          | Some _ | None -> ())
-  end;
+          | Some _ | None -> ());
   !hit
 
 (* row-level DML *)
 
 let find_by_key t txn tname key =
   check_live txn;
+  let rel = rel t tname in
   match txn.mode with
-  | `Snapshot -> snapshot_find_by_key t txn tname key
-  | `Read_write -> locked_find t txn tname (table t tname) key Lock_manager.S
+  | `Snapshot -> snapshot_find_by_key t txn rel key
+  | `Read_write -> locked_find t txn rel key Lock_manager.S
 
 let lock_table t txn tname =
   check_writable txn;
-  ignore (table t tname : Table.t);
-  acquire t txn (Lock_manager.Table tname) Lock_manager.X
+  lock_rel t txn (rel t tname) Lock_manager.X
 
 let insert_row ?(upsert = false) t txn tname tuple =
   check_writable txn;
-  let table = table t tname in
-  match upsert_target ~upsert t txn tname table tuple with
-  | Some (rid, before) ->
-    logged_update t txn tname table rid ~before (stamp t table tuple);
-    rid
-  | None -> insert_new t txn tname table ~row_lock:true tuple
+  let rel = rel t tname in
+  match upsert_target ~upsert t txn rel tuple with
+  | Some found -> overwrite t txn rel found tuple
+  | None -> insert_new t txn rel ~row_lock:true tuple
 
 let append_row t txn tname tuple =
   check_writable txn;
-  ignore (insert_new t txn tname (table t tname) ~row_lock:false tuple : Heap_file.rid)
+  ignore (insert_new t txn (rel t tname) ~row_lock:false tuple : Heap_file.rid)
 
 (* a row [find_by_key] returned: the S lock it took (or the table X
    lock that implied it) kept its image current, so the X lock is an
    upgrade and the heap is not read again *)
-let update_row t txn tname (rid, before) tuple =
+let update_row t txn tname ((rid, before) as found) tuple =
   check_writable txn;
-  let table = table t tname in
-  acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  logged_update t txn tname table rid ~before (stamp t table tuple)
+  let rel = rel t tname in
+  lock_row t txn rel rid Lock_manager.X;
+  note t txn rel [ found ];
+  logged_update t txn rel rid ~before (stamp t rel.table tuple)
 
-let delete_row t txn tname (rid, before) =
+let delete_row t txn tname ((rid, before) as found) =
   check_writable txn;
-  let table = table t tname in
-  acquire t txn (Lock_manager.Row (tname, rid)) Lock_manager.X;
-  logged_delete t txn tname table rid ~before
+  let rel = rel t tname in
+  lock_row t txn rel rid Lock_manager.X;
+  note t txn rel [ found ];
+  logged_delete t txn rel rid ~before
 
 let select t txn tname ?where () =
   check_live txn;
   statement_boundary t;
-  let table = table t tname in
+  let rel = rel t tname in
   match txn.mode with
   | `Snapshot ->
     (* lock-free: visibility comes from the snapshot CSN, not from S locks *)
-    List.map snd (snapshot_matching t txn table where)
+    List.map snd (snapshot_matching t txn rel where)
   | `Read_write ->
-    acquire t txn (Lock_manager.Table tname) Lock_manager.S;
-    List.map snd (matching ~mode:t.plan_mode table where)
+    lock_rel t txn rel Lock_manager.S;
+    List.map snd (matching ~mode:t.plan_mode rel.table where)
 
 let select_pages t txn table ?where ~from_page ~to_page () =
   check_live txn;
   if txn.mode <> `Snapshot then invalid_arg "Db.select_pages: requires a `Snapshot transaction";
-  List.map snd (snapshot_matching ~pages:(from_page, to_page) t txn table where)
+  let rel = rel t (Table.name table) in
+  List.map snd (snapshot_matching ~pages:(from_page, to_page) t txn rel where)
 
 (* SQL execution *)
 
@@ -982,7 +1003,7 @@ let checkpoint t =
 let recover t =
   let resolve tname = Option.map Table.heap (table_opt t tname) in
   let stats = Recovery.run ~wal:t.wal ~resolve in
-  Hashtbl.iter (fun _ table -> Table.rebuild_indexes table) t.tables;
+  Hashtbl.iter (fun _ rel -> Table.rebuild_indexes rel.table) t.tables;
   (* recovery rebuilds committed state in the heaps; an empty store makes
      every rid resolve to `Current, which is exactly right *)
   Version_store.clear t.vstore;
@@ -1001,10 +1022,8 @@ let reopen ?(pool_pages = 256) ?(pool_stripes = 1) ?(archive_log = false) ~vfs ~
          key at two rids (new page flushed, old page's delete not), which
          only WAL redo/undo resolves *)
       let file = Vfs.open_or_create vfs fname in
-      let table =
-        Table.attach ~rebuild_index:false ~pool:t.pool ~file ~name:tname ~schema ~ts_column
-      in
-      Hashtbl.add t.tables tname table)
+      add_rel t
+        (Table.attach ~rebuild_index:false ~pool:t.pool ~file ~name:tname ~schema ~ts_column))
     table_specs;
   let stats = recover t in
   (* transaction ids must keep growing across the crash, or post-recovery

@@ -108,7 +108,21 @@ val drop_table : t -> string -> unit
     current when it began, so it sees a transaction-consistent frozen
     state and is never blocked by (and never blocks) writers.  Snapshot
     transactions log nothing; DML through one raises
-    [Invalid_argument]. *)
+    [Invalid_argument].
+
+    {b Noted before visible.}  A snapshot never reads an uncommitted
+    row.  Every row write has its before image in the version store
+    before a reader can see the heap change: a statement notes all its
+    victims under one store lock before its first heap write, and an
+    insert stores its row and notes its rid under one store lock
+    ({!Dw_txn.Version_store.note_insert}).  A reader whose heap image an
+    abort has undone since it read it reads the heap again.
+
+    {b Lock order.}  [Db]'s transaction-table lock (a commit's CSN bump
+    and publication), then the version-store lock, then a buffer-pool
+    stripe mutex (the page latch) or a key index's latch.  No path takes
+    the version-store lock while it holds one of the latter: snapshot
+    scans copy rows out under them and resolve after. *)
 
 val begin_txn : ?mode:[ `Read_write | `Snapshot ] -> t -> txn
 val txid : txn -> int

@@ -190,7 +190,7 @@ let key_range t ~lo ~hi f =
   Btree.iter_range t.pk ~lo ~hi (fun _key rid ->
       Option.iter (f rid) (Heap_file.get_opt t.heap rid))
 
-let raw_delete_through t v each =
+let raw_delete_through t v ~victims:on_victims each =
   let hi =
     match through_bound t v with
     | Some hi -> hi
@@ -202,6 +202,7 @@ let raw_delete_through t v each =
   Btree.iter_range t.pk ~lo:Btree.Unbounded ~hi (fun _key rid ->
       victims := (rid, Heap_file.get t.heap rid) :: !victims);
   let victims = List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !victims in
+  on_victims victims;
   (* the slots are freed first and the index entries dropped last, as a
      row delete does for each row; if a step fails, the entries of the
      rows already freed go, so an undo can put each row back *)

@@ -78,16 +78,22 @@ val raw_delete : t -> Heap_file.rid -> old_tuple:Tuple.t -> bytes
     encoded record the slot held. *)
 
 val raw_delete_through :
-  t -> Dw_relation.Value.t -> (Heap_file.rid -> Tuple.t -> (unit -> bytes) -> unit) -> int
-(** [raw_delete_through t v each] deletes every row whose first key
-    column is [<= v], found through the primary-key index, and returns
-    how many there were.  For each row, in rid order, [each rid tuple
-    free] runs, and must call [free] once: it frees the slot and returns
-    the encoded record it held.  The primary-key entries then go in one
-    {!Btree.remove_range}.  If [each] raises, the index entries of the
-    rows freed so far are removed and the exception goes on.  Raises
-    [Invalid_argument] for a composite key whose first column is not an
-    INT or DATE below [max_int], where no key range ends at [v]. *)
+  t ->
+  Dw_relation.Value.t ->
+  victims:((Heap_file.rid * Tuple.t) list -> unit) ->
+  (Heap_file.rid -> Tuple.t -> (unit -> bytes) -> unit) ->
+  int
+(** [raw_delete_through t v ~victims each] deletes every row whose first
+    key column is [<= v], found through the primary-key index, and
+    returns how many there were.  [victims] sees them all, in rid order,
+    before the first slot is freed.  Then for each row, in rid order,
+    [each rid tuple free] runs, and must call [free] once: it frees the
+    slot and returns the encoded record it held.  The primary-key
+    entries then go in one {!Btree.remove_range}.  If [each] raises, the
+    index entries of the rows freed so far are removed and the exception
+    goes on.  Raises [Invalid_argument] for a composite key whose first
+    column is not an INT or DATE below [max_int], where no key range
+    ends at [v]. *)
 
 val rebuild_indexes : t -> unit
 

@@ -1,11 +1,31 @@
 module Tuple = Dw_relation.Tuple
 module Heap_file = Dw_storage.Heap_file
 
+module Rid_tbl = Hashtbl.Make (struct
+  type t = Heap_file.rid
+
+  let equal (a : t) (b : t) = a.page = b.page && a.slot = b.slot
+  let hash (r : t) = ((r.page * 65599) + r.slot) land max_int
+end)
+
 type entry = {
   mutable superseded_at : int;  (* commit CSN of the superseding writer; max_int while pending *)
   mutable writer : int;         (* txid while pending; [published], then [unlinked] *)
   image : Tuple.t option;       (* None = the row did not exist before *)
+  (* where the entry was noted, so that publish, discard and gc reach
+     its chain without a lookup *)
+  chain : entry list ref;
+  tbl : table;
+  rid : Heap_file.rid;
 }
+
+(* one table's chains: rid -> chain, newest entry first (descending
+   superseded_at, with at most one pending entry at the head — writers
+   hold X locks, so two transactions never have unpublished writes to
+   the same rid).  [epoch] moves whenever an entry leaves a chain other
+   than by gc (a discard, a drop, a clear): a reader holding a heap
+   image read at an older epoch reads the heap again *)
+and table = { rids : entry list ref Rid_tbl.t; mutable epoch : int }
 
 let pending_csn = max_int
 let published = -1
@@ -14,23 +34,17 @@ let published = -1
    writer's publish or discard and a batch's retirement skip it *)
 let unlinked = -2
 
-(* rid -> chain, newest entry first (descending superseded_at, with at
-   most one pending entry at the head — writers hold X locks, so two
-   transactions never have unpublished writes to the same rid) *)
-type rids = (Heap_file.rid, entry list ref) Hashtbl.t
-
-(* one noted write, holding its chain and its table's rid map so that
-   publish, discard and gc reach the entry without a lookup *)
-type write = { entry : entry; chain : entry list ref; rids : rids; rid : Heap_file.rid }
-
 type t = {
-  tables : (string, rids) Hashtbl.t;
-  (* writer txid -> the pending writes it noted *)
-  by_tx : (int, write list ref) Hashtbl.t;
+  tables : (string, table) Hashtbl.t;
+  (* writer txid -> the pending entries it noted; the last writer's
+     cell is kept at hand, as a writer notes row after row *)
+  by_tx : (int, entry list ref) Hashtbl.t;
+  mutable last_tx : int;
+  mutable last_cell : entry list ref;
   (* one batch per published transaction, tagged with its CSN, oldest
      first: publish runs under the caller's CSN bump, so the CSNs rise.
      Empty whenever [live] is 0, so a caller may skip gc on an empty store *)
-  batches : (int * write list) Queue.t;
+  batches : (int * entry list) Queue.t;
   mutable live : int;
   (* one mutex over the whole store: parallel snapshot readers resolve
      against it while a writer domain notes/publishes, and chain/entry
@@ -39,31 +53,56 @@ type t = {
 }
 
 let create () =
-  { tables = Hashtbl.create 8; by_tx = Hashtbl.create 8; batches = Queue.create (); live = 0;
-    lock = Mutex.create () }
+  { tables = Hashtbl.create 8; by_tx = Hashtbl.create 8; last_tx = unlinked; last_cell = ref [];
+    batches = Queue.create (); live = 0; lock = Mutex.create () }
 
 let locked t f = Mutex.protect t.lock f
 
-(* with no live entry left, every queued write is unlinked *)
+(* with no live entry left, every queued entry is unlinked *)
 let settle t = if t.live = 0 then Queue.clear t.batches
 
 let table_tbl t table =
   match Hashtbl.find_opt t.tables table with
   | Some tbl -> tbl
   | None ->
-    let tbl = Hashtbl.create 32 in
+    let tbl = { rids = Rid_tbl.create 32; epoch = 0 } in
     Hashtbl.add t.tables table tbl;
     tbl
 
-let note t ~tx ~table ~rid ~image =
-  locked t @@ fun () ->
-  let rids = table_tbl t table in
+let table t name = locked t (fun () -> table_tbl t name)
+
+(* [tx]'s pending entries, created empty on its first note *)
+let writes_of t tx =
+  if tx <> t.last_tx then begin
+    t.last_cell <-
+      (match Hashtbl.find_opt t.by_tx tx with
+       | Some cell -> cell
+       | None ->
+         let cell = ref [] in
+         Hashtbl.add t.by_tx tx cell;
+         cell);
+    t.last_tx <- tx
+  end;
+  t.last_cell
+
+(* [tx]'s pending entries, taken from the store *)
+let take_writes t tx =
+  if tx = t.last_tx then begin
+    t.last_tx <- unlinked;
+    t.last_cell <- ref []
+  end;
+  let cell = Hashtbl.find_opt t.by_tx tx in
+  Hashtbl.remove t.by_tx tx;
+  cell
+
+(* under the lock *)
+let note_in t tbl cell ~tx rid image =
   let chain =
-    match Hashtbl.find_opt rids rid with
+    match Rid_tbl.find_opt tbl.rids rid with
     | Some chain -> chain
     | None ->
       let chain = ref [] in
-      Hashtbl.add rids rid chain;
+      Rid_tbl.add tbl.rids rid chain;
       chain
   in
   let already_noted =
@@ -72,31 +111,46 @@ let note t ~tx ~table ~rid ~image =
     | [] -> false
   in
   if not already_noted then begin
-    let entry = { superseded_at = pending_csn; writer = tx; image } in
+    let entry = { superseded_at = pending_csn; writer = tx; image; chain; tbl; rid } in
     chain := entry :: !chain;
     t.live <- t.live + 1;
-    let cell =
-      match Hashtbl.find_opt t.by_tx tx with
-      | Some cell -> cell
-      | None ->
-        let cell = ref [] in
-        Hashtbl.add t.by_tx tx cell;
-        cell
-    in
-    cell := { entry; chain; rids; rid } :: !cell
+    cell := entry :: !cell
   end
+
+let note t ~tx ~table ~rid ~image =
+  locked t @@ fun () -> note_in t (table_tbl t table) (writes_of t tx) ~tx rid image
+
+(* the hottest call: a refresh notes every row it writes.  [note_in]
+   raises nothing, so the lock needs no handler *)
+let note_rows t tbl ~tx rows =
+  let rec go cell = function
+    | [] -> ()
+    | (rid, image) :: rest ->
+      note_in t tbl cell ~tx rid (Some image);
+      go cell rest
+  in
+  if rows <> [] then begin
+    Mutex.lock t.lock;
+    go (writes_of t tx) rows;
+    Mutex.unlock t.lock
+  end
+
+let note_insert t tbl ~tx insert =
+  locked t @@ fun () ->
+  let ((rid, _) as inserted) = insert () in
+  note_in t tbl (writes_of t tx) ~tx rid None;
+  inserted
 
 let publish t ~tx ~csn =
   locked t @@ fun () ->
-  match Hashtbl.find_opt t.by_tx tx with
+  match take_writes t tx with
   | None -> ()
   | Some cell ->
-    Hashtbl.remove t.by_tx tx;
     List.iter
-      (fun w ->
-        if w.entry.writer = tx then begin
-          w.entry.superseded_at <- csn;
-          w.entry.writer <- published
+      (fun e ->
+        if e.writer = tx then begin
+          e.superseded_at <- csn;
+          e.writer <- published
         end)
       !cell;
     Queue.add (csn, !cell) t.batches;
@@ -104,54 +158,60 @@ let publish t ~tx ~csn =
 
 let discard t ~tx =
   locked t @@ fun () ->
-  match Hashtbl.find_opt t.by_tx tx with
+  match take_writes t tx with
   | None -> ()
   | Some cell ->
-    Hashtbl.remove t.by_tx tx;
     List.iter
-      (fun w ->
-        if w.entry.writer = tx then begin
-          w.entry.writer <- unlinked;
+      (fun e ->
+        if e.writer = tx then begin
+          e.writer <- unlinked;
           t.live <- t.live - 1;
+          e.tbl.epoch <- e.tbl.epoch + 1;
           (* a pending entry stays its chain's head until published or
              discarded *)
-          match !(w.chain) with
-          | [ _ ] -> Hashtbl.remove w.rids w.rid
-          | _ :: rest -> w.chain := rest
+          match !(e.chain) with
+          | [ _ ] -> Rid_tbl.remove e.tbl.rids e.rid
+          | _ :: rest -> e.chain := rest
           | [] -> ()
         end)
       !cell;
     settle t
 
+(* under the lock: the entry a snapshot at [csn] reads [rid] through,
+   if any — newest-first, superseded_at strictly descending, so the
+   visible version is the oldest entry still superseded after [csn] *)
+let visible tbl rid ~csn =
+  match Rid_tbl.find_opt tbl.rids rid with
+  | None -> None
+  | Some chain ->
+    let rec go best = function
+      | [] -> best
+      | e :: rest -> if e.superseded_at > csn then go (Some e) rest else best
+    in
+    go None !chain
+
 let resolve t ~table ~rid ~csn =
   locked t @@ fun () ->
-  match Hashtbl.find_opt t.tables table with
+  match Option.bind (Hashtbl.find_opt t.tables table) (fun tbl -> visible tbl rid ~csn) with
   | None -> `Current
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl rid with
-      | None -> `Current
-      | Some chain ->
-        (* newest-first, superseded_at strictly descending: the visible
-           version is the oldest entry still superseded after [csn] *)
-        let rec go best = function
-          | [] -> best
-          | e :: rest -> if e.superseded_at > csn then go (Some e) rest else best
-        in
-        (match go None !chain with
-         | None -> `Current
-         | Some { image = Some tuple; _ } -> `Image tuple
-         | Some { image = None; _ } -> `Absent))
+  | Some { image = Some tuple; _ } -> `Image tuple
+  | Some { image = None; _ } -> `Absent
+
+let epoch t tbl = locked t (fun () -> tbl.epoch)
+
+let read t tbl ~csn ~epoch heap rid current =
+  locked t @@ fun () ->
+  match visible tbl rid ~csn with
+  | Some e -> e.image
+  | None -> if tbl.epoch = epoch then current else Heap_file.get_opt heap rid
+
+(* snapshot the rid set under the lock, call back outside it: [f]
+   typically resolves (which re-locks) or touches buffer-pool pages *)
+let iter_rids t tbl f =
+  List.iter f (locked t (fun () -> Rid_tbl.fold (fun rid _ acc -> rid :: acc) tbl.rids []))
 
 let iter_table t ~table f =
-  (* snapshot the rid set under the lock, call back outside it: [f]
-     typically resolves (which re-locks) or touches buffer-pool pages *)
-  let rids =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.tables table with
-        | None -> []
-        | Some tbl -> Hashtbl.fold (fun rid _ acc -> rid :: acc) tbl [])
-  in
-  List.iter f rids
+  Option.iter (fun tbl -> iter_rids t tbl f) (locked t (fun () -> Hashtbl.find_opt t.tables table))
 
 let entries t = locked t (fun () -> t.live)
 
@@ -172,17 +232,17 @@ let gc t ~horizon =
         tail;
       []
   in
-  let retire w =
-    if w.entry.writer <> unlinked then
-      match keep !(w.chain) with
-      | [] -> Hashtbl.remove w.rids w.rid
-      | kept -> w.chain := kept
+  let retire e =
+    if e.writer <> unlinked then
+      match keep !(e.chain) with
+      | [] -> Rid_tbl.remove e.tbl.rids e.rid
+      | kept -> e.chain := kept
   in
   let rec pass () =
     match Queue.peek_opt t.batches with
-    | Some (csn, writes) when csn <= horizon ->
-      ignore (Queue.take t.batches : int * write list);
-      List.iter retire writes;
+    | Some (csn, entries) when csn <= horizon ->
+      ignore (Queue.take t.batches : int * entry list);
+      List.iter retire entries;
       pass ()
     | _ -> ()
   in
@@ -191,25 +251,35 @@ let gc t ~horizon =
   settle t;
   !dropped
 
+(* under the lock: unlink every entry of [tbl] and empty it *)
+let empty_table t tbl =
+  Rid_tbl.iter
+    (fun _ chain ->
+      List.iter
+        (fun e ->
+          e.writer <- unlinked;
+          t.live <- t.live - 1)
+        !chain)
+    tbl.rids;
+  Rid_tbl.reset tbl.rids;
+  tbl.epoch <- tbl.epoch + 1
+
 let drop_table t ~table =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.tables table with
   | None -> ()
-  | Some rids ->
+  | Some tbl ->
     Hashtbl.remove t.tables table;
-    Hashtbl.iter
-      (fun _ chain ->
-        List.iter
-          (fun e ->
-            e.writer <- unlinked;
-            t.live <- t.live - 1)
-          !chain)
-      rids;
+    empty_table t tbl;
     settle t
 
 let clear t =
   locked t @@ fun () ->
-  Hashtbl.reset t.tables;
+  (* each table's handle stays the one the store consults: a table's
+     owner may hold it across the clear *)
+  Hashtbl.iter (fun _ tbl -> empty_table t tbl) t.tables;
   Hashtbl.reset t.by_tx;
+  t.last_tx <- unlinked;
+  t.last_cell <- ref [];
   Queue.clear t.batches;
   t.live <- 0

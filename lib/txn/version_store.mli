@@ -27,7 +27,24 @@
     is process-local and deliberately {e not} persisted: crash recovery
     rebuilds committed state in the heaps and restarts the store empty
     ({!clear}), which is always safe because an empty store makes every
-    rid resolve to [`Current]. *)
+    rid resolve to [`Current].
+
+    {b Noted before visible.}  A row a snapshot reader can see in the
+    heap always has its entry here first: an update or delete notes the
+    before image before it writes the slot, and an insert runs its heap
+    insert inside {!note_insert}, under the store lock, and notes the
+    new rid before the lock is released.  So a reader that finds a row
+    in the heap and no chain for it has found a committed row, as long
+    as no entry left that chain in between: an abort's {!discard} (after
+    its undo pass has put the heap back), {!drop_table} and {!clear}
+    move the table's epoch, and {!read} reads the heap again when the
+    epoch moved since the reader's heap pass began.
+
+    {b Lock order.}  The store lock is taken before a buffer-pool page
+    latch or a key index's latch ({!note_insert}'s heap and index
+    insert, {!read}'s heap re-read), and after [Db]'s transaction-table
+    lock (publication under the CSN bump).  No path takes the store lock
+    while it holds a page or index latch. *)
 
 module Tuple = Dw_relation.Tuple
 module Heap_file = Dw_storage.Heap_file
@@ -37,6 +54,15 @@ type t
 val create : unit -> t
 (** An empty store. *)
 
+type table
+(** One table's chains: the handle a writer notes and a reader resolves
+    through without naming the table again. *)
+
+val table : t -> string -> table
+(** The handle of a table's chains, created empty on first use.  It
+    stays the one the store consults until {!drop_table} of that name;
+    {!clear} empties it in place. *)
+
 val note :
   t -> tx:int -> table:string -> rid:Heap_file.rid -> image:Tuple.t option -> unit
 (** Record the pre-statement image of [(table, rid)] on behalf of writer
@@ -44,6 +70,18 @@ val note :
     transaction to a given rid matters — if [tx] already holds the
     pending head entry of the chain, the call is a no-op, so the chain
     keeps the image from before the transaction. *)
+
+val note_rows : t -> table -> tx:int -> (Heap_file.rid * Tuple.t) list -> unit
+(** {!note} of each [(rid, before image)] under one acquisition of the
+    store lock: a statement notes all its victims before its first heap
+    write. *)
+
+val note_insert :
+  t -> table -> tx:int -> (unit -> Heap_file.rid * 'a) -> Heap_file.rid * 'a
+(** [note_insert t tbl ~tx insert] runs [insert] (a heap insert that
+    returns the new rid) under the store lock and notes the rid as
+    absent before the lock is released, so no snapshot reader sees the
+    new row without its entry.  If [insert] raises, nothing is noted. *)
 
 val publish : t -> tx:int -> csn:int -> unit
 (** Stamp every pending entry of [tx] with commit sequence number [csn],
@@ -65,10 +103,28 @@ val resolve :
     the right answer; [`Image tuple] — the row existed with this content;
     [`Absent] — the row did not exist at [csn]. *)
 
+val epoch : t -> table -> int
+(** The table's epoch, which moves when an entry leaves a chain other
+    than by {!gc}.  A snapshot reader takes it before it reads the heap
+    and hands it to {!read}. *)
+
+val read :
+  t -> table -> csn:int -> epoch:int -> Heap_file.t -> Heap_file.rid -> Tuple.t option ->
+  Tuple.t option
+(** [read t tbl ~csn ~epoch heap rid current]: the row at [rid] a
+    snapshot at [csn] sees, where [current] is what the reader found in
+    [heap] at [rid] after taking [epoch]: the chain's image (or
+    absence) if an entry covers [csn], else [current], or the heap read
+    again under the store lock if the epoch has moved since.  One lock
+    per call. *)
+
 val iter_table : t -> table:string -> (Heap_file.rid -> unit) -> unit
 (** Every rid of [table] that currently has a chain.  Snapshot scans
     union these with the heap's rids so rows deleted (or moved out of an
     index range) after the snapshot are still found. *)
+
+val iter_rids : t -> table -> (Heap_file.rid -> unit) -> unit
+(** {!iter_table} through the handle. *)
 
 val entries : t -> int
 (** Live entries across all chains (pending + published), O(1). *)
@@ -87,4 +143,5 @@ val gc : t -> horizon:int -> int
     the newer entries of the chains they leave. *)
 
 val clear : t -> unit
-(** Empty the store (crash recovery / re-attach). *)
+(** Empty the store (crash recovery / re-attach).  Every {!table}
+    handle stays valid and empty. *)

@@ -857,6 +857,116 @@ let prop_snapshot_is_committed_prefix =
         QCheck2.Test.fail_reportf "seed %d: version store not drained" seed
       else true)
 
+(* ---------- an uncommitted insert against a snapshot scan ---------- *)
+
+(* The main domain inserts 50 new keys per transaction and aborts every
+   transaction, while a second domain runs snapshot scans of the table.
+   A new row's version entry must exist before the row is in the heap,
+   and an abort's undo must not leave a scan holding the row once its
+   entry is gone: no scan may ever return a key above the loaded ones. *)
+let snapshot_never_reads_an_aborted_insert () =
+  let rows = 20 in
+  let db = mk_db ~rows () in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let scans = ref 0 and dirty = ref 0 in
+        while not (Atomic.get stop) do
+          incr scans;
+          let snap = Db.begin_txn ~mode:`Snapshot db in
+          let uncommitted row = Value.compare row.(0) (Value.Int rows) > 0 in
+          if List.exists uncommitted (select_all db snap) then incr dirty;
+          Db.commit db snap
+        done;
+        (!scans, !dirty))
+  in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Unix.gettimeofday () < deadline do
+    let txn = Db.begin_txn db in
+    List.iter (exec db txn) (Workload.insert_parts_txn ~first_id:(rows + 1) ~size:50 ~day:0 ());
+    Db.abort db txn
+  done;
+  Atomic.set stop true;
+  let scans, dirty = Domain.join reader in
+  check Alcotest.bool "reader ran scans" true (scans > 0);
+  check Alcotest.int "scans that returned an aborted insert" 0 dirty;
+  check Alcotest.int "no entries left" 0 (Version_store.entries (Db.version_store db))
+
+(* ---------- statement-level version notes ---------- *)
+
+(* A statement notes all its victims before its first heap write.  A
+   range UPDATE whose fifth row collides on the primary key, in a
+   transaction that then aborts, leaves no entry, and snapshots taken
+   before and after it read the pre-statement rows; a snapshot begun
+   before a committed 50-row UPDATE reads all 50 before images; and
+   after a reopen an uncommitted UPDATE's before images still reach a
+   snapshot through the recovered table. *)
+let statement_notes_hold_before_images () =
+  let rows_where db snap where = sorted_rows (Db.select db snap "parts" ~where ()) in
+  let low = Expr.Cmp (Expr.Le, Expr.Col "part_id", Expr.Lit (Value.Int 10)) in
+  (* a failed statement, then an abort *)
+  let db = mk_db () in
+  Db.with_txn db (fun txn ->
+      List.iter (exec db txn) (Workload.insert_parts_txn ~first_id:105 ~size:1 ~day:0 ()));
+  let vs = Db.version_store db in
+  let before_snap = Db.begin_txn ~mode:`Snapshot db in
+  let pre = sorted_rows (select_all db before_snap) in
+  let txn = Db.begin_txn db in
+  (match Db.exec_sql db txn "UPDATE parts SET part_id = part_id + 100 WHERE part_id <= 10" with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "the colliding UPDATE succeeded");
+  let during_snap = Db.begin_txn ~mode:`Snapshot db in
+  check Alcotest.bool "the earlier snapshot reads the pre-statement rows" true
+    (sorted_rows (select_all db before_snap) = pre);
+  check Alcotest.bool "a snapshot under the failed statement reads them" true
+    (sorted_rows (select_all db during_snap) = pre);
+  Db.abort db txn;
+  check Alcotest.int "no entries after the abort" 0 (Version_store.entries vs);
+  let after_snap = Db.begin_txn ~mode:`Snapshot db in
+  List.iter
+    (fun snap ->
+      check Alcotest.bool "pre-statement rows after the abort" true
+        (sorted_rows (select_all db snap) = pre);
+      Db.commit db snap)
+    [ before_snap; during_snap; after_snap ];
+  (* a committed 50-row UPDATE under an older snapshot *)
+  let db = mk_db ~rows:50 () in
+  let snap = Db.begin_txn ~mode:`Snapshot db in
+  let pre = sorted_rows (select_all db snap) in
+  Db.with_txn db (fun txn ->
+      check Alcotest.int "50 rows updated" 50
+        (Db.update_where db txn "parts" ~set:[ ("qty", Expr.Lit (Value.Int 0)) ] ~where:None));
+  check Alcotest.int "one entry per updated row" 50
+    (Version_store.entries (Db.version_store db));
+  check Alcotest.bool "the snapshot reads all 50 before images" true
+    (sorted_rows (select_all db snap) = pre);
+  Db.commit db snap;
+  (* an uncommitted UPDATE after a reopen *)
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~vfs ~name:"db" () in
+  let _ = Workload.create_parts_table db in
+  Db.with_txn db (fun txn ->
+      List.iter (exec db txn) (Workload.insert_parts_txn ~first_id:1 ~size:10 ~day:0 ()));
+  Vfs.crash_reset vfs;
+  let db, _stats =
+    Db.reopen ~vfs ~name:"db" ~tables:[ ("parts", Workload.parts_schema, Some "last_modified") ] ()
+  in
+  let old_snap = Db.begin_txn ~mode:`Snapshot db in
+  let pre = rows_where db old_snap low in
+  let writer = Db.begin_txn db in
+  check Alcotest.int "10 rows updated" 10
+    (Db.update_where db writer "parts" ~set:[ ("qty", Expr.Lit (Value.Int 0)) ] ~where:(Some low));
+  let new_snap = Db.begin_txn ~mode:`Snapshot db in
+  let chained = ref 0 in
+  Version_store.iter_table (Db.version_store db) ~table:"parts" (fun _ -> incr chained);
+  check Alcotest.int "the store holds the recovered table's chains" 10 !chained;
+  List.iter
+    (fun snap ->
+      check Alcotest.bool "before images after the reopen" true (rows_where db snap low = pre);
+      Db.commit db snap)
+    [ old_snap; new_snap ];
+  Db.abort db writer
+
 let suite =
   [
     test "snapshot sees begin-time state" snapshot_sees_begin_state;
@@ -876,4 +986,6 @@ let suite =
     test "an emptied version store keeps no batch" emptied_store_keeps_no_batch;
     QCheck_alcotest.to_alcotest prop_version_store_matches_full_scan;
     QCheck_alcotest.to_alcotest prop_snapshot_is_committed_prefix;
+    test "a snapshot scan never reads an aborted insert" snapshot_never_reads_an_aborted_insert;
+    test "a statement's notes hold its before images" statement_notes_hold_before_images;
   ]
