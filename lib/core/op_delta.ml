@@ -91,29 +91,34 @@ let encode_field s =
     s;
   Buffer.contents buf
 
-let decode_field s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
+(* [s] from [start] to [stop] with its percent escapes resolved.  The
+   encoder writes '%' only as the first of three bytes, so a '%' that is
+   not followed by two hex digits inside the field is an error. *)
+let decode_field s start stop =
   let hex c =
     match c with
     | '0' .. '9' -> Char.code c - Char.code '0'
     | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> invalid_arg "bad percent escape"
+    | _ -> -1
   in
+  let buf = Buffer.create (stop - start) in
   let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        Buffer.add_char buf (Char.chr ((hex s.[i + 1] * 16) + hex s.[i + 2]));
+    if i >= stop then Ok (Buffer.contents buf)
+    else if s.[i] <> '%' then begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
+    else
+      let hi = if i + 2 < stop then hex s.[i + 1] else -1 in
+      let lo = if i + 2 < stop then hex s.[i + 2] else -1 in
+      if hi < 0 || lo < 0 then Error "bad percent escape"
+      else begin
+        Buffer.add_char buf (Char.chr ((hi * 16) + lo));
         go (i + 3)
       end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
   in
-  go 0;
-  Buffer.contents buf
+  go start
 
 let encode_line_sized ?(schema_of = fun _ -> None) t =
   let buf = Buffer.create 128 in
@@ -143,47 +148,72 @@ let encode_line_sized ?(schema_of = fun _ -> None) t =
 
 let encode_line ?schema_of t = fst (encode_line_sized ?schema_of t)
 
+(* the end of the op field part from [i]: the first tab or '#' in [s],
+   else its length; [escaped] is set when a '%' comes before it *)
+let rec field_end s i escaped =
+  if i >= String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '\t' | '#' -> i
+    | '%' ->
+      escaped := true;
+      field_end s (i + 1) escaped
+    | _ -> field_end s (i + 1) escaped
+
+(* A line is decoded where it lies, in one pass over its op fields: each
+   part (a statement, or a before image after a '#') is found by index,
+   and one that holds no '%' (no escaped byte) is parsed or decoded in
+   place; the rare one that does is unescaped into one copy first. *)
 let decode_line ?(schema_of = fun _ -> None) line =
-  match String.split_on_char '\t' line with
-  | [] | [ _ ] ->
-    if line = "" then Error "empty op-delta line"
-    else (
-      match int_of_string_opt line with
-      | Some txn_id -> Ok { txn_id; ops = [] }
-      | None -> Error "bad txn id")
-  | txn_field :: op_fields -> (
-      match int_of_string_opt txn_field with
-      | None -> Error (Printf.sprintf "bad txn id %S" txn_field)
-      | Some txn_id ->
-        let decode_op field =
-          match String.split_on_char '#' field with
-          | [] -> Error "empty op field"
-          | stmt_field :: image_fields -> (
-              match Parser.parse (decode_field stmt_field) with
-              | Error e -> Error e
-              | Ok stmt ->
-                let rec images acc = function
-                  | [] -> Ok (List.rev acc)
-                  | img :: rest -> (
-                      match schema_of (Ast.table_of stmt) with
-                      | None -> Error "before images present but no schema resolvable"
-                      | Some schema -> (
-                          match Codec.decode_ascii schema (decode_field img) with
-                          | Ok t -> images (t :: acc) rest
-                          | Error e -> Error e))
-                in
-                (match images [] image_fields with
-                 | Ok before_images -> Ok { stmt; before_images }
-                 | Error e -> Error e))
-        in
-        let rec go acc = function
-          | [] -> Ok { txn_id; ops = List.rev acc }
-          | field :: rest -> (
-              match decode_op field with
-              | Ok op -> go (op :: acc) rest
-              | Error e -> Error e)
-        in
-        go [] op_fields)
+  let n = String.length line in
+  let escaped = ref false and stop = ref 0 in
+  (* the part from [start], which ends at [!stop] *)
+  let part start decode =
+    escaped := false;
+    stop := field_end line start escaped;
+    if not !escaped then decode line start !stop
+    else
+      match decode_field line start !stop with
+      | Error e -> Error e
+      | Ok text -> decode text 0 (String.length text)
+  in
+  let stmt_at s start stop = Parser.parse_sub s ~off:start ~len:(stop - start) in
+  let rec images stmt acc =
+    if !stop < n && String.unsafe_get line !stop = '#' then
+      match schema_of (Ast.table_of stmt) with
+      | None -> Error "before images present but no schema resolvable"
+      | Some schema -> (
+          let image s off stop = Codec.decode_ascii_sub schema s ~off ~len:(stop - off) in
+          match part (!stop + 1) image with
+          | Ok t -> images stmt (t :: acc)
+          | Error e -> Error e)
+    else Ok { stmt; before_images = List.rev acc }
+  in
+  let tab = Option.value (String.index_opt line '\t') ~default:n in
+  let txn_id =
+    match Codec.small_int line 0 tab with
+    | Some _ as id -> id
+    | None -> int_of_string_opt (String.sub line 0 tab)
+  in
+  if tab = n then
+    if n = 0 then Error "empty op-delta line"
+    else match txn_id with Some txn_id -> Ok { txn_id; ops = [] } | None -> Error "bad txn id"
+  else
+    match txn_id with
+    | None -> Error (Printf.sprintf "bad txn id %S" (String.sub line 0 tab))
+    | Some txn_id ->
+      (* the op fields, each after a tab: a statement, then its images *)
+      let rec go acc start =
+        match part start stmt_at with
+        | Error e -> Error e
+        | Ok stmt -> (
+          match images stmt [] with
+          | Error e -> Error e
+          | Ok op ->
+            if !stop = n then Ok { txn_id; ops = List.rev (op :: acc) }
+            else go (op :: acc) (!stop + 1))
+      in
+      go [] (tab + 1)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>op-delta txn=%d:@," t.txn_id;

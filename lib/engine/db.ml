@@ -697,18 +697,24 @@ let snapshot_matching ?pages t txn rel where =
     end
   in
   let visit rid tuple = consider rid (Some tuple) in
+  (* the heap pass reads cold: a scan larger than the pool must not push
+     out the pages the refresh and other readers keep using *)
+  let heap_pass ~from_page ~to_page =
+    Heap_file.iter_pages ~cold:true heap ~from_page ~to_page visit
+  in
   let in_range =
     match pages with
     | None ->
+      let scan () = heap_pass ~from_page:0 ~to_page:(Heap_file.page_count heap) in
       (match t.plan_mode, where with
        | `Index_preferred, Some e -> (
            match key_bounds schema e with
-           | (None, None) -> Table.scan table visit
+           | (None, None) -> scan ()
            | (lo, hi) -> Table.key_range table ~lo ~hi visit)
-       | (`Scan_only | `Index_preferred), _ -> Table.scan table visit);
+       | (`Scan_only | `Index_preferred), _ -> scan ());
       fun _ -> true
     | Some (from_page, to_page) ->
-      Heap_file.iter_pages heap ~from_page ~to_page visit;
+      heap_pass ~from_page ~to_page;
       fun rid -> rid.Heap_file.page >= from_page && rid.Heap_file.page < to_page
   in
   (* rows the heap/index pass cannot surface — deleted since the snapshot,

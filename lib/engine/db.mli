@@ -194,13 +194,21 @@ val delete_through : t -> txn -> string -> Value.t -> int
 val select : t -> txn -> string -> ?where:Expr.t -> unit -> Tuple.t list
 (** Full tuples of matching rows, in rid order.  [`Read_write]: shared
     table lock.  [`Snapshot]: no lock; rows as of the transaction's
-    snapshot CSN. *)
+    snapshot CSN.
+
+    A [`Snapshot] select's heap pass (a full scan, not a key range) reads
+    its pages cold ({!Dw_storage.Buffer_pool.with_page} [~cold:true]): a
+    cached page keeps its place in the LRU order, and a page read in
+    enters at the victim end, so an OLAP scan of a table larger than the
+    pool does not evict the pages a refresh keeps using.  Every other
+    read, a [`Read_write] scan included, is warm. *)
 
 val select_pages :
   t -> txn -> Table.t -> ?where:Expr.t -> from_page:int -> to_page:int -> unit -> Tuple.t list
 (** {!select} on a [`Snapshot] transaction, limited to the rows in heap
     pages [[from_page, to_page)]: the heap pass scans only those pages,
-    and the version-chain pass keeps only their rids.  Concatenating
+    cold as {!select}'s does, and the version-chain pass keeps only their
+    rids.  Concatenating
     the results of contiguous ranges covering the table's pages at the
     time of the call gives {!select}'s list, since a row in a later page
     is invisible to the snapshot.  It reaches no statement boundary, so

@@ -69,6 +69,31 @@ let view_writes wh =
 let same_view_rows a b =
   List.equal (fun (r, n) (r', n') -> Tuple.equal r r' && n = n') a b
 
+(* An insert cell's two windows taken apart: decoding the wire form
+   (median of 5 batches of 10 decodes) and integrating the decoded delta,
+   each timed on its own.  Printed only; no gated key. *)
+let decode_split ~setup ~value_file ~line =
+  let of_ok = function Ok x -> x | Error e -> failwith ("W1: " ^ e) in
+  let decode_value () =
+    of_ok (Delta.of_file ~table:"parts" ~schema:Workload.parts_schema value_file)
+  in
+  let decode_op () = of_ok (Op_delta.decode_line line) in
+  let per_decode decode =
+    best_of ~setup:ignore (fun () ->
+        for _ = 1 to 10 do
+          ignore (Sys.opaque_identity (decode ()))
+        done)
+    /. 10.0
+  in
+  let delta = decode_value () and od = decode_op () in
+  let integrate apply = best_of ~setup (fun wh -> ignore (apply wh : Warehouse.stats)) in
+  let value_decode = per_decode decode_value and op_decode = per_decode decode_op in
+  let us t = Printf.sprintf "%.0fus" (t *. 1e6) in
+  [ us value_decode; us (integrate (fun wh -> Warehouse.integrate_value_delta wh delta));
+    us op_decode; us (integrate (fun wh -> Warehouse.integrate_op_deltas wh [ od ]));
+    Printf.sprintf "%.2fx" (op_decode /. value_decode);
+    Printf.sprintf "%d / %d" (String.length line) (String.length value_file) ]
+
 let run_w1 ~scale =
   section "W1: warehouse maintenance window - Op-Delta vs value delta";
   let table_rows = scaled 20_000 ~scale in
@@ -79,6 +104,7 @@ let run_w1 ~scale =
   (* a private registry: set_gauge mirrors into the dwbench sink *)
   let m = Metrics.create () in
   let rows = ref [] in
+  let splits = ref [] in
   let improvements = Hashtbl.create 4 in
   List.iter
     (fun kind ->
@@ -92,6 +118,8 @@ let run_w1 ~scale =
           let t_op, wh_op, s_op =
             timed_path ~setup (fun wh -> integrate_line wh line)
           in
+          if kind = Insert then
+            splits := (string_of_int size :: decode_split ~setup ~value_file ~line) :: !splits;
           (* both representations of one source transaction, applied to
              the rows it ran against, must leave the same view *)
           if
@@ -122,6 +150,11 @@ let run_w1 ~scale =
         sizes)
     op_kinds;
   print_table ~title:"Maintenance window per source transaction" ~header ~rows:(List.rev !rows);
+  print_table ~title:"Insert windows taken apart: decode, then integrate"
+    ~header:
+      [ "Txn size"; "file decode"; "file integrate"; "line decode"; "line integrate";
+        "decode line/file"; "bytes line / file" ]
+    ~rows:(List.rev !splits);
   let avg kind =
     let l = try Hashtbl.find improvements kind with Not_found -> [] in
     List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))

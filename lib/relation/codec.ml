@@ -199,26 +199,51 @@ let small_int s start stop =
     in
     go first 0
 
-(* An optional '-', digits, then optionally '.' and digits, 15 digits at
-   most: the decimal is [m / 10^k] with [m < 10^15 < 2^53] and [k <= 15],
-   both exact, so one IEEE division rounds it as [strtod] does. *)
+(* [m / 10^k] for an [m] of 16 to 18 digits, which may not be a double:
+   the quotient [y] of [m]'s nearest double.  The division's remainder is
+   a double, so one fused multiply-add gives it exactly, and with the
+   part of [m] the conversion dropped it gives [v - y] for the exact
+   decimal [v], to a relative 2^-51.  [y] is [v] correctly rounded when
+   that lies inside [y]'s rounding interval (half the gap to the
+   neighbour on [v]'s side) by more than the error; otherwise [None], and
+   [float_of_string] decides. *)
+let checked_quotient m k =
+  let p = pow10.(k) in
+  let mh = float_of_int m in
+  let y = mh /. p in
+  let r = Float.fma (-.y) p mh in
+  let dropped = float_of_int (m - int_of_float mh) in
+  let d = (r +. dropped) /. p in
+  let half = if d < 0.0 then (y -. Float.pred y) /. 2.0 else (Float.succ y -. y) /. 2.0 in
+  if y >= 0x1p-1000 && Float.abs d < half *. 0.999999 then Some y else None
+
+(* An optional '-', digits, then optionally '.' and digits, 18 digits at
+   most.  With 15 digits at most the decimal is [m / 10^k] with
+   [m < 10^15 < 2^53] and [k <= 15], both exact, so one IEEE division
+   rounds it as [strtod] does; 16 to 18 digits (the [%.17g] form) go
+   through [checked_quotient]. *)
 let short_float s start stop =
   let neg = start < stop && s.[start] = '-' in
   let first = if neg then start + 1 else start in
   (* [point]: the digits before the '.', or -1 before one is seen *)
   let rec go i m digits point =
     if i = stop then
-      if digits = 0 || digits > 15 || point = digits then None
+      if digits = 0 || digits > 18 || point = digits then None
       else
-        let v = float_of_int m /. pow10.(if point < 0 then 0 else digits - point) in
-        Some (if neg then -.v else v)
+        let k = if point < 0 then 0 else digits - point in
+        let v =
+          if digits <= 15 then Some (float_of_int m /. pow10.(k))
+          else if k < Array.length pow10 then checked_quotient m k
+          else None
+        in
+        match v with Some v when neg -> Some (-.v) | v -> v
     else
       match s.[i] with
       | '0' .. '9' as c -> go (i + 1) ((m * 10) + Char.code c - 48) (digits + 1) point
       | '.' when point < 0 && digits > 0 -> go (i + 1) m digits digits
       | _ -> None
   in
-  if stop - first > 16 then None else go first 0 0 (-1)
+  if stop - first > 19 then None else go first 0 0 (-1)
 
 (* one field of a record, [s] from [start] to [stop], still escaped *)
 let decode_field (col : Schema.column) s start stop =

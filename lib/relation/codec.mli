@@ -39,3 +39,18 @@ val decode_ascii : Schema.t -> string -> (Tuple.t, string) result
 val decode_ascii_sub : Schema.t -> string -> off:int -> len:int -> (Tuple.t, string) result
 (** {!decode_ascii} of the [len] bytes of the string at [off], read where
     they lie: a record inside a larger file. *)
+
+val small_int : string -> int -> int -> int option
+(** The integer [s] spells from [start] to [stop]: an optional ['-'] and
+    1..18 digits, which never overflow, read as [int_of_string] reads
+    them.  [None] for any other form; the caller falls back to
+    [int_of_string_opt]. *)
+
+val short_float : string -> int -> int -> float option
+(** The decimal [s] spells from [start] to [stop]: an optional ['-'],
+    digits, then optionally ['.'] and digits, 18 digits at most.  It reads
+    as [float_of_string] reads it, bit for bit: one division of two exact
+    doubles up to 15 digits, and from 16 digits (the [%.17g] form a SQL
+    float literal prints in) a division whose exact remainder shows it
+    rounded correctly.  [None] for any other form, and where that check
+    cannot tell. *)

@@ -3,13 +3,15 @@ module Value = Dw_relation.Value
 
 exception Parse_error of string
 
+(* the parser pulls its tokens from the cursor one at a time: [tok] is
+   the one it looks at *)
 type state = {
-  tokens : Lexer.token array;
-  mutable pos : int;
+  cursor : Lexer.cursor;
+  mutable tok : Lexer.token;
 }
 
-let peek st = st.tokens.(st.pos)
-let advance st = st.pos <- st.pos + 1
+let peek st = st.tok
+let advance st = st.tok <- Lexer.next st.cursor
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
@@ -145,12 +147,10 @@ and expr_atom st =
 
 (* statements *)
 
-let comma_sep st parse_item =
-  let rec loop acc =
-    let item = parse_item st in
-    if accept st Lexer.COMMA then loop (item :: acc) else List.rev (item :: acc)
-  in
-  loop []
+(* built in order, with no reversed copy *)
+let[@tail_mod_cons] rec comma_sep st parse_item =
+  let item = parse_item st in
+  if accept st Lexer.COMMA then item :: comma_sep st parse_item else [ item ]
 
 let where_clause st = if accept_kw st "WHERE" then Some (expr_or st) else None
 
@@ -218,6 +218,12 @@ let select_stmt st =
   in
   Ast.Select { items; table; where; group_by; order_by }
 
+let row st =
+  expect st Lexer.LPAREN;
+  let vs = comma_sep st literal in
+  expect st Lexer.RPAREN;
+  vs
+
 let insert_stmt st =
   expect_kw st "INSERT";
   expect_kw st "INTO";
@@ -232,12 +238,6 @@ let insert_stmt st =
     else None
   in
   expect_kw st "VALUES";
-  let row st =
-    expect st Lexer.LPAREN;
-    let vs = comma_sep st literal in
-    expect st Lexer.RPAREN;
-    vs
-  in
   let rows = comma_sep st row in
   Ast.Insert { table; columns; rows }
 
@@ -321,16 +321,27 @@ let finish st =
   | Lexer.EOF -> ()
   | tok -> fail "trailing input: %s" (Lexer.token_to_string tok)
 
-let run input parse_fn =
-  match Lexer.tokenize input with
-  | Error e -> Error e
-  | Ok tokens -> (
-      let st = { tokens = Array.of_list tokens; pos = 0 } in
-      try
-        let result = parse_fn st in
-        finish st;
-        Ok result
-      with Parse_error msg -> Error msg)
+(* A lex error anywhere in the text wins over a parse error, as when the
+   whole text was tokenized before parsing: a parse error lexes the rest
+   and reports the first lex error there, if any. *)
+let rec lex_rest cursor msg =
+  match Lexer.next cursor with
+  | Lexer.EOF -> Error msg
+  | _ -> lex_rest cursor msg
+  | exception Lexer.Lex_error e -> Error e
 
-let parse input = run input statement
-let parse_expr input = run input expr_or
+let run src ~off ~len parse_fn =
+  let cursor = Lexer.cursor src ~off ~len in
+  match
+    let st = { cursor; tok = Lexer.next cursor } in
+    let result = parse_fn st in
+    finish st;
+    result
+  with
+  | result -> Ok result
+  | exception Lexer.Lex_error e -> Error e
+  | exception Parse_error msg -> lex_rest cursor msg
+
+let parse_sub src ~off ~len = run src ~off ~len statement
+let parse input = parse_sub input ~off:0 ~len:(String.length input)
+let parse_expr input = run input ~off:0 ~len:(String.length input) expr_or

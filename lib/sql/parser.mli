@@ -18,6 +18,13 @@
     v} *)
 
 val parse : string -> (Ast.stmt, string) result
+(** Tokens are pulled from a {!Lexer.cursor} as the parser goes; no token
+    list is built.  A lex error anywhere in the text wins over a parse
+    error, as if the whole text were tokenized first. *)
+
+val parse_sub : string -> off:int -> len:int -> (Ast.stmt, string) result
+(** {!parse} of the [len] bytes of the string at [off], read where they
+    lie (a field of an Op-Delta line); error positions count from [off]. *)
 
 val parse_expr : string -> (Dw_relation.Expr.t, string) result
 (** Parse a standalone expression (used by tests). *)

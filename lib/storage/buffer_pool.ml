@@ -131,6 +131,15 @@ let push_mru sp i =
   sp.mru <- i;
   if sp.lru = -1 then sp.lru <- i
 
+(* a cold page enters at the victim end *)
+let push_lru sp i =
+  let f = sp.frames.(i) in
+  f.next <- -1;
+  f.prev <- sp.lru;
+  (match sp.lru with -1 -> () | l -> sp.frames.(l).next <- i);
+  sp.lru <- i;
+  if sp.mru = -1 then sp.mru <- i
+
 let touch sp i =
   if sp.mru <> i then begin
     unlink sp i;
@@ -155,7 +164,7 @@ let victim sp =
   | [] -> sp.lru
 
 (* a miss: evict the victim (writing it back if dirty), read the page *)
-let fault_in t sp file pno key =
+let fault_in ~cold t sp file pno key =
   let idx = victim sp in
   let frame = sp.frames.(idx) in
   if frame.valid then begin
@@ -171,21 +180,21 @@ let fault_in t sp file pno key =
   frame.dirty <- false;
   frame.file <- Some file;
   Key_table.replace sp.table key idx;
-  push_mru sp idx;
+  if cold then push_lru sp idx else push_mru sp idx;
   frame
 
-let load t sp file pno =
+let load ?(cold = false) t sp file pno =
   let key = key_of file pno in
   match Key_table.find_opt sp.table key with
   | Some idx ->
     Metrics.bump t.h.hits 1;
-    touch sp idx;
+    if not cold then touch sp idx;
     sp.frames.(idx)
   | None ->
     Metrics.bump t.h.misses 1;
     let m = Vfs.metrics t.vfs in
     let started = Metrics.now m in
-    (match fault_in t sp file pno key with
+    (match fault_in ~cold t sp file pno key with
      | frame ->
        Metrics.record t.h.miss_hist (Metrics.now m -. started);
        frame
@@ -194,14 +203,14 @@ let load t sp file pno =
        Metrics.record t.h.miss_hist (Metrics.now m -. started);
        Printexc.raise_with_backtrace e bt)
 
-let with_page t file pno ~dirty f =
+let with_page ?cold t file pno ~dirty f =
   if pno < 0 || pno >= page_count t file then
     invalid_arg
       (Printf.sprintf "Buffer_pool.with_page: page %d outside file %s (%d pages)" pno
          (Vfs.name file) (page_count t file));
   let sp = stripe_for t file pno in
   locked sp.stripe_lock (fun () ->
-      let frame = load t sp file pno in
+      let frame = load ?cold t sp file pno in
       if dirty then frame.dirty <- true;
       f frame.data)
 

@@ -39,12 +39,21 @@ val capacity : t -> int
 val page_count : t -> Vfs.file -> int
 (** Number of pages currently in the file (size / page size). *)
 
-val with_page : t -> Vfs.file -> int -> dirty:bool -> (bytes -> 'a) -> 'a
+val with_page : ?cold:bool -> t -> Vfs.file -> int -> dirty:bool -> (bytes -> 'a) -> 'a
 (** [with_page t file pno ~dirty f] runs [f] on the frame holding page
     [pno] of [file], faulting it in if needed.  If [dirty] the frame is
     marked dirty and written back on eviction or {!flush}.  The bytes must
     not be retained after [f] returns.  Raises [Invalid_argument] if [pno]
-    is outside the file. *)
+    is outside the file.
+
+    [~cold:true] reads the page without claiming the cache: a hit does not
+    move its frame, and a miss enters at the LRU end, so the next miss of
+    the stripe takes that frame first.  A full scan read cold (a snapshot
+    reader's heap pass) therefore cycles through one frame once the pool
+    is full, and leaves the pages other callers use where they were.
+    Both count in [pool.hits] and [pool.misses] as warm reads do.  Every
+    other read is warm (the default): a hit moves the frame to the MRU
+    end, and a miss enters there. *)
 
 val append_page : t -> Vfs.file -> (bytes -> unit) -> int
 (** Extend the file by one zeroed page, run the initialiser on it in the

@@ -45,11 +45,12 @@ val delete : t -> rid -> bytes
 val iter : t -> (rid -> Tuple.t -> unit) -> unit
 (** Full scan in page order. *)
 
-val iter_pages : t -> from_page:int -> to_page:int -> (rid -> Tuple.t -> unit) -> unit
+val iter_pages :
+  ?cold:bool -> t -> from_page:int -> to_page:int -> (rid -> Tuple.t -> unit) -> unit
 (** Scan pages [from_page, to_page) in page order (clamped to the file),
     copying each page's records out under its frame latch and decoding
     outside it — the unit of work a partitioned parallel scan hands one
-    domain. *)
+    domain.  [~cold:true] reads each page cold ({!Buffer_pool.with_page}). *)
 
 val count : t -> int
 (** Number of live records (scans). *)

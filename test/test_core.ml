@@ -950,6 +950,55 @@ let prop_extractors_sound =
       rows_equal (List.sort Tuple.compare (Delta.apply_to_rows trigger_delta before)) after
       && rows_equal (List.sort Tuple.compare (Delta.apply_to_rows log_delta before)) after)
 
+(* The encoder writes '%' only as a three-byte escape: a '%' before a
+   non-hex byte, or too close to its field's end, is a decode error, not
+   an exception, and the pipeline and the bootstrap report it *)
+let bad_percent_escape_is_an_error () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let schema_of name = if name = "parts" then Some schema else None in
+  let insert text = Printf.sprintf "7\tINSERT INTO parts VALUES (1, '%s')" text in
+  List.iter
+    (fun line ->
+      match Op_delta.decode_line ~schema_of line with
+      | Error e -> check Alcotest.string line "bad percent escape" e
+      | Ok _ -> Alcotest.failf "%S decoded" line)
+    [ insert "a%zzb"; insert "a%4"; "7\tDELETE FROM parts%4"; "7\tDELETE FROM parts%";
+      "7\tDELETE FROM parts WHERE part_id = 1#1|a%zz|2"; "7\tDELETE FROM parts#1|a%4" ];
+  (* a pipeline round over a file log holding such a line returns it *)
+  let src = Db.create ~vfs:(Vfs.in_memory ()) ~name:"src" () in
+  ignore (Workload.create_parts_table src : Table.t);
+  let wh = Dw_warehouse.Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
+  Dw_warehouse.Warehouse.add_replica wh ~table:"parts" ~schema;
+  let pipe =
+    Dw_etl.Pipeline.create ~source:src ~warehouse:wh ~table:"parts"
+      ~method_:Dw_etl.Pipeline.Op_delta_wrapper ~transport:Dw_etl.Pipeline.Direct ()
+  in
+  let log = Vfs.open_or_create (Db.vfs src) "pipeline.parts.oplog" in
+  ignore (Vfs.append log (Bytes.of_string (insert "a%zzb" ^ "\n")) : int);
+  Vfs.close log;
+  (match Dw_etl.Pipeline.run_round pipe with
+   | Error e -> check Alcotest.bool ("pipeline: " ^ e) true (contains e "bad percent escape")
+   | Ok _ -> Alcotest.fail "the pipeline integrated an undecodable line");
+  (* a bootstrap that drains such a frame aborts with it *)
+  let module EB = Dw_experiments.Exp_bootstrap in
+  let env = EB.mk_env { EB.rows = 10; commits = 0; chunk = 4; seed = 1 } in
+  Dw_transport.Persistent_queue.enqueue env.EB.queue
+    (Dw_transport.Frame.encode (Dw_transport.Frame.Data (insert "a%4")));
+  match
+    Result.bind
+      (Dw_etl.Bootstrap.start ~owner:"t" ~source:env.EB.src ~capture:env.EB.cap ~table:"parts"
+         ~queue:env.EB.queue ~warehouse:env.EB.wh ())
+      Dw_etl.Bootstrap.run
+  with
+  | Error (Dw_etl.Bootstrap.Failed e) ->
+    check Alcotest.bool ("bootstrap: " ^ e) true (contains e "bad percent escape")
+  | Error (Dw_etl.Bootstrap.Lease_held _) -> Alcotest.fail "lease held"
+  | Ok _ -> Alcotest.fail "the bootstrap applied an undecodable frame"
+
 let suite =
   [
     test "delta sizes" delta_sizes;
@@ -997,4 +1046,5 @@ let suite =
     test "transform stmt rewrites" transform_stmt_rewrites;
     test "transform insert projection" transform_insert_projection;
     QCheck_alcotest.to_alcotest prop_extractors_sound;
+    test "a bad percent escape is a decode error" bad_percent_escape_is_an_error;
   ]

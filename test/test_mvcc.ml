@@ -967,6 +967,43 @@ let statement_notes_hold_before_images () =
     [ old_snap; new_snap ];
   Db.abort db writer
 
+(* an OLAP scan of a table larger than the pool reads its pages cold, so
+   the pages a refresh just wrote stay cached *)
+let snapshot_scan_keeps_writer_pages () =
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~pool_pages:16 ~vfs ~name:"db" () in
+  let _ = Workload.create_parts_table db in
+  Workload.load_parts db ~rows:3_000 ();
+  let heap = Table.heap (Db.table db "parts") in
+  check Alcotest.bool "the table is larger than the pool" true (Heap_file.page_count heap > 32);
+  let key = [| Value.Int 1_500 |] in
+  let read_row () =
+    Db.with_txn db (fun txn -> ignore (Db.find_by_key db txn "parts" key : _ option))
+  in
+  Db.with_txn db (fun txn ->
+      exec db txn (Workload.update_parts_stmt ~first_id:1_500 ~size:1));
+  read_row ();
+  let misses () = Metrics.get (Db.metrics db) "pool.misses" in
+  List.iter
+    (fun where ->
+      let snap = Db.begin_txn ~mode:`Snapshot db in
+      check Alcotest.int "the scan reads every row" 3_000
+        (List.length (Db.select db snap "parts" ?where ()));
+      Db.commit db snap;
+      let before = misses () in
+      read_row ();
+      check Alcotest.int "the written row's pages are still cached" before (misses ()))
+    [ None; Some (Expr.Cmp (Expr.Ge, Expr.Col "qty", Expr.Lit (Value.Int 0))) ];
+  (* a partitioned scan's page ranges read cold too *)
+  let snap = Db.begin_txn ~mode:`Snapshot db in
+  let pages = Heap_file.page_count heap in
+  check Alcotest.int "the page ranges read every row" 3_000
+    (List.length (Db.select_pages db snap (Db.table db "parts") ~from_page:0 ~to_page:pages ()));
+  Db.commit db snap;
+  let before = misses () in
+  read_row ();
+  check Alcotest.int "still cached after the page ranges" before (misses ())
+
 let suite =
   [
     test "snapshot sees begin-time state" snapshot_sees_begin_state;
@@ -988,4 +1025,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_snapshot_is_committed_prefix;
     test "a snapshot scan never reads an aborted insert" snapshot_never_reads_an_aborted_insert;
     test "a statement's notes hold its before images" statement_notes_hold_before_images;
+    test "a snapshot scan leaves a writer's pages cached" snapshot_scan_keeps_writer_pages;
   ]

@@ -1770,6 +1770,240 @@ let prop_update_logs_before_image =
            (fun key image ok -> ok && Bytes.equal image (Hashtbl.find slot key))
            logged true)
 
+(* ---------- Op-Delta lines: decoded in place vs split and copied ---------- *)
+
+(* [Op_delta.decode_line] as it was: split the line on tabs and each op
+   field on '#', unescape every field into a copy, lex the statement into
+   a list ([ref_tokenize]: its first lex error wins) and parse the copy.
+   Its field decoder returns the error a '%' that starts no two-hex-digit
+   escape now gives, where the old one raised or kept the '%'. *)
+let ref_decode_field s =
+  let n = String.length s in
+  let hex c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - Char.code '0')
+    | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+    | _ -> None
+  in
+  let buf = Buffer.create n in
+  let rec go i =
+    if i >= n then Ok (Buffer.contents buf)
+    else if s.[i] <> '%' then begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
+    else if i + 2 >= n then Error "bad percent escape"
+    else
+      match hex s.[i + 1], hex s.[i + 2] with
+      | Some hi, Some lo ->
+        Buffer.add_char buf (Char.chr ((hi * 16) + lo));
+        go (i + 3)
+      | _ -> Error "bad percent escape"
+  in
+  go 0
+
+let ref_decode_line ~schema_of line =
+  let parse text = match ref_tokenize text with Error e -> Error e | Ok _ -> Parser.parse text in
+  match String.split_on_char '\t' line with
+  | [] | [ _ ] ->
+    if line = "" then Error "empty op-delta line"
+    else (
+      match int_of_string_opt line with
+      | Some txn_id -> Ok { Op_delta.txn_id; ops = [] }
+      | None -> Error "bad txn id")
+  | txn_field :: op_fields -> (
+      match int_of_string_opt txn_field with
+      | None -> Error (Printf.sprintf "bad txn id %S" txn_field)
+      | Some txn_id ->
+        let decode_op field =
+          match String.split_on_char '#' field with
+          | [] -> Error "empty op field"
+          | stmt_field :: image_fields -> (
+              match Result.bind (ref_decode_field stmt_field) parse with
+              | Error e -> Error e
+              | Ok stmt ->
+                let rec images acc = function
+                  | [] -> Ok (List.rev acc)
+                  | img :: rest -> (
+                      match schema_of (Ast.table_of stmt) with
+                      | None -> Error "before images present but no schema resolvable"
+                      | Some schema -> (
+                          match Result.bind (ref_decode_field img) (Codec.decode_ascii schema) with
+                          | Ok t -> images (t :: acc) rest
+                          | Error e -> Error e))
+                in
+                Result.map
+                  (fun before_images -> { Op_delta.stmt; before_images })
+                  (images [] image_fields))
+        in
+        let rec go acc = function
+          | [] -> Ok { Op_delta.txn_id; ops = List.rev acc }
+          | field :: rest -> (
+              match decode_op field with Ok op -> go (op :: acc) rest | Error e -> Error e)
+        in
+        go [] op_fields)
+
+(* strings holding every byte the line and the record codecs escape *)
+let gen_wire_string =
+  QCheck2.Gen.(
+    string_size (int_range 0 12)
+      ~gen:
+        (frequency
+           [
+             (3, char_range 'a' 'z');
+             (2, oneofl [ '%'; '#'; '\t'; '\n'; '\''; '|'; '\\'; ' '; '0'; 'F' ]);
+           ]))
+
+let gen_wire_int =
+  QCheck2.Gen.(
+    oneof [ int_range (-1000) 1000; oneofl [ max_int; min_int + 1; -999_999_999_999_999_999 ] ])
+
+let gen_parts_image =
+  QCheck2.Gen.(
+    map
+      (fun ((id, descr), (qty, price, day)) ->
+        [| Value.Int id; Value.Str descr; Value.Int qty; Value.Float price; Value.Date day |])
+      (pair (pair gen_wire_int gen_wire_string)
+         (triple gen_wire_int Test_sql.gen_finite_float (int_range 0 20000))))
+
+(* one op and its before images: any generated statement, an INSERT of
+   escaped strings and extreme numbers, or an UPDATE or DELETE of parts
+   with images *)
+let gen_wire_op =
+  QCheck2.Gen.(
+    let value =
+      oneof
+        [
+          map (fun n -> Value.Int n) gen_wire_int;
+          map (fun f -> Value.Float f) Test_sql.gen_finite_float;
+          map (fun s -> Value.Str s) gen_wire_string;
+          map (fun d -> Value.Date d) (int_range 0 20000);
+          return Value.Null;
+        ]
+    in
+    let images = list_size (int_range 0 3) gen_parts_image in
+    oneof
+      [
+        map (fun stmt -> (stmt, [])) Test_sql.gen_stmt;
+        map
+          (fun rows -> (Ast.Insert { table = "parts"; columns = None; rows }, []))
+          (list_size (int_range 1 3) (list_size (int_range 1 5) value));
+        map2
+          (fun (first_id, size) images ->
+            (Workload.update_parts_stmt ~first_id ~size, images))
+          (pair gen_wire_int (int_range 1 50)) images;
+        map2
+          (fun (first_id, size) images ->
+            (Workload.delete_parts_stmt ~first_id ~size, images))
+          (pair gen_wire_int (int_range 1 50)) images;
+      ])
+
+(* a line damaged at one spot: a byte either codec treats specially, a
+   19-digit int, a broken escape, a case flip of every letter from there
+   on (keywords, hex digits, identifiers and bools alike), or a deletion *)
+let damage line (kind, frac, c) =
+  let n = String.length line in
+  let at = int_of_float (frac *. float_of_int n) in
+  let before = String.sub line 0 at and after = String.sub line at (n - at) in
+  match kind with
+  | 0 -> before ^ String.make 1 c ^ after
+  | 1 -> before ^ "9999999999999999999" ^ after
+  | 2 when c = '%' ->
+    (* a truncated escape at the end of the field *)
+    let rec field_end i = if i >= n || line.[i] = '\t' || line.[i] = '#' then i else field_end (i + 1) in
+    let e = field_end at in
+    String.sub line 0 e ^ "%4" ^ String.sub line e (n - e)
+  | 2 -> before ^ "%z" ^ String.make 1 c ^ after
+  | 3 ->
+    before
+    ^ String.mapi
+        (fun i ch -> if i mod 2 = 0 then Char.uppercase_ascii ch else Char.lowercase_ascii ch)
+        (String.lowercase_ascii after)
+  | _ -> if at < n then before ^ String.sub after 1 (n - at - 1) else before
+
+let gen_wire_line =
+  QCheck2.Gen.(
+    let schema_of name = if name = "parts" then Some Workload.parts_schema else None in
+    let encoded =
+      map2
+        (fun txn_id ops -> Op_delta.encode_line ~schema_of (Op_delta.with_before_images ~txn_id ops))
+        gen_wire_int (list_size (int_range 0 4) gen_wire_op)
+    in
+    let hit =
+      triple (int_range 0 4) (float_bound_exclusive 1.0)
+        (oneofl [ '%'; '#'; '\t'; '\''; '-'; '.'; 'e'; '9'; '@'; '('; 'x' ])
+    in
+    frequency
+      [
+        (3, encoded);
+        (3, map2 (List.fold_left damage) encoded (list_size (int_range 1 2) hit));
+        (1, map2 (fun txn text -> txn ^ "\t" ^ text) (oneofl [ "1"; "-4"; "x" ]) gen_sqlish);
+      ])
+
+let prop_line_decodes_in_place =
+  let schema_of name = if name = "parts" then Some Workload.parts_schema else None in
+  let same (a : Op_delta.t) (b : Op_delta.t) =
+    a.txn_id = b.txn_id
+    && List.equal
+         (fun (x : Op_delta.op) (y : Op_delta.op) ->
+           Ast.equal x.stmt y.stmt && List.equal Tuple.equal x.before_images y.before_images)
+         a.ops b.ops
+  in
+  QCheck2.Test.make ~name:"an Op-Delta line decodes in place as split and copied" ~count:1000
+    ~print:(Printf.sprintf "%S") gen_wire_line (fun line ->
+      match Op_delta.decode_line ~schema_of line, ref_decode_line ~schema_of line with
+      | Ok got, Ok want -> same got want
+      | Error got, Error want -> String.equal got want
+      | Ok _, Error e | Error e, Ok _ -> QCheck2.Test.fail_reportf "only one side failed: %s" e)
+
+(* ---------- long decimals: the checked quotient vs strtod ---------- *)
+
+(* the 18 significant digits [%.17e] prints for [f], as an int, and the
+   power of ten of the first *)
+let digits18 f =
+  let s = Printf.sprintf "%.17e" f in
+  let e = String.index s 'e' in
+  (int_of_string (String.sub s 0 1 ^ String.sub s 2 17), int_of_string (String.sub s (e + 1) (String.length s - e - 1)))
+
+(* [m], of [n] digits, as a plain decimal whose first digit is worth 10^[exp] *)
+let plain_decimal m n exp =
+  let digits = string_of_int m in
+  let digits = String.make (max 0 (n - String.length digits)) '0' ^ digits in
+  if exp >= n - 1 then digits ^ String.make (exp - n + 1) '0'
+  else if exp >= 0 then String.sub digits 0 (exp + 1) ^ "." ^ String.sub digits (exp + 1) (n - exp - 1)
+  else "0." ^ String.make (-exp - 1) '0' ^ digits
+
+(* 16 to 19 digit decimals anywhere (19 digits overflow the reader's
+   int), and 18 digit ones within a few units of the midpoint between a
+   double and the next one up, where the quotient's rounding is closest
+   to a tie *)
+let gen_long_decimal =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2
+          (fun digits at ->
+            let n = String.length digits in
+            if at >= n then digits else String.sub digits 0 at ^ "." ^ String.sub digits at (n - at))
+          (string_size ~gen:(char_range '0' '9') (int_range 16 19))
+          (int_range 1 20);
+        map2
+          (fun f off ->
+            let lo, exp = digits18 f and hi, exp' = digits18 (Float.succ f) in
+            plain_decimal ((lo + (if exp = exp' then hi else lo)) / 2 + off) 18 exp)
+          (map (fun f -> Float.abs f) Test_sql.gen_finite_float |> map (fun f ->
+               if f < 1e-3 || f > 1e17 then 466.57 else f))
+          (int_range (-3) 3);
+      ])
+
+let prop_long_decimal_reads_as_strtod =
+  QCheck2.Test.make ~name:"a 16 to 19 digit decimal reads as float_of_string reads it"
+    ~count:2000 ~print:Fun.id gen_long_decimal (fun s ->
+      match Codec.short_float s 0 (String.length s) with
+      | None -> true
+      | Some v -> Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float (float_of_string s)))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_printers_match;
@@ -1790,4 +2024,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_file_matches_lines;
     QCheck_alcotest.to_alcotest prop_range_delete_matches_where;
     QCheck_alcotest.to_alcotest prop_update_logs_before_image;
+    QCheck_alcotest.to_alcotest prop_line_decodes_in_place;
+    QCheck_alcotest.to_alcotest prop_long_decimal_reads_as_strtod;
   ]
