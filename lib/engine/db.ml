@@ -6,6 +6,7 @@ module Codec = Dw_relation.Codec
 module Vfs = Dw_storage.Vfs
 module Buffer_pool = Dw_storage.Buffer_pool
 module Heap_file = Dw_storage.Heap_file
+module Page = Dw_storage.Page
 module Wal = Dw_txn.Wal
 module Group_commit = Dw_txn.Group_commit
 module Log_record = Dw_txn.Log_record
@@ -664,26 +665,67 @@ let delete_through t txn tname v =
           logged_free t txn rel rid ~before free))
 
 (* snapshot read path: resolve each candidate rid through the version
-   store; readers take no locks and are never blocked.  A reader takes
-   the table's version-store epoch before its heap pass, so a row image
-   it read there that an abort has since undone is read again *)
+   store; readers take no locks and are never blocked.
 
-(* The rows of [rel] visible at [txn]'s snapshot that satisfy [where],
-   in rid order: a heap (or key-index) pass, then a version-chain pass.
-   [pages] limits both passes to the rows in heap pages [[from, to)]:
-   a partitioned scan runs one such range per domain, so this takes no
-   lock and reaches no statement boundary. *)
-let snapshot_matching ?pages t txn rel where =
-  let table = rel.table in
-  let schema = Table.schema table in
-  let heap = Table.heap table in
-  let keep =
-    match where with
-    | None -> fun _ -> true
-    | Some e ->
-      check_columns schema e;
-      Expr.compile_pred schema e
+   A full scan goes a page at a time: copy the page (a cold read, so
+   the scan takes no frame), then resolve all of its slots under one
+   version-store lock, then visit the visible records in slot order.
+   That is exact for the page, for three reasons.
+   - A row in the copy whose slot has no chain entry covering the
+     snapshot is committed at or before it: every write notes its
+     before image before the heap changes (an insert stores its row and
+     notes its rid under one store lock), and an entry that covers the
+     snapshot outlives the reader (gc keeps it).  So a row freed or
+     changed before the copy was noted before that, and the resolution
+     after the copy finds its image.  Free slots are resolved too, so a
+     row deleted since the snapshot comes back from its chain.
+   - The one way an entry leaves a chain other than by gc is an abort's
+     discard, after its undo pass has put the heap back, and it moves
+     the table's epoch.  The epoch is read before the copy (for each
+     page, under the previous page's resolution lock); if it moved, the
+     resolution reads every slot of the page that has no covering entry
+     again from the heap through the pool, under the store lock.
+   - A page appended after the scan began holds nothing the snapshot
+     can see, so the page count is read once at the start.
+   Pages and slots go in order, so the records come in rid order. *)
+
+(* every record of [rel] in heap pages [[from_page, to_page)] visible at
+   [txn]'s snapshot, in rid order: [visit buf off] sees one where it
+   lies, in the page copy, or in a scratch record for a chain image *)
+let snapshot_records t txn rel ~from_page ~to_page visit =
+  let heap = Table.heap rel.table in
+  let schema = Table.schema rel.table in
+  let csn = txn.snapshot_csn in
+  let page = Bytes.create Page.size in
+  let scratch = Bytes.create (Schema.record_size schema) in
+  let versions =
+    Array.make (Page.max_records_per_page ~record_width:(Schema.record_size schema)) None
   in
+  let slots = Array.length versions in
+  let epoch = ref (Version_store.epoch t.vstore rel.chains) in
+  for pno = max 0 from_page to min to_page (Heap_file.page_count heap) - 1 do
+    Heap_file.copy_page heap pno page;
+    epoch := Version_store.read_page t.vstore rel.chains ~csn ~epoch:!epoch heap ~page:pno versions;
+    (* a page being appended reads as zeros from the device: no slot *)
+    let formatted = Page.capacity page = slots in
+    for slot = 0 to slots - 1 do
+      match versions.(slot) with
+      | None ->
+        if formatted && Page.is_used page slot then visit page (Page.slot_off page slot)
+      | Some None -> ()
+      | Some (Some tuple) ->
+        Codec.encode_binary_into schema tuple scratch 0;
+        visit scratch 0
+    done
+  done
+
+(* The rows of [rel] visible at [txn]'s snapshot in the key range
+   [lo, hi] that satisfy [where], in rid order: a key-index pass, then
+   a version-chain pass *)
+let snapshot_key_range t txn rel ~lo ~hi where =
+  let table = rel.table in
+  let heap = Table.heap table in
+  let keep = Expr.compile_pred (Table.schema table) where in
   let csn = txn.snapshot_csn in
   let epoch = Version_store.epoch t.vstore rel.chains in
   let seen = Hashtbl.create 64 in
@@ -696,32 +738,13 @@ let snapshot_matching ?pages t txn rel where =
       | Some _ | None -> ()
     end
   in
-  let visit rid tuple = consider rid (Some tuple) in
-  (* the heap pass reads cold: a scan larger than the pool must not push
-     out the pages the refresh and other readers keep using *)
-  let heap_pass ~from_page ~to_page =
-    Heap_file.iter_pages ~cold:true heap ~from_page ~to_page visit
-  in
-  let in_range =
-    match pages with
-    | None ->
-      let scan () = heap_pass ~from_page:0 ~to_page:(Heap_file.page_count heap) in
-      (match t.plan_mode, where with
-       | `Index_preferred, Some e -> (
-           match key_bounds schema e with
-           | (None, None) -> scan ()
-           | (lo, hi) -> Table.key_range table ~lo ~hi visit)
-       | (`Scan_only | `Index_preferred), _ -> scan ());
-      fun _ -> true
-    | Some (from_page, to_page) ->
-      heap_pass ~from_page ~to_page;
-      fun rid -> rid.Heap_file.page >= from_page && rid.Heap_file.page < to_page
-  in
-  (* rows the heap/index pass cannot surface — deleted since the snapshot,
+  Table.key_range table ~lo ~hi (fun rid tuple -> consider rid (Some tuple));
+  (* rows the index pass cannot surface — deleted since the snapshot,
      or re-keyed out of the index bounds — still have version chains *)
   Version_store.iter_rids t.vstore rel.chains (fun rid ->
-      if in_range rid && not (Hashtbl.mem seen rid) then consider rid (Heap_file.get_opt heap rid));
+      if not (Hashtbl.mem seen rid) then consider rid (Heap_file.get_opt heap rid));
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !acc
+  |> List.map snd
 
 let snapshot_find_by_key t txn rel key =
   let table = rel.table in
@@ -789,6 +812,135 @@ let delete_row t txn tname ((rid, before) as found) =
   note t txn rel [ found ];
   logged_delete t txn rel rid ~before
 
+(* ---- records as the scan hands them over ---- *)
+
+(* a record being read: where its bytes lie, and its tuple once
+   something that does not read the bytes in place needed it (decoded
+   at most once per record) *)
+type cursor = {
+  schema : Schema.t;
+  mutable buf : bytes;
+  mutable off : int;
+  mutable tuple : Tuple.t;  (* [no_tuple] until decoded *)
+}
+
+(* a schema has a column, so no decoded tuple is this one *)
+let no_tuple : Tuple.t = [||]
+
+let cursor schema = { schema; buf = Bytes.empty; off = 0; tuple = no_tuple }
+
+let at c buf off =
+  c.buf <- buf;
+  c.off <- off;
+  c.tuple <- no_tuple
+
+let tuple_of c =
+  if c.tuple == no_tuple then c.tuple <- Codec.decode_binary c.schema c.buf c.off;
+  c.tuple
+
+(* a column read where it lies: its null bit and its field's offset *)
+type field = { col : int; pos : int }
+
+let field schema col = { col; pos = Codec.column_offset schema col }
+
+(* small enough to inline, so a float read stays unboxed *)
+let[@inline] null_in c f =
+  Char.code (Bytes.get c.buf (c.off + (f.col lsr 3))) land (1 lsl (f.col land 7)) <> 0
+
+let[@inline] int_in c f = Int64.to_int (Bytes.get_int64_le c.buf (c.off + f.pos))
+let[@inline] float_in c f = Int64.float_of_bits (Bytes.get_int64_le c.buf (c.off + f.pos))
+
+let cmp_holds (op : Expr.cmp) c =
+  match op with
+  | Eq -> c = 0
+  | Neq -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
+let flip (op : Expr.cmp) : Expr.cmp =
+  match op with Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | (Eq | Neq) as op -> op
+
+(* [col op lit] read in place, as [Expr]'s comparison evaluates it: false
+   on a NULL, else [Value.compare] of the column's value and [lit] *)
+let typed_cmp schema col op lit =
+  Option.bind (Schema.index_of_opt schema col) @@ fun i ->
+  let f = field schema i in
+  let test cmp = Some (fun c -> (not (null_in c f)) && cmp_holds op (cmp c)) in
+  match (Schema.column schema i).Schema.ty, lit with
+  | _, Value.Null -> Some (fun _ -> false)
+  | Value.Tint, Value.Int y | Value.Tdate, Value.Date y -> test (fun c -> Int.compare (int_in c f) y)
+  | Value.Tint, Value.Float y -> test (fun c -> Float.compare (float_of_int (int_in c f)) y)
+  | Value.Tfloat, Value.Float y -> test (fun c -> Float.compare (float_in c f) y)
+  | Value.Tfloat, Value.Int n ->
+    let y = float_of_int n in
+    test (fun c -> Float.compare (float_in c f) y)
+  | ((Value.Tint | Value.Tdate | Value.Tfloat) as ty), _ ->
+    (* a literal of another kind compares by kind alone *)
+    let sample = match ty with Value.Tdate -> Value.Date 0 | _ -> Value.Int 0 in
+    let by_kind = Value.compare sample lit in
+    test (fun _ -> by_kind)
+  | (Value.Tbool | Value.Tstring _), _ -> None
+
+(* a predicate read in place when it is built only of comparisons of an
+   INT, DATE or FLOAT column with a literal, NULL tests of a column, AND,
+   OR and NOT; none of these raises, so short cuts change nothing *)
+let rec typed_pred schema (e : Expr.t) =
+  let both a b k = match typed_pred schema a, typed_pred schema b with
+    | Some fa, Some fb -> Some (k fa fb)
+    | _ -> None
+  in
+  match e with
+  | Cmp (op, Col col, Lit v) -> typed_cmp schema col op v
+  | Cmp (op, Lit v, Col col) -> typed_cmp schema col (flip op) v
+  | And (a, b) -> both a b (fun fa fb c -> fa c && fb c)
+  | Or (a, b) -> both a b (fun fa fb c -> fa c || fb c)
+  | Not a -> Option.map (fun fa c -> not (fa c)) (typed_pred schema a)
+  | Is_null (Col col) | Is_not_null (Col col) ->
+    Option.map
+      (fun i ->
+        let f = field schema i and want = match e with Is_null _ -> true | _ -> false in
+        fun c -> null_in c f = want)
+      (Schema.index_of_opt schema col)
+  | Cmp _ | Is_null _ | Is_not_null _ | Col _ | Lit _ | Binop _ -> None
+
+(* WHERE over records: in place where it can be, else on the decoded
+   row.  Raises naming an unknown column, before any record is read *)
+let record_pred schema = function
+  | None -> fun _ -> true
+  | Some e -> (
+      check_columns schema e;
+      match typed_pred schema e with
+      | Some f -> f
+      | None ->
+        let keep = Expr.compile_pred schema e in
+        fun c -> keep (tuple_of c))
+
+(* the key range a snapshot select reads through the index, if any *)
+let index_range t schema where =
+  match t.plan_mode, where with
+  | `Index_preferred, Some e -> (
+      match key_bounds schema e with (None, None) -> None | (lo, hi) -> Some (lo, hi))
+  | (`Scan_only | `Index_preferred), _ -> None
+
+(* [select] on a snapshot as a list: the page-at-a-time scan decoding
+   the records that pass [where], or the key range *)
+let snapshot_rows ?pages t txn rel where =
+  let schema = Table.schema rel.table in
+  match pages, where, index_range t schema where with
+  | None, Some e, Some (lo, hi) ->
+    check_columns schema e;
+    snapshot_key_range t txn rel ~lo ~hi e
+  | _ ->
+    let keep = record_pred schema where in
+    let from_page, to_page = Option.value pages ~default:(0, max_int) in
+    let c = cursor schema and acc = ref [] in
+    snapshot_records t txn rel ~from_page ~to_page (fun buf off ->
+        at c buf off;
+        if keep c then acc := tuple_of c :: !acc);
+    List.rev !acc
+
 let select t txn tname ?where () =
   check_live txn;
   statement_boundary t;
@@ -796,7 +948,7 @@ let select t txn tname ?where () =
   match txn.mode with
   | `Snapshot ->
     (* lock-free: visibility comes from the snapshot CSN, not from S locks *)
-    List.map snd (snapshot_matching t txn rel where)
+    snapshot_rows t txn rel where
   | `Read_write ->
     lock_rel t txn rel Lock_manager.S;
     List.map snd (matching ~mode:t.plan_mode rel.table where)
@@ -805,7 +957,7 @@ let select_pages t txn table ?where ~from_page ~to_page () =
   check_live txn;
   if txn.mode <> `Snapshot then invalid_arg "Db.select_pages: requires a `Snapshot transaction";
   let rel = rel t (Table.name table) in
-  List.map snd (snapshot_matching ~pages:(from_page, to_page) t txn rel where)
+  snapshot_rows ~pages:(from_page, to_page) t txn rel where
 
 (* SQL execution *)
 
@@ -849,38 +1001,88 @@ let output_name i = function
   | Ast.Item (Expr.Col c, None) -> c
   | Ast.Item (_, None) | Ast.Agg (_, _, None) -> Printf.sprintf "col%d" i
 
-(* one aggregate over a group's rows; [eval] reads its operand *)
-let aggregate fn eval rows =
-  let values () =
-    List.filter_map
-      (fun row ->
-        let v = eval row in
-        if Value.is_null v then None else Some v)
-      rows
-  in
-  match fn with
-  | Ast.Count_star -> Value.Int (List.length rows)
-  | Ast.Count -> Value.Int (List.length (values ()))
-  | Ast.Sum -> List.fold_left Value.add (Value.Int 0) (values ())
-  | Ast.Avg -> (
-      match values () with
-      | [] -> Value.Null
-      | vs ->
-        let total = List.fold_left Value.add (Value.Int 0) vs in
-        Value.div
-          (match total with Value.Int n -> Value.Float (float_of_int n) | v -> v)
-          (Value.Float (float_of_int (List.length vs))))
-  | Ast.Min -> (
-      match values () with
-      | [] -> Value.Null
-      | v :: vs -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v vs)
-  | Ast.Max -> (
-      match values () with
-      | [] -> Value.Null
-      | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
+(* ---- the folding aggregate evaluator ----
 
-(* GROUP BY / aggregate SELECT evaluation *)
-let eval_aggregate schema ~items ~group_by ~order_by tuples =
+   One accumulator per item per group, fed one record at a time in rid
+   order.  An INT, DATE or FLOAT column is read in place into unboxed
+   cells; any other operand decodes the record once and folds [Value]s.
+   Results and errors are those of each item evaluated over its group's
+   rows as a list, in rid order: SUM starts at [Int 0] and adds with
+   [Value.add] (an INT sum wraps, a FLOAT sum is [0.0 +. x1 +. ...]),
+   MIN and MAX keep the first of equal values by [Value.compare], and an
+   error is raised after the scan, for the first group in key order and
+   the first item in it that failed, an operand's error before an
+   accumulation's (the operands of a group were all evaluated before
+   its sum). *)
+
+(* an aggregate's operand or a grouping column *)
+type operand =
+  | Ints of field * bool  (* an INT column, or a DATE one ([true]) *)
+  | Floats of field  (* a FLOAT column *)
+  | Values of (Tuple.t -> Value.t)  (* anything else, on the decoded row *)
+
+type item =
+  | Count_all
+  | Agg of Ast.agg_fn * operand
+  | Key of int  (* a grouping column: its position in GROUP BY *)
+
+type group = {
+  key : Value.t array;  (* the grouping columns of its first record *)
+  n : int array;  (* per item: the non-NULL values folded *)
+  ints : int array;
+  floats : float array;  (* 0.0 at the start: a FLOAT sum's first term *)
+  values : Value.t array;  (* [Int 0] at the start *)
+  (* the item's error: an accumulation's, until an operand raises; an
+     operand's error ends the item's fold, and [n] goes to -1 *)
+  errors : exn option array;
+}
+
+module Buckets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h land max_int
+end)
+
+type plan = {
+  names : string list;
+  items : item array;
+  keys : operand array;  (* the grouping columns *)
+  single : group option;  (* the one group of a query without GROUP BY *)
+  buckets : group list Buckets.t;
+  mutable groups : group list;
+}
+
+let new_group items key =
+  let n = Array.length items in
+  {
+    key;
+    n = Array.make n 0;
+    ints = Array.make n 0;
+    floats = Array.make n 0.0;
+    values = Array.make n (Value.Int 0);
+    errors = Array.make n None;
+  }
+
+let column schema i =
+  match (Schema.column schema i).Schema.ty with
+  | Value.Tint -> Ints (field schema i, false)
+  | Value.Tdate -> Ints (field schema i, true)
+  | Value.Tfloat -> Floats (field schema i)
+  | Value.Tbool | Value.Tstring _ -> Values (fun tuple -> tuple.(i))
+
+let operand schema (fn : Ast.agg_fn) e =
+  let eval = compile schema e in
+  match e with
+  | Expr.Col col -> (
+      match column schema (Schema.index_of schema col), fn with
+      (* a DATE sum is [Value.add]'s error: the Value path raises it *)
+      | Ints (_, true), (Sum | Avg) -> Values eval
+      | operand, _ -> operand)
+  | _ -> Values eval
+
+(* the query's shape checks, in the order they raise, before any record *)
+let compile_aggregate schema ~items ~group_by =
   let group_idxs =
     List.map
       (fun col ->
@@ -888,24 +1090,6 @@ let eval_aggregate schema ~items ~group_by ~order_by tuples =
         | Some i -> i
         | None -> invalid_arg (Printf.sprintf "GROUP BY: unknown column %s" col))
       group_by
-  in
-  let module RowMap = Map.Make (struct
-    type t = Value.t array
-
-    let compare a b = Tuple.compare a b
-  end) in
-  let groups =
-    if group_by = [] then
-      (* one global group, present even over an empty input *)
-      RowMap.singleton [||] tuples
-    else
-      List.fold_left
-        (fun acc tuple ->
-          let key = Array.of_list (List.map (fun i -> tuple.(i)) group_idxs) in
-          RowMap.update key
-            (function None -> Some [ tuple ] | Some l -> Some (tuple :: l))
-            acc)
-        RowMap.empty tuples
   in
   let names =
     List.mapi
@@ -915,36 +1099,196 @@ let eval_aggregate schema ~items ~group_by ~order_by tuples =
         | Ast.Item _ | Ast.Agg _ -> output_name i item)
       items
   in
-  (* each item as a function of its group's rows, checked before any
-     group is seen; non-aggregate items must be functionally determined
-     by the group: plain group-column references *)
-  let item_fns =
-    List.map
-      (fun item ->
-        match item with
-        | Ast.Star -> assert false
-        | Ast.Agg (Ast.Count_star, _, _) -> aggregate Ast.Count_star (fun _ -> Value.Null)
-        | Ast.Agg (fn, Some e, _) -> aggregate fn (compile schema e)
-        | Ast.Agg (_, None, _) -> invalid_arg "aggregate without argument"
-        | Ast.Item (Expr.Col c, _) when List.mem c group_by -> (
-            let i = Schema.index_of schema c in
-            function row :: _ -> row.(i) | [] -> Value.Null)
-        | Ast.Item _ ->
-          invalid_arg "SELECT with GROUP BY: non-aggregate items must be grouping columns")
-      items
+  (* non-aggregate items must be functionally determined by the group:
+     plain group-column references *)
+  let items =
+    Array.of_list
+      (List.map
+         (fun item ->
+           match item with
+           | Ast.Star -> assert false
+           | Ast.Agg (Ast.Count_star, _, _) -> Count_all
+           | Ast.Agg (fn, Some e, _) -> Agg (fn, operand schema fn e)
+           | Ast.Agg (_, None, _) -> invalid_arg "aggregate without argument"
+           | Ast.Item (Expr.Col c, _) when List.mem c group_by ->
+             Key (Option.get (List.find_index (String.equal c) group_by))
+           | Ast.Item _ ->
+             invalid_arg "SELECT with GROUP BY: non-aggregate items must be grouping columns")
+         items)
   in
-  let eval_group rows = Array.of_list (List.map (fun f -> f rows) item_fns) in
-  let out_rows = List.rev (RowMap.fold (fun _key rows acc -> eval_group rows :: acc) groups []) in
+  let keys = Array.of_list (List.map (column schema) group_idxs) in
+  (* one global group, present even over an empty input *)
+  let single = if group_by = [] then Some (new_group items [||]) else None in
+  { names; items; keys; single; buckets = Buckets.create 64; groups = [] }
+
+(* a hash of the record's grouping columns from the [j]th, equal for
+   values [Value.compare] finds equal (-0.0 and 0.0, every NaN) *)
+let rec key_hash keys c j h =
+  if j = Array.length keys then h
+  else
+    let v =
+      match keys.(j) with
+      | Ints (f, _) -> if null_in c f then 0x2545f491 else int_in c f
+      | Floats f ->
+        if null_in c f then 0x2545f491
+        else
+          let x = float_in c f in
+          if x = 0.0 then 0
+          else if Float.is_nan x then 1
+          else Int64.to_int (Int64.bits_of_float x)
+      | Values eval -> Hashtbl.hash (eval (tuple_of c))
+    in
+    key_hash keys c (j + 1) ((h * 31) + v)
+
+let rec key_matches keys c (key : Value.t array) j =
+  j = Array.length keys
+  || (match keys.(j), key.(j) with
+      | (Ints (f, _) | Floats f), Value.Null -> null_in c f
+      | Ints (f, _), (Value.Int y | Value.Date y) -> (not (null_in c f)) && int_in c f = y
+      | Floats f, Value.Float y -> (not (null_in c f)) && Float.compare (float_in c f) y = 0
+      | Values eval, v -> Value.compare (eval (tuple_of c)) v = 0
+      | (Ints _ | Floats _), _ -> false)
+     && key_matches keys c key (j + 1)
+
+let value_in c = function
+  | Ints (f, date) ->
+    if null_in c f then Value.Null
+    else if date then Value.Date (int_in c f)
+    else Value.Int (int_in c f)
+  | Floats f -> if null_in c f then Value.Null else Value.Float (float_in c f)
+  | Values eval -> eval (tuple_of c)
+
+let rec find_group keys c = function
+  | [] -> raise Not_found
+  | g :: rest -> if key_matches keys c g.key 0 then g else find_group keys c rest
+
+let group_of plan c =
+  match plan.single with
+  | Some g -> g
+  | None -> (
+      let h = key_hash plan.keys c 0 0 in
+      let bucket = match Buckets.find plan.buckets h with l -> l | exception Not_found -> [] in
+      match find_group plan.keys c bucket with
+      | g -> g
+      | exception Not_found ->
+        let g = new_group plan.items (Array.map (value_in c) plan.keys) in
+        Buckets.replace plan.buckets h (g :: bucket);
+        plan.groups <- g :: plan.groups;
+        g)
+
+let fold_value g k (fn : Ast.agg_fn) n v =
+  match fn with
+  | Sum | Avg -> (
+      match Value.add g.values.(k) v with
+      | sum -> g.values.(k) <- sum
+      | exception e -> g.errors.(k) <- Some e)
+  | Min -> if n = 0 || Value.compare v g.values.(k) < 0 then g.values.(k) <- v
+  | Max -> if n = 0 || Value.compare v g.values.(k) > 0 then g.values.(k) <- v
+  | Count | Count_star -> ()
+
+let step g c k = function
+  | Count_all -> g.n.(k) <- g.n.(k) + 1
+  | Key _ -> ()
+  | Agg (fn, Ints (f, _)) ->
+    if not (null_in c f) then begin
+      let x = int_in c f and n = g.n.(k) in
+      g.n.(k) <- n + 1;
+      match fn with
+      | Sum | Avg -> g.ints.(k) <- g.ints.(k) + x
+      | Min -> if n = 0 || x < g.ints.(k) then g.ints.(k) <- x
+      | Max -> if n = 0 || x > g.ints.(k) then g.ints.(k) <- x
+      | Count | Count_star -> ()
+    end
+  | Agg (fn, Floats f) ->
+    if not (null_in c f) then begin
+      let x = float_in c f and n = g.n.(k) in
+      g.n.(k) <- n + 1;
+      match fn with
+      | Sum | Avg -> g.floats.(k) <- g.floats.(k) +. x
+      | Min -> if n = 0 || Float.compare x g.floats.(k) < 0 then g.floats.(k) <- x
+      | Max -> if n = 0 || Float.compare x g.floats.(k) > 0 then g.floats.(k) <- x
+      | Count | Count_star -> ()
+    end
+  | Agg (fn, Values eval) ->
+    let n = g.n.(k) in
+    if n >= 0 then (
+      match eval (tuple_of c) with
+      | exception e ->
+        g.errors.(k) <- Some e;
+        g.n.(k) <- -1
+      | v when Value.is_null v -> ()
+      | v ->
+        g.n.(k) <- n + 1;
+        if Option.is_none g.errors.(k) then fold_value g k fn n v)
+
+let fold plan c =
+  let g = group_of plan c in
+  for k = 0 to Array.length plan.items - 1 do
+    step g c k plan.items.(k)
+  done
+
+let result g k item =
+  match item with
+  | Count_all -> Value.Int g.n.(k)
+  | Key j -> g.key.(j)
+  | Agg (fn, operand) -> (
+      Option.iter raise g.errors.(k);
+      let n = g.n.(k) in
+      match fn, operand with
+      | (Count | Count_star), _ -> Value.Int n
+      | Sum, Ints _ -> Value.Int g.ints.(k)
+      | Sum, Floats _ -> if n = 0 then Value.Int 0 else Value.Float g.floats.(k)
+      | Sum, Values _ -> g.values.(k)
+      | (Avg | Min | Max), _ when n = 0 -> Value.Null
+      | Avg, Ints _ -> Value.Float (float_of_int g.ints.(k) /. float_of_int n)
+      | Avg, Floats _ -> Value.Float (g.floats.(k) /. float_of_int n)
+      | Avg, Values _ ->
+        Value.div
+          (match g.values.(k) with Value.Int s -> Value.Float (float_of_int s) | v -> v)
+          (Value.Float (float_of_int n))
+      | (Min | Max), Ints (_, true) -> Value.Date g.ints.(k)
+      | (Min | Max), Ints (_, false) -> Value.Int g.ints.(k)
+      | (Min | Max), Floats _ -> Value.Float g.floats.(k)
+      | (Min | Max), Values _ -> g.values.(k))
+
+(* the result rows, groups in key order, each item in order *)
+let finish plan ~order_by =
+  let groups =
+    match plan.single with
+    | Some g -> [| g |]
+    | None ->
+      let groups = Array.of_list plan.groups in
+      (* keys are distinct: an in-place sort gives their one order *)
+      Array.sort (fun a b -> Tuple.compare a.key b.key) groups;
+      groups
+  in
+  (* groups in order, each item in order: the first error is raised *)
+  let out_rows = Array.to_list (Array.map (fun g -> Array.mapi (result g) plan.items) groups) in
   let idx_of name =
-    match List.find_index (fun n -> n = name) names with
+    match List.find_index (fun n -> n = name) plan.names with
     | Some i -> i
     | None -> invalid_arg (Printf.sprintf "ORDER BY: unknown output column %s" name)
   in
-  Rows { columns = names; rows = sort_on (List.map idx_of order_by) out_rows }
+  Rows { columns = plan.names; rows = sort_on (List.map idx_of order_by) out_rows }
+
+let is_aggregate ~items ~group_by =
+  group_by <> [] || List.exists (function Ast.Agg _ -> true | Ast.Star | Ast.Item _ -> false) items
 
 let eval_select schema ~items ~group_by ~order_by tuples =
-  let has_agg = List.exists (function Ast.Agg _ -> true | Ast.Star | Ast.Item _ -> false) items in
-  if has_agg || group_by <> [] then eval_aggregate schema ~items ~group_by ~order_by tuples
+  if is_aggregate ~items ~group_by then begin
+    (* decoded rows go through the same fold, encoded into one scratch
+       record (their tuple is the cursor's decoded row) *)
+    let plan = compile_aggregate schema ~items ~group_by in
+    let c = cursor schema and scratch = Bytes.create (Schema.record_size schema) in
+    List.iter
+      (fun tuple ->
+        Codec.encode_binary_into schema tuple scratch 0;
+        at c scratch 0;
+        c.tuple <- tuple;
+        fold plan c)
+      tuples;
+    finish plan ~order_by
+  end
   else begin
     let tuples = sort_on (List.map (column_index schema) order_by) tuples in
     let columns, project =
@@ -968,6 +1312,26 @@ let eval_select schema ~items ~group_by ~order_by tuples =
     Rows { columns; rows = List.map project tuples }
   end
 
+(* an aggregate SELECT on a snapshot's full scan folds the records where
+   the scan hands them over; a query's errors keep their order: WHERE's
+   unknown column, WHERE's errors during the scan, then the items' *)
+let snapshot_aggregate t txn rel ~items ~group_by ~order_by where =
+  let schema = Table.schema rel.table in
+  let keep = record_pred schema where in
+  let c = cursor schema in
+  let pages = Heap_file.page_count (Table.heap rel.table) in
+  match compile_aggregate schema ~items ~group_by with
+  | plan ->
+    snapshot_records t txn rel ~from_page:0 ~to_page:pages (fun buf off ->
+        at c buf off;
+        if keep c then fold plan c);
+    finish plan ~order_by
+  | exception e ->
+    snapshot_records t txn rel ~from_page:0 ~to_page:pages (fun buf off ->
+        at c buf off;
+        ignore (keep c : bool));
+    raise e
+
 let exec t txn stmt =
   match stmt with
   | Ast.Create_table { table = tname; columns } ->
@@ -984,7 +1348,15 @@ let exec t txn stmt =
   | Ast.Delete { table = tname; where } -> Affected (delete_where t txn tname ~where)
   | Ast.Select { items; table = tname; where; group_by; order_by } ->
     let schema = Table.schema (table t tname) in
-    eval_select schema ~items ~group_by ~order_by (select t txn tname ?where ())
+    if
+      txn.mode = `Snapshot && (not txn.finished)
+      && is_aggregate ~items ~group_by
+      && index_range t schema where = None
+    then begin
+      statement_boundary t;
+      snapshot_aggregate t txn (rel t tname) ~items ~group_by ~order_by where
+    end
+    else eval_select schema ~items ~group_by ~order_by (select t txn tname ?where ())
 
 let exec_sql t txn input =
   match Dw_sql.Parser.parse input with

@@ -120,9 +120,11 @@ val drop_table : t -> string -> unit
 
     {b Lock order.}  [Db]'s transaction-table lock (a commit's CSN bump
     and publication), then the version-store lock, then a buffer-pool
-    stripe mutex (the page latch) or a key index's latch.  No path takes
-    the version-store lock while it holds one of the latter: snapshot
-    scans copy rows out under them and resolve after. *)
+    stripe mutex (the page latch) or a key index's latch, then a file's
+    I/O lock ({!Dw_storage.Vfs}).  No path takes the version-store lock
+    while it holds one of the latter: a snapshot scan copies a page out
+    under its latch (or reads it from the device under no pool lock) and
+    resolves after. *)
 
 val begin_txn : ?mode:[ `Read_write | `Snapshot ] -> t -> txn
 val txid : txn -> int
@@ -196,25 +198,28 @@ val select : t -> txn -> string -> ?where:Expr.t -> unit -> Tuple.t list
     table lock.  [`Snapshot]: no lock; rows as of the transaction's
     snapshot CSN.
 
-    A [`Snapshot] select's heap pass (a full scan, not a key range) reads
-    its pages cold ({!Dw_storage.Buffer_pool.with_page} [~cold:true]): a
-    cached page keeps its place in the LRU order, and a page read in
-    enters at the victim end, so an OLAP scan of a table larger than the
-    pool does not evict the pages a refresh keeps using.  Every other
-    read, a [`Read_write] scan included, is warm. *)
+    A [`Snapshot] select that is not a key range (a full scan) reads the
+    heap a page at a time, cold ({!Dw_storage.Heap_file.copy_page}): a
+    cached page is copied and keeps its place in the LRU order, and one
+    that is not cached is read from the device into the scan's own
+    buffer, taking no frame.  So an OLAP scan of a table larger than the
+    pool evicts nothing and writes nothing back, and the pages a refresh
+    keeps using stay cached.  Each page's slots are resolved against the
+    version store under one lock, and WHERE reads an INT, DATE or FLOAT
+    column in place, so only the rows it keeps are decoded.  Every other
+    read, a [`Read_write] scan and a key range included, goes through the
+    pool's frames. *)
 
 val select_pages :
   t -> txn -> Table.t -> ?where:Expr.t -> from_page:int -> to_page:int -> unit -> Tuple.t list
-(** {!select} on a [`Snapshot] transaction, limited to the rows in heap
-    pages [[from_page, to_page)]: the heap pass scans only those pages,
-    cold as {!select}'s does, and the version-chain pass keeps only their
-    rids.  Concatenating
-    the results of contiguous ranges covering the table's pages at the
-    time of the call gives {!select}'s list, since a row in a later page
-    is invisible to the snapshot.  It reaches no statement boundary, so
-    it is safe on a reader domain.  Raises [Invalid_argument] on a
-    finished or [`Read_write] transaction and on an unknown column in
-    [where]. *)
+(** {!select}'s full scan on a [`Snapshot] transaction, limited to heap
+    pages [[from_page, to_page)], read cold as {!select}'s.
+    Concatenating the results of contiguous ranges covering the table's
+    pages at the time of the call gives {!select}'s list, since a row in
+    a later page is invisible to the snapshot.  It reaches no statement
+    boundary, so it is safe on a reader domain.  Raises
+    [Invalid_argument] on a finished or [`Read_write] transaction and on
+    an unknown column in [where]. *)
 
 val lock_table : t -> txn -> string -> unit
 (** X-lock a table until the transaction ends, as a DML statement on it
@@ -287,11 +292,16 @@ val eval_select :
   order_by:string list ->
   Tuple.t list ->
   exec_result
-(** The one SELECT evaluator: projection, ORDER BY, GROUP BY,
-    aggregates and column naming over the rows a scan returned, in the
-    scan's (rid) order.  {!exec} runs it on {!select}'s rows.  Raises
-    [Invalid_argument] naming an unknown column, and on items that do
-    not fit the query's shape. *)
+(** The SELECT evaluator over the rows a scan returned, in the scan's
+    (rid) order: projection, ORDER BY, GROUP BY, aggregates and column
+    naming.  An aggregate query folds the rows one at a time into one
+    accumulator per item per group, each row encoded into one scratch
+    record, through the same fold {!exec} runs over a [`Snapshot] full
+    scan's records where they lie: an INT, DATE or FLOAT column is read
+    in place into unboxed cells, any other operand on the decoded row.
+    A group folds its rows in rid order.  Raises [Invalid_argument]
+    naming an unknown column, and on items that do not fit the query's
+    shape. *)
 
 val exec : t -> txn -> Dw_sql.Ast.stmt -> exec_result
 val exec_sql : t -> txn -> string -> (exec_result, string) result

@@ -39,6 +39,13 @@ let encode_binary schema tuple =
   encode_binary_into schema tuple buf 0;
   buf
 
+let column_offset schema i =
+  let pos = ref ((Schema.arity schema + 7) / 8) in
+  for j = 0 to i - 1 do
+    pos := !pos + Value.encoded_size (Schema.column schema j).Schema.ty
+  done;
+  !pos
+
 let decode_binary schema buf off =
   let n = Schema.arity schema in
   let bitmap_bytes = (n + 7) / 8 in

@@ -15,6 +15,11 @@ val encode_binary : Schema.t -> Tuple.t -> bytes
 val encode_binary_into : Schema.t -> Tuple.t -> bytes -> int -> unit
 (** [encode_binary_into schema tuple buf off] writes in place. *)
 
+val column_offset : Schema.t -> int -> int
+(** Byte offset of column [i]'s field within a binary record.  Its NULL
+    flag is bit [i mod 8] of the record's byte [i / 8]; an INT or DATE
+    field is a little-endian int64, a FLOAT one the float's bits as one. *)
+
 val decode_binary : Schema.t -> bytes -> int -> Tuple.t
 (** [decode_binary schema buf off] reads a record at offset [off]. *)
 

@@ -17,8 +17,9 @@ module Metrics = Dw_util.Metrics
    {!Vfs.id} with the page number, so a hit hashes and compares an int
    rather than a (name, page) pair.  [with_page] holds the
    stripe mutex for the whole callback: the frame bytes are owned by the
-   caller until it returns, which is also what keeps page reads and
-   write-backs of the same page from interleaving. *)
+   caller until it returns.  A cold read ([copy_page]) of a page that is
+   not cached reads the device outside it; the file's I/O lock ({!Vfs})
+   orders that read against a write-back of the same page. *)
 
 (* [Vfs.id] in the high bits, the page number in the low [page_bits] *)
 let page_bits = 32
@@ -131,15 +132,6 @@ let push_mru sp i =
   sp.mru <- i;
   if sp.lru = -1 then sp.lru <- i
 
-(* a cold page enters at the victim end *)
-let push_lru sp i =
-  let f = sp.frames.(i) in
-  f.next <- -1;
-  f.prev <- sp.lru;
-  (match sp.lru with -1 -> () | l -> sp.frames.(l).next <- i);
-  sp.lru <- i;
-  if sp.mru = -1 then sp.mru <- i
-
 let touch sp i =
   if sp.mru <> i then begin
     unlink sp i;
@@ -164,7 +156,7 @@ let victim sp =
   | [] -> sp.lru
 
 (* a miss: evict the victim (writing it back if dirty), read the page *)
-let fault_in ~cold t sp file pno key =
+let fault_in t sp file pno key =
   let idx = victim sp in
   let frame = sp.frames.(idx) in
   if frame.valid then begin
@@ -173,46 +165,79 @@ let fault_in ~cold t sp file pno key =
     Metrics.bump t.h.evictions 1;
     unlink sp idx
   end;
-  let data = Vfs.read_at file ~off:(pno * Page.size) ~len:Page.size in
-  Bytes.blit data 0 frame.data 0 Page.size;
+  (* the frame is off every list: a failed read leaves it free *)
+  frame.valid <- false;
+  frame.file <- None;
+  (match Vfs.read_into file ~off:(pno * Page.size) frame.data with
+   | () -> ()
+   | exception e ->
+     let bt = Printexc.get_raw_backtrace () in
+     sp.free <- idx :: sp.free;
+     Printexc.raise_with_backtrace e bt);
   frame.key <- key;
   frame.valid <- true;
   frame.dirty <- false;
   frame.file <- Some file;
   Key_table.replace sp.table key idx;
-  if cold then push_lru sp idx else push_mru sp idx;
+  push_mru sp idx;
   frame
 
-let load ?(cold = false) t sp file pno =
+(* one [pool.miss] sample around [read] *)
+let timed_miss t read =
+  Metrics.bump t.h.misses 1;
+  let m = Vfs.metrics t.vfs in
+  let started = Metrics.now m in
+  match read () with
+  | v ->
+    Metrics.record t.h.miss_hist (Metrics.now m -. started);
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Metrics.record t.h.miss_hist (Metrics.now m -. started);
+    Printexc.raise_with_backtrace e bt
+
+let load t sp file pno =
   let key = key_of file pno in
   match Key_table.find_opt sp.table key with
   | Some idx ->
     Metrics.bump t.h.hits 1;
-    if not cold then touch sp idx;
+    touch sp idx;
     sp.frames.(idx)
-  | None ->
-    Metrics.bump t.h.misses 1;
-    let m = Vfs.metrics t.vfs in
-    let started = Metrics.now m in
-    (match fault_in ~cold t sp file pno key with
-     | frame ->
-       Metrics.record t.h.miss_hist (Metrics.now m -. started);
-       frame
-     | exception e ->
-       let bt = Printexc.get_raw_backtrace () in
-       Metrics.record t.h.miss_hist (Metrics.now m -. started);
-       Printexc.raise_with_backtrace e bt)
+  | None -> timed_miss t (fun () -> fault_in t sp file pno key)
 
-let with_page ?cold t file pno ~dirty f =
+let check_page t file pno =
   if pno < 0 || pno >= page_count t file then
     invalid_arg
       (Printf.sprintf "Buffer_pool.with_page: page %d outside file %s (%d pages)" pno
-         (Vfs.name file) (page_count t file));
+         (Vfs.name file) (page_count t file))
+
+let with_page t file pno ~dirty f =
+  check_page t file pno;
   let sp = stripe_for t file pno in
   locked sp.stripe_lock (fun () ->
-      let frame = load ?cold t sp file pno in
+      let frame = load t sp file pno in
       if dirty then frame.dirty <- true;
       f frame.data)
+
+(* a cached page is copied under its stripe lock and keeps its place;
+   one that is not is read from the device after the lock is released.
+   It was not cached when the lock was held, so the device held its
+   newest image then, and any image written back since is newer: the
+   copy is the page as it stood at some moment of the call, never torn
+   (the file's I/O lock orders the read against write-backs) *)
+let copy_page t file pno buf =
+  check_page t file pno;
+  let sp = stripe_for t file pno in
+  let cached =
+    locked sp.stripe_lock (fun () ->
+        match Key_table.find_opt sp.table (key_of file pno) with
+        | Some idx ->
+          Bytes.blit sp.frames.(idx).data 0 buf 0 Page.size;
+          true
+        | None -> false)
+  in
+  if cached then Metrics.bump t.h.hits 1
+  else timed_miss t (fun () -> Vfs.read_into file ~off:(pno * Page.size) buf)
 
 let append_page t file init =
   locked t.append_lock (fun () ->

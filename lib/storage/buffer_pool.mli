@@ -39,21 +39,27 @@ val capacity : t -> int
 val page_count : t -> Vfs.file -> int
 (** Number of pages currently in the file (size / page size). *)
 
-val with_page : ?cold:bool -> t -> Vfs.file -> int -> dirty:bool -> (bytes -> 'a) -> 'a
+val with_page : t -> Vfs.file -> int -> dirty:bool -> (bytes -> 'a) -> 'a
 (** [with_page t file pno ~dirty f] runs [f] on the frame holding page
-    [pno] of [file], faulting it in if needed.  If [dirty] the frame is
-    marked dirty and written back on eviction or {!flush}.  The bytes must
-    not be retained after [f] returns.  Raises [Invalid_argument] if [pno]
-    is outside the file.
+    [pno] of [file], faulting it in if needed (a hit moves the frame to
+    the MRU end, a miss enters there).  If [dirty] the frame is marked
+    dirty and written back on eviction or {!flush}.  The bytes must not
+    be retained after [f] returns.  Raises [Invalid_argument] if [pno]
+    is outside the file. *)
 
-    [~cold:true] reads the page without claiming the cache: a hit does not
-    move its frame, and a miss enters at the LRU end, so the next miss of
-    the stripe takes that frame first.  A full scan read cold (a snapshot
-    reader's heap pass) therefore cycles through one frame once the pool
-    is full, and leaves the pages other callers use where they were.
-    Both count in [pool.hits] and [pool.misses] as warm reads do.  Every
-    other read is warm (the default): a hit moves the frame to the MRU
-    end, and a miss enters there. *)
+val copy_page : t -> Vfs.file -> int -> bytes -> unit
+(** [copy_page t file pno buf] copies page [pno] into [buf] (at least
+    {!Page.size} bytes) without claiming the cache: a {e cold read}.  A
+    cached page is copied under its stripe lock and keeps its place in
+    the LRU order; a page that is not cached is read from the device
+    into [buf] after the lock is released ({!Vfs.read_into}), and no
+    frame is taken, so nothing is evicted or written back.  The copy is
+    the page as it stood at some moment during the call.  It counts a
+    [pool.hits] or a [pool.misses] (with its [pool.miss] sample), never
+    a [pool.evictions] or a [pool.writebacks].  A snapshot scan reads
+    its heap this way, so an OLAP scan larger than the pool neither
+    evicts the pages a refresh uses nor waits on their write-backs.
+    Raises [Invalid_argument] if [pno] is outside the file. *)
 
 val append_page : t -> Vfs.file -> (bytes -> unit) -> int
 (** Extend the file by one zeroed page, run the initialiser on it in the

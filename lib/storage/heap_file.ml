@@ -128,17 +128,19 @@ let delete t rid =
   push_free t rid.page;
   record
 
-let iter_pages ?cold t ~from_page ~to_page f =
+let iter_pages t ~from_page ~to_page f =
   for pno = max 0 from_page to min (to_page - 1) (page_count t - 1) do
     (* copy out the used slots, then decode outside the page callback so
        [f] may itself touch the pool *)
     let records = ref [] in
-    Buffer_pool.with_page ?cold t.pool t.file pno ~dirty:false (fun page ->
+    Buffer_pool.with_page t.pool t.file pno ~dirty:false (fun page ->
         Page.iter_used page (fun slot record -> records := (slot, record) :: !records));
     List.iter
       (fun (slot, record) -> f { page = pno; slot } (Codec.decode_binary t.schema record 0))
       (List.rev !records)
   done
+
+let copy_page t pno buf = Buffer_pool.copy_page t.pool t.file pno buf
 
 let iter t f = iter_pages t ~from_page:0 ~to_page:(page_count t) f
 

@@ -45,12 +45,17 @@ val delete : t -> rid -> bytes
 val iter : t -> (rid -> Tuple.t -> unit) -> unit
 (** Full scan in page order. *)
 
-val iter_pages :
-  ?cold:bool -> t -> from_page:int -> to_page:int -> (rid -> Tuple.t -> unit) -> unit
+val iter_pages : t -> from_page:int -> to_page:int -> (rid -> Tuple.t -> unit) -> unit
 (** Scan pages [from_page, to_page) in page order (clamped to the file),
     copying each page's records out under its frame latch and decoding
-    outside it — the unit of work a partitioned parallel scan hands one
-    domain.  [~cold:true] reads each page cold ({!Buffer_pool.with_page}). *)
+    outside it. *)
+
+val copy_page : t -> int -> bytes -> unit
+(** [copy_page t pno buf]: page [pno] copied into [buf], read cold
+    ({!Buffer_pool.copy_page}): a cached page keeps its place, and one
+    that is not cached is read from the device into [buf] without taking
+    a frame.  A snapshot scan reads the heap one page at a time this
+    way, into one buffer per scan. *)
 
 val count : t -> int
 (** Number of live records (scans). *)

@@ -34,6 +34,11 @@ val insert : bytes -> bytes -> slot option
 val write_slot : bytes -> slot -> bytes -> unit
 (** Overwrite a used slot in place (fixed-width update). *)
 
+val slot_off : bytes -> slot -> int
+(** Byte offset of the slot's record in the page (no range check): a
+    reader decodes it where it lies instead of copying it out with
+    {!read_slot}. *)
+
 val read_slot : bytes -> slot -> bytes
 (** Raises [Invalid_argument] if the slot is free or out of range. *)
 

@@ -102,18 +102,13 @@ module Fault = struct
 end
 
 (* growable byte store for the in-memory backend: random-access reads and
-   writes without copying the whole file.  Writes (and truncates) are
-   serialised by a per-file mutex so a write-back from one domain cannot
-   be lost under a concurrent growth realloc from another; reads stay
-   lock-free — they blit from whichever array the data pointer holds,
-   and a superseded array still carries valid pre-realloc content.
-   Writers never race on the same byte range: page frames are owned by
-   buffer-pool stripe locks and the WAL's writes are serialised by its
-   buffer mutex. *)
+   writes without copying the whole file.  Callers hold the file's I/O
+   lock ({!file}'s [io]) over every read, write and truncate, so a read
+   never meets a growth realloc or a write of the same range half done. *)
 module Mem_file = struct
-  type t = { mutable data : Bytes.t; mutable len : int; lock : Mutex.t }
+  type t = { mutable data : Bytes.t; mutable len : int }
 
-  let create () = { data = Bytes.create 4096; len = 0; lock = Mutex.create () }
+  let create () = { data = Bytes.create 4096; len = 0 }
 
   let ensure t capacity =
     if Bytes.length t.data < capacity then begin
@@ -126,18 +121,14 @@ module Mem_file = struct
       t.data <- data
     end
 
-  let read t ~off ~len =
-    let out = Bytes.create len in
-    Bytes.blit t.data off out 0 len;
-    out
+  let read t ~off buf len = Bytes.blit t.data off buf 0 len
 
   let write t ~off src len =
-    Mutex.protect t.lock (fun () ->
-        ensure t (off + len);
-        Bytes.blit src 0 t.data off len;
-        if off + len > t.len then t.len <- off + len)
+    ensure t (off + len);
+    Bytes.blit src 0 t.data off len;
+    if off + len > t.len then t.len <- off + len
 
-  let truncate t size = Mutex.protect t.lock (fun () -> t.len <- size)
+  let truncate t size = t.len <- size
 end
 
 type backend =
@@ -162,7 +153,8 @@ type t = {
   metrics : Metrics.t;
   h : handles;
   open_files : (string, int) Hashtbl.t;  (* name -> refcount *)
-  ids : (string, int) Hashtbl.t;  (* name -> stable id, assigned on first open *)
+  (* name -> stable id and I/O lock, assigned on first open *)
+  ids : (string, int * Mutex.t) Hashtbl.t;
   (* bumped after every [create]/[delete] changes the Mem table: a file
      handle's cached [Mem_file] is good while this has not moved *)
   generation : int Atomic.t;
@@ -173,10 +165,15 @@ type t = {
 (* a file handle's cached byte store, swapped whole *)
 type cached = { gen : int; store : Mem_file.t }
 
+(* [io] is the name's I/O lock, shared by every handle on the name: a
+   device read, write or truncate runs under it on both backends, so
+   two domains never interleave a Disk handle's seek and transfer, and
+   a read outside the pool's stripe locks never sees a write half done *)
 type file = {
   vfs : t;
   fname : string;
   fid : int;
+  io : Mutex.t;
   mutable cached : cached option;  (* Mem backend only *)
   mutable fd : Unix.file_descr option;  (* Disk backend only *)
   mutable closed : bool;
@@ -252,11 +249,11 @@ let check_dead t op =
 
 let file_id t name =
   match Hashtbl.find_opt t.ids name with
-  | Some id -> id
+  | Some ident -> ident
   | None ->
-    let id = Hashtbl.length t.ids in
-    Hashtbl.add t.ids name id;
-    id
+    let ident = (Hashtbl.length t.ids, Mutex.create ()) in
+    Hashtbl.add t.ids name ident;
+    ident
 
 let open_handle t name =
   track_open t name;
@@ -265,7 +262,8 @@ let open_handle t name =
     | Mem _ -> None
     | Disk dir -> Some (Unix.openfile (path dir name) [ Unix.O_RDWR ] 0o644)
   in
-  { vfs = t; fname = name; fid = file_id t name; cached = None; fd; closed = false }
+  let fid, io = file_id t name in
+  { vfs = t; fname = name; fid; io; cached = None; fd; closed = false }
 
 let create t name =
   check_name name;
@@ -411,57 +409,68 @@ let record_raise vfs h started e =
   Metrics.record h (since vfs started);
   Printexc.raise_with_backtrace e bt
 
-let read_bytes f ~off ~len =
+(* the transfers run under the file's I/O lock; [Unix] calls release
+   the runtime lock, so a Disk seek would otherwise race another
+   domain's on the shared descriptor *)
+let read_bytes f ~off buf len =
   count_read f len;
-  let buf =
-    match f.vfs.backend with
-    | Mem _ -> Mem_file.read (mem_file f) ~off ~len
-    | Disk _ ->
-      let fd = Option.get f.fd in
-      let buf = Bytes.create len in
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
-      let rec go pos remaining =
-        if remaining > 0 then begin
-          let n = Unix.read fd buf pos remaining in
-          if n = 0 then invalid_arg "Vfs.read_at: unexpected EOF";
-          go (pos + n) (remaining - n)
-        end
-      in
-      go 0 len;
-      buf
-  in
-  maybe_flip_bits f.vfs buf;
-  buf
+  Mutex.protect f.io (fun () ->
+      match f.vfs.backend with
+      | Mem _ -> Mem_file.read (mem_file f) ~off buf len
+      | Disk _ ->
+        let fd = Option.get f.fd in
+        ignore (Unix.lseek fd off Unix.SEEK_SET);
+        let rec go pos remaining =
+          if remaining > 0 then begin
+            let n = Unix.read fd buf pos remaining in
+            if n = 0 then invalid_arg "Vfs.read_at: unexpected EOF";
+            go (pos + n) (remaining - n)
+          end
+        in
+        go 0 len);
+  maybe_flip_bits f.vfs buf
 
-let read_at f ~off ~len =
+let check_read f ~off ~len =
   if f.closed then invalid_arg "Vfs.read_at: closed file";
   if off < 0 || len < 0 || off + len > size f then
     invalid_arg
       (Printf.sprintf "Vfs.read_at %s: range [%d, %d) beyond size %d" f.fname off (off + len)
          (size f));
-  check_dead f.vfs "read";
+  check_dead f.vfs "read"
+
+let timed_read f ~off buf len =
   let started = Metrics.now f.vfs.metrics in
-  match read_bytes f ~off ~len with
-  | buf ->
-    Metrics.record f.vfs.h.read_hist (since f.vfs started);
-    buf
+  match read_bytes f ~off buf len with
+  | () -> Metrics.record f.vfs.h.read_hist (since f.vfs started)
   | exception e -> record_raise f.vfs f.vfs.h.read_hist started e
+
+let read_into f ~off buf =
+  let len = Bytes.length buf in
+  check_read f ~off ~len;
+  timed_read f ~off buf len
+
+let read_at f ~off ~len =
+  check_read f ~off ~len;
+  let buf = Bytes.create len in
+  timed_read f ~off buf len;
+  buf
 
 (* the first [len] bytes of [data] *)
 let write_bytes f ~off data len =
   count_write f len;
-  match f.vfs.backend with
-  | Mem _ -> Mem_file.write (mem_file f) ~off data len
-  | Disk _ ->
-    let fd = Option.get f.fd in
-    ignore (Unix.lseek fd off Unix.SEEK_SET);
-    let rec go pos remaining =
-      if remaining > 0 then begin
-        let n = Unix.write fd data pos remaining in
-        go (pos + n) (remaining - n)
-      end
-    in
-    go 0 len
+  Mutex.protect f.io (fun () ->
+      match f.vfs.backend with
+      | Mem _ -> Mem_file.write (mem_file f) ~off data len
+      | Disk _ ->
+        let fd = Option.get f.fd in
+        ignore (Unix.lseek fd off Unix.SEEK_SET);
+        let rec go pos remaining =
+          if remaining > 0 then begin
+            let n = Unix.write fd data pos remaining in
+            go (pos + n) (remaining - n)
+          end
+        in
+        go 0 len)
 
 (* the write itself, or the torn prefix of a crashing one *)
 let faulted_write f ~off data len =
@@ -526,6 +535,7 @@ let truncate f new_size =
   check_dead f.vfs "truncate";
   let sz = size f in
   if new_size < 0 || new_size > sz then invalid_arg "Vfs.truncate: bad size";
-  match f.vfs.backend with
-  | Mem _ -> Mem_file.truncate (mem_file f) new_size
-  | Disk _ -> Unix.ftruncate (Option.get f.fd) new_size
+  Mutex.protect f.io (fun () ->
+      match f.vfs.backend with
+      | Mem _ -> Mem_file.truncate (mem_file f) new_size
+      | Disk _ -> Unix.ftruncate (Option.get f.fd) new_size)

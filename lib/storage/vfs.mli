@@ -10,6 +10,14 @@
     these once, when it is built ({!Dw_util.Metrics.counter}), not per
     operation.
 
+    Every device read, write and truncate of a file runs under that
+    file's I/O lock, one per name and shared by all its handles, on
+    both backends: a read never meets a write of the same range half
+    done, and two domains never interleave a Disk handle's seek and
+    transfer on its shared descriptor.  So a reader may read a page
+    while another domain writes pages of the same file back, with no
+    lock of its own.
+
     An in-memory file handle caches the byte store its name resolves to
     and revalidates it only after a {!create} or {!delete} on the same
     [t], so a handle opened before a name is re-created reads the new
@@ -156,6 +164,13 @@ val size : file -> int
 
 val read_at : file -> off:int -> len:int -> bytes
 (** Raises [Invalid_argument] when the range extends past end of file. *)
+
+val read_into : file -> off:int -> bytes -> unit
+(** {!read_at} of the buffer's length into the caller's buffer, with the
+    same checks, counters, latency and bit-flip draws: a page read that
+    allocates nothing.  The buffer pool faults pages in through it, and
+    a snapshot scan reads a page that is not cached into its own buffer
+    (a cold read), holding no pool lock. *)
 
 val write_at : file -> off:int -> bytes -> unit
 (** Extends the file if needed ([off] at most [size]). *)

@@ -1,11 +1,19 @@
 module Tuple = Dw_relation.Tuple
 module Heap_file = Dw_storage.Heap_file
 
-module Rid_tbl = Hashtbl.Make (struct
-  type t = Heap_file.rid
+(* chains are keyed by the rid packed into one int, page above the slot
+   ([Page.size] bounds a slot below 2^16), so a scan probes a page's
+   slots without building a rid per slot *)
+let slot_bits = 16
 
-  let equal (a : t) (b : t) = a.page = b.page && a.slot = b.slot
-  let hash (r : t) = ((r.page * 65599) + r.slot) land max_int
+let key page slot = (page lsl slot_bits) lor slot
+let key_of (r : Heap_file.rid) = key r.page r.slot
+
+module Rid_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash k = (((k lsr slot_bits) * 65599) + (k land ((1 lsl slot_bits) - 1))) land max_int
 end)
 
 type entry = {
@@ -16,7 +24,7 @@ type entry = {
      its chain without a lookup *)
   chain : entry list ref;
   tbl : table;
-  rid : Heap_file.rid;
+  key : int;  (* [key_of] its rid *)
 }
 
 (* one table's chains: rid -> chain, newest entry first (descending
@@ -25,7 +33,14 @@ type entry = {
    the same rid).  [epoch] moves whenever an entry leaves a chain other
    than by gc (a discard, a drop, a clear): a reader holding a heap
    image read at an older epoch reads the heap again *)
-and table = { rids : entry list ref Rid_tbl.t; mutable epoch : int }
+and table = {
+  rids : entry list ref Rid_tbl.t;
+  (* per heap page, the chains of its slots (0 past the end): a scan
+     resolving a page with none, most pages while writers touch a few,
+     probes no slot *)
+  mutable pages : int array;
+  mutable epoch : int;
+}
 
 let pending_csn = max_int
 let published = -1
@@ -65,11 +80,27 @@ let table_tbl t table =
   match Hashtbl.find_opt t.tables table with
   | Some tbl -> tbl
   | None ->
-    let tbl = { rids = Rid_tbl.create 32; epoch = 0 } in
+    let tbl = { rids = Rid_tbl.create 32; pages = [||]; epoch = 0 } in
     Hashtbl.add t.tables table tbl;
     tbl
 
 let table t name = locked t (fun () -> table_tbl t name)
+
+(* a chain enters or leaves [tbl] *)
+let chain_added tbl key chain =
+  Rid_tbl.add tbl.rids key chain;
+  let page = key lsr slot_bits in
+  if page >= Array.length tbl.pages then begin
+    let pages = Array.make (max 64 (2 * (page + 1))) 0 in
+    Array.blit tbl.pages 0 pages 0 (Array.length tbl.pages);
+    tbl.pages <- pages
+  end;
+  tbl.pages.(page) <- tbl.pages.(page) + 1
+
+let chain_removed tbl key =
+  Rid_tbl.remove tbl.rids key;
+  let page = key lsr slot_bits in
+  tbl.pages.(page) <- tbl.pages.(page) - 1
 
 (* [tx]'s pending entries, created empty on its first note *)
 let writes_of t tx =
@@ -97,12 +128,13 @@ let take_writes t tx =
 
 (* under the lock *)
 let note_in t tbl cell ~tx rid image =
+  let key = key_of rid in
   let chain =
-    match Rid_tbl.find_opt tbl.rids rid with
+    match Rid_tbl.find_opt tbl.rids key with
     | Some chain -> chain
     | None ->
       let chain = ref [] in
-      Rid_tbl.add tbl.rids rid chain;
+      chain_added tbl key chain;
       chain
   in
   let already_noted =
@@ -111,7 +143,7 @@ let note_in t tbl cell ~tx rid image =
     | [] -> false
   in
   if not already_noted then begin
-    let entry = { superseded_at = pending_csn; writer = tx; image; chain; tbl; rid } in
+    let entry = { superseded_at = pending_csn; writer = tx; image; chain; tbl; key } in
     chain := entry :: !chain;
     t.live <- t.live + 1;
     cell := entry :: !cell
@@ -170,18 +202,19 @@ let discard t ~tx =
           (* a pending entry stays its chain's head until published or
              discarded *)
           match !(e.chain) with
-          | [ _ ] -> Rid_tbl.remove e.tbl.rids e.rid
+          | [ _ ] -> chain_removed e.tbl e.key
           | _ :: rest -> e.chain := rest
           | [] -> ()
         end)
       !cell;
     settle t
 
-(* under the lock: the entry a snapshot at [csn] reads [rid] through,
-   if any — newest-first, superseded_at strictly descending, so the
-   visible version is the oldest entry still superseded after [csn] *)
-let visible tbl rid ~csn =
-  match Rid_tbl.find_opt tbl.rids rid with
+(* under the lock: the entry a snapshot at [csn] reads the rid packed
+   in [key] through, if any — newest-first, superseded_at strictly
+   descending, so the visible version is the oldest entry still
+   superseded after [csn] *)
+let visible tbl key ~csn =
+  match Rid_tbl.find_opt tbl.rids key with
   | None -> None
   | Some chain ->
     let rec go best = function
@@ -192,7 +225,9 @@ let visible tbl rid ~csn =
 
 let resolve t ~table ~rid ~csn =
   locked t @@ fun () ->
-  match Option.bind (Hashtbl.find_opt t.tables table) (fun tbl -> visible tbl rid ~csn) with
+  match
+    Option.bind (Hashtbl.find_opt t.tables table) (fun tbl -> visible tbl (key_of rid) ~csn)
+  with
   | None -> `Current
   | Some { image = Some tuple; _ } -> `Image tuple
   | Some { image = None; _ } -> `Absent
@@ -201,14 +236,31 @@ let epoch t tbl = locked t (fun () -> tbl.epoch)
 
 let read t tbl ~csn ~epoch heap rid current =
   locked t @@ fun () ->
-  match visible tbl rid ~csn with
+  match visible tbl (key_of rid) ~csn with
   | Some e -> e.image
   | None -> if tbl.epoch = epoch then current else Heap_file.get_opt heap rid
+
+let read_page t tbl ~csn ~epoch heap ~page versions =
+  locked t @@ fun () ->
+  let moved = tbl.epoch <> epoch in
+  if (not moved) && (page >= Array.length tbl.pages || tbl.pages.(page) = 0) then
+    Array.fill versions 0 (Array.length versions) None
+  else
+    for slot = 0 to Array.length versions - 1 do
+      versions.(slot) <-
+        (match visible tbl (key page slot) ~csn with
+         | Some e -> Some e.image
+         | None -> if moved then Some (Heap_file.get_opt heap { page; slot }) else None)
+    done;
+  tbl.epoch
 
 (* snapshot the rid set under the lock, call back outside it: [f]
    typically resolves (which re-locks) or touches buffer-pool pages *)
 let iter_rids t tbl f =
-  List.iter f (locked t (fun () -> Rid_tbl.fold (fun rid _ acc -> rid :: acc) tbl.rids []))
+  let mask = (1 lsl slot_bits) - 1 in
+  List.iter
+    (fun k -> f { Heap_file.page = k lsr slot_bits; slot = k land mask })
+    (locked t (fun () -> Rid_tbl.fold (fun k _ acc -> k :: acc) tbl.rids []))
 
 let iter_table t ~table f =
   Option.iter (fun tbl -> iter_rids t tbl f) (locked t (fun () -> Hashtbl.find_opt t.tables table))
@@ -235,7 +287,7 @@ let gc t ~horizon =
   let retire e =
     if e.writer <> unlinked then
       match keep !(e.chain) with
-      | [] -> Rid_tbl.remove e.tbl.rids e.rid
+      | [] -> chain_removed e.tbl e.key
       | kept -> e.chain := kept
   in
   let rec pass () =
@@ -262,6 +314,7 @@ let empty_table t tbl =
         !chain)
     tbl.rids;
   Rid_tbl.reset tbl.rids;
+  Array.fill tbl.pages 0 (Array.length tbl.pages) 0;
   tbl.epoch <- tbl.epoch + 1
 
 let drop_table t ~table =

@@ -42,9 +42,14 @@
 
     {b Lock order.}  The store lock is taken before a buffer-pool page
     latch or a key index's latch ({!note_insert}'s heap and index
-    insert, {!read}'s heap re-read), and after [Db]'s transaction-table
-    lock (publication under the CSN bump).  No path takes the store lock
-    while it holds a page or index latch. *)
+    insert, {!read}'s and {!read_page}'s heap re-read), and after [Db]'s
+    transaction-table lock (publication under the CSN bump).  No path
+    takes the store lock while it holds a page or index latch.
+
+    Chains are keyed by the rid packed into one int, and each table
+    counts its chains per heap page, so a scan resolving a page's slots
+    ({!read_page}) builds no rid per slot and probes none on a page
+    without chains. *)
 
 module Tuple = Dw_relation.Tuple
 module Heap_file = Dw_storage.Heap_file
@@ -117,6 +122,18 @@ val read :
     absence) if an entry covers [csn], else [current], or the heap read
     again under the store lock if the epoch has moved since.  One lock
     per call. *)
+
+val read_page :
+  t -> table -> csn:int -> epoch:int -> Heap_file.t -> page:int -> Tuple.t option option array ->
+  int
+(** [read_page t tbl ~csn ~epoch heap ~page versions] resolves every slot
+    of heap page [page] that [versions] has room for, under one lock, for
+    a reader that copied the page after taking [epoch]: [versions.(slot)]
+    becomes [Some image] where the chain's entry covering [csn] gives the
+    row ([Some None]: absent), or the heap read again under the lock if
+    the epoch has moved since; else [None], the copy's slot is the
+    snapshot's row.  Free slots are resolved too.  Returns the epoch
+    under the same lock, the one to hand the next page's call. *)
 
 val iter_table : t -> table:string -> (Heap_file.rid -> unit) -> unit
 (** Every rid of [table] that currently has a chain.  Snapshot scans

@@ -1004,6 +1004,149 @@ let snapshot_scan_keeps_writer_pages () =
   read_row ();
   check Alcotest.int "still cached after the page ranges" before (misses ())
 
+(* a snapshot aggregate over a table four times the pool folds records
+   where the scan hands them over and reads cold: per row it allocates
+   next to nothing on the calling domain, and it evicts and writes back
+   nothing *)
+let snapshot_aggregates_allocate_little () =
+  let vfs = Vfs.in_memory () in
+  let db = Db.create ~pool_pages:64 ~vfs ~name:"db" () in
+  let _ = Workload.create_parts_table db in
+  let rows = 30_000 in
+  Workload.load_parts db ~rows ();
+  let heap = Table.heap (Db.table db "parts") in
+  check Alcotest.bool "the table is at least 4x the pool" true (Heap_file.page_count heap >= 4 * 64);
+  let queries =
+    [
+      "SELECT COUNT(*) FROM parts";
+      "SELECT SUM(qty) AS units, AVG(price) FROM parts";
+      "SELECT qty, COUNT(*) AS n, AVG(price) FROM parts GROUP BY qty ORDER BY qty";
+    ]
+  in
+  let snap = Db.begin_txn ~mode:`Snapshot db in
+  let run () =
+    List.iter
+      (fun q ->
+        match Db.exec_sql db snap q with
+        | Ok (Db.Rows _) -> ()
+        | Ok _ -> Alcotest.fail "not rows"
+        | Error e -> Alcotest.fail e)
+      queries
+  in
+  run ();
+  let m = Db.metrics db in
+  let evictions = Metrics.get m "pool.evictions" and writebacks = Metrics.get m "pool.writebacks" in
+  (* [Gc.minor_words] reads the domain's allocation pointer; the
+     quick_stat's minor count moves only at a collection *)
+  let before = Gc.quick_stat () and minor_before = Gc.minor_words () in
+  run ();
+  let minor_after = Gc.minor_words () and after = Gc.quick_stat () in
+  Db.commit db snap;
+  let scanned = float_of_int (rows * List.length queries) in
+  let minor = (minor_after -. minor_before) /. scanned in
+  let promoted = (after.Gc.promoted_words -. before.Gc.promoted_words) /. scanned in
+  if minor >= 4.0 || promoted >= 1.0 then
+    Alcotest.failf "per row: %.2f minor words (limit 4), %.2f promoted (limit 1)" minor promoted;
+  check Alcotest.int "no eviction" evictions (Metrics.get m "pool.evictions");
+  check Alcotest.int "no write-back" writebacks (Metrics.get m "pool.writebacks")
+
+(* a reader domain folds aggregates over one snapshot while the main
+   domain inserts, updates, deletes and aborts on a table larger than
+   the pool, so the writer's write-backs and the reader's cold device
+   reads interleave: on both backends, every aggregate equals the fold
+   of the snapshot's own [Db.select] rows, and [Par_scan]'s result *)
+let snapshot_aggregates_race_the_writer () =
+  let run_on vfs =
+    let db = Db.create ~pool_pages:16 ~vfs ~name:"db" () in
+    let _ = Workload.create_parts_table db in
+    Workload.load_parts db ~rows:2_000 ();
+    check Alcotest.bool "the table is larger than the pool" true
+      (Heap_file.page_count (Table.heap (Db.table db "parts")) > 16);
+    let stop = Atomic.make false in
+    Dw_util.Domain_pool.with_pool ~domains:2 @@ fun pool ->
+    let reader () =
+      let snapshots = ref 0 and bad = ref [] in
+      let expect q want got = if want <> got then bad := q :: !bad in
+      let sql snap q =
+        match Db.exec_sql db snap q with
+        | Ok r -> r
+        | Error e ->
+          bad := (q ^ ": " ^ e) :: !bad;
+          Db.Affected 0
+      in
+      while (not (Atomic.get stop)) || !snapshots = 0 do
+        incr snapshots;
+        let snap = Db.begin_txn ~mode:`Snapshot db in
+        let rows = Db.select db snap "parts" () in
+        let qty r = match r.(2) with Value.Int n -> n | _ -> assert false in
+        let price r = r.(3) in
+        let rows_of cols rows = Db.Rows { columns = cols; rows } in
+        let n = List.length rows in
+        let count_q = "SELECT COUNT(*), SUM(qty) FROM parts" in
+        expect count_q
+          (rows_of [ "col0"; "col1" ]
+             [ [| Value.Int n; Value.Int (List.fold_left (fun a r -> a + qty r) 0 rows) |] ])
+          (sql snap count_q);
+        let price_q = "SELECT MIN(price), MAX(price), AVG(price) FROM parts" in
+        let prices = List.map price rows in
+        let pick keep = function
+          | [] -> Value.Null
+          | v :: vs -> List.fold_left (fun a b -> if keep (Value.compare b a) then b else a) v vs
+        in
+        let avg =
+          match List.fold_left Value.add (Value.Int 0) prices with
+          | Value.Float total -> Value.Float (total /. float_of_int n)
+          | _ -> Value.Null
+        in
+        expect price_q
+          (rows_of [ "col0"; "col1"; "col2" ] [ [| pick (fun c -> c < 0) prices; pick (fun c -> c > 0) prices; avg |] ])
+          (sql snap price_q);
+        let group_q = "SELECT qty, COUNT(*) AS n FROM parts WHERE qty < 500 GROUP BY qty" in
+        let counts = Hashtbl.create 64 in
+        List.iter
+          (fun r ->
+            if qty r < 500 then
+              Hashtbl.replace counts (qty r) (1 + Option.value ~default:0 (Hashtbl.find_opt counts (qty r))))
+          rows;
+        let groups = List.sort compare (Hashtbl.fold (fun q n acc -> (q, n) :: acc) counts []) in
+        expect group_q
+          (rows_of [ "qty"; "n" ] (List.map (fun (q, n) -> [| Value.Int q; Value.Int n |]) groups))
+          (sql snap group_q);
+        List.iter
+          (fun q ->
+            let par = Dw_warehouse.Par_scan.exec_sql ~partitions:3 ~pool db snap q in
+            expect ("Par_scan " ^ q) (Ok (sql snap q)) par)
+          [ count_q; price_q; group_q ];
+        Db.commit db snap
+      done;
+      (!snapshots, List.sort_uniq compare !bad)
+    in
+    let reader = Domain.spawn reader in
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true)
+      (fun () ->
+        for round = 0 to 149 do
+          let txn = Db.begin_txn db in
+          List.iter (exec db txn)
+            (Workload.insert_parts_txn ~first_id:(2_001 + (round * 20)) ~size:20 ~day:0 ());
+          exec db txn (Workload.update_parts_stmt ~first_id:(1 + (round * 13 mod 1_900)) ~size:50);
+          exec db txn (Workload.delete_parts_stmt ~first_id:(1 + (round * 7 mod 1_990)) ~size:5);
+          if round mod 4 = 3 then Db.abort db txn else Db.commit db txn
+        done);
+    let snapshots, bad = Domain.join reader in
+    check Alcotest.bool "the reader took snapshots" true (snapshots > 0);
+    check Alcotest.(list string) "aggregates that differ from the rows' fold" [] bad
+  in
+  run_on (Vfs.in_memory ());
+  let dir = Filename.temp_file "dwrace" "" in
+  Sys.remove dir;
+  let vfs = Vfs.on_disk dir in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Vfs.list_files vfs);
+      Unix.rmdir dir)
+    (fun () -> run_on vfs)
+
 let suite =
   [
     test "snapshot sees begin-time state" snapshot_sees_begin_state;
@@ -1026,4 +1169,6 @@ let suite =
     test "a snapshot scan never reads an aborted insert" snapshot_never_reads_an_aborted_insert;
     test "a statement's notes hold its before images" statement_notes_hold_before_images;
     test "a snapshot scan leaves a writer's pages cached" snapshot_scan_keeps_writer_pages;
+    test "snapshot aggregates allocate little and evict nothing" snapshot_aggregates_allocate_little;
+    test "snapshot aggregates race the writer on both backends" snapshot_aggregates_race_the_writer;
   ]

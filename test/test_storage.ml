@@ -596,6 +596,41 @@ let pool_file_ops_touch_own_frames () =
   Vfs.close f;
   Vfs.close g
 
+(* one Disk handle shared by two domains: a reader of page 0 and a
+   writer of page 1.  Each device read and write runs under the file's
+   I/O lock, so no seek of one lands between the other's seek and
+   transfer: every read returns page 0 and page 0 is never overwritten *)
+let vfs_disk_handle_shared_across_domains () =
+  let dir = Filename.temp_file "dwvfs" "" in
+  Sys.remove dir;
+  let vfs = Vfs.on_disk dir in
+  let f = Vfs.create vfs "race.dat" in
+  let a = Bytes.make Page.size 'a' and b = Bytes.make Page.size 'b' in
+  Vfs.write_at f ~off:0 a;
+  Vfs.write_at f ~off:Page.size b;
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Vfs.write_at f ~off:Page.size b
+        done)
+  in
+  let wrong = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join writer)
+    (fun () ->
+      for _ = 1 to 20_000 do
+        if not (Bytes.equal (Vfs.read_at f ~off:0 ~len:Page.size) a) then incr wrong
+      done);
+  let page0 = Vfs.read_at f ~off:0 ~len:Page.size in
+  Vfs.close f;
+  Vfs.delete vfs "race.dat";
+  Unix.rmdir dir;
+  check Alcotest.int "reads that returned another page" 0 !wrong;
+  check Alcotest.bool "page 0 never overwritten" true (Bytes.equal page0 a)
+
 let suite =
   [
     test "vfs mem basics" vfs_mem_basics;
@@ -630,4 +665,5 @@ let suite =
     test "vfs handle sees a re-created file" vfs_handle_sees_recreated_file;
     test "pool frames shared across handles" pool_handles_share_frames;
     test "pool file ops touch only their file" pool_file_ops_touch_own_frames;
+    test "a Disk handle is shared safely across domains" vfs_disk_handle_shared_across_domains;
   ]

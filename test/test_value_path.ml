@@ -2004,6 +2004,378 @@ let prop_long_decimal_reads_as_strtod =
       | None -> true
       | Some v -> Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float (float_of_string s)))
 
+(* ---------- the folding aggregate evaluator against the list one ---------- *)
+
+(* The aggregate SELECT evaluator the folding one replaced: a list of
+   rows per group, each item a function of its group's rows.  Kept here
+   as the reference, with one change the fold makes on purpose: a
+   group's rows fold in rid order (the replaced one consed them, so a
+   group folded in reverse). *)
+module Ref_aggregate = struct
+  let output_name i = function
+    | Ast.Star -> "*"
+    | Ast.Item (_, Some alias) | Ast.Agg (_, _, Some alias) -> alias
+    | Ast.Item (Expr.Col c, None) -> c
+    | Ast.Item (_, None) | Ast.Agg (_, _, None) -> Printf.sprintf "col%d" i
+
+  let sort_on idxs rows =
+    if idxs = [] then rows
+    else
+      List.sort
+        (fun (a : Value.t array) b ->
+          let rec go = function
+            | [] -> 0
+            | i :: rest ->
+              let c = Value.compare a.(i) b.(i) in
+              if c <> 0 then c else go rest
+          in
+          go idxs)
+        rows
+
+  let check_columns schema e =
+    List.iter
+      (fun col ->
+        if not (Schema.mem schema col) then invalid_arg (Printf.sprintf "unknown column %s" col))
+      (Expr.columns e)
+
+  let aggregate fn eval rows =
+    let values () =
+      List.filter_map
+        (fun row ->
+          let v = eval row in
+          if Value.is_null v then None else Some v)
+        rows
+    in
+    match fn with
+    | Ast.Count_star -> Value.Int (List.length rows)
+    | Ast.Count -> Value.Int (List.length (values ()))
+    | Ast.Sum -> List.fold_left Value.add (Value.Int 0) (values ())
+    | Ast.Avg -> (
+        match values () with
+        | [] -> Value.Null
+        | vs ->
+          let total = List.fold_left Value.add (Value.Int 0) vs in
+          Value.div
+            (match total with Value.Int n -> Value.Float (float_of_int n) | v -> v)
+            (Value.Float (float_of_int (List.length vs))))
+    | Ast.Min -> (
+        match values () with
+        | [] -> Value.Null
+        | v :: vs -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v vs)
+    | Ast.Max -> (
+        match values () with
+        | [] -> Value.Null
+        | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
+
+  let eval schema ~items ~group_by ~order_by tuples =
+    let group_idxs =
+      List.map
+        (fun col ->
+          match Schema.index_of_opt schema col with
+          | Some i -> i
+          | None -> invalid_arg (Printf.sprintf "GROUP BY: unknown column %s" col))
+        group_by
+    in
+    let module RowMap = Map.Make (struct
+      type t = Value.t array
+
+      let compare a b = Tuple.compare a b
+    end) in
+    let groups =
+      if group_by = [] then RowMap.singleton [||] tuples
+      else
+        RowMap.map List.rev
+          (List.fold_left
+             (fun acc tuple ->
+               let key = Array.of_list (List.map (fun i -> tuple.(i)) group_idxs) in
+               RowMap.update key
+                 (function None -> Some [ tuple ] | Some l -> Some (tuple :: l))
+                 acc)
+             RowMap.empty tuples)
+    in
+    let names =
+      List.mapi
+        (fun i item ->
+          match item with
+          | Ast.Star -> invalid_arg "SELECT: * not allowed with aggregates/GROUP BY"
+          | Ast.Item _ | Ast.Agg _ -> output_name i item)
+        items
+    in
+    let compile e =
+      check_columns schema e;
+      Expr.compile schema e
+    in
+    let item_fns =
+      List.map
+        (fun item ->
+          match item with
+          | Ast.Star -> assert false
+          | Ast.Agg (Ast.Count_star, _, _) -> aggregate Ast.Count_star (fun _ -> Value.Null)
+          | Ast.Agg (fn, Some e, _) -> aggregate fn (compile e)
+          | Ast.Agg (_, None, _) -> invalid_arg "aggregate without argument"
+          | Ast.Item (Expr.Col c, _) when List.mem c group_by -> (
+              let i = Schema.index_of schema c in
+              function row :: _ -> row.(i) | [] -> Value.Null)
+          | Ast.Item _ ->
+            invalid_arg "SELECT with GROUP BY: non-aggregate items must be grouping columns")
+        items
+    in
+    let eval_group rows = Array.of_list (List.map (fun f -> f rows) item_fns) in
+    let out_rows = List.rev (RowMap.fold (fun _key rows acc -> eval_group rows :: acc) groups []) in
+    let idx_of name =
+      match List.find_index (fun n -> n = name) names with
+      | Some i -> i
+      | None -> invalid_arg (Printf.sprintf "ORDER BY: unknown output column %s" name)
+    in
+    Db.Rows { columns = names; rows = sort_on (List.map idx_of order_by) out_rows }
+
+  (* [Db.exec_sql] of an aggregate SELECT as it ran: the WHERE filter
+     over the transaction's rows in rid order, then the list evaluator *)
+  let exec_sql db txn sql =
+    match Parser.parse sql with
+    | Error e -> Error e
+    | Ok (Ast.Select { items; table; where; group_by; order_by }) -> (
+        let schema = Table.schema (Db.table db table) in
+        match
+          let rows = Db.select db txn table () in
+          let rows =
+            match where with
+            | None -> rows
+            | Some e ->
+              check_columns schema e;
+              List.filter (Expr.compile_pred schema e) rows
+          in
+          eval schema ~items ~group_by ~order_by rows
+        with
+        | result -> Ok result
+        | exception Invalid_argument msg -> Error msg)
+    | Ok _ -> Error "not a SELECT"
+end
+
+(* a table with a column of every kind, NULLs everywhere but the key; a
+   column holds no NaN or infinity, but sums of 1e308 and expressions
+   over them reach both *)
+let agg_schema =
+  Schema.make
+    [
+      { Schema.name = "k"; ty = Value.Tint; nullable = false };
+      { Schema.name = "i"; ty = Value.Tint; nullable = true };
+      { Schema.name = "f"; ty = Value.Tfloat; nullable = true };
+      { Schema.name = "d"; ty = Value.Tdate; nullable = true };
+      { Schema.name = "s"; ty = Value.Tstring 200; nullable = true };
+      { Schema.name = "g"; ty = Value.Tint; nullable = true };
+      { Schema.name = "b"; ty = Value.Tbool; nullable = true };
+    ]
+
+type agg_case = {
+  rows : Value.t list list;  (* i, f, d, s, g, b of keys 1, 2, ... *)
+  later : (int * bool) list;  (* after the snapshot: key, deleted (else updated) *)
+  query : Ast.stmt;
+}
+
+let gen_agg_case =
+  let open QCheck2.Gen in
+  let null_or g = oneof [ return Value.Null; g ] in
+  let int_v =
+    null_or
+      (oneof
+         [
+           map (fun n -> Value.Int n) (int_range (-5) 5);
+           oneofl [ Value.Int max_int; Value.Int min_int; Value.Int (max_int - 1) ];
+         ])
+  in
+  let float_v =
+    null_or
+      (oneof
+         [
+           map (fun n -> Value.Float (float_of_int n /. 4.0)) (int_range (-2) 2);
+           oneofl (List.map (fun f -> Value.Float f) [ 0.0; -0.0; -0.0; 1e308; -1e308; 0.1 ]);
+         ])
+  in
+  let date_v = null_or (map (fun d -> Value.Date d) (int_range 0 4)) in
+  let str_v = null_or (map (fun s -> Value.Str s) (oneofl [ ""; "a"; "b"; "ab" ])) in
+  let group_v = null_or (map (fun n -> Value.Int n) (int_range 0 3)) in
+  let bool_v = null_or (map (fun b -> Value.Bool b) bool) in
+  let row =
+    let* i = int_v and* f = float_v and* d = date_v and* s = str_v and* g = group_v in
+    let+ b = bool_v in
+    [ i; f; d; s; g; b ]
+  in
+  let col = Expr.(oneofl [ Col "i"; Col "f"; Col "d"; Col "s"; Col "g"; Col "b" ]) in
+  let lit =
+    oneofl
+      Value.
+        [ Null; Int (-1); Int 0; Int 2; Int max_int; Float 0.5; Float (-0.0); Float 2.0; Date 2;
+          Str "a"; Bool true ]
+  in
+  let operand =
+    frequency
+      [
+        (4, col);
+        (1, oneofl
+          Expr.
+            [
+              Binop (Add, Col "i", Col "f");
+              Binop (Mul, Col "i", Lit (Value.Int 2));
+              Binop (Div, Col "g", Col "i");
+              (* infinities, and a NaN, from finite columns *)
+              Binop (Add, Col "f", Col "f");
+              Binop (Sub, Binop (Add, Col "f", Col "f"), Binop (Add, Col "f", Col "f"));
+              Col "zz";
+            ]);
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (6, let* op = oneofl Expr.[ Eq; Neq; Lt; Le; Gt; Ge ] and* c = col and* v = lit in
+         let+ flipped = bool in
+         if flipped then Expr.Cmp (op, Expr.Lit v, c) else Expr.Cmp (op, c, Expr.Lit v));
+        (1, map (fun c -> Expr.Is_null c) col);
+        (1, map (fun c -> Expr.Is_not_null c) col);
+        (1, oneofl
+          Expr.
+            [
+              Cmp (Gt, Binop (Add, Col "i", Lit (Value.Int 1)), Lit (Value.Int 0));
+              Cmp (Eq, Col "zz", Lit (Value.Int 1));
+              Col "b";
+              Col "g";
+            ]);
+      ]
+  in
+  let pred =
+    fix (fun self depth ->
+        if depth = 0 then leaf
+        else
+          oneof
+            [
+              leaf;
+              map2 (fun a b -> Expr.And (a, b)) (self (depth - 1)) (self (depth - 1));
+              map2 (fun a b -> Expr.Or (a, b)) (self (depth - 1)) (self (depth - 1));
+              map (fun a -> Expr.Not a) (self (depth - 1));
+            ])
+      2
+  in
+  let agg =
+    oneof
+      [
+        return (Ast.Agg (Ast.Count_star, None, None));
+        map2
+          (fun fn e -> Ast.Agg (fn, Some e, None))
+          (oneofl Ast.[ Count; Sum; Avg; Min; Max ])
+          operand;
+      ]
+  in
+  let group_by =
+    frequency
+      [
+        (3, return []);
+        (8, oneofl [ [ "g" ]; [ "d" ]; [ "f" ]; [ "s" ]; [ "b" ]; [ "g"; "d" ]; [ "i" ]; [ "f"; "g" ] ]);
+        (1, return [ "zz" ]);
+      ]
+  in
+  let case =
+    let* rows = list_size (int_range 0 60) row and* group_by = group_by in
+    let item =
+      frequency
+        [
+          (14, agg);
+          ( 4,
+            map (fun c -> Ast.Item (Expr.Col c, None)) (oneofl (if group_by = [] then [ "g" ] else group_by)) );
+          (1, map (fun c -> Ast.Item (Expr.Col c, None)) (oneofl [ "g"; "f" ]));
+          (1, return Ast.Star);
+        ]
+    in
+    let* items = list_size (int_range 1 3) item
+    and* where = option pred
+    and* order_by = frequency [ (4, return `None); (4, return `First); (1, return `Unknown) ] in
+    let items =
+      if group_by = [] && not (List.exists (function Ast.Agg _ -> true | _ -> false) items) then
+        Ast.Agg (Ast.Count_star, None, None) :: items
+      else items
+    in
+    let order_by =
+      match order_by, items with
+      | `None, _ -> []
+      | `First, item :: _ -> [ Ref_aggregate.output_name 0 item ]
+      | `First, [] -> []
+      | `Unknown, _ -> [ "zz" ]
+    in
+    let+ later =
+      list_size (int_range 0 10) (pair (int_range 1 (max 1 (List.length rows))) bool)
+    in
+    { rows; later; query = Ast.Select { items; table = "t"; where; group_by; order_by } }
+  in
+  case
+
+let same_value a b =
+  match a, b with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let prop_fold_matches_list_evaluator =
+  QCheck2.Test.make ~name:"the folding aggregate evaluator matches the list one" ~count:300
+    ~print:(fun c ->
+      Printf.sprintf "%s over %d rows, %d later writes" (Printer.to_string c.query)
+        (List.length c.rows) (List.length c.later))
+    gen_agg_case
+    (fun c ->
+      let sql = Printer.to_string c.query in
+      let db = Db.create ~pool_pages:4 ~vfs:(Vfs.in_memory ()) ~name:"db" () in
+      ignore (Db.create_table db ~name:"t" agg_schema : Table.t);
+      Db.with_txn db (fun txn ->
+          List.iteri
+            (fun k row ->
+              ignore (Db.insert db txn "t" (Array.of_list (Value.Int (k + 1) :: row)) : Heap_file.rid))
+            c.rows);
+      let snap = Db.begin_txn ~mode:`Snapshot db in
+      (* the snapshot reads these rows through their version chains *)
+      Db.with_txn db (fun txn ->
+          List.iter
+            (fun (k, deleted) ->
+              let key = Expr.Cmp (Expr.Eq, Expr.Col "k", Expr.Lit (Value.Int k)) in
+              if deleted then ignore (Db.delete_where db txn "t" ~where:(Some key) : int)
+              else
+                ignore
+                  (Db.update_where db txn "t"
+                     ~set:[ ("g", Expr.Lit (Value.Int 9)); ("f", Expr.Lit (Value.Float (-0.0))) ]
+                     ~where:(Some key)
+                    : int))
+            c.later);
+      let same a b =
+        match a, b with
+        | Ok (Db.Rows x), Ok (Db.Rows y) ->
+          x.columns = y.columns
+          && List.equal (fun r s -> Array.length r = Array.length s && Array.for_all2 same_value r s) x.rows y.rows
+        | Error x, Error y -> x = y
+        | _ -> false
+      in
+      let show = function
+        | Ok (Db.Rows { rows; _ }) ->
+          String.concat "; "
+            (List.map (fun r -> String.concat "," (Array.to_list (Array.map Value.to_string r))) rows)
+        | Ok _ -> "not rows"
+        | Error e -> "error: " ^ e
+      in
+      let agree what want got =
+        if not (same want got) then
+          QCheck2.Test.fail_reportf "%s: want %s, got %s" what (show want) (show got)
+      in
+      let want = Ref_aggregate.exec_sql db snap sql in
+      agree "snapshot" want (Db.exec_sql db snap sql);
+      Dw_util.Domain_pool.with_pool ~domains:2 (fun pool ->
+          for partitions = 1 to 5 do
+            agree
+              (Printf.sprintf "Par_scan at %d partitions" partitions)
+              want
+              (Dw_warehouse.Par_scan.exec_sql ~partitions ~pool db snap sql)
+          done);
+      Db.commit db snap;
+      let rw = Db.begin_txn db in
+      agree "read-write" (Ref_aggregate.exec_sql db rw sql) (Db.exec_sql db rw sql);
+      Db.commit db rw;
+      true)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_printers_match;
@@ -2026,4 +2398,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_update_logs_before_image;
     QCheck_alcotest.to_alcotest prop_line_decodes_in_place;
     QCheck_alcotest.to_alcotest prop_long_decimal_reads_as_strtod;
+    QCheck_alcotest.to_alcotest prop_fold_matches_list_evaluator;
   ]
