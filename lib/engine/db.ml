@@ -128,11 +128,12 @@ let pending_group_commits t = Group_commit.pending t.group
 let set_yield_hook t hook = t.yield_hook <- hook
 let set_block_hook t hook = t.block_hook <- hook
 
-let statement_boundary t =
+let statement_boundary t txn =
   (* a commit lull must not starve a waiting group leader: the max-wait
-     deadline is re-checked whenever any session reaches a statement
-     boundary (free when no group is open) *)
-  Group_commit.poll t.group;
+     deadline is re-checked whenever a read-write statement begins (free
+     when no group is open).  A snapshot statement leaves the group to
+     the writer, but still yields: the scheduler interleaves readers here *)
+  if txn.mode = `Read_write then Group_commit.poll t.group;
   match t.yield_hook with Some f -> f () | None -> ()
 
 let current_day t = t.day
@@ -233,10 +234,12 @@ let check_writable txn =
   check_live txn;
   if txn.mode = `Snapshot then invalid_arg "Db: snapshot transaction is read-only"
 
+(* a snapshot transaction took no lock, so it leaves the lock manager
+   alone *)
 let finish t txn =
   txn.finished <- true;
   locked_txn t (fun () -> Hashtbl.remove t.active txn.id);
-  Lock_manager.release_all t.locks txn.id
+  if txn.mode = `Read_write then Lock_manager.release_all t.locks txn.id
 
 let abort_rw t txn =
   (* reverse-apply undo entries; raw ops keep indexes consistent *)
@@ -517,7 +520,7 @@ let insert_new t txn rel ~row_lock tuple =
 
 let insert ?(upsert = false) t txn tname tuple =
   check_writable txn;
-  statement_boundary t;
+  statement_boundary t txn;
   let rel = rel t tname in
   lock_rel t txn rel Lock_manager.X;
   match upsert_target ~upsert t txn rel tuple with
@@ -610,7 +613,7 @@ let matching ?(mode = `Scan_only) table where =
 
 let update_where t txn tname ~set ~where =
   check_writable txn;
-  statement_boundary t;
+  statement_boundary t txn;
   let rel = rel t tname in
   lock_rel t txn rel Lock_manager.X;
   let schema = Table.schema rel.table in
@@ -640,7 +643,7 @@ let update_where t txn tname ~set ~where =
 (* a DELETE statement on [tname], under its table X lock *)
 let delete_statement t txn tname delete =
   check_writable txn;
-  statement_boundary t;
+  statement_boundary t txn;
   let rel = rel t tname in
   lock_rel t txn rel Lock_manager.X;
   delete rel
@@ -943,7 +946,7 @@ let snapshot_rows ?pages t txn rel where =
 
 let select t txn tname ?where () =
   check_live txn;
-  statement_boundary t;
+  statement_boundary t txn;
   let rel = rel t tname in
   match txn.mode with
   | `Snapshot ->
@@ -1353,7 +1356,7 @@ let exec t txn stmt =
       && is_aggregate ~items ~group_by
       && index_range t schema where = None
     then begin
-      statement_boundary t;
+      statement_boundary t txn;
       snapshot_aggregate t txn (rel t tname) ~items ~group_by ~order_by where
     end
     else eval_select schema ~items ~group_by ~order_by (select t txn tname ?where ())
@@ -1385,6 +1388,9 @@ let recover t =
   (* recovery rebuilds committed state in the heaps; an empty store makes
      every rid resolve to `Current, which is exactly right *)
   Version_store.clear t.vstore;
+  (* transaction ids must keep growing across the crash, or post-recovery
+     commits would collide with logged history *)
+  locked_txn t (fun () -> t.next_txid <- max t.next_txid (stats.Recovery.max_txid + 1));
   stats
 
 let reopen ?(pool_pages = 256) ?(pool_stripes = 1) ?(archive_log = false) ~vfs ~name
@@ -1403,10 +1409,4 @@ let reopen ?(pool_pages = 256) ?(pool_stripes = 1) ?(archive_log = false) ~vfs ~
       add_rel t
         (Table.attach ~rebuild_index:false ~pool:t.pool ~file ~name:tname ~schema ~ts_column))
     table_specs;
-  let stats = recover t in
-  (* transaction ids must keep growing across the crash, or post-recovery
-     commits would collide with logged history *)
-  let max_tx = ref 0 in
-  Wal.iter_all t.wal (fun _ r -> if r.Log_record.tx > !max_tx then max_tx := r.Log_record.tx);
-  t.next_txid <- !max_tx + 1;
-  (t, stats)
+  (t, recover t)

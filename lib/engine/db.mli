@@ -110,6 +110,14 @@ val drop_table : t -> string -> unit
     transactions log nothing; DML through one raises
     [Invalid_argument].
 
+    {b Readers leave writer state alone.}  A snapshot transaction never
+    calls the lock manager (not even to release at its end) and runs no
+    group-commit poll at its statement boundaries, which only run the
+    yield hook ({!set_yield_hook}).  So reader domains touch neither the
+    lock manager nor the WAL, and an open commit group past its
+    deadline waits for the writer's next commit, abort or read-write
+    statement (or {!sync}).
+
     {b Noted before visible.}  A snapshot never reads an uncommitted
     row.  Every row write has its before image in the version store
     before a reader can see the heap change: a statement notes all its
@@ -127,6 +135,9 @@ val drop_table : t -> string -> unit
     resolves after. *)
 
 val begin_txn : ?mode:[ `Read_write | `Snapshot ] -> t -> txn
+(** [`Read_write] logs a Begin; [`Snapshot] logs nothing and takes no
+    lock, now or later. *)
+
 val txid : txn -> int
 val txn_mode : txn -> [ `Read_write | `Snapshot ]
 
@@ -142,8 +153,9 @@ val commit : t -> txn -> unit
 (** Writes the commit record, with the frames buffered before it, in one
     log write and flushes the log (durability point),
     assigns the CSN and publishes the transaction's before-images
-    atomically.  For [`Snapshot] transactions: just ends the
-    transaction (possibly unpinning versions for GC).
+    atomically, then releases its locks.  For [`Snapshot] transactions:
+    just ends the transaction (possibly unpinning versions for GC); no
+    log, lock-manager or group-commit call.
 
     A {!Dw_storage.Vfs.Fault.Transient} fault is re-raised, and the
     transaction is finished either way.  Before the commit record is
@@ -315,7 +327,8 @@ val checkpoint : t -> unit
 val recover : t -> Dw_txn.Recovery.stats
 (** Replay the retained log into the current heap files (used by tests
     that simulate a crash by discarding in-memory state). Rebuilds
-    indexes. *)
+    indexes, and raises the next transaction id above every txid in the
+    log (recovery's analysis pass finds the highest). *)
 
 val reopen :
   ?pool_pages:int ->
@@ -330,9 +343,9 @@ val reopen :
     {!Dw_storage.Vfs.crash_reset}): adopts the WAL segments (truncating
     torn tails), re-attaches each listed table's heap file
     ([(table name, schema, ts_column)] — the catalog is not persisted, so
-    the caller supplies it), runs {!recover}, and resumes transaction ids
-    above everything in the log.  Heap files that never got created before
-    the crash start empty. *)
+    the caller supplies it) and runs {!recover}, which resumes
+    transaction ids above everything in the log.  Heap files that never
+    got created before the crash start empty. *)
 
 val has_table_file : vfs:Dw_storage.Vfs.t -> name:string -> string -> bool
 (** Whether database [name] on [vfs] ever created this table's heap file

@@ -7,7 +7,10 @@ module Heap_file = Dw_storage.Heap_file
 
 type stats = { rows : int; staged_bytes : int; txns : int }
 
-let import_table ?(batch_rows = 1000) db ~src ~table =
+(* rows per commit batch *)
+let batch_rows = 1000
+
+let import_table db ~src ~table =
   match Export_util.read_header (Db.vfs db) src with
   | Error e -> Error e
   | Ok (dump_schema, _count) ->

@@ -11,11 +11,10 @@
 type stats = {
   rows : int;
   staged_bytes : int;   (** bytes written to + read from staging pages *)
-  txns : int;           (** commit batches used *)
+  txns : int;           (** commit batches of 1000 rows: [rows / 1000 + 1] *)
 }
 
 val import_table :
-  ?batch_rows:int ->  (* rows per commit batch, default 1000 *)
   Db.t ->
   src:string ->
   table:string ->

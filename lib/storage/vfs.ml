@@ -1,9 +1,9 @@
 module Metrics = Dw_util.Metrics
 module Prng = Dw_util.Prng
 
-(* deterministic fault injection: a plan is consulted on every write/fsync
-   (events) and read (bit flips).  All decisions come from the seeded Prng,
-   so two runs over the same operation sequence inject identical faults. *)
+(* deterministic fault injection: a plan is consulted on every write and
+   fsync (events).  All decisions come from the seeded Prng, so two runs
+   over the same operation sequence inject identical faults. *)
 module Fault = struct
   exception Crash of { op : string; index : int }
   exception Transient of string
@@ -21,7 +21,6 @@ module Fault = struct
     mutable tear_on_crash : bool;   (* a crashing write persists a random prefix *)
     mutable write_fail_p : float;   (* transient write failure (nothing persisted) *)
     mutable fsync_fail_p : float;   (* transient fsync failure *)
-    mutable read_flip_p : float;    (* flip one bit of a returned read buffer *)
     sustained : sustained list;     (* event-windowed plans; survive {!reset_crash} *)
     mutable events : int;           (* write/fsync events seen so far *)
     mutable crashed : bool;
@@ -45,7 +44,7 @@ module Fault = struct
       if period_on < 1 || period_off < 0 then invalid_arg "Vfs.Fault: bad flap period"
 
   let make ?(fail_stop_after = -1) ?(tear_on_crash = true) ?(write_fail_p = 0.0)
-      ?(fsync_fail_p = 0.0) ?(read_flip_p = 0.0) ?(sustained = []) ~seed () =
+      ?(fsync_fail_p = 0.0) ?(sustained = []) ~seed () =
     List.iter check_sustained sustained;
     {
       prng = Prng.create ~seed;
@@ -53,7 +52,6 @@ module Fault = struct
       tear_on_crash;
       write_fail_p;
       fsync_fail_p;
-      read_flip_p;
       sustained;
       events = 0;
       crashed = false;
@@ -378,17 +376,6 @@ let fault_event t op kind =
       `Proceed
     end
 
-let maybe_flip_bits t buf =
-  match t.fault with
-  | Some p when p.Fault.read_flip_p > 0.0 && Bytes.length buf > 0 ->
-    if Prng.float p.Fault.prng 1.0 < p.Fault.read_flip_p then begin
-      let i = Prng.int p.Fault.prng (Bytes.length buf) in
-      let bit = Prng.int p.Fault.prng 8 in
-      Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor (1 lsl bit)));
-      Metrics.incr t.metrics "fault.bitflips"
-    end
-  | Some _ | None -> ()
-
 let count_read f len =
   simulate_latency f;
   Metrics.bump f.vfs.h.reads 1;
@@ -427,8 +414,7 @@ let read_bytes f ~off buf len =
             go (pos + n) (remaining - n)
           end
         in
-        go 0 len);
-  maybe_flip_bits f.vfs buf
+        go 0 len)
 
 let check_read f ~off ~len =
   if f.closed then invalid_arg "Vfs.read_at: closed file";

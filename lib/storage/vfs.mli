@@ -25,9 +25,9 @@
 
     A {!Fault.t} plan can be attached to inject deterministic faults on
     every byte path (see {!Fault} and DESIGN.md section 8): fail-stop
-    crashes at a chosen write/fsync event, torn writes, transient
-    write/fsync failures, and read-side bit flips.  Injected faults are
-    counted under [fault.*] names. *)
+    crashes at a chosen write/fsync event, torn writes and transient
+    write/fsync failures.  Injected faults are counted under [fault.*]
+    names. *)
 
 type t
 type file
@@ -39,8 +39,8 @@ type file
     explorer enumerates "the process died here" scenarios: everything
     written before the event survives, the crashing write itself may be
     torn (a prefix survives), nothing after it happens.  Independently,
-    writes and fsyncs can fail transiently (nothing persisted, retryable),
-    and reads can have one bit flipped (exercises checksum paths).
+    writes and fsyncs can fail transiently (nothing persisted,
+    retryable).
 
     Beyond the one-shot fail-stop, a plan can carry {e sustained}
     schedules — event-windowed degradations for chaos experiments that
@@ -52,7 +52,7 @@ type file
     the window closes.
 
     Counters: [fault.crashes], [fault.torn_writes],
-    [fault.transient_writes], [fault.transient_fsyncs], [fault.bitflips],
+    [fault.transient_writes], [fault.transient_fsyncs],
     [fault.latency_spikes]. *)
 module Fault : sig
   exception Crash of { op : string; index : int }
@@ -92,7 +92,6 @@ module Fault : sig
     ?tear_on_crash:bool ->   (* default true: the crashing write keeps a random prefix *)
     ?write_fail_p:float ->   (* transient write failure probability, default 0 *)
     ?fsync_fail_p:float ->   (* transient fsync failure probability, default 0 *)
-    ?read_flip_p:float ->    (* per-read single-bit corruption probability, default 0 *)
     ?sustained:sustained list ->  (* event-windowed schedules, default [] *)
     seed:int ->
     unit ->
@@ -167,7 +166,7 @@ val read_at : file -> off:int -> len:int -> bytes
 
 val read_into : file -> off:int -> bytes -> unit
 (** {!read_at} of the buffer's length into the caller's buffer, with the
-    same checks, counters, latency and bit-flip draws: a page read that
+    same checks, counters and latency: a page read that
     allocates nothing.  The buffer pool faults pages in through it, and
     a snapshot scan reads a page that is not cached into its own buffer
     (a cold read), holding no pool lock. *)

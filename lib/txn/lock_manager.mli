@@ -9,12 +9,11 @@
     blocked by the value-delta batch integration holds its span open until
     the lock is granted.
 
-    {b Striping}: lock state is sharded by table-name hash into
-    independently-mutexed stripes, so writer domains on disjoint tables
-    never contend; a table and all of its rows share one stripe, keeping
-    the coarse-over-fine conflict check stripe-local.  The wait-for
-    graph stays global (own mutex) so deadlock cycles spanning stripes
-    are still detected — property-tested in the parallel suite. *)
+    {b Concurrency}: every operation runs under one mutex, so the
+    conflict check, the grant and the wait-for update of an {!acquire}
+    are one atomic step and any domain may call in.  The engine calls
+    it from the writer domain of each database only: snapshot
+    transactions take no locks and never call it ([Dw_engine.Db]). *)
 
 type txid = int
 
@@ -31,20 +30,11 @@ type outcome =
 
 type t
 
-val create : ?metrics:Dw_util.Metrics.t -> ?stripes:int -> unit -> t
+val create : ?metrics:Dw_util.Metrics.t -> unit -> t
 (** [metrics] receives counters [lock.acquires], [lock.blocks] and
     [lock.deadlocks] (a private registry is used when omitted); the
     caller's scheduler is responsible for timing actual waits (the engine
-    records a [lock.wait] latency histogram around its block hook).
-    [stripes] (default 8, >= 1 or [Invalid_argument]) is the number of
-    independently-locked shards of lock state. *)
-
-val stripe_count : t -> int
-(** Number of stripes the manager was created with. *)
-
-val stripe_of : t -> resource -> int
-(** The stripe index [resource] hashes to; [Table t] and every
-    [Row (t, _)] map to the same stripe (invariant the tests pin). *)
+    records a [lock.wait] latency histogram around its block hook). *)
 
 val acquire : t -> txid -> resource -> mode -> outcome
 (** Upgrades S→X when possible.  Re-acquiring a held lock is [Granted].

@@ -7,6 +7,7 @@ type stats = {
   losers : int;
   redone : int;
   undone : int;
+  max_txid : int;
 }
 
 type tx_state = Active | Committed | Aborted
@@ -16,10 +17,11 @@ let run ~wal ~resolve =
   Metrics.with_span m "recovery" @@ fun () ->
   (* analysis *)
   let states : (int, tx_state) Hashtbl.t = Hashtbl.create 32 in
-  let scanned = ref 0 in
+  let scanned = ref 0 and max_txid = ref 0 in
   Metrics.with_span m "recovery.analysis" (fun () ->
       Wal.iter_all wal (fun _ record ->
           incr scanned;
+          if record.Log_record.tx > !max_txid then max_txid := record.tx;
           match record.Log_record.body with
           | Log_record.Begin -> Hashtbl.replace states record.tx Active
           | Log_record.Commit -> Hashtbl.replace states record.tx Committed
@@ -115,4 +117,11 @@ let run ~wal ~resolve =
           | Log_record.Begin | Log_record.Commit | Log_record.Abort | Log_record.Checkpoint _ ->
             ())
         !loser_dml);
-  { records_scanned = !scanned; winners; losers; redone = !redone; undone = !undone }
+  {
+    records_scanned = !scanned;
+    winners;
+    losers;
+    redone = !redone;
+    undone = !undone;
+    max_txid = !max_txid;
+  }

@@ -25,6 +25,7 @@ type stats = {
   losers : int;
   redone : int;
   undone : int;
+  max_txid : int;  (** the highest txid of any retained record, 0 for none *)
 }
 
 val run :

@@ -473,6 +473,33 @@ let prop_batched_equals_sequential =
           fail "partitioned refresh diverged"
         else true)
 
+let gc_snapshot_statement_leaves_group_pending () =
+  (* the group belongs to the writer: a snapshot statement past the
+     deadline leaves it pending (it still yields to the scheduler), and
+     the next read-write statement flushes it *)
+  let metrics = Metrics.create () in
+  let clk = Sim_clock.create () in
+  Metrics.use_sim_clock metrics clk;
+  let vfs = Vfs.in_memory ~metrics () in
+  let db = Db.create ~vfs ~name:"src" () in
+  let _ = Workload.create_parts_table db in
+  Db.set_sync_mode db (`Group_policy { Group_commit.max_group = 100; max_wait_s = 2.0 });
+  commit_one db 1;
+  Sim_clock.advance clk 3;
+  let yields = ref 0 in
+  Db.set_yield_hook db (Some (fun () -> incr yields));
+  let snap = Db.begin_txn ~mode:`Snapshot db in
+  ignore (Db.select db snap "parts" () : Tuple.t list);
+  ignore (Db.exec_sql db snap "SELECT COUNT(*) FROM parts" : (Db.exec_result, string) result);
+  Db.commit db snap;
+  check Alcotest.int "both snapshot statements yielded" 2 !yields;
+  check Alcotest.int "snapshot statements left the group pending" 1
+    (Db.pending_group_commits db);
+  Db.set_yield_hook db None;
+  Db.with_txn db (fun txn ->
+      ignore (Db.select db txn "parts" () : Tuple.t list);
+      check Alcotest.int "a read-write statement flushed it" 0 (Db.pending_group_commits db))
+
 let suite =
   [
     test "group deadline on sim clock" gc_deadline_on_sim_clock;
@@ -493,4 +520,6 @@ let suite =
     test "batch policy validates" batch_policy_validates;
     test "mark rolls back with a failed run" mark_rolls_back_with_failed_run;
     QCheck_alcotest.to_alcotest prop_batched_equals_sequential;
+    test "snapshot statements leave an overdue group to the writer"
+      gc_snapshot_statement_leaves_group_pending;
   ]

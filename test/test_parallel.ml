@@ -1,6 +1,6 @@
-(* Tests for the multicore read path: Domain_pool semantics, the striped
-   lock manager's invariants (co-location of a table with its rows,
-   cross-stripe deadlock detection through the global wait graph), the
+(* Tests for the multicore read path: Domain_pool semantics, the lock
+   manager under domains (table-over-row conflicts, deadlock across
+   tables, disjoint tables and contended rows from several domains), the
    striped buffer pool, domain-safe Metrics under concurrent mutation and
    reset, and the headline qcheck property — Par_scan returns results
    byte-identical to the sequential executor for random tables, partition
@@ -60,41 +60,44 @@ let pool_rejects_after_shutdown () =
     Alcotest.fail "expected Invalid_argument for 0 domains"
   with Invalid_argument _ -> ()
 
-(* ---------- striped lock manager ---------- *)
+(* ---------- lock manager under domains ---------- *)
 
-let stripes_colocate_table_and_rows () =
-  let lm = Lock_manager.create ~stripes:4 () in
-  check Alcotest.int "stripe count" 4 (Lock_manager.stripe_count lm);
+(* a table lock and a row lock of one table conflict, both ways, unless
+   both are S; a row lock of another table conflicts with neither *)
+let table_and_row_locks_conflict () =
+  let lm = Lock_manager.create () in
+  let outcome tx r m = Lock_manager.acquire lm tx r m in
+  let granted = Lock_manager.Granted and blocked l = Lock_manager.Blocked l in
   List.iter
     (fun tname ->
-      let t_stripe = Lock_manager.stripe_of lm (Lock_manager.Table tname) in
+      let row page = Lock_manager.Row (tname, { Heap_file.page; slot = page mod 7 }) in
+      let table = Lock_manager.Table tname in
+      let is what expected actual =
+        check Alcotest.bool (tname ^ ": " ^ what) true (expected = actual)
+      in
+      is "1 X table" granted (outcome 1 table Lock_manager.X);
       List.iter
         (fun page ->
-          let rid = { Heap_file.page; slot = page mod 7 } in
-          check Alcotest.int
-            (Printf.sprintf "%s row (%d) shares table stripe" tname page)
-            t_stripe
-            (Lock_manager.stripe_of lm (Lock_manager.Row (tname, rid))))
-        [ 0; 1; 17; 123 ])
+          is (Printf.sprintf "row (%d) S blocked by table X" page) (blocked [ 1 ])
+            (outcome 2 (row page) Lock_manager.S))
+        [ 0; 1; 17; 123 ];
+      Lock_manager.release_all lm 1;
+      Lock_manager.release_all lm 2;
+      is "2 S row" granted (outcome 2 (row 17) Lock_manager.S);
+      is "1 S table beside it" granted (outcome 1 table Lock_manager.S);
+      is "3 X table blocked by both" (blocked [ 1; 2 ]) (outcome 3 table Lock_manager.X);
+      is "3 X row blocked by table S" (blocked [ 1 ]) (outcome 3 (row 0) Lock_manager.X);
+      let other_row = Lock_manager.Row (tname ^ "'", { Heap_file.page = 17; slot = 3 }) in
+      is "other table's row free" granted (outcome 3 other_row Lock_manager.X);
+      List.iter (Lock_manager.release_all lm) [ 1; 2; 3 ];
+      check Alcotest.bool (tname ^ ": nothing held") true
+        (List.for_all (fun tx -> Lock_manager.held_by lm tx = []) [ 1; 2; 3 ]))
     [ "parts"; "orders"; "a"; "b"; "c"; "d"; "e"; "f"; "g" ]
 
-(* two tables on different stripes must still close a deadlock cycle:
-   the wait-for graph is global even though lock state is sharded *)
-let cross_stripe_deadlock_detected () =
-  let lm = Lock_manager.create ~stripes:4 () in
-  (* find two tables hashing to different stripes *)
-  let names = List.init 64 (fun i -> Printf.sprintf "t%d" i) in
-  let a = List.hd names in
-  let b =
-    List.find
-      (fun n ->
-        Lock_manager.stripe_of lm (Lock_manager.Table n)
-        <> Lock_manager.stripe_of lm (Lock_manager.Table a))
-      names
-  in
-  let ra = Lock_manager.Table a and rb = Lock_manager.Table b in
-  check Alcotest.bool "stripes differ" true
-    (Lock_manager.stripe_of lm ra <> Lock_manager.stripe_of lm rb);
+(* a wait-for cycle through two tables is detected *)
+let deadlock_across_tables_detected () =
+  let lm = Lock_manager.create () in
+  let ra = Lock_manager.Table "a" and rb = Lock_manager.Table "b" in
   (match Lock_manager.acquire lm 1 ra Lock_manager.X with
    | Lock_manager.Granted -> ()
    | _ -> Alcotest.fail "tx1 should get A");
@@ -107,14 +110,15 @@ let cross_stripe_deadlock_detected () =
   (match Lock_manager.acquire lm 2 ra Lock_manager.X with
    | Lock_manager.Deadlock blockers ->
      check (Alcotest.list Alcotest.int) "cycle blockers" [ 1 ] blockers
-   | _ -> Alcotest.fail "cross-stripe cycle must be detected");
+   | _ -> Alcotest.fail "a cycle across two tables must be detected");
   Lock_manager.release_all lm 1;
-  Lock_manager.release_all lm 2
+  Lock_manager.release_all lm 2;
+  check Alcotest.bool "no waiter left" false (Lock_manager.waiting lm 1)
 
-let striped_acquires_stay_independent () =
+let disjoint_tables_granted_across_domains () =
   (* concurrent writers on disjoint tables: every acquire must be granted
-     and release must leave nothing behind, whichever stripe they hit *)
-  let lm = Lock_manager.create ~stripes:4 () in
+     and release must leave nothing behind *)
+  let lm = Lock_manager.create () in
   Domain_pool.with_pool ~domains:4 @@ fun pool ->
   let per_domain = 200 in
   let task d () =
@@ -410,14 +414,84 @@ let par_scan_with_live_writer () =
     Db.commit db snap
   done
 
+(* 4 domains race for X locks on a few shared rows of one table, two
+   rows per attempt in either order (so waits can close cycles).  A
+   blocked or deadlocked attempt gives up every lock and retries.  An
+   owner cell per row, claimed after the grant and cleared before the
+   release, must never find another holder, nor lose its claim while the
+   locks are held; and every domain must finish its attempts within a
+   bounded number of tries (a corrupted lock table can block forever). *)
+let contended_rows_have_one_holder () =
+  let lm = Lock_manager.create () in
+  let domains = 4 and rows = 2 and attempts = 20000 in
+  let budget = 500 * attempts in
+  let owner = Array.init rows (fun _ -> Atomic.make 0) in
+  let row i = Lock_manager.Row ("shared", { Heap_file.page = 0; slot = i }) in
+  let started = Atomic.make 0 in
+  let task d () =
+    Atomic.incr started;
+    while Atomic.get started < domains do
+      Domain.cpu_relax ()
+    done;
+    let overlaps = ref 0 and done_ = ref 0 and tries = ref 0 in
+    let claimed = ref [] in
+    let claim i =
+      if Atomic.compare_and_set owner.(i) 0 d then claimed := i :: !claimed else incr overlaps
+    in
+    let rec take = function
+      | [] -> true
+      | i :: rest -> (
+          match Lock_manager.acquire lm d (row i) Lock_manager.X with
+          | Lock_manager.Granted ->
+            claim i;
+            take rest
+          | Lock_manager.Blocked _ | Lock_manager.Deadlock _ -> false)
+    in
+    while !done_ < attempts && !tries < budget do
+      incr tries;
+      let first = (d + !done_) mod rows in
+      let second = (first + 1 + (!done_ mod (rows - 1))) mod rows in
+      if take [ first; second ] then begin
+        incr done_;
+        for _ = 1 to 20 do
+          Domain.cpu_relax ()
+        done;
+        List.iter (fun i -> if Atomic.get owner.(i) <> d then incr overlaps) !claimed
+      end
+      else Domain.cpu_relax ();
+      List.iter (fun i -> Atomic.set owner.(i) 0) !claimed;
+      claimed := [];
+      Lock_manager.release_all lm d
+    done;
+    (!overlaps, !done_)
+  in
+  let results =
+    Domain_pool.with_pool ~domains @@ fun pool ->
+    Domain_pool.run_all pool (List.init domains (fun d -> task (d + 1)))
+  in
+  List.iteri
+    (fun d (overlaps, done_) ->
+      check Alcotest.int (Printf.sprintf "domain %d never shared a row" (d + 1)) 0 overlaps;
+      check Alcotest.int (Printf.sprintf "domain %d finished" (d + 1)) attempts done_)
+    results;
+  for d = 1 to domains do
+    check Alcotest.bool (Printf.sprintf "domain %d holds nothing" d) true
+      (Lock_manager.held_by lm d = []);
+    check Alcotest.bool (Printf.sprintf "domain %d waits on nothing" d) false
+      (Lock_manager.waiting lm d)
+  done;
+  Array.iteri
+    (fun i o -> check Alcotest.int (Printf.sprintf "row %d free" i) 0 (Atomic.get o))
+    owner
+
 let suite =
   [
     test "domain pool runs tasks in order" pool_runs_in_order;
     test "domain pool re-raises lowest-index error" pool_reraises_lowest_index_error;
     test "domain pool rejects work after shutdown" pool_rejects_after_shutdown;
-    test "lock stripes co-locate a table with its rows" stripes_colocate_table_and_rows;
-    test "cross-stripe deadlock detected" cross_stripe_deadlock_detected;
-    test "striped acquires independent across domains" striped_acquires_stay_independent;
+    test "lock stripes co-locate a table with its rows" table_and_row_locks_conflict;
+    test "cross-stripe deadlock detected" deadlock_across_tables_detected;
+    test "striped acquires independent across domains" disjoint_tables_granted_across_domains;
     test "buffer pool clamps stripes to capacity" buffer_pool_stripes_clamp_and_serve;
     test "parallel readers see every row once" parallel_readers_see_every_row;
     test "metrics survive concurrent mutation" metrics_survive_concurrent_mutation;
@@ -427,4 +501,5 @@ let suite =
     test "par scan error parity" par_scan_error_parity;
     test "par scan identical while a writer commits" par_scan_with_live_writer;
     QCheck_alcotest.to_alcotest prop_par_scan_identical;
+    test "lock manager: contended rows have one holder at a time" contended_rows_have_one_holder;
   ]

@@ -323,15 +323,12 @@ let lm_regrant_clears_wait () =
   check Alcotest.bool "X kept" true
     (Lock_manager.acquire lm 2 r1 Lock_manager.S = Lock_manager.Blocked [ 1 ])
 
-let lm_fast_path_cross_stripe_deadlock () =
+let lm_reentries_then_deadlock_across_tables () =
   let metrics = Dw_util.Metrics.create () in
-  let lm = Lock_manager.create ~metrics ~stripes:2 () in
-  (* stripes are chosen by [Hashtbl.hash] of the table name: take one
-     table from each *)
-  let names = List.init 16 (Printf.sprintf "t%d") in
-  let in_stripe k = List.find (fun n -> Hashtbl.hash n mod 2 = k) names in
-  let ra = Lock_manager.Row (in_stripe 0, rid 0 1) in
-  let rb = Lock_manager.Row (in_stripe 1, rid 0 1) in
+  let lm = Lock_manager.create ~metrics () in
+  (* a row in each of two tables *)
+  let ra = Lock_manager.Row ("a", rid 0 1) in
+  let rb = Lock_manager.Row ("b", rid 0 1) in
   let granted tx r m = Lock_manager.acquire lm tx r m = Lock_manager.Granted in
   check Alcotest.bool "1 X a" true (granted 1 ra Lock_manager.X);
   check Alcotest.bool "2 X b" true (granted 2 rb Lock_manager.X);
@@ -343,7 +340,7 @@ let lm_fast_path_cross_stripe_deadlock () =
    | _ -> Alcotest.fail "expected 1 blocked on 2");
   (match Lock_manager.acquire lm 2 ra Lock_manager.X with
    | Lock_manager.Deadlock [ 1 ] -> ()
-   | _ -> Alcotest.fail "expected deadlock across stripes");
+   | _ -> Alcotest.fail "expected deadlock across tables");
   check Alcotest.int "every call counted" 6 (Dw_util.Metrics.get metrics "lock.acquires")
 
 let lm_upgrade_takes_slow_path () =
@@ -442,6 +439,64 @@ let recovery_idempotent () =
   check Alcotest.int "same redone" s1.Recovery.redone s2.Recovery.redone;
   check Alcotest.int "single row" 1 (Heap_file.count heap)
 
+(* ---------- restart ---------- *)
+
+module Db = Dw_engine.Db
+
+(* a log of [n] committed empty transactions, and no table: a reopen
+   reads nothing but the log *)
+let reopen_empty_log n =
+  let metrics = Dw_util.Metrics.create () in
+  let vfs = Vfs.in_memory ~metrics () in
+  let db = Db.create ~vfs ~name:"r" () in
+  for _ = 1 to n do
+    Db.with_txn db ignore
+  done;
+  Vfs.crash_reset vfs;
+  let before = Dw_util.Metrics.get metrics "vfs.read_bytes" in
+  let db, stats = Db.reopen ~vfs ~name:"r" ~tables:[] () in
+  (Dw_util.Metrics.get metrics "vfs.read_bytes" - before, Wal.next_lsn (Db.wal db), stats)
+
+let reopen_reads_the_log_once_per_pass () =
+  List.iter
+    (fun n ->
+      let read, log_bytes, stats = reopen_empty_log n in
+      check Alcotest.int (Printf.sprintf "%d txns: records" n) (2 * n)
+        stats.Recovery.records_scanned;
+      check Alcotest.int (Printf.sprintf "%d txns: highest txid" n) n stats.Recovery.max_txid;
+      (* the torn-tail scan that adopts the segment, then recovery's
+         analysis, redo and undo passes: no pass of its own for the
+         highest txid *)
+      check Alcotest.int (Printf.sprintf "%d txns: bytes read" n) (4 * log_bytes) read)
+    [ 1; 10; 100 ]
+
+let reopen_txids_pass_a_loser () =
+  let vfs = Vfs.in_memory () in
+  let schema = Schema.make [ { Schema.name = "id"; ty = Value.Tint; nullable = false } ] in
+  let db = Db.create ~vfs ~name:"r" () in
+  ignore (Db.create_table db ~name:"t" schema : Dw_engine.Table.t);
+  ignore (Db.create_table db ~name:"u" schema : Dw_engine.Table.t);
+  Db.with_txn db (fun txn -> ignore (Db.insert db txn "t" [| Value.Int 0 |] : Heap_file.rid));
+  (* the winner begins first; the loser, begun after it, holds the
+     highest txid, and its frames reach the log with the winner's commit *)
+  let winner = Db.begin_txn db in
+  let loser = Db.begin_txn db in
+  ignore (Db.insert db loser "u" [| Value.Int 1 |] : Heap_file.rid);
+  ignore (Db.insert db winner "t" [| Value.Int 2 |] : Heap_file.rid);
+  Db.commit db winner;
+  Vfs.crash_reset vfs;
+  let db, stats =
+    Db.reopen ~vfs ~name:"r" ~tables:[ ("t", schema, None); ("u", schema, None) ] ()
+  in
+  let logged = ref 0 in
+  Wal.iter_all (Db.wal db) (fun _ r -> logged := max !logged r.Log_record.tx);
+  check Alcotest.int "the loser's txid is the log's highest" (Db.txid loser) !logged;
+  check Alcotest.int "recovery saw it" !logged stats.Recovery.max_txid;
+  check Alcotest.int "one loser" 1 stats.Recovery.losers;
+  let next = Db.begin_txn db in
+  check Alcotest.bool "the first txid after the reopen is past it" true (Db.txid next > !logged);
+  Db.commit db next
+
 let suite =
   [
     test "log record roundtrip" log_record_roundtrip;
@@ -462,9 +517,11 @@ let suite =
     test "locks: deadlock detection" lm_deadlock_detection;
     test "locks: release clears waits" lm_release_clears_waits;
     test "locks: re-entry grant ends a wait" lm_regrant_clears_wait;
-    test "locks: cross-stripe deadlock after re-entries" lm_fast_path_cross_stripe_deadlock;
+    test "locks: cross-stripe deadlock after re-entries" lm_reentries_then_deadlock_across_tables;
     test "locks: S to X upgrade checks conflicts" lm_upgrade_takes_slow_path;
     test "recovery redo/undo" recovery_redo_undo;
     test "recovery update images" recovery_update_images;
     test "recovery idempotent" recovery_idempotent;
+    test "restart: a reopen reads the log once per pass" reopen_reads_the_log_once_per_pass;
+    test "restart: txids after a reopen pass a crashed loser's" reopen_txids_pass_a_loser;
   ]
