@@ -67,11 +67,12 @@ let read db t ~after visit =
       visit row);
   !last
 
-(* delete the rows through [through] in one key-range statement, and
-   hand out positions past it from now on; open transactions hold no
-   lock on their rows, which all lie past [through] *)
+(* free the rows through [through], which the consumer's committed mark
+   has passed, in one logged purge, and hand out positions past it from
+   now on; open transactions hold no lock on their rows, which all lie
+   past [through] *)
 let purge db t ~through =
   if through > 0 then begin
     t.last <- max t.last through;
-    ignore (Db.with_txn db (fun txn -> Db.delete_through db txn t.name (Value.Int through)) : int)
+    ignore (Db.with_txn db (fun txn -> Db.purge db txn t.name (Value.Int through)) : int)
   end

@@ -21,7 +21,7 @@ let committed_dml ?(since_lsn = 0) db ~table =
       match record.Log_record.body with
       | Log_record.Commit -> Hashtbl.replace committed record.Log_record.tx ()
       | Log_record.Begin | Log_record.Abort | Log_record.Insert _ | Log_record.Delete _
-      | Log_record.Update _ | Log_record.Checkpoint _ ->
+      | Log_record.Update _ | Log_record.Purge _ | Log_record.Checkpoint _ ->
         ());
   let dml = ref [] in
   Wal.iter_from wal since_lsn (fun _ record ->
@@ -33,8 +33,10 @@ let committed_dml ?(since_lsn = 0) db ~table =
           dml := (record.Log_record.tx, `Del (rid, before)) :: !dml
         | Log_record.Update { table = t; rid; before; after } when t = table ->
           dml := (record.Log_record.tx, `Upd (rid, before, after)) :: !dml
-        | Log_record.Insert _ | Log_record.Delete _ | Log_record.Update _ | Log_record.Begin
-        | Log_record.Commit | Log_record.Abort | Log_record.Checkpoint _ ->
+        (* a purge frees a capture log's consumed rows: bookkeeping, not
+           a change to extract *)
+        | Log_record.Insert _ | Log_record.Delete _ | Log_record.Update _ | Log_record.Purge _
+        | Log_record.Begin | Log_record.Commit | Log_record.Abort | Log_record.Checkpoint _ ->
           ());
   (List.rev !dml, !scanned, Wal.segment_bytes wal)
 

@@ -80,7 +80,7 @@ let uncommitted db =
       match r.Log_record.body with
       | Log_record.Commit -> Hashtbl.replace state r.Log_record.tx true
       | Log_record.Begin | Log_record.Abort -> Hashtbl.replace state r.Log_record.tx false
-      | Log_record.Insert _ | Log_record.Delete _ | Log_record.Update _ ->
+      | Log_record.Insert _ | Log_record.Delete _ | Log_record.Update _ | Log_record.Purge _ ->
         if not (Hashtbl.mem state r.Log_record.tx) then Hashtbl.replace state r.Log_record.tx false
       | Log_record.Checkpoint _ -> ());
   fun tx -> Hashtbl.find_opt state tx = Some false

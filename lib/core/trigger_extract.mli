@@ -57,9 +57,12 @@ val collect : Db.t -> handle -> Delta.t
 (** [read ~after:0]: every committed change the delta table holds. *)
 
 val purge : Db.t -> handle -> through:int -> unit
-(** Deletes the rows through position [through] in one source
-    transaction (nothing when [through] is 0), and hands out positions
+(** Removes the rows through position [through] in one source
+    transaction ({!Db.purge}: one [Purge] log record of their rids, no
+    before images; nothing when [through] is 0), and hands out positions
     past [through] from now on — a consumer calls it with its committed
-    mark, also when it restarts over an emptied delta table.  Capture
-    rows are appended without locks, so an open transaction never blocks
-    the purge. *)
+    mark, also when it restarts over an emptied delta table.  Recovery
+    finishes a purge whose record reached the log even if its
+    transaction did not commit, so [through] must never pass the mark
+    the consumer has made durable.  Capture rows are appended without
+    locks, so an open transaction never blocks the purge. *)

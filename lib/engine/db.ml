@@ -459,10 +459,10 @@ let logged_update t txn rel rid ~before after =
   fire t txn rel (Trigger.Updated (rid, before, after))
 
 (* the logged delete of a noted row whose decoded [before] image the
-   caller holds, [free] taking it out of the table: the WAL carries the
-   record the heap slot held, as it was *)
-let logged_free t txn rel rid ~before free =
-  let before_rec = free () in
+   caller holds: the WAL carries the record the heap slot held, as it
+   was *)
+let logged_delete t txn rel rid ~before =
+  let before_rec = Table.raw_delete rel.table rid ~old_tuple:before in
   txn.undo_log <- U_delete (rel.rname, rid, before) :: txn.undo_log;
   log_dml t
     {
@@ -470,9 +470,6 @@ let logged_free t txn rel rid ~before free =
       body = Log_record.Delete { table = rel.rname; rid; before = before_rec };
     };
   fire t txn rel (Trigger.Deleted (rid, before))
-
-let logged_delete t txn rel rid ~before =
-  logged_free t txn rel rid ~before (fun () -> Table.raw_delete rel.table rid ~old_tuple:before)
 
 (* the row under [key], read under [txn]'s [mode] lock on it.  Under a
    table X lock that is one probe.  Otherwise the row is locked first and
@@ -662,10 +659,17 @@ let delete_where t txn tname ~where =
 let delete_key t txn tname key =
   delete_found t txn tname (fun table -> Option.to_list (Table.find_key table key))
 
-let delete_through t txn tname v =
+(* one Purge record of the victims' rids, logged before the first slot
+   is freed: no before images, since recovery never undoes a purge *)
+let purge t txn tname v =
   delete_statement t txn tname (fun rel ->
-      Table.raw_delete_through rel.table v ~victims:(note t txn rel) (fun rid before free ->
-          logged_free t txn rel rid ~before free))
+      let log victims =
+        note t txn rel victims;
+        let body = Log_record.Purge { table = rel.rname; rids = List.map fst victims } in
+        if victims <> [] then log_dml t { Log_record.tx = txn.id; body }
+      in
+      Table.raw_purge rel.table v ~victims:log (fun rid before ->
+          txn.undo_log <- U_delete (rel.rname, rid, before) :: txn.undo_log))
 
 (* snapshot read path: resolve each candidate rid through the version
    store; readers take no locks and are never blocked.

@@ -195,15 +195,20 @@ val delete_key : t -> txn -> string -> Tuple.t -> int
     through the key index instead of a predicate: 1, or 0 when there is
     none. *)
 
-val delete_through : t -> txn -> string -> Value.t -> int
-(** [DELETE] of every row whose leading key column is [<= v] (a
-    position log's purged prefix), found through the key index with no
-    predicate, in either plan mode.  Each row is logged, noted in the
-    version store and undone on abort as {!delete_where} does, in rid
-    order, so the log is the same as [delete_where]'s with [key <= v];
-    the key index drops the rows in one range removal at the end of the
-    statement.  Raises [Invalid_argument] where no key range ends at
-    [v] (see {!Table.raw_delete_through}). *)
+val purge : t -> txn -> string -> Value.t -> int
+(** Removes every row whose leading key column is [<= v] (a position
+    log's consumed prefix), found through the key index, and returns how
+    many there were.  Each row is noted in the version store, so an
+    older snapshot still reads it, and undone on an in-process abort as
+    {!delete_where}'s rows are; no trigger fires.  The log gets one
+    [Purge] record listing the rows' rids, appended before the first
+    slot is freed, not a [Delete] with a before image per row.  Recovery applies a [Purge]
+    whether its transaction won or lost and never undoes it
+    ({!Dw_txn.Recovery}), so the caller must only purge rows nobody will
+    read again, such as those at or below a consumer's committed mark.
+    The key index drops the rows in one range removal.  Raises
+    [Invalid_argument] where no key range ends at [v] (see
+    {!Table.raw_purge}). *)
 
 val select : t -> txn -> string -> ?where:Expr.t -> unit -> Tuple.t list
 (** Full tuples of matching rows, in rid order.  [`Read_write]: shared

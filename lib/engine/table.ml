@@ -3,6 +3,8 @@ module Tuple = Dw_relation.Tuple
 module Value = Dw_relation.Value
 module Heap_file = Dw_storage.Heap_file
 module Btree = Dw_storage.Btree
+module Page = Dw_storage.Page
+module Codec = Dw_relation.Codec
 
 type t = {
   name : string;
@@ -126,7 +128,7 @@ let rebuild_indexes t =
   (* collect, sort once, bulk-load packed trees *)
   let pk_bindings = ref [] in
   let ts_bindings = ref [] in
-  Heap_file.iter t.heap (fun rid tuple ->
+  Heap_file.iter_pages t.heap ~from_page:0 ~to_page:max_int (fun rid tuple ->
       let key = Tuple.key t.schema tuple in
       pk_bindings := (key, rid) :: !pk_bindings;
       match t.ts_col_idx with
@@ -154,7 +156,7 @@ let attach ~rebuild_index ~pool ~file ~name ~schema ~ts_column =
   if rebuild_index then rebuild_indexes t;
   t
 
-let scan t f = Heap_file.iter t.heap f
+let scan t f = Heap_file.iter_pages t.heap ~from_page:0 ~to_page:max_int f
 
 let ts_range t ~after f =
   match t.ts_index, t.ts_col_idx with
@@ -190,7 +192,7 @@ let key_range t ~lo ~hi f =
   Btree.iter_range t.pk ~lo ~hi (fun _key rid ->
       Option.iter (f rid) (Heap_file.get_opt t.heap rid))
 
-let raw_delete_through t v ~victims:on_victims each =
+let raw_purge t v ~victims:on_victims freed =
   let hi =
     match through_bound t v with
     | Some hi -> hi
@@ -198,21 +200,23 @@ let raw_delete_through t v ~victims:on_victims each =
       invalid_arg
         (Printf.sprintf "Table %s: no key range ends at %s" t.name (Value.to_string v))
   in
-  let victims = ref [] in
-  Btree.iter_range t.pk ~lo:Btree.Unbounded ~hi (fun _key rid ->
-      victims := (rid, Heap_file.get t.heap rid) :: !victims);
-  let victims = List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !victims in
+  (* in key order, each decoded where it lies in one cold copy of the
+     run of rows it shares a page with: a log fills pages in position
+     order *)
+  let page = Bytes.create Page.size and copied = ref (-1) and victims = ref [] in
+  Btree.iter_range t.pk ~lo:Btree.Unbounded ~hi (fun _key (rid : Heap_file.rid) ->
+      if rid.page <> !copied then begin
+        Heap_file.copy_page t.heap rid.page page;
+        copied := rid.page
+      end;
+      victims := (rid, Codec.decode_binary t.schema page (Page.slot_off page rid.slot)) :: !victims);
+  let victims = List.rev !victims in
   on_victims victims;
-  (* the slots are freed first and the index entries dropped last, as a
-     row delete does for each row; if a step fails, the entries of the
+  (* the slots are freed first, one page's run under one latch, and the
+     index entries dropped last; if a step fails, the entries of the
      rows already freed go, so an undo can put each row back *)
-  let freed = ref [] in
-  let free rid tuple () =
-    let record = Heap_file.delete t.heap rid in
-    freed := tuple :: !freed;
-    record
-  in
-  (match List.iter (fun (rid, tuple) -> each rid tuple (free rid tuple)) victims with
+  let gone = ref 0 in
+  (match Heap_file.free_rows t.heap victims (fun rid tuple -> incr gone; freed rid tuple) with
    | () ->
      ignore (Btree.remove_range t.pk ~lo:Btree.Unbounded ~hi : int);
      Option.iter
@@ -220,7 +224,7 @@ let raw_delete_through t v ~victims:on_victims each =
          List.iter (fun (_, tuple) -> ignore (Btree.remove idx (ts_key t tuple) : bool)) victims)
        t.ts_index
    | exception e ->
-     List.iter (index_remove t) !freed;
+     List.iteri (fun i (_, tuple) -> if i < !gone then index_remove t tuple) victims;
      raise e);
   List.length victims
 

@@ -77,19 +77,21 @@ val raw_delete : t -> Heap_file.rid -> old_tuple:Tuple.t -> bytes
 (** Frees the row's slot and removes its index entries; returns the
     encoded record the slot held. *)
 
-val raw_delete_through :
+val raw_purge :
   t ->
   Dw_relation.Value.t ->
   victims:((Heap_file.rid * Tuple.t) list -> unit) ->
-  (Heap_file.rid -> Tuple.t -> (unit -> bytes) -> unit) ->
+  (Heap_file.rid -> Tuple.t -> unit) ->
   int
-(** [raw_delete_through t v ~victims each] deletes every row whose first
-    key column is [<= v], found through the primary-key index, and
-    returns how many there were.  [victims] sees them all, in rid order,
-    before the first slot is freed.  Then for each row, in rid order,
-    [each rid tuple free] runs, and must call [free] once: it frees the
-    slot and returns the encoded record it held.  The primary-key
-    entries then go in one {!Btree.remove_range}.  If [each] raises, the
+(** [raw_purge t v ~victims freed] frees every row whose first key
+    column is [<= v], found through the primary-key index, and returns
+    how many there were.  [victims] sees them all, in key order, before
+    the first slot is freed; each was decoded from a cold copy of its
+    page ({!Heap_file.copy_page}).  Then the slots are freed in key
+    order, each run of rows on one page under one page latch
+    ({!Heap_file.free_rows}), and [freed rid tuple] runs for each row of
+    the run after it.  The primary-key
+    entries then go in one {!Btree.remove_range}.  If a step raises, the
     index entries of the rows freed so far are removed and the exception
     goes on.  Raises [Invalid_argument] for a composite key whose first
     column is not an INT or DATE below [max_int], where no key range

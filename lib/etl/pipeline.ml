@@ -55,6 +55,7 @@ type t = {
   mutable ewma : Planner.observed option;
   mutable last_used : Planner.method_ option;
   mutable fallbacks : int;
+  mutable purged : int;  (* the trigger delta position last purged through *)
 }
 
 let method_name t =
@@ -130,6 +131,7 @@ let create ?transform ?(compact = false) ?(capture_images = false) ?planner
     ewma = None;
     last_used = None;
     fallbacks = 0;
+    purged = mark.trig;
   }
 
 let capture t = t.cap
@@ -240,8 +242,16 @@ let extract_value_delta t method_ =
    fails, the mark is re-read: transactions it committed before failing
    carry their own.  Once [m] is durable, what it moved past is retired:
    the pre-previous snapshot file, and the trigger delta rows through its
-   position (a purge that fails leaves rows the next one deletes).  The
-   Op-Delta file log is append-only. *)
+   position.  The Op-Delta file log is append-only.  The round has
+   committed, so a purge that meets a transient source fault is counted
+   and leaves its rows to the next round's purge, or to [create]'s; any
+   other exception propagates. *)
+let purge_through t h through =
+  match Trigger_extract.purge t.source h ~through with
+  | () -> t.purged <- through
+  | exception Vfs.Fault.Transient _ ->
+    Metrics.incr (Db.metrics (Warehouse.db t.warehouse)) "pipeline.purge_failures"
+
 let integrating t m integrate =
   let put m txn = Warehouse.put_mark t.warehouse txn t.table m in
   let stats =
@@ -256,8 +266,7 @@ let integrating t m integrate =
   let old = t.mark in
   t.mark <- m;
   if m.snap > old.snap && m.snap > 2 then Vfs.delete (Db.vfs t.source) (snap_name t (m.snap - 2));
-  if m.trig > old.trig then
-    Option.iter (fun h -> Trigger_extract.purge t.source h ~through:m.trig) t.trigger_handle;
+  if m.trig > t.purged then Option.iter (fun h -> purge_through t h m.trig) t.trigger_handle;
   stats
 
 let integrate_value t m delta =

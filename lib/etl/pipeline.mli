@@ -142,7 +142,12 @@ val run_round : t -> (round_stats, string) result
     fails part-way re-reads the mark the committed ones left.  Once the
     mark has committed, a snapshot round retires the pre-previous snapshot
     file and a trigger round purges the delta table through its
-    position.  In [Planned] mode: read every channel past the mark, score
+    position.  The round has committed by then, so a purge that meets a
+    transient source fault ({!Dw_storage.Vfs.Fault.Transient}) does not
+    fail it: it is counted as [pipeline.purge_failures] in the
+    warehouse's registry, and the next round that reaches the purge, or
+    {!create}, purges through the mark again.  Any other exception from
+    the purge propagates.  In [Planned] mode: read every channel past the mark, score
     the methods against blended per-round observations, integrate through
     the chosen channel (an Op-Delta choice applies the round's statements
     as one run, one warehouse transaction, so both capture positions

@@ -48,26 +48,23 @@ let column_offset schema i =
 
 let decode_binary schema buf off =
   let n = Schema.arity schema in
-  let bitmap_bytes = (n + 7) / 8 in
-  let is_null i =
-    Char.code (Bytes.get buf (off + (i / 8))) land (1 lsl (i mod 8)) <> 0
-  in
-  let pos = ref (off + bitmap_bytes) in
-  Array.init n (fun i ->
-      let col = Schema.column schema i in
-      let width = Value.encoded_size col.Schema.ty in
-      let p = !pos in
-      pos := !pos + width;
-      if is_null i then Value.Null
-      else
-        match col.Schema.ty with
-        | Value.Tint -> Value.Int (Int64.to_int (get_i64 buf p))
-        | Value.Tdate -> Value.Date (Int64.to_int (get_i64 buf p))
-        | Value.Tfloat -> Value.Float (Int64.float_of_bits (get_i64 buf p))
-        | Value.Tbool -> Value.Bool (Bytes.get buf p <> '\000')
-        | Value.Tstring _ ->
-          let len = Bytes.get_uint16_le buf p in
-          Value.Str (Bytes.sub_string buf (p + 2) len))
+  let row = Array.make n Value.Null in
+  let pos = ref (off + ((n + 7) / 8)) in
+  for i = 0 to n - 1 do
+    let ty = (Schema.column schema i).Schema.ty in
+    let p = !pos in
+    pos := p + Value.encoded_size ty;
+    (* null bitmap: bit i set = column i is NULL *)
+    if Char.code (Bytes.get buf (off + (i / 8))) land (1 lsl (i mod 8)) = 0 then
+      row.(i) <-
+        (match ty with
+         | Value.Tint -> Value.Int (Int64.to_int (get_i64 buf p))
+         | Value.Tdate -> Value.Date (Int64.to_int (get_i64 buf p))
+         | Value.Tfloat -> Value.Float (Int64.float_of_bits (get_i64 buf p))
+         | Value.Tbool -> Value.Bool (Bytes.get buf p <> '\000')
+         | Value.Tstring _ -> Value.Str (Bytes.sub_string buf (p + 2) (Bytes.get_uint16_le buf p)))
+  done;
+  row
 
 (* runs without a byte to escape are copied whole *)
 let escape_into buf s =

@@ -128,6 +128,36 @@ let delete t rid =
   push_free t rid.page;
   record
 
+(* the run of [rows] on the first one's page under its latch, then
+   [freed] for each row of the run it freed, then the next run; a raise
+   inside the run reaches the caller after the rows freed before it are
+   seen *)
+let rec free_rows t rows freed =
+  match rows with
+  | [] -> ()
+  | (first, _) :: _ ->
+    let n = ref 0 in
+    let rec free page = function
+      | (rid, _) :: more when rid.page = first.page ->
+        Page.delete page rid.slot;
+        incr n;
+        free page more
+      | _ -> ()
+    in
+    let outcome =
+      match Buffer_pool.with_page t.pool t.file first.page ~dirty:true (fun page -> free page rows) with
+      | () -> None
+      | exception e -> Some e
+    in
+    if !n > 0 then push_free t first.page;
+    let rec each n = function
+      | (rid, x) :: more when n > 0 ->
+        freed rid x;
+        each (n - 1) more
+      | rest -> ( match outcome with None -> free_rows t rest freed | Some e -> raise e)
+    in
+    each !n rows
+
 let iter_pages t ~from_page ~to_page f =
   for pno = max 0 from_page to min (to_page - 1) (page_count t - 1) do
     (* copy out the used slots, then decode outside the page callback so
@@ -142,11 +172,9 @@ let iter_pages t ~from_page ~to_page f =
 
 let copy_page t pno buf = Buffer_pool.copy_page t.pool t.file pno buf
 
-let iter t f = iter_pages t ~from_page:0 ~to_page:(page_count t) f
-
 let count t =
   let n = ref 0 in
-  iter t (fun _ _ -> incr n);
+  iter_pages t ~from_page:0 ~to_page:max_int (fun _ _ -> incr n);
   !n
 let flush t = Buffer_pool.flush_file t.pool t.file
 

@@ -42,11 +42,17 @@ val delete : t -> rid -> bytes
 (** Frees the slot and returns the record it held.  Raises
     [Invalid_argument] for a free or out-of-range rid. *)
 
-val iter : t -> (rid -> Tuple.t -> unit) -> unit
-(** Full scan in page order. *)
+val free_rows : t -> (rid * 'a) list -> (rid -> 'a -> unit) -> unit
+(** [free_rows t rows freed] frees the slots of [rows] in list order,
+    without copying their records out: each run of rows on one page
+    under one page latch, then [freed rid x] for each row of the run.  A
+    raise leaves every row before it freed, each seen by [freed] before
+    the raise reaches the caller, and the rows from it on untouched.
+    Raises [Invalid_argument] for a free slot. *)
 
 val iter_pages : t -> from_page:int -> to_page:int -> (rid -> Tuple.t -> unit) -> unit
-(** Scan pages [from_page, to_page) in page order (clamped to the file),
+(** Scan pages [from_page, to_page) in page order (clamped to the file:
+    [~from_page:0 ~to_page:max_int] is a full scan),
     copying each page's records out under its frame latch and decoding
     outside it. *)
 

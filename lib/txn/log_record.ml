@@ -10,6 +10,7 @@ type body =
   | Insert of { table : string; rid : rid; after : bytes }
   | Delete of { table : string; rid : rid; before : bytes }
   | Update of { table : string; rid : rid; before : bytes; after : bytes }
+  | Purge of { table : string; rids : rid list }
   | Checkpoint of txid list
 
 type t = { tx : txid; body : body }
@@ -50,15 +51,18 @@ let tag_of_body = function
   | Delete _ -> 4
   | Update _ -> 5
   | Checkpoint _ -> 6
+  | Purge _ -> 7
 
 (* bytes after the tag and tx: length-prefixed table name, an 8-byte
-   rid and length-prefixed images; a checkpoint's count and txids *)
+   rid and length-prefixed images; a purge's table name, count and
+   rids; a checkpoint's count and txids *)
 let body_length = function
   | Begin | Commit | Abort -> 0
   | Insert { table; after = image; _ } | Delete { table; before = image; _ } ->
     4 + String.length table + 8 + 4 + Bytes.length image
   | Update { table; before; after; _ } ->
     4 + String.length table + 8 + 4 + Bytes.length before + 4 + Bytes.length after
+  | Purge { table; rids } -> 4 + String.length table + 4 + (8 * List.length rids)
   | Checkpoint active -> 4 + (8 * List.length active)
 
 let frame_length t = 8 + 1 + 8 + body_length t.body
@@ -77,6 +81,8 @@ let encode_into t out ~off =
       put_bytes out (put_rid out (put_string out pos table) rid) image
     | Update { table; rid; before; after } ->
       put_bytes out (put_bytes out (put_rid out (put_string out pos table) rid) before) after
+    | Purge { table; rids } ->
+      List.fold_left (put_rid out) (put_u32 out (put_string out pos table) (List.length rids)) rids
     | Checkpoint active ->
       List.fold_left (put_i64 out) (put_u32 out pos (List.length active)) active
   in
@@ -168,6 +174,12 @@ let decode buf ~off =
         let n = u32 () in
         let active = List.init n (fun _ -> i64 ()) in
         Checkpoint active
+      | 7 ->
+        let table = string_fld () in
+        let n = u32 () in
+        if n > (limit - !pos) / 8 then raise (Bad "truncated rid list");
+        let rids = List.init n (fun _ -> rid_fld ()) in
+        Purge { table; rids }
       | n -> raise (Bad (Printf.sprintf "unknown tag %d" n))
     in
     Ok ({ tx; body }, off + total)
@@ -186,6 +198,7 @@ let pp ppf t =
   | Update { table; rid; before; after } ->
     Format.fprintf ppf "UPDATE tx=%d %s%s (%d->%dB)" t.tx table (rid_str rid)
       (Bytes.length before) (Bytes.length after)
+  | Purge { table; rids } -> Format.fprintf ppf "PURGE tx=%d %s (%d rids)" t.tx table (List.length rids)
   | Checkpoint active ->
     Format.fprintf ppf "CHECKPOINT active=[%s]"
       (String.concat ";" (List.map string_of_int active))

@@ -5,7 +5,13 @@
     An [Insert] carries only the after image, a [Delete] only the before
     image, an [Update] both — exactly the images the trigger-based
     value-delta extraction captures, which is what lets the log-based
-    extractor of the paper recover value deltas from the archive log. *)
+    extractor of the paper recover value deltas from the archive log.
+
+    A [Purge] carries no image: it frees the listed slots of a position
+    log (a capture table) whose rows a consumer has durably read, so it
+    is redo-only — recovery applies it whether its transaction won or
+    lost and never undoes it ({!Recovery}).  It is not a change to the
+    table's data, so log-based extraction skips it. *)
 
 type txid = int
 
@@ -18,6 +24,8 @@ type body =
   | Insert of { table : string; rid : rid; after : bytes }
   | Delete of { table : string; rid : rid; before : bytes }
   | Update of { table : string; rid : rid; before : bytes; after : bytes }
+  | Purge of { table : string; rids : rid list }
+      (** the slots freed by one purge of a consumed prefix, in key order *)
   | Checkpoint of txid list  (** transactions active at checkpoint time *)
 
 type t = {

@@ -17,7 +17,16 @@
 
     Aborted transactions' records are skipped in redo and also undone
     (the engine applies changes eagerly, so an abort that didn't finish
-    rolling back is completed here). *)
+    rolling back is completed here).
+
+    A [Purge] record is redo-only: the redo pass frees its rids at its
+    LSN whether its transaction won or lost, and the undo pass never
+    reverses it.  Every row a purge frees lies at or below a consumer's
+    durable mark (see [Db.purge]), so finishing a purge a crash
+    interrupted, or one whose transaction rolled back in process, is
+    always correct; a later winner's reuse of a freed rid is redone
+    after it, and a loser's earlier record on a rid a purge freed is
+    superseded as by a winner's. *)
 
 type stats = {
   records_scanned : int;

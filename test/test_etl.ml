@@ -464,6 +464,40 @@ let restarted_capture_pipeline_resumes method_ () =
   check Alcotest.int "quiet round" 0 (ok_round pipe);
   check Alcotest.bool "converged" true (converged src wh)
 
+(* the round has committed its mark when the purge runs, so a source
+   write fault there is counted, the round reads Ok, and the next round
+   (one with nothing new) purges through the mark again *)
+let purge_failure_after_a_committed_round () =
+  let src = mk_source () in
+  let wh = mk_warehouse () in
+  let pipe =
+    Pipeline.create ~source:src ~warehouse:wh ~table:"parts" ~method_:Pipeline.Trigger
+      ~transport:Pipeline.Direct ()
+  in
+  Db.with_txn src (fun txn ->
+      List.iter
+        (fun s -> ignore (Db.exec src txn s : Db.exec_result))
+        (Workload.insert_parts_txn ~first_id:1 ~size:10 ~day:(Db.current_day src) ()));
+  let failures () = Dw_util.Metrics.get (Db.metrics (Warehouse.db wh)) "pipeline.purge_failures" in
+  let at_or_below_mark () =
+    let mark = (Warehouse.mark wh "parts").Warehouse.trig in
+    List.length
+      (List.filter
+         (fun row -> Value.compare row.(0) (Value.Int mark) <= 0)
+         (table_rows src "parts__delta"))
+  in
+  Vfs.set_fault (Db.vfs src) (Some (Vfs.Fault.make ~write_fail_p:1.0 ~seed:1 ()));
+  check Alcotest.int "the round reads Ok" 10 (ok_round pipe);
+  Vfs.set_fault (Db.vfs src) None;
+  check Alcotest.int "one purge failure" 1 (failures ());
+  check Alcotest.int "the mark moved" 10 (Warehouse.mark wh "parts").Warehouse.trig;
+  check Alcotest.int "its rows are left" 10 (at_or_below_mark ());
+  check Alcotest.(list int) "no transaction left open" [] (Db.active_txns src);
+  check Alcotest.int "quiet round" 0 (ok_round pipe);
+  check Alcotest.int "no row at or below the mark" 0 (at_or_below_mark ());
+  check Alcotest.int "no new failure" 1 (failures ());
+  check Alcotest.bool "converged" true (converged src wh)
+
 let create_validates () =
   let src = mk_source () in
   let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
@@ -518,4 +552,5 @@ let suite =
       (restarted_capture_pipeline_resumes Pipeline.Op_delta_wrapper);
     test "create validates" create_validates;
     test "round time reads the warehouse clock" round_time_on_registry_clock;
+    test "a purge failure after a committed round reads Ok" purge_failure_after_a_committed_round;
   ]

@@ -368,7 +368,8 @@ let fifty_row_update_one_write () =
     | Log_record.Begin -> "begin"
     | Log_record.Update _ -> "update"
     | Log_record.Commit -> "commit"
-    | Log_record.Abort | Log_record.Insert _ | Log_record.Delete _ | Log_record.Checkpoint _ ->
+    | Log_record.Abort | Log_record.Insert _ | Log_record.Delete _ | Log_record.Purge _
+    | Log_record.Checkpoint _ ->
       "other"
   in
   check Alcotest.(list string) "Begin, 50 Updates, Commit"

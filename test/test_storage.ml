@@ -311,6 +311,45 @@ let heap_slot_reuse_after_delete () =
   done;
   check Alcotest.int "pages stable" pages_before (Heap_file.page_count heap)
 
+(* runs revisit pages (key order against slot order), every row is
+   seen once in list order after its run is freed, the freed slots are
+   reused, and a raise leaves every row before it freed and seen, the
+   one freed earlier in the raising run included *)
+let heap_free_rows_by_page_run () =
+  let heap = mk_heap () in
+  let rids = Array.init 100 (fun i -> Heap_file.insert heap (row i "x")) in
+  let pages_before = Heap_file.page_count heap in
+  check Alcotest.bool "several pages" true (pages_before > 2);
+  let page (r : Heap_file.rid) = r.page in
+  let last = Array.length rids - 1 in
+  let picks = [ 0; 1; last; 2; last - 1; 3 ] in
+  check Alcotest.bool "the runs revisit page 0" true
+    (page rids.(0) <> page rids.(last) && page rids.(2) = page rids.(0));
+  let seen = ref [] in
+  Heap_file.free_rows heap
+    (List.map (fun i -> (rids.(i), i)) picks)
+    (fun rid i ->
+      check Alcotest.bool "freed before it is seen" false (Heap_file.exists_at heap rid);
+      seen := i :: !seen);
+  check Alcotest.(list int) "each row seen once, in order" picks (List.rev !seen);
+  check Alcotest.int "count" 94 (Heap_file.count heap);
+  for i = 100 to 105 do
+    ignore (Heap_file.insert heap (row i "y") : Heap_file.rid)
+  done;
+  check Alcotest.int "the slots are reused" pages_before (Heap_file.page_count heap);
+  let seen = ref [] in
+  (match
+     Heap_file.free_rows heap
+       [ (rids.(10), 10); (rids.(last - 2), last - 2); (rids.(last - 2), last - 2) ]
+       (fun _ i -> seen := i :: !seen)
+   with
+   | () -> Alcotest.fail "expected a raise on a free slot"
+   | exception Invalid_argument _ -> ());
+  check Alcotest.(list int) "every row freed before the raise was seen" [ last - 2; 10 ] !seen;
+  check Alcotest.bool "the earlier run freed" false (Heap_file.exists_at heap rids.(10));
+  check Alcotest.bool "the raising run's first row freed" false
+    (Heap_file.exists_at heap rids.(last - 2))
+
 let heap_attach () =
   let vfs = Vfs.in_memory () in
   let pool = Buffer_pool.create ~vfs ~capacity:16 () in
@@ -666,4 +705,5 @@ let suite =
     test "pool frames shared across handles" pool_handles_share_frames;
     test "pool file ops touch only their file" pool_file_ops_touch_own_frames;
     test "a Disk handle is shared safely across domains" vfs_disk_handle_shared_across_domains;
+    test "heap frees rows a page run at a time" heap_free_rows_by_page_run;
   ]

@@ -42,6 +42,14 @@ let sample_records =
     { Log_record.tx = 0; body = Log_record.Checkpoint [] };
   ]
 
+(* purge bodies, kept apart from [sample_records], whose length the wal
+   tests below count on *)
+let purge_records =
+  [
+    { Log_record.tx = 5; body = Log_record.Purge { table = "t__delta"; rids = [ rid 0 1; rid 0 2; rid 7 0 ] } };
+    { Log_record.tx = 6; body = Log_record.Purge { table = "t__delta"; rids = [] } };
+  ]
+
 let record_equal (a : Log_record.t) (b : Log_record.t) =
   a.tx = b.tx
   &&
@@ -57,9 +65,10 @@ let record_equal (a : Log_record.t) (b : Log_record.t) =
   | Log_record.Update x, Log_record.Update y ->
     x.table = y.table && x.rid = y.rid && Bytes.equal x.before y.before
     && Bytes.equal x.after y.after
+  | Log_record.Purge x, Log_record.Purge y -> x.table = y.table && x.rids = y.rids
   | Log_record.Checkpoint x, Log_record.Checkpoint y -> x = y
   | ( ( Log_record.Begin | Log_record.Commit | Log_record.Abort | Log_record.Insert _
-      | Log_record.Delete _ | Log_record.Update _ | Log_record.Checkpoint _ ),
+      | Log_record.Delete _ | Log_record.Update _ | Log_record.Purge _ | Log_record.Checkpoint _ ),
       _ ) ->
     false
 
@@ -72,7 +81,7 @@ let log_record_roundtrip () =
         check Alcotest.bool "roundtrip" true (record_equal record decoded);
         check Alcotest.int "consumed all" (Bytes.length encoded) next
       | Error e -> Alcotest.fail e)
-    sample_records
+    (sample_records @ purge_records)
 
 let log_record_detects_corruption () =
   let encoded = Log_record.encode (List.nth sample_records 3) in
@@ -497,6 +506,185 @@ let reopen_txids_pass_a_loser () =
   check Alcotest.bool "the first txid after the reopen is past it" true (Db.txid next > !logged);
   Db.commit db next
 
+(* ---------- purges: redo-only ---------- *)
+
+(* a hand-built log over one heap: [recover_purges records ~on_device]
+   appends the records, puts the rows [on_device] in their slots as a
+   page written back before the crash would hold them, and runs
+   recovery *)
+let recover_purges records ~on_device =
+  let vfs = Vfs.in_memory () in
+  let wal = Wal.create vfs ~name:"p.wal" ~archive:false in
+  let pool = Buffer_pool.create ~vfs ~capacity:8 () in
+  let heap = Heap_file.create pool (Vfs.create vfs "t.heap") rec_schema in
+  List.iter (fun r -> ignore (Wal.append wal r : int)) records;
+  List.iter (fun (r, row) -> Heap_file.force_at heap r (Some (encode row))) on_device;
+  let stats = Recovery.run ~wal ~resolve:(fun name -> if name = "t" then Some heap else None) in
+  (heap, stats)
+
+let committed_inserts tx rows =
+  ({ Log_record.tx; body = Log_record.Begin }
+   :: List.map
+        (fun (r, row) ->
+          { Log_record.tx; body = Log_record.Insert { table = "t"; rid = r; after = encode row } })
+        rows)
+  @ [ { Log_record.tx; body = Log_record.Commit } ]
+
+let purge_of tx rids = { Log_record.tx; body = Log_record.Purge { table = "t"; rids } }
+let slot heap r = if Heap_file.exists_at heap r then Some (Heap_file.get heap r) else None
+
+let check_slot what heap r want =
+  check Alcotest.(option string) what
+    (Option.map (fun row -> Dw_relation.Tuple.to_string row) want)
+    (Option.map Dw_relation.Tuple.to_string (slot heap r))
+
+let rows3 = [ (rid 0 0, row 1 "a"); (rid 0 1, row 2 "b"); (rid 0 2, row 3 "c") ]
+
+(* the purging transaction never committed: crashed, or rolled back in
+   process with its Abort logged; its purge is finished all the same *)
+let recovery_finishes_a_losers_purge () =
+  List.iter
+    (fun (what, ending) ->
+      let heap, stats =
+        recover_purges
+          (committed_inserts 1 rows3
+          @ [ { Log_record.tx = 2; body = Log_record.Begin }; purge_of 2 [ rid 0 0; rid 0 1 ] ]
+          @ ending)
+          ~on_device:rows3
+      in
+      check Alcotest.int (what ^ ": one loser") 1 stats.Recovery.losers;
+      check Alcotest.int (what ^ ": nothing undone") 0 stats.Recovery.undone;
+      check_slot (what ^ ": purged") heap (rid 0 0) None;
+      check_slot (what ^ ": purged") heap (rid 0 1) None;
+      check_slot (what ^ ": kept") heap (rid 0 2) (Some (row 3 "c")))
+    [ ("crashed", []); ("aborted", [ { Log_record.tx = 2; body = Log_record.Abort } ]) ]
+
+let recovery_redoes_a_winners_purge () =
+  let heap, stats =
+    recover_purges
+      (committed_inserts 1 rows3
+      @ [ { Log_record.tx = 2; body = Log_record.Begin };
+          purge_of 2 [ rid 0 0; rid 0 2 ];
+          { Log_record.tx = 2; body = Log_record.Commit } ])
+      ~on_device:rows3
+  in
+  check Alcotest.int "two winners" 2 stats.Recovery.winners;
+  check Alcotest.int "three inserts and the purge redone" 4 stats.Recovery.redone;
+  check_slot "purged" heap (rid 0 0) None;
+  check_slot "kept" heap (rid 0 1) (Some (row 2 "b"));
+  check_slot "purged" heap (rid 0 2) None
+
+(* a winner reuses a purged rid at a higher LSN, whether the purge's
+   transaction won or lost; a loser's later write there is undone *)
+let recovery_keeps_a_reused_rid () =
+  List.iter
+    (fun (what, purge_commit) ->
+      let heap, _ =
+        recover_purges
+          (committed_inserts 1 [ (rid 0 0, row 1 "a"); (rid 0 1, row 2 "b") ]
+          @ [ { Log_record.tx = 2; body = Log_record.Begin }; purge_of 2 [ rid 0 0; rid 0 1 ] ]
+          @ purge_commit
+          @ committed_inserts 3 [ (rid 0 0, row 4 "new") ]
+          @ [ { Log_record.tx = 4; body = Log_record.Begin };
+              { Log_record.tx = 4;
+                body = Log_record.Insert { table = "t"; rid = rid 0 1; after = encode (row 5 "lost") } } ])
+          ~on_device:[ (rid 0 0, row 4 "new"); (rid 0 1, row 5 "lost") ]
+      in
+      check_slot (what ^ ": the reuse survives") heap (rid 0 0) (Some (row 4 "new"));
+      check_slot (what ^ ": the loser's reuse is undone") heap (rid 0 1) None)
+    [ ("purge won", [ { Log_record.tx = 2; body = Log_record.Commit } ]); ("purge lost", []) ]
+
+(* 10,000 rids (80 KB) do not fit the 64 KiB log buffer: the purge goes
+   to the device as one frame on its own, reads back whole, and recovery
+   frees every slot it names and no other *)
+let wal_carries_a_long_purge_whole () =
+  let vfs = Vfs.in_memory () in
+  let wal = Wal.create vfs ~name:"s.wal" ~archive:false in
+  let pool = Buffer_pool.create ~vfs ~capacity:8 () in
+  let heap = Heap_file.create pool (Vfs.create vfs "t.heap") rec_schema in
+  let rids = List.init 10_000 (fun i -> Heap_file.insert heap (row i "x")) in
+  let kept = Heap_file.insert heap (row 10_000 "kept") in
+  ignore (Wal.append wal { Log_record.tx = 7; body = Log_record.Begin } : int);
+  let lsn = Wal.append wal (purge_of 7 rids) in
+  check Alcotest.bool "longer than the buffer" true
+    (Log_record.frame_length (purge_of 7 rids) > 65536);
+  let frames = ref [] in
+  Wal.iter_all wal (fun l r -> frames := (l, r) :: !frames);
+  (match !frames with
+   | [ (l, { Log_record.tx = 7; body = Log_record.Purge { table = "t"; rids = read } }); _ ] ->
+     check Alcotest.int "at the LSN returned" lsn l;
+     check Alcotest.bool "every rid, in order" true (read = rids)
+   | _ -> Alcotest.fail "expected the Begin and one Purge frame");
+  let stats = Recovery.run ~wal ~resolve:(fun name -> if name = "t" then Some heap else None) in
+  check Alcotest.int "one loser" 1 stats.Recovery.losers;
+  check Alcotest.int "the purge redone" 1 stats.Recovery.redone;
+  check Alcotest.bool "every purged slot free" false
+    (List.exists (Heap_file.exists_at heap) rids);
+  check_slot "kept" heap kept (Some (row 10_000 "kept"))
+
+module Workload = Dw_workload.Workload
+module Warehouse = Dw_warehouse.Warehouse
+module Pipeline = Dw_etl.Pipeline
+
+(* a trigger pipeline whose first round integrated ten inserts and then
+   crashed the source at its purge's [k]th device event (0: the commit's
+   log write, so no purge frame reached the log; 1: the fsync after
+   it); the source is reopened from its bytes, the warehouse kept *)
+let purge_crash k =
+  let srcvfs = Vfs.in_memory () in
+  let src = Db.create ~vfs:srcvfs ~name:"src" () in
+  ignore (Workload.create_parts_table src : Dw_engine.Table.t);
+  let wh = Warehouse.create ~vfs:(Vfs.in_memory ()) ~name:"dw" () in
+  Warehouse.add_replica wh ~table:"parts" ~schema:Workload.parts_schema;
+  let create src =
+    Pipeline.create ~source:src ~warehouse:wh ~table:"parts" ~method_:Pipeline.Trigger
+      ~transport:Pipeline.Direct ()
+  in
+  let pipe = create src in
+  let insert src first_id size =
+    Db.with_txn src (fun txn ->
+        List.iter
+          (fun s -> ignore (Db.exec src txn s : Db.exec_result))
+          (Workload.insert_parts_txn ~first_id ~size ~day:(Db.current_day src) ()))
+  in
+  insert src 1 10;
+  Vfs.set_fault srcvfs (Some (Vfs.Fault.make ~fail_stop_after:k ~tear_on_crash:false ~seed:1 ()));
+  (match Pipeline.run_round pipe with
+   | exception Vfs.Fault.Crash _ -> ()
+   | Ok _ | Error _ -> Alcotest.fail "expected the purge to crash");
+  let catalog =
+    List.map
+      (fun tbl -> (Dw_engine.Table.name tbl, Dw_engine.Table.schema tbl, Dw_engine.Table.ts_column tbl))
+      (Db.tables src)
+  in
+  Vfs.crash_reset srcvfs;
+  let src, _ = Db.reopen ~vfs:srcvfs ~name:"src" ~tables:catalog () in
+  let positions () =
+    List.map
+      (fun row -> match row.(0) with Value.Int p -> p | _ -> Alcotest.fail "position")
+      (Db.with_txn src (fun txn -> Db.select src txn "parts__delta" ()))
+  in
+  (src, (Warehouse.mark wh "parts").Warehouse.trig, positions, (fun () -> create src), insert)
+
+let purge_lost_before_the_log () =
+  let _, mark, positions, create, _ = purge_crash 0 in
+  check Alcotest.int "the round's mark committed" 10 mark;
+  check Alcotest.(list int) "the rows through the mark are left" (List.init 10 succ)
+    (List.sort compare (positions ()));
+  ignore (create () : Pipeline.t);
+  check Alcotest.(list int) "create purges them" [] (positions ())
+
+let positions_continue_after_a_purge_reopen () =
+  let src, mark, positions, create, insert = purge_crash 1 in
+  check Alcotest.(list int) "recovery finished the purge" [] (positions ());
+  let pipe = create () in
+  insert src 11 2;
+  check Alcotest.(list int) "positions continue above the mark" [ mark + 1; mark + 2 ]
+    (List.sort compare (positions ()));
+  match Pipeline.run_round pipe with
+  | Ok stats -> check Alcotest.int "only the new rows" 2 stats.Pipeline.extracted_changes
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     test "log record roundtrip" log_record_roundtrip;
@@ -524,4 +712,11 @@ let suite =
     test "recovery idempotent" recovery_idempotent;
     test "restart: a reopen reads the log once per pass" reopen_reads_the_log_once_per_pass;
     test "restart: txids after a reopen pass a crashed loser's" reopen_txids_pass_a_loser;
+    test "recovery finishes a loser's purge" recovery_finishes_a_losers_purge;
+    test "recovery redoes a winner's purge" recovery_redoes_a_winners_purge;
+    test "recovery keeps a winner's reuse of a purged rid" recovery_keeps_a_reused_rid;
+    test "restart: a purge lost before the log is redone by create" purge_lost_before_the_log;
+    test "restart: positions continue above the mark after a purge"
+      positions_continue_after_a_purge_reopen;
+    test "wal and recovery carry a long purge as one frame" wal_carries_a_long_purge_whole;
   ]

@@ -51,6 +51,7 @@ module Oracle = struct
     | Log_record.Delete _ -> 4
     | Log_record.Update _ -> 5
     | Log_record.Checkpoint _ -> 6
+    | Log_record.Purge _ -> 7
 
   let encode (t : Log_record.t) =
     let payload = Buffer.create 64 in
@@ -71,6 +72,10 @@ module Oracle = struct
        put_rid payload rid;
        put_bytes payload before;
        put_bytes payload after
+     | Log_record.Purge { table; rids } ->
+       put_string payload table;
+       put_u32 payload (List.length rids);
+       List.iter (put_rid payload) rids
      | Log_record.Checkpoint active ->
        put_u32 payload (List.length active);
        List.iter (fun tx -> put_i64 payload tx) active);
@@ -120,6 +125,9 @@ let gen_record =
             (fun table rid (before, after) -> Log_record.Update { table; rid; before; after })
             table rid (pair image image);
           map (fun l -> Log_record.Checkpoint l) (list_size (int_range 0 6) tx);
+          map2
+            (fun table rids -> Log_record.Purge { table; rids })
+            table (list_size (int_range 0 6) rid);
         ]
     in
     map2 (fun tx body -> { Log_record.tx; body }) tx body)
@@ -191,6 +199,12 @@ let golden =
             };
       },
       "2c000000a52ba7b5050000000000010000000000000300000000000080030000006f6c64040000006e657721" );
+    ( "purge",
+      {
+        Log_record.tx = 6;
+        body = Log_record.Purge { table = "d"; rids = [ rid 1 2; rid 3 0 ] };
+      },
+      "2a0000001dd0382a07060000000000000001000000640200000001000000020000000300000000000000" );
     ( "checkpoint",
       { Log_record.tx = 0; body = Log_record.Checkpoint [ 7; -1; 1 lsl 33 ] },
       "2d000000b79981a4060000000000000000030000000700000000000000ffffffffffffffff0000000002000000"
